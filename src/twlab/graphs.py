@@ -114,9 +114,6 @@ class EdgeWeighting:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "weights", weights)
 
-    def weight(self, u: int, v: int) -> int:
-        return self.weights[self.graph.edges.index(canon(u, v))]
-
     def as_dict(self) -> dict[Edge, int]:
         return dict(zip(self.graph.edges, self.weights))
 
@@ -190,9 +187,6 @@ class Orientation:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "direction", direction)
 
-    def tail(self, u: int, v: int) -> int:
-        return self.direction[self.graph.edges.index(canon(u, v))][0]
-
     def as_dict(self) -> dict[Edge, Edge]:
         return dict(zip(self.graph.edges, self.direction))
 
@@ -214,18 +208,6 @@ def remove_vertices(g: Graph, xs) -> Graph:
     xs = g._check_vertex_set(xs)
     sub, _ = induced_subgraph(g, set(g.vertices()) - xs)
     return sub
-
-
-def subgraph_without(g: Graph, xs) -> Graph:
-    """Like remove_vertices but keeps the original vertex labels.
-
-    Deleted vertices remain as isolated ids with their incident edges removed;
-    useful when a decomposition of the remainder must stay label-compatible
-    with g.
-    """
-    xs = g._check_vertex_set(xs)
-    edges = [e for e in g.edges if e[0] not in xs and e[1] not in xs]
-    return Graph(g.n, edges)
 
 
 def is_clique(g: Graph, s) -> bool:

@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise InputError(f"unknown pipeline {self.pipeline!r}; choose from {PIPELINES}")
         if self.cases < 1:
             raise InputError("cases must be at least 1")
+        if self.jobs < 1:
+            raise InputError("jobs must be at least 1")
         if not 0.0 <= self.p <= 1.0:
             raise InputError("p must lie in [0, 1]")
         if self.solver not in ("bf", "dp", "both"):
@@ -325,10 +327,14 @@ class VerificationReport:
 
 def verify_reduction(cfg: ExperimentConfig) -> VerificationReport:
     """Generate cases, solve source and target, validate witnesses, and
-    collect agreement records (in case order even when run in parallel)."""
+    collect agreement records (in case order even when run in parallel).
+
+    At most min(jobs, cases, CPU count) worker processes are started.
+    """
     cfg.check_guards()
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, cfg.cases, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_case_record, [cfg] * cfg.cases, range(cfg.cases)))
     else:
         records = [_case_record(cfg, case) for case in range(cfg.cases)]

@@ -1,10 +1,7 @@
-"""Pure-Python search kernels.
+"""Search kernels: the four hot loops behind the brute-force oracles and
+exact treewidth.
 
-These are the reference implementations of the four hot loops; the compiled
-module in _ckernels.pyx mirrors them operation for operation, so both
-backends return identical results (including identical witnesses).
-
-Determinism contracts shared by both backends:
+Every search is deterministic:
 
 * orient_search returns the lexicographically first admissible direction
   vector (edge i contributes digit 0 when its tail is the smaller endpoint,
@@ -19,7 +16,9 @@ Determinism contracts shared by both backends:
 
 from __future__ import annotations
 
-BACKEND = "python"
+from twlab.errors import GuardError
+
+BACKEND = "python"  # the name benchmark results record for this implementation
 
 
 def orient_search(n, eu, ev, w, rho):
@@ -205,11 +204,12 @@ def exact_treewidth(n, adj_masks):
         dp[S] = min over v in S of max(dp[S \\ v], back-degree of v given S \\ v)
     where the back-degree counts vertices outside S reachable from v through
     S \\ v.  Returns (treewidth, elimination order); n = 0 gives (-1, []).
+    Graphs above 26 vertices raise GuardError before any DP runs.
     """
     if n == 0:
         return -1, []
     if n > 26:
-        raise ValueError("exact treewidth kernel supports at most 26 vertices")
+        raise GuardError(f"exact treewidth supports at most 26 vertices (graph has {n})")
     full = (1 << n) - 1
     dp = [0] * (full + 1)
     choice = [0] * (full + 1)

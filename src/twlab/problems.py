@@ -26,10 +26,6 @@ from twlab.graphs import (
 
 DEFAULT_WEIGHT_CEILING = 10**6
 
-# the compiled kernels use 64-bit integers; values at or beyond this bound
-# are routed to the pure-Python twins, which use arbitrary precision
-_INT64_SAFE = 1 << 62
-
 
 # --- instance types ----------------------------------------------------------
 
@@ -70,10 +66,6 @@ class PrecoloringExtensionInstance:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "precolor", tuple(items))
         object.__setattr__(self, "r", r)
-
-    @property
-    def precolor_map(self) -> dict[int, int]:
-        return dict(self.precolor)
 
 
 @dataclass(frozen=True)
@@ -262,16 +254,6 @@ def check_minmax(inst: MinMaxOutdegreeInstance, lam: Orientation) -> bool:
 
 # --- brute-force oracles ------------------------------------------------------
 
-def _pick_backend(largest_value: int):
-    """Selected kernel backend, or the pure twin when a value would not fit
-    the compiled backend's 64-bit integers."""
-    if largest_value >= _INT64_SAFE:
-        from twlab.kernels import _pykernels
-
-        return _pykernels
-    return kernels
-
-
 def degeneracy_order(g: Graph) -> list[int]:
     """Vertices ordered so each has few earlier neighbors: reverse of a
     repeated minimum-degree peel (ties to the smallest index)."""
@@ -304,8 +286,7 @@ def bf_list_coloring(inst: ListColoringInstance) -> dict[int, int] | None:
         adj_offsets.append(len(adj_targets))
         pal_values.extend(sorted(inst.lists[v]))
         pal_offsets.append(len(pal_values))
-    search = _pick_backend(max(pal_values, default=0)).list_color_search
-    got = search(g.n, adj_offsets, adj_targets, pal_offsets, pal_values)
+    got = kernels.list_color_search(g.n, adj_offsets, adj_targets, pal_offsets, pal_values)
     if got is None:
         return None
     colors = {order[i]: c for i, c in enumerate(got)}
@@ -428,15 +409,7 @@ def _gensat_arrays(inst: GensatInstance):
 def bf_gensat(inst: GensatInstance) -> tuple[int, ...] | None:
     """Assignment search in variable-index order (0 before 1), pruning any
     prefix some constraint can no longer match."""
-    arrays = _gensat_arrays(inst)
-    if max((c.relation.arity for c in inst.constraints), default=0) > 64:
-        # the compiled kernel packs tuples into 64-bit masks; fall back
-        from twlab.kernels import _pykernels
-
-        search = _pykernels.gensat_search
-    else:
-        search = kernels.gensat_search
-    got = search(inst.num_variables, *arrays)
+    got = kernels.gensat_search(inst.num_variables, *_gensat_arrays(inst))
     if got is None:
         return None
     tau = tuple(got)
@@ -455,8 +428,7 @@ def bf_chosen_outdegree(inst: ChosenOutdegreeInstance) -> Orientation | None:
     g = inst.graph
     w = inst.weights.weights
     order = sorted(range(len(g.edges)), key=lambda i: (-w[i], i))
-    search = _pick_backend(max(max(w, default=0), max(inst.rho, default=0))).orient_search
-    got = search(
+    got = kernels.orient_search(
         g.n,
         [g.edges[i][0] for i in order],
         [g.edges[i][1] for i in order],

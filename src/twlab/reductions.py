@@ -86,22 +86,16 @@ class GadgetIndex:
 
     def __init__(self, pairs):
         self._vertex_of: dict[tuple, int] = {}
-        self._role_of: dict[int, tuple] = {}
+        vertices: set[int] = set()
         for tag, vertex in pairs:
             tag = tuple(tag)
-            if tag in self._vertex_of or vertex in self._role_of:
+            if tag in self._vertex_of or vertex in vertices:
                 raise InputError(f"index entry ({tag}, {vertex}) breaks bijectivity")
             self._vertex_of[tag] = vertex
-            self._role_of[vertex] = tag
+            vertices.add(vertex)
 
     def vertex(self, *tag) -> int:
         return self._vertex_of[tuple(tag)]
-
-    def role(self, vertex: int) -> tuple:
-        return self._role_of[vertex]
-
-    def __len__(self) -> int:
-        return len(self._vertex_of)
 
     def entries(self) -> list[dict]:
         fields_of = {

@@ -62,6 +62,13 @@ class TestTw:
         code, _, err = run(capsys, "tw", str(f))
         assert code == 2 and "error:" in err
 
+    def test_exact_past_kernel_cap_exit_2(self, capsys, tmp_path):
+        # --limit lifts the CLI gate; the kernel's 26-vertex cap still refuses
+        f = tmp_path / "p27.json"
+        f.write_text(json.dumps({"n": 27, "edges": [[i, i + 1] for i in range(26)]}))
+        code, _, err = run(capsys, "tw", "--method", "exact", "--limit", "30", str(f))
+        assert code == 2 and "error:" in err and "26 vertices" in err
+
 
 class TestReduceSolve:
     def test_pc_chosen_round_trip(self, capsys, tmp_path):

@@ -55,6 +55,11 @@ class TestConfig:
         with pytest.raises(InputError):
             ExperimentConfig(pipeline="lc-pce", solver="dp")
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_must_be_positive(self, jobs):
+        with pytest.raises(InputError):
+            ExperimentConfig(pipeline="pc-lc", jobs=jobs)
+
     def test_guards(self):
         cfg = ExperimentConfig(pipeline="pc-chosen", k=3, n=3, cases=1)
         cfg.check_guards()
@@ -134,6 +139,40 @@ class TestVerify:
         a = strip_timings(report_to_json(verify_reduction(base)))
         b = strip_timings(report_to_json(verify_reduction(par)))
         assert a["records"] == b["records"] and a["summary"] == b["summary"]
+
+    @pytest.mark.parametrize("jobs,cases,cpus,workers", [
+        (5000, 2, 4, 2),  # never more workers than cases
+        (5000, 10, 4, 4),  # nor than CPUs
+        (3, 10, 4, 3),
+        (5000, 10, 1, None),  # one worker: no pool at all
+    ])
+    def test_jobs_clamped(self, monkeypatch, jobs, cases, cpus, workers):
+        import twlab.harness as hn
+
+        started = []
+
+        class FakePool:
+            """Records max_workers and runs the cases in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(hn.os, "cpu_count", lambda: cpus)
+        rep = verify_reduction(
+            ExperimentConfig(pipeline="chosen-minmax", n=4, cases=cases, seed=3, jobs=jobs)
+        )
+        assert started == ([] if workers is None else [workers])
+        assert rep.summary["total"] == cases
 
     def test_guard_violation_refused(self):
         with pytest.raises(GuardError):

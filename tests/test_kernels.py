@@ -1,134 +1,36 @@
-"""Backend parity: the compiled kernels must return byte-identical results
-(including witnesses) to the pure-Python twins."""
-
-import random
+"""Edge cases of the search kernels (the oracles in test_problems cover
+their verdicts and witnesses)."""
 
 import pytest
 
-from twlab.kernels import _pykernels
-
-try:
-    from twlab.kernels import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _ckernels is None, reason="compiled kernel not built"
-)
-
-BACKENDS = [_pykernels] if _ckernels is None else [_pykernels, _ckernels]
+from twlab import kernels
+from twlab.errors import GuardError
 
 
-def rand_orient_input(rng):
-    n = rng.randint(1, 7)
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
-    ]
-    return (
-        n,
-        [e[0] for e in edges],
-        [e[1] for e in edges],
-        [rng.randint(1, 5) for _ in edges],
-        [rng.randint(0, 6) for _ in range(n)],
-    )
-
-
-def rand_coloring_input(rng):
-    n = rng.randint(1, 7)
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.4:
-                adj[i].append(j)
-                adj[j].append(i)
-    ao, at, po, pv = [0], [], [0], []
-    for v in range(n):
-        at.extend(u for u in adj[v] if u < v)
-        ao.append(len(at))
-        pv.extend(sorted(rng.sample(range(1, 6), rng.randint(0, 3))))
-        po.append(len(pv))
-    return n, ao, at, po, pv
-
-
-def rand_gensat_input(rng):
-    nv = rng.randint(1, 8)
-    so, sv, to, tm = [0], [], [0], []
-    for _ in range(rng.randint(0, 4)):
-        arity = rng.randint(1, min(4, nv))
-        scope = rng.sample(range(nv), arity)
-        sv.extend(scope)
-        so.append(len(sv))
-        tuples = rng.sample(range(1 << arity), rng.randint(0, 1 << arity))
-        tm.extend(sorted(tuples))
-        to.append(len(tm))
-    return nv, so, sv, to, tm
-
-
-def rand_tw_input(rng):
-    n = rng.randint(0, 9)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return n, masks
-
-
-@needs_compiled
-@pytest.mark.parametrize(
-    "maker,name",
-    [
-        (rand_orient_input, "orient_search"),
-        (rand_coloring_input, "list_color_search"),
-        (rand_gensat_input, "gensat_search"),
-        (rand_tw_input, "exact_treewidth"),
-    ],
-)
-def test_backend_parity(maker, name):
-    rng = random.Random(hash(name) & 0xFFFF)
-    for _ in range(250):
-        args = maker(rng)
-        assert getattr(_pykernels, name)(*args) == getattr(_ckernels, name)(*args)
-
-
-@pytest.mark.parametrize("impl", BACKENDS)
 class TestKernelEdgeCases:
-    def test_orient_empty(self, impl):
-        assert impl.orient_search(3, [], [], [], [0, 0, 0]) == []
+    def test_orient_empty(self):
+        assert kernels.orient_search(3, [], [], [], [0, 0, 0]) == []
 
-    def test_orient_immediate_contradiction(self, impl):
-        assert impl.orient_search(2, [0], [1], [5], [1, 1]) is None
+    def test_orient_immediate_contradiction(self):
+        assert kernels.orient_search(2, [0], [1], [5], [1, 1]) is None
 
-    def test_color_no_vertices(self, impl):
-        assert impl.list_color_search(0, [0], [], [0], []) == []
+    def test_color_no_vertices(self):
+        assert kernels.list_color_search(0, [0], [], [0], []) == []
 
-    def test_gensat_no_constraints(self, impl):
-        assert impl.gensat_search(2, [0], [], [0], []) == [0, 0]
+    def test_gensat_no_constraints(self):
+        assert kernels.gensat_search(2, [0], [], [0], []) == [0, 0]
 
-    def test_gensat_empty_relation(self, impl):
-        assert impl.gensat_search(1, [0, 1], [0], [0, 0], []) is None
+    def test_gensat_empty_relation(self):
+        assert kernels.gensat_search(1, [0, 1], [0], [0, 0], []) is None
 
-    def test_exact_tw_empty_graph(self, impl):
-        assert impl.exact_treewidth(0, []) == (-1, [])
+    def test_exact_tw_empty_graph(self):
+        assert kernels.exact_treewidth(0, []) == (-1, [])
 
-    def test_exact_tw_k4(self, impl):
+    def test_exact_tw_k4(self):
         masks = [0b1110, 0b1101, 0b1011, 0b0111]
-        tw, order = impl.exact_treewidth(4, masks)
+        tw, order = kernels.exact_treewidth(4, masks)
         assert tw == 3 and sorted(order) == [0, 1, 2, 3]
 
-    def test_exact_tw_size_cap(self, impl):
-        with pytest.raises(ValueError):
-            impl.exact_treewidth(27, [0] * 27)
-
-
-@needs_compiled
-def test_compiled_backend_is_selected_by_default():
-    import os
-
-    import twlab.kernels as k
-
-    if os.environ.get("TWLAB_KERNEL") == "py":
-        assert k.BACKEND == "python"
-    else:
-        assert k.BACKEND == "c"
+    def test_exact_tw_size_cap(self):
+        with pytest.raises(GuardError):
+            kernels.exact_treewidth(27, [0] * 27)

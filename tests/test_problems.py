@@ -138,7 +138,7 @@ class TestGensat:
         assert bf_gensat(inst) == (0, 1, 0)  # lexicographically first
 
     def test_wide_relation_uses_pure_fallback(self):
-        # arity above the 64-bit mask limit of the compiled kernel
+        # tuple masks wider than 64 bits
         arity = 70
         tup = tuple([1] + [0] * (arity - 1))
         rel = BooleanRelation(arity, [tup])
@@ -175,13 +175,14 @@ class TestChosenOutdegree:
             assert (fast is None) == (brute is None)
 
     def test_huge_caps_use_pure_backend(self):
-        # caps beyond 64-bit range must still solve (bigint fallback)
+        # caps beyond 64-bit range must still solve
         g = path(2)
         inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (1 << 80, 0))
         lam = bf_chosen_outdegree(inst)
         assert lam is not None and lam.direction == ((0, 1),)
 
     def test_huge_color_labels_use_pure_backend(self):
+        # color labels beyond 64-bit range must still solve
         big = 1 << 70
         inst = ListColoringInstance(path(2), [{big}, {big, big + 1}])
         assert bf_list_coloring(inst) == {0: big, 1: big + 1}
