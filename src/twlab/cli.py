@@ -125,6 +125,7 @@ def _cmd_solve(args) -> int:
         witness = hn.solve_bf(inst)
         verdict = witness is not None
     elif args.solver == "dp":
+        hn.require_dp_kind(inst)
         if args.td:
             td = tw.decomposition_from_json(_read_json(args.td))
             ntd = tw.to_nice(td, inst.graph)

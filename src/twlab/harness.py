@@ -288,19 +288,26 @@ def solve_bf(instance):
     raise InputError(f"no brute-force solver for {type(instance).__name__}")
 
 
+def require_dp_kind(instance) -> None:
+    """InputError unless a decomposition-driven solver exists for the
+    instance's kind; callers check this before building a decomposition."""
+    dp_kinds = (pr.ListColoringInstance, pr.ChosenOutdegreeInstance, pr.MinMaxOutdegreeInstance)
+    if not isinstance(instance, dp_kinds):
+        raise InputError(f"no DP solver for {type(instance).__name__}")
+
+
 def solve_dp(instance, ntd=None):
     """Dispatch to a decomposition-driven solver (list coloring or the two
     orientation problems), building a heuristic decomposition if none is
     given."""
+    require_dp_kind(instance)
     if ntd is None:
         ntd = _target_ntd(instance.graph)
     if isinstance(instance, pr.ListColoringInstance):
         return sv.dp_list_coloring(instance, ntd)
     if isinstance(instance, pr.ChosenOutdegreeInstance):
         return sv.dp_chosen_outdegree(instance, ntd)
-    if isinstance(instance, pr.MinMaxOutdegreeInstance):
-        return sv.min_max_outdegree(instance, ntd)
-    raise InputError(f"no DP solver for {type(instance).__name__}")
+    return sv.min_max_outdegree(instance, ntd)
 
 
 # --- report -----------------------------------------------------------------------

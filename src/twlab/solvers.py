@@ -8,7 +8,10 @@ yes-answer ships a certificate that is re-checked before being returned.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from itertools import groupby
+from operator import add, le
 
 from twlab.errors import InputError
 from twlab.graphs import EdgeWeighting, Graph, Orientation, canon
@@ -124,6 +127,32 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     return colors
 
 
+def _pareto_minimal(table: dict[tuple[int, ...], object]) -> dict[tuple[int, ...], object]:
+    """The entries of table whose keys no other key bounds pointwise.
+
+    Key i gets bit i.  For each coordinate j, a prefix bitmask over the keys
+    sorted by coordinate j gives, per key, the set of keys that are no larger
+    in coordinate j; the AND of a key's masks over all coordinates is the set
+    of keys that are <= it pointwise, which holds only its own bit exactly when
+    it is minimal (keys are distinct).  Survivors keep their insertion order
+    and their values.
+    """
+    keys = list(table)
+    if len(keys) < 2:
+        return table
+    below = [(1 << len(keys)) - 1] * len(keys)
+    for j in range(len(keys[0])):
+        coord = [k[j] for k in keys].__getitem__
+        mask = 0
+        for _, tied in groupby(sorted(range(len(keys)), key=coord), key=coord):
+            tied = list(tied)
+            for i in tied:
+                mask |= 1 << i
+            for i in tied:
+                below[i] &= mask
+    return {k: table[k] for i, k in enumerate(keys) if below[i] == 1 << i}
+
+
 def dp_chosen_outdegree(
     inst: ChosenOutdegreeInstance, ntd: NiceTreeDecomposition
 ) -> Orientation | None:
@@ -134,6 +163,22 @@ def dp_chosen_outdegree(
     (smaller tail tried first) and prunes past the cap, forget drops the
     accumulator, join adds accumulators pointwise — sound because every edge
     is introduced exactly once.
+
+    Dominance: after every introduce_edge, forget and join, a table keeps only
+    its Pareto-minimal states (no other state is <= it in every coordinate).
+    This is sound because caps are upper bounds and the nodes above only ever
+    add to the accumulators: each edge is introduced exactly once, below the
+    forget node of both its endpoints, so the edges still to come are the same
+    for every state of a node.  If state s completes to an admissible
+    orientation, the same choices complete any s' <= s pointwise without
+    passing a cap.  Introduce needs no filter: appending a 0 coordinate keeps
+    an antichain an antichain.  Pruning changes which states exist, not the
+    verdict; a kept state's back-pointer is still the first one found.
+
+    Join sorts the right table once.  For each left state s1 the right states
+    that fit, s2 <= caps - s1 pointwise, all have a first coordinate within
+    the slack, so they lie in the prefix of the lexicographic order found by
+    bisection; only that prefix is walked, in sorted order.
     """
     g = inst.graph
     _require_nice(ntd, g)
@@ -167,25 +212,29 @@ def dp_chosen_outdegree(
                     t = list(s)
                     t[pv] += w
                     table.setdefault(tuple(t), (s, v))
-            tables[i] = table
+            tables[i] = _pareto_minimal(table)
         elif node.kind == FORGET:
             child_bag = bags[node.children[0]]
             pos = child_bag.index(node.vertex)
             table = {}
             for s in sorted(tables[node.children[0]]):
                 table.setdefault(s[:pos] + s[pos + 1 :], s)
-            tables[i] = table
+            tables[i] = _pareto_minimal(table)
+        elif not bag:  # JOIN over the empty bag
+            left, right = node.children
+            tables[i] = {(): ((), ())} if tables[left] and tables[right] else {}
         else:  # JOIN
             left, right = node.children
+            caps = [rho[v] for v in bag]
+            rights = sorted(tables[right])
+            firsts = [s[0] for s in rights]
             table = {}
             for s1 in sorted(tables[left]):
-                for s2 in sorted(tables[right]):
-                    merged = tuple(a + b for a, b in zip(s1, s2))
-                    if all(
-                        m <= rho[v] for m, v in zip(merged, bag)
-                    ):
-                        table.setdefault(merged, (s1, s2))
-            tables[i] = table
+                slack = [c - a for c, a in zip(caps, s1)]
+                for s2 in rights[: bisect_right(firsts, slack[0])]:
+                    if all(map(le, s2, slack)):
+                        table.setdefault(tuple(map(add, s1, s2)), (s1, s2))
+            tables[i] = _pareto_minimal(table)
         cap = 1
         for v in bag:
             cap *= rho[v] + 1

@@ -170,6 +170,19 @@ class TestReduceSolve:
         assert code == 2 and "requires -k" in err
 
 
+    def test_solve_dp_on_gensat_exit_2(self, capsys, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text('{"n": 3, "edges": [[0,1],[0,2],[1,2]]}')
+        gs = tmp_path / "gs.json"
+        run(capsys, "reduce", "--pipeline", "clique-gensat", "-k", "2", str(g), "-o", str(gs))
+        td = tmp_path / "td.json"
+        run(capsys, "tw", "-o", str(td), str(g))
+        for extra in ([], ["--td", str(td)]):
+            code, out, err = run(capsys, "solve", "--solver", "dp", *extra, str(gs))
+            assert code == 2 and out == ""
+            assert "error: no DP solver for GensatInstance" in err
+
+
 class TestVerify:
     def test_chosen_minmax_passes(self, capsys, tmp_path):
         rep = tmp_path / "rep.json"

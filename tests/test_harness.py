@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -14,6 +15,7 @@ from twlab.harness import (
     gen_weighted,
     mix,
     report_to_json,
+    solve_dp,
     strip_timings,
     verify_reduction,
 )
@@ -174,6 +176,24 @@ class TestVerify:
         assert started == ([] if workers is None else [workers])
         assert rep.summary["total"] == cases
 
+    def test_pc_chosen_k3_n3_dp_within_budget(self):
+        """The largest guarded pc-chosen setting finishes under the DP and
+        agrees with brute force."""
+
+        def out_of_time(signum, frame):
+            raise TimeoutError("pc-chosen k=3 n=3 with solver=both ran past 30 s")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(30)
+        try:
+            rep = verify_reduction(
+                ExperimentConfig(pipeline="pc-chosen", k=3, n=3, cases=6, seed=1, solver="both")
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rep.summary["agreements"] == 6 and rep.summary["pass"]
+
     def test_guard_violation_refused(self):
         with pytest.raises(GuardError):
             verify_reduction(ExperimentConfig(pipeline="pc-chosen", k=4, n=3, cases=1))
@@ -194,6 +214,21 @@ class TestVerify:
             inst = instance_from_json(r["replay"]["target"])
             assert bf_list_coloring(inst) is not None  # true verdict: yes
             assert r["replay"]["source"]["parts"]
+
+
+class TestSolveDp:
+    def test_no_dp_solver_refused_before_decomposing(self, monkeypatch):
+        import twlab.harness as hn
+        from twlab.graphs import Graph
+        from twlab.reductions import clique_to_gensat
+
+        def no_decomposition(graph):
+            raise AssertionError("decomposition built for an instance with no DP solver")
+
+        monkeypatch.setattr(hn, "_target_ntd", no_decomposition)
+        gensat = clique_to_gensat(Graph(3, [(0, 1), (0, 2), (1, 2)]), 2).instance
+        with pytest.raises(InputError, match="no DP solver for GensatInstance"):
+            solve_dp(gensat)
 
 
 class TestReports:

@@ -16,7 +16,9 @@ from twlab.problems import (
     check_admissible,
     check_list_coloring,
 )
+from twlab import solvers
 from twlab.solvers import (
+    _pareto_minimal,
     dp_chosen_outdegree,
     dp_list_coloring,
     flow_min_max_uniform,
@@ -34,6 +36,44 @@ def rand_graph(rng, n_max, p=0.4):
     return Graph(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     )
+
+
+def count_pruned(monkeypatch):
+    """Counts the states the dominance filter drops during DP runs."""
+    pruned = [0]
+
+    def counting(table):
+        kept = _pareto_minimal(table)
+        pruned[0] += len(table) - len(kept)
+        return kept
+
+    monkeypatch.setattr(solvers, "_pareto_minimal", counting)
+    return pruned
+
+
+def quadratic_pareto_minimal(table):
+    return {
+        k: v
+        for k, v in table.items()
+        if not any(o != k and all(a <= b for a, b in zip(o, k)) for o in table)
+    }
+
+
+class TestParetoMinimal:
+    def test_matches_quadratic_filter(self):
+        rng = random.Random(6)
+        for d in range(7):
+            for _ in range(40):
+                keys = {tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(rng.randint(1, 80))}
+                table = {k: rng.random() for k in rng.sample(sorted(keys), len(keys))}
+                # same keys, same order, same values
+                assert list(_pareto_minimal(table).items()) == list(
+                    quadratic_pareto_minimal(table).items()
+                )
+
+    def test_single_key_and_empty_bag(self):
+        assert _pareto_minimal({(3, 1): "s"}) == {(3, 1): "s"}
+        assert _pareto_minimal({(): None}) == {(): None}
 
 
 class TestDpListColoring:
@@ -95,6 +135,23 @@ class TestDpChosenOutdegree:
                 bf_chosen_outdegree(inst) is None
             )
 
+    def test_matches_oracle_with_heavy_weights(self, monkeypatch):
+        # wide weights and caps leave many dominated states, so the filter fires
+        pruned = count_pruned(monkeypatch)
+        rng = random.Random(40)
+        yes = 0
+        for _ in range(80):
+            g = rand_graph(rng, n_max=8)
+            w = EdgeWeighting(g, [rng.randint(1, 40) for _ in g.edges])
+            rho = tuple(rng.randint(0, 60) for _ in range(g.n))
+            inst = ChosenOutdegreeInstance(g, w, rho)
+            lam = dp_chosen_outdegree(inst, nice_of(g))
+            assert (lam is None) == (bf_chosen_outdegree(inst) is None)
+            if lam is not None:
+                assert check_admissible(inst, lam)
+                yes += 1
+        assert 0 < yes < 80 and pruned[0] > 0
+
 
 class TestMinMaxDp:
     def test_triangle_r1(self, triangle):
@@ -119,6 +176,26 @@ class TestMinMaxDp:
                 bf_min_max_outdegree(inst) is None
             )
             done += 1
+
+    def test_matches_oracle_with_heavy_weights(self, monkeypatch):
+        pruned = count_pruned(monkeypatch)
+        rng = random.Random(41)
+        checked = yes = 0
+        for _ in range(80):
+            g = rand_graph(rng, n_max=8)
+            if not g.edges:
+                continue
+            checked += 1
+            w = EdgeWeighting(g, [rng.randint(1, 40) for _ in g.edges])
+            inst = MinMaxOutdegreeInstance(g, w, rng.randint(1, 60))
+            lam = min_max_outdegree(inst, nice_of(g))
+            assert (lam is None) == (bf_min_max_outdegree(inst) is None)
+            if lam is not None:
+                assert check_admissible(
+                    ChosenOutdegreeInstance(g, w, (inst.r,) * g.n), lam
+                )
+                yes += 1
+        assert 0 < yes < checked and pruned[0] > 0
 
 
 class TestNonHeuristicDecompositions:
