@@ -34,6 +34,10 @@ from twlab.treewidth import (
 
 
 def _require_nice(ntd: NiceTreeDecomposition, g: Graph) -> None:
+    """Raise InputError unless ntd is a nice decomposition of g.  One that
+    to_nice built for this very graph object is trusted without a re-check."""
+    if ntd.graph is g:
+        return
     check = check_nice(ntd, g)
     if not check.ok:
         raise InputError("invalid nice decomposition: " + "; ".join(check.violations[:3]))

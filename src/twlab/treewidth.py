@@ -4,8 +4,9 @@ and normalization to the nice form consumed by the DP solvers."""
 
 from __future__ import annotations
 
+import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from twlab import kernels
 from twlab.errors import GuardError, InputError
@@ -166,29 +167,52 @@ def from_elimination_order(g: Graph, order) -> TreeDecomposition:
 
 
 def _greedy_order(g: Graph, method: str, rng: random.Random | None) -> list[int]:
+    """Eliminate a vertex of least score (fill-in edges for min-fill, degree
+    for min-degree) until none is left; ties go to the smallest vertex, or to
+    rng.choice over the sorted tie list.
+
+    Scores are updated in place (Bodlaender & Koster 2010): eliminating v
+    changes the neighbourhoods of N(v) only and adds edges only inside N(v),
+    so only scores in N(v) and N(N(v)) can change.  The next vertex comes off
+    a heap keyed (score, v) that skips out-of-date entries.
+    """
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+
+    def score(v: int) -> int:
+        ns = adj[v]
+        if method == "min-degree":
+            return len(ns)
+        # each missing pair {a, b} of N(v) is counted from a and from b
+        return sum(len(ns - adj[a]) - 1 for a in ns) // 2
+
+    scores = {v: score(v) for v in adj}
+    heap = [(s, v) for v, s in scores.items()]
+    heapq.heapify(heap)
     order = []
     while adj:
-        if method == "min-degree":
-            crit = {v: len(ns) for v, ns in adj.items()}
-        else:  # min-fill
-            crit = {
-                v: sum(
-                    1
-                    for a in ns
-                    for b in ns
-                    if a < b and b not in adj[a]
-                )
-                for v, ns in adj.items()
-            }
-        best = min(crit.values())
-        candidates = sorted(v for v, c in crit.items() if c == best)
-        v = candidates[0] if rng is None else rng.choice(candidates)
+        s, v = heapq.heappop(heap)
+        if v not in adj or scores[v] != s:
+            continue
+        if rng is not None:
+            ties = [v]
+            while heap and heap[0][0] == s:
+                _, u = heapq.heappop(heap)
+                if u in adj and scores[u] == s and u != ties[-1]:
+                    ties.append(u)
+            v = rng.choice(ties)
+            for u in ties:
+                if u != v:
+                    heapq.heappush(heap, (s, u))
         order.append(v)
         ns = adj.pop(v)
         for a in ns:
             adj[a] |= ns - {a}
             adj[a].discard(v)
+        for u in ns.union(*(adj[a] for a in ns)):
+            s = score(u)
+            if s != scores[u]:
+                scores[u] = s
+                heapq.heappush(heap, (s, u))
     return order
 
 
@@ -308,10 +332,15 @@ class NiceNode:
 class NiceTreeDecomposition:
     """Rooted normalized decomposition: leaf (empty bag), introduce(v),
     forget(v), join (two children with equal bags), introduce_edge(uv) with
-    every graph edge introduced exactly once.  The root bag is empty."""
+    every graph edge introduced exactly once.  The root bag is empty.
+
+    `graph` is the graph object to_nice built it for; hand-built ones and
+    dataclasses.replace copies carry None, so the solvers check them in full.
+    """
 
     nodes: tuple[NiceNode, ...]
     root: int
+    graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def as_tree_decomposition(self) -> TreeDecomposition:
         edges = [
@@ -324,119 +353,86 @@ class NiceTreeDecomposition:
 
 
 class _NiceBuilder:
-    def __init__(self):
-        self.kinds: list[str] = []
-        self.bags: list[frozenset[int]] = []
-        self.children: list[tuple[int, ...]] = []
-        self.payload_v: list[int] = []
-        self.payload_e: list[tuple[int, int]] = []
+    def __init__(self, g: Graph):
+        self.g = g
+        self.pending = set(g.edges)  # edges not yet introduced
+        self.nodes: list[NiceNode] = []
 
     def add(self, kind, bag, children=(), vertex=-1, edge=(-1, -1)) -> int:
-        self.kinds.append(kind)
-        self.bags.append(frozenset(bag))
-        self.children.append(tuple(children))
-        self.payload_v.append(vertex)
-        self.payload_e.append(edge)
-        return len(self.kinds) - 1
+        self.nodes.append(NiceNode(kind, frozenset(bag), tuple(children), vertex, edge))
+        return len(self.nodes) - 1
 
     def chain_to(self, node: int, target: frozenset[int]) -> int:
-        """Forget/introduce one vertex at a time until the bag equals target."""
-        bag = self.bags[node]
+        """Forget/introduce one vertex at a time until the bag equals target;
+        each introduce(v) is followed at once by an introduce_edge node for
+        each still-pending edge of v that the bag now holds, in sorted order."""
+        bag = self.nodes[node].bag
         for v in sorted(bag - target):
             bag = bag - {v}
             node = self.add(FORGET, bag, (node,), vertex=v)
         for v in sorted(target - bag):
             bag = bag | {v}
             node = self.add(INTRODUCE, bag, (node,), vertex=v)
+            for e in sorted(canon(u, v) for u in bag & self.g.neighbors(v)):
+                if e in self.pending:
+                    self.pending.remove(e)
+                    node = self.add(INTRODUCE_EDGE, bag, (node,), edge=e)
         return node
 
     def leaf_chain(self, target: frozenset[int]) -> int:
         return self.chain_to(self.add(LEAF, frozenset()), target)
 
     def freeze(self, root: int) -> NiceTreeDecomposition:
-        nodes = tuple(
-            NiceNode(k, b, c, v, e)
-            for k, b, c, v, e in zip(
-                self.kinds, self.bags, self.children, self.payload_v, self.payload_e
-            )
-        )
-        return NiceTreeDecomposition(nodes, root)
+        if self.pending:
+            raise AssertionError(f"edges never introduced: {sorted(self.pending)}")
+        ntd = NiceTreeDecomposition(tuple(self.nodes), root)
+        object.__setattr__(ntd, "graph", self.g)
+        return ntd
 
 
 def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
-    """Normalize a valid decomposition of g to nice form of the same width."""
+    """Normalize a valid decomposition of g to nice form of the same width.
+
+    Raises InputError if td fails validate.  The host tree, rooted at node 0,
+    is built bottom-up in one pass: each child is chained up to its parent's
+    bag, children are joined left to right, and each edge is introduced right
+    above the introduce node that first completes it.  The result is nice by
+    construction and carries g as its `graph`, which the solvers trust.
+    """
     check = validate(td, g)
     if not check.ok:
         raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
-    b = _NiceBuilder()
+    b = _NiceBuilder(g)
 
-    # root the host tree at node 0 and build bottom-up (iterative post-order)
+    # root the host tree at node 0; order lists nodes parents-first
     root_t = 0
-    order: list[tuple[int, int]] = []  # (node, parent)
+    order: list[int] = []
+    kids: list[list[int]] = [[] for _ in td.bags]
     stack = [(root_t, -1)]
     seen = {root_t}
     while stack:
         t, p = stack.pop()
-        order.append((t, p))
+        order.append(t)
+        if p >= 0:
+            kids[p].append(t)
         for s in td.tree.neighbors(t):
             if s not in seen:
                 seen.add(s)
                 stack.append((s, t))
     built: dict[int, int] = {}
-    for t, _p in reversed(order):
-        kids = [s for s, p in order if p == t]
+    for t in reversed(order):
         bag = td.bags[t]
-        if not kids:
+        if not kids[t]:
             built[t] = b.leaf_chain(bag)
             continue
-        lifted = [b.chain_to(built[s], bag) for s in kids]
+        lifted = [b.chain_to(built[s], bag) for s in kids[t]]
         node = lifted[0]
         for other in lifted[1:]:
             node = b.add(JOIN, bag, (node, other))
         built[t] = node
-    top = b.chain_to(built[root_t], frozenset())
-
-    ntd = _place_edge_introductions(b, top, g)
+    ntd = b.freeze(b.chain_to(built[root_t], frozenset()))
     assert ntd.width() == max(width(td), -1), "normalization changed the width"
     return ntd
-
-
-def _place_edge_introductions(b: _NiceBuilder, root: int, g: Graph) -> NiceTreeDecomposition:
-    """Insert one introduce_edge node per graph edge, directly above an
-    introduce node whose fresh vertex completes the edge inside the bag."""
-    pending = set(g.edges)
-    parent_slot: dict[int, tuple[int, int]] = {}  # node -> (parent, child index)
-    for i in range(len(b.kinds)):
-        for ci, c in enumerate(b.children[i]):
-            parent_slot[c] = (i, ci)
-
-    for i in list(range(len(b.kinds))):
-        if b.kinds[i] != INTRODUCE:
-            continue
-        v = b.payload_v[i]
-        here = [
-            e
-            for e in sorted(pending)
-            if (v in e) and e[0] in b.bags[i] and e[1] in b.bags[i]
-        ]
-        node = i
-        for e in here:
-            pending.discard(e)
-            slot = parent_slot.get(node)
-            new = b.add(INTRODUCE_EDGE, b.bags[i], (node,), edge=e)
-            if slot is None:
-                root = new if node == root else root
-            else:
-                p, ci = slot
-                ch = list(b.children[p])
-                ch[ci] = new
-                b.children[p] = tuple(ch)
-                parent_slot[new] = (p, ci)
-            parent_slot[node] = (new, 0)
-            node = new
-    if pending:
-        raise AssertionError(f"edges never introduced: {sorted(pending)}")
-    return b.freeze(root)
 
 
 def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:

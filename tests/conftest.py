@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -26,6 +27,35 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph(10, outer + spokes + inner)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    return Graph(
+        rows * cols,
+        [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)],
+    )
+
+
+def elimination_test_graphs() -> list[Graph]:
+    """The graphs the elimination-order oracle and the nice-form check run
+    on: 200 seeded random graphs of varied size and density, grids,
+    disconnected and edgeless graphs, and the graphs on 0 and 1 vertices."""
+    rng = random.Random(41)
+    graphs = [Graph(0), Graph(1), Graph(2), Graph(7)]
+    for _ in range(200):
+        n = rng.randint(2, 24)
+        p = rng.choice((0.1, 0.2, 0.35, 0.5, 0.8))
+        graphs.append(
+            Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        )
+    graphs += [grid(r, c) for r, c in ((1, 6), (2, 5), (3, 3), (4, 7), (5, 5))]
+    # disconnected: a cycle, a K4 and a path side by side, plus isolated vertices
+    cycle5 = [(i, (i + 1) % 5) for i in range(5)]
+    k4 = [(5 + a, 5 + b) for a, b in itertools.combinations(range(4), 2)]
+    graphs.append(Graph(15, cycle5 + k4 + [(9, 10), (10, 11)]))
+    graphs.append(Graph(12, [(0, 1), (2, 3), (4, 5), (5, 6), (6, 4)]))
+    return graphs
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import complete, cycle, path, star
+from conftest import complete, cycle, elimination_test_graphs, path, star
 from twlab.errors import InputError
 from twlab.graphs import EdgeWeighting, Graph
 from twlab.problems import (
@@ -24,7 +25,17 @@ from twlab.solvers import (
     flow_min_max_uniform,
     min_max_outdegree,
 )
-from twlab.treewidth import TreeDecomposition, heuristic_decomposition, to_nice
+from twlab.treewidth import (
+    FORGET,
+    INTRODUCE,
+    LEAF,
+    NiceNode,
+    NiceTreeDecomposition,
+    TreeDecomposition,
+    check_nice,
+    heuristic_decomposition,
+    to_nice,
+)
 
 
 def nice_of(g):
@@ -227,6 +238,110 @@ class TestNonHeuristicDecompositions:
         assert (lam is None) == (bf_chosen_outdegree(out.instance) is None)
         if lam is not None:
             assert check_admissible(out.instance, lam)
+
+
+def splice_out(ntd, i):
+    """Copy of ntd without node i: its parent adopts its only child, and the
+    node ids above i shift down by one."""
+    (child,) = ntd.nodes[i].children
+
+    def renumber(c):
+        c = child if c == i else c
+        return c - (c > i)
+
+    nodes = tuple(
+        replace(node, children=tuple(map(renumber, node.children)))
+        for j, node in enumerate(ntd.nodes)
+        if j != i
+    )
+    return replace(ntd, nodes=nodes, root=renumber(ntd.root))
+
+
+def count_checks(monkeypatch):
+    calls = [0]
+
+    def counting(ntd, g):
+        calls[0] += 1
+        return check_nice(ntd, g)
+
+    monkeypatch.setattr(solvers, "check_nice", counting)
+    return calls
+
+
+# a triangle with two colours has no list colouring and no orientation of
+# outdegree 0 at vertex 0 and <= 1 elsewhere; without any one edge it has both
+TRIANGLE_LISTS = [{1, 2}] * 3
+TRIANGLE_CAPS = (0, 1, 1)
+
+
+def triangle_instances(g):
+    return (
+        (dp_list_coloring, ListColoringInstance(g, TRIANGLE_LISTS)),
+        (dp_chosen_outdegree, ChosenOutdegreeInstance(g, EdgeWeighting(g, [1] * 3), TRIANGLE_CAPS)),
+    )
+
+
+class TestTrustedNice:
+    """The DPs skip check_nice only for a to_nice result handed in with the
+    very graph object it was built for; every other decomposition is checked."""
+
+    def test_to_nice_result_is_trusted_for_its_own_graph(self, triangle, monkeypatch):
+        calls = count_checks(monkeypatch)
+        ntd = nice_of(triangle)
+        for dp, inst in triangle_instances(triangle):
+            assert dp(inst, ntd) is None
+        assert calls[0] == 0
+
+    def test_replaced_copy_with_an_edge_spliced_out_is_rejected(self, triangle):
+        ntd = nice_of(triangle)
+        i = next(i for i, n in enumerate(ntd.nodes) if n.kind == "introduce_edge")
+        spliced = splice_out(ntd, i)
+        assert spliced.graph is None
+        for dp, inst in triangle_instances(triangle):
+            with pytest.raises(InputError, match="invalid nice decomposition"):
+                dp(inst, spliced)
+
+    def test_distinct_graph_with_other_edges_is_rejected(self, triangle):
+        ntd = nice_of(Graph(3, [(0, 1), (1, 2)]))
+        for dp, inst in triangle_instances(triangle):
+            with pytest.raises(InputError, match="invalid nice decomposition"):
+                dp(inst, ntd)
+
+    def test_equal_but_distinct_graph_is_checked(self, triangle, monkeypatch):
+        calls = count_checks(monkeypatch)
+        ntd = nice_of(complete(3))
+        assert ntd.graph == triangle and ntd.graph is not triangle
+        for dp, inst in triangle_instances(triangle):
+            assert dp(inst, ntd) is None
+        assert calls[0] == 2
+
+    def test_hand_built_decompositions_are_checked(self, triangle, monkeypatch):
+        calls = count_checks(monkeypatch)
+        # every vertex introduced and forgotten, but no edge ever introduced
+        bare = [NiceNode(LEAF, frozenset(), ())]
+        for v in range(3):
+            bare.append(NiceNode(INTRODUCE, frozenset(range(v + 1)), (v,), vertex=v))
+        for v in range(3):
+            bare.append(NiceNode(FORGET, frozenset(range(v + 1, 3)), (3 + v,), vertex=v))
+        bare = NiceTreeDecomposition(tuple(bare), 6)
+        for dp, inst in triangle_instances(triangle):
+            with pytest.raises(InputError, match="invalid nice decomposition"):
+                dp(inst, bare)
+        # the nodes of a valid to_nice result, rewrapped by hand
+        valid = nice_of(triangle)
+        rewrapped = NiceTreeDecomposition(valid.nodes, valid.root)
+        assert rewrapped == valid and rewrapped.graph is None
+        for dp, inst in triangle_instances(triangle):
+            assert dp(inst, rewrapped) is None
+        assert calls[0] == 4
+
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_to_nice_output_passes_check_nice(self, method):
+        # the property the DPs no longer re-check at run time
+        for g in elimination_test_graphs():
+            ntd = to_nice(heuristic_decomposition(g, method), g)
+            assert ntd.graph is g
+            assert check_nice(ntd, g).ok
 
 
 class TestFlow:

@@ -1,8 +1,9 @@
 import random
+import signal
 
 import pytest
 
-from conftest import complete, cycle, path, petersen, star
+from conftest import complete, cycle, elimination_test_graphs, grid, path, petersen, star
 from twlab.errors import GuardError, InputError
 from twlab.graphs import Graph, induced_subgraph
 from twlab.treewidth import (
@@ -13,6 +14,7 @@ from twlab.treewidth import (
     decomposition_from_json,
     decomposition_of_subset,
     decomposition_to_json,
+    _greedy_order,
     exact_treewidth,
     from_elimination_order,
     heuristic_decomposition,
@@ -133,6 +135,60 @@ class TestHeuristics:
             g = random_graph(rng)
             for method in ("min-fill", "min-degree"):
                 assert validate(heuristic_decomposition(g, method), g).ok
+
+
+def quadratic_greedy_order(g, method, rng):
+    """Reference elimination order: every score recomputed from scratch at
+    every step."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    order = []
+    while adj:
+        if method == "min-degree":
+            crit = {v: len(ns) for v, ns in adj.items()}
+        else:  # min-fill
+            crit = {
+                v: sum(1 for a in ns for b in ns if a < b and b not in adj[a])
+                for v, ns in adj.items()
+            }
+        best = min(crit.values())
+        candidates = sorted(v for v, c in crit.items() if c == best)
+        v = candidates[0] if rng is None else rng.choice(candidates)
+        order.append(v)
+        ns = adj.pop(v)
+        for a in ns:
+            adj[a] |= ns - {a}
+            adj[a].discard(v)
+    return order
+
+
+class TestGreedyOrder:
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_matches_quadratic_oracle(self, method):
+        for g in elimination_test_graphs():
+            assert _greedy_order(g, method, None) == quadratic_greedy_order(g, method, None)
+            # the restarts of heuristic_decomposition(seed=5, restarts=3)
+            rng, ref_rng = random.Random(5), random.Random(5)
+            for _ in range(3):
+                assert _greedy_order(g, method, rng) == quadratic_greedy_order(g, method, ref_rng)
+
+    def test_grid_6x400_within_budget(self):
+        """ROADMAP item 4 gate: min-fill and to_nice on the 6x400 grid (about
+        0.4 s; the quadratic versions took about 18 s)."""
+        g = grid(6, 400)
+
+        def out_of_time(signum, frame):
+            raise TimeoutError("min-fill and to_nice on the 6x400 grid ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(10)
+        try:
+            td = heuristic_decomposition(g, "min-fill")
+            ntd = to_nice(td, g)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert width(td) == 7
+        assert len(ntd.nodes) == 19776
 
 
 class TestExact:
