@@ -1,6 +1,9 @@
 import json
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from twlab.cli import main
 
@@ -224,3 +227,87 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "3/3 agree" in proc.stdout
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# one yes-instance of each problem kind, the summary line `solve --solver bf`
+# prints for it, and the witness file it writes
+SOLVE_PINS = {
+    "list_coloring": (
+        {"type": "list_coloring", "n": 3, "edges": [[0, 1], [1, 2]], "lists": [[1], [1, 2], [1]]},
+        "witness: proper coloring of 3 vertices (checked: True)",
+        {"coloring": [1, 2, 1]},
+    ),
+    "precoloring": (
+        {"type": "precoloring", "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
+         "precolor": [[2, 2]], "r": 2},
+        "witness: proper coloring of 4 vertices (checked: True)",
+        {"coloring": [2, 1, 2, 1]},
+    ),
+    "equitable": (
+        {"type": "equitable", "n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]], "r": 2},
+        "witness: proper coloring of 5 vertices (checked: True)",
+        {"coloring": [1, 2, 1, 2, 1]},
+    ),
+    "general_factor": (
+        {"type": "general_factor", "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
+         "cardinality_sets": [[1], [1], [1], [1]]},
+        "witness: edge subset of size 2 (checked: True)",
+        {"edges": [[0, 3], [1, 2]]},
+    ),
+    "gensat": (
+        {"type": "gensat", "variables": 3,
+         "relations": [{"arity": 2, "tuples": [[0, 1], [1, 0]]}],
+         "constraints": [{"scope": [0, 1], "relation": 0}, {"scope": [1, 2], "relation": 0}]},
+        "witness: satisfying assignment (checked: True)",
+        {"assignment": [0, 1, 0]},
+    ),
+    "chosen_outdegree": (
+        {"type": "chosen_outdegree", "n": 3, "edges": [[0, 1], [1, 2]], "weights": [2, 1],
+         "rho": [2, 0, 1]},
+        "witness: admissible orientation (checked: True)",
+        {"n": 3, "edges": [[0, 1], [1, 2]], "orientation": [[0, 1], [2, 1]]},
+    ),
+    "minmax_outdegree": (
+        {"type": "minmax_outdegree", "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
+         "weights": [1, 2, 1, 2], "r": 2},
+        "witness: admissible orientation (checked: True)",
+        {"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]],
+         "orientation": [[1, 0], [0, 3], [1, 2], [2, 3]]},
+    ),
+}
+
+# `reduce` input, extra flags and claimed bound per pipeline; the output file
+# must equal tests/golden/reduce-<pipeline>.json byte for byte
+REDUCE_PINS = {
+    "pc-lc": ({"n": 4, "edges": [[0, 2], [1, 3]], "parts": [[0, 1], [2, 3]]}, [], 3),
+    "lc-pce": (SOLVE_PINS["list_coloring"][0] | {"lists": [[1], [1, 2], [2, 3]]}, [], 1),
+    "clique-gensat": ({"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}, ["-k", "3"], 2),
+    "pc-chosen": ({"n": 2, "edges": [[0, 1]], "parts": [[0], [1]]}, [], 3),
+    "chosen-minmax": (SOLVE_PINS["chosen_outdegree"][0], [], 2),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("kind", sorted(SOLVE_PINS))
+    def test_solve_bf_summary_and_witness(self, capsys, tmp_path, kind):
+        instance, summary, witness = SOLVE_PINS[kind]
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(instance))
+        wout = tmp_path / "wit.json"
+        code, out, _ = run(capsys, "solve", "--solver", "bf", "--witness-out", str(wout), str(f))
+        assert code == 0
+        assert out.splitlines() == ["yes", summary]
+        assert json.loads(wout.read_text()) == witness
+
+    @pytest.mark.parametrize("pipeline", sorted(REDUCE_PINS))
+    def test_reduce_matches_golden(self, capsys, tmp_path, pipeline):
+        source, extra, bound = REDUCE_PINS[pipeline]
+        f = tmp_path / "source.json"
+        f.write_text(json.dumps(source))
+        red = tmp_path / "red.json"
+        code, out, _ = run(capsys, "reduce", "--pipeline", pipeline, *extra, "-o", str(red), str(f))
+        assert code == 0
+        assert out == f"wrote {red} (claimed width bound {bound})\n"
+        assert red.read_text() == (GOLDEN / f"reduce-{pipeline}.json").read_text()
