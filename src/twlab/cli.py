@@ -19,13 +19,7 @@ from twlab import reductions as rd
 from twlab import solvers as sv
 from twlab import treewidth as tw
 from twlab.errors import InputError
-from twlab.graphs import (
-    graph_from_json,
-    orientation_to_json,
-    partitioned_from_json,
-    partitioned_to_json,
-    graph_to_json,
-)
+from twlab.graphs import graph_from_json, graph_to_json, partitioned_to_json
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -72,7 +66,7 @@ def _cmd_tw(args) -> int:
         value, td = tw.exact_treewidth(g, args.limit)
     else:
         method = {"minfill": "min-fill", "mindeg": "min-degree"}[args.method]
-        td = tw.heuristic_decomposition(g, method, seed=args.seed)
+        td = tw.heuristic_decomposition(g, method)
         value = tw.width(td)
     print(value)
     if args.output:
@@ -83,25 +77,9 @@ def _cmd_tw(args) -> int:
 # --- reduce ---------------------------------------------------------------------
 
 def _cmd_reduce(args) -> int:
-    obj = _read_json(args.file)
-    if args.pipeline == "pc-lc":
-        out = rd.pc_to_list_coloring(partitioned_from_json(obj))
-    elif args.pipeline == "lc-pce":
-        inst = pr.instance_from_json(obj)
-        if not isinstance(inst, pr.ListColoringInstance):
-            raise InputError("lc-pce expects a list_coloring instance file")
-        out = rd.lc_to_precoloring(inst)
-    elif args.pipeline == "clique-gensat":
-        if args.k is None:
-            raise InputError("clique-gensat requires -k")
-        out = rd.clique_to_gensat(graph_from_json(obj), args.k)
-    elif args.pipeline == "pc-chosen":
-        out = rd.pc_to_chosen_outdegree(partitioned_from_json(obj))
-    else:  # chosen-minmax
-        inst = pr.instance_from_json(obj)
-        if not isinstance(inst, pr.ChosenOutdegreeInstance):
-            raise InputError("chosen-minmax expects a chosen_outdegree instance file")
-        out = rd.chosen_to_minmax(inst)
+    pipeline = hn.PIPELINES[args.pipeline]
+    source = pipeline.source.read(_read_json(args.file), args.k, pipeline.name)
+    out = pipeline.reduce(source, {})
     _write_json(args.output, rd.reduction_output_to_json(out))
     if args.witness:
         _write_json(args.witness, tw.decomposition_to_json(out.witness))
@@ -111,29 +89,16 @@ def _cmd_reduce(args) -> int:
 
 # --- solve ----------------------------------------------------------------------
 
-def _load_instance(obj: dict):
+def _load_instance(obj):
     # accept either a bare instance or a reduction output wrapper
-    if "instance" in obj and "type" not in obj:
+    if isinstance(obj, dict) and "instance" in obj and "type" not in obj:
         return pr.instance_from_json(obj["instance"])
     return pr.instance_from_json(obj)
 
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(_read_json(args.file))
-    witness_obj = None
-    if args.solver == "bf":
-        witness = hn.solve_bf(inst)
-        verdict = witness is not None
-    elif args.solver == "dp":
-        hn.require_dp_kind(inst)
-        if args.td:
-            td = tw.decomposition_from_json(_read_json(args.td))
-            ntd = tw.to_nice(td, inst.graph)
-        else:
-            ntd = None
-        witness = hn.solve_dp(inst, ntd)
-        verdict = witness is not None
-    else:  # flow
+    if args.solver == "flow":
         if not isinstance(inst, pr.MinMaxOutdegreeInstance):
             raise InputError("flow expects a minmax_outdegree instance")
         weights = set(inst.weights.weights)
@@ -141,45 +106,26 @@ def _cmd_solve(args) -> int:
             raise InputError("flow requires a uniform weighting")
         c = weights.pop() if weights else 1
         value = sv.flow_min_max_uniform(inst.graph, c, inst.weights)
-        verdict = value <= inst.r
-        witness = None
-        print("yes" if verdict else "no")
+        print("yes" if value <= inst.r else "no")
         print(f"minimum max outgoing weight: {value} (instance allows {inst.r})")
         return 0
+    if args.solver == "bf":
+        witness = hn.solve_bf(inst)
+    else:
+        hn.require_dp_kind(inst)
+        ntd = None
+        if args.td:
+            ntd = tw.to_nice(tw.decomposition_from_json(_read_json(args.td)), inst.graph)
+        witness = hn.solve_dp(inst, ntd)
 
-    print("yes" if verdict else "no")
-    if verdict:
-        summary, witness_obj = _witness_summary(inst, witness)
-        print(summary)
-    if args.witness_out and witness_obj is not None:
-        _write_json(args.witness_out, witness_obj)
+    print("yes" if witness is not None else "no")
+    if witness is not None:
+        kind = pr.kind_of(inst)
+        noun, witness_obj = kind.witness(witness)
+        print(f"witness: {noun} (checked: {kind.check(inst, witness)})")
+        if args.witness_out:
+            _write_json(args.witness_out, witness_obj)
     return 0
-
-
-def _witness_summary(inst, witness):
-    colorings = {
-        pr.ListColoringInstance: pr.check_list_coloring,
-        pr.PrecoloringExtensionInstance: pr.check_precoloring,
-        pr.EquitableColoringInstance: pr.check_equitable,
-    }
-    if type(inst) in colorings:
-        ok = colorings[type(inst)](inst, witness)
-        obj = {"coloring": [witness[v] for v in sorted(witness)]}
-        return f"witness: proper coloring of {len(witness)} vertices (checked: {ok})", obj
-    if isinstance(inst, pr.GeneralFactorInstance):
-        ok = pr.check_general_factor(inst, witness)
-        obj = {"edges": sorted(list(e) for e in witness)}
-        return f"witness: edge subset of size {len(witness)} (checked: {ok})", obj
-    if isinstance(inst, pr.GensatInstance):
-        ok = pr.check_gensat(inst, witness)
-        return f"witness: satisfying assignment (checked: {ok})", {"assignment": list(witness)}
-    if isinstance(inst, pr.ChosenOutdegreeInstance):
-        ok = pr.check_admissible(inst, witness)
-        return f"witness: admissible orientation (checked: {ok})", orientation_to_json(witness)
-    if isinstance(inst, pr.MinMaxOutdegreeInstance):
-        ok = pr.check_minmax(inst, witness)
-        return f"witness: admissible orientation (checked: {ok})", orientation_to_json(witness)
-    return "witness: available", None
 
 
 # --- verify ---------------------------------------------------------------------
@@ -232,17 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tw", help="decompose a graph and print its width")
     t.add_argument("--method", choices=["minfill", "mindeg", "exact"], default="minfill")
     t.add_argument("--limit", type=int, default=tw.EXACT_DEFAULT_LIMIT)
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("-o", "--output")
     t.add_argument("file")
     t.set_defaults(func=_cmd_tw)
 
     r = sub.add_parser("reduce", help="apply a reduction to an instance file")
-    r.add_argument(
-        "--pipeline",
-        choices=["pc-lc", "lc-pce", "clique-gensat", "pc-chosen", "chosen-minmax"],
-        required=True,
-    )
+    r.add_argument("--pipeline", choices=list(hn.PIPELINES), required=True)
     r.add_argument("-k", type=int, default=None, help="clique size (clique-gensat)")
     r.add_argument("-o", "--output", required=True)
     r.add_argument("--witness", help="also write the witness decomposition here")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from twlab.errors import InputError
+from twlab.errors import InputError, decoding
 
 Edge = tuple[int, int]
 
@@ -248,10 +248,8 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    try:
+    with decoding("graph object"):
         return Graph(obj["n"], [tuple(e) for e in obj["edges"]])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed graph object: {exc}") from exc
 
 
 def weighting_to_json(w: EdgeWeighting) -> dict:
@@ -262,10 +260,8 @@ def weighting_to_json(w: EdgeWeighting) -> dict:
 
 def weighting_from_json(obj: dict) -> EdgeWeighting:
     g = graph_from_json(obj)
-    try:
+    with decoding("weighting object"):
         return EdgeWeighting(g, list(obj["weights"]))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed weighting object: {exc}") from exc
 
 
 def partitioned_to_json(pg: PartitionedGraph) -> dict:
@@ -276,10 +272,8 @@ def partitioned_to_json(pg: PartitionedGraph) -> dict:
 
 def partitioned_from_json(obj: dict) -> PartitionedGraph:
     g = graph_from_json(obj)
-    try:
+    with decoding("partitioned graph object"):
         return PartitionedGraph(g, [tuple(p) for p in obj["parts"]])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed partitioned graph object: {exc}") from exc
 
 
 def orientation_to_json(lam: Orientation) -> dict:
@@ -290,7 +284,5 @@ def orientation_to_json(lam: Orientation) -> dict:
 
 def orientation_from_json(obj: dict) -> Orientation:
     g = graph_from_json(obj)
-    try:
+    with decoding("orientation object"):
         return Orientation(g, [tuple(d) for d in obj["orientation"]])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed orientation object: {exc}") from exc

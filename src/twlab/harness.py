@@ -18,41 +18,22 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from twlab.errors import GuardError, InputError
 from twlab.graphs import (
     EdgeWeighting,
     Graph,
     PartitionedGraph,
+    graph_from_json,
     graph_to_json,
+    partitioned_from_json,
     partitioned_to_json,
 )
 from twlab import problems as pr
 from twlab import reductions as rd
 from twlab import solvers as sv
 from twlab import treewidth as tw
-
-PIPELINES = (
-    "pc-lc",
-    "lc-pce",
-    "clique-gensat",
-    "pc-chosen",
-    "chosen-minmax",
-    "pc-minmax",
-)
-
-# conservative brute-force blowup guards; lift with unsafe=True or
-# TWLAB_GUARD_OVERRIDE=1
-GUARDS: dict[str, dict[str, int]] = {
-    "pc-lc": {"k": 4, "n": 6},
-    "lc-pce": {"k": 6, "n": 10},
-    "clique-gensat": {"k": 4, "n": 8},
-    "pc-chosen": {"k": 3, "n": 3},
-    "chosen-minmax": {"k": 10**9, "n": 8},
-    "pc-minmax": {"k": 2, "n": 2},
-}
-
-DP_PIPELINES = {"pc-lc", "pc-chosen", "chosen-minmax", "pc-minmax"}
 
 MASK64 = (1 << 64) - 1
 
@@ -83,7 +64,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.pipeline not in PIPELINES:
-            raise InputError(f"unknown pipeline {self.pipeline!r}; choose from {PIPELINES}")
+            raise InputError(
+                f"unknown pipeline {self.pipeline!r}; choose from {tuple(PIPELINES)}"
+            )
         if self.cases < 1:
             raise InputError("cases must be at least 1")
         if self.jobs < 1:
@@ -92,17 +75,17 @@ class ExperimentConfig:
             raise InputError("p must lie in [0, 1]")
         if self.solver not in ("bf", "dp", "both"):
             raise InputError("solver must be bf, dp, or both")
-        if self.solver != "bf" and self.pipeline not in DP_PIPELINES:
+        if self.solver != "bf" and pr.KIND_BY_TAG[PIPELINES[self.pipeline].target].dp is None:
             raise InputError(f"pipeline {self.pipeline} has no DP solver; use solver=bf")
 
     def check_guards(self) -> None:
         if self.unsafe or os.environ.get("TWLAB_GUARD_OVERRIDE") == "1":
             return
-        guard = GUARDS[self.pipeline]
-        if self.k > guard["k"] or self.n > guard["n"]:
+        max_k, max_n = PIPELINES[self.pipeline].guard
+        if self.k > max_k or self.n > max_n:
             raise GuardError(
-                f"pipeline {self.pipeline} is guarded to k <= {guard['k']}, "
-                f"n <= {guard['n']} (got k={self.k}, n={self.n}); "
+                f"pipeline {self.pipeline} is guarded to k <= {max_k}, "
+                f"n <= {max_n} (got k={self.k}, n={self.n}); "
                 "pass unsafe/--unsafe or set TWLAB_GUARD_OVERRIDE=1"
             )
 
@@ -162,7 +145,117 @@ def gen_list_instance(n: int, colors: int, edge_p: float, seed: int) -> pr.ListC
     return pr.ListColoringInstance(g, lists)
 
 
-# --- per-pipeline wiring --------------------------------------------------------
+def gen_chosen_instance(n: int, edge_p: float, max_w: int, rho_max: int, seed: int):
+    g, w = gen_weighted(n, edge_p, max_w, seed)
+    return pr.ChosenOutdegreeInstance(g, w, gen_rho(n, rho_max, mix(seed, 2)))
+
+
+# --- pipelines --------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Source:
+    """Where a pipeline's source instances come from: the seeded generator
+    (config, case seed), the oracle deciding them, their report JSON, and the
+    reader of `twlab reduce` (file object, -k, pipeline name)."""
+
+    generate: Callable[[ExperimentConfig, int], object]
+    solve: Callable[[object], object]
+    to_json: Callable[[object], dict]
+    read: Callable[[object, int | None, str], object]
+
+
+def _read_graph_and_k(obj, k, name):
+    if k is None:
+        raise InputError(f"{name} requires -k")
+    return graph_from_json(obj), k
+
+
+def _read_instance(tag: str):
+    def read(obj, k, name):
+        inst = pr.instance_from_json(obj)
+        if pr.kind_of(inst).tag != tag:
+            raise InputError(f"{name} expects a {tag} instance file")
+        return inst
+    return read
+
+
+# Oracles and reductions are called through module attributes (pr.*, rd.*)
+# looked up when the lambda runs, so tracing and monkeypatching see them.
+PARTITIONED = Source(
+    lambda cfg, seed: gen_partitioned(cfg.k, cfg.n, cfg.p, cfg.plant, seed),
+    lambda pg: pr.bf_partitioned_clique(pg),
+    partitioned_to_json,
+    lambda obj, k, name: partitioned_from_json(obj),
+)
+GRAPH_AND_K = Source(  # the source is the pair (graph, k)
+    lambda cfg, seed: (gen_graph(cfg.n, cfg.p, seed), cfg.k),
+    lambda source: pr.bf_clique(*source),
+    lambda source: dict(graph_to_json(source[0]), k=source[1]),
+    _read_graph_and_k,
+)
+LIST_COLORING = Source(
+    lambda cfg, seed: gen_list_instance(cfg.n, cfg.k, cfg.p, seed),
+    lambda inst: pr.bf_list_coloring(inst),
+    pr.instance_to_json,
+    _read_instance("list_coloring"),
+)
+CHOSEN_OUTDEGREE = Source(
+    lambda cfg, seed: gen_chosen_instance(cfg.n, cfg.p, cfg.max_weight, cfg.rho_max, seed),
+    lambda inst: pr.bf_chosen_outdegree(inst),
+    pr.instance_to_json,
+    _read_instance("chosen_outdegree"),
+)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """A reduction checked end to end.  `reduce` maps a source to its
+    ReductionOutput and may record certificate checks; `check`, if set,
+    records more of them once the target has been solved."""
+
+    name: str
+    guard: tuple[int, int]  # largest (k, n) the brute-force oracles are trusted with
+    source: Source
+    target: str  # problems.KINDS tag of the reduced instance
+    reduce: Callable[[object, dict], rd.ReductionOutput]
+    check: Callable | None = None  # (out, source, source witness, target witnesses, checks)
+
+
+def _pc_to_minmax(pg: PartitionedGraph, checks: dict) -> rd.ReductionOutput:
+    stage1 = rd.pc_to_chosen_outdegree(pg)
+    checks["stage1_bound_ok"] = tw.width(stage1.witness) <= stage1.claimed_width_bound
+    return rd.chosen_to_minmax(stage1.instance)
+
+
+def _clique_checks(out, pg, clique, witnesses, checks) -> None:
+    """Read a clique back out of every yes-orientation, and build the
+    orientation of the source clique, when the gadget is not degenerate."""
+    if not out.meta.get("gadget"):
+        return
+    for name, lam in witnesses.items():
+        if lam is not None:
+            checks[f"clique_ok_{name}"] = pr.is_clique(pg.graph, rd.extract_clique(out, lam))
+    if clique is not None:
+        lam_c = rd.orientation_from_clique(out, clique)
+        checks["constructive_ok"] = pr.check_admissible(out.instance, lam_c)
+
+
+# conservative brute-force blowup guards; lift with unsafe=True or
+# TWLAB_GUARD_OVERRIDE=1
+PIPELINES = {p.name: p for p in (
+    Pipeline("pc-lc", (4, 6), PARTITIONED, "list_coloring",
+             lambda pg, checks: rd.pc_to_list_coloring(pg)),
+    Pipeline("lc-pce", (6, 10), LIST_COLORING, "precoloring",
+             lambda inst, checks: rd.lc_to_precoloring(inst)),
+    Pipeline("clique-gensat", (4, 8), GRAPH_AND_K, "gensat",
+             lambda source, checks: rd.clique_to_gensat(*source)),
+    Pipeline("pc-chosen", (3, 3), PARTITIONED, "chosen_outdegree",
+             lambda pg, checks: rd.pc_to_chosen_outdegree(pg), _clique_checks),
+    Pipeline("chosen-minmax", (10**9, 8), CHOSEN_OUTDEGREE, "minmax_outdegree",
+             lambda inst, checks: rd.chosen_to_minmax(inst)),
+    Pipeline("pc-minmax", (2, 2), PARTITIONED, "minmax_outdegree", _pc_to_minmax),
+)}
+
 
 def _target_ntd(graph: Graph):
     return tw.to_nice(tw.heuristic_decomposition(graph, "min-fill"), graph)
@@ -172,43 +265,14 @@ def _case_record(cfg: ExperimentConfig, case: int) -> dict:
     case_seed = mix(cfg.seed, case)
     record: dict = {"case": case, "case_seed": case_seed}
     checks: dict = {}
-    pipeline = cfg.pipeline
+    pipeline = PIPELINES[cfg.pipeline]
 
     t0 = time.perf_counter()
-    if pipeline in ("pc-lc", "pc-chosen", "pc-minmax"):
-        source = gen_partitioned(cfg.k, cfg.n, cfg.p, cfg.plant, case_seed)
-        source_witness = pr.bf_partitioned_clique(source)
-        source_json = partitioned_to_json(source)
-    elif pipeline == "lc-pce":
-        source = gen_list_instance(cfg.n, cfg.k, cfg.p, case_seed)
-        source_witness = pr.bf_list_coloring(source)
-        source_json = pr.instance_to_json(source)
-    elif pipeline == "clique-gensat":
-        source = gen_graph(cfg.n, cfg.p, case_seed)
-        source_witness = pr.bf_clique(source, cfg.k)
-        source_json = dict(graph_to_json(source), k=cfg.k)
-    else:  # chosen-minmax
-        g, w = gen_weighted(cfg.n, cfg.p, cfg.max_weight, case_seed)
-        rho = gen_rho(cfg.n, cfg.rho_max, mix(case_seed, 2))
-        source = pr.ChosenOutdegreeInstance(g, w, rho)
-        source_witness = pr.bf_chosen_outdegree(source)
-        source_json = pr.instance_to_json(source)
+    source = pipeline.source.generate(cfg, case_seed)
+    source_witness = pipeline.source.solve(source)
+    source_json = pipeline.source.to_json(source)
     t1 = time.perf_counter()
-
-    if pipeline == "pc-lc":
-        out = rd.pc_to_list_coloring(source)
-    elif pipeline == "lc-pce":
-        out = rd.lc_to_precoloring(source)
-    elif pipeline == "clique-gensat":
-        out = rd.clique_to_gensat(source, cfg.k)
-    elif pipeline == "pc-chosen":
-        out = rd.pc_to_chosen_outdegree(source)
-    elif pipeline == "chosen-minmax":
-        out = rd.chosen_to_minmax(source)
-    else:  # pc-minmax
-        stage1 = rd.pc_to_chosen_outdegree(source)
-        out = rd.chosen_to_minmax(stage1.instance)
-        checks["stage1_bound_ok"] = tw.width(stage1.witness) <= stage1.claimed_width_bound
+    out = pipeline.reduce(source, checks)
     t2 = time.perf_counter()
 
     solvers_run: dict[str, object] = {}
@@ -222,19 +286,12 @@ def _case_record(cfg: ExperimentConfig, case: int) -> dict:
     answers = {name: w is not None for name, w in solvers_run.items()}
     source_yes = source_witness is not None
     agree = all(a == source_yes for a in answers.values())
-
-    if pipeline == "pc-chosen" and out.meta.get("gadget"):
-        for name, lam in solvers_run.items():
-            if lam is not None:
-                clique = rd.extract_clique(out, lam)
-                checks[f"clique_ok_{name}"] = pr.is_clique(source.graph, clique)
-        if source_yes:
-            lam_c = rd.orientation_from_clique(out, source_witness)
-            checks["constructive_ok"] = pr.check_admissible(out.instance, lam_c)
+    if pipeline.check is not None:
+        pipeline.check(out, source, source_witness, solvers_run, checks)
 
     # bound_ok folds in every certificate validation for the case: witness
     # decomposition validity, the claimed width bound, and yes-answer checks
-    wcheck = tw.validate(out.witness, _witness_graph(out))
+    wcheck = tw.validate(out.witness, out.graph)
     witness_width = tw.width(out.witness)
     bound_ok = wcheck.ok and witness_width <= out.claimed_width_bound
     record.update(
@@ -262,52 +319,27 @@ def _case_record(cfg: ExperimentConfig, case: int) -> dict:
     return record
 
 
-def _witness_graph(out: rd.ReductionOutput) -> Graph:
-    if isinstance(out.instance, pr.GensatInstance):
-        return out.meta["dual_graph"]
-    return out.instance.graph
-
-
 def solve_bf(instance):
-    """Dispatch an instance of any of the seven problem kinds to its
-    brute-force oracle."""
-    if isinstance(instance, pr.ListColoringInstance):
-        return pr.bf_list_coloring(instance)
-    if isinstance(instance, pr.PrecoloringExtensionInstance):
-        return pr.bf_precoloring(instance)
-    if isinstance(instance, pr.EquitableColoringInstance):
-        return pr.bf_equitable(instance)
-    if isinstance(instance, pr.GeneralFactorInstance):
-        return pr.bf_general_factor(instance)
-    if isinstance(instance, pr.GensatInstance):
-        return pr.bf_gensat(instance)
-    if isinstance(instance, pr.ChosenOutdegreeInstance):
-        return pr.bf_chosen_outdegree(instance)
-    if isinstance(instance, pr.MinMaxOutdegreeInstance):
-        return pr.bf_min_max_outdegree(instance)
-    raise InputError(f"no brute-force solver for {type(instance).__name__}")
+    """Solve an instance of any problem kind with its brute-force oracle."""
+    return getattr(pr, pr.kind_of(instance).oracle)(instance)
 
 
-def require_dp_kind(instance) -> None:
-    """InputError unless a decomposition-driven solver exists for the
-    instance's kind; callers check this before building a decomposition."""
-    dp_kinds = (pr.ListColoringInstance, pr.ChosenOutdegreeInstance, pr.MinMaxOutdegreeInstance)
-    if not isinstance(instance, dp_kinds):
+def require_dp_kind(instance) -> pr.ProblemKind:
+    """The instance's kind; InputError unless it has a decomposition-driven
+    solver.  Callers check this before building a decomposition."""
+    kind = pr.kind_of(instance)
+    if kind.dp is None:
         raise InputError(f"no DP solver for {type(instance).__name__}")
+    return kind
 
 
 def solve_dp(instance, ntd=None):
-    """Dispatch to a decomposition-driven solver (list coloring or the two
-    orientation problems), building a heuristic decomposition if none is
-    given."""
-    require_dp_kind(instance)
+    """Solve an instance with its kind's DP solver, building a heuristic
+    nice decomposition if none is given."""
+    kind = require_dp_kind(instance)
     if ntd is None:
         ntd = _target_ntd(instance.graph)
-    if isinstance(instance, pr.ListColoringInstance):
-        return sv.dp_list_coloring(instance, ntd)
-    if isinstance(instance, pr.ChosenOutdegreeInstance):
-        return sv.dp_chosen_outdegree(instance, ntd)
-    return sv.min_max_outdegree(instance, ntd)
+    return getattr(sv, kind.dp)(instance, ntd)
 
 
 # --- report -----------------------------------------------------------------------

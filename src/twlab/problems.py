@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from twlab import kernels
-from twlab.errors import InputError
+from twlab.errors import InputError, decoding
 from twlab.graphs import (
     EdgeWeighting,
     Graph,
@@ -22,6 +23,9 @@ from twlab.graphs import (
     graph_from_json,
     graph_to_json,
     is_clique,
+    orientation_to_json,
+    weighting_from_json,
+    weighting_to_json,
 )
 
 DEFAULT_WEIGHT_CEILING = 10**6
@@ -558,102 +562,142 @@ def build_incidence(inst: GensatInstance) -> Graph:
     return Graph(m + len(inst.constraints), edges)
 
 
-# --- JSON wire format -----------------------------------------------------------
+# --- problem kinds and the JSON wire format -------------------------------------
 #
-# Discriminated by "type"; graph fields are embedded flat (n, edges, weights).
+# Instances are discriminated by "type"; graph fields are embedded flat (n,
+# edges, weights).
+
+@dataclass(frozen=True)
+class ProblemKind:
+    """One instance class: its JSON tag and field codec, its brute-force
+    oracle and witness checker, the noun and JSON `twlab solve` gives its
+    witnesses, and its DP solver, if any.
+
+    The oracle (a function of this module) and the DP solver (a function of
+    twlab.solvers) are kept as names and looked up when called, so that
+    rebinding the module attribute, as tracing and tests do, takes effect.
+    """
+
+    tag: str
+    cls: type
+    encode: Callable[[object], dict]  # instance -> fields other than "type"
+    decode: Callable[[dict], object]  # JSON object -> instance
+    oracle: str
+    check: Callable[[object, object], bool]
+    witness: Callable[[object], tuple[str, object]]  # witness -> (noun, JSON)
+    dp: str | None = None
+
+
+def _gensat_fields(inst: GensatInstance) -> dict:
+    relations: dict[BooleanRelation, int] = {}  # in order of first use
+    constraints = [
+        {"scope": list(c.scope), "relation": relations.setdefault(c.relation, len(relations))}
+        for c in inst.constraints
+    ]
+    return {
+        "variables": inst.num_variables,
+        "relations": [
+            {"arity": r.arity, "tuples": [list(t) for t in sorted(r.tuples)]}
+            for r in relations
+        ],
+        "constraints": constraints,
+    }
+
+
+def _gensat_from_fields(obj: dict) -> GensatInstance:
+    relations = [
+        BooleanRelation(r["arity"], [tuple(t) for t in r["tuples"]])
+        for r in obj["relations"]
+    ]
+    constraints = []
+    for c in obj["constraints"]:
+        if not 0 <= c["relation"] < len(relations):
+            raise InputError(f"relation index {c['relation']} outside 0..{len(relations) - 1}")
+        constraints.append(Constraint(c["scope"], relations[c["relation"]]))
+    return GensatInstance(obj["variables"], constraints)
+
+
+def _weighted(cls, obj: dict, *fields):
+    w = weighting_from_json(obj)
+    return cls(w.graph, w, *fields)
+
+
+def _coloring_witness(colors):
+    noun = f"proper coloring of {len(colors)} vertices"
+    return noun, {"coloring": [colors[v] for v in sorted(colors)]}
+
+
+def _orientation_witness(lam):
+    return "admissible orientation", orientation_to_json(lam)
+
+
+KINDS = (
+    ProblemKind(
+        "list_coloring", ListColoringInstance,
+        lambda i: dict(graph_to_json(i.graph), lists=[sorted(l) for l in i.lists]),
+        lambda o: ListColoringInstance(graph_from_json(o), o["lists"]),
+        "bf_list_coloring", check_list_coloring, _coloring_witness, dp="dp_list_coloring",
+    ),
+    ProblemKind(
+        "precoloring", PrecoloringExtensionInstance,
+        lambda i: dict(graph_to_json(i.graph), precolor=[list(p) for p in i.precolor], r=i.r),
+        lambda o: PrecoloringExtensionInstance(
+            graph_from_json(o), [tuple(p) for p in o["precolor"]], o["r"]
+        ),
+        "bf_precoloring", check_precoloring, _coloring_witness,
+    ),
+    ProblemKind(
+        "equitable", EquitableColoringInstance,
+        lambda i: dict(graph_to_json(i.graph), r=i.r),
+        lambda o: EquitableColoringInstance(graph_from_json(o), o["r"]),
+        "bf_equitable", check_equitable, _coloring_witness,
+    ),
+    ProblemKind(
+        "general_factor", GeneralFactorInstance,
+        lambda i: dict(
+            graph_to_json(i.graph), cardinality_sets=[sorted(s) for s in i.cardinality_sets]
+        ),
+        lambda o: GeneralFactorInstance(graph_from_json(o), o["cardinality_sets"]),
+        "bf_general_factor", check_general_factor,
+        lambda f: (f"edge subset of size {len(f)}", {"edges": sorted(list(e) for e in f)}),
+    ),
+    ProblemKind(
+        "gensat", GensatInstance, _gensat_fields, _gensat_from_fields,
+        "bf_gensat", check_gensat,
+        lambda tau: ("satisfying assignment", {"assignment": list(tau)}),
+    ),
+    ProblemKind(
+        "chosen_outdegree", ChosenOutdegreeInstance,
+        lambda i: dict(weighting_to_json(i.weights), rho=list(i.rho)),
+        lambda o: _weighted(ChosenOutdegreeInstance, o, o["rho"]),
+        "bf_chosen_outdegree", check_admissible, _orientation_witness, dp="dp_chosen_outdegree",
+    ),
+    ProblemKind(
+        "minmax_outdegree", MinMaxOutdegreeInstance,
+        lambda i: dict(weighting_to_json(i.weights), r=i.r),
+        lambda o: _weighted(MinMaxOutdegreeInstance, o, o["r"]),
+        "bf_min_max_outdegree", check_minmax, _orientation_witness, dp="min_max_outdegree",
+    ),
+)
+KIND_BY_TAG = {kind.tag: kind for kind in KINDS}
+_KIND_BY_CLASS = {kind.cls: kind for kind in KINDS}
+
+
+def kind_of(instance) -> ProblemKind:
+    kind = _KIND_BY_CLASS.get(type(instance))
+    if kind is None:
+        raise InputError(f"unknown instance type {type(instance).__name__}")
+    return kind
+
 
 def instance_to_json(inst) -> dict:
-    if isinstance(inst, ListColoringInstance):
-        obj = graph_to_json(inst.graph)
-        obj.update(type="list_coloring", lists=[sorted(l) for l in inst.lists])
-        return obj
-    if isinstance(inst, PrecoloringExtensionInstance):
-        obj = graph_to_json(inst.graph)
-        obj.update(
-            type="precoloring", precolor=[list(p) for p in inst.precolor], r=inst.r
-        )
-        return obj
-    if isinstance(inst, EquitableColoringInstance):
-        obj = graph_to_json(inst.graph)
-        obj.update(type="equitable", r=inst.r)
-        return obj
-    if isinstance(inst, GeneralFactorInstance):
-        obj = graph_to_json(inst.graph)
-        obj.update(
-            type="general_factor",
-            cardinality_sets=[sorted(s) for s in inst.cardinality_sets],
-        )
-        return obj
-    if isinstance(inst, GensatInstance):
-        relations: list[BooleanRelation] = []
-        rel_index: dict[BooleanRelation, int] = {}
-        constraints = []
-        for c in inst.constraints:
-            if c.relation not in rel_index:
-                rel_index[c.relation] = len(relations)
-                relations.append(c.relation)
-            constraints.append(
-                {"scope": list(c.scope), "relation": rel_index[c.relation]}
-            )
-        return {
-            "type": "gensat",
-            "variables": inst.num_variables,
-            "relations": [
-                {"arity": r.arity, "tuples": [list(t) for t in sorted(r.tuples)]}
-                for r in relations
-            ],
-            "constraints": constraints,
-        }
-    if isinstance(inst, ChosenOutdegreeInstance):
-        obj = graph_to_json(inst.graph)
-        obj.update(
-            type="chosen_outdegree",
-            weights=list(inst.weights.weights),
-            rho=list(inst.rho),
-        )
-        return obj
-    if isinstance(inst, MinMaxOutdegreeInstance):
-        obj = graph_to_json(inst.graph)
-        obj.update(
-            type="minmax_outdegree", weights=list(inst.weights.weights), r=inst.r
-        )
-        return obj
-    raise InputError(f"unknown instance type {type(inst).__name__}")
+    kind = kind_of(inst)
+    return {"type": kind.tag, **kind.encode(inst)}
 
 
 def instance_from_json(obj: dict):
-    try:
-        kind = obj["type"]
-        if kind == "list_coloring":
-            return ListColoringInstance(graph_from_json(obj), obj["lists"])
-        if kind == "precoloring":
-            return PrecoloringExtensionInstance(
-                graph_from_json(obj), [tuple(p) for p in obj["precolor"]], obj["r"]
-            )
-        if kind == "equitable":
-            return EquitableColoringInstance(graph_from_json(obj), obj["r"])
-        if kind == "general_factor":
-            return GeneralFactorInstance(graph_from_json(obj), obj["cardinality_sets"])
-        if kind == "gensat":
-            relations = [
-                BooleanRelation(r["arity"], [tuple(t) for t in r["tuples"]])
-                for r in obj["relations"]
-            ]
-            constraints = [
-                Constraint(c["scope"], relations[c["relation"]])
-                for c in obj["constraints"]
-            ]
-            return GensatInstance(obj["variables"], constraints)
-        if kind == "chosen_outdegree":
-            g = graph_from_json(obj)
-            return ChosenOutdegreeInstance(
-                g, EdgeWeighting(g, obj["weights"]), obj["rho"]
-            )
-        if kind == "minmax_outdegree":
-            g = graph_from_json(obj)
-            return MinMaxOutdegreeInstance(
-                g, EdgeWeighting(g, obj["weights"]), obj["r"]
-            )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"malformed instance object: {exc}") from exc
-    raise InputError(f"unknown instance type {obj.get('type')!r}")
+    with decoding("instance object"):
+        kind = KIND_BY_TAG.get(obj["type"])
+        if kind is None:
+            raise InputError(f"unknown instance type {obj['type']!r}")
+        return kind.decode(obj)

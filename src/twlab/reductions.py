@@ -121,6 +121,8 @@ class GadgetIndex:
 class ReductionOutput:
     """Target instance + witness decomposition + provenance.
 
+    ``graph`` is the graph the witness was certified against: the target's
+    own graph, or the dual graph for a generalized-satisfiability target.
     ``meta`` carries in-memory companions (source instance, gadget index,
     secondary graphs/witnesses, notes); it is not part of the JSON format
     except for the documented dual/incidence extras.
@@ -130,6 +132,7 @@ class ReductionOutput:
     witness: TreeDecomposition
     claimed_width_bound: int
     index: tuple[dict, ...]
+    graph: Graph = field(compare=False, repr=False)
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -141,7 +144,7 @@ def _certify(instance, witness, bound, index, graph, meta) -> ReductionOutput:
         )
     if width(witness) > bound:
         raise AssertionError(f"witness width {width(witness)} exceeds claimed bound {bound}")
-    return ReductionOutput(instance, witness, bound, tuple(index), meta)
+    return ReductionOutput(instance, witness, bound, tuple(index), graph, meta)
 
 
 # --- clique selection via list coloring ---------------------------------------

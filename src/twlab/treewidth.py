@@ -5,11 +5,10 @@ and normalization to the nice form consumed by the DP solvers."""
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass, field
 
 from twlab import kernels
-from twlab.errors import GuardError, InputError
+from twlab.errors import GuardError, InputError, decoding
 from twlab.graphs import Graph, canon, induced_subgraph
 
 EXACT_DEFAULT_LIMIT = 18
@@ -166,10 +165,9 @@ def from_elimination_order(g: Graph, order) -> TreeDecomposition:
     return TreeDecomposition(Graph(g.n, tree_edges), bags)
 
 
-def _greedy_order(g: Graph, method: str, rng: random.Random | None) -> list[int]:
+def _greedy_order(g: Graph, method: str) -> list[int]:
     """Eliminate a vertex of least score (fill-in edges for min-fill, degree
-    for min-degree) until none is left; ties go to the smallest vertex, or to
-    rng.choice over the sorted tie list.
+    for min-degree) until none is left; ties go to the smallest vertex.
 
     Scores are updated in place (Bodlaender & Koster 2010): eliminating v
     changes the neighbourhoods of N(v) only and adds edges only inside N(v),
@@ -193,16 +191,6 @@ def _greedy_order(g: Graph, method: str, rng: random.Random | None) -> list[int]
         s, v = heapq.heappop(heap)
         if v not in adj or scores[v] != s:
             continue
-        if rng is not None:
-            ties = [v]
-            while heap and heap[0][0] == s:
-                _, u = heapq.heappop(heap)
-                if u in adj and scores[u] == s and u != ties[-1]:
-                    ties.append(u)
-            v = rng.choice(ties)
-            for u in ties:
-                if u != v:
-                    heapq.heappush(heap, (s, u))
         order.append(v)
         ns = adj.pop(v)
         for a in ns:
@@ -216,25 +204,12 @@ def _greedy_order(g: Graph, method: str, rng: random.Random | None) -> list[int]
     return order
 
 
-def heuristic_decomposition(
-    g: Graph, method: str = "min-fill", seed: int = 0, restarts: int = 0
-) -> TreeDecomposition:
-    """Greedy elimination decomposition, min-fill or min-degree.
-
-    The base run is fully deterministic (ties go to the smallest vertex);
-    restarts > 0 adds seeded random-tie-break reruns and keeps the best
-    width found.
-    """
+def heuristic_decomposition(g: Graph, method: str = "min-fill") -> TreeDecomposition:
+    """Greedy elimination decomposition, min-fill or min-degree; fully
+    deterministic (ties go to the smallest vertex)."""
     if method not in ("min-fill", "min-degree"):
         raise InputError(f"unknown method {method!r}")
-    best = from_elimination_order(g, _greedy_order(g, method, None))
-    if restarts:
-        rng = random.Random(seed)
-        for _ in range(restarts):
-            cand = from_elimination_order(g, _greedy_order(g, method, rng))
-            if width(cand) < width(best):
-                best = cand
-    return best
+    return from_elimination_order(g, _greedy_order(g, method))
 
 
 def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, TreeDecomposition]:
@@ -482,11 +457,9 @@ def decomposition_to_json(td: TreeDecomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> TreeDecomposition:
-    try:
+    with decoding("decomposition object"):
         tree = Graph(obj["nodes"], [tuple(e) for e in obj["tree_edges"]])
         return TreeDecomposition(tree, [frozenset(b) for b in obj["bags"]])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed decomposition object: {exc}") from exc
 
 
 def decomposition_of_subset(g: Graph, xs, method: str = "min-fill") -> TreeDecomposition:

@@ -186,6 +186,43 @@ class TestReduceSolve:
             assert "error: no DP solver for GensatInstance" in err
 
 
+class TestMalformedInput:
+    """Wrong-shaped JSON exits 2 with an error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("solve", 5),
+            ("solve", "instance"),
+            ("solve", {"type": "precoloring", "n": 2, "edges": [], "precolor": [[0, 1, 9]],
+                       "r": 2}),
+            ("solve", {"type": "gensat", "variables": 2,
+                       "relations": [{"arity": 2, "tuples": [[0, 1]]}],
+                       "constraints": [{"scope": [0, 1], "relation": -1}]}),
+            ("solve", {"type": ["list_coloring"]}),
+            ("tw", {"n": 3, "edges": [[0, 1, 2]]}),
+            ("tw", [1, 2]),
+        ],
+        ids=["number", "string", "precolor-triple", "relation-minus-1", "list-tag",
+             "edge-triple", "graph-list"],
+    )
+    def test_exit_2(self, capsys, tmp_path, command, content):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(content))
+        extra = ["--solver", "bf"] if command == "solve" else []
+        code, out, err = run(capsys, command, *extra, str(f))
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("error: ")
+
+    def test_negative_relation_index_named(self, capsys, tmp_path):
+        f = tmp_path / "gs.json"
+        f.write_text(json.dumps({"type": "gensat", "variables": 1,
+                                 "relations": [{"arity": 1, "tuples": [[1]]}],
+                                 "constraints": [{"scope": [0], "relation": -1}]}))
+        code, _, err = run(capsys, "solve", "--solver", "bf", str(f))
+        assert code == 2 and "relation index -1 outside 0..0" in err
+
+
 class TestVerify:
     def test_chosen_minmax_passes(self, capsys, tmp_path):
         rep = tmp_path / "rep.json"
@@ -286,6 +323,7 @@ REDUCE_PINS = {
     "clique-gensat": ({"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}, ["-k", "3"], 2),
     "pc-chosen": ({"n": 2, "edges": [[0, 1]], "parts": [[0], [1]]}, [], 3),
     "chosen-minmax": (SOLVE_PINS["chosen_outdegree"][0], [], 2),
+    "pc-minmax": ({"n": 2, "edges": [[0, 1]], "parts": [[0], [1]]}, [], 2),
 }
 
 

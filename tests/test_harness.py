@@ -216,6 +216,33 @@ class TestVerify:
             assert r["replay"]["source"]["parts"]
 
 
+class TestPipelineTable:
+    def test_target_tag_is_the_reduced_kind(self):
+        import twlab.harness as hn
+        from twlab.problems import kind_of
+
+        assert sorted(hn.PIPELINES) == sorted(
+            ["pc-lc", "lc-pce", "clique-gensat", "pc-chosen", "chosen-minmax", "pc-minmax"]
+        )
+        for name, pipeline in hn.PIPELINES.items():
+            cfg = ExperimentConfig(pipeline=name, k=2, n=2, p=1.0)
+            out = pipeline.reduce(pipeline.source.generate(cfg, 1), {})
+            assert pipeline.name == name and kind_of(out.instance).tag == pipeline.target
+
+    def test_cli_choices_are_the_table(self):
+        import argparse
+
+        import twlab.harness as hn
+        from twlab.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ("reduce", "verify"):
+            pipeline = next(
+                a for a in sub.choices[command]._actions if "--pipeline" in a.option_strings
+            )
+            assert list(pipeline.choices) == list(hn.PIPELINES)
+
+
 class TestSolveDp:
     def test_no_dp_solver_refused_before_decomposing(self, monkeypatch):
         import twlab.harness as hn

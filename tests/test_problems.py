@@ -322,3 +322,33 @@ class TestWitnessesAndJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(InputError):
             instance_from_json({"type": "mystery"})
+
+
+class TestKinds:
+    def test_one_row_per_instance_class(self):
+        import twlab.problems as pr
+
+        classes = {
+            obj for name, obj in vars(pr).items()
+            if isinstance(obj, type) and name.endswith("Instance")
+        }
+        assert len(classes) == 7
+        assert sorted(k.cls.__name__ for k in pr.KINDS) == sorted(c.__name__ for c in classes)
+        assert len({k.tag for k in pr.KINDS}) == len(pr.KINDS) == len(pr.KIND_BY_TAG)
+
+    def test_oracle_and_dp_names_resolve(self):
+        import twlab.problems as pr
+        import twlab.solvers as sv
+
+        for kind in pr.KINDS:
+            assert callable(getattr(pr, kind.oracle)) and kind.oracle.startswith("bf_")
+            assert kind.dp is None or callable(getattr(sv, kind.dp))
+        assert sorted(k.tag for k in pr.KINDS if k.dp) == [
+            "chosen_outdegree", "list_coloring", "minmax_outdegree"
+        ]
+
+    def test_kind_of_unknown_class(self):
+        from twlab.problems import kind_of
+
+        with pytest.raises(InputError, match="unknown instance type Graph"):
+            kind_of(path(2))
