@@ -105,11 +105,9 @@ def _cmd_solve(args) -> int:
         if len(weights) > 1:
             raise InputError("flow requires a uniform weighting")
         c = weights.pop() if weights else 1
-        value = sv.flow_min_max_uniform(inst.graph, c, inst.weights)
-        print("yes" if value <= inst.r else "no")
-        print(f"minimum max outgoing weight: {value} (instance allows {inst.r})")
-        return 0
-    if args.solver == "bf":
+        d, lam = sv.min_max_orientation(inst.graph)
+        witness = lam if c * d <= inst.r else None
+    elif args.solver == "bf":
         witness = hn.solve_bf(inst)
     else:
         hn.require_dp_kind(inst)
@@ -119,6 +117,8 @@ def _cmd_solve(args) -> int:
         witness = hn.solve_dp(inst, ntd)
 
     print("yes" if witness is not None else "no")
+    if args.solver == "flow":
+        print(f"minimum max outgoing weight: {c * d} (instance allows {inst.r})")
     if witness is not None:
         kind = pr.kind_of(inst)
         noun, witness_obj = kind.witness(witness)

@@ -11,10 +11,21 @@ class GuardError(InputError):
 
 
 @contextmanager
-def decoding(what: str):
-    """Turn the Python errors a wrong-shaped JSON value raises while it is
-    decoded (a missing key, a number where a list belongs, a pair of the
-    wrong length) into InputError("malformed <what>: ...")."""
+def decoding(what: str, obj):
+    """Refuse a JSON boolean anywhere in obj (bool is an int subclass, so
+    `true` would pass every integer check), then turn the Python errors a
+    wrong-shaped JSON value raises while it is decoded (a missing key, a
+    number where a list belongs, a pair of the wrong length) into
+    InputError("malformed <what>: ...")."""
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, bool):
+            raise InputError(f"malformed {what}: JSON {str(x).lower()} where an integer belongs")
+        if isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, list):
+            stack.extend(x)
     try:
         yield
     except InputError:

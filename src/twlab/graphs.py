@@ -248,7 +248,7 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    with decoding("graph object"):
+    with decoding("graph object", obj):
         return Graph(obj["n"], [tuple(e) for e in obj["edges"]])
 
 
@@ -260,7 +260,7 @@ def weighting_to_json(w: EdgeWeighting) -> dict:
 
 def weighting_from_json(obj: dict) -> EdgeWeighting:
     g = graph_from_json(obj)
-    with decoding("weighting object"):
+    with decoding("weighting object", obj):
         return EdgeWeighting(g, list(obj["weights"]))
 
 
@@ -272,7 +272,7 @@ def partitioned_to_json(pg: PartitionedGraph) -> dict:
 
 def partitioned_from_json(obj: dict) -> PartitionedGraph:
     g = graph_from_json(obj)
-    with decoding("partitioned graph object"):
+    with decoding("partitioned graph object", obj):
         return PartitionedGraph(g, [tuple(p) for p in obj["parts"]])
 
 
@@ -284,5 +284,5 @@ def orientation_to_json(lam: Orientation) -> dict:
 
 def orientation_from_json(obj: dict) -> Orientation:
     g = graph_from_json(obj)
-    with decoding("orientation object"):
+    with decoding("orientation object", obj):
         return Orientation(g, [tuple(d) for d in obj["orientation"]])

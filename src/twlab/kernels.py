@@ -10,8 +10,11 @@ Every search is deterministic:
   input, trying each vertex's palette in the given order; first success wins.
 * gensat_search returns the lexicographically first satisfying assignment
   (variable 0 most significant, value 0 before 1).
-* exact_treewidth breaks ties toward the smallest vertex index, so the
-  returned elimination order is deterministic.
+* exact_treewidth expands a level's sets in the order they were reached,
+  each by its missing vertices in increasing index; a set keeps the first
+  parent of least value.  The first set to close an order at the final
+  width wins, its missing vertices following in increasing index; when
+  nothing beats the given bound, the bound's order is returned.
 """
 
 from __future__ import annotations
@@ -196,48 +199,62 @@ def gensat_search(num_vars, scope_offsets, scope_vars, tup_offsets, tup_masks):
     return list(values) if assign(0) else None
 
 
-def exact_treewidth(n, adj_masks):
-    """Exact treewidth by dynamic programming over vertex subsets.
+def exact_treewidth(n, adj_masks, upper=None):
+    """Exact treewidth by a level-by-level DP over elimination prefixes,
+    pruned by an upper bound (Bodlaender, Fomin, Koster, Kratsch & Thilikos,
+    On exact algorithms for treewidth, 2012).
 
-    For each subset S of already-eliminated vertices, the best achievable
-    width of an elimination prefix on S is
-        dp[S] = min over v in S of max(dp[S \\ v], back-degree of v given S \\ v)
+    The value of a set S of eliminated vertices is the least width of an
+    elimination prefix on S:
+        TW(S) = min over v in S of max(TW(S \\ v), back-degree of v given S \\ v)
     where the back-degree counts vertices outside S reachable from v through
-    S \\ v.  Returns (treewidth, elimination order); n = 0 gives (-1, []).
+    S \\ v.  Level i holds the sets of size i whose value is below the best
+    width known so far, which starts at `upper` = (width, order) of some
+    elimination order ((n - 1, 0..n-1) when omitted).  Each of the n - |S|
+    vertices left after S has back-degree at most n - |S| - 1, so S closes an
+    order of width max(TW(S), n - |S| - 1); when that beats the best width it
+    becomes the new bound, and once n - |S| - 1 <= TW(S) no extension of S can
+    do better.  Returns (treewidth, elimination order); n = 0 gives (-1, []).
     Graphs above 26 vertices raise GuardError before any DP runs.
     """
-    if n == 0:
-        return -1, []
     if n > 26:
         raise GuardError(f"exact treewidth supports at most 26 vertices (graph has {n})")
+    best, order = upper if upper is not None else (n - 1, range(n))
     full = (1 << n) - 1
-    dp = [0] * (full + 1)
-    choice = [0] * (full + 1)
-    for s in range(1, full + 1):
-        best = n  # width can never reach n
-        best_v = -1
-        rest = s
-        while rest:
-            vbit = rest & -rest
-            rest ^= vbit
-            v = vbit.bit_length() - 1
-            prev = s ^ vbit
-            q = _back_degree(adj_masks, v, prev)
-            cost = dp[prev]
-            if q > cost:
-                cost = q
-            if cost < best:
-                best = cost
-                best_v = v
-        dp[s] = best
-        choice[s] = best_v
-    order = [0] * n
-    s = full
-    for i in range(n - 1, -1, -1):
-        v = choice[s]
-        order[i] = v
+    last = {}  # set -> the vertex eliminated last in its best prefix
+    closed = None  # the set that closed the best order found, if any
+    level = {0: -1}
+    for size in range(n + 1):
+        nxt = {}
+        for s, value in level.items():
+            width = max(value, n - size - 1)
+            if width < best:
+                best, closed = width, s
+            if value >= best:
+                continue
+            rest = full ^ s
+            while rest:
+                vbit = rest & -rest
+                rest ^= vbit
+                v = vbit.bit_length() - 1
+                q = _back_degree(adj_masks, v, s)
+                if q < value:
+                    q = value
+                t = s | vbit
+                if q < nxt.get(t, best):
+                    nxt[t] = q
+                    last[t] = v
+        level = nxt
+    if closed is None:
+        return best, list(order)
+    prefix = []
+    s = closed
+    while s:
+        v = last[s]
+        prefix.append(v)
         s ^= 1 << v
-    return dp[full], order
+    prefix.reverse()
+    return best, prefix + [v for v in range(n) if not closed >> v & 1]
 
 
 def _back_degree(adj_masks, v, inside):

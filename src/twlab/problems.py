@@ -451,20 +451,6 @@ def bf_chosen_outdegree(inst: ChosenOutdegreeInstance) -> Orientation | None:
     return lam
 
 
-def enumerate_orientations(g: Graph):
-    """All 2^|E| orientations in lexicographic direction order (test oracle
-    for the propagation search; keep |E| small)."""
-    m = len(g.edges)
-    for bits in range(1 << m):
-        yield Orientation(
-            g,
-            [
-                (e if not (bits >> (m - 1 - i)) & 1 else (e[1], e[0]))
-                for i, e in enumerate(g.edges)
-            ],
-        )
-
-
 def bf_min_max_outdegree(inst: MinMaxOutdegreeInstance) -> Orientation | None:
     """Decision via the chosen-cap search with every cap equal to r."""
     chosen = ChosenOutdegreeInstance(inst.graph, inst.weights, (inst.r,) * inst.graph.n)
@@ -696,7 +682,7 @@ def instance_to_json(inst) -> dict:
 
 
 def instance_from_json(obj: dict):
-    with decoding("instance object"):
+    with decoding("instance object", obj):
         kind = KIND_BY_TAG.get(obj["type"])
         if kind is None:
             raise InputError(f"unknown instance type {obj['type']!r}")

@@ -1,4 +1,4 @@
-"""Solvers driven by nice tree decompositions, plus the network-flow solver
+"""Solvers driven by nice tree decompositions, plus the path-reversal solver
 for uniformly weighted orientation.
 
 Both DP solvers keep sparse per-node tables (only reachable bag states) and
@@ -9,7 +9,6 @@ yes-answer ships a certificate that is re-checked before being returned.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from itertools import groupby
 from operator import add, le
 
@@ -21,6 +20,7 @@ from twlab.problems import (
     MinMaxOutdegreeInstance,
     check_admissible,
     check_list_coloring,
+    check_minmax,
 )
 from twlab.treewidth import (
     FORGET,
@@ -281,98 +281,60 @@ def min_max_outdegree(
     return dp_chosen_outdegree(chosen, ntd)
 
 
-# --- network flow -------------------------------------------------------------
+# --- uniform orientation --------------------------------------------------------
 
-class _FlowNet:
-    """Residual adjacency-list max flow with capacity scaling."""
+def min_max_orientation(g: Graph) -> tuple[int, Orientation]:
+    """Least d such that some orientation of g has outdegree <= d at every
+    vertex, with such an orientation, by path reversal (Asahiro, Miyano, Ono
+    & Zenmyo 2007).
 
-    def __init__(self, size: int):
-        self.size = size
-        self.head: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        max_cap = max(self.cap, default=0)
-        delta = 1
-        while delta * 2 <= max_cap:
-            delta *= 2
-        while delta >= 1:
-            while True:
-                parent_arc = [-1] * self.size
-                parent_arc[s] = -2
-                queue = deque([s])
-                while queue and parent_arc[t] == -1:
-                    u = queue.popleft()
-                    for a in self.head[u]:
-                        if self.cap[a] >= delta and parent_arc[self.to[a]] == -1:
-                            parent_arc[self.to[a]] = a
-                            queue.append(self.to[a])
-                if parent_arc[t] == -1:
-                    break
-                bottleneck = None
-                v = t
-                while v != s:
-                    a = parent_arc[v]
-                    bottleneck = self.cap[a] if bottleneck is None else min(bottleneck, self.cap[a])
-                    v = self.to[a ^ 1]
-                v = t
-                while v != s:
-                    a = parent_arc[v]
-                    self.cap[a] -= bottleneck
-                    self.cap[a ^ 1] += bottleneck
-                    v = self.to[a ^ 1]
-                flow += bottleneck
-            delta //= 2
-        return flow
-
-
-def _orientable_within(g: Graph, d: int) -> bool:
-    """Is there an orientation with plain outdegree <= d at every vertex?
-
-    Flow network: source feeds each edge-node one unit, an edge-node feeds
-    its two endpoints, a vertex passes at most d units to the sink.
+    Every edge starts as u -> v.  Reversing a directed path lowers the
+    outdegree of its start by one, raises that of its end by one and leaves
+    the rest alone, so each round runs one BFS along out-edges from all
+    vertices of maximum outdegree d and reverses vertex-disjoint tree paths
+    to vertices of outdegree <= d - 2.  When no such vertex is reached, the
+    orientation is optimal (Frank & Gyarfas 1976): the set R reached keeps
+    its out-edges inside, so G[R] has more than (d - 1)|R| edges and every
+    orientation gives some vertex of R outdegree >= d.
     """
-    m = len(g.edges)
-    source, sink = 0, 1 + m + g.n
-    net = _FlowNet(m + g.n + 2)
-    for i, (u, v) in enumerate(g.edges):
-        net.add(source, 1 + i, 1)
-        net.add(1 + i, 1 + m + u, 1)
-        net.add(1 + i, 1 + m + v, 1)
-    for v in g.vertices():
-        net.add(1 + m + v, sink, d)
-    return net.max_flow(source, sink) == m
+    out: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        out[u].add(v)
+    while True:
+        d = max(map(len, out), default=0)
+        parent = {v: -1 for v in range(g.n) if len(out[v]) == d}
+        queue = list(parent)
+        ends = []
+        for x in queue:  # grows while it is read: a BFS
+            for y in out[x]:
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+                    if len(out[y]) <= d - 2:
+                        ends.append(y)
+        if not ends:
+            break
+        used: set[int] = set()
+        for t in ends:
+            path = [t]
+            while parent[path[-1]] != -1:
+                path.append(parent[path[-1]])
+            if used.isdisjoint(path):
+                used.update(path)
+                for head, tail in zip(path, path[1:]):
+                    out[tail].remove(head)
+                    out[head].add(tail)
+    lam = Orientation(g, [(u, v) if v in out[u] else (v, u) for u, v in g.edges])
+    unit = EdgeWeighting(g, [1] * len(g.edges))
+    assert check_minmax(MinMaxOutdegreeInstance(g, unit, max(d, 1), len(g.edges)), lam)
+    return d, lam
 
 
 def flow_min_max_uniform(g: Graph, c: int, weights: EdgeWeighting | None = None) -> int:
-    """Minimum achievable maximum outgoing weight when every edge weighs c.
-
-    Binary search on the per-vertex edge budget d between ceil(|E|/|V|) and
-    the maximum degree, each step decided by a max-flow feasibility test.
-    """
+    """Minimum achievable maximum outgoing weight when every edge weighs c:
+    c times the least maximum outdegree of min_max_orientation."""
     if c < 1:
         raise InputError(f"uniform weight must be positive, got {c}")
     if weights is not None and any(w != c for w in weights.weights):
         raise InputError("weighting is not uniform")
-    if not g.edges:
-        return 0
-    m = len(g.edges)
-    lo = -(-m // g.n)  # some vertex must emit at least the average
-    hi = g.max_degree()
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _orientable_within(g, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return c * lo
+    return c * min_max_orientation(g)[0]

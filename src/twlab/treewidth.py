@@ -215,8 +215,9 @@ def heuristic_decomposition(g: Graph, method: str = "min-fill") -> TreeDecomposi
 def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a witness decomposition, for small graphs only.
 
-    Subset dynamic programming over elimination prefixes; refuses graphs
-    larger than `limit` vertices (use the heuristics instead).
+    Dynamic programming over elimination prefixes, pruned by the width of
+    the min-fill order; refuses graphs larger than `limit` vertices (use the
+    heuristics instead).
     """
     if g.n > limit:
         raise GuardError(
@@ -227,9 +228,9 @@ def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, Tr
     for u, v in g.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    tw, order = kernels.exact_treewidth(g.n, masks)
-    if g.n == 0:
-        return -1, TreeDecomposition(Graph(1), [frozenset()])
+    min_fill = _greedy_order(g, "min-fill")
+    upper = (width(from_elimination_order(g, min_fill)), min_fill)
+    tw, order = kernels.exact_treewidth(g.n, masks, upper)
     td = from_elimination_order(g, order)
     assert width(td) == tw, "witness width disagrees with the DP value"
     return tw, td
@@ -457,7 +458,7 @@ def decomposition_to_json(td: TreeDecomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> TreeDecomposition:
-    with decoding("decomposition object"):
+    with decoding("decomposition object", obj):
         tree = Graph(obj["nodes"], [tuple(e) for e in obj["tree_edges"]])
         return TreeDecomposition(tree, [frozenset(b) for b in obj["bags"]])
 

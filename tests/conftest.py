@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -56,6 +58,48 @@ def elimination_test_graphs() -> list[Graph]:
     graphs.append(Graph(15, cycle5 + k4 + [(9, 10), (10, 11)]))
     graphs.append(Graph(12, [(0, 1), (2, 3), (4, 5), (5, 6), (6, 4)]))
     return graphs
+
+
+def subset_dp_treewidth(g: Graph) -> int:
+    """Reference treewidth: the unpruned DP over all 2^n vertex subsets,
+    TW(S) = min over v in S of max(TW(S - v), number of vertices outside S
+    reachable from v through S - v)."""
+    n = g.n
+    masks = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
+    dp = [-1] * (1 << n)
+    for s in range(1, 1 << n):
+        best = n
+        for v in range(n):
+            if s >> v & 1:
+                prev = s ^ (1 << v)
+                reach, frontier = masks[v], masks[v] & prev
+                while frontier:
+                    u = frontier.bit_length() - 1
+                    frontier ^= 1 << u
+                    new = masks[u] & ~reach
+                    reach |= new
+                    frontier |= new & prev
+                back = (reach & ~prev & ~(1 << v)).bit_count()
+                best = min(best, max(dp[prev], back))
+        dp[s] = best
+    return dp[-1]
+
+
+@contextmanager
+def within_seconds(seconds: int, what: str):
+    """Raise TimeoutError if the block runs past `seconds` (SIGALRM); the
+    previous handler is restored afterwards."""
+
+    def out_of_time(signum, frame):
+        raise TimeoutError(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -124,6 +124,38 @@ class TestReduceSolve:
         assert out.splitlines()[0] == "yes"
         assert "minimum max outgoing weight: 2" in out
 
+    def test_solve_flow_witness_out(self, capsys, tmp_path):
+        inst = tmp_path / "mm.json"
+        inst.write_text(
+            json.dumps(
+                {
+                    "type": "minmax_outdegree",
+                    "n": 4,
+                    "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+                    "weights": [3, 3, 3, 3, 3, 3],
+                    "r": 6,
+                }
+            )
+        )
+        wit = tmp_path / "wit.json"
+        code, out, _ = run(capsys, "solve", "--solver", "flow", "--witness-out", str(wit), str(inst))
+        assert code == 0
+        assert out.splitlines() == [
+            "yes",
+            "minimum max outgoing weight: 6 (instance allows 6)",
+            "witness: admissible orientation (checked: True)",
+        ]
+        obj = json.loads(wit.read_text())
+        assert set(obj) == {"n", "edges", "orientation"}
+        assert obj["edges"] == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+        tails = [t for t, _ in obj["orientation"]]
+        assert max(tails.count(v) for v in range(4)) == 2
+        # below the minimum there is no witness to write
+        inst.write_text(inst.read_text().replace('"r": 6', '"r": 5'))
+        wit.unlink()
+        code, out, _ = run(capsys, "solve", "--solver", "flow", "--witness-out", str(wit), str(inst))
+        assert code == 0 and out.splitlines()[0] == "no" and not wit.exists()
+
     def test_solve_equitable_and_general_factor(self, capsys, tmp_path):
         eq = tmp_path / "eq.json"
         eq.write_text(
@@ -202,9 +234,14 @@ class TestMalformedInput:
             ("solve", {"type": ["list_coloring"]}),
             ("tw", {"n": 3, "edges": [[0, 1, 2]]}),
             ("tw", [1, 2]),
+            ("solve", {"type": "equitable", "n": 3, "edges": [], "r": True}),
+            ("solve", {"type": "equitable", "n": True, "edges": [], "r": 2}),
+            ("solve", {"type": "minmax_outdegree", "n": 2, "edges": [[0, 1]],
+                       "weights": [True], "r": 1}),
+            ("tw", {"n": 2, "edges": [[False, True]]}),
         ],
         ids=["number", "string", "precolor-triple", "relation-minus-1", "list-tag",
-             "edge-triple", "graph-list"],
+             "edge-triple", "graph-list", "bool-r", "bool-n", "bool-weight", "bool-edge"],
     )
     def test_exit_2(self, capsys, tmp_path, command, content):
         f = tmp_path / "bad.json"

@@ -1,8 +1,8 @@
 import json
-import signal
 
 import pytest
 
+from conftest import within_seconds
 from twlab.errors import GuardError, InputError
 from twlab.harness import (
     CSV_COLUMNS,
@@ -179,19 +179,10 @@ class TestVerify:
     def test_pc_chosen_k3_n3_dp_within_budget(self):
         """The largest guarded pc-chosen setting finishes under the DP and
         agrees with brute force."""
-
-        def out_of_time(signum, frame):
-            raise TimeoutError("pc-chosen k=3 n=3 with solver=both ran past 30 s")
-
-        previous = signal.signal(signal.SIGALRM, out_of_time)
-        signal.alarm(30)
-        try:
+        with within_seconds(30, "pc-chosen k=3 n=3 with solver=both"):
             rep = verify_reduction(
                 ExperimentConfig(pipeline="pc-chosen", k=3, n=3, cases=6, seed=1, solver="both")
             )
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert rep.summary["agreements"] == 6 and rep.summary["pass"]
 
     def test_guard_violation_refused(self):

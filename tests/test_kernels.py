@@ -31,6 +31,13 @@ class TestKernelEdgeCases:
         tw, order = kernels.exact_treewidth(4, masks)
         assert tw == 3 and sorted(order) == [0, 1, 2, 3]
 
+    def test_exact_tw_keeps_an_unbeaten_bound(self):
+        # C4 has treewidth 2: an order of width 2 is returned as given
+        masks = [0b1010, 0b0101, 0b1010, 0b0101]
+        assert kernels.exact_treewidth(4, masks, (2, [3, 1, 0, 2])) == (2, [3, 1, 0, 2])
+        # beaten: {0} closes at width max(deg 0, 4 - 1 - 1) = 2, the rest follow by index
+        assert kernels.exact_treewidth(4, masks, (3, [3, 2, 1, 0])) == (2, [0, 1, 2, 3])
+
     def test_exact_tw_size_cap(self):
         with pytest.raises(GuardError):
             kernels.exact_treewidth(27, [0] * 27)

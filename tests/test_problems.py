@@ -4,7 +4,7 @@ import pytest
 
 from conftest import complete, cycle, path, star
 from twlab.errors import InputError
-from twlab.graphs import EdgeWeighting, Graph, PartitionedGraph
+from twlab.graphs import EdgeWeighting, Graph, Orientation, PartitionedGraph
 from twlab.problems import (
     BooleanRelation,
     ChosenOutdegreeInstance,
@@ -29,10 +29,23 @@ from twlab.problems import (
     build_incidence,
     build_primal,
     check_admissible,
-    enumerate_orientations,
     instance_from_json,
     instance_to_json,
 )
+
+
+def enumerate_orientations(g: Graph):
+    """All 2^|E| orientations in lexicographic direction order (oracle for
+    the propagation search; keep |E| small)."""
+    m = len(g.edges)
+    for bits in range(1 << m):
+        yield Orientation(
+            g,
+            [
+                (e if not (bits >> (m - 1 - i)) & 1 else (e[1], e[0]))
+                for i, e in enumerate(g.edges)
+            ],
+        )
 
 
 def rand_graph(rng, n_max=7, p=0.45):

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import complete, cycle, elimination_test_graphs, path, star
+from conftest import complete, cycle, elimination_test_graphs, path, star, within_seconds
+from twlab import harness
 from twlab.errors import InputError
 from twlab.graphs import EdgeWeighting, Graph
 from twlab.problems import (
@@ -16,6 +17,7 @@ from twlab.problems import (
     bf_min_max_value,
     check_admissible,
     check_list_coloring,
+    check_minmax,
 )
 from twlab import solvers
 from twlab.solvers import (
@@ -23,6 +25,7 @@ from twlab.solvers import (
     dp_chosen_outdegree,
     dp_list_coloring,
     flow_min_max_uniform,
+    min_max_orientation,
     min_max_outdegree,
 )
 from twlab.treewidth import (
@@ -375,3 +378,43 @@ class TestFlow:
             g = rand_graph(rng, n_max=8, p=0.45)
             w = EdgeWeighting(g, [1] * len(g.edges))
             assert flow_min_max_uniform(g, 1) == bf_min_max_value(g, w)
+
+    def test_orientation_certifies_its_value(self):
+        """Independent of the solver: the vertices R reachable from those of
+        maximum outdegree in the returned orientation span a subgraph whose
+        density forces that maximum, ceil(|E(G[R])| / |R|) == value, and the
+        orientation reaches it."""
+        rng = random.Random(29)
+        for n in [2, 5, 9, 20, 50, 120, 300] * 4:
+            p = rng.choice((0.02, 0.05, 0.1, 0.3)) if n > 20 else rng.choice((0.2, 0.5, 0.8))
+            g = rand_graph(rng, n_max=n, p=p)
+            value, lam = min_max_orientation(g)
+            assert value == flow_min_max_uniform(g, 1)
+            unit = EdgeWeighting(g, [1] * len(g.edges))
+            assert check_minmax(MinMaxOutdegreeInstance(g, unit, max(value, 1), len(g.edges)), lam)
+            if not g.edges:
+                assert value == 0
+                continue
+            out = {v: [] for v in g.vertices()}
+            for tail, head in lam.direction:
+                out[tail].append(head)
+            reach = {v for v in g.vertices() if len(out[v]) == value}
+            stack = list(reach)
+            while stack:
+                for y in out[stack.pop()]:
+                    if y not in reach:
+                        reach.add(y)
+                        stack.append(y)
+            inside = sum(1 for u, v in g.edges if u in reach and v in reach)
+            assert -(-inside // len(reach)) == value
+
+    def test_n800_within_budget(self):
+        """A random graph with n=800 and m=3,161 (fresh max-flows per binary
+        search step took about 11 s)."""
+        g, _ = harness.gen_weighted(800, 0.01, 1, 10)
+        assert len(g.edges) == 3161
+        with within_seconds(10, "min-max orientation of the n=800 graph"):
+            value, lam = min_max_orientation(g)
+        unit = EdgeWeighting(g, [1] * len(g.edges))
+        assert check_minmax(MinMaxOutdegreeInstance(g, unit, value, len(g.edges)), lam)
+        assert not check_minmax(MinMaxOutdegreeInstance(g, unit, value - 1, len(g.edges)), lam)

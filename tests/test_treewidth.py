@@ -1,9 +1,19 @@
 import random
-import signal
 
 import pytest
 
-from conftest import complete, cycle, elimination_test_graphs, grid, path, petersen, star
+from conftest import (
+    complete,
+    cycle,
+    elimination_test_graphs,
+    grid,
+    path,
+    petersen,
+    star,
+    subset_dp_treewidth,
+    within_seconds,
+)
+from twlab import kernels
 from twlab.errors import GuardError, InputError
 from twlab.graphs import Graph, induced_subgraph
 from twlab.treewidth import (
@@ -162,18 +172,9 @@ class TestGreedyOrder:
         """ROADMAP item 4 gate: min-fill and to_nice on the 6x400 grid (about
         0.4 s; the quadratic versions took about 18 s)."""
         g = grid(6, 400)
-
-        def out_of_time(signum, frame):
-            raise TimeoutError("min-fill and to_nice on the 6x400 grid ran past 10 s")
-
-        previous = signal.signal(signal.SIGALRM, out_of_time)
-        signal.alarm(10)
-        try:
+        with within_seconds(10, "min-fill and to_nice on the 6x400 grid"):
             td = heuristic_decomposition(g, "min-fill")
             ntd = to_nice(td, g)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert width(td) == 7
         assert len(ntd.nodes) == 19776
 
@@ -194,6 +195,37 @@ class TestExact:
     def test_guard(self):
         with pytest.raises(GuardError):
             exact_treewidth(Graph(20, []), limit=18)
+
+    def test_matches_subset_dp_oracle(self):
+        rng = random.Random(61)
+        graphs = [random_graph(rng, n_max=12, p=rng.choice((0.2, 0.35, 0.5, 0.7)))
+                  for _ in range(220)]
+        graphs += [complete(n) for n in range(1, 8)] + [cycle(n) for n in range(3, 11)]
+        graphs += [petersen(), grid(4, 4), Graph(0), Graph(5)]
+        for g in graphs:
+            expected = subset_dp_treewidth(g)
+            value, td = exact_treewidth(g)
+            assert value == expected
+            assert validate(td, g).ok and width(td) == value
+            # the kernel alone, bounded only by n - 1, where min-fill cannot help
+            masks = [sum(1 << u for u in g.neighbors(v)) for v in g.vertices()]
+            value, order = kernels.exact_treewidth(g.n, masks)
+            assert value == expected
+            assert width(from_elimination_order(g, order)) == value
+
+    def test_n18_within_budget(self):
+        """Three seeded n=18, p=0.4 graphs (the unpruned DP took about 6 s
+        for each)."""
+        rng = random.Random(18)
+        graphs = [
+            Graph(18, [(i, j) for i in range(18) for j in range(i + 1, 18) if rng.random() < 0.4])
+            for _ in range(3)
+        ]
+        with within_seconds(10, "exact treewidth on three n=18 graphs"):
+            results = [exact_treewidth(g) for g in graphs]
+        for g, (value, td) in zip(graphs, results):
+            assert validate(td, g).ok and width(td) == value
+            assert value <= width(heuristic_decomposition(g, "min-fill"))
 
     def test_heuristics_never_beat_exact(self):
         rng = random.Random(77)
