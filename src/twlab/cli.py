@@ -152,7 +152,8 @@ def _cmd_verify(args) -> int:
     s = rep.summary
     print(
         f"{s['agreements']}/{s['total']} agree, max witness width {s['max_width_seen']}, "
-        f"{'pass' if s['pass'] else 'FAIL'}"
+        f"{'pass' if s['pass'] else 'FAIL'}, "
+        f"sources yes/no {s['yes_source']}/{s['no_source']}"
     )
     return 0 if s["pass"] else 1
 

@@ -354,11 +354,14 @@ class VerificationReport:
     def build(cfg: ExperimentConfig, records) -> "VerificationReport":
         records = tuple(records)
         disagreements = sum(1 for r in records if not r["agree"])
+        yes_source = sum(1 for r in records if r["source_answer"] == "yes")
         summary = {
             "total": len(records),
             "agreements": len(records) - disagreements,
             "disagreements": disagreements,
             "max_width_seen": max((r["witness_width"] for r in records), default=-1),
+            "yes_source": yes_source,
+            "no_source": len(records) - yes_source,
             "pass": disagreements == 0 and all(r["bound_ok"] for r in records),
         }
         return VerificationReport(asdict(cfg), records, summary)

@@ -2,14 +2,18 @@
 for uniformly weighted orientation.
 
 Both DP solvers keep sparse per-node tables (only reachable bag states) and
-extract witnesses through back-pointers resolved root-to-leaves, so every
-yes-answer ships a certificate that is re-checked before being returned.
+extract witnesses root-to-leaves, through back-pointers in the orientation DP
+and through least-colour maps at forget nodes in the list-colouring DP, so
+every yes-answer ships a certificate that is re-checked before being
+returned.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Collection
 from itertools import groupby
+from math import prod
 from operator import add, le
 
 from twlab.errors import InputError
@@ -60,73 +64,114 @@ def _sorted_bags(ntd: NiceTreeDecomposition) -> list[tuple[int, ...]]:
 
 
 def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> dict[int, int] | None:
-    """List coloring by DP over the nice decomposition.
+    """List coloring by DP over the nice decomposition, with each bag state
+    packed into one int.
 
-    A bag state assigns each bag vertex a color from its list; introduce
-    branches over the fresh vertex's list, introduce_edge discards states
-    coloring the endpoints equally, forget projects, join keeps states
-    present on both sides.
+    Slots: walking the nodes root-first, the forget node of v gives v the
+    least slot not held by the other vertices of its bag.  Those vertices are
+    forgotten higher up, so they hold slots already; a nice decomposition
+    forgets each vertex exactly once, so every bag's vertices hold distinct
+    slots and at most width + 1 slots are used.
+
+    Encoding: the union of all lists is sorted once into the palette, and
+    palette[r] has code r + 1; code 0 marks an empty slot.  Each slot is
+    len(palette).bit_length() bits wide, and v's slot starts at bit off[v].
+    Introduce ORs code << off[v] in, forget masks it out, join intersects the
+    two tables, and the root state is 0.  A table is a set of these ints
+    (at a forget node, the keys of its least-colour map).
+
+    Filtering: introduce colours v from its list and drops every state in
+    which a neighbour of v in the bag has v's colour; introduce_edge then
+    passes its child's table through.  This is sound for any valid nice
+    decomposition, even when the introduce_edge node of uv sits in another
+    join branch: a state colouring two adjacent bag vertices alike can never
+    be completed, so dropping it early changes no answer.  And no such state
+    survives: going down from any node whose bag holds u and v, some path
+    keeps both in the bag until one of them is introduced with the other
+    present, where the clash is dropped, and a join keeps only states found
+    in both of its branches.
+
+    Witness: forget keeps, for each projected state, the least colour code
+    it saw, and the traceback rebuilds the child state as s | code << off[v].
+    The tuple DP that the tests keep as an oracle takes the first child state
+    in sorted order, which has the least colour at v.  Its tables also hold
+    states colouring adjacent bag vertices alike before their edge is
+    introduced, but the traceback only visits restrictions of the final,
+    proper colouring, and every edge at v is introduced below v's forget
+    node; so at each visited forget node both DPs pick the least of the
+    same colours and return the same colouring.  Each child table is dropped
+    as soon as its parent has read it; only the forget nodes' least-colour
+    maps are kept.
     """
     g = inst.graph
     _require_nice(ntd, g)
-    bags = _sorted_bags(ntd)
+    nodes = ntd.nodes
     order = _topo_order(ntd)
-    tables: list[dict[tuple[int, ...], object]] = [None] * len(ntd.nodes)  # type: ignore[list-item]
+    palette = sorted(set().union(*inst.lists))
+    code = {c: r + 1 for r, c in enumerate(palette)}
+    bits = len(palette).bit_length()
+    mask = (1 << bits) - 1
+    slot = [0] * g.n
+    for i in reversed(order):
+        node = nodes[i]
+        if node.kind == FORGET:
+            held = {slot[u] for u in node.bag}
+            k = 0
+            while k in held:
+                k += 1
+            slot[node.vertex] = k
+    off = [k * bits for k in slot]
+    fresh = [[code[c] << o for c in l] for l, o in zip(inst.lists, off)]
+    size = [len(l) for l in inst.lists]
 
+    tables: dict[int, Collection[int]] = {}
+    least: dict[int, dict[int, int]] = {}  # forget node -> state -> least child code
     for i in order:
-        node = ntd.nodes[i]
-        bag = bags[i]
+        node = nodes[i]
         if node.kind == LEAF:
-            tables[i] = {(): None}
+            table: Collection[int] = {0}
         elif node.kind == INTRODUCE:
-            pos = bag.index(node.vertex)
-            palette = sorted(inst.lists[node.vertex])
-            table: dict[tuple[int, ...], object] = {}
-            for s in sorted(tables[node.children[0]]):
-                for c in palette:
-                    table.setdefault(s[:pos] + (c,) + s[pos:], s)
-            tables[i] = table
+            v = node.vertex
+            o = off[v]
+            table = {s | cs for s in tables.pop(node.children[0]) for cs in fresh[v]}
+            for u in node.bag & g.neighbors(v):
+                p = off[u]
+                table = {s for s in table if (s >> p ^ s >> o) & mask}
         elif node.kind == INTRODUCE_EDGE:
-            u, v = node.edge
-            pu, pv = bag.index(u), bag.index(v)
-            tables[i] = {
-                s: s for s in sorted(tables[node.children[0]]) if s[pu] != s[pv]
-            }
+            table = tables.pop(node.children[0])
         elif node.kind == FORGET:
-            child_bag = bags[node.children[0]]
-            pos = child_bag.index(node.vertex)
-            table = {}
-            for s in sorted(tables[node.children[0]]):
-                table.setdefault(s[:pos] + s[pos + 1 :], s)
-            tables[i] = table
+            o = off[node.vertex]
+            keep = ~(mask << o)
+            best: dict[int, int] = {}
+            for s in tables.pop(node.children[0]):
+                p, c = s & keep, s >> o & mask
+                if best.get(p, c + 1) > c:
+                    best[p] = c
+            least[i] = best
+            table = best.keys()
         else:  # JOIN
             left, right = node.children
-            common = sorted(set(tables[left]) & set(tables[right]))
-            tables[i] = {s: s for s in common}
+            table = tables.pop(left) & tables.pop(right)
+        assert len(table) <= prod(map(size.__getitem__, node.bag)), (
+            "state table exceeded the list-product bound"
+        )
+        tables[i] = table
 
-    if () not in tables[ntd.root]:
+    if 0 not in tables[ntd.root]:
         return None
 
     colors: dict[int, int] = {}
-    stack: list[tuple[int, tuple[int, ...]]] = [(ntd.root, ())]
+    stack = [(ntd.root, 0)]
     while stack:
         i, s = stack.pop()
-        node = ntd.nodes[i]
-        if node.kind == LEAF:
-            continue
-        if node.kind == INTRODUCE:
-            pos = bags[i].index(node.vertex)
-            stack.append((node.children[0], s[:pos] + s[pos + 1 :]))
-        elif node.kind == INTRODUCE_EDGE:
-            stack.append((node.children[0], s))
-        elif node.kind == FORGET:
-            child_state = tables[i][s]
-            pos = bags[node.children[0]].index(node.vertex)
-            colors.setdefault(node.vertex, child_state[pos])
-            stack.append((node.children[0], child_state))
-        else:  # JOIN
-            stack.append((node.children[0], s))
-            stack.append((node.children[1], s))
+        node = nodes[i]
+        if node.kind == FORGET:
+            c = least[i][s]
+            colors[node.vertex] = palette[c - 1]
+            s |= c << off[node.vertex]
+        elif node.kind == INTRODUCE:
+            s &= ~(mask << off[node.vertex])
+        stack.extend((child, s) for child in node.children)
     assert check_list_coloring(inst, colors)
     return colors
 

@@ -6,6 +6,15 @@ from contextlib import contextmanager
 import pytest
 
 from twlab.graphs import Graph
+from twlab.problems import ListColoringInstance, check_list_coloring
+from twlab.solvers import _require_nice, _sorted_bags, _topo_order
+from twlab.treewidth import (
+    FORGET,
+    INTRODUCE,
+    INTRODUCE_EDGE,
+    LEAF,
+    NiceTreeDecomposition,
+)
 
 
 def complete(n: int) -> Graph:
@@ -83,6 +92,79 @@ def subset_dp_treewidth(g: Graph) -> int:
                 best = min(best, max(dp[prev], back))
         dp[s] = best
     return dp[-1]
+
+
+def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> dict[int, int] | None:
+    """Reference list colouring: the DP over bag states as sorted tuples that
+    solvers.dp_list_coloring replaced, kept as an oracle for its witnesses.
+
+    A bag state assigns each bag vertex a color from its list; introduce
+    branches over the fresh vertex's list, introduce_edge discards states
+    coloring the endpoints equally, forget projects, join keeps states
+    present on both sides.
+    """
+    g = inst.graph
+    _require_nice(ntd, g)
+    bags = _sorted_bags(ntd)
+    order = _topo_order(ntd)
+    tables: list[dict[tuple[int, ...], object]] = [None] * len(ntd.nodes)  # type: ignore[list-item]
+
+    for i in order:
+        node = ntd.nodes[i]
+        bag = bags[i]
+        if node.kind == LEAF:
+            tables[i] = {(): None}
+        elif node.kind == INTRODUCE:
+            pos = bag.index(node.vertex)
+            palette = sorted(inst.lists[node.vertex])
+            table: dict[tuple[int, ...], object] = {}
+            for s in sorted(tables[node.children[0]]):
+                for c in palette:
+                    table.setdefault(s[:pos] + (c,) + s[pos:], s)
+            tables[i] = table
+        elif node.kind == INTRODUCE_EDGE:
+            u, v = node.edge
+            pu, pv = bag.index(u), bag.index(v)
+            tables[i] = {
+                s: s for s in sorted(tables[node.children[0]]) if s[pu] != s[pv]
+            }
+        elif node.kind == FORGET:
+            child_bag = bags[node.children[0]]
+            pos = child_bag.index(node.vertex)
+            table = {}
+            for s in sorted(tables[node.children[0]]):
+                table.setdefault(s[:pos] + s[pos + 1 :], s)
+            tables[i] = table
+        else:  # JOIN
+            left, right = node.children
+            common = sorted(set(tables[left]) & set(tables[right]))
+            tables[i] = {s: s for s in common}
+
+    if () not in tables[ntd.root]:
+        return None
+
+    colors: dict[int, int] = {}
+    stack: list[tuple[int, tuple[int, ...]]] = [(ntd.root, ())]
+    while stack:
+        i, s = stack.pop()
+        node = ntd.nodes[i]
+        if node.kind == LEAF:
+            continue
+        if node.kind == INTRODUCE:
+            pos = bags[i].index(node.vertex)
+            stack.append((node.children[0], s[:pos] + s[pos + 1 :]))
+        elif node.kind == INTRODUCE_EDGE:
+            stack.append((node.children[0], s))
+        elif node.kind == FORGET:
+            child_state = tables[i][s]
+            pos = bags[node.children[0]].index(node.vertex)
+            colors.setdefault(node.vertex, child_state[pos])
+            stack.append((node.children[0], child_state))
+        else:  # JOIN
+            stack.append((node.children[0], s))
+            stack.append((node.children[1], s))
+    assert check_list_coloring(inst, colors)
+    return colors
 
 
 @contextmanager

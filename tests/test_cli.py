@@ -270,6 +270,17 @@ class TestVerify:
         assert code == 0 and "10/10 agree" in out
         assert json.loads(rep.read_text())["summary"]["pass"] is True
 
+    def test_summary_reports_source_balance(self, capsys, tmp_path):
+        rep = tmp_path / "rep.json"
+        code, out, _ = run(
+            capsys, "verify", "--pipeline", "chosen-minmax", "--cases", "100",
+            "--seed", "1", "--report", str(rep),
+        )
+        assert code == 0
+        assert out.strip().endswith(", pass, sources yes/no 92/8")
+        summary = json.loads(rep.read_text())["summary"]
+        assert (summary["yes_source"], summary["no_source"]) == (92, 8)
+
     def test_csv_report(self, capsys, tmp_path):
         rep = tmp_path / "rep.csv"
         code, _, _ = run(

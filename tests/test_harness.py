@@ -83,6 +83,8 @@ class TestVerify:
             "agreements": 10,
             "disagreements": 0,
             "max_width_seen": rep.summary["max_width_seen"],
+            "yes_source": 10,
+            "no_source": 0,
             "pass": True,
         }
 

@@ -1,9 +1,19 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from conftest import complete, cycle, elimination_test_graphs, path, star, within_seconds
+from conftest import (
+    complete,
+    cycle,
+    elimination_test_graphs,
+    grid,
+    path,
+    star,
+    tuple_list_coloring_dp,
+    within_seconds,
+)
 from twlab import harness
 from twlab.errors import InputError
 from twlab.graphs import EdgeWeighting, Graph
@@ -31,6 +41,8 @@ from twlab.solvers import (
 from twlab.treewidth import (
     FORGET,
     INTRODUCE,
+    INTRODUCE_EDGE,
+    JOIN,
     LEAF,
     NiceNode,
     NiceTreeDecomposition,
@@ -49,6 +61,14 @@ def rand_graph(rng, n_max, p=0.4):
     n = rng.randint(1, n_max)
     return Graph(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    )
+
+
+def grid_instance(rows, cols, rng):
+    """A rows x cols grid with random 2- or 3-colour lists over 1..4."""
+    g = grid(rows, cols)
+    return ListColoringInstance(
+        g, [rng.sample((1, 2, 3, 4), rng.choice((2, 3))) for _ in range(g.n)]
     )
 
 
@@ -120,6 +140,103 @@ class TestDpListColoring:
         inst = ListColoringInstance(triangle, [{1}] * 3)
         with pytest.raises(InputError):
             dp_list_coloring(inst, wrong)
+
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_witnesses_match_tuple_oracle(self, method):
+        # the packed DP must return the very colouring the tuple DP returned
+        rng = random.Random(8 if method == "min-fill" else 9)
+        palettes = [(1, 2, 3), (2, 5), (1, 2, 3, 5, 8, 13, 40), tuple(range(3, 30, 3))]
+        answers = set()
+        for trial in range(550):
+            n = trial % 15  # n = 0 .. 14
+            p = rng.choice((0.0, 0.1, 0.25, 0.4, 0.7))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            palette = rng.choice(palettes)
+            lists = []
+            for _ in range(n):
+                size = rng.choice((0, 1, 1, 2, 2, 3, len(palette))) if rng.random() < 0.15 else 2
+                lists.append(rng.sample(palette, min(size, len(palette))))
+            g = Graph(n, edges)
+            inst = ListColoringInstance(g, lists)
+            ntd = to_nice(heuristic_decomposition(g, method), g)
+            got = dp_list_coloring(inst, ntd)
+            assert got == tuple_list_coloring_dp(inst, ntd), (trial, n, edges, lists)
+            answers.add(got is None)
+        assert answers == {True, False}
+
+    def test_witnesses_match_tuple_oracle_on_grids(self):
+        rng = random.Random(10)
+        for rows, cols in ((1, 6), (2, 5), (3, 3), (4, 7), (5, 12), (5, 30), (6, 30)):
+            for _ in range(3):
+                inst = grid_instance(rows, cols, rng)
+                ntd = nice_of(inst.graph)
+                assert dp_list_coloring(inst, ntd) == tuple_list_coloring_dp(inst, ntd)
+
+    def test_disconnected_and_edgeless(self):
+        for g in (Graph(0), Graph(5), Graph(12, [(0, 1), (2, 3), (4, 5), (5, 6), (6, 4)])):
+            for lists in ([{1}] * g.n, [{7, 9}] * g.n, [set()] + [{1}] * (g.n - 1)):
+                inst = ListColoringInstance(g, lists[: g.n])
+                ntd = nice_of(g)
+                got = dp_list_coloring(inst, ntd)
+                assert got == tuple_list_coloring_dp(inst, ntd)
+                assert (got is None) == (bf_list_coloring(inst) is None)
+
+    def test_edges_introduced_in_other_join_branches(self):
+        # Triangle 0-1-2.  Edge 01 is introduced in the left join branch, but
+        # the right branch introduces 0 after 1; edge 12 is introduced on the
+        # right, but the left branch introduces 2 after 1; edge 02 is
+        # introduced above the join.  Hand-built, so the DP runs check_nice.
+        g = complete(3)
+        nodes = (
+            NiceNode(LEAF, frozenset(), ()),  # 0
+            NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
+            NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
+            NiceNode(INTRODUCE_EDGE, frozenset({0, 1}), (2,), edge=(0, 1)),
+            NiceNode(INTRODUCE, frozenset({0, 1, 2}), (3,), vertex=2),
+            NiceNode(LEAF, frozenset(), ()),  # 5
+            NiceNode(INTRODUCE, frozenset({2}), (5,), vertex=2),
+            NiceNode(INTRODUCE, frozenset({1, 2}), (6,), vertex=1),
+            NiceNode(INTRODUCE_EDGE, frozenset({1, 2}), (7,), edge=(1, 2)),
+            NiceNode(INTRODUCE, frozenset({0, 1, 2}), (8,), vertex=0),
+            NiceNode(JOIN, frozenset({0, 1, 2}), (4, 9)),  # 10
+            NiceNode(INTRODUCE_EDGE, frozenset({0, 1, 2}), (10,), edge=(0, 2)),
+            NiceNode(FORGET, frozenset({0, 1}), (11,), vertex=2),
+            NiceNode(FORGET, frozenset({1}), (12,), vertex=0),
+            NiceNode(FORGET, frozenset(), (13,), vertex=1),
+        )
+        ntd = NiceTreeDecomposition(nodes, 14)
+        assert check_nice(ntd, g).ok and ntd.graph is None
+        choices = ({1}, {2}, {1, 2}, {2, 3}, {1, 2, 3})
+        answers = set()
+        for a in choices:
+            for b in choices:
+                for c in choices:
+                    inst = ListColoringInstance(g, [a, b, c])
+                    got = dp_list_coloring(inst, ntd)
+                    assert got == tuple_list_coloring_dp(inst, ntd)
+                    assert (got is None) == (bf_list_coloring(inst) is None)
+                    answers.add(got is None)
+        assert answers == {True, False}
+
+    def test_7x40_grid_peak_memory(self):
+        inst = grid_instance(7, 40, random.Random(11))
+        ntd = nice_of(inst.graph)
+        tracemalloc.start()
+        try:
+            got = dp_list_coloring(inst, ntd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is None or check_list_coloring(inst, got)
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_8x40_grid_within_budget(self):
+        inst = grid_instance(8, 40, random.Random(12))
+        with within_seconds(10, "list colouring of the 8x40 grid"):
+            ntd = nice_of(inst.graph)
+            assert ntd.width() == 11
+            got = dp_list_coloring(inst, ntd)
+        assert got is None or check_list_coloring(inst, got)
 
 
 class TestDpChosenOutdegree:
