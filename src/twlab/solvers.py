@@ -1,20 +1,21 @@
 """Solvers driven by nice tree decompositions, plus the path-reversal solver
 for uniformly weighted orientation.
 
-Both DP solvers keep sparse per-node tables (only reachable bag states) and
-extract witnesses root-to-leaves, through back-pointers in the orientation DP
-and through least-colour maps at forget nodes in the list-colouring DP, so
-every yes-answer ships a certificate that is re-checked before being
-returned.
+Both DP solvers pack each bag state into one int over fixed bag slots
+(_order_and_slots) and keep sparse per-node tables (only reachable bag
+states).  They extract witnesses root-to-leaves, through back-pointers in
+the orientation DP and least-colour maps at forget nodes in the
+list-colouring DP, so every yes-answer ships a re-checked certificate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
+from functools import reduce
 from itertools import groupby
 from math import prod
-from operator import add, le
+from operator import and_
 
 from twlab.errors import InputError
 from twlab.graphs import EdgeWeighting, Graph, Orientation, canon
@@ -47,31 +48,30 @@ def _require_nice(ntd: NiceTreeDecomposition, g: Graph) -> None:
         raise InputError("invalid nice decomposition: " + "; ".join(check.violations[:3]))
 
 
-def _topo_order(ntd: NiceTreeDecomposition) -> list[int]:
-    """Node ids with children before parents."""
+def _order_and_slots(ntd: NiceTreeDecomposition, n: int) -> tuple[list[int], list[int]]:
+    """Node ids with children before parents, and each vertex's bag slot:
+    walking root-first, the forget node of v gives v the least slot not
+    held by the rest of its bag, whose vertices are forgotten higher up and
+    so hold slots already.  Each vertex is forgotten once, so the vertices
+    of a bag hold distinct slots, at most width + 1 of them."""
     order: list[int] = []
+    slot = [0] * n
     stack = [ntd.root]
     while stack:
         i = stack.pop()
         order.append(i)
-        stack.extend(ntd.nodes[i].children)
+        node = ntd.nodes[i]
+        stack.extend(node.children)
+        if node.kind == FORGET:
+            held = {slot[u] for u in node.bag}
+            slot[node.vertex] = min(set(range(len(held) + 1)) - held)
     order.reverse()
-    return order
-
-
-def _sorted_bags(ntd: NiceTreeDecomposition) -> list[tuple[int, ...]]:
-    return [tuple(sorted(n.bag)) for n in ntd.nodes]
+    return order, slot
 
 
 def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> dict[int, int] | None:
     """List coloring by DP over the nice decomposition, with each bag state
-    packed into one int.
-
-    Slots: walking the nodes root-first, the forget node of v gives v the
-    least slot not held by the other vertices of its bag.  Those vertices are
-    forgotten higher up, so they hold slots already; a nice decomposition
-    forgets each vertex exactly once, so every bag's vertices hold distinct
-    slots and at most width + 1 slots are used.
+    packed into one int over the slots of _order_and_slots.
 
     Encoding: the union of all lists is sorted once into the palette, and
     palette[r] has code r + 1; code 0 marks an empty slot.  Each slot is
@@ -106,20 +106,11 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     g = inst.graph
     _require_nice(ntd, g)
     nodes = ntd.nodes
-    order = _topo_order(ntd)
+    order, slot = _order_and_slots(ntd, g.n)
     palette = sorted(set().union(*inst.lists))
     code = {c: r + 1 for r, c in enumerate(palette)}
     bits = len(palette).bit_length()
     mask = (1 << bits) - 1
-    slot = [0] * g.n
-    for i in reversed(order):
-        node = nodes[i]
-        if node.kind == FORGET:
-            held = {slot[u] for u in node.bag}
-            k = 0
-            while k in held:
-                k += 1
-            slot[node.vertex] = k
     off = [k * bits for k in slot]
     fresh = [[code[c] << o for c in l] for l, o in zip(inst.lists, off)]
     size = [len(l) for l in inst.lists]
@@ -176,143 +167,148 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     return colors
 
 
-def _pareto_minimal(table: dict[tuple[int, ...], object]) -> dict[tuple[int, ...], object]:
-    """The entries of table whose keys no other key bounds pointwise.
-
-    Key i gets bit i.  For each coordinate j, a prefix bitmask over the keys
-    sorted by coordinate j gives, per key, the set of keys that are no larger
-    in coordinate j; the AND of a key's masks over all coordinates is the set
-    of keys that are <= it pointwise, which holds only its own bit exactly when
-    it is minimal (keys are distinct).  Survivors keep their insertion order
-    and their values.
+def _minimal_states(
+    table: dict[int, object], guard: int, vmask: int, offs: Iterable[int]
+) -> dict[int, object]:
+    """The entries of table that no other state bounds pointwise, for states
+    packed as in dp_chosen_outdegree.  Up to 64 states, each is guard-tested
+    against the minimal ones kept so far, in ascending order, as only a
+    smaller int can bound it.  A test per pair would take a minute per solve
+    on the wide pc-chosen gadgets (35k states, 33k minimal), so larger tables
+    go a field at a time, by bitsets of the states whose field is <= x for
+    each value x: the AND of a state's bitsets is the set of states <= it,
+    only itself iff minimal.
     """
-    keys = list(table)
-    if len(keys) < 2:
-        return table
-    below = [(1 << len(keys)) - 1] * len(keys)
-    for j in range(len(keys[0])):
-        coord = [k[j] for k in keys].__getitem__
-        mask = 0
-        for _, tied in groupby(sorted(range(len(keys)), key=coord), key=coord):
-            tied = list(tied)
-            for i in tied:
-                mask |= 1 << i
-            for i in tied:
-                below[i] &= mask
-    return {k: table[k] for i, k in enumerate(keys) if below[i] == 1 << i}
+    if len(table) <= 64:
+        kept = []
+        for b in sorted(table):
+            bg = b | guard
+            for a in kept:
+                if (bg - a) & guard == guard:
+                    break
+            else:
+                kept.append(b)
+    else:
+        bitsets = []
+        for o in offs:
+            field = [k >> o & vmask for k in table]
+            at = field.__getitem__
+            digits = bytearray(b"0") * len(field)  # in binary, state i is digit ~i
+            upto = {}
+            for x, tied in groupby(sorted(range(len(field)), key=at), key=at):
+                for i in tied:
+                    digits[~i] = 49  # "1"
+                upto[x] = int(digits, 2)
+            bitsets.append(list(map(upto.__getitem__, field)))
+        kept = [k for i, k in enumerate(table) if reduce(and_, [b[i] for b in bitsets]) == 1 << i]
+    return table if len(kept) == len(table) else {k: table[k] for k in kept}
 
 
 def dp_chosen_outdegree(
     inst: ChosenOutdegreeInstance, ntd: NiceTreeDecomposition
 ) -> Orientation | None:
-    """Capped-orientation DP over the nice decomposition.
+    """Capped-orientation DP over the nice decomposition, with each bag
+    state packed into one int over the slots of _order_and_slots.
 
-    A bag state carries each bag vertex's accumulated outgoing weight;
-    introduce starts at 0, introduce_edge branches over the edge direction
-    (smaller tail tried first) and prunes past the cap, forget drops the
-    accumulator, join adds accumulators pointwise — sound because every edge
-    is introduced exactly once.
+    Encoding: a slot is vb + 1 bits, vb = max(rho).bit_length(): v's
+    accumulated outgoing weight in the low vb bits from off[v], then a guard
+    bit that is 0 in every state.  No accumulator passes its cap, so every
+    field is below 2^vb; for two such states a and b and G the bag's guard
+    bits, each slot of (b | G) - a holds 2^vb + b_v - a_v, in [1, 2^(vb+1)):
+    no borrow crosses a slot, and ((b | G) - a) & G == G iff a <= b pointwise.
 
-    Dominance: after every introduce_edge, forget and join, a table keeps only
-    its Pareto-minimal states (no other state is <= it in every coordinate).
-    This is sound because caps are upper bounds and the nodes above only ever
-    add to the accumulators: each edge is introduced exactly once, below the
-    forget node of both its endpoints, so the edges still to come are the same
-    for every state of a node.  If state s completes to an admissible
-    orientation, the same choices complete any s' <= s pointwise without
-    passing a cap.  Introduce needs no filter: appending a 0 coordinate keeps
-    an antichain an antichain.  Pruning changes which states exist, not the
-    verdict; a kept state's back-pointer is still the first one found.
+    Nodes: introduce passes its child's table through, as v's slot is 0.
+    Introduce_edge of uv, u < v, adds w at u to the states that keep u
+    within its cap, then w at v where that gives a new state.  Forget masks
+    v's slot out.  Join adds a left and a right state, sound as every edge
+    is introduced once.  For a left state s1 the right states that fit,
+    s2 <= caps - s1 pointwise, are <= caps - s1 as ints (the difference
+    borrows nowhere), so bisection bounds them in the sorted right table and
+    the guard test with b = caps - s1 picks them out.
 
-    Join sorts the right table once.  For each left state s1 the right states
-    that fit, s2 <= caps - s1 pointwise, all have a first coordinate within
-    the slack, so they lie in the prefix of the lexicographic order found by
-    bisection; only that prefix is walked, in sorted order.
+    Dominance: after introduce_edge, forget and join a table keeps only its
+    Pareto-minimal states (introduce keeps an antichain one).  Caps are
+    upper bounds, the nodes above only add to the accumulators, and the
+    edges still to come are the same for every state of a node (each is
+    introduced once, below the forget nodes of its ends), so the choices
+    that complete a state s complete any s' <= s as well.
+
+    Witness: the sorted-tuple DP that the tests keep as an oracle holds the
+    same states, and its back-pointers are the first found while walking
+    child states in tuple order; three tie-breaks give the same ones.
+    Introduce_edge: t - w at u and t - w at v agree before u and the first
+    is smaller at u, so tail u wins where it can, as adding at u first
+    gives.  Forget: every table is an antichain, and two states with one
+    projection would differ only at v, so each projection has one preimage.
+    Join: s1 fixes s2 = t - s1, and left states are walked in tuple order.
     """
     g = inst.graph
     _require_nice(ntd, g)
-    rho = inst.rho
+    nodes, rho = ntd.nodes, inst.rho
+    order, slot = _order_and_slots(ntd, g.n)
+    vb = max(rho, default=0).bit_length()
+    vmask = (1 << vb) - 1
+    off = [k * (vb + 1) for k in slot]
+    gbit = [1 << o + vb for o in off]
+    bound = [r + 1 for r in rho]
     wmap = dict(zip(g.edges, inst.weights.weights))
-    bags = _sorted_bags(ntd)
-    order = _topo_order(ntd)
-    tables: list[dict[tuple[int, ...], object]] = [None] * len(ntd.nodes)  # type: ignore[list-item]
-
+    tables: dict[int, dict[int, object]] = {}  # state -> back-pointer
     for i in order:
-        node = ntd.nodes[i]
-        bag = bags[i]
-        if node.kind == LEAF:
-            tables[i] = {(): None}
-        elif node.kind == INTRODUCE:
-            pos = bag.index(node.vertex)
-            tables[i] = {
-                s[:pos] + (0,) + s[pos:]: s for s in sorted(tables[node.children[0]])
-            }
-        elif node.kind == INTRODUCE_EDGE:
-            u, v = canon(*node.edge)
-            w = wmap[(u, v)]
-            pu, pv = bag.index(u), bag.index(v)
-            table: dict[tuple[int, ...], object] = {}
-            for s in sorted(tables[node.children[0]]):
-                if s[pu] + w <= rho[u]:
-                    t = list(s)
-                    t[pu] += w
-                    table.setdefault(tuple(t), (s, u))
-                if s[pv] + w <= rho[v]:
-                    t = list(s)
-                    t[pv] += w
-                    table.setdefault(tuple(t), (s, v))
-            tables[i] = _pareto_minimal(table)
-        elif node.kind == FORGET:
-            child_bag = bags[node.children[0]]
-            pos = child_bag.index(node.vertex)
-            table = {}
-            for s in sorted(tables[node.children[0]]):
-                table.setdefault(s[:pos] + s[pos + 1 :], s)
-            tables[i] = _pareto_minimal(table)
-        elif not bag:  # JOIN over the empty bag
-            left, right = node.children
-            tables[i] = {(): ((), ())} if tables[left] and tables[right] else {}
-        else:  # JOIN
-            left, right = node.children
-            caps = [rho[v] for v in bag]
-            rights = sorted(tables[right])
-            firsts = [s[0] for s in rights]
-            table = {}
-            for s1 in sorted(tables[left]):
-                slack = [c - a for c, a in zip(caps, s1)]
-                for s2 in rights[: bisect_right(firsts, slack[0])]:
-                    if all(map(le, s2, slack)):
-                        table.setdefault(tuple(map(add, s1, s2)), (s1, s2))
-            tables[i] = _pareto_minimal(table)
-        cap = 1
-        for v in bag:
-            cap *= rho[v] + 1
-        assert len(tables[i]) <= cap, "state table exceeded the accumulator bound"
+        node = nodes[i]
+        kind, bag = node.kind, node.bag
+        if kind == LEAF:
+            table: dict[int, object] = {0: None}
+        elif kind == INTRODUCE:
+            table = tables[node.children[0]]
+        else:
+            guard = sum(map(gbit.__getitem__, bag))
+            if kind == INTRODUCE_EDGE:  # back-pointer: the tail
+                u, v = canon(*node.edge)
+                w = wmap[(u, v)]
+                child = tables[node.children[0]]
+                mu, lu, wu = vmask << off[u], rho[u] - w << off[u], w << off[u]
+                mv, lv, wv = vmask << off[v], rho[v] - w << off[v], w << off[v]
+                table = {s + wu: u for s in child if s & mu <= lu}  # none if w > rho[u]
+                for s in child:
+                    if s & mv <= lv:
+                        table.setdefault(s + wv, v)
+            elif kind == FORGET:  # back-pointer: the child state
+                keep = ~(vmask << off[node.vertex])
+                table = {s & keep: s for s in tables[node.children[0]]}
+            else:  # JOIN; back-pointer: the left state
+                left, right = node.children
+                caps = sum(rho[v] << off[v] for v in bag)
+                offs = [off[v] for v in sorted(bag)]
+                rights = sorted(tables[right])
+                table = {}
+                for s1 in sorted(tables[left], key=lambda s: [s >> o & vmask for o in offs]):
+                    top = caps - s1 | guard
+                    for s2 in rights[: bisect_right(rights, caps - s1)]:
+                        if (top - s2) & guard == guard:
+                            table.setdefault(s1 + s2, s1)
+            table = _minimal_states(table, guard, vmask, map(off.__getitem__, bag))
+        assert len(table) <= prod(map(bound.__getitem__, bag)), "table exceeds (rho+1)^|bag|"
+        tables[i] = table
 
-    if () not in tables[ntd.root]:
+    if 0 not in tables[ntd.root]:
         return None
-
     direction: dict[tuple[int, int], tuple[int, int]] = {}
-    stack: list[tuple[int, tuple[int, ...]]] = [(ntd.root, ())]
+    stack = [(ntd.root, 0)]
     while stack:
         i, s = stack.pop()
-        node = ntd.nodes[i]
-        if node.kind == LEAF:
-            continue
-        if node.kind == INTRODUCE:
-            pos = bags[i].index(node.vertex)
-            stack.append((node.children[0], s[:pos] + s[pos + 1 :]))
-        elif node.kind == INTRODUCE_EDGE:
-            child_state, tail = tables[i][s]
+        node = nodes[i]
+        if node.kind == INTRODUCE_EDGE:
             e = canon(*node.edge)
+            tail = tables[i][s]
             direction[e] = (tail, e[1] if tail == e[0] else e[0])
-            stack.append((node.children[0], child_state))
+            s -= wmap[e] << off[tail]
         elif node.kind == FORGET:
-            stack.append((node.children[0], tables[i][s]))
-        else:  # JOIN
-            s1, s2 = tables[i][s]
-            stack.append((node.children[0], s1))
-            stack.append((node.children[1], s2))
+            s = tables[i][s]
+        elif node.kind == JOIN:
+            stack.append((node.children[1], s - tables[i][s]))
+            s = tables[i][s]
+        if node.children:
+            stack.append((node.children[0], s))
     lam = Orientation(g, direction)
     assert check_admissible(inst, lam)
     return lam

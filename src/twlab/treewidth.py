@@ -86,14 +86,15 @@ def validate(td: TreeDecomposition, g: Graph) -> Validity:
     for v in g.vertices():
         if v not in where:
             violations.append(f"vertex {v} appears in no bag")
+    occurs = {v: set(nodes) for v, nodes in where.items()}
     for u, v in g.edges:
-        if not any(u in td.bags[t] and v in td.bags[t] for t in where.get(u, ())):
+        if u not in occurs or occurs[u].isdisjoint(occurs.get(v, ())):
             violations.append(f"edge ({u},{v}) is contained in no bag")
     # occurrences of each vertex must induce a connected subtree
     for v, nodes in sorted(where.items()):
         if len(nodes) == 1:
             continue
-        nodeset = set(nodes)
+        nodeset = occurs[v]
         seen = {nodes[0]}
         stack = [nodes[0]]
         while stack:

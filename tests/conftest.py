@@ -1,13 +1,21 @@
 import itertools
 import random
 import signal
+from bisect import bisect_right
 from contextlib import contextmanager
+from itertools import groupby
+from operator import add, le
 
 import pytest
 
-from twlab.graphs import Graph
-from twlab.problems import ListColoringInstance, check_list_coloring
-from twlab.solvers import _require_nice, _sorted_bags, _topo_order
+from twlab.graphs import Graph, Orientation, canon
+from twlab.problems import (
+    ChosenOutdegreeInstance,
+    ListColoringInstance,
+    check_admissible,
+    check_list_coloring,
+)
+from twlab.solvers import _order_and_slots, _require_nice
 from twlab.treewidth import (
     FORGET,
     INTRODUCE,
@@ -94,6 +102,10 @@ def subset_dp_treewidth(g: Graph) -> int:
     return dp[-1]
 
 
+def _sorted_bags(ntd: NiceTreeDecomposition) -> list[tuple[int, ...]]:
+    return [tuple(sorted(n.bag)) for n in ntd.nodes]
+
+
 def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> dict[int, int] | None:
     """Reference list colouring: the DP over bag states as sorted tuples that
     solvers.dp_list_coloring replaced, kept as an oracle for its witnesses.
@@ -106,7 +118,7 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
     g = inst.graph
     _require_nice(ntd, g)
     bags = _sorted_bags(ntd)
-    order = _topo_order(ntd)
+    order, _ = _order_and_slots(ntd, g.n)
     tables: list[dict[tuple[int, ...], object]] = [None] * len(ntd.nodes)  # type: ignore[list-item]
 
     for i in order:
@@ -165,6 +177,137 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
             stack.append((node.children[1], s))
     assert check_list_coloring(inst, colors)
     return colors
+
+
+def tuple_pareto_minimal(table: dict[tuple[int, ...], object]) -> dict[tuple[int, ...], object]:
+    """The entries of table whose keys no other key bounds pointwise.
+
+    Key i gets bit i.  For each coordinate j, a prefix bitmask over the keys
+    sorted by coordinate j gives, per key, the set of keys that are no larger
+    in coordinate j; the AND of a key's masks over all coordinates is the set
+    of keys that are <= it pointwise, which holds only its own bit exactly when
+    it is minimal (keys are distinct).  Survivors keep their insertion order
+    and their values.
+    """
+    keys = list(table)
+    if len(keys) < 2:
+        return table
+    below = [(1 << len(keys)) - 1] * len(keys)
+    for j in range(len(keys[0])):
+        coord = [k[j] for k in keys].__getitem__
+        mask = 0
+        for _, tied in groupby(sorted(range(len(keys)), key=coord), key=coord):
+            tied = list(tied)
+            for i in tied:
+                mask |= 1 << i
+            for i in tied:
+                below[i] &= mask
+    return {k: table[k] for i, k in enumerate(keys) if below[i] == 1 << i}
+
+
+def tuple_chosen_outdegree_dp(
+    inst: ChosenOutdegreeInstance, ntd: NiceTreeDecomposition
+) -> Orientation | None:
+    """Reference capped orientation: the DP over bag states as sorted tuples
+    that solvers.dp_chosen_outdegree replaced, kept as an oracle for its
+    witnesses.
+
+    A bag state carries each bag vertex's accumulated outgoing weight;
+    introduce starts at 0, introduce_edge branches over the edge direction
+    (smaller tail tried first) and prunes past the cap, forget drops the
+    accumulator, join adds accumulators pointwise.  After every
+    introduce_edge, forget and join a table keeps only its Pareto-minimal
+    states; a kept state's back-pointer is the first one found.  Join sorts
+    the right table once and walks, per left state, only the prefix whose
+    first coordinate is within the slack.
+    """
+    g = inst.graph
+    _require_nice(ntd, g)
+    rho = inst.rho
+    wmap = dict(zip(g.edges, inst.weights.weights))
+    bags = _sorted_bags(ntd)
+    order, _ = _order_and_slots(ntd, g.n)
+    tables: list[dict[tuple[int, ...], object]] = [None] * len(ntd.nodes)  # type: ignore[list-item]
+
+    for i in order:
+        node = ntd.nodes[i]
+        bag = bags[i]
+        if node.kind == LEAF:
+            tables[i] = {(): None}
+        elif node.kind == INTRODUCE:
+            pos = bag.index(node.vertex)
+            tables[i] = {
+                s[:pos] + (0,) + s[pos:]: s for s in sorted(tables[node.children[0]])
+            }
+        elif node.kind == INTRODUCE_EDGE:
+            u, v = canon(*node.edge)
+            w = wmap[(u, v)]
+            pu, pv = bag.index(u), bag.index(v)
+            table: dict[tuple[int, ...], object] = {}
+            for s in sorted(tables[node.children[0]]):
+                if s[pu] + w <= rho[u]:
+                    t = list(s)
+                    t[pu] += w
+                    table.setdefault(tuple(t), (s, u))
+                if s[pv] + w <= rho[v]:
+                    t = list(s)
+                    t[pv] += w
+                    table.setdefault(tuple(t), (s, v))
+            tables[i] = tuple_pareto_minimal(table)
+        elif node.kind == FORGET:
+            child_bag = bags[node.children[0]]
+            pos = child_bag.index(node.vertex)
+            table = {}
+            for s in sorted(tables[node.children[0]]):
+                table.setdefault(s[:pos] + s[pos + 1 :], s)
+            tables[i] = tuple_pareto_minimal(table)
+        elif not bag:  # JOIN over the empty bag
+            left, right = node.children
+            tables[i] = {(): ((), ())} if tables[left] and tables[right] else {}
+        else:  # JOIN
+            left, right = node.children
+            caps = [rho[v] for v in bag]
+            rights = sorted(tables[right])
+            firsts = [s[0] for s in rights]
+            table = {}
+            for s1 in sorted(tables[left]):
+                slack = [c - a for c, a in zip(caps, s1)]
+                for s2 in rights[: bisect_right(firsts, slack[0])]:
+                    if all(map(le, s2, slack)):
+                        table.setdefault(tuple(map(add, s1, s2)), (s1, s2))
+            tables[i] = tuple_pareto_minimal(table)
+        cap = 1
+        for v in bag:
+            cap *= rho[v] + 1
+        assert len(tables[i]) <= cap, "state table exceeded the accumulator bound"
+
+    if () not in tables[ntd.root]:
+        return None
+
+    direction: dict[tuple[int, int], tuple[int, int]] = {}
+    stack: list[tuple[int, tuple[int, ...]]] = [(ntd.root, ())]
+    while stack:
+        i, s = stack.pop()
+        node = ntd.nodes[i]
+        if node.kind == LEAF:
+            continue
+        if node.kind == INTRODUCE:
+            pos = bags[i].index(node.vertex)
+            stack.append((node.children[0], s[:pos] + s[pos + 1 :]))
+        elif node.kind == INTRODUCE_EDGE:
+            child_state, tail = tables[i][s]
+            e = canon(*node.edge)
+            direction[e] = (tail, e[1] if tail == e[0] else e[0])
+            stack.append((node.children[0], child_state))
+        elif node.kind == FORGET:
+            stack.append((node.children[0], tables[i][s]))
+        else:  # JOIN
+            s1, s2 = tables[i][s]
+            stack.append((node.children[0], s1))
+            stack.append((node.children[1], s2))
+    lam = Orientation(g, direction)
+    assert check_admissible(inst, lam)
+    return lam
 
 
 @contextmanager

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from dataclasses import replace
@@ -11,7 +12,9 @@ from conftest import (
     grid,
     path,
     star,
+    tuple_chosen_outdegree_dp,
     tuple_list_coloring_dp,
+    tuple_pareto_minimal,
     within_seconds,
 )
 from twlab import harness
@@ -31,7 +34,7 @@ from twlab.problems import (
 )
 from twlab import solvers
 from twlab.solvers import (
-    _pareto_minimal,
+    _minimal_states,
     dp_chosen_outdegree,
     dp_list_coloring,
     flow_min_max_uniform,
@@ -72,16 +75,100 @@ def grid_instance(rows, cols, rng):
     )
 
 
+def other_branch_join_triangle():
+    """Triangle 0-1-2 with a hand-built nice decomposition, so the DPs run
+    check_nice on it.  Edge 01 is introduced in the left join branch, but
+    the right branch introduces 0 after 1; edge 12 is introduced on the
+    right, but the left branch introduces 2 after 1; edge 02 is introduced
+    above the join."""
+    g = complete(3)
+    nodes = (
+        NiceNode(LEAF, frozenset(), ()),  # 0
+        NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
+        NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
+        NiceNode(INTRODUCE_EDGE, frozenset({0, 1}), (2,), edge=(0, 1)),
+        NiceNode(INTRODUCE, frozenset({0, 1, 2}), (3,), vertex=2),
+        NiceNode(LEAF, frozenset(), ()),  # 5
+        NiceNode(INTRODUCE, frozenset({2}), (5,), vertex=2),
+        NiceNode(INTRODUCE, frozenset({1, 2}), (6,), vertex=1),
+        NiceNode(INTRODUCE_EDGE, frozenset({1, 2}), (7,), edge=(1, 2)),
+        NiceNode(INTRODUCE, frozenset({0, 1, 2}), (8,), vertex=0),
+        NiceNode(JOIN, frozenset({0, 1, 2}), (4, 9)),  # 10
+        NiceNode(INTRODUCE_EDGE, frozenset({0, 1, 2}), (10,), edge=(0, 2)),
+        NiceNode(FORGET, frozenset({0, 1}), (11,), vertex=2),
+        NiceNode(FORGET, frozenset({1}), (12,), vertex=0),
+        NiceNode(FORGET, frozenset(), (13,), vertex=1),
+    )
+    ntd = NiceTreeDecomposition(nodes, 14)
+    assert check_nice(ntd, g).ok and ntd.graph is None
+    return g, ntd
+
+
+def square_joined_at_its_diagonal():
+    """The 4-cycle 0-2-1-3 with a hand-built nice decomposition that joins
+    over the bag {0, 1}: vertex 2 and its edges lie in the left branch and
+    vertex 3 and its edges in the right.  With caps (2, 2, 1, 1), each side
+    has the states (0, 1) and (1, 0) over (0, 1), and the join state (1, 1)
+    arises from both pairs."""
+    g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    nodes = []
+
+    def add(kind, bag, children, **kw):
+        nodes.append(NiceNode(kind, frozenset(bag), tuple(children), **kw))
+        return len(nodes) - 1
+
+    tops = []
+    for x in (2, 3):
+        i = add(LEAF, (), ())
+        i = add(INTRODUCE, {0}, (i,), vertex=0)
+        i = add(INTRODUCE, {0, 1}, (i,), vertex=1)
+        i = add(INTRODUCE, {0, 1, x}, (i,), vertex=x)
+        i = add(INTRODUCE_EDGE, {0, 1, x}, (i,), edge=(0, x))
+        i = add(INTRODUCE_EDGE, {0, 1, x}, (i,), edge=(1, x))
+        tops.append(add(FORGET, {0, 1}, (i,), vertex=x))
+    i = add(JOIN, {0, 1}, tops)
+    i = add(FORGET, {0}, (i,), vertex=1)
+    root = add(FORGET, (), (i,), vertex=0)
+    ntd = NiceTreeDecomposition(tuple(nodes), root)
+    assert check_nice(ntd, g).ok and ntd.graph is None
+    return g, ntd
+
+
+def chosen_corpus(rng, method):
+    """Seeded capped-orientation instances with their nice decompositions:
+    n = 0..9 and a three-component graph, caps all 0 (one-bit slots), caps
+    often below the weights, caps up to 1000 (11-bit slots); then the
+    hand-built joins of other_branch_join_triangle and
+    square_joined_at_its_diagonal."""
+    three_parts = Graph(12, [(0, 1), (2, 3), (4, 5), (5, 6), (6, 4), (8, 9), (9, 10), (10, 11)])
+    for trial in range(500):
+        n = trial % 10
+        p = rng.choice((0.0, 0.15, 0.3, 0.5, 0.8))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = Graph(n, edges) if trial % 25 else three_parts
+        caps, heaviest = ((0, 3), (4, 9), (1000, 400), (8, 3), (8, 3))[trial % 5]
+        rho = tuple(rng.randint(0, caps) for _ in range(g.n))
+        w = EdgeWeighting(g, [rng.randint(1, heaviest) for _ in g.edges])
+        yield ChosenOutdegreeInstance(g, w, rho), to_nice(heuristic_decomposition(g, method), g)
+    g, ntd = other_branch_join_triangle()
+    for weights in itertools.product((1, 2), repeat=3):
+        for rho in itertools.product(range(3), repeat=3):
+            yield ChosenOutdegreeInstance(g, EdgeWeighting(g, list(weights)), rho), ntd
+    g, ntd = square_joined_at_its_diagonal()
+    for rho in itertools.product((1, 2), (1, 2), (0, 1, 2), (0, 1, 2)):
+        yield ChosenOutdegreeInstance(g, EdgeWeighting(g, [1] * 4), rho), ntd
+
+
 def count_pruned(monkeypatch):
     """Counts the states the dominance filter drops during DP runs."""
     pruned = [0]
 
-    def counting(table):
-        kept = _pareto_minimal(table)
+    def counting(table, *fields):
+        kept = _minimal_states(table, *fields)
         pruned[0] += len(table) - len(kept)
         return kept
 
-    monkeypatch.setattr(solvers, "_pareto_minimal", counting)
+    monkeypatch.setattr(solvers, "_minimal_states", counting)
     return pruned
 
 
@@ -94,6 +181,8 @@ def quadratic_pareto_minimal(table):
 
 
 class TestParetoMinimal:
+    """The tuple oracle's filter."""
+
     def test_matches_quadratic_filter(self):
         rng = random.Random(6)
         for d in range(7):
@@ -101,13 +190,47 @@ class TestParetoMinimal:
                 keys = {tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(rng.randint(1, 80))}
                 table = {k: rng.random() for k in rng.sample(sorted(keys), len(keys))}
                 # same keys, same order, same values
-                assert list(_pareto_minimal(table).items()) == list(
+                assert list(tuple_pareto_minimal(table).items()) == list(
                     quadratic_pareto_minimal(table).items()
                 )
 
     def test_single_key_and_empty_bag(self):
-        assert _pareto_minimal({(3, 1): "s"}) == {(3, 1): "s"}
-        assert _pareto_minimal({(): None}) == {(): None}
+        assert tuple_pareto_minimal({(3, 1): "s"}) == {(3, 1): "s"}
+        assert tuple_pareto_minimal({(): None}) == {(): None}
+
+
+def packed_table(rng, size, d, vb):
+    """A table of up to `size` distinct states with d fields of vb value
+    bits, packed as dp_chosen_outdegree packs them (slots at (vb + 1) * j,
+    guard bit on top), with the tuple of each state's fields as its value."""
+    offs = [j * (vb + 1) for j in range(d)]
+    tuples = {tuple(rng.randint(0, 2**vb - 1) for _ in range(d)) for _ in range(size)}
+    table = {sum(x << o for x, o in zip(t, offs)): t for t in tuples}
+    guard = sum(1 << o + vb for o in offs)
+    return table, guard, (1 << vb) - 1, offs
+
+
+class TestMinimalStates:
+    """The packed filter against the quadratic one on decoded tuples, on
+    both sides of its 64-state switch from the pairwise sweep to bitsets."""
+
+    @pytest.mark.parametrize(
+        "sizes,trials", [((2, 64), 300), ((65, 250), 100)], ids=["sweep", "bitsets"]
+    )
+    def test_matches_quadratic_filter_on_decoded_tuples(self, sizes, trials):
+        rng = random.Random(sizes[0])
+        seen = set()
+        for trial in range(trials):
+            d, vb = rng.randint(1, 7), rng.choice((0, 1, 2, 3, 4, 11))
+            table, guard, vmask, offs = packed_table(rng, rng.randint(*sizes), d, vb)
+            if not sizes[0] <= len(table) <= sizes[1]:
+                continue
+            seen.add(len(table) <= 64)
+            kept = _minimal_states(table, guard, vmask, offs)
+            decoded = {t: s for s, t in table.items()}
+            expected = quadratic_pareto_minimal(decoded)
+            assert {kept[s]: s for s in kept} == {t: decoded[t] for t in expected}, trial
+        assert seen == {sizes[0] <= 64}
 
 
 class TestDpListColoring:
@@ -182,30 +305,7 @@ class TestDpListColoring:
                 assert (got is None) == (bf_list_coloring(inst) is None)
 
     def test_edges_introduced_in_other_join_branches(self):
-        # Triangle 0-1-2.  Edge 01 is introduced in the left join branch, but
-        # the right branch introduces 0 after 1; edge 12 is introduced on the
-        # right, but the left branch introduces 2 after 1; edge 02 is
-        # introduced above the join.  Hand-built, so the DP runs check_nice.
-        g = complete(3)
-        nodes = (
-            NiceNode(LEAF, frozenset(), ()),  # 0
-            NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
-            NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
-            NiceNode(INTRODUCE_EDGE, frozenset({0, 1}), (2,), edge=(0, 1)),
-            NiceNode(INTRODUCE, frozenset({0, 1, 2}), (3,), vertex=2),
-            NiceNode(LEAF, frozenset(), ()),  # 5
-            NiceNode(INTRODUCE, frozenset({2}), (5,), vertex=2),
-            NiceNode(INTRODUCE, frozenset({1, 2}), (6,), vertex=1),
-            NiceNode(INTRODUCE_EDGE, frozenset({1, 2}), (7,), edge=(1, 2)),
-            NiceNode(INTRODUCE, frozenset({0, 1, 2}), (8,), vertex=0),
-            NiceNode(JOIN, frozenset({0, 1, 2}), (4, 9)),  # 10
-            NiceNode(INTRODUCE_EDGE, frozenset({0, 1, 2}), (10,), edge=(0, 2)),
-            NiceNode(FORGET, frozenset({0, 1}), (11,), vertex=2),
-            NiceNode(FORGET, frozenset({1}), (12,), vertex=0),
-            NiceNode(FORGET, frozenset(), (13,), vertex=1),
-        )
-        ntd = NiceTreeDecomposition(nodes, 14)
-        assert check_nice(ntd, g).ok and ntd.graph is None
+        g, ntd = other_branch_join_triangle()
         choices = ({1}, {2}, {1, 2}, {2, 3}, {1, 2, 3})
         answers = set()
         for a in choices:
@@ -282,6 +382,31 @@ class TestDpChosenOutdegree:
                 assert check_admissible(inst, lam)
                 yes += 1
         assert 0 < yes < 80 and pruned[0] > 0
+
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_witnesses_match_tuple_oracle(self, method):
+        # the packed DP must return the very orientation the tuple DP returned
+        answers = set()
+        for inst, ntd in chosen_corpus(random.Random(13 if method == "min-fill" else 14), method):
+            got = dp_chosen_outdegree(inst, ntd)
+            expected = tuple_chosen_outdegree_dp(inst, ntd)
+            assert got == expected, (inst.graph.edges, inst.weights.weights, inst.rho)
+            answers.add(got is None)
+        assert answers == {True, False}
+
+    def test_k5_gadget_within_budget(self):
+        # width-20 pc-chosen gadgets whose tables reach 35k states, most of
+        # them minimal: the size that needs the filter's bitsets
+        from twlab.reductions import pc_to_chosen_outdegree
+
+        got = {}
+        for plant in (False, True):
+            inst = pc_to_chosen_outdegree(harness.gen_partitioned(5, 3, 0.5, plant, 1)).instance
+            with within_seconds(10, f"pc-chosen k=5 n=3 gadget, plant={plant}"):
+                ntd = nice_of(inst.graph)
+                got[plant] = dp_chosen_outdegree(inst, ntd)
+        assert got[False] is None and got[True] is not None
+        assert got[True] == tuple_chosen_outdegree_dp(inst, ntd)
 
 
 class TestMinMaxDp:

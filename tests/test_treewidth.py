@@ -72,6 +72,23 @@ class TestValidate:
         check = validate(td, Graph(2, []))
         assert any("disconnected" in v for v in check.violations)
 
+    def test_every_violation_in_order(self):
+        g = Graph(5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
+        host = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        td = TreeDecomposition(host, [{0, 1, 7}, {2}, {1}, {0, 2}])
+        assert validate(td, g).violations == (
+            "bag 0 contains vertex 7 >= n=5",
+            "vertex 3 appears in no bag",
+            "vertex 4 appears in no bag",
+            "edge (0,4) is contained in no bag",
+            "edge (1,2) is contained in no bag",
+            "edge (2,3) is contained in no bag",
+            "edge (3,4) is contained in no bag",
+            "vertex 0 occurs in disconnected tree nodes (e.g. bags 0 and 3)",
+            "vertex 1 occurs in disconnected tree nodes (e.g. bags 0 and 2)",
+            "vertex 2 occurs in disconnected tree nodes (e.g. bags 1 and 3)",
+        )
+
 
 class TestWidth:
     def test_empty_bag(self):
