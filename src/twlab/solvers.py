@@ -173,11 +173,11 @@ def _minimal_states(
     """The entries of table that no other state bounds pointwise, for states
     packed as in dp_chosen_outdegree.  Up to 64 states, each is guard-tested
     against the minimal ones kept so far, in ascending order, as only a
-    smaller int can bound it.  A test per pair would take a minute per solve
-    on the wide pc-chosen gadgets (35k states, 33k minimal), so larger tables
-    go a field at a time, by bitsets of the states whose field is <= x for
-    each value x: the AND of a state's bitsets is the set of states <= it,
-    only itself iff minimal.
+    smaller int can bound it: on small tables that beats a pass per field.
+    But a test per pair takes over a minute per solve on the wide pc-chosen
+    gadgets (35k states, 33k minimal), so larger tables go a field at a time,
+    by bitsets of the states whose field is <= x for each value x: the AND
+    of a state's bitsets is the set of states <= it, only itself iff minimal.
     """
     if len(table) <= 64:
         kept = []
