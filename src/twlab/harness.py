@@ -79,14 +79,14 @@ class ExperimentConfig:
             raise InputError(f"pipeline {self.pipeline} has no DP solver; use solver=bf")
 
     def check_guards(self) -> None:
-        if self.unsafe or os.environ.get("TWLAB_GUARD_OVERRIDE") == "1":
+        if self.unsafe:
             return
         max_k, max_n = PIPELINES[self.pipeline].guard
         if self.k > max_k or self.n > max_n:
             raise GuardError(
                 f"pipeline {self.pipeline} is guarded to k <= {max_k}, "
                 f"n <= {max_n} (got k={self.k}, n={self.n}); "
-                "pass unsafe/--unsafe or set TWLAB_GUARD_OVERRIDE=1"
+                "pass unsafe/--unsafe to lift the guard"
             )
 
 
@@ -240,8 +240,7 @@ def _clique_checks(out, pg, clique, witnesses, checks) -> None:
         checks["constructive_ok"] = pr.check_admissible(out.instance, lam_c)
 
 
-# conservative brute-force blowup guards; lift with unsafe=True or
-# TWLAB_GUARD_OVERRIDE=1
+# conservative brute-force blowup guards; lift with unsafe=True
 PIPELINES = {p.name: p for p in (
     Pipeline("pc-lc", (4, 6), PARTITIONED, "list_coloring",
              lambda pg, checks: rd.pc_to_list_coloring(pg)),

@@ -1,5 +1,9 @@
-"""Search kernels: the four hot loops behind the brute-force oracles and
-exact treewidth.
+"""Search kernels: the backtracking driver, the three searches behind the
+brute-force oracles that run through it, and exact treewidth.
+
+backtrack is the one depth-first loop of every brute-force search in twlab
+(these three and four in twlab.problems).  Its stack is a list, so search
+depth is bounded by memory, not by Python's recursion limit.
 
 Every search is deterministic:
 
@@ -24,28 +28,56 @@ from twlab.errors import GuardError
 BACKEND = "python"  # the name benchmark results record for this implementation
 
 
-def orient_search(n, eu, ev, w, rho):
+def backtrack(depth, branches, accept=None):
+    """Depth-first search over positions 0..depth-1 on an explicit stack.
+
+    branches(i) returns a generator that applies each live choice for
+    position i in turn, yields while it is applied and undoes it when
+    resumed.  The first full assignment that accept() takes (any, when
+    accept is None) ends the search with True; its choices are left
+    applied, so the caller's state is the witness.  Undo code must therefore
+    not sit in a `finally` block.  Returns False once every branch is
+    exhausted, with every choice undone.
+    """
+    if depth == 0:
+        return accept is None or accept()
+    stack = [branches(0)]
+    while stack:
+        for _ in stack[-1]:
+            break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < depth:
+            stack.append(branches(len(stack)))
+        elif accept is None or accept():
+            return True
+    return False
+
+
+def orient_search(n, edges, w, rho):
     """Find an orientation with per-vertex outgoing weight caps.
 
-    Edges are given as parallel lists (eu[i], ev[i], w[i]); rho caps the total
-    weight a vertex may emit.  Returns a list of directions (0: tail eu[i],
-    1: tail ev[i]) or None when no admissible orientation exists.
+    Edge i is the pair edges[i] = (u, v) of weight w[i]; rho caps the total
+    weight a vertex may emit.  Returns a list of directions (0: tail u,
+    1: tail v) or None when no admissible orientation exists.
 
     Depth-first search over edges in index order with unit-propagation:
     an undecided edge too heavy for one endpoint's remaining budget is forced
-    toward the other; an edge too heavy for both prunes the branch.
+    toward the other; an edge too heavy for both prunes the branch.  An edge
+    already forced when the search reaches it has a single branch.
     """
-    m = len(eu)
+    m = len(edges)
     residual = list(rho)
     dirs = [-1] * m
     incident: list[list[int]] = [[] for _ in range(n)]
-    for i in range(m):
-        incident[eu[i]].append(i)
-        incident[ev[i]].append(i)
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
     trail: list[int] = []  # decided edges, in decision order
 
     def decide(e: int, d: int) -> bool:
-        tail = eu[e] if d == 0 else ev[e]
+        tail = edges[e][d]
         if residual[tail] < w[e]:
             return False
         dirs[e] = d
@@ -56,147 +88,118 @@ def orient_search(n, eu, ev, w, rho):
     def undo(mark: int) -> None:
         while len(trail) > mark:
             e = trail.pop()
-            tail = eu[e] if dirs[e] == 0 else ev[e]
-            residual[tail] += w[e]
+            residual[edges[e][dirs[e]]] += w[e]
             dirs[e] = -1
 
     def propagate(stack: list[int]) -> bool:
         while stack:
             z = stack.pop()
             for f in incident[z]:
-                if dirs[f] != -1:
+                if dirs[f] != -1 or w[f] <= residual[z]:
                     continue
-                if w[f] > residual[z]:
-                    o = ev[f] if eu[f] == z else eu[f]
-                    if w[f] > residual[o]:
-                        return False
-                    if not decide(f, 0 if o == eu[f] else 1):
-                        return False
-                    stack.append(o)
+                d = 1 if edges[f][0] == z else 0  # the tail must be the other end
+                o = edges[f][d]
+                if w[f] > residual[o]:
+                    return False
+                decide(f, d)
+                stack.append(o)
         return True
 
-    def search() -> bool:
-        e = 0
-        while e < m and dirs[e] != -1:
-            e += 1
-        if e == m:
-            return True
+    def branches(e: int):
+        if dirs[e] != -1:
+            yield
+            return
         for d in (0, 1):
-            tail = eu[e] if d == 0 else ev[e]
             mark = len(trail)
-            if decide(e, d) and propagate([tail]) and search():
-                return True
+            if decide(e, d) and propagate([edges[e][d]]):
+                yield
             undo(mark)
-        return False
 
-    # initial propagation catches edges infeasible from the start
-    mark = len(trail)
-    if not propagate(list(range(n))):
-        undo(mark)
-        return None
-    if search():
-        return list(dirs)
-    undo(mark)
+    # the initial propagation catches edges infeasible from the start
+    if propagate(list(range(n))) and backtrack(m, branches):
+        return dirs
     return None
 
 
-def list_color_search(n, adj_offsets, adj_targets, pal_offsets, pal_values):
+def list_color_search(adj, palettes):
     """Backtracking list coloring over vertices 0..n-1 in index order.
 
-    Adjacency and palettes are CSR-packed.  A vertex's candidate colors are
-    tried in palette order against already-colored neighbors; after each
-    assignment, forward checking fails the branch as soon as an uncolored
-    neighbor has no live color left (prunes dead branches only, so the first
-    witness is unaffected).  Returns the color list or None.
+    adj[v] lists v's neighbours and palettes[v] its colors (positive ints)
+    in the order they are tried.  A color is tried against already-colored
+    neighbors; after each assignment, forward checking fails the branch as
+    soon as an uncolored neighbor has no live color left (prunes dead
+    branches only, so the first witness is unaffected).  Returns the color
+    list or None.
     """
-    colors = [0] * n  # 0 = uncolored; palettes hold positive ints
+    colors = [0] * len(adj)  # 0 = uncolored
 
     def alive(u: int) -> bool:
-        for ci in range(pal_offsets[u], pal_offsets[u + 1]):
-            c = pal_values[ci]
-            if all(
-                colors[adj_targets[ni]] != c
-                for ni in range(adj_offsets[u], adj_offsets[u + 1])
-            ):
+        nbrs = adj[u]
+        for c in palettes[u]:
+            for x in nbrs:
+                if colors[x] == c:
+                    break
+            else:
                 return True
         return False
 
-    def place(v: int) -> bool:
-        if v == n:
-            return True
-        for ci in range(pal_offsets[v], pal_offsets[v + 1]):
-            c = pal_values[ci]
-            ok = True
-            for ni in range(adj_offsets[v], adj_offsets[v + 1]):
-                if colors[adj_targets[ni]] == c:
-                    ok = False
-                    break
-            if ok:
+    def branches(v: int):
+        nbrs = adj[v]
+        taken = {colors[u] for u in nbrs}  # fixed while v branches
+        for c in palettes[v]:
+            if c not in taken:
                 colors[v] = c
-                for ni in range(adj_offsets[v], adj_offsets[v + 1]):
-                    u = adj_targets[ni]
+                for u in nbrs:
                     if colors[u] == 0 and not alive(u):
-                        ok = False
                         break
-                if ok and place(v + 1):
-                    return True
+                else:
+                    yield
                 colors[v] = 0
-        return False
 
-    return list(colors) if place(0) else None
+    return colors if backtrack(len(adj), branches) else None
 
 
-def gensat_search(num_vars, scope_offsets, scope_vars, tup_offsets, tup_masks):
+def gensat_search(num_vars, scopes, masks):
     """Backtracking search for a satisfying 0/1 assignment.
 
-    Constraint j has scope variables scope_vars[scope_offsets[j]:...] and
-    allowed tuples tup_masks[tup_offsets[j]:...] encoded as bitmasks (bit p =
-    value of scope position p).  A partial assignment survives iff every
-    constraint still has a compatible tuple.
+    Constraint j has scope variables scopes[j] and allowed tuples masks[j],
+    each encoded as a bitmask (bit p = value of scope position p).  A partial
+    assignment survives iff every constraint still has a compatible tuple.
     """
-    num_cons = len(scope_offsets) - 1
-    assigned_mask = [0] * num_cons
-    assigned_val = [0] * num_cons
+    assigned_mask = [0] * len(scopes)
+    assigned_val = [0] * len(scopes)
     # per-variable list of (constraint, position-within-scope)
     occ: list[list[tuple[int, int]]] = [[] for _ in range(num_vars)]
-    for j in range(num_cons):
-        for p in range(scope_offsets[j + 1] - scope_offsets[j]):
-            occ[scope_vars[scope_offsets[j] + p]].append((j, p))
+    for j, scope in enumerate(scopes):
+        for p, x in enumerate(scope):
+            occ[x].append((j, p))
 
     def consistent(j: int) -> bool:
         am, av = assigned_mask[j], assigned_val[j]
-        for ti in range(tup_offsets[j], tup_offsets[j + 1]):
-            if tup_masks[ti] & am == av:
+        for t in masks[j]:
+            if t & am == av:
                 return True
         return False
 
-    for j in range(num_cons):
-        if not consistent(j):
-            return None
+    if not all(map(consistent, range(len(scopes)))):
+        return None
 
     values = [0] * num_vars
 
-    def assign(x: int) -> bool:
-        if x == num_vars:
-            return True
+    def branches(x: int):
         for val in (0, 1):
             values[x] = val
-            ok = True
             for j, p in occ[x]:
                 assigned_mask[j] |= 1 << p
-                if val:
-                    assigned_val[j] |= 1 << p
-                if ok and not consistent(j):
-                    ok = False  # keep updating so the undo loop is uniform
-            if ok and assign(x + 1):
-                return True
+                assigned_val[j] |= val << p
+            if all(consistent(j) for j, _ in occ[x]):
+                yield
             for j, p in occ[x]:
                 assigned_mask[j] &= ~(1 << p)
                 assigned_val[j] &= ~(1 << p)
         values[x] = 0
-        return False
 
-    return list(values) if assign(0) else None
+    return values if backtrack(num_vars, branches) else None
 
 
 def exact_treewidth(n, adj_masks, upper=None):

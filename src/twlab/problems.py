@@ -8,6 +8,7 @@ lexicographically first one under the documented search order.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -172,22 +173,21 @@ class ChosenOutdegreeInstance:
 @dataclass(frozen=True)
 class MinMaxOutdegreeInstance:
     """Uniform-cap variant; weights are integers standing in for a unary
-    encoding, so the total weight is capped (configurable ceiling)."""
+    encoding, so the total weight is capped at DEFAULT_WEIGHT_CEILING."""
 
     graph: Graph
     weights: EdgeWeighting
     r: int
 
-    def __init__(self, graph: Graph, weights: EdgeWeighting, r: int,
-                 weight_ceiling: int = DEFAULT_WEIGHT_CEILING):
+    def __init__(self, graph: Graph, weights: EdgeWeighting, r: int):
         if r < 1:
             raise InputError(f"r must be positive, got {r}")
         if weights.graph != graph:
             raise InputError("weighting belongs to a different graph")
-        if weights.total_weight > weight_ceiling:
+        if weights.total_weight > DEFAULT_WEIGHT_CEILING:
             raise InputError(
                 f"total weight {weights.total_weight} exceeds the ceiling "
-                f"{weight_ceiling} (weights are treated as unary)"
+                f"{DEFAULT_WEIGHT_CEILING} (weights are treated as unary)"
             )
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "weights", weights)
@@ -260,15 +260,22 @@ def check_minmax(inst: MinMaxOutdegreeInstance, lam: Orientation) -> bool:
 
 def degeneracy_order(g: Graph) -> list[int]:
     """Vertices ordered so each has few earlier neighbors: reverse of a
-    repeated minimum-degree peel (ties to the smallest index)."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    removed = []
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
+    repeated minimum-degree peel (ties to the smallest index), taken off a
+    heap keyed (degree, v) whose out-of-date entries are skipped."""
+    deg = [g.degree(v) for v in g.vertices()]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    removed: list[int] = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if deg[v] != d:
+            continue  # peeled already (-1), or its degree has dropped since
+        deg[v] = -1
         removed.append(v)
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
+        for u in g.neighbors(v):
+            if deg[u] >= 0:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
     removed.reverse()
     return removed
 
@@ -281,16 +288,10 @@ def bf_list_coloring(inst: ListColoringInstance) -> dict[int, int] | None:
         return None
     order = degeneracy_order(g)
     rank = {v: i for i, v in enumerate(order)}
-    adj_offsets = [0]
-    adj_targets: list[int] = []
-    pal_offsets = [0]
-    pal_values: list[int] = []
-    for v in order:
-        adj_targets.extend(rank[u] for u in sorted(g.neighbors(v), key=rank.__getitem__))
-        adj_offsets.append(len(adj_targets))
-        pal_values.extend(sorted(inst.lists[v]))
-        pal_offsets.append(len(pal_values))
-    got = kernels.list_color_search(g.n, adj_offsets, adj_targets, pal_offsets, pal_values)
+    got = kernels.list_color_search(
+        [[rank[u] for u in g.neighbors(v)] for v in order],
+        [sorted(inst.lists[v]) for v in order],
+    )
     if got is None:
         return None
     colors = {order[i]: c for i, c in enumerate(got)}
@@ -305,19 +306,15 @@ def bf_precoloring(inst: PrecoloringExtensionInstance) -> dict[int, int] | None:
     colors = dict(inst.precolor)
     free = [v for v in g.vertices() if v not in colors]
 
-    def place(i: int) -> bool:
-        if i == len(free):
-            return True
+    def branches(i: int):
         v = free[i]
         for c in range(1, inst.r + 1):
             if all(colors.get(u) != c for u in g.neighbors(v)):
                 colors[v] = c
-                if place(i + 1):
-                    return True
+                yield
                 del colors[v]
-        return False
 
-    if not place(0):
+    if not kernels.backtrack(len(free), branches):
         return None
     assert check_precoloring(inst, colors)
     return colors
@@ -331,9 +328,7 @@ def bf_equitable(inst: EquitableColoringInstance) -> dict[int, int] | None:
     colors: dict[int, int] = {}
     sizes = [0] * r
 
-    def place(v: int) -> bool:
-        if v == g.n:
-            return max(sizes) - min(sizes) <= 1
+    def branches(v: int):
         for c in range(1, r + 1):
             if sizes[c - 1] >= cap:
                 continue
@@ -341,13 +336,11 @@ def bf_equitable(inst: EquitableColoringInstance) -> dict[int, int] | None:
                 continue
             colors[v] = c
             sizes[c - 1] += 1
-            if place(v + 1):
-                return True
+            yield
             sizes[c - 1] -= 1
             del colors[v]
-        return False
 
-    if not place(0):
+    if not kernels.backtrack(g.n, branches, lambda: max(sizes) - min(sizes) <= 1):
         return None
     assert check_equitable(inst, colors)
     return colors
@@ -357,63 +350,54 @@ def bf_general_factor(inst: GeneralFactorInstance) -> frozenset | None:
     """Include/exclude search over edges in canonical order (exclude first),
     pruning on per-vertex degree bounds."""
     g = inst.graph
-    m = len(g.edges)
+    sets = inst.cardinality_sets
+    if not all(sets):
+        return None  # an empty cardinality set is unsatisfiable
     incident_left = [g.degree(v) for v in g.vertices()]
     deg = [0] * g.n
-    lo = [min(s) if s else None for s in inst.cardinality_sets]
-    hi = [max(s) if s else None for s in inst.cardinality_sets]
-    if any(l is None for l in lo):
-        return None  # an empty cardinality set is unsatisfiable
+    lo = [min(s) for s in sets]
+    hi = [max(s) for s in sets]
     chosen: list[tuple[int, int]] = []
 
     def feasible(v: int) -> bool:
         return deg[v] <= hi[v] and deg[v] + incident_left[v] >= lo[v]
 
-    def place(i: int) -> bool:
-        if i == m:
-            return all(deg[v] in inst.cardinality_sets[v] for v in g.vertices())
+    def branches(i: int):
         u, v = g.edges[i]
         incident_left[u] -= 1
         incident_left[v] -= 1
-        if feasible(u) and feasible(v) and place(i + 1):
-            return True
+        if feasible(u) and feasible(v):
+            yield
         deg[u] += 1
         deg[v] += 1
         chosen.append((u, v))
-        if feasible(u) and feasible(v) and place(i + 1):
-            return True
+        if feasible(u) and feasible(v):
+            yield
         chosen.pop()
         deg[u] -= 1
         deg[v] -= 1
         incident_left[u] += 1
         incident_left[v] += 1
-        return False
 
-    if not place(0):
+    def exact() -> bool:
+        return all(deg[v] in sets[v] for v in g.vertices())
+
+    if not kernels.backtrack(len(g.edges), branches, exact):
         return None
     out = frozenset(chosen)
     assert check_general_factor(inst, out)
     return out
 
 
-def _gensat_arrays(inst: GensatInstance):
-    scope_offsets = [0]
-    scope_vars: list[int] = []
-    tup_offsets = [0]
-    tup_masks: list[int] = []
-    for c in inst.constraints:
-        scope_vars.extend(c.scope)
-        scope_offsets.append(len(scope_vars))
-        for t in sorted(c.relation.tuples):
-            tup_masks.append(sum(b << p for p, b in enumerate(t)))
-        tup_offsets.append(len(tup_masks))
-    return scope_offsets, scope_vars, tup_offsets, tup_masks
-
-
 def bf_gensat(inst: GensatInstance) -> tuple[int, ...] | None:
     """Assignment search in variable-index order (0 before 1), pruning any
     prefix some constraint can no longer match."""
-    got = kernels.gensat_search(inst.num_variables, *_gensat_arrays(inst))
+    got = kernels.gensat_search(
+        inst.num_variables,
+        [c.scope for c in inst.constraints],
+        [[sum(b << p for p, b in enumerate(t)) for t in sorted(c.relation.tuples)]
+         for c in inst.constraints],
+    )
     if got is None:
         return None
     tau = tuple(got)
@@ -432,21 +416,11 @@ def bf_chosen_outdegree(inst: ChosenOutdegreeInstance) -> Orientation | None:
     g = inst.graph
     w = inst.weights.weights
     order = sorted(range(len(g.edges)), key=lambda i: (-w[i], i))
-    got = kernels.orient_search(
-        g.n,
-        [g.edges[i][0] for i in order],
-        [g.edges[i][1] for i in order],
-        [w[i] for i in order],
-        list(inst.rho),
-    )
+    edges = [g.edges[i] for i in order]
+    got = kernels.orient_search(g.n, edges, [w[i] for i in order], inst.rho)
     if got is None:
         return None
-    dirs = [0] * len(g.edges)
-    for pos, i in enumerate(order):
-        dirs[i] = got[pos]
-    lam = Orientation(
-        g, [(e if d == 0 else (e[1], e[0])) for e, d in zip(g.edges, dirs)]
-    )
+    lam = Orientation(g, {e: e[::-1] if d else e for e, d in zip(edges, got)})
     assert check_admissible(inst, lam)
     return lam
 
@@ -486,18 +460,14 @@ def bf_partitioned_clique(pg: PartitionedGraph) -> tuple[int, ...] | None:
     g = pg.graph
     picked: list[int] = []
 
-    def place(i: int) -> bool:
-        if i == pg.k:
-            return True
+    def branches(i: int):
         for v in pg.parts[i]:
             if all(g.has_edge(u, v) for u in picked):
                 picked.append(v)
-                if place(i + 1):
-                    return True
+                yield
                 picked.pop()
-        return False
 
-    if not place(0):
+    if not kernels.backtrack(pg.k, branches):
         return None
     out = tuple(picked)
     assert is_clique(g, out)

@@ -25,7 +25,6 @@ from twlab.problems import (
     MinMaxOutdegreeInstance,
     check_admissible,
     check_list_coloring,
-    check_minmax,
 )
 from twlab.treewidth import (
     FORGET,
@@ -367,7 +366,7 @@ def min_max_orientation(g: Graph) -> tuple[int, Orientation]:
                     out[head].add(tail)
     lam = Orientation(g, [(u, v) if v in out[u] else (v, u) for u, v in g.edges])
     unit = EdgeWeighting(g, [1] * len(g.edges))
-    assert check_minmax(MinMaxOutdegreeInstance(g, unit, max(d, 1), len(g.edges)), lam)
+    assert check_admissible(ChosenOutdegreeInstance(g, unit, (d,) * g.n), lam)
     return d, lam
 
 

@@ -8,12 +8,18 @@ from operator import add, le
 
 import pytest
 
-from twlab.graphs import Graph, Orientation, canon
+from twlab.graphs import Graph, Orientation, PartitionedGraph, canon, is_clique
 from twlab.problems import (
     ChosenOutdegreeInstance,
+    EquitableColoringInstance,
+    GeneralFactorInstance,
     ListColoringInstance,
+    PrecoloringExtensionInstance,
     check_admissible,
+    check_equitable,
+    check_general_factor,
     check_list_coloring,
+    check_precoloring,
 )
 from twlab.solvers import _order_and_slots, _require_nice
 from twlab.treewidth import (
@@ -308,6 +314,341 @@ def tuple_chosen_outdegree_dp(
     lam = Orientation(g, direction)
     assert check_admissible(inst, lam)
     return lam
+
+
+# --- the recursive searches kernels.backtrack replaced -------------------------
+#
+# Kept verbatim as oracles for the witnesses of the searches that now run on
+# the driver: the three kernels with their CSR-packed signatures (see csr),
+# the four problems oracles, and the quadratic degeneracy order.  They recurse
+# once per position, so keep their inputs small.
+
+
+def both_answers(results) -> None:
+    """A witness-equality corpus must hold yes- and no-instances."""
+    assert {r is None for r in results} == {True, False}, "the corpus must hold both answers"
+
+
+def csr(rows) -> tuple[list[int], list[int]]:
+    """(offsets, values) packing of a list of lists, as the old kernels took
+    their adjacency, palettes, scopes and tuple masks."""
+    offsets, values = [0], []
+    for row in rows:
+        values.extend(row)
+        offsets.append(len(values))
+    return offsets, values
+
+
+def recursive_orient_search(n, eu, ev, w, rho):
+    """Find an orientation with per-vertex outgoing weight caps.
+
+    Edges are given as parallel lists (eu[i], ev[i], w[i]); rho caps the total
+    weight a vertex may emit.  Returns a list of directions (0: tail eu[i],
+    1: tail ev[i]) or None when no admissible orientation exists.
+
+    Depth-first search over edges in index order with unit-propagation:
+    an undecided edge too heavy for one endpoint's remaining budget is forced
+    toward the other; an edge too heavy for both prunes the branch.
+    """
+    m = len(eu)
+    residual = list(rho)
+    dirs = [-1] * m
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i in range(m):
+        incident[eu[i]].append(i)
+        incident[ev[i]].append(i)
+    trail: list[int] = []  # decided edges, in decision order
+
+    def decide(e: int, d: int) -> bool:
+        tail = eu[e] if d == 0 else ev[e]
+        if residual[tail] < w[e]:
+            return False
+        dirs[e] = d
+        residual[tail] -= w[e]
+        trail.append(e)
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            e = trail.pop()
+            tail = eu[e] if dirs[e] == 0 else ev[e]
+            residual[tail] += w[e]
+            dirs[e] = -1
+
+    def propagate(stack: list[int]) -> bool:
+        while stack:
+            z = stack.pop()
+            for f in incident[z]:
+                if dirs[f] != -1:
+                    continue
+                if w[f] > residual[z]:
+                    o = ev[f] if eu[f] == z else eu[f]
+                    if w[f] > residual[o]:
+                        return False
+                    if not decide(f, 0 if o == eu[f] else 1):
+                        return False
+                    stack.append(o)
+        return True
+
+    def search() -> bool:
+        e = 0
+        while e < m and dirs[e] != -1:
+            e += 1
+        if e == m:
+            return True
+        for d in (0, 1):
+            tail = eu[e] if d == 0 else ev[e]
+            mark = len(trail)
+            if decide(e, d) and propagate([tail]) and search():
+                return True
+            undo(mark)
+        return False
+
+    # initial propagation catches edges infeasible from the start
+    mark = len(trail)
+    if not propagate(list(range(n))):
+        undo(mark)
+        return None
+    if search():
+        return list(dirs)
+    undo(mark)
+    return None
+
+
+def recursive_list_color_search(n, adj_offsets, adj_targets, pal_offsets, pal_values):
+    """Backtracking list coloring over vertices 0..n-1 in index order.
+
+    Adjacency and palettes are CSR-packed.  A vertex's candidate colors are
+    tried in palette order against already-colored neighbors; after each
+    assignment, forward checking fails the branch as soon as an uncolored
+    neighbor has no live color left (prunes dead branches only, so the first
+    witness is unaffected).  Returns the color list or None.
+    """
+    colors = [0] * n  # 0 = uncolored; palettes hold positive ints
+
+    def alive(u: int) -> bool:
+        for ci in range(pal_offsets[u], pal_offsets[u + 1]):
+            c = pal_values[ci]
+            if all(
+                colors[adj_targets[ni]] != c
+                for ni in range(adj_offsets[u], adj_offsets[u + 1])
+            ):
+                return True
+        return False
+
+    def place(v: int) -> bool:
+        if v == n:
+            return True
+        for ci in range(pal_offsets[v], pal_offsets[v + 1]):
+            c = pal_values[ci]
+            ok = True
+            for ni in range(adj_offsets[v], adj_offsets[v + 1]):
+                if colors[adj_targets[ni]] == c:
+                    ok = False
+                    break
+            if ok:
+                colors[v] = c
+                for ni in range(adj_offsets[v], adj_offsets[v + 1]):
+                    u = adj_targets[ni]
+                    if colors[u] == 0 and not alive(u):
+                        ok = False
+                        break
+                if ok and place(v + 1):
+                    return True
+                colors[v] = 0
+        return False
+
+    return list(colors) if place(0) else None
+
+
+def recursive_gensat_search(num_vars, scope_offsets, scope_vars, tup_offsets, tup_masks):
+    """Backtracking search for a satisfying 0/1 assignment.
+
+    Constraint j has scope variables scope_vars[scope_offsets[j]:...] and
+    allowed tuples tup_masks[tup_offsets[j]:...] encoded as bitmasks (bit p =
+    value of scope position p).  A partial assignment survives iff every
+    constraint still has a compatible tuple.
+    """
+    num_cons = len(scope_offsets) - 1
+    assigned_mask = [0] * num_cons
+    assigned_val = [0] * num_cons
+    # per-variable list of (constraint, position-within-scope)
+    occ: list[list[tuple[int, int]]] = [[] for _ in range(num_vars)]
+    for j in range(num_cons):
+        for p in range(scope_offsets[j + 1] - scope_offsets[j]):
+            occ[scope_vars[scope_offsets[j] + p]].append((j, p))
+
+    def consistent(j: int) -> bool:
+        am, av = assigned_mask[j], assigned_val[j]
+        for ti in range(tup_offsets[j], tup_offsets[j + 1]):
+            if tup_masks[ti] & am == av:
+                return True
+        return False
+
+    for j in range(num_cons):
+        if not consistent(j):
+            return None
+
+    values = [0] * num_vars
+
+    def assign(x: int) -> bool:
+        if x == num_vars:
+            return True
+        for val in (0, 1):
+            values[x] = val
+            ok = True
+            for j, p in occ[x]:
+                assigned_mask[j] |= 1 << p
+                if val:
+                    assigned_val[j] |= 1 << p
+                if ok and not consistent(j):
+                    ok = False  # keep updating so the undo loop is uniform
+            if ok and assign(x + 1):
+                return True
+            for j, p in occ[x]:
+                assigned_mask[j] &= ~(1 << p)
+                assigned_val[j] &= ~(1 << p)
+        values[x] = 0
+        return False
+
+    return list(values) if assign(0) else None
+
+
+def quadratic_degeneracy_order(g: Graph) -> list[int]:
+    """Vertices ordered so each has few earlier neighbors: reverse of a
+    repeated minimum-degree peel (ties to the smallest index)."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    removed = []
+    while adj:
+        v = min(adj, key=lambda x: (len(adj[x]), x))
+        removed.append(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+        del adj[v]
+    removed.reverse()
+    return removed
+
+
+def recursive_bf_precoloring(inst: PrecoloringExtensionInstance) -> dict[int, int] | None:
+    """Backtracking over uncolored vertices in index order, colors 1..r
+    ascending."""
+    g = inst.graph
+    colors = dict(inst.precolor)
+    free = [v for v in g.vertices() if v not in colors]
+
+    def place(i: int) -> bool:
+        if i == len(free):
+            return True
+        v = free[i]
+        for c in range(1, inst.r + 1):
+            if all(colors.get(u) != c for u in g.neighbors(v)):
+                colors[v] = c
+                if place(i + 1):
+                    return True
+                del colors[v]
+        return False
+
+    if not place(0):
+        return None
+    assert check_precoloring(inst, colors)
+    return colors
+
+
+def recursive_bf_equitable(inst: EquitableColoringInstance) -> dict[int, int] | None:
+    """Backtracking over vertices in index order; class sizes are pruned
+    against the ceiling floor(n/r)+1 and checked exactly at the end."""
+    g, r = inst.graph, inst.r
+    cap = -(-g.n // r) if g.n else 1  # ceil(n / r); every class size is floor or ceil
+    colors: dict[int, int] = {}
+    sizes = [0] * r
+
+    def place(v: int) -> bool:
+        if v == g.n:
+            return max(sizes) - min(sizes) <= 1
+        for c in range(1, r + 1):
+            if sizes[c - 1] >= cap:
+                continue
+            if any(colors.get(u) == c for u in g.neighbors(v)):
+                continue
+            colors[v] = c
+            sizes[c - 1] += 1
+            if place(v + 1):
+                return True
+            sizes[c - 1] -= 1
+            del colors[v]
+        return False
+
+    if not place(0):
+        return None
+    assert check_equitable(inst, colors)
+    return colors
+
+
+def recursive_bf_general_factor(inst: GeneralFactorInstance) -> frozenset | None:
+    """Include/exclude search over edges in canonical order (exclude first),
+    pruning on per-vertex degree bounds."""
+    g = inst.graph
+    m = len(g.edges)
+    incident_left = [g.degree(v) for v in g.vertices()]
+    deg = [0] * g.n
+    lo = [min(s) if s else None for s in inst.cardinality_sets]
+    hi = [max(s) if s else None for s in inst.cardinality_sets]
+    if any(l is None for l in lo):
+        return None  # an empty cardinality set is unsatisfiable
+    chosen: list[tuple[int, int]] = []
+
+    def feasible(v: int) -> bool:
+        return deg[v] <= hi[v] and deg[v] + incident_left[v] >= lo[v]
+
+    def place(i: int) -> bool:
+        if i == m:
+            return all(deg[v] in inst.cardinality_sets[v] for v in g.vertices())
+        u, v = g.edges[i]
+        incident_left[u] -= 1
+        incident_left[v] -= 1
+        if feasible(u) and feasible(v) and place(i + 1):
+            return True
+        deg[u] += 1
+        deg[v] += 1
+        chosen.append((u, v))
+        if feasible(u) and feasible(v) and place(i + 1):
+            return True
+        chosen.pop()
+        deg[u] -= 1
+        deg[v] -= 1
+        incident_left[u] += 1
+        incident_left[v] += 1
+        return False
+
+    if not place(0):
+        return None
+    out = frozenset(chosen)
+    assert check_general_factor(inst, out)
+    return out
+
+
+def recursive_bf_partitioned_clique(pg: PartitionedGraph) -> tuple[int, ...] | None:
+    """First transversal (one vertex per part, parts in order, members by
+    rank) that induces a clique."""
+    g = pg.graph
+    picked: list[int] = []
+
+    def place(i: int) -> bool:
+        if i == pg.k:
+            return True
+        for v in pg.parts[i]:
+            if all(g.has_edge(u, v) for u in picked):
+                picked.append(v)
+                if place(i + 1):
+                    return True
+                picked.pop()
+        return False
+
+    if not place(0):
+        return None
+    out = tuple(picked)
+    assert is_clique(g, out)
+    return out
 
 
 @contextmanager

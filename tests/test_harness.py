@@ -68,9 +68,8 @@ class TestConfig:
         with pytest.raises(GuardError):
             ExperimentConfig(pipeline="pc-chosen", k=4, n=3, cases=1).check_guards()
 
-    def test_guard_override_env(self, monkeypatch):
-        monkeypatch.setenv("TWLAB_GUARD_OVERRIDE", "1")
-        ExperimentConfig(pipeline="pc-chosen", k=4, n=3, cases=1).check_guards()
+    def test_unsafe_lifts_the_guard(self):
+        ExperimentConfig(pipeline="pc-chosen", k=4, n=3, cases=1, unsafe=True).check_guards()
 
 
 class TestVerify:

@@ -1,27 +1,169 @@
-"""Edge cases of the search kernels (the oracles in test_problems cover
-their verdicts and witnesses)."""
+"""The backtracking driver, witness equality of the three searches on it
+against the recursive searches they replaced, and edge cases of the search
+kernels (the oracles in test_problems cover their verdicts)."""
+
+import random
 
 import pytest
 
+from conftest import (
+    both_answers,
+    csr,
+    recursive_gensat_search,
+    recursive_list_color_search,
+    recursive_orient_search,
+)
 from twlab import kernels
 from twlab.errors import GuardError
 
 
+def digits(state, choices=3):
+    """branches for backtrack: position i takes each of 0..choices-1 in
+    turn, appended to state while applied."""
+
+    def branches(i):
+        for c in range(choices):
+            state.append(c)
+            yield
+            state.pop()
+
+    return branches
+
+
+class TestBacktrack:
+    def test_accept_rejects_and_the_search_resumes(self):
+        state, seen = [], []
+
+        def accept():
+            seen.append(tuple(state))
+            return sum(state) == 3
+
+        assert kernels.backtrack(2, digits(state), accept)
+        assert seen == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        assert state == [1, 2]
+
+    def test_exhausted_search_undoes_every_choice(self):
+        state, seen = [], []
+
+        def accept():
+            seen.append(tuple(state))
+            return False
+
+        assert not kernels.backtrack(2, digits(state, 2), accept)
+        assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert state == []
+
+    def test_state_left_applied_on_success(self):
+        state = []
+        assert kernels.backtrack(4, digits(state))
+        assert state == [0, 0, 0, 0]
+
+    def test_dead_position_backtracks(self):
+        state = []
+
+        def branches(i):
+            for c in range(2):
+                if i == 2 and state[0] == 0:
+                    return  # no live choice below a leading 0
+                state.append(c)
+                yield
+                state.pop()
+
+        assert kernels.backtrack(3, branches)
+        assert state == [1, 0, 0]
+
+    def test_depth_zero(self):
+        def branches(i):
+            raise AssertionError("no position to branch on")
+
+        assert kernels.backtrack(0, branches)
+        calls = []
+        assert not kernels.backtrack(0, branches, lambda: calls.append(1) or False)
+        assert calls == [1]
+
+    def test_depth_beyond_the_recursion_limit(self):
+        state = []
+        assert kernels.backtrack(50_000, digits(state, 1))
+        assert len(state) == 50_000
+
+
+class TestWitnessesMatchRecursiveSearches:
+    """Each search on the driver gives the same witness (or None) as the
+    recursive search it replaced, on seeded corpora with n=0, empty
+    palettes and relations, and zero caps."""
+
+    def test_orient_search(self):
+        rng = random.Random(7)
+        results = []
+        for trial in range(400):
+            n = trial % 9
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+            rng.shuffle(edges)
+            edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+            w = [rng.randint(1, 4) for _ in edges]
+            rho = [rng.randint(0, 5) for _ in range(n)]
+            want = recursive_orient_search(
+                n, [u for u, _ in edges], [v for _, v in edges], w, rho
+            )
+            assert kernels.orient_search(n, edges, w, rho) == want
+            results.append(want)
+        both_answers(results)
+
+    def test_list_color_search(self):
+        rng = random.Random(8)
+        results = []
+        for trial in range(400):
+            n = trial % 10
+            adj = [[] for _ in range(n)]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < 0.45:
+                        adj[u].append(v)
+                        adj[v].append(u)
+            palettes = [rng.sample(range(1, 5), rng.randint(0, 3)) for _ in range(n)]
+            want = recursive_list_color_search(n, *csr(adj), *csr(palettes))
+            assert kernels.list_color_search(adj, palettes) == want
+            results.append(want)
+        both_answers(results)
+
+    def test_gensat_search(self):
+        rng = random.Random(9)
+        results = []
+        for trial in range(400):
+            num_vars = trial % 8
+            scopes, masks = [], []
+            for _ in range(rng.randint(0, 6) if num_vars else 0):
+                arity = rng.randint(1, min(3, num_vars))
+                scopes.append(tuple(rng.sample(range(num_vars), arity)))
+                masks.append(rng.sample(range(1 << arity), rng.randint(0, 1 << arity)))
+            want = recursive_gensat_search(num_vars, *csr(scopes), *csr(masks))
+            assert kernels.gensat_search(num_vars, scopes, masks) == want
+            results.append(want)
+        both_answers(results)
+
+
 class TestKernelEdgeCases:
     def test_orient_empty(self):
-        assert kernels.orient_search(3, [], [], [], [0, 0, 0]) == []
+        assert kernels.orient_search(3, [], [], [0, 0, 0]) == []
 
     def test_orient_immediate_contradiction(self):
-        assert kernels.orient_search(2, [0], [1], [5], [1, 1]) is None
+        assert kernels.orient_search(2, [(0, 1)], [5], [1, 1]) is None
+
+    def test_orient_forced_edge_has_one_branch(self):
+        # vertex 0 may emit nothing, so both edges are forced away from it
+        assert kernels.orient_search(3, [(0, 1), (0, 2)], [1, 1], [0, 1, 1]) == [1, 1]
 
     def test_color_no_vertices(self):
-        assert kernels.list_color_search(0, [0], [], [0], []) == []
+        assert kernels.list_color_search([], []) == []
+
+    def test_color_empty_palette(self):
+        assert kernels.list_color_search([[]], [[]]) is None
 
     def test_gensat_no_constraints(self):
-        assert kernels.gensat_search(2, [0], [], [0], []) == [0, 0]
+        assert kernels.gensat_search(2, [], []) == [0, 0]
 
     def test_gensat_empty_relation(self):
-        assert kernels.gensat_search(1, [0, 1], [0], [0, 0], []) is None
+        assert kernels.gensat_search(1, [(0,)], [[]]) is None
 
     def test_exact_tw_empty_graph(self):
         assert kernels.exact_treewidth(0, []) == (-1, [])

@@ -2,10 +2,24 @@ import random
 
 import pytest
 
-from conftest import complete, cycle, path, star
+from conftest import (
+    both_answers,
+    complete,
+    cycle,
+    elimination_test_graphs,
+    path,
+    quadratic_degeneracy_order,
+    recursive_bf_equitable,
+    recursive_bf_general_factor,
+    recursive_bf_partitioned_clique,
+    recursive_bf_precoloring,
+    star,
+    within_seconds,
+)
 from twlab.errors import InputError
 from twlab.graphs import EdgeWeighting, Graph, Orientation, PartitionedGraph
 from twlab.problems import (
+    DEFAULT_WEIGHT_CEILING,
     BooleanRelation,
     ChosenOutdegreeInstance,
     Constraint,
@@ -29,6 +43,7 @@ from twlab.problems import (
     build_incidence,
     build_primal,
     check_admissible,
+    degeneracy_order,
     instance_from_json,
     instance_to_json,
 )
@@ -252,8 +267,9 @@ class TestMinMax:
 
     def test_weight_ceiling_enforced(self):
         g = path(2)
+        MinMaxOutdegreeInstance(g, EdgeWeighting(g, [DEFAULT_WEIGHT_CEILING]), 1)
         with pytest.raises(InputError):
-            MinMaxOutdegreeInstance(g, EdgeWeighting(g, [2]), 1, weight_ceiling=1)
+            MinMaxOutdegreeInstance(g, EdgeWeighting(g, [DEFAULT_WEIGHT_CEILING + 1]), 1)
 
 
 class TestPartitionedClique:
@@ -365,3 +381,112 @@ class TestKinds:
 
         with pytest.raises(InputError, match="unknown instance type Graph"):
             kind_of(path(2))
+
+
+def seeded_graphs(seed: int, count: int, n_max: int):
+    """count graphs with n = 0..n_max in turn and varied density."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = trial % (n_max + 1)
+        p = rng.choice((0.2, 0.4, 0.6))
+        yield rng, Graph(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        )
+
+
+class TestWitnessesMatchRecursiveSearches:
+    """Each oracle on kernels.backtrack gives the same witness (or None) as
+    the recursive search it replaced, on seeded corpora that include n=0 and
+    empty cardinality sets."""
+
+    def test_precoloring(self):
+        results = []
+        for rng, g in seeded_graphs(21, 300, 8):
+            r = rng.randint(1, 4)
+            precolor = {}
+            for v in rng.sample(range(g.n), rng.randint(0, g.n)):
+                c = rng.randint(1, r)
+                if all(precolor.get(u) != c for u in g.neighbors(v)):
+                    precolor[v] = c
+            inst = PrecoloringExtensionInstance(g, precolor, r)
+            want = recursive_bf_precoloring(inst)
+            assert bf_precoloring(inst) == want
+            results.append(want)
+        both_answers(results)
+
+    def test_equitable(self):
+        results = []
+        for rng, g in seeded_graphs(22, 300, 9):
+            inst = EquitableColoringInstance(g, rng.randint(1, 4))
+            want = recursive_bf_equitable(inst)
+            assert bf_equitable(inst) == want
+            results.append(want)
+        both_answers(results)
+
+    def test_general_factor(self):
+        results = []
+        for rng, g in seeded_graphs(23, 300, 7):
+            sets = [
+                rng.sample(range(g.degree(v) + 1), rng.randint(0, g.degree(v) + 1))
+                if rng.random() < 0.9 else [g.degree(v)]
+                for v in g.vertices()
+            ]
+            inst = GeneralFactorInstance(g, sets)
+            want = recursive_bf_general_factor(inst)
+            assert bf_general_factor(inst) == want
+            results.append(want)
+        both_answers(results)
+
+    def test_partitioned_clique(self):
+        rng = random.Random(24)
+        results = []
+        for trial in range(300):
+            k, size = trial % 5, rng.randint(0, 3)
+            parts = [tuple(range(i * size, (i + 1) * size)) for i in range(k)]
+            edges = [
+                (u, v)
+                for i in range(k) for j in range(i + 1, k)
+                for u in parts[i] for v in parts[j]
+                if rng.random() < 0.6
+            ]
+            pg = PartitionedGraph(Graph(k * size, edges), parts)
+            want = recursive_bf_partitioned_clique(pg)
+            assert bf_partitioned_clique(pg) == want
+            results.append(want)
+        both_answers(results)
+
+    def test_degeneracy_order(self):
+        graphs = elimination_test_graphs() + [g for _, g in seeded_graphs(25, 300, 30)]
+        graphs += [path(12), star(9), cycle(7), complete(6)]
+        for g in graphs:
+            assert degeneracy_order(g) == quadratic_degeneracy_order(g)
+
+
+class TestLargeInputs:
+    def test_path_and_star_of_ten_thousand_vertices(self):
+        """Every brute-force oracle solves a 10^4-vertex path and star (and
+        gensat a 10^4-variable chain) without running out of stack.  The
+        star's capped orientation, with every cap at the degree, takes most
+        of the time: propagation rescans the hub's edges after every
+        decision."""
+        n = 10**4
+        xor = BooleanRelation(2, [(0, 1), (1, 0)])
+        chain = GensatInstance(n, [Constraint((i, i + 1), xor) for i in range(n - 1)])
+        answers = {}
+        with within_seconds(30, "the 10^4-vertex path and star"):
+            for name, g in (("path", path(n)), ("star", star(n - 1))):
+                w = EdgeWeighting(g, [1] * len(g.edges))
+                degrees = [g.degree(v) for v in g.vertices()]
+                answers[name] = [
+                    bf_list_coloring(ListColoringInstance(g, [{1, 2}] * n)),
+                    bf_precoloring(PrecoloringExtensionInstance(g, {0: 1}, 2)),
+                    bf_equitable(EquitableColoringInstance(g, 2)),
+                    bf_general_factor(GeneralFactorInstance(g, [{1}] * n)),
+                    bf_chosen_outdegree(ChosenOutdegreeInstance(g, w, degrees)),
+                    bf_min_max_outdegree(MinMaxOutdegreeInstance(g, w, 1)),
+                ]
+            tau = bf_gensat(chain)
+        assert [a is not None for a in answers["path"]] == [True] * 6
+        # the star has no balanced 2-colouring and no perfect matching
+        assert [a is not None for a in answers["star"]] == [True, True, False, False, True, True]
+        assert tau == tuple(i % 2 for i in range(n))

@@ -633,7 +633,7 @@ class TestFlow:
             value, lam = min_max_orientation(g)
             assert value == flow_min_max_uniform(g, 1)
             unit = EdgeWeighting(g, [1] * len(g.edges))
-            assert check_minmax(MinMaxOutdegreeInstance(g, unit, max(value, 1), len(g.edges)), lam)
+            assert check_minmax(MinMaxOutdegreeInstance(g, unit, max(value, 1)), lam)
             if not g.edges:
                 assert value == 0
                 continue
@@ -658,5 +658,5 @@ class TestFlow:
         with within_seconds(10, "min-max orientation of the n=800 graph"):
             value, lam = min_max_orientation(g)
         unit = EdgeWeighting(g, [1] * len(g.edges))
-        assert check_minmax(MinMaxOutdegreeInstance(g, unit, value, len(g.edges)), lam)
-        assert not check_minmax(MinMaxOutdegreeInstance(g, unit, value - 1, len(g.edges)), lam)
+        assert check_minmax(MinMaxOutdegreeInstance(g, unit, value), lam)
+        assert not check_minmax(MinMaxOutdegreeInstance(g, unit, value - 1), lam)
