@@ -203,30 +203,11 @@ def induced_subgraph(g: Graph, xs) -> tuple[Graph, dict[int, int]]:
     return Graph(len(order), edges), index
 
 
-def remove_vertices(g: Graph, xs) -> Graph:
-    """The graph left after deleting xs, reindexed to dense integers."""
-    xs = g._check_vertex_set(xs)
-    sub, _ = induced_subgraph(g, set(g.vertices()) - xs)
-    return sub
-
-
 def is_clique(g: Graph, s) -> bool:
     """True iff every unordered pair in s is an edge of g (vacuously true
     for |s| <= 1)."""
     s = sorted(g._check_vertex_set(s))
     return all(g.has_edge(u, v) for i, u in enumerate(s) for v in s[i + 1 :])
-
-
-def weighted_outdegree(g: Graph, w: EdgeWeighting, lam: Orientation, v: int) -> int:
-    """Total weight of the edges directed out of v under lam."""
-    if w.graph is not g and w.graph != g:
-        raise InputError("weighting does not belong to this graph")
-    if lam.graph is not g and lam.graph != g:
-        raise InputError("orientation does not belong to this graph")
-    g._check_vertex(v)
-    return sum(
-        wt for d, wt in zip(lam.direction, w.weights) if d[0] == v
-    )
 
 
 def all_outdegrees(g: Graph, w: EdgeWeighting, lam: Orientation) -> list[int]:
@@ -280,9 +261,3 @@ def orientation_to_json(lam: Orientation) -> dict:
     obj = graph_to_json(lam.graph)
     obj["orientation"] = [list(d) for d in lam.direction]
     return obj
-
-
-def orientation_from_json(obj: dict) -> Orientation:
-    g = graph_from_json(obj)
-    with decoding("orientation object", obj):
-        return Orientation(g, [tuple(d) for d in obj["orientation"]])

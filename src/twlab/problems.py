@@ -8,7 +8,6 @@ lexicographically first one under the documented search order.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -258,35 +257,16 @@ def check_minmax(inst: MinMaxOutdegreeInstance, lam: Orientation) -> bool:
 
 # --- brute-force oracles ------------------------------------------------------
 
-def degeneracy_order(g: Graph) -> list[int]:
-    """Vertices ordered so each has few earlier neighbors: reverse of a
-    repeated minimum-degree peel (ties to the smallest index), taken off a
-    heap keyed (degree, v) whose out-of-date entries are skipped."""
-    deg = [g.degree(v) for v in g.vertices()]
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    removed: list[int] = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if deg[v] != d:
-            continue  # peeled already (-1), or its degree has dropped since
-        deg[v] = -1
-        removed.append(v)
-        for u in g.neighbors(v):
-            if deg[u] >= 0:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    removed.reverse()
-    return removed
-
-
 def bf_list_coloring(inst: ListColoringInstance) -> dict[int, int] | None:
-    """Backtracking over vertices in degeneracy order; colors tried in
-    ascending order."""
+    """Backtracking over vertices in decreasing degree, ties to the smaller
+    index; colors tried in ascending order.  The witness is the first
+    coloring in that order.  Hubs are colored first, so the kernel's forward
+    check fails a branch as soon as some neighbor of a hub has no color
+    left, before the search descends to that neighbor."""
     g = inst.graph
     if any(not l for l in inst.lists):
         return None
-    order = degeneracy_order(g)
+    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     rank = {v: i for i, v in enumerate(order)}
     got = kernels.list_color_search(
         [[rank[u] for u in g.neighbors(v)] for v in order],
@@ -485,16 +465,6 @@ def bf_clique(g: Graph, k: int) -> tuple[int, ...] | None:
 
 
 # --- constraint graphs --------------------------------------------------------
-
-def build_primal(inst: GensatInstance) -> Graph:
-    """Variables, adjacent when they share a constraint."""
-    edges = {
-        (min(x, y), max(x, y))
-        for c in inst.constraints
-        for x, y in itertools.combinations(c.scope, 2)
-    }
-    return Graph(inst.num_variables, sorted(edges))
-
 
 def build_dual(inst: GensatInstance) -> Graph:
     """Constraints (by position), adjacent when they share a variable."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from twlab import kernels
 from twlab.errors import GuardError, InputError, decoding
-from twlab.graphs import Graph, canon, induced_subgraph
+from twlab.graphs import Graph, canon
 
 EXACT_DEFAULT_LIMIT = 18
 
@@ -240,19 +240,10 @@ def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, Tr
 def augment_with_set(td: TreeDecomposition, xs, g: Graph) -> TreeDecomposition:
     """Add the vertex set xs to every bag, turning a decomposition of
     g minus xs (same vertex labels) into one of g.  Width grows by at
-    most |xs|."""
+    most |xs|.  The base decomposition is not validated here: callers
+    certify the result against g, which fails whenever the base is not a
+    decomposition of g minus xs."""
     xs = g._check_vertex_set(xs)
-    sub, index = induced_subgraph(g, set(g.vertices()) - xs)
-    try:
-        lowered = relabel(td, index)
-    except InputError as exc:
-        raise InputError(f"decomposition mentions a vertex outside V \\ X: {exc}") from exc
-    check = validate(lowered, sub)
-    if not check.ok:
-        raise InputError(
-            "decomposition is not valid for the graph without the set: "
-            + "; ".join(check.violations[:3])
-        )
     return TreeDecomposition(td.tree, [bag | xs for bag in td.bags])
 
 
@@ -462,12 +453,3 @@ def decomposition_from_json(obj: dict) -> TreeDecomposition:
     with decoding("decomposition object", obj):
         tree = Graph(obj["nodes"], [tuple(e) for e in obj["tree_edges"]])
         return TreeDecomposition(tree, [frozenset(b) for b in obj["bags"]])
-
-
-def decomposition_of_subset(g: Graph, xs, method: str = "min-fill") -> TreeDecomposition:
-    """Heuristic decomposition of g's induced subgraph on V \\ xs, expressed
-    in g's original vertex labels."""
-    keep = sorted(set(g.vertices()) - g._check_vertex_set(xs))
-    sub, index = induced_subgraph(g, keep)
-    back = {i: v for v, i in index.items()}
-    return relabel(heuristic_decomposition(sub, method), back)

@@ -8,7 +8,14 @@ from operator import add, le
 
 import pytest
 
-from twlab.graphs import Graph, Orientation, PartitionedGraph, canon, is_clique
+from twlab.graphs import (
+    Graph,
+    Orientation,
+    PartitionedGraph,
+    canon,
+    induced_subgraph,
+    is_clique,
+)
 from twlab.problems import (
     ChosenOutdegreeInstance,
     EquitableColoringInstance,
@@ -28,6 +35,9 @@ from twlab.treewidth import (
     INTRODUCE_EDGE,
     LEAF,
     NiceTreeDecomposition,
+    TreeDecomposition,
+    heuristic_decomposition,
+    relabel,
 )
 
 
@@ -106,6 +116,14 @@ def subset_dp_treewidth(g: Graph) -> int:
                 best = min(best, max(dp[prev], back))
         dp[s] = best
     return dp[-1]
+
+
+def decomposition_of_subset(g: Graph, xs) -> TreeDecomposition:
+    """Min-fill decomposition of g's induced subgraph on V \\ xs, expressed
+    in g's original vertex labels (the base that augment_with_set lifts)."""
+    sub, index = induced_subgraph(g, set(g.vertices()) - set(xs))
+    back = {i: v for v, i in index.items()}
+    return relabel(heuristic_decomposition(sub, "min-fill"), back)
 
 
 def _sorted_bags(ntd: NiceTreeDecomposition) -> list[tuple[int, ...]]:
@@ -319,9 +337,9 @@ def tuple_chosen_outdegree_dp(
 # --- the recursive searches kernels.backtrack replaced -------------------------
 #
 # Kept verbatim as oracles for the witnesses of the searches that now run on
-# the driver: the three kernels with their CSR-packed signatures (see csr),
-# the four problems oracles, and the quadratic degeneracy order.  They recurse
-# once per position, so keep their inputs small.
+# the driver: the three kernels with their CSR-packed signatures (see csr) and
+# the four problems oracles.  They recurse once per position, so keep their
+# inputs small.
 
 
 def both_answers(results) -> None:
@@ -512,21 +530,6 @@ def recursive_gensat_search(num_vars, scope_offsets, scope_vars, tup_offsets, tu
         return False
 
     return list(values) if assign(0) else None
-
-
-def quadratic_degeneracy_order(g: Graph) -> list[int]:
-    """Vertices ordered so each has few earlier neighbors: reverse of a
-    repeated minimum-degree peel (ties to the smallest index)."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    removed = []
-    while adj:
-        v = min(adj, key=lambda x: (len(adj[x]), x))
-        removed.append(v)
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-    removed.reverse()
-    return removed
 
 
 def recursive_bf_precoloring(inst: PrecoloringExtensionInstance) -> dict[int, int] | None:

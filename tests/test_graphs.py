@@ -13,12 +13,9 @@ from twlab.graphs import (
     graph_to_json,
     induced_subgraph,
     is_clique,
-    orientation_from_json,
     orientation_to_json,
     partitioned_from_json,
     partitioned_to_json,
-    remove_vertices,
-    weighted_outdegree,
     weighting_from_json,
     weighting_to_json,
 )
@@ -102,19 +99,21 @@ class TestInducedSubgraph:
 
 
 class TestRemoveVertices:
+    """Deleting a vertex set is the subgraph induced by its complement."""
+
     def test_k4_minus_one_is_k3(self):
-        assert remove_vertices(complete(4), {0}) == complete(3)
+        assert induced_subgraph(complete(4), {1, 2, 3})[0] == complete(3)
 
     def test_empty_removal_is_identity(self, triangle):
-        assert remove_vertices(triangle, set()) == triangle
+        assert induced_subgraph(triangle, triangle.vertices())[0] == triangle
 
     def test_star_center_leaves_isolated(self):
-        g = remove_vertices(star(3), {0})
+        g, _ = induced_subgraph(star(3), {1, 2, 3})
         assert g.n == 3 and g.edges == ()
 
     def test_vertex_count(self):
         g = cycle(6)
-        assert remove_vertices(g, {1, 4}).n == 4
+        assert induced_subgraph(g, set(g.vertices()) - {1, 4})[0].n == 4
 
 
 class TestIsClique:
@@ -140,19 +139,18 @@ class TestWeightedOutdegree:
         g = Graph(2, [])
         w = EdgeWeighting(g, [])
         lam = Orientation(g, [])
-        assert weighted_outdegree(g, w, lam, 0) == 0
+        assert all_outdegrees(g, w, lam) == [0, 0]
 
     def test_single_edge(self):
         g = path(2)
         w = EdgeWeighting(g, [5])
         lam = Orientation(g, [(0, 1)])
-        assert weighted_outdegree(g, w, lam, 0) == 5
-        assert weighted_outdegree(g, w, lam, 1) == 0
+        assert all_outdegrees(g, w, lam) == [5, 0]
 
     def test_directed_triangle_sums_to_total(self, triangle):
         w = EdgeWeighting(triangle, {(0, 1): 1, (1, 2): 2, (0, 2): 3})
         lam = Orientation(triangle, {(0, 1): (0, 1), (1, 2): (1, 2), (0, 2): (2, 0)})
-        outs = [weighted_outdegree(triangle, w, lam, v) for v in range(3)]
+        outs = all_outdegrees(triangle, w, lam)
         assert outs == [1, 2, 3]
         assert sum(outs) == w.total_weight == 6
 
@@ -184,7 +182,8 @@ class TestSerialization:
     def test_orientation_round_trip(self):
         g = path(3)
         lam = Orientation(g, [(1, 0), (1, 2)])
-        assert orientation_from_json(orientation_to_json(lam)) == lam
+        obj = orientation_to_json(lam)
+        assert Orientation(graph_from_json(obj), [tuple(d) for d in obj["orientation"]]) == lam
 
     def test_malformed_rejected(self):
         with pytest.raises(InputError):

@@ -186,6 +186,18 @@ class TestVerify:
             )
         assert rep.summary["agreements"] == 6 and rep.summary["pass"]
 
+    def test_pc_lc_k4_n6_bf_within_budget(self):
+        """pc-lc k=4 n=6 is inside the guard, so the brute-force sweep must
+        finish; at p=0.3 it must also test both the yes and the no side."""
+        reps = {}
+        with within_seconds(10, "pc-lc k=4 n=6 with solver=bf"):
+            for p in (0.5, 0.3):
+                reps[p] = verify_reduction(
+                    ExperimentConfig(pipeline="pc-lc", k=4, n=6, p=p, cases=50, seed=1)
+                )
+        assert all(rep.summary["pass"] for rep in reps.values())
+        assert reps[0.3].summary["yes_source"] > 0 and reps[0.3].summary["no_source"] > 0
+
     def test_guard_violation_refused(self):
         with pytest.raises(GuardError):
             verify_reduction(ExperimentConfig(pipeline="pc-chosen", k=4, n=3, cases=1))

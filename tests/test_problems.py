@@ -5,14 +5,14 @@ import pytest
 from conftest import (
     both_answers,
     complete,
+    csr,
     cycle,
-    elimination_test_graphs,
     path,
-    quadratic_degeneracy_order,
     recursive_bf_equitable,
     recursive_bf_general_factor,
     recursive_bf_partitioned_clique,
     recursive_bf_precoloring,
+    recursive_list_color_search,
     star,
     within_seconds,
 )
@@ -41,9 +41,7 @@ from twlab.problems import (
     bf_precoloring,
     build_dual,
     build_incidence,
-    build_primal,
     check_admissible,
-    degeneracy_order,
     instance_from_json,
     instance_to_json,
 )
@@ -304,7 +302,6 @@ class TestConstraintGraphs:
     def test_single_binary_constraint(self):
         rel = BooleanRelation(2, [(0, 1)])
         inst = GensatInstance(2, [Constraint((0, 1), rel)])
-        assert build_primal(inst) == Graph(2, [(0, 1)])
         assert build_dual(inst) == Graph(1, [])
         assert build_incidence(inst) == Graph(3, [(0, 2), (1, 2)])
 
@@ -455,11 +452,39 @@ class TestWitnessesMatchRecursiveSearches:
             results.append(want)
         both_answers(results)
 
-    def test_degeneracy_order(self):
-        graphs = elimination_test_graphs() + [g for _, g in seeded_graphs(25, 300, 30)]
-        graphs += [path(12), star(9), cycle(7), complete(6)]
-        for g in graphs:
-            assert degeneracy_order(g) == quadratic_degeneracy_order(g)
+    def test_list_coloring(self):
+        """The witness is the first coloring with vertices in decreasing
+        degree, ties to the smaller index: a star's hub is colored first,
+        and a path's interior left to right before its ends."""
+
+        def recursive_on_degree_order(inst):
+            g = inst.graph
+            order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+            rank = {v: i for i, v in enumerate(order)}
+            got = recursive_list_color_search(
+                g.n,
+                *csr([[rank[u] for u in g.neighbors(v)] for v in order]),
+                *csr([sorted(inst.lists[v]) for v in order]),
+            )
+            return None if got is None else {order[i]: c for i, c in enumerate(got)}
+
+        hub_last = Graph(5, [(i, 4) for i in range(4)])
+        fixed = [
+            (ListColoringInstance(hub_last, [{1, 2}] * 5), {4: 1, 0: 2, 1: 2, 2: 2, 3: 2}),
+            (ListColoringInstance(path(5), [{1, 2}] * 5), {1: 1, 2: 2, 3: 1, 0: 2, 4: 2}),
+        ]
+        results = []
+        for inst, want in fixed:
+            assert recursive_on_degree_order(inst) == want
+            assert bf_list_coloring(inst) == want
+            results.append(want)
+        for rng, g in seeded_graphs(25, 300, 9):
+            lists = [set(rng.sample(range(1, 5), rng.randint(1, 3))) for _ in g.vertices()]
+            inst = ListColoringInstance(g, lists)
+            want = recursive_on_degree_order(inst)
+            assert bf_list_coloring(inst) == want
+            results.append(want)
+        both_answers(results)
 
 
 class TestLargeInputs:

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     complete,
     cycle,
+    decomposition_of_subset,
     elimination_test_graphs,
     grid,
     path,
@@ -16,13 +17,13 @@ from conftest import (
 from twlab import kernels
 from twlab.errors import GuardError, InputError
 from twlab.graphs import Graph, induced_subgraph
+from twlab.reductions import _certify
 from twlab.treewidth import (
     TreeDecomposition,
     augment_with_set,
     check_nice,
     decompose_forest,
     decomposition_from_json,
-    decomposition_of_subset,
     decomposition_to_json,
     _greedy_order,
     exact_treewidth,
@@ -264,10 +265,14 @@ class TestAugment:
         assert validate(out, triangle).ok
         assert width(out) == 2
 
-    def test_invalid_base_rejected(self, triangle):
-        td = TreeDecomposition(Graph(1), [{0}])  # misses edge (0,1)
-        with pytest.raises(InputError):
-            augment_with_set(td, {2}, triangle)
+    def test_invalid_base_fails_certification(self, triangle):
+        """augment_with_set does not validate its base; certifying the
+        result against g rejects a base that misses an edge of g - xs."""
+        td = TreeDecomposition(Graph(1), [{0}])  # misses vertex 1, edge (0,1)
+        out = augment_with_set(td, {2}, triangle)
+        assert not validate(out, triangle).ok
+        with pytest.raises(AssertionError, match="witness is invalid"):
+            _certify(None, out, 2, [], triangle, {})
 
     def test_random_bound(self):
         rng = random.Random(5)
