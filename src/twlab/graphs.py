@@ -72,9 +72,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range for n={self.n}")

@@ -125,12 +125,16 @@ def gen_graph(n: int, edge_p: float, seed: int) -> Graph:
 
 
 def gen_weighted(n: int, edge_p: float, max_w: int, seed: int) -> tuple[Graph, EdgeWeighting]:
+    if max_w < 1:
+        raise InputError(f"max weight must be at least 1, got {max_w}")
     rng = random.Random(seed)
     g = gen_graph(n, edge_p, mix(seed, 1))
     return g, EdgeWeighting(g, [rng.randint(1, max_w) for _ in g.edges])
 
 
 def gen_rho(n: int, bound: int, seed: int) -> tuple[int, ...]:
+    if bound < 0:
+        raise InputError(f"largest cap must be non-negative, got {bound}")
     rng = random.Random(seed)
     return tuple(rng.randint(0, bound) for _ in range(n))
 
@@ -221,12 +225,6 @@ class Pipeline:
     check: Callable | None = None  # (out, source, source witness, target witnesses, checks)
 
 
-def _pc_to_minmax(pg: PartitionedGraph, checks: dict) -> rd.ReductionOutput:
-    stage1 = rd.pc_to_chosen_outdegree(pg)
-    checks["stage1_bound_ok"] = tw.width(stage1.witness) <= stage1.claimed_width_bound
-    return rd.chosen_to_minmax(stage1.instance)
-
-
 def _clique_checks(out, pg, clique, witnesses, checks) -> None:
     """Read a clique back out of every yes-orientation, and build the
     orientation of the source clique, when the gadget is not degenerate."""
@@ -252,7 +250,8 @@ PIPELINES = {p.name: p for p in (
              lambda pg, checks: rd.pc_to_chosen_outdegree(pg), _clique_checks),
     Pipeline("chosen-minmax", (10**9, 8), CHOSEN_OUTDEGREE, "minmax_outdegree",
              lambda inst, checks: rd.chosen_to_minmax(inst)),
-    Pipeline("pc-minmax", (2, 2), PARTITIONED, "minmax_outdegree", _pc_to_minmax),
+    Pipeline("pc-minmax", (2, 2), PARTITIONED, "minmax_outdegree",
+             lambda pg, checks: rd.chosen_to_minmax(rd.pc_to_chosen_outdegree(pg).instance)),
 )}
 
 

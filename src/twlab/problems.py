@@ -31,6 +31,14 @@ from twlab.graphs import (
 DEFAULT_WEIGHT_CEILING = 10**6
 
 
+def _require_ints(what: str, xs) -> None:
+    """InputError unless every member of xs is an int: a JSON number such as
+    1.5 would pass the range checks and fail later, deep in a solver."""
+    for x in xs:
+        if not isinstance(x, int):
+            raise InputError(f"{what} must be an integer, got {x!r}")
+
+
 # --- instance types ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -56,10 +64,12 @@ class PrecoloringExtensionInstance:
     r: int
 
     def __init__(self, graph: Graph, precolor, r: int):
+        _require_ints("r", [r])
         if r < 1:
             raise InputError(f"r must be positive, got {r}")
         items = sorted(dict(precolor).items()) if not isinstance(precolor, dict) else sorted(precolor.items())
         for v, c in items:
+            _require_ints("precolor entry", (v, c))
             graph._check_vertex(v)
             if not 1 <= c <= r:
                 raise InputError(f"precolor {c} of vertex {v} outside 1..{r}")
@@ -78,6 +88,7 @@ class EquitableColoringInstance:
     r: int
 
     def __post_init__(self):
+        _require_ints("r", [self.r])
         if self.r < 1:
             raise InputError(f"r must be positive, got {self.r}")
 
@@ -92,6 +103,7 @@ class GeneralFactorInstance:
         if len(sets) != graph.n:
             raise InputError(f"{len(sets)} cardinality sets for {graph.n} vertices")
         for v, s in enumerate(sets):
+            _require_ints("cardinality", s)
             if any(k < 0 or k > graph.degree(v) for k in s):
                 raise InputError(
                     f"cardinality set of vertex {v} must lie within 0..deg={graph.degree(v)}"
@@ -106,10 +118,12 @@ class BooleanRelation:
     tuples: frozenset[tuple[int, ...]]
 
     def __init__(self, arity: int, tuples):
+        _require_ints("arity", [arity])
         if arity < 1:
             raise InputError(f"arity must be positive, got {arity}")
         tuples = frozenset(tuple(t) for t in tuples)
         for t in tuples:
+            _require_ints("relation tuple entry", t)
             if len(t) != arity or any(b not in (0, 1) for b in t):
                 raise InputError(f"tuple {t} is not a 0/1 sequence of length {arity}")
         object.__setattr__(self, "arity", arity)
@@ -123,6 +137,7 @@ class Constraint:
 
     def __init__(self, scope, relation: BooleanRelation):
         scope = tuple(scope)
+        _require_ints("scope variable", scope)
         if len(scope) != relation.arity:
             raise InputError(f"scope length {len(scope)} != arity {relation.arity}")
         if len(set(scope)) != len(scope):
@@ -139,6 +154,7 @@ class GensatInstance:
     constraints: tuple[Constraint, ...]
 
     def __init__(self, num_variables: int, constraints):
+        _require_ints("variable count", [num_variables])
         if num_variables < 0:
             raise InputError("variable count must be non-negative")
         constraints = tuple(constraints)
@@ -162,6 +178,7 @@ class ChosenOutdegreeInstance:
             raise InputError("weighting belongs to a different graph")
         if len(rho) != graph.n:
             raise InputError(f"{len(rho)} caps for {graph.n} vertices")
+        _require_ints("cap", rho)
         if any(r < 0 for r in rho):
             raise InputError("caps must be non-negative")
         object.__setattr__(self, "graph", graph)
@@ -179,6 +196,7 @@ class MinMaxOutdegreeInstance:
     r: int
 
     def __init__(self, graph: Graph, weights: EdgeWeighting, r: int):
+        _require_ints("r", [r])
         if r < 1:
             raise InputError(f"r must be positive, got {r}")
         if weights.graph != graph:

@@ -1,17 +1,21 @@
 """Solvers driven by nice tree decompositions, plus the path-reversal solver
 for uniformly weighted orientation.
 
-Both DP solvers pack each bag state into one int over fixed bag slots
-(_order_and_slots) and keep sparse per-node tables (only reachable bag
-states).  They extract witnesses root-to-leaves, through back-pointers in
-the orientation DP and least-colour maps at forget nodes in the
-list-colouring DP, so every yes-answer ships a re-checked certificate.
+Both DP solvers run on one driver, _NiceDP.  It checks the decomposition
+(unless to_nice built it for the same graph), gives each vertex a fixed bag
+slot (_order_and_slots), fills one sparse table of packed bag states per
+node children-first, asserts each table's size against its bound, tests the
+root table for the empty state and walks back root-to-leaves.  A DP brings
+only its encoding, one table handler per node kind and one back-step; the
+back-steps read witnesses off back-pointers in the orientation DP and
+least-colour maps at forget nodes in the list-colouring DP, so every
+yes-answer ships a re-checked certificate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Collection, Iterable
+from collections.abc import Callable, Collection, Iterable
 from functools import reduce
 from itertools import groupby
 from math import prod
@@ -32,6 +36,7 @@ from twlab.treewidth import (
     INTRODUCE_EDGE,
     JOIN,
     LEAF,
+    NiceNode,
     NiceTreeDecomposition,
     check_nice,
 )
@@ -66,6 +71,48 @@ def _order_and_slots(ntd: NiceTreeDecomposition, n: int) -> tuple[list[int], lis
             slot[node.vertex] = min(set(range(len(held) + 1)) - held)
     order.reverse()
     return order, slot
+
+
+class _NiceDP:
+    """The driver both DPs run on.  The constructor checks ntd against g and
+    gives vertex v the bit offset off[v], its slot of _order_and_slots times
+    slot_bits.  A DP builds its encoding over off, then its handlers over off
+    and tables (node id -> that node's table of packed bag states), and
+    hands them to run.  Each handler pops the child tables it reads, or keeps
+    them where its back-step reads them again."""
+
+    def __init__(self, g: Graph, ntd: NiceTreeDecomposition, slot_bits: int):
+        _require_nice(ntd, g)
+        self.ntd = ntd
+        self.order, slot = _order_and_slots(ntd, g.n)
+        self.off = [k * slot_bits for k in slot]
+        self.tables: dict[int, Collection[int]] = {}
+
+    def run(self, bound: list[int], step: dict[str, Callable], back: Callable) -> bool:
+        """Children first, step[node.kind](i, node) builds node i's table,
+        once per node, and that table holds at most prod(bound[v] for v in
+        bag) states.  False if the root table lacks state 0.  Otherwise walk
+        root-to-leaves from state 0, where back(i, node, s) records what
+        node i adds to the witness and gives the states of its children in
+        order (a one-child node may give more), and return True."""
+        nodes, tables = self.ntd.nodes, self.tables
+        for i in self.order:
+            node = nodes[i]
+            table = step[node.kind](i, node)
+            assert len(table) <= prod(map(bound.__getitem__, node.bag)), "table over its bound"
+            tables[i] = table
+        if 0 not in tables[self.ntd.root]:
+            return False
+        stack = [(self.ntd.root, 0)]
+        while stack:
+            i, s = stack.pop()
+            node = nodes[i]
+            if node.children:  # a leaf adds nothing
+                t = back(i, node, s)
+                stack.append((node.children[0], t[0]))
+                if node.kind == JOIN:
+                    stack.append((node.children[1], t[1]))
+        return True
 
 
 def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> dict[int, int] | None:
@@ -103,65 +150,50 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     maps are kept.
     """
     g = inst.graph
-    _require_nice(ntd, g)
-    nodes = ntd.nodes
-    order, slot = _order_and_slots(ntd, g.n)
     palette = sorted(set().union(*inst.lists))
     code = {c: r + 1 for r, c in enumerate(palette)}
     bits = len(palette).bit_length()
     mask = (1 << bits) - 1
-    off = [k * bits for k in slot]
+    dp = _NiceDP(g, ntd, bits)
+    off, tables = dp.off, dp.tables
     fresh = [[code[c] << o for c in l] for l, o in zip(inst.lists, off)]
-    size = [len(l) for l in inst.lists]
-
-    tables: dict[int, Collection[int]] = {}
     least: dict[int, dict[int, int]] = {}  # forget node -> state -> least child code
-    for i in order:
-        node = nodes[i]
-        if node.kind == LEAF:
-            table: Collection[int] = {0}
-        elif node.kind == INTRODUCE:
-            v = node.vertex
-            o = off[v]
-            table = {s | cs for s in tables.pop(node.children[0]) for cs in fresh[v]}
-            for u in node.bag & g.neighbors(v):
-                p = off[u]
-                table = {s for s in table if (s >> p ^ s >> o) & mask}
-        elif node.kind == INTRODUCE_EDGE:
-            table = tables.pop(node.children[0])
-        elif node.kind == FORGET:
-            o = off[node.vertex]
-            keep = ~(mask << o)
-            best: dict[int, int] = {}
-            for s in tables.pop(node.children[0]):
-                p, c = s & keep, s >> o & mask
-                if best.get(p, c + 1) > c:
-                    best[p] = c
-            least[i] = best
-            table = best.keys()
-        else:  # JOIN
-            left, right = node.children
-            table = tables.pop(left) & tables.pop(right)
-        assert len(table) <= prod(map(size.__getitem__, node.bag)), (
-            "state table exceeded the list-product bound"
-        )
-        tables[i] = table
-
-    if 0 not in tables[ntd.root]:
-        return None
-
     colors: dict[int, int] = {}
-    stack = [(ntd.root, 0)]
-    while stack:
-        i, s = stack.pop()
-        node = nodes[i]
+
+    def introduce(i: int, node: NiceNode) -> Collection[int]:
+        v = node.vertex
+        o = off[v]
+        table = {s | cs for s in tables.pop(node.children[0]) for cs in fresh[v]}
+        for u in node.bag & g.neighbors(v):
+            p = off[u]
+            table = {s for s in table if (s >> p ^ s >> o) & mask}
+        return table
+
+    def forget(i: int, node: NiceNode) -> Collection[int]:
+        o = off[node.vertex]
+        keep = ~(mask << o)
+        best: dict[int, int] = {}
+        for s in tables.pop(node.children[0]):
+            p, c = s & keep, s >> o & mask
+            if best.get(p, c + 1) > c:
+                best[p] = c
+        least[i] = best
+        return best.keys()
+
+    def back(i: int, node: NiceNode, s: int) -> tuple[int, ...]:
         if node.kind == FORGET:
             c = least[i][s]
             colors[node.vertex] = palette[c - 1]
-            s |= c << off[node.vertex]
-        elif node.kind == INTRODUCE:
-            s &= ~(mask << off[node.vertex])
-        stack.extend((child, s) for child in node.children)
+            return (s | c << off[node.vertex],)
+        if node.kind == INTRODUCE:
+            return (s & ~(mask << off[node.vertex]),)
+        return (s, s)  # join; introduce_edge passes s to its child
+
+    step = {LEAF: lambda i, node: {0}, INTRODUCE: introduce, FORGET: forget,
+            INTRODUCE_EDGE: lambda i, node: tables.pop(node.children[0]),
+            JOIN: lambda i, node: tables.pop(node.children[0]) & tables.pop(node.children[1])}
+    if not dp.run([len(l) for l in inst.lists], step, back):
+        return None
     assert check_list_coloring(inst, colors)
     return colors
 
@@ -241,73 +273,62 @@ def dp_chosen_outdegree(
     projection would differ only at v, so each projection has one preimage.
     Join: s1 fixes s2 = t - s1, and left states are walked in tuple order.
     """
-    g = inst.graph
-    _require_nice(ntd, g)
-    nodes, rho = ntd.nodes, inst.rho
-    order, slot = _order_and_slots(ntd, g.n)
+    g, rho = inst.graph, inst.rho
     vb = max(rho, default=0).bit_length()
     vmask = (1 << vb) - 1
-    off = [k * (vb + 1) for k in slot]
+    dp = _NiceDP(g, ntd, vb + 1)
+    off, tables = dp.off, dp.tables  # tables: state -> back-pointer, kept for the traceback
     gbit = [1 << o + vb for o in off]
-    bound = [r + 1 for r in rho]
     wmap = dict(zip(g.edges, inst.weights.weights))
-    tables: dict[int, dict[int, object]] = {}  # state -> back-pointer
-    for i in order:
-        node = nodes[i]
-        kind, bag = node.kind, node.bag
-        if kind == LEAF:
-            table: dict[int, object] = {0: None}
-        elif kind == INTRODUCE:
-            table = tables[node.children[0]]
-        else:
-            guard = sum(map(gbit.__getitem__, bag))
-            if kind == INTRODUCE_EDGE:  # back-pointer: the tail
-                u, v = canon(*node.edge)
-                w = wmap[(u, v)]
-                child = tables[node.children[0]]
-                mu, lu, wu = vmask << off[u], rho[u] - w << off[u], w << off[u]
-                mv, lv, wv = vmask << off[v], rho[v] - w << off[v], w << off[v]
-                table = {s + wu: u for s in child if s & mu <= lu}  # none if w > rho[u]
-                for s in child:
-                    if s & mv <= lv:
-                        table.setdefault(s + wv, v)
-            elif kind == FORGET:  # back-pointer: the child state
-                keep = ~(vmask << off[node.vertex])
-                table = {s & keep: s for s in tables[node.children[0]]}
-            else:  # JOIN; back-pointer: the left state
-                left, right = node.children
-                caps = sum(rho[v] << off[v] for v in bag)
-                offs = [off[v] for v in sorted(bag)]
-                rights = sorted(tables[right])
-                table = {}
-                for s1 in sorted(tables[left], key=lambda s: [s >> o & vmask for o in offs]):
-                    top = caps - s1 | guard
-                    for s2 in rights[: bisect_right(rights, caps - s1)]:
-                        if (top - s2) & guard == guard:
-                            table.setdefault(s1 + s2, s1)
-            table = _minimal_states(table, guard, vmask, map(off.__getitem__, bag))
-        assert len(table) <= prod(map(bound.__getitem__, bag)), "table exceeds (rho+1)^|bag|"
-        tables[i] = table
-
-    if 0 not in tables[ntd.root]:
-        return None
     direction: dict[tuple[int, int], tuple[int, int]] = {}
-    stack = [(ntd.root, 0)]
-    while stack:
-        i, s = stack.pop()
-        node = nodes[i]
-        if node.kind == INTRODUCE_EDGE:
+
+    def introduce_edge(i: int, node: NiceNode) -> dict[int, object]:  # back-pointer: the tail
+        u, v = canon(*node.edge)
+        w = wmap[(u, v)]
+        child = tables[node.children[0]]
+        mu, lu, wu = vmask << off[u], rho[u] - w << off[u], w << off[u]
+        mv, lv, wv = vmask << off[v], rho[v] - w << off[v], w << off[v]
+        table = {s + wu: u for s in child if s & mu <= lu}  # none if w > rho[u]
+        for s in child:
+            if s & mv <= lv:
+                table.setdefault(s + wv, v)
+        guard = sum(map(gbit.__getitem__, node.bag))
+        return _minimal_states(table, guard, vmask, map(off.__getitem__, node.bag))
+
+    def forget(i: int, node: NiceNode) -> dict[int, object]:  # back-pointer: the child state
+        keep = ~(vmask << off[node.vertex])
+        guard = sum(map(gbit.__getitem__, node.bag))
+        table = {s & keep: s for s in tables[node.children[0]]}
+        return _minimal_states(table, guard, vmask, map(off.__getitem__, node.bag))
+
+    def join(i: int, node: NiceNode) -> dict[int, object]:  # back-pointer: the left state
+        left, right = node.children
+        guard = sum(map(gbit.__getitem__, node.bag))
+        caps = sum(rho[v] << off[v] for v in node.bag)
+        offs = [off[v] for v in sorted(node.bag)]
+        rights = sorted(tables[right])
+        table: dict[int, object] = {}
+        for s1 in sorted(tables[left], key=lambda s: [s >> o & vmask for o in offs]):
+            top = caps - s1 | guard
+            for s2 in rights[: bisect_right(rights, caps - s1)]:
+                if (top - s2) & guard == guard:
+                    table.setdefault(s1 + s2, s1)
+        return _minimal_states(table, guard, vmask, map(off.__getitem__, node.bag))
+
+    def back(i: int, node: NiceNode, s: int) -> tuple[int, ...]:
+        if node.kind == INTRODUCE:
+            return (s,)
+        t = tables[i][s]
+        if node.kind == INTRODUCE_EDGE:  # t is the tail
             e = canon(*node.edge)
-            tail = tables[i][s]
-            direction[e] = (tail, e[1] if tail == e[0] else e[0])
-            s -= wmap[e] << off[tail]
-        elif node.kind == FORGET:
-            s = tables[i][s]
-        elif node.kind == JOIN:
-            stack.append((node.children[1], s - tables[i][s]))
-            s = tables[i][s]
-        if node.children:
-            stack.append((node.children[0], s))
+            direction[e] = (t, e[1] if t == e[0] else e[0])
+            return (s - (wmap[e] << off[t]),)
+        return (t, s - t)  # forget: the child state; join: the left state, then the right
+
+    step = {LEAF: lambda i, node: {0: None}, INTRODUCE: lambda i, node: tables[node.children[0]],
+            INTRODUCE_EDGE: introduce_edge, FORGET: forget, JOIN: join}
+    if not dp.run([r + 1 for r in rho], step, back):
+        return None
     lam = Orientation(g, direction)
     assert check_admissible(inst, lam)
     return lam

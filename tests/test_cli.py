@@ -36,6 +36,14 @@ class TestGen:
         obj = json.loads(out.read_text())
         assert len(obj["weights"]) == len(obj["edges"])
 
+    def test_max_weight_zero_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        code, stdout, err = run(
+            capsys, "gen", "--kind", "weighted", "-n", "5", "--max-weight", "0", "-o", str(out),
+        )
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.splitlines()[-1] == "error: max weight must be at least 1, got 0"
+
     def test_same_seed_same_file(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "gen", "--kind", "weighted", "-n", "6", "--seed", "9", "-o", str(a))
@@ -218,6 +226,10 @@ class TestReduceSolve:
             assert "error: no DP solver for GensatInstance" in err
 
 
+FLOAT_CAP = {"type": "chosen_outdegree", "n": 2, "edges": [[0, 1]], "weights": [1],
+             "rho": [0, 1.5]}
+
+
 class TestMalformedInput:
     """Wrong-shaped JSON exits 2 with an error line, not a traceback."""
 
@@ -239,9 +251,30 @@ class TestMalformedInput:
             ("solve", {"type": "minmax_outdegree", "n": 2, "edges": [[0, 1]],
                        "weights": [True], "r": 1}),
             ("tw", {"n": 2, "edges": [[False, True]]}),
+            ("solve", FLOAT_CAP),
+            ("solve", {"type": "equitable", "n": 3, "edges": [], "r": 1.5}),
+            ("solve", {"type": "precoloring", "n": 3, "edges": [], "precolor": [], "r": 2.5}),
+            ("solve", {"type": "gensat", "variables": 2.5, "relations": [], "constraints": []}),
+            ("solve", {"type": "precoloring", "n": 3, "edges": [], "precolor": [[0, 1.5]],
+                       "r": 2}),
+            ("solve", {"type": "precoloring", "n": 3, "edges": [], "precolor": [[0.5, 1]],
+                       "r": 2}),
+            ("solve", {"type": "general_factor", "n": 2, "edges": [[0, 1]],
+                       "cardinality_sets": [[0.5], [1]]}),
+            ("solve", {"type": "minmax_outdegree", "n": 2, "edges": [[0, 1]], "weights": [1],
+                       "r": 1.5}),
+            ("solve", {"type": "gensat", "variables": 1,
+                       "relations": [{"arity": 1, "tuples": [[1.0]]}],
+                       "constraints": [{"scope": [0], "relation": 0}]}),
+            ("solve", {"type": "gensat", "variables": 1,
+                       "relations": [{"arity": 1, "tuples": [[1]]}],
+                       "constraints": [{"scope": [0.5], "relation": 0}]}),
         ],
         ids=["number", "string", "precolor-triple", "relation-minus-1", "list-tag",
-             "edge-triple", "graph-list", "bool-r", "bool-n", "bool-weight", "bool-edge"],
+             "edge-triple", "graph-list", "bool-r", "bool-n", "bool-weight", "bool-edge",
+             "float-rho", "float-equitable-r", "float-precoloring-r", "float-variables",
+             "float-precolor-colour", "float-precolor-vertex", "float-cardinality",
+             "float-minmax-r", "float-tuple-entry", "float-scope-variable"],
     )
     def test_exit_2(self, capsys, tmp_path, command, content):
         f = tmp_path / "bad.json"
@@ -250,6 +283,13 @@ class TestMalformedInput:
         code, out, err = run(capsys, command, *extra, str(f))
         assert code == 2 and out == ""
         assert err.splitlines()[-1].startswith("error: ")
+
+    def test_float_cap_dp_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(FLOAT_CAP))
+        code, out, err = run(capsys, "solve", "--solver", "dp", str(f))
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "error: cap must be an integer, got 1.5"
 
     def test_negative_relation_index_named(self, capsys, tmp_path):
         f = tmp_path / "gs.json"
@@ -296,6 +336,20 @@ class TestVerify:
             "--cases", "1",
         )
         assert code == 2 and "guarded" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--max-weight", "0", "max weight must be at least 1, got 0"),
+         ("--rho-max", "-1", "largest cap must be non-negative, got -1")],
+        ids=["max-weight-0", "rho-max-minus-1"],
+    )
+    def test_bad_generator_parameter_exit_2(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "verify", "--pipeline", "chosen-minmax", "-n", "3", flag, value,
+            "--cases", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"error: {message}"
 
     def test_unknown_flag_exit_2(self, capsys):
         code, *_ = run(capsys, "verify", "--pipeline", "pc-lc", "--bogus")

@@ -43,6 +43,13 @@ class TestGenerators:
         _, w = gen_weighted(8, 0.9, 1, 4)
         assert set(w.weights) <= {1}
 
+    def test_bad_bounds_are_input_errors(self):
+        with pytest.raises(InputError, match="max weight"):
+            gen_weighted(5, 0.5, 0, 1)
+        with pytest.raises(InputError, match="largest cap"):
+            gen_rho(5, -1, 1)
+        assert gen_rho(3, 0, 1) == (0, 0, 0)
+
     def test_mix_is_stable(self):
         assert mix(0, 0) == mix(0, 0)
         assert mix(0, 0) != mix(0, 1) != mix(1, 1)
