@@ -19,7 +19,7 @@ from twlab import reductions as rd
 from twlab import solvers as sv
 from twlab import treewidth as tw
 from twlab.errors import InputError
-from twlab.graphs import graph_from_json, graph_to_json, partitioned_to_json
+from twlab.graphs import graph_from_json, partitioned_to_json, weighting_to_json
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -50,10 +50,8 @@ def _cmd_gen(args) -> int:
         pg = hn.gen_partitioned(args.k, args.n, args.p, args.plant, args.seed)
         _write_json(args.output, partitioned_to_json(pg))
     else:
-        g, w = hn.gen_weighted(args.n, args.p, args.max_weight, args.seed)
-        obj = graph_to_json(g)
-        obj["weights"] = list(w.weights)
-        _write_json(args.output, obj)
+        _, w = hn.gen_weighted(args.n, args.p, args.max_weight, args.seed)
+        _write_json(args.output, weighting_to_json(w))
     print(f"wrote {args.output}")
     return 0
 
@@ -79,7 +77,7 @@ def _cmd_tw(args) -> int:
 def _cmd_reduce(args) -> int:
     pipeline = hn.PIPELINES[args.pipeline]
     source = pipeline.source.read(_read_json(args.file), args.k, pipeline.name)
-    out = pipeline.reduce(source, {})
+    out = pipeline.reduce(source)
     _write_json(args.output, rd.reduction_output_to_json(out))
     if args.witness:
         _write_json(args.witness, tw.decomposition_to_json(out.witness))

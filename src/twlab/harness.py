@@ -71,8 +71,7 @@ class ExperimentConfig:
             raise InputError("cases must be at least 1")
         if self.jobs < 1:
             raise InputError("jobs must be at least 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise InputError("p must lie in [0, 1]")
+        _check_p(self.p)
         if self.solver not in ("bf", "dp", "both"):
             raise InputError("solver must be bf, dp, or both")
         if self.solver != "bf" and pr.KIND_BY_TAG[PIPELINES[self.pipeline].target].dp is None:
@@ -92,9 +91,18 @@ class ExperimentConfig:
 
 # --- generators ---------------------------------------------------------------
 
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise InputError("p must lie in [0, 1]")
+
+
 def gen_partitioned(k: int, n: int, p: float, plant: bool, seed: int) -> PartitionedGraph:
     """k parts of n vertices; each cross pair kept with probability p; with
     plant, one random transversal is completed to a clique afterwards."""
+    for name, value in (("k", k), ("n", n)):
+        if value < 0:
+            raise InputError(f"{name} must be non-negative, got {value}")
+    _check_p(p)
     rng = random.Random(seed)
     parts = [tuple(range(i * n, (i + 1) * n)) for i in range(k)]
     edges = set()
@@ -112,6 +120,7 @@ def gen_partitioned(k: int, n: int, p: float, plant: bool, seed: int) -> Partiti
 
 
 def gen_graph(n: int, edge_p: float, seed: int) -> Graph:
+    _check_p(edge_p)
     rng = random.Random(seed)
     return Graph(
         n,
@@ -214,14 +223,14 @@ CHOSEN_OUTDEGREE = Source(
 @dataclass(frozen=True)
 class Pipeline:
     """A reduction checked end to end.  `reduce` maps a source to its
-    ReductionOutput and may record certificate checks; `check`, if set,
-    records more of them once the target has been solved."""
+    ReductionOutput; `check`, if set, records certificate checks once the
+    target has been solved."""
 
     name: str
     guard: tuple[int, int]  # largest (k, n) the brute-force oracles are trusted with
     source: Source
     target: str  # problems.KINDS tag of the reduced instance
-    reduce: Callable[[object, dict], rd.ReductionOutput]
+    reduce: Callable[[object], rd.ReductionOutput]
     check: Callable | None = None  # (out, source, source witness, target witnesses, checks)
 
 
@@ -241,17 +250,17 @@ def _clique_checks(out, pg, clique, witnesses, checks) -> None:
 # conservative brute-force blowup guards; lift with unsafe=True
 PIPELINES = {p.name: p for p in (
     Pipeline("pc-lc", (4, 6), PARTITIONED, "list_coloring",
-             lambda pg, checks: rd.pc_to_list_coloring(pg)),
+             lambda pg: rd.pc_to_list_coloring(pg)),
     Pipeline("lc-pce", (6, 10), LIST_COLORING, "precoloring",
-             lambda inst, checks: rd.lc_to_precoloring(inst)),
+             lambda inst: rd.lc_to_precoloring(inst)),
     Pipeline("clique-gensat", (4, 8), GRAPH_AND_K, "gensat",
-             lambda source, checks: rd.clique_to_gensat(*source)),
+             lambda source: rd.clique_to_gensat(*source)),
     Pipeline("pc-chosen", (3, 3), PARTITIONED, "chosen_outdegree",
-             lambda pg, checks: rd.pc_to_chosen_outdegree(pg), _clique_checks),
+             lambda pg: rd.pc_to_chosen_outdegree(pg), _clique_checks),
     Pipeline("chosen-minmax", (10**9, 8), CHOSEN_OUTDEGREE, "minmax_outdegree",
-             lambda inst, checks: rd.chosen_to_minmax(inst)),
+             lambda inst: rd.chosen_to_minmax(inst)),
     Pipeline("pc-minmax", (2, 2), PARTITIONED, "minmax_outdegree",
-             lambda pg, checks: rd.chosen_to_minmax(rd.pc_to_chosen_outdegree(pg).instance)),
+             lambda pg: rd.chosen_to_minmax(rd.pc_to_chosen_outdegree(pg).instance)),
 )}
 
 
@@ -270,7 +279,7 @@ def _case_record(cfg: ExperimentConfig, case: int) -> dict:
     source_witness = pipeline.source.solve(source)
     source_json = pipeline.source.to_json(source)
     t1 = time.perf_counter()
-    out = pipeline.reduce(source, checks)
+    out = pipeline.reduce(source)
     t2 = time.perf_counter()
 
     solvers_run: dict[str, object] = {}

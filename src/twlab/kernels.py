@@ -1,9 +1,11 @@
 """Search kernels: the backtracking driver, the three searches behind the
 brute-force oracles that run through it, and exact treewidth.
 
-backtrack is the one depth-first loop of every brute-force search in twlab
-(these three and four in twlab.problems).  Its stack is a list, so search
-depth is bounded by memory, not by Python's recursion limit.
+backtrack is the one depth-first loop of every brute-force search in twlab:
+these three, and the equitable, general-factor and partitioned-clique
+searches in twlab.problems.  list_color_search serves two oracles, list
+coloring and precoloring extension.  The stack is a list, so search depth is
+bounded by memory, not by Python's recursion limit.
 
 Every search is deterministic:
 

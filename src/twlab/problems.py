@@ -67,7 +67,7 @@ class PrecoloringExtensionInstance:
         _require_ints("r", [r])
         if r < 1:
             raise InputError(f"r must be positive, got {r}")
-        items = sorted(dict(precolor).items()) if not isinstance(precolor, dict) else sorted(precolor.items())
+        items = sorted(dict(precolor).items())
         for v, c in items:
             _require_ints("precolor entry", (v, c))
             graph._check_vertex(v)
@@ -275,6 +275,17 @@ def check_minmax(inst: MinMaxOutdegreeInstance, lam: Orientation) -> bool:
 
 # --- brute-force oracles ------------------------------------------------------
 
+def _list_color(g: Graph, order, palettes) -> dict[int, int] | None:
+    """Run kernels.list_color_search with the vertices of g in `order`,
+    palettes[i] belonging to order[i]; the coloring found, keyed by vertex
+    in search order, or None."""
+    if any(not p for p in palettes):
+        return None
+    rank = {v: i for i, v in enumerate(order)}
+    got = kernels.list_color_search([[rank[u] for u in g.neighbors(v)] for v in order], palettes)
+    return None if got is None else dict(zip(order, got))
+
+
 def bf_list_coloring(inst: ListColoringInstance) -> dict[int, int] | None:
     """Backtracking over vertices in decreasing degree, ties to the smaller
     index; colors tried in ascending order.  The witness is the first
@@ -282,39 +293,23 @@ def bf_list_coloring(inst: ListColoringInstance) -> dict[int, int] | None:
     check fails a branch as soon as some neighbor of a hub has no color
     left, before the search descends to that neighbor."""
     g = inst.graph
-    if any(not l for l in inst.lists):
-        return None
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    rank = {v: i for i, v in enumerate(order)}
-    got = kernels.list_color_search(
-        [[rank[u] for u in g.neighbors(v)] for v in order],
-        [sorted(inst.lists[v]) for v in order],
-    )
-    if got is None:
-        return None
-    colors = {order[i]: c for i, c in enumerate(got)}
-    assert check_list_coloring(inst, colors)
+    colors = _list_color(g, order, [sorted(inst.lists[v]) for v in order])
+    if colors is not None:
+        assert check_list_coloring(inst, colors)
     return colors
 
 
 def bf_precoloring(inst: PrecoloringExtensionInstance) -> dict[int, int] | None:
-    """Backtracking over uncolored vertices in index order, colors 1..r
-    ascending."""
-    g = inst.graph
-    colors = dict(inst.precolor)
-    free = [v for v in g.vertices() if v not in colors]
-
-    def branches(i: int):
-        v = free[i]
-        for c in range(1, inst.r + 1):
-            if all(colors.get(u) != c for u in g.neighbors(v)):
-                colors[v] = c
-                yield
-                del colors[v]
-
-    if not kernels.backtrack(len(free), branches):
-        return None
-    assert check_precoloring(inst, colors)
+    """List coloring with the precolored vertices first, each with its one
+    color, then the uncolored vertices in index order, each with the colors
+    1..r ascending.  The witness is the first extension in that order."""
+    pre = dict(inst.precolor)
+    free = [v for v in inst.graph.vertices() if v not in pre]
+    palettes = [[c] for c in pre.values()] + [range(1, inst.r + 1)] * len(free)
+    colors = _list_color(inst.graph, [*pre, *free], palettes)
+    if colors is not None:
+        assert check_precoloring(inst, colors)
     return colors
 
 

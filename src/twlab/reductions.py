@@ -176,12 +176,9 @@ def pc_to_list_coloring(pg: PartitionedGraph) -> ReductionOutput:
     inst = ListColoringInstance(h, lists)
 
     selectors = frozenset(range(k))
-    if next_id == k:
-        td = TreeDecomposition(Graph(1), [selectors])
-    else:
-        pads = range(k, next_id)
-        tree = Graph(1 + len(pads), [(0, 1 + t) for t in range(len(pads))])
-        td = TreeDecomposition(tree, [selectors] + [selectors | {p} for p in pads])
+    pads = range(k, next_id)
+    tree = Graph(1 + len(pads), [(0, 1 + t) for t in range(len(pads))])
+    td = TreeDecomposition(tree, [selectors] + [selectors | {p} for p in pads])
     return _certify(inst, td, k + 1, index, h, {"source": pg})
 
 
@@ -466,7 +463,7 @@ def _check_gadget_arithmetic(pg, params, idx, pair_edges, inst) -> None:
     k, n = params.k, params.n
     radix, big = params.radix, params.big
     r3 = radix**3
-    wmap = dict(zip(inst.graph.edges, inst.weights.weights))
+    wmap = inst.weights.as_dict()
 
     def special_sum(v: int) -> int:
         hubs = {idx.vertex(t, i, ip) for (i, ip) in pair_edges for t in ("b", "c")}
@@ -647,7 +644,7 @@ def chosen_to_minmax(inst: ChosenOutdegreeInstance) -> ReductionOutput:
             h, {"source": inst, "note": note},
         )
 
-    edges = {e: w for e, w in zip(g.edges, inst.weights.weights)}
+    edges = inst.weights.as_dict()
     index = [{"tag": "orig", "v": v, "vertex": v} for v in g.vertices()]
     next_id = g.n
     triangles: list[tuple[int, int, int]] = []  # (v, xv, yv)

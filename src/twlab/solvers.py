@@ -279,7 +279,7 @@ def dp_chosen_outdegree(
     dp = _NiceDP(g, ntd, vb + 1)
     off, tables = dp.off, dp.tables  # tables: state -> back-pointer, kept for the traceback
     gbit = [1 << o + vb for o in off]
-    wmap = dict(zip(g.edges, inst.weights.weights))
+    wmap = inst.weights.as_dict()
     direction: dict[tuple[int, int], tuple[int, int]] = {}
 
     def introduce_edge(i: int, node: NiceNode) -> dict[int, object]:  # back-pointer: the tail

@@ -44,6 +44,24 @@ class TestGen:
         assert code == 2 and stdout == "" and not out.exists()
         assert err.splitlines()[-1] == "error: max weight must be at least 1, got 0"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("--kind", "weighted", "-p", "1.5"), "p must lie in [0, 1]"),
+         (("--kind", "weighted", "-p", "-0.1"), "p must lie in [0, 1]"),
+         (("--kind", "kpartite", "-p", "1.5"), "p must lie in [0, 1]"),
+         (("--kind", "kpartite", "-p", "-0.1"), "p must lie in [0, 1]"),
+         (("--kind", "weighted", "-n", "-1"), "vertex count must be non-negative, got -1"),
+         (("--kind", "kpartite", "-k", "2", "-n", "-1"), "n must be non-negative, got -1"),
+         (("--kind", "kpartite", "-k", "-1", "-n", "2"), "k must be non-negative, got -1")],
+        ids=["weighted-p-1.5", "weighted-p-minus", "kpartite-p-1.5", "kpartite-p-minus",
+             "weighted-n-minus-1", "kpartite-n-minus-1", "kpartite-k-minus-1"],
+    )
+    def test_bad_parameter_exit_2(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "gen", *argv, "-o", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.splitlines()[-1] == f"error: {message}"
+
     def test_same_seed_same_file(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "gen", "--kind", "weighted", "-n", "6", "--seed", "9", "-o", str(a))
@@ -350,6 +368,13 @@ class TestVerify:
         )
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == f"error: {message}"
+
+    def test_negative_part_size_named(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--pipeline", "pc-lc", "-k", "2", "-n", "-1", "--cases", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "error: n must be non-negative, got -1"
 
     def test_unknown_flag_exit_2(self, capsys):
         code, *_ = run(capsys, "verify", "--pipeline", "pc-lc", "--bogus")

@@ -237,7 +237,7 @@ class TestPipelineTable:
         )
         for name, pipeline in hn.PIPELINES.items():
             cfg = ExperimentConfig(pipeline=name, k=2, n=2, p=1.0)
-            out = pipeline.reduce(pipeline.source.generate(cfg, 1), {})
+            out = pipeline.reduce(pipeline.source.generate(cfg, 1))
             assert pipeline.name == name and kind_of(out.instance).tag == pipeline.target
 
     def test_cli_choices_are_the_table(self):

@@ -18,6 +18,7 @@ from conftest import (
 )
 from twlab.errors import InputError
 from twlab.graphs import EdgeWeighting, Graph, Orientation, PartitionedGraph
+from twlab.harness import gen_list_instance
 from twlab.problems import (
     DEFAULT_WEIGHT_CEILING,
     BooleanRelation,
@@ -45,6 +46,7 @@ from twlab.problems import (
     instance_from_json,
     instance_to_json,
 )
+from twlab.reductions import lc_to_precoloring
 
 
 def enumerate_orientations(g: Graph):
@@ -406,6 +408,17 @@ class TestWitnessesMatchRecursiveSearches:
                 if all(precolor.get(u) != c for u in g.neighbors(v)):
                     precolor[v] = c
             inst = PrecoloringExtensionInstance(g, precolor, r)
+            want = recursive_bf_precoloring(inst)
+            assert bf_precoloring(inst) == want
+            results.append(want)
+        both_answers(results)
+
+    def test_precoloring_pendant_targets(self):
+        """lc-pce targets: a precolored pendant blocks each color missing
+        from a vertex's list, so most vertices are precolored leaves."""
+        results = []
+        for seed in range(200):
+            inst = lc_to_precoloring(gen_list_instance(10, 6, 0.5, seed)).instance
             want = recursive_bf_precoloring(inst)
             assert bf_precoloring(inst) == want
             results.append(want)
