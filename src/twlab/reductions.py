@@ -17,6 +17,12 @@ Gadget role tags used by the provenance index:
 * ``d``       per-pair vertex forcing exactly one candidate inward
 * ``e``       candidate vertex for one cross edge of a part pair
 * ``xv yv``   slack triangle attached to a vertex with unused budget
+
+The orientation gadget's output also carries ``meta["gadget"]``, a dict from
+role (the tag followed by its fields, as in ``("e", i, ip, q, qp)``; part
+indices and member ranks are 0-based) to vertex, and ``meta["plan"]``, which gives every gadget edge an owner (a lever
+``u`` or a candidate ``e``) and the tail the edge takes when its owner is
+selected; otherwise the edge points the other way.
 """
 
 from __future__ import annotations
@@ -78,54 +84,16 @@ class GadgetParameters:
         return self.k * (r**3 + r**2)
 
 
-class GadgetIndex:
-    """Bijection between gadget vertex ids and role tags like ('e', i, ip, q, qp).
-
-    Part indices and member ranks are 0-based throughout.
-    """
-
-    def __init__(self, pairs):
-        self._vertex_of: dict[tuple, int] = {}
-        vertices: set[int] = set()
-        for tag, vertex in pairs:
-            tag = tuple(tag)
-            if tag in self._vertex_of or vertex in vertices:
-                raise InputError(f"index entry ({tag}, {vertex}) breaks bijectivity")
-            self._vertex_of[tag] = vertex
-            vertices.add(vertex)
-
-    def vertex(self, *tag) -> int:
-        return self._vertex_of[tuple(tag)]
-
-    def entries(self) -> list[dict]:
-        fields_of = {
-            "a": ("i",),
-            "u": ("i", "j"),
-            "x": ("i", "j"),
-            "y": ("i", "j"),
-            "b": ("i", "ip"),
-            "c": ("i", "ip"),
-            "d": ("i", "ip"),
-            "e": ("i", "ip", "q", "qp"),
-        }
-        out = []
-        for tag, vertex in sorted(self._vertex_of.items(), key=lambda kv: kv[1]):
-            entry = {"tag": tag[0]}
-            entry.update(zip(fields_of[tag[0]], tag[1:]))
-            entry["vertex"] = vertex
-            out.append(entry)
-        return out
-
-
 @dataclass(frozen=True)
 class ReductionOutput:
     """Target instance + witness decomposition + provenance.
 
     ``graph`` is the graph the witness was certified against: the target's
     own graph, or the dual graph for a generalized-satisfiability target.
-    ``meta`` carries in-memory companions (source instance, gadget index,
-    secondary graphs/witnesses, notes); it is not part of the JSON format
-    except for the documented dual/incidence extras.
+    ``meta`` carries in-memory companions (source instance, the orientation
+    gadget's role map ``gadget`` and edge plan ``plan``, secondary
+    graphs/witnesses, notes); it is not part of the JSON format except for
+    the documented dual/incidence extras.
     """
 
     instance: object
@@ -136,7 +104,7 @@ class ReductionOutput:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _certify(instance, witness, bound, index, graph, meta) -> ReductionOutput:
+def _check_witness(witness, graph, bound) -> None:
     check = validate(witness, graph)
     if not check.ok:
         raise AssertionError(
@@ -144,7 +112,19 @@ def _certify(instance, witness, bound, index, graph, meta) -> ReductionOutput:
         )
     if width(witness) > bound:
         raise AssertionError(f"witness width {width(witness)} exceeds claimed bound {bound}")
+
+
+def _certify(instance, witness, bound, index, graph, meta) -> ReductionOutput:
+    _check_witness(witness, graph, bound)
     return ReductionOutput(instance, witness, bound, tuple(index), graph, meta)
+
+
+def _single_bag(instance, bound, detail, meta) -> ReductionOutput:
+    """A degenerate target: a canonical instance under one bag holding all of
+    its vertices, indexed by a single note."""
+    g = instance.graph
+    td = TreeDecomposition(Graph(1), [frozenset(g.vertices())])
+    return _certify(instance, td, bound, [{"tag": "note", "detail": detail}], g, meta)
 
 
 # --- clique selection via list coloring ---------------------------------------
@@ -193,13 +173,9 @@ def lc_to_precoloring(inst: ListColoringInstance) -> ReductionOutput:
     if g.n > 0 and not universe:
         # every list is empty: no coloring can exist; emit the canonical
         # infeasible target (r = 0 is outside the problem's domain)
-        h = Graph(2, [(0, 1)])
-        target = PrecoloringExtensionInstance(h, {}, 1)
-        td = TreeDecomposition(Graph(1), [frozenset({0, 1})])
-        return _certify(
-            target, td, 1, [{"tag": "note", "detail": "canonical infeasible"}], h,
-            {"source": inst, "note": "all lists empty"},
-        )
+        target = PrecoloringExtensionInstance(Graph(2, [(0, 1)]), {}, 1)
+        meta = {"source": inst, "note": "all lists empty"}
+        return _single_bag(target, 1, "canonical infeasible", meta)
     rank = {c: i + 1 for i, c in enumerate(universe)}
     r = max(len(universe), 1)
     edges = list(g.edges)
@@ -303,18 +279,11 @@ def clique_to_gensat(g: Graph, k: int) -> ReductionOutput:
         "incidence_width_bound": num_cons,
     }
     out = _certify(inst, dual_witness, num_cons - 1, index, dual, meta)
-    inc_check = validate(inc_witness, incidence)
-    if not inc_check.ok or width(inc_witness) > num_cons:
-        raise AssertionError("incidence witness failed its bound")
+    _check_witness(inc_witness, incidence, num_cons)
     return out
 
 
 # --- clique selection via capped orientation ------------------------------------
-
-def _canonical_infeasible_chosen() -> ChosenOutdegreeInstance:
-    g = Graph(2, [(0, 1)])
-    return ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (0, 0))
-
 
 def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
     """Orientation gadget selecting one member per part.
@@ -340,53 +309,30 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
                 for qp in range(n)
                 if pg.graph.has_edge(pg.parts[i][q], pg.parts[ip][qp])
             ]
-    degenerate = n == 0 or any(not es for es in pair_edges.values())
-    if degenerate and k >= 1:
-        inst = _canonical_infeasible_chosen()
-        td = TreeDecomposition(Graph(1), [frozenset({0, 1})])
-        note = "a part pair has no cross edges; no transversal clique exists"
-        return _certify(
-            inst, td, max(bound, 1),
-            [{"tag": "note", "detail": "canonical infeasible"}],
-            inst.graph, {"source": pg, "note": note},
-        )
     if k == 0:
         g = Graph(1)
         inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, []), (0,))
-        td = TreeDecomposition(Graph(1), [frozenset({0})])
-        return _certify(
-            inst, td, max(bound, 0),
-            [{"tag": "note", "detail": "canonical feasible"}],
-            g, {"source": pg, "note": "empty partition: the empty clique exists"},
-        )
+        note = "empty partition: the empty clique exists"
+        return _single_bag(inst, bound, "canonical feasible", {"source": pg, "note": note})
+    if n == 0 or not all(pair_edges.values()):
+        g = Graph(2, [(0, 1)])
+        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (0, 0))
+        note = "a part pair has no cross edges; no transversal clique exists"
+        return _single_bag(inst, bound, "canonical infeasible", {"source": pg, "note": note})
 
-    radix = params.radix
+    radix, big = params.radix, params.big
     r3 = radix**3
-    big = params.big
+    index: list[dict] = []
+    vid: dict[tuple, int] = {}  # role (tag, *fields) -> vertex
+    rho: list[int] = []
 
-    pairs: list[tuple[tuple, int]] = []
-    next_id = 0
-
-    def new(*tag) -> int:
-        nonlocal next_id
-        pairs.append((tag, next_id))
-        next_id += 1
-        return next_id - 1
-
-    for i in range(k):
-        new("a", i)
-        for j in range(n):
-            new("u", i, j)
-            new("x", i, j)
-            new("y", i, j)
-    for i in range(k):
-        for ip in range(i + 1, k):
-            new("b", i, ip)
-            new("c", i, ip)
-            new("d", i, ip)
-            for q, qp in pair_edges[(i, ip)]:
-                new("e", i, ip, q, qp)
-    idx = GadgetIndex(pairs)
+    def new(tag: str, **fields) -> int:
+        role = (tag, *fields.values())
+        assert role not in vid, f"gadget role {role} allocated twice"
+        vid[role] = len(index)
+        index.append({"tag": tag, **fields, "vertex": len(index)})
+        rho.append(0)
+        return vid[role]
 
     # rank weights: member j of the lower part encodes as j+1, of the upper
     # part as (j+1)*radix; the +1 on the high side keeps c strictly costlier
@@ -397,89 +343,78 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
         return xw(i_lower, j) + 1
 
     edges: dict[tuple[int, int], int] = {}
+    plan: dict[tuple[int, int], tuple[int, int]] = {}  # edge -> (owner, tail if owner selected)
 
-    def add_edge(u: int, v: int, w: int) -> None:
+    def add_edge(u: int, v: int, w: int, owner: int, tail: int) -> None:
         edges[canon(u, v)] = w
+        plan[canon(u, v)] = (owner, tail)
 
-    rho = [0] * next_id
     for i in range(k):
-        a = idx.vertex("a", i)
+        a = new("a", i=i)
         rho[a] = 1
         for j in range(n):
-            u, x, y = idx.vertex("u", i, j), idx.vertex("x", i, j), idx.vertex("y", i, j)
-            add_edge(a, u, 1)
-            add_edge(u, x, big)
-            add_edge(u, y, big + 1)
-            rho[u] = big + 1
-            rho[x] = big
-            rho[y] = big + 1
+            u, x, y = new("u", i=i, j=j), new("x", i=i, j=j), new("y", i=i, j=j)
+            add_edge(a, u, 1, u, a)
+            add_edge(u, x, big, u, x)
+            add_edge(u, y, big + 1, u, u)
+            rho[u], rho[x], rho[y] = big + 1, big, big + 1
     for (i, ip), es in pair_edges.items():
-        b, c, d = idx.vertex("b", i, ip), idx.vertex("c", i, ip), idx.vertex("d", i, ip)
+        b, c, d = new("b", i=i, ip=ip), new("c", i=i, ip=ip), new("d", i=i, ip=ip)
         for j in range(n):
-            add_edge(idx.vertex("x", i, j), b, xw(True, j))
-            add_edge(idx.vertex("y", i, j), c, yw(True, j))
-            add_edge(idx.vertex("x", ip, j), b, xw(False, j))
-            add_edge(idx.vertex("y", ip, j), c, yw(False, j))
+            for part, lower in ((i, True), (ip, False)):
+                u, x, y = vid["u", part, j], vid["x", part, j], vid["y", part, j]
+                add_edge(x, b, xw(lower, j), u, b)
+                add_edge(y, c, yw(lower, j), u, y)
         rho[d] = len(es) - 1
-        rho_b = 0
         for q, qp in es:
-            e = idx.vertex("e", i, ip, q, qp)
+            e = new("e", i=i, ip=ip, q=q, qp=qp)
             web = xw(True, q) + xw(False, qp)
             wec = yw(True, q) + yw(False, qp)
-            add_edge(d, e, 1)
-            add_edge(e, b, web)
-            add_edge(e, c, wec)
+            add_edge(d, e, 1, e, e)
+            add_edge(e, b, web, e, e)
+            add_edge(e, c, wec, e, c)
             rho[e] = wec
-            rho_b += web
-        rho[b] = rho_b
+            rho[b] += web
         rho[c] = sum(yw(True, j) + yw(False, j) for j in range(n))
 
-    h = Graph(next_id, edges.keys())
-    weighting = EdgeWeighting(h, {e: w for e, w in edges.items()})
-    inst = ChosenOutdegreeInstance(h, weighting, rho)
-
-    _check_gadget_arithmetic(pg, params, idx, pair_edges, inst)
+    h = Graph(len(index), edges.keys())
+    inst = ChosenOutdegreeInstance(h, EdgeWeighting(h, edges), rho)
+    hubs = frozenset(vid[t, i, ip] for (i, ip) in pair_edges for t in ("b", "c"))
+    _check_gadget_arithmetic(params, vid, hubs, pair_edges, inst)
 
     num_pairs = k * (k - 1) // 2
     total_cross = sum(len(es) for es in pair_edges.values())
     assert h.n == k * (3 * n + 1) + 3 * num_pairs + total_cross
     assert len(h.edges) == 3 * k * n + 3 * total_cross + 4 * n * num_pairs
 
-    hubs = frozenset(
-        idx.vertex(t, i, ip)
-        for (i, ip) in pair_edges
-        for t in ("b", "c")
-    )
     rest, back = induced_subgraph(h, set(h.vertices()) - hubs)
     forest_td = relabel(decompose_forest(rest), {v: u for u, v in back.items()})
     witness = augment_with_set(forest_td, hubs, h)
-    meta = {"source": pg, "gadget": idx, "params": params, "pair_edges": pair_edges}
-    return _certify(inst, witness, bound, idx.entries(), h, meta)
+    meta = {"source": pg, "gadget": vid, "plan": plan, "params": params, "pair_edges": pair_edges}
+    return _certify(inst, witness, bound, index, h, meta)
 
 
-def _check_gadget_arithmetic(pg, params, idx, pair_edges, inst) -> None:
+def _check_gadget_arithmetic(params, vid, hubs, pair_edges, inst) -> None:
     """Construction-time checks of the capacity algebra the forcing argument
     relies on."""
     k, n = params.k, params.n
-    radix, big = params.radix, params.big
-    r3 = radix**3
+    r3 = params.radix**3
     wmap = inst.weights.as_dict()
 
     def special_sum(v: int) -> int:
-        hubs = {idx.vertex(t, i, ip) for (i, ip) in pair_edges for t in ("b", "c")}
-        return sum(w for e, w in wmap.items() if (e[0] == v or e[1] == v) and (set(e) & hubs))
+        return sum(w for e, w in wmap.items() if v in e and not hubs.isdisjoint(e))
 
     if pair_edges:  # a single part has no special edges and nothing to order
         for i in range(k):
             for j in range(n):
-                mx = special_sum(idx.vertex("x", i, j))
-                my = special_sum(idx.vertex("y", i, j))
-                assert mx < my < big, f"lever budgets out of order at part {i} member {j}"
+                mx = special_sum(vid["x", i, j])
+                my = special_sum(vid["y", i, j])
+                assert mx < my < params.big, f"lever budgets out of order at part {i} member {j}"
     for (i, ip), es in pair_edges.items():
-        b, c, d = idx.vertex("b", i, ip), idx.vertex("c", i, ip), idx.vertex("d", i, ip)
+        b, c = vid["b", i, ip], vid["c", i, ip]
         assert inst.rho[c] // r3 == 2 * n
-        for e_tag in es:
-            e = idx.vertex("e", i, ip, *e_tag)
+        for q, qp in es:
+            e = vid["e", i, ip, q, qp]
             web = wmap[canon(e, b)]
             wec = wmap[canon(e, c)]
             assert wec == web + 2
@@ -487,12 +422,21 @@ def _check_gadget_arithmetic(pg, params, idx, pair_edges, inst) -> None:
             assert wec > 2 * r3
         for j in range(n):
             for xv, hub in (
-                (idx.vertex("x", i, j), b),
-                (idx.vertex("y", i, j), c),
-                (idx.vertex("x", ip, j), b),
-                (idx.vertex("y", ip, j), c),
+                (vid["x", i, j], b),
+                (vid["y", i, j], c),
+                (vid["x", ip, j], b),
+                (vid["y", ip, j], c),
             ):
                 assert wmap[canon(xv, hub)] > r3
+
+
+def _gadget(out: ReductionOutput):
+    """The role map, instance, source and (k, n) of an orientation gadget."""
+    vid = out.meta.get("gadget")
+    if vid is None:
+        raise InputError("output does not carry a selection gadget")
+    params = out.meta["params"]
+    return vid, out.instance, out.meta["source"], params.k, params.n
 
 
 def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...]:
@@ -505,44 +449,28 @@ def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...]:
     admissibility.  The member picked at each part is the one whose ``a``
     edge points outward; the result is checked to be a clique.
     """
-    idx: GadgetIndex = out.meta.get("gadget")
-    if idx is None:
-        raise InputError("output does not carry a selection gadget")
-    inst: ChosenOutdegreeInstance = out.instance
+    vid, inst, pg, k, n = _gadget(out)
     if not check_admissible(inst, lam):
         raise InputError("orientation is not admissible for the gadget instance")
-    pg: PartitionedGraph = out.meta["source"]
-    pair_edges = out.meta["pair_edges"]
-    k, n = out.meta["params"].k, out.meta["params"].n
 
     direction = lam.as_dict()
     for i in range(k):
-        a = idx.vertex("a", i)
-        member_edges = [canon(a, idx.vertex("u", i, j)) for j in range(n)]
-        if not any(direction[e][0] == a for e in member_edges):
-            e = member_edges[0]
-            direction[e] = (a, idx.vertex("u", i, 0))
-    for (i, ip), es in pair_edges.items():
-        d = idx.vertex("d", i, ip)
-        incoming = [
-            (q, qp)
-            for q, qp in es
-            if direction[canon(d, idx.vertex("e", i, ip, q, qp))][0] != d
-        ]
-        for q, qp in incoming[1:]:
-            e = idx.vertex("e", i, ip, q, qp)
+        a = vid["a", i]
+        if not any(direction[canon(a, vid["u", i, j])][0] == a for j in range(n)):
+            direction[canon(a, vid["u", i, 0])] = (a, vid["u", i, 0])
+    for (i, ip), es in out.meta["pair_edges"].items():
+        d = vid["d", i, ip]
+        candidates = [vid["e", i, ip, q, qp] for q, qp in es]
+        incoming = [e for e in candidates if direction[canon(d, e)][0] != d]
+        for e in incoming[1:]:
             direction[canon(d, e)] = (d, e)
-    normalized = Orientation(inst.graph, direction)
+    normalized = Orientation(inst.graph, direction)  # as_dict() would give `direction` back
     assert check_admissible(inst, normalized), "normalization broke admissibility"
 
     picked = []
     for i in range(k):
-        a = idx.vertex("a", i)
-        outgoing = [
-            j
-            for j in range(n)
-            if normalized.as_dict()[canon(a, idx.vertex("u", i, j))][0] == a
-        ]
+        a = vid["a", i]
+        outgoing = [j for j in range(n) if direction[canon(a, vid["u", i, j])][0] == a]
         assert len(outgoing) == 1, f"pick vertex {i} selects {len(outgoing)} members"
         picked.append(pg.parts[i][outgoing[0]])
     clique = tuple(picked)
@@ -552,15 +480,10 @@ def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...]:
 
 def orientation_from_clique(out: ReductionOutput, clique) -> Orientation:
     """The explicit admissible orientation encoding a given transversal
-    clique (built directly from the clique, independent of any search)."""
-    idx: GadgetIndex = out.meta.get("gadget")
-    if idx is None:
-        raise InputError("output does not carry a selection gadget")
-    inst: ChosenOutdegreeInstance = out.instance
-    pg: PartitionedGraph = out.meta["source"]
-    pair_edges = out.meta["pair_edges"]
-    k, n = out.meta["params"].k, out.meta["params"].n
-
+    clique: the clique selects the lever of each picked member and the
+    candidate of each of its edges, and every gadget edge follows its plan
+    (built directly from the clique, independent of any search)."""
+    vid, inst, pg, k, n = _gadget(out)
     clique = tuple(clique)
     if len(clique) != k or not is_clique(pg.graph, clique):
         raise InputError("argument is not a transversal clique of the source")
@@ -572,46 +495,12 @@ def orientation_from_clique(out: ReductionOutput, clique) -> Orientation:
     if sorted(pick) != list(range(k)):
         raise InputError("clique does not pick one vertex per part")
 
-    direction: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def orient(tail: int, head: int) -> None:
-        direction[canon(tail, head)] = (tail, head)
-
-    for i in range(k):
-        a = idx.vertex("a", i)
-        for j in range(n):
-            u, x, y = idx.vertex("u", i, j), idx.vertex("x", i, j), idx.vertex("y", i, j)
-            cs = [idx.vertex("c", min(i, ip), max(i, ip)) for ip in range(k) if ip != i]
-            bs = [idx.vertex("b", min(i, ip), max(i, ip)) for ip in range(k) if ip != i]
-            if j == pick[i]:
-                orient(a, u)
-                orient(u, y)
-                orient(x, u)
-                for c in cs:
-                    orient(y, c)
-                for b in bs:
-                    orient(b, x)
-            else:
-                orient(u, a)
-                orient(y, u)
-                orient(u, x)
-                for c in cs:
-                    orient(c, y)
-                for b in bs:
-                    orient(x, b)
-    for (i, ip), es in pair_edges.items():
-        b, c, d = idx.vertex("b", i, ip), idx.vertex("c", i, ip), idx.vertex("d", i, ip)
-        sel = (pick[i], pick[ip])
-        for q, qp in es:
-            e = idx.vertex("e", i, ip, q, qp)
-            if (q, qp) == sel:
-                orient(e, d)
-                orient(e, b)
-                orient(c, e)
-            else:
-                orient(d, e)
-                orient(b, e)
-                orient(e, c)
+    selected = {vid["u", i, j] for i, j in pick.items()}
+    selected |= {vid["e", i, ip, pick[i], pick[ip]] for i, ip in out.meta["pair_edges"]}
+    direction = {}
+    for edge, (owner, tail) in out.meta["plan"].items():
+        head = edge[0] + edge[1] - tail
+        direction[edge] = (tail, head) if owner in selected else (head, tail)
     lam = Orientation(inst.graph, direction)
     assert check_admissible(inst, lam), "constructive orientation is not admissible"
     return lam
@@ -637,12 +526,7 @@ def chosen_to_minmax(inst: ChosenOutdegreeInstance) -> ReductionOutput:
             h = Graph(1)
             target = MinMaxOutdegreeInstance(h, EdgeWeighting(h, []), 1)
             note = "zero caps, edgeless: canonical feasible"
-        td = TreeDecomposition(Graph(1), [frozenset(range(h.n))])
-        return _certify(
-            target, td, max(width(td), 2),
-            [{"tag": "note", "detail": note.split(":")[1].strip()}],
-            h, {"source": inst, "note": note},
-        )
+        return _single_bag(target, 2, note.split(": ")[1], {"source": inst, "note": note})
 
     edges = inst.weights.as_dict()
     index = [{"tag": "orig", "v": v, "vertex": v} for v in g.vertices()]

@@ -391,11 +391,9 @@ def min_max_orientation(g: Graph) -> tuple[int, Orientation]:
     return d, lam
 
 
-def flow_min_max_uniform(g: Graph, c: int, weights: EdgeWeighting | None = None) -> int:
+def flow_min_max_uniform(g: Graph, c: int) -> int:
     """Minimum achievable maximum outgoing weight when every edge weighs c:
     c times the least maximum outdegree of min_max_orientation."""
     if c < 1:
         raise InputError(f"uniform weight must be positive, got {c}")
-    if weights is not None and any(w != c for w in weights.weights):
-        raise InputError("weighting is not uniform")
     return c * min_max_orientation(g)[0]

@@ -8,6 +8,7 @@ from operator import add, le
 
 import pytest
 
+from twlab.errors import InputError
 from twlab.graphs import (
     Graph,
     Orientation,
@@ -652,6 +653,74 @@ def recursive_bf_partitioned_clique(pg: PartitionedGraph) -> tuple[int, ...] | N
     out = tuple(picked)
     assert is_clique(g, out)
     return out
+
+
+def explicit_orientation_from_clique(out, clique) -> Orientation:
+    """The orientation gadget's admissible orientation for a transversal
+    clique, written edge kind by edge kind: the oracle for the edge plan
+    that reductions.orientation_from_clique follows."""
+    vid = out.meta.get("gadget")
+    if vid is None:
+        raise InputError("output does not carry a selection gadget")
+    inst: ChosenOutdegreeInstance = out.instance
+    pg: PartitionedGraph = out.meta["source"]
+    pair_edges = out.meta["pair_edges"]
+    k, n = out.meta["params"].k, out.meta["params"].n
+
+    clique = tuple(clique)
+    if len(clique) != k or not is_clique(pg.graph, clique):
+        raise InputError("argument is not a transversal clique of the source")
+    pick = {}
+    for v in clique:
+        for i, part in enumerate(pg.parts):
+            if v in part:
+                pick[i] = part.index(v)
+    if sorted(pick) != list(range(k)):
+        raise InputError("clique does not pick one vertex per part")
+
+    direction: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def orient(tail: int, head: int) -> None:
+        direction[canon(tail, head)] = (tail, head)
+
+    for i in range(k):
+        a = vid["a", i]
+        for j in range(n):
+            u, x, y = vid["u", i, j], vid["x", i, j], vid["y", i, j]
+            cs = [vid["c", min(i, ip), max(i, ip)] for ip in range(k) if ip != i]
+            bs = [vid["b", min(i, ip), max(i, ip)] for ip in range(k) if ip != i]
+            if j == pick[i]:
+                orient(a, u)
+                orient(u, y)
+                orient(x, u)
+                for c in cs:
+                    orient(y, c)
+                for b in bs:
+                    orient(b, x)
+            else:
+                orient(u, a)
+                orient(y, u)
+                orient(u, x)
+                for c in cs:
+                    orient(c, y)
+                for b in bs:
+                    orient(x, b)
+    for (i, ip), es in pair_edges.items():
+        b, c, d = vid["b", i, ip], vid["c", i, ip], vid["d", i, ip]
+        sel = (pick[i], pick[ip])
+        for q, qp in es:
+            e = vid["e", i, ip, q, qp]
+            if (q, qp) == sel:
+                orient(e, d)
+                orient(e, b)
+                orient(c, e)
+            else:
+                orient(d, e)
+                orient(b, e)
+                orient(e, c)
+    lam = Orientation(inst.graph, direction)
+    assert check_admissible(inst, lam), "constructive orientation is not admissible"
+    return lam
 
 
 @contextmanager

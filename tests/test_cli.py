@@ -182,6 +182,26 @@ class TestReduceSolve:
         code, out, _ = run(capsys, "solve", "--solver", "flow", "--witness-out", str(wit), str(inst))
         assert code == 0 and out.splitlines()[0] == "no" and not wit.exists()
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"type": "list_coloring", "n": 2, "edges": [[0, 1]], "lists": [[1], [2]]},
+                "flow expects a minmax_outdegree instance",
+            ),
+            (
+                {"type": "minmax_outdegree", "n": 3, "edges": [[0, 1], [1, 2]],
+                 "weights": [1, 2], "r": 2},
+                "flow requires a uniform weighting",
+            ),
+        ],
+    )
+    def test_solve_flow_rejects_exit_2(self, capsys, tmp_path, obj, message):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "solve", "--solver", "flow", str(inst))
+        assert code == 2 and out == "" and f"error: {message}" in err
+
     def test_solve_equitable_and_general_factor(self, capsys, tmp_path):
         eq = tmp_path / "eq.json"
         eq.write_text(

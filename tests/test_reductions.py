@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import complete, path
+from conftest import complete, explicit_orientation_from_clique, path
 from twlab.errors import InputError
 from twlab.graphs import (
     EdgeWeighting,
@@ -12,6 +12,7 @@ from twlab.graphs import (
     canon,
     is_clique,
 )
+from twlab.harness import gen_partitioned
 from twlab.problems import (
     ChosenOutdegreeInstance,
     bf_chosen_outdegree,
@@ -211,16 +212,16 @@ class TestOrientationGadget:
     def test_worked_small_case(self):
         out = pc_to_chosen_outdegree(make_pg(2, 1, [(0, 1)]))
         inst = out.instance
-        idx = out.meta["gadget"]
+        vid = out.meta["gadget"]
         assert inst.graph.n == 12 and len(inst.graph.edges) == 13
         assert out.meta["params"].big == 24
         wmap = dict(zip(inst.graph.edges, inst.weights.weights))
-        b, c, d = idx.vertex("b", 0, 1), idx.vertex("c", 0, 1), idx.vertex("d", 0, 1)
-        e = idx.vertex("e", 0, 1, 0, 0)
-        assert wmap[canon(idx.vertex("x", 0, 0), b)] == 9
-        assert wmap[canon(idx.vertex("x", 1, 0), b)] == 10
-        assert wmap[canon(idx.vertex("y", 0, 0), c)] == 10
-        assert wmap[canon(idx.vertex("y", 1, 0), c)] == 11
+        b, c, d = vid["b", 0, 1], vid["c", 0, 1], vid["d", 0, 1]
+        e = vid["e", 0, 1, 0, 0]
+        assert wmap[canon(vid["x", 0, 0], b)] == 9
+        assert wmap[canon(vid["x", 1, 0], b)] == 10
+        assert wmap[canon(vid["y", 0, 0], c)] == 10
+        assert wmap[canon(vid["y", 1, 0], c)] == 11
         assert wmap[canon(e, b)] == 19 and wmap[canon(e, c)] == 21
         assert inst.rho[b] == 19 and inst.rho[c] == 21
         assert inst.rho[d] == 0 and inst.rho[e] == 21
@@ -329,6 +330,46 @@ class TestOrientationGadget:
         lam = bf_chosen_outdegree(out.instance)
         assert lam is not None
         assert extract_clique(out, lam) in {(0,), (1,)}
+
+    def test_edge_plan_matches_explicit_orientation(self):
+        """On seeded sources (k, n in 1..3, planted and not), the orientation
+        built from the edge plan equals the explicit one edge by edge for
+        every transversal clique, and extract_clique reads the clique back."""
+        checked = 0
+        for seed in range(216):
+            k, n = 1 + seed % 3, 1 + seed // 3 % 3
+            p, plant = (0.3, 0.6, 0.9)[seed // 9 % 3], seed // 27 % 2 == 0
+            pg = gen_partitioned(k, n, p, plant, seed)
+            out = pc_to_chosen_outdegree(pg)
+            for clique in itertools.product(*pg.parts):
+                if not is_clique(pg.graph, clique):
+                    continue
+                lam = orientation_from_clique(out, clique)
+                assert lam.direction == explicit_orientation_from_clique(out, clique).direction
+                assert extract_clique(out, lam) == clique
+                checked += 1
+        assert checked >= 200
+
+    def test_empty_partition_is_canonical_feasible(self):
+        out = pc_to_chosen_outdegree(gen_partitioned(0, 2, 0.5, False, 1))
+        assert out.index == ({"tag": "note", "detail": "canonical feasible"},)
+        assert out.meta["note"] == "empty partition: the empty clique exists"
+        assert out.claimed_width_bound == 1
+        assert bf_chosen_outdegree(out.instance) is not None
+
+    def test_empty_parts_are_canonical_infeasible(self):
+        out = pc_to_chosen_outdegree(gen_partitioned(2, 0, 0.5, True, 1))
+        assert out.index == ({"tag": "note", "detail": "canonical infeasible"},)
+        assert bf_chosen_outdegree(out.instance) is None
+
+    @pytest.mark.parametrize("k, n", [(0, 2), (2, 0), (2, 1)])
+    def test_degenerate_output_has_no_gadget(self, k, n):
+        out = pc_to_chosen_outdegree(gen_partitioned(k, n, 0.0, False, 1))
+        lam = bf_chosen_outdegree(out.instance)
+        with pytest.raises(InputError, match="output does not carry a selection gadget"):
+            extract_clique(out, lam)
+        with pytest.raises(InputError, match="output does not carry a selection gadget"):
+            orientation_from_clique(out, ())
 
     def test_gadget_parameters(self):
         p = GadgetParameters(3, 4)

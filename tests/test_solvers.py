@@ -602,11 +602,6 @@ class TestFlow:
     def test_edgeless(self):
         assert flow_min_max_uniform(Graph(3, []), 2) == 0
 
-    def test_rejects_non_uniform(self):
-        g = path(3)
-        with pytest.raises(InputError):
-            flow_min_max_uniform(g, 1, EdgeWeighting(g, [1, 2]))
-
     def test_scales_linearly_in_weight(self):
         rng = random.Random(3)
         for _ in range(20):
