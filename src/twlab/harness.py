@@ -425,22 +425,9 @@ def _report_csv(rep: VerificationReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rep.records:
-        writer.writerow(
-            [
-                r["case"],
-                r["case_seed"],
-                r["source_answer"],
-                r["target_answer"],
-                r["agree"],
-                r["witness_width"],
-                r["claimed_bound"],
-                r["bound_ok"],
-                f"{r['timings_ms']['source']:.3f}",
-                f"{r['timings_ms']['reduce']:.3f}",
-                f"{r['timings_ms']['target']:.3f}",
-                r.get("dp_answer", ""),
-            ]
-        )
+        row = {**r, "dp_answer": r.get("dp_answer", "")}
+        row.update((f"t_{stage}_ms", f"{t:.3f}") for stage, t in r["timings_ms"].items())
+        writer.writerow([row[c] for c in CSV_COLUMNS])
     return buf.getvalue()
 
 

@@ -1,10 +1,10 @@
 """Search kernels: the backtracking driver, the three searches behind the
 brute-force oracles that run through it, and exact treewidth.
 
-backtrack is the one depth-first loop of every brute-force search in twlab:
-these three, and the equitable, general-factor and partitioned-clique
-searches in twlab.problems.  list_color_search serves two oracles, list
-coloring and precoloring extension.  The stack is a list, so search depth is
+backtrack is the one depth-first loop of all seven brute-force searches in
+twlab: these three, and the equitable, general-factor, partitioned-clique
+and clique searches in twlab.problems.  list_color_search serves two
+oracles, list coloring and precoloring extension.  The stack is a list, so search depth is
 bounded by memory, not by Python's recursion limit.
 
 Every search is deterministic:

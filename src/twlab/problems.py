@@ -8,7 +8,6 @@ lexicographically first one under the documented search order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -468,13 +467,25 @@ def bf_partitioned_clique(pg: PartitionedGraph) -> tuple[int, ...] | None:
 
 
 def bf_clique(g: Graph, k: int) -> tuple[int, ...] | None:
-    """First k-subset (lexicographic) of vertices inducing a clique."""
+    """First k-subset (lexicographic) of vertices inducing a clique: picks
+    vertices in increasing order, each adjacent to every earlier pick and
+    leaving enough vertices for the rest."""
     if k < 0:
         raise InputError("k must be non-negative")
-    for cand in itertools.combinations(range(g.n), k):
-        if is_clique(g, cand):
-            return cand
-    return None
+    picked: list[int] = []
+
+    def branches(i: int):
+        for v in range(picked[-1] + 1 if picked else 0, g.n - k + i + 1):
+            if all(g.has_edge(u, v) for u in picked):
+                picked.append(v)
+                yield
+                picked.pop()
+
+    if not kernels.backtrack(k, branches):
+        return None
+    out = tuple(picked)
+    assert is_clique(g, out)
+    return out
 
 
 # --- constraint graphs --------------------------------------------------------

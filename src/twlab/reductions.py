@@ -400,15 +400,17 @@ def _check_gadget_arithmetic(params, vid, hubs, pair_edges, inst) -> None:
     k, n = params.k, params.n
     r3 = params.radix**3
     wmap = inst.weights.as_dict()
-
-    def special_sum(v: int) -> int:
-        return sum(w for e, w in wmap.items() if v in e and not hubs.isdisjoint(e))
+    special = [0] * inst.graph.n  # weight on each vertex's edges that touch a hub
+    for (a, b), w in wmap.items():
+        if a in hubs or b in hubs:
+            special[a] += w
+            special[b] += w
 
     if pair_edges:  # a single part has no special edges and nothing to order
         for i in range(k):
             for j in range(n):
-                mx = special_sum(vid["x", i, j])
-                my = special_sum(vid["y", i, j])
+                mx = special[vid["x", i, j]]
+                my = special[vid["y", i, j]]
                 assert mx < my < params.big, f"lever budgets out of order at part {i} member {j}"
     for (i, ip), es in pair_edges.items():
         b, c = vid["b", i, ip], vid["c", i, ip]

@@ -5,6 +5,7 @@ and normalization to the nice form consumed by the DP solvers."""
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 from twlab import kernels
@@ -54,35 +55,48 @@ def width(td: TreeDecomposition) -> int:
     return max(len(b) for b in td.bags) - 1
 
 
-def _is_tree(g: Graph) -> bool:
-    if g.n == 0 or len(g.edges) != g.n - 1:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
+def _walk(g: Graph) -> tuple[list[int], list[int]]:
+    """Every vertex of g parents-first, each component from its least vertex,
+    and each vertex's parent in that spanning forest (-1 at component roots)."""
+    parent = [-2] * g.n  # -2: not reached yet
+    order: list[int] = []
+    for root in g.vertices():
+        if parent[root] != -2:
+            continue
+        parent[root] = -1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in g.neighbors(v):
+                if parent[u] == -2:
+                    parent[u] = v
+                    stack.append(u)
+    return order, parent
 
 
 def validate(td: TreeDecomposition, g: Graph) -> Validity:
     """Check the two decomposition conditions against g.
 
     Structural problems with the host tree are reported first; otherwise each
-    violation names the offending vertex or edge and the bags involved.
+    violation names the offending vertex or edge and the bags involved.  The
+    nodes holding a vertex form a subtree iff exactly one of them is a top:
+    the root of the host (rooted at node 0), or a node whose parent's bag
+    lacks the vertex.
     """
-    if not _is_tree(td.tree):
+    parent = _walk(td.tree)[1]
+    if len(td.tree.edges) != td.tree.n - 1 or parent.count(-1) != 1:
         return Validity(("host is not a tree (must be connected with |E| = |V| - 1)",))
     violations: list[str] = []
+    bags = td.bags
     where: dict[int, list[int]] = {}
-    for t, bag in enumerate(td.bags):
+    tops: Counter[int] = Counter()
+    for t, bag in enumerate(bags):
         for v in bag:
             if v >= g.n:
                 violations.append(f"bag {t} contains vertex {v} >= n={g.n}")
             where.setdefault(v, []).append(t)
+        tops.update(bag - bags[parent[t]] if parent[t] >= 0 else bag)
     for v in g.vertices():
         if v not in where:
             violations.append(f"vertex {v} appears in no bag")
@@ -90,24 +104,19 @@ def validate(td: TreeDecomposition, g: Graph) -> Validity:
     for u, v in g.edges:
         if u not in occurs or occurs[u].isdisjoint(occurs.get(v, ())):
             violations.append(f"edge ({u},{v}) is contained in no bag")
-    # occurrences of each vertex must induce a connected subtree
-    for v, nodes in sorted(where.items()):
-        if len(nodes) == 1:
-            continue
-        nodeset = occurs[v]
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            t = stack.pop()
-            for s in td.tree.neighbors(t):
-                if s in nodeset and s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        if len(seen) != len(nodeset):
-            stray = sorted(nodeset - seen)
-            violations.append(
-                f"vertex {v} occurs in disconnected tree nodes (e.g. bags {nodes[0]} and {stray[0]})"
-            )
+
+    def top(t: int, v: int) -> int:
+        while parent[t] >= 0 and v in bags[parent[t]]:
+            t = parent[t]
+        return t
+
+    for v in sorted(v for v, count in tops.items() if count > 1):  # one subtree per top
+        nodes = where[v]
+        first = top(nodes[0], v)
+        stray = next(t for t in nodes if top(t, v) != first)
+        violations.append(
+            f"vertex {v} occurs in disconnected tree nodes (e.g. bags {nodes[0]} and {stray})"
+        )
     return Validity(tuple(violations))
 
 
@@ -120,26 +129,10 @@ def relabel(td: TreeDecomposition, mapping: dict[int, int]) -> TreeDecomposition
     return TreeDecomposition(td.tree, bags)
 
 
-def _link_components(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Extra edges chaining the components of (n, edges) into one tree."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        parent[find(a)] = find(b)
-    reps = sorted({find(v) for v in range(n)})
-    return [(reps[i], reps[i + 1]) for i in range(len(reps) - 1)]
-
-
 def from_elimination_order(g: Graph, order) -> TreeDecomposition:
     """Fill-in construction: bag of v = v plus its not-yet-eliminated
     neighborhood at elimination time; each bag hangs under the bag of the
-    earliest-eliminated such neighbor."""
+    earliest-eliminated such neighbor, and the bags with none are chained."""
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise InputError("order is not a permutation of the vertices")
@@ -149,12 +142,15 @@ def from_elimination_order(g: Graph, order) -> TreeDecomposition:
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
     bags: list[frozenset[int]] = [frozenset()] * g.n
     tree_edges: list[tuple[int, int]] = []
+    roots: list[int] = []  # positions with no later neighbour, chained below
     for i, v in enumerate(order):
         rest = adj[v]
         bags[i] = frozenset(rest | {v})
         if rest:
             nxt = min(rest, key=position.__getitem__)
             tree_edges.append((i, position[nxt]))
+        else:
+            roots.append(i)
         for a in rest:
             for b in rest:
                 if a != b:
@@ -162,7 +158,7 @@ def from_elimination_order(g: Graph, order) -> TreeDecomposition:
         for a in rest:
             adj[a].discard(v)
         del adj[v]
-    tree_edges += _link_components(g.n, tree_edges)
+    tree_edges += zip(roots, roots[1:])
     return TreeDecomposition(Graph(g.n, tree_edges), bags)
 
 
@@ -250,31 +246,16 @@ def augment_with_set(td: TreeDecomposition, xs, g: Graph) -> TreeDecomposition:
 def decompose_forest(g: Graph) -> TreeDecomposition:
     """Width <= 1 decomposition of an acyclic graph: one bag per vertex,
     {v, parent(v)} under a rooting of each component, components chained."""
-    bags: list[frozenset[int]] = [frozenset()] * g.n
-    tree_edges: list[tuple[int, int]] = []
-    parent = [-2] * g.n  # -2 unvisited, -1 component root
-    for root in g.vertices():
-        if parent[root] != -2:
-            continue
-        parent[root] = -1
-        bags[root] = frozenset({root})
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in sorted(g.neighbors(v)):
-                if parent[u] != -2:
-                    if u != parent[v]:
-                        raise InputError(
-                            f"graph has a cycle through edge ({min(u, v)},{max(u, v)})"
-                        )
-                    continue
-                parent[u] = v
-                bags[u] = frozenset({u, v})
-                tree_edges.append((u, v))
-                stack.append(u)
     if g.n == 0:
         return TreeDecomposition(Graph(1), [frozenset()])
-    tree_edges += _link_components(g.n, tree_edges)
+    parent = _walk(g)[1]
+    roots = [v for v in g.vertices() if parent[v] == -1]
+    if len(g.edges) != g.n - len(roots):
+        u, v = next((u, v) for u, v in g.edges if v != parent[u] and u != parent[v])
+        raise InputError(f"graph has a cycle through edge ({u},{v})")
+    tree_edges = [(v, p) for v, p in enumerate(parent) if p >= 0]
+    tree_edges += zip(roots, roots[1:])
+    bags = [frozenset({v, p} if p >= 0 else {v}) for v, p in enumerate(parent)]
     return TreeDecomposition(Graph(g.n, tree_edges), bags)
 
 
@@ -372,21 +353,10 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
     b = _NiceBuilder(g)
 
-    # root the host tree at node 0; order lists nodes parents-first
-    root_t = 0
-    order: list[int] = []
+    order, parent = _walk(td.tree)  # rooted at node 0
     kids: list[list[int]] = [[] for _ in td.bags]
-    stack = [(root_t, -1)]
-    seen = {root_t}
-    while stack:
-        t, p = stack.pop()
-        order.append(t)
-        if p >= 0:
-            kids[p].append(t)
-        for s in td.tree.neighbors(t):
-            if s not in seen:
-                seen.add(s)
-                stack.append((s, t))
+    for t in order[1:]:
+        kids[parent[t]].append(t)
     built: dict[int, int] = {}
     for t in reversed(order):
         bag = td.bags[t]
@@ -398,7 +368,7 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         for other in lifted[1:]:
             node = b.add(JOIN, bag, (node, other))
         built[t] = node
-    ntd = b.freeze(b.chain_to(built[root_t], frozenset()))
+    ntd = b.freeze(b.chain_to(built[0], frozenset()))
     assert ntd.width() == max(width(td), -1), "normalization changed the width"
     return ntd
 

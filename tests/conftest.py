@@ -127,6 +127,146 @@ def decomposition_of_subset(g: Graph, xs) -> TreeDecomposition:
     return relabel(heuristic_decomposition(sub, "min-fill"), back)
 
 
+def search_is_tree(g: Graph) -> bool:
+    if g.n == 0 or len(g.edges) != g.n - 1:
+        return False
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in g.neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == g.n
+
+
+def search_validate(td: TreeDecomposition, g: Graph) -> tuple[str, ...]:
+    """Reference validate: the violations tuple, with the running
+    intersection property checked by a fresh search over each vertex's
+    tree nodes."""
+    if not search_is_tree(td.tree):
+        return ("host is not a tree (must be connected with |E| = |V| - 1)",)
+    violations: list[str] = []
+    where: dict[int, list[int]] = {}
+    for t, bag in enumerate(td.bags):
+        for v in bag:
+            if v >= g.n:
+                violations.append(f"bag {t} contains vertex {v} >= n={g.n}")
+            where.setdefault(v, []).append(t)
+    for v in g.vertices():
+        if v not in where:
+            violations.append(f"vertex {v} appears in no bag")
+    occurs = {v: set(nodes) for v, nodes in where.items()}
+    for u, v in g.edges:
+        if u not in occurs or occurs[u].isdisjoint(occurs.get(v, ())):
+            violations.append(f"edge ({u},{v}) is contained in no bag")
+    for v, nodes in sorted(where.items()):
+        if len(nodes) == 1:
+            continue
+        nodeset = occurs[v]
+        seen = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            t = stack.pop()
+            for s in td.tree.neighbors(t):
+                if s in nodeset and s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        if len(seen) != len(nodeset):
+            stray = sorted(nodeset - seen)
+            violations.append(
+                f"vertex {v} occurs in disconnected tree nodes (e.g. bags {nodes[0]} and {stray[0]})"
+            )
+    return tuple(violations)
+
+
+def union_find_links(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Reference chaining: edges linking the union-find representatives of
+    the components of (n, edges), in ascending order."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    reps = sorted({find(v) for v in range(n)})
+    return [(reps[i], reps[i + 1]) for i in range(len(reps) - 1)]
+
+
+def union_find_elimination_decomposition(g: Graph, order) -> TreeDecomposition:
+    """Reference fill-in construction, its forest chained by union_find_links."""
+    if g.n == 0:
+        return TreeDecomposition(Graph(1), [frozenset()])
+    position = {v: i for i, v in enumerate(order)}
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    bags: list[frozenset[int]] = [frozenset()] * g.n
+    tree_edges: list[tuple[int, int]] = []
+    for i, v in enumerate(order):
+        rest = adj.pop(v)
+        bags[i] = frozenset(rest | {v})
+        if rest:
+            tree_edges.append((i, position[min(rest, key=position.__getitem__)]))
+        for a in rest:
+            adj[a] |= rest - {a}
+            adj[a].discard(v)
+    tree_edges += union_find_links(g.n, tree_edges)
+    return TreeDecomposition(Graph(g.n, tree_edges), bags)
+
+
+def search_forest_decomposition(g: Graph) -> TreeDecomposition | None:
+    """Reference forest decomposition: a DFS per component from its least
+    vertex, {v, parent(v)} bags, components chained by union_find_links;
+    None when g has a cycle."""
+    if g.n == 0:
+        return TreeDecomposition(Graph(1), [frozenset()])
+    bags: list[frozenset[int]] = [frozenset()] * g.n
+    tree_edges: list[tuple[int, int]] = []
+    parent = [-2] * g.n
+    for root in g.vertices():
+        if parent[root] != -2:
+            continue
+        parent[root] = -1
+        bags[root] = frozenset({root})
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in sorted(g.neighbors(v)):
+                if parent[u] != -2:
+                    if u != parent[v]:
+                        return None
+                    continue
+                parent[u] = v
+                bags[u] = frozenset({u, v})
+                tree_edges.append((u, v))
+                stack.append(u)
+    tree_edges += union_find_links(g.n, tree_edges)
+    return TreeDecomposition(Graph(g.n, tree_edges), bags)
+
+
+def stack_rooting(tree: Graph) -> tuple[list[int], list[list[int]]]:
+    """Reference rooting of a host tree at node 0: the nodes parents-first
+    and each node's children, in the order of a stack DFS over neighbors()."""
+    order: list[int] = []
+    kids: list[list[int]] = [[] for _ in range(tree.n)]
+    stack = [(0, -1)]
+    seen = {0}
+    while stack:
+        t, p = stack.pop()
+        order.append(t)
+        if p >= 0:
+            kids[p].append(t)
+        for s in tree.neighbors(t):
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, t))
+    return order, kids
+
+
 def _sorted_bags(ntd: NiceTreeDecomposition) -> list[tuple[int, ...]]:
     return [tuple(sorted(n.bag)) for n in ntd.nodes]
 
@@ -653,6 +793,17 @@ def recursive_bf_partitioned_clique(pg: PartitionedGraph) -> tuple[int, ...] | N
     out = tuple(picked)
     assert is_clique(g, out)
     return out
+
+
+def combinations_bf_clique(g: Graph, k: int) -> tuple[int, ...] | None:
+    """First k-subset (lexicographic) of vertices inducing a clique, by
+    testing every k-subset in turn."""
+    if k < 0:
+        raise InputError("k must be non-negative")
+    for cand in itertools.combinations(range(g.n), k):
+        if is_clique(g, cand):
+            return cand
+    return None
 
 
 def explicit_orientation_from_clique(out, clique) -> Orientation:

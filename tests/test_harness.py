@@ -290,6 +290,31 @@ class TestReports:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 5 + 1
 
+    @pytest.mark.parametrize("solver", ["bf", "both"])
+    def test_csv_row_cells_follow_the_record(self, tmp_path, solver):
+        rep = verify_reduction(
+            ExperimentConfig(pipeline="chosen-minmax", n=4, cases=2, seed=6, solver=solver)
+        )
+        out = tmp_path / "rep.csv"
+        emit_report(rep, str(out), "csv")
+        r = rep.records[1]
+        t = r["timings_ms"]
+        assert ("dp_answer" in r) == (solver == "both")
+        assert out.read_text().splitlines()[2].split(",") == [
+            str(r["case"]),
+            str(r["case_seed"]),
+            r["source_answer"],
+            r["target_answer"],
+            str(r["agree"]),
+            str(r["witness_width"]),
+            str(r["claimed_bound"]),
+            str(r["bound_ok"]),
+            f"{t['source']:.3f}",
+            f"{t['reduce']:.3f}",
+            f"{t['target']:.3f}",
+            r["dp_answer"] if solver == "both" else "",
+        ]
+
     def test_empty_report_headers_only(self, tmp_path):
         rep = VerificationReport.build(
             ExperimentConfig(pipeline="pc-lc", cases=1), []

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     both_answers,
+    combinations_bf_clique,
     complete,
     csr,
     cycle,
@@ -298,6 +299,22 @@ class TestPartitionedClique:
     def test_bf_clique(self, triangle):
         assert bf_clique(triangle, 3) == (0, 1, 2)
         assert bf_clique(path(3), 3) is None
+
+    def test_bf_clique_matches_combinations(self):
+        rng = random.Random(20)
+        ks = set()
+        for _ in range(3000):
+            n = rng.randint(0, 9)
+            p = rng.choice((0.3, 0.6, 0.9))
+            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            k = rng.randint(0, n + 2)
+            ks.add((k == 0, k > n))
+            assert bf_clique(g, k) == combinations_bf_clique(g, k)
+        assert ks == {(True, False), (False, False), (False, True)}
+
+    def test_bf_clique_rejects_negative_k(self, triangle):
+        with pytest.raises(InputError):
+            bf_clique(triangle, -1)
 
 
 class TestConstraintGraphs:

@@ -10,8 +10,12 @@ from conftest import (
     grid,
     path,
     petersen,
+    search_forest_decomposition,
+    search_validate,
+    stack_rooting,
     star,
     subset_dp_treewidth,
+    union_find_elimination_decomposition,
     within_seconds,
 )
 from twlab import kernels
@@ -26,6 +30,7 @@ from twlab.treewidth import (
     decomposition_from_json,
     decomposition_to_json,
     _greedy_order,
+    _walk,
     exact_treewidth,
     from_elimination_order,
     heuristic_decomposition,
@@ -360,3 +365,116 @@ class TestRelabelAndJson:
     def test_malformed_json(self):
         with pytest.raises(InputError):
             decomposition_from_json({"nodes": 1})
+
+
+def random_host(rng, n: int, shape: str) -> Graph:
+    """A random host on n nodes, labels shuffled: a tree, a tree plus one
+    edge, or a forest (every third node in attach order starts a new tree)."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = set()
+    for i in range(1, n):
+        if shape != "forest" or i % 3:
+            edges.add(tuple(sorted((label[i], label[rng.randrange(i)]))))
+    if shape == "tree+edge" and n >= 3:
+        missing = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+        edges.add(rng.choice(missing))
+    return Graph(n, edges)
+
+
+def random_forest(rng, n_max: int) -> Graph:
+    n = rng.randint(0, n_max)
+    if n == 0:
+        return Graph(0)
+    return random_host(rng, n, rng.choice(("tree", "forest")))
+
+
+class TestSpanningWalk:
+    """validate, the forest builders and the nice rooting against the
+    search, union-find and stack-DFS references in conftest."""
+
+    def random_case(self, rng):
+        g = random_graph(rng, n_max=8, p=rng.choice((0.2, 0.4, 0.7)))
+        if rng.random() < 0.4:
+            # a valid decomposition, perhaps with one vertex dropped or added
+            td = heuristic_decomposition(g)
+            bags = [set(b) for b in td.bags]
+            t = rng.randrange(len(bags))
+            if rng.random() < 0.4 and bags[t]:
+                bags[t].discard(rng.choice(sorted(bags[t])))
+            elif rng.random() < 0.6:
+                bags[t].add(rng.randrange(g.n + 1))
+            return TreeDecomposition(td.tree, bags), g
+        n = rng.choice((0, 1, 2, 3, 4, 5, 6, 7))
+        shape = rng.choice(("tree", "tree", "tree+edge", "forest"))
+        host = random_host(rng, n, shape) if n else Graph(0)
+        bags = [
+            {v for v in range(g.n + 2) if rng.random() < 0.35} for _ in range(n)
+        ]
+        return TreeDecomposition(host, bags), g
+
+    def test_validate_matches_search_oracle(self):
+        rng = random.Random(15)
+        kinds = set()
+        for _ in range(6000):
+            td, g = self.random_case(rng)
+            expected = search_validate(td, g)
+            assert validate(td, g).violations == expected
+            kinds.update(
+                "disconnected" if "disconnected" in x else x.split()[0] for x in expected or ("ok",)
+            )
+        assert kinds == {"ok", "host", "bag", "vertex", "edge", "disconnected"}
+
+    def test_elimination_builders_match_union_find_chaining(self):
+        rng = random.Random(16)
+        for _ in range(2500):
+            g = random_graph(rng, n_max=9, p=rng.choice((0.1, 0.3, 0.6)))
+            order = list(g.vertices())
+            rng.shuffle(order)
+            expected = union_find_elimination_decomposition(g, order)
+            assert from_elimination_order(g, order) == expected
+        for method in ("min-fill", "min-degree"):
+            for _ in range(300):
+                g = random_graph(rng, n_max=9, p=rng.choice((0.1, 0.3)))
+                expected = union_find_elimination_decomposition(g, _greedy_order(g, method))
+                assert heuristic_decomposition(g, method) == expected
+
+    def test_forest_builder_matches_union_find_chaining(self):
+        rng = random.Random(17)
+        for _ in range(2500):
+            g = random_forest(rng, n_max=12)
+            td = decompose_forest(g)
+            assert td == search_forest_decomposition(g)
+            assert validate(td, g).ok
+
+    def test_cycle_edge_named_lies_on_a_cycle(self):
+        rng = random.Random(18)
+        for _ in range(1000):
+            g = random_graph(rng, n_max=9, p=rng.choice((0.2, 0.4)))
+            if search_forest_decomposition(g) is not None:
+                continue
+            with pytest.raises(InputError, match=r"cycle through edge") as err:
+                decompose_forest(g)
+            u, v = map(int, err.value.args[0].rsplit("(", 1)[1].rstrip(")").split(","))
+            assert g.has_edge(u, v)
+            # the ends stay connected without the edge
+            reached, stack = {u}, [u]
+            while stack:
+                a = stack.pop()
+                for b in g.neighbors(a) - reached:
+                    if (a, b) not in ((u, v), (v, u)):
+                        reached.add(b)
+                        stack.append(b)
+            assert v in reached
+
+    def test_walk_roots_trees_like_the_stack_dfs(self):
+        rng = random.Random(19)
+        for _ in range(1000):
+            tree = random_host(rng, rng.randint(1, 12), "tree")
+            order, parent = _walk(tree)
+            expected_order, expected_kids = stack_rooting(tree)
+            assert order == expected_order
+            kids = [[] for _ in order]
+            for t in order[1:]:
+                kids[parent[t]].append(t)
+            assert kids == expected_kids
