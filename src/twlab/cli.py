@@ -87,18 +87,23 @@ def _cmd_reduce(args) -> int:
 
 # --- solve ----------------------------------------------------------------------
 
-def _load_instance(obj):
-    # accept either a bare instance or a reduction output wrapper
+def _load_instance(obj, solver: str):
+    """Decode an instance file, bare or a reduction output wrapper, once its
+    type tag shows that `solver` can solve its kind: a refused kind is never
+    built, however large the sizes it states."""
     if isinstance(obj, dict) and "instance" in obj and "type" not in obj:
-        return pr.instance_from_json(obj["instance"])
+        obj = obj["instance"]
+    kind = pr.kind_from_json(obj)
+    if solver == "flow" and kind.cls is not pr.MinMaxOutdegreeInstance:
+        raise InputError("flow expects a minmax_outdegree instance")
+    if solver == "dp":
+        hn.require_dp(kind)
     return pr.instance_from_json(obj)
 
 
 def _cmd_solve(args) -> int:
-    inst = _load_instance(_read_json(args.file))
+    inst = _load_instance(_read_json(args.file), args.solver)
     if args.solver == "flow":
-        if not isinstance(inst, pr.MinMaxOutdegreeInstance):
-            raise InputError("flow expects a minmax_outdegree instance")
         weights = set(inst.weights.weights)
         if len(weights) > 1:
             raise InputError("flow requires a uniform weighting")
@@ -108,7 +113,6 @@ def _cmd_solve(args) -> int:
     elif args.solver == "bf":
         witness = hn.solve_bf(inst)
     else:
-        hn.require_dp_kind(inst)
         ntd = None
         if args.td:
             ntd = tw.to_nice(tw.decomposition_from_json(_read_json(args.td)), inst.graph)

@@ -185,10 +185,9 @@ def _read_graph_and_k(obj, k, name):
 
 def _read_instance(tag: str):
     def read(obj, k, name):
-        inst = pr.instance_from_json(obj)
-        if pr.kind_of(inst).tag != tag:
+        if pr.kind_from_json(obj).tag != tag:
             raise InputError(f"{name} expects a {tag} instance file")
-        return inst
+        return pr.instance_from_json(obj)
     return read
 
 
@@ -265,6 +264,8 @@ PIPELINES = {p.name: p for p in (
 
 
 def _target_ntd(graph: Graph):
+    """The nice decomposition a DP runs on: min-fill, handed to to_nice with
+    the very graph object it was built for, so it is not validated again."""
     return tw.to_nice(tw.heuristic_decomposition(graph, "min-fill"), graph)
 
 
@@ -331,19 +332,18 @@ def solve_bf(instance):
     return getattr(pr, pr.kind_of(instance).oracle)(instance)
 
 
-def require_dp_kind(instance) -> pr.ProblemKind:
-    """The instance's kind; InputError unless it has a decomposition-driven
-    solver.  Callers check this before building a decomposition."""
-    kind = pr.kind_of(instance)
+def require_dp(kind: pr.ProblemKind) -> None:
+    """InputError unless the kind has a decomposition-driven solver.
+    Callers check this before building a decomposition."""
     if kind.dp is None:
-        raise InputError(f"no DP solver for {type(instance).__name__}")
-    return kind
+        raise InputError(f"no DP solver for {kind.cls.__name__}")
 
 
 def solve_dp(instance, ntd=None):
     """Solve an instance with its kind's DP solver, building a heuristic
     nice decomposition if none is given."""
-    kind = require_dp_kind(instance)
+    kind = pr.kind_of(instance)
+    require_dp(kind)
     if ntd is None:
         ntd = _target_ntd(instance.graph)
     return getattr(sv, kind.dp)(instance, ntd)

@@ -645,9 +645,17 @@ def instance_to_json(inst) -> dict:
     return {"type": kind.tag, **kind.encode(inst)}
 
 
-def instance_from_json(obj: dict):
+def kind_from_json(obj: dict) -> ProblemKind:
+    """The kind an instance object's "type" tag names, read before any other
+    field, so a caller can refuse the kind without building the instance."""
     with decoding("instance object", obj):
         kind = KIND_BY_TAG.get(obj["type"])
         if kind is None:
             raise InputError(f"unknown instance type {obj['type']!r}")
+        return kind
+
+
+def instance_from_json(obj: dict):
+    kind = kind_from_json(obj)
+    with decoding("instance object", obj):
         return kind.decode(obj)

@@ -262,7 +262,15 @@ def dp_chosen_outdegree(
     upper bounds, the nodes above only add to the accumulators, and the
     edges still to come are the same for every state of a node (each is
     introduced once, below the forget nodes of its ends), so the choices
-    that complete a state s complete any s' <= s as well.
+    that complete a state s complete any s' <= s as well.  Introduce_edge
+    skips the filter when its child's u field or v field is the same in
+    every state, as its table is then an antichain already.  Its child C is
+    one, so two states with the same tail, translates of two states of C,
+    are incomparable.  Take a = s + w·e_u and b = s' + w·e_v, s and s' in C,
+    with u's field constant, and w >= 1.  a <= b would need s_u + w <= s'_u
+    = s_u.  b <= a would need s'_v + w <= s_v and s'_x <= s_x at every
+    other field x (at u as s'_u = s_u), so s' < s, two comparable states of
+    C.  A constant v field is the mirror image.
 
     Witness: the sorted-tuple DP that the tests keep as an oracle holds the
     same states, and its back-pointers are the first found while walking
@@ -292,6 +300,8 @@ def dp_chosen_outdegree(
         for s in child:
             if s & mv <= lv:
                 table.setdefault(s + wv, v)
+        if len({s & mu for s in child}) <= 1 or len({s & mv for s in child}) <= 1:
+            return table  # an antichain already; see Dominance above
         guard = sum(map(gbit.__getitem__, node.bag))
         return _minimal_states(table, guard, vmask, map(off.__getitem__, node.bag))
 

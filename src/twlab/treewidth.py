@@ -1,12 +1,23 @@
 """Tree decompositions: validation, width, construction (heuristic, exact,
 fill-in from an elimination order), forest decomposition, bag augmentation,
-and normalization to the nice form consumed by the DP solvers."""
+and normalization to the nice form consumed by the DP solvers.
+
+The heuristic runs fill-in once: the greedy elimination already holds each
+vertex's not-yet-eliminated neighbourhood when it picks the vertex, and that
+neighbourhood plus the vertex is its bag.  Min-fill scores come from int
+bitmask neighbourhoods.  A decomposition built by heuristic_decomposition or
+from_elimination_order carries the graph object it was built for, and
+to_nice trusts it for that very object without validating it again; every
+other decomposition (hand-built, relabelled, augmented, read from JSON, or
+paired with an equal but distinct graph) is validated.
+"""
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from twlab import kernels
 from twlab.errors import GuardError, InputError, decoding
@@ -22,10 +33,14 @@ class TreeDecomposition:
     The constructor only checks shape (one bag per node, non-negative vertex
     ids); whether the host is a tree and the bags cover the decomposed graph
     is the job of validate(), which reports violations instead of raising.
+
+    `graph` is the graph object the elimination builders made it for, valid
+    by construction; every other decomposition carries None.
     """
 
     tree: Graph
     bags: tuple[frozenset[int], ...]
+    graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, tree: Graph, bags):
         bags = tuple(frozenset(b) for b in bags)
@@ -129,6 +144,32 @@ def relabel(td: TreeDecomposition, mapping: dict[int, int]) -> TreeDecomposition
     return TreeDecomposition(td.tree, bags)
 
 
+def _fill_in(g: Graph, order: list[int], rests: list[set[int]]) -> TreeDecomposition:
+    """The decomposition of an elimination of g: rests[i] is the
+    not-yet-eliminated neighbourhood of order[i] at its elimination, and the
+    bag of position i is that plus order[i].  Each bag hangs under the bag of
+    the earliest-eliminated vertex of its rest, and the bags with an empty
+    rest are chained.  Valid for g by construction, so it carries g."""
+    if g.n == 0:
+        td = TreeDecomposition(Graph(1), [frozenset()])
+    else:
+        position = [0] * g.n
+        for i, v in enumerate(order):
+            position[v] = i
+        tree_edges: list[tuple[int, int]] = []
+        roots: list[int] = []  # positions with no later neighbour, chained below
+        for i, rest in enumerate(rests):
+            if rest:
+                tree_edges.append((i, min(map(position.__getitem__, rest))))
+            else:
+                roots.append(i)
+        tree_edges += zip(roots, roots[1:])
+        bags = [frozenset(rest | {v}) for v, rest in zip(order, rests)]
+        td = TreeDecomposition(Graph(g.n, tree_edges), bags)
+    object.__setattr__(td, "graph", g)
+    return td
+
+
 def from_elimination_order(g: Graph, order) -> TreeDecomposition:
     """Fill-in construction: bag of v = v plus its not-yet-eliminated
     neighborhood at elimination time; each bag hangs under the bag of the
@@ -136,77 +177,87 @@ def from_elimination_order(g: Graph, order) -> TreeDecomposition:
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise InputError("order is not a permutation of the vertices")
-    if g.n == 0:
-        return TreeDecomposition(Graph(1), [frozenset()])
-    position = {v: i for i, v in enumerate(order)}
     adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    bags: list[frozenset[int]] = [frozenset()] * g.n
-    tree_edges: list[tuple[int, int]] = []
-    roots: list[int] = []  # positions with no later neighbour, chained below
-    for i, v in enumerate(order):
-        rest = adj[v]
-        bags[i] = frozenset(rest | {v})
-        if rest:
-            nxt = min(rest, key=position.__getitem__)
-            tree_edges.append((i, position[nxt]))
-        else:
-            roots.append(i)
+    rests = []
+    for v in order:
+        rest = adj.pop(v)
         for a in rest:
-            for b in rest:
-                if a != b:
-                    adj[a].add(b)
-        for a in rest:
-            adj[a].discard(v)
-        del adj[v]
-    tree_edges += zip(roots, roots[1:])
-    return TreeDecomposition(Graph(g.n, tree_edges), bags)
+            na = adj[a]
+            na |= rest
+            na.discard(a)
+            na.discard(v)
+        rests.append(rest)
+    return _fill_in(g, order, rests)
 
 
-def _greedy_order(g: Graph, method: str) -> list[int]:
+def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[set[int]]]:
     """Eliminate a vertex of least score (fill-in edges for min-fill, degree
     for min-degree) until none is left; ties go to the smallest vertex.
+    Returns the order and, for each position, the eliminated vertex's
+    not-yet-eliminated neighbourhood, as _fill_in takes them.
 
     Scores are updated in place (Bodlaender & Koster 2010): eliminating v
     changes the neighbourhoods of N(v) only and adds edges only inside N(v),
-    so only scores in N(v) and N(N(v)) can change.  The next vertex comes off
-    a heap keyed (score, v) that skips out-of-date entries.
+    so only scores in N(v) can change, and those of vertices outside it with
+    at least two neighbours in N(v).  The next vertex comes off a heap keyed
+    (score, v) that skips out-of-date entries.  Neighbourhoods are kept
+    twice, as sets to walk and as int bitmasks to score: a ∈ N(v) misses
+    |N(v) & ~N(a)| - 1 vertices of N(v), and each missing pair is counted
+    from both ends.
     """
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    adj = [set(g.neighbors(v)) for v in g.vertices()]
+    mask = [sum(1 << u for u in ns) for ns in adj]
 
-    def score(v: int) -> int:
-        ns = adj[v]
-        if method == "min-degree":
-            return len(ns)
-        # each missing pair {a, b} of N(v) is counted from a and from b
-        return sum(len(ns - adj[a]) - 1 for a in ns) // 2
+    if method == "min-degree":
+        def score(v: int) -> int:
+            return len(adj[v])
+    else:
+        def score(v: int) -> int:
+            ns, m = adj[v], mask[v]
+            return (sum([(m & ~mask[a]).bit_count() for a in ns]) - len(ns)) // 2
 
-    scores = {v: score(v) for v in adj}
-    heap = [(s, v) for v, s in scores.items()]
+    scores = [score(v) for v in g.vertices()]  # -1 once eliminated
+    heap = [(s, v) for v, s in enumerate(scores)]
     heapq.heapify(heap)
-    order = []
-    while adj:
+    order: list[int] = []
+    rests: list[set[int]] = []
+    while len(order) < g.n:
         s, v = heapq.heappop(heap)
-        if v not in adj or scores[v] != s:
+        if scores[v] != s:
             continue
+        scores[v] = -1
         order.append(v)
-        ns = adj.pop(v)
+        ns = adj[v]
+        rests.append(ns)
+        nm = mask[v]
         for a in ns:
-            adj[a] |= ns - {a}
-            adj[a].discard(v)
-        for u in ns.union(*(adj[a] for a in ns)):
+            na = adj[a]
+            na |= ns
+            na.discard(a)
+            na.discard(v)
+            mask[a] = (mask[a] | nm) & ~(1 << a | 1 << v)
+        for u in ns.union(*map(adj.__getitem__, ns)):
+            if u not in ns and (mask[u] & nm).bit_count() < 2:
+                continue
             s = score(u)
             if s != scores[u]:
                 scores[u] = s
                 heapq.heappush(heap, (s, u))
-    return order
+    return order, rests
+
+
+def _greedy_order(g: Graph, method: str) -> list[int]:
+    """The elimination order of _greedy_elimination alone."""
+    return _greedy_elimination(g, method)[0]
 
 
 def heuristic_decomposition(g: Graph, method: str = "min-fill") -> TreeDecomposition:
     """Greedy elimination decomposition, min-fill or min-degree; fully
-    deterministic (ties go to the smallest vertex)."""
+    deterministic (ties go to the smallest vertex).  Its bags are the
+    neighbourhoods the elimination held, so fill-in runs once."""
     if method not in ("min-fill", "min-degree"):
         raise InputError(f"unknown method {method!r}")
-    return from_elimination_order(g, _greedy_order(g, method))
+    return _fill_in(g, *_greedy_elimination(g, method))
 
 
 def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, TreeDecomposition]:
@@ -225,8 +276,8 @@ def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, Tr
     for u, v in g.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    min_fill = _greedy_order(g, "min-fill")
-    upper = (width(from_elimination_order(g, min_fill)), min_fill)
+    min_fill, rests = _greedy_elimination(g, "min-fill")
+    upper = (max(map(len, rests), default=-1), min_fill)
     tw, order = kernels.exact_treewidth(g.n, masks, upper)
     td = from_elimination_order(g, order)
     assert width(td) == tw, "witness width disagrees with the DP value"
@@ -268,8 +319,10 @@ JOIN = "join"
 INTRODUCE_EDGE = "introduce_edge"
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
+    """One node of a nice decomposition; a named tuple, as to_nice builds
+    one per node and a frozen dataclass costs a setattr per field."""
+
     kind: str
     bag: frozenset[int]
     children: tuple[int, ...]
@@ -308,24 +361,30 @@ class _NiceBuilder:
         self.nodes: list[NiceNode] = []
 
     def add(self, kind, bag, children=(), vertex=-1, edge=(-1, -1)) -> int:
-        self.nodes.append(NiceNode(kind, frozenset(bag), tuple(children), vertex, edge))
+        self.nodes.append(NiceNode(kind, bag, children, vertex, edge))
         return len(self.nodes) - 1
 
     def chain_to(self, node: int, target: frozenset[int]) -> int:
         """Forget/introduce one vertex at a time until the bag equals target;
         each introduce(v) is followed at once by an introduce_edge node for
-        each still-pending edge of v that the bag now holds, in sorted order."""
-        bag = self.nodes[node].bag
+        each still-pending edge of v that the bag now holds, in sorted order
+        (sorting the edges uv is sorting by u, as v is fixed)."""
+        nodes, append, pending, adj = self.nodes, self.nodes.append, self.pending, self.g._adj
+        bag = nodes[node].bag
         for v in sorted(bag - target):
             bag = bag - {v}
-            node = self.add(FORGET, bag, (node,), vertex=v)
+            append(NiceNode(FORGET, bag, (node,), v))
+            node = len(nodes) - 1
         for v in sorted(target - bag):
             bag = bag | {v}
-            node = self.add(INTRODUCE, bag, (node,), vertex=v)
-            for e in sorted(canon(u, v) for u in bag & self.g.neighbors(v)):
-                if e in self.pending:
-                    self.pending.remove(e)
-                    node = self.add(INTRODUCE_EDGE, bag, (node,), edge=e)
+            append(NiceNode(INTRODUCE, bag, (node,), v))
+            node = len(nodes) - 1
+            for u in sorted(bag & adj[v]):
+                e = (u, v) if u < v else (v, u)
+                if e in pending:
+                    pending.remove(e)
+                    append(NiceNode(INTRODUCE_EDGE, bag, (node,), -1, e))
+                    node = len(nodes) - 1
         return node
 
     def leaf_chain(self, target: frozenset[int]) -> int:
@@ -342,15 +401,18 @@ class _NiceBuilder:
 def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     """Normalize a valid decomposition of g to nice form of the same width.
 
-    Raises InputError if td fails validate.  The host tree, rooted at node 0,
-    is built bottom-up in one pass: each child is chained up to its parent's
+    A decomposition the elimination builders made for this very graph object
+    (td.graph is g) is trusted; any other is validated first, and one that
+    fails validate raises InputError.  The host tree, rooted at node 0, is
+    built bottom-up in one pass: each child is chained up to its parent's
     bag, children are joined left to right, and each edge is introduced right
     above the introduce node that first completes it.  The result is nice by
     construction and carries g as its `graph`, which the solvers trust.
     """
-    check = validate(td, g)
-    if not check.ok:
-        raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
+    if td.graph is not g:
+        check = validate(td, g)
+        if not check.ok:
+            raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
     b = _NiceBuilder(g)
 
     order, parent = _walk(td.tree)  # rooted at node 0

@@ -37,8 +37,10 @@ from twlab.treewidth import (
     LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
+    _greedy_order,
     heuristic_decomposition,
     relabel,
+    to_nice,
 )
 
 
@@ -216,6 +218,32 @@ def union_find_elimination_decomposition(g: Graph, order) -> TreeDecomposition:
             adj[a].discard(v)
     tree_edges += union_find_links(g.n, tree_edges)
     return TreeDecomposition(Graph(g.n, tree_edges), bags)
+
+
+def elimination_route_nice(g: Graph, method: str) -> NiceTreeDecomposition:
+    """Reference route to the DP's nice decomposition: the greedy order
+    alone, fill-in run a second time by the reference builder, and to_nice
+    on a decomposition that carries no graph, so it is validated first."""
+    td = union_find_elimination_decomposition(g, _greedy_order(g, method))
+    assert td.graph is None
+    return to_nice(td, g)
+
+
+def dp_pipeline_gadgets(cases: int) -> list[Graph]:
+    """Target graphs of `cases` seeded sources on every pipeline whose
+    target kind has a DP, at the sizes the DP sweeps use."""
+    from twlab import harness as hn
+
+    graphs = []
+    for name, k, n, p in (("pc-chosen", 2, 3, 0.5), ("pc-chosen", 3, 2, 0.4),
+                          ("pc-minmax", 2, 2, 0.25), ("chosen-minmax", 2, 8, 0.4),
+                          ("pc-lc", 4, 3, 0.5)):
+        cfg = hn.ExperimentConfig(name, k=k, n=n, p=p, rho_max=10)
+        pipeline = hn.PIPELINES[name]
+        for case in range(cases):
+            source = pipeline.source.generate(cfg, hn.mix(17, case))
+            graphs.append(pipeline.reduce(source).instance.graph)
+    return graphs
 
 
 def search_forest_decomposition(g: Graph) -> TreeDecomposition | None:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import within_seconds
 from twlab.cli import main
 
 
@@ -328,6 +329,26 @@ class TestMalformedInput:
         code, out, err = run(capsys, "solve", "--solver", "dp", str(f))
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == "error: cap must be an integer, got 1.5"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--solver", "flow"], "flow expects a minmax_outdegree instance"),
+            (["solve", "--solver", "dp"], "no DP solver for EquitableColoringInstance"),
+            (["reduce", "--pipeline", "lc-pce", "-o", "{tmp}/out.json"],
+             "lc-pce expects a list_coloring instance file"),
+        ],
+        ids=["flow", "dp", "reduce-lc-pce"],
+    )
+    def test_refused_kind_is_never_decoded(self, capsys, tmp_path, argv, message):
+        # decoding this file would allocate a set per vertex for 10^18 vertices
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"type": "equitable", "n": 10**18, "edges": [], "r": 2}))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        with within_seconds(5, f"{' '.join(argv[:3])} on an equitable file with n = 10^18"):
+            code, out, err = run(capsys, *argv, str(f))
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"error: {message}"
 
     def test_negative_relation_index_named(self, capsys, tmp_path):
         f = tmp_path / "gs.json"

@@ -394,6 +394,35 @@ class TestDpChosenOutdegree:
             answers.add(got is None)
         assert answers == {True, False}
 
+    def test_every_table_is_an_antichain(self, monkeypatch):
+        # introduce_edge skips the filter when one end's field is the same in
+        # every child state; its table must still have no dominated state
+        runs, filtered = [], [0]
+        run, minimal = solvers._NiceDP.run, solvers._minimal_states
+
+        def recording(dp, *args):
+            runs.append(dp)
+            return run(dp, *args)
+
+        def counting(*args):
+            filtered[0] += 1
+            return minimal(*args)
+
+        monkeypatch.setattr(solvers._NiceDP, "run", recording)
+        monkeypatch.setattr(solvers, "_minimal_states", counting)
+        filterable = 0
+        for inst, ntd in chosen_corpus(random.Random(15), "min-fill"):
+            dp_chosen_outdegree(inst, ntd)
+            vmask = (1 << max(inst.rho, default=0).bit_length()) - 1
+            dp = runs.pop()
+            for i, table in dp.tables.items():
+                bag = sorted(ntd.nodes[i].bag)
+                decoded = {tuple(s >> dp.off[v] & vmask for v in bag): s for s in table}
+                assert len(decoded) == len(table)
+                assert tuple_pareto_minimal(decoded) == decoded
+            filterable += sum(n.kind in (INTRODUCE_EDGE, FORGET, JOIN) for n in ntd.nodes)
+        assert 0 < filtered[0] < filterable
+
     def test_k5_gadget_within_budget(self):
         # width-20 pc-chosen gadgets whose tables reach 35k states, most of
         # them minimal: the size that needs the filter's bitsets
@@ -495,7 +524,7 @@ def splice_out(ntd, i):
         return c - (c > i)
 
     nodes = tuple(
-        replace(node, children=tuple(map(renumber, node.children)))
+        node._replace(children=tuple(map(renumber, node.children)))
         for j, node in enumerate(ntd.nodes)
         if j != i
     )

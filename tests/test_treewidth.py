@@ -6,6 +6,8 @@ from conftest import (
     complete,
     cycle,
     decomposition_of_subset,
+    dp_pipeline_gadgets,
+    elimination_route_nice,
     elimination_test_graphs,
     grid,
     path,
@@ -18,7 +20,7 @@ from conftest import (
     union_find_elimination_decomposition,
     within_seconds,
 )
-from twlab import kernels
+from twlab import kernels, treewidth
 from twlab.errors import GuardError, InputError
 from twlab.graphs import Graph, induced_subgraph
 from twlab.reductions import _certify
@@ -346,6 +348,70 @@ class TestToNice:
         g = cycle(5)
         ntd = to_nice(heuristic_decomposition(g), g)
         assert validate(ntd.as_tree_decomposition(), g).ok
+
+
+def count_validations(monkeypatch):
+    calls = [0]
+
+    def counting(td, g):
+        calls[0] += 1
+        return validate(td, g)
+
+    monkeypatch.setattr(treewidth, "validate", counting)
+    return calls
+
+
+class TestTrustedDecomposition:
+    """to_nice skips validate only for a decomposition that the elimination
+    builders made for the very graph object handed in with it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda g: heuristic_decomposition(g, "min-fill"),
+         lambda g: heuristic_decomposition(g, "min-degree"),
+         lambda g: from_elimination_order(g, reversed(range(g.n)))],
+        ids=["min-fill", "min-degree", "elimination-order"],
+    )
+    def test_builder_output_is_trusted_for_its_own_graph(self, monkeypatch, build):
+        calls = count_validations(monkeypatch)
+        graphs = (Graph(0), complete(3), grid(3, 4), petersen())
+        tds = [build(g) for g in graphs]
+        assert all(td.graph is g for td, g in zip(tds, graphs))
+        ntds = [to_nice(td, g) for td, g in zip(tds, graphs)]
+        assert calls[0] == 0
+        assert all(check_nice(ntd, g).ok for ntd, g in zip(ntds, graphs))
+
+    def test_copies_and_other_graph_objects_are_validated(self, triangle, monkeypatch):
+        calls = count_validations(monkeypatch)
+        td = heuristic_decomposition(triangle)
+        trusted = to_nice(td, triangle)
+        other = heuristic_decomposition(complete(3))
+        assert other == td and other.graph == triangle and other.graph is not triangle
+        copies = [
+            TreeDecomposition(td.tree, td.bags),
+            relabel(td, {v: v for v in triangle.vertices()}),
+            augment_with_set(td, (), triangle),
+            decomposition_from_json(decomposition_to_json(td)),
+            other,
+        ]
+        assert calls[0] == 0
+        for copy in copies:
+            assert copy == td and copy.graph is not triangle
+            assert to_nice(copy, triangle) == trusted
+        assert calls[0] == len(copies)
+
+    def test_invalid_decomposition_still_raises(self, triangle):
+        path3 = Graph(3, [(0, 1), (1, 2)])
+        for td in (heuristic_decomposition(path3),  # built for another graph
+                   TreeDecomposition(Graph(2, [(0, 1)]), [{0, 1}, {1, 2}])):
+            with pytest.raises(InputError, match=r"invalid decomposition: edge \(0,2\)"):
+                to_nice(td, triangle)
+
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_trusted_pass_matches_elimination_route(self, method):
+        graphs = elimination_test_graphs() + dp_pipeline_gadgets(12)
+        for g in graphs:
+            assert to_nice(heuristic_decomposition(g, method), g) == elimination_route_nice(g, method)
 
 
 class TestRelabelAndJson:
