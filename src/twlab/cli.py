@@ -4,7 +4,8 @@ Every subcommand is a thin adapter over the library: parse flags, read and
 write the documented JSON formats, print results.  Verdicts are printed as
 the literal tokens "yes"/"no" on stdout; the fully resolved configuration is
 echoed to stderr.  Exit codes: 0 success / all-agree, 1 verification found a
-disagreement or failed bound, 2 usage or input error.
+disagreement or failed bound, or a reduction's witness failed certification,
+2 usage or input error.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ def _cmd_reduce(args) -> int:
     pipeline = hn.PIPELINES[args.pipeline]
     source = pipeline.source.read(_read_json(args.file), args.k, pipeline.name)
     out = pipeline.reduce(source)
+    violations = rd.certify(out)
+    if violations:
+        print("error: the reduction's witness fails certification: " + "; ".join(violations[:3]),
+              file=sys.stderr)
+        return 1
     _write_json(args.output, rd.reduction_output_to_json(out))
     if args.witness:
         _write_json(args.witness, tw.decomposition_to_json(out.witness))

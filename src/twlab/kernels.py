@@ -67,13 +67,17 @@ def orient_search(n, edges, w, rho):
     Depth-first search over edges in index order with unit-propagation:
     an undecided edge too heavy for one endpoint's remaining budget is forced
     toward the other; an edge too heavy for both prunes the branch.  An edge
-    already forced when the search reaches it has a single branch.
+    already forced when the search reaches it has a single branch.  Each
+    vertex keeps its incident edges heaviest first, so a push stops at the
+    first edge that fits the residual: a hub costs the edges it forces, not
+    its degree.  Unit propagation reaches the same closure in any order.
     """
     m = len(edges)
     residual = list(rho)
     dirs = [-1] * m
     incident: list[list[int]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
+    for i in sorted(range(m), key=w.__getitem__, reverse=True):  # stable: ties by index
+        u, v = edges[i]
         incident[u].append(i)
         incident[v].append(i)
     trail: list[int] = []  # decided edges, in decision order
@@ -96,8 +100,11 @@ def orient_search(n, edges, w, rho):
     def propagate(stack: list[int]) -> bool:
         while stack:
             z = stack.pop()
+            room = residual[z]  # forcing edges away from z leaves it unchanged
             for f in incident[z]:
-                if dirs[f] != -1 or w[f] <= residual[z]:
+                if w[f] <= room:
+                    break  # so does every lighter edge
+                if dirs[f] != -1:
                     continue
                 d = 1 if edges[f][0] == z else 0  # the tail must be the other end
                 o = edges[f][d]

@@ -383,12 +383,16 @@ def bf_general_factor(inst: GeneralFactorInstance) -> frozenset | None:
 
 def bf_gensat(inst: GensatInstance) -> tuple[int, ...] | None:
     """Assignment search in variable-index order (0 before 1), pruning any
-    prefix some constraint can no longer match."""
+    prefix some constraint can no longer match.  Each distinct relation is
+    packed into bitmasks once, however many constraints share it."""
+    packed: dict[BooleanRelation, list[int]] = {}
+    for c in inst.constraints:
+        if c.relation not in packed:
+            packed[c.relation] = [sum(b << p for p, b in enumerate(t)) for t in sorted(c.relation.tuples)]
     got = kernels.gensat_search(
         inst.num_variables,
         [c.scope for c in inst.constraints],
-        [[sum(b << p for p, b in enumerate(t)) for t in sorted(c.relation.tuples)]
-         for c in inst.constraints],
+        [packed[c.relation] for c in inst.constraints],
     )
     if got is None:
         return None

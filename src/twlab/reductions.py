@@ -2,9 +2,11 @@
 
 Every reduction returns a ReductionOutput bundling the target instance, a
 constructively built witness tree decomposition certifying a width bound,
-and a provenance index mapping gadget vertices to their roles.  The witness
-is validated (and its width checked against the claimed bound) before the
-output is returned.
+and a provenance index mapping gadget vertices to their roles.  The
+reductions do not validate their own output: certify(out) checks every
+witness an output carries against its graph and claimed width bound, once,
+where the output is used (harness._case_record for `twlab verify`, the CLI
+for `twlab reduce`).
 
 Gadget role tags used by the provenance index:
 
@@ -88,7 +90,7 @@ class GadgetParameters:
 class ReductionOutput:
     """Target instance + witness decomposition + provenance.
 
-    ``graph`` is the graph the witness was certified against: the target's
+    ``graph`` is the graph certify checks the witness against: the target's
     own graph, or the dual graph for a generalized-satisfiability target.
     ``meta`` carries in-memory companions (source instance, the orientation
     gadget's role map ``gadget`` and edge plan ``plan``, secondary
@@ -104,18 +106,29 @@ class ReductionOutput:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _check_witness(witness, graph, bound) -> None:
-    check = validate(witness, graph)
-    if not check.ok:
-        raise AssertionError(
-            "constructed witness is invalid: " + "; ".join(check.violations[:3])
+def certify(out: ReductionOutput) -> tuple[str, ...]:
+    """Validate every witness the output carries against its graph and
+    claimed width bound: the primary witness, and the incidence witness of a
+    generalized-satisfiability target.  Returns the violations, each
+    prefixed by the witness it concerns; an empty tuple certifies the output.
+    Checks by return value, not assert, so they hold under python -O."""
+    witnesses = [("witness", out.witness, out.graph, out.claimed_width_bound)]
+    if "incidence_witness" in out.meta:
+        m = out.meta
+        witnesses.append(
+            ("incidence witness", m["incidence_witness"], m["incidence_graph"], m["incidence_width_bound"])
         )
-    if width(witness) > bound:
-        raise AssertionError(f"witness width {width(witness)} exceeds claimed bound {bound}")
+    violations: list[str] = []
+    for name, td, graph, bound in witnesses:
+        violations += (f"{name}: {v}" for v in validate(td, graph).violations)
+        if td.bags and width(td) > bound:
+            violations.append(f"{name}: width {width(td)} exceeds claimed bound {bound}")
+    return tuple(violations)
 
 
-def _certify(instance, witness, bound, index, graph, meta) -> ReductionOutput:
-    _check_witness(witness, graph, bound)
+def _output(instance, witness, bound, index, graph, meta) -> ReductionOutput:
+    """Bundle a reduction's output, unchecked: certify checks it where it is
+    used."""
     return ReductionOutput(instance, witness, bound, tuple(index), graph, meta)
 
 
@@ -124,7 +137,7 @@ def _single_bag(instance, bound, detail, meta) -> ReductionOutput:
     its vertices, indexed by a single note."""
     g = instance.graph
     td = TreeDecomposition(Graph(1), [frozenset(g.vertices())])
-    return _certify(instance, td, bound, [{"tag": "note", "detail": detail}], g, meta)
+    return _output(instance, td, bound, [{"tag": "note", "detail": detail}], g, meta)
 
 
 # --- clique selection via list coloring ---------------------------------------
@@ -159,7 +172,7 @@ def pc_to_list_coloring(pg: PartitionedGraph) -> ReductionOutput:
     pads = range(k, next_id)
     tree = Graph(1 + len(pads), [(0, 1 + t) for t in range(len(pads))])
     td = TreeDecomposition(tree, [selectors] + [selectors | {p} for p in pads])
-    return _certify(inst, td, k + 1, index, h, {"source": pg})
+    return _output(inst, td, k + 1, index, h, {"source": pg})
 
 
 # --- lists via precolored pendants ---------------------------------------------
@@ -198,7 +211,7 @@ def lc_to_precoloring(inst: ListColoringInstance) -> ReductionOutput:
     base = heuristic_decomposition(g, "min-fill")
     td = _attach_leaf_bags(base, [(owner, frozenset({owner, p})) for owner, p in pendants])
     bound = max(width(base), 1) if g.n else 0
-    return _certify(target, td, bound, index, h, {"source": inst})
+    return _output(target, td, bound, index, h, {"source": inst})
 
 
 def _attach_leaf_bags(
@@ -278,9 +291,7 @@ def clique_to_gensat(g: Graph, k: int) -> ReductionOutput:
         "incidence_witness": inc_witness,
         "incidence_width_bound": num_cons,
     }
-    out = _certify(inst, dual_witness, num_cons - 1, index, dual, meta)
-    _check_witness(inc_witness, incidence, num_cons)
-    return out
+    return _output(inst, dual_witness, num_cons - 1, index, dual, meta)
 
 
 # --- clique selection via capped orientation ------------------------------------
@@ -391,7 +402,7 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
     forest_td = relabel(decompose_forest(rest), {v: u for u, v in back.items()})
     witness = augment_with_set(forest_td, hubs, h)
     meta = {"source": pg, "gadget": vid, "plan": plan, "params": params, "pair_edges": pair_edges}
-    return _certify(inst, witness, bound, index, h, meta)
+    return _output(inst, witness, bound, index, h, meta)
 
 
 def _check_gadget_arithmetic(params, vid, hubs, pair_edges, inst) -> None:
@@ -554,7 +565,7 @@ def chosen_to_minmax(inst: ChosenOutdegreeInstance) -> ReductionOutput:
         base, [(v, frozenset({v, xv, yv})) for v, xv, yv in triangles]
     )
     bound = max(width(base), 2)
-    return _certify(target, td, bound, index, h, {"source": inst})
+    return _output(target, td, bound, index, h, {"source": inst})
 
 
 # --- serialization ----------------------------------------------------------------

@@ -15,7 +15,6 @@ paired with an equal but distinct graph) is validated.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,9 +72,10 @@ def width(td: TreeDecomposition) -> int:
 def _walk(g: Graph) -> tuple[list[int], list[int]]:
     """Every vertex of g parents-first, each component from its least vertex,
     and each vertex's parent in that spanning forest (-1 at component roots)."""
+    adj = g._adj
     parent = [-2] * g.n  # -2: not reached yet
     order: list[int] = []
-    for root in g.vertices():
+    for root in range(g.n):
         if parent[root] != -2:
             continue
         parent[root] = -1
@@ -83,7 +83,7 @@ def _walk(g: Graph) -> tuple[list[int], list[int]]:
         while stack:
             v = stack.pop()
             order.append(v)
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 if parent[u] == -2:
                     parent[u] = v
                     stack.append(u)
@@ -91,47 +91,58 @@ def _walk(g: Graph) -> tuple[list[int], list[int]]:
 
 
 def validate(td: TreeDecomposition, g: Graph) -> Validity:
-    """Check the two decomposition conditions against g.
+    """Check the two decomposition conditions against g, in time linear in
+    the host tree, the bags and g.
 
     Structural problems with the host tree are reported first; otherwise each
-    violation names the offending vertex or edge and the bags involved.  The
-    nodes holding a vertex form a subtree iff exactly one of them is a top:
-    the root of the host (rooted at node 0), or a node whose parent's bag
-    lacks the vertex.
+    violation names the offending vertex or edge and the bags involved.  With
+    the host rooted at node 0, a top of a vertex is a node holding it whose
+    parent's bag lacks it (or the root); the nodes holding a vertex form a
+    subtree iff it has exactly one top.  Edges then follow from the subtree
+    lemma: two subtrees of a rooted tree meet iff the top of one lies in the
+    other, so uv is covered iff v is in the bag of u's top or u in the bag
+    of v's top.  A vertex with several tops is tested on each of them.
     """
-    parent = _walk(td.tree)[1]
+    order, parent = _walk(td.tree)
     if len(td.tree.edges) != td.tree.n - 1 or parent.count(-1) != 1:
         return Validity(("host is not a tree (must be connected with |E| = |V| - 1)",))
     violations: list[str] = []
-    bags = td.bags
-    where: dict[int, list[int]] = {}
-    tops: Counter[int] = Counter()
-    for t, bag in enumerate(bags):
-        for v in bag:
-            if v >= g.n:
-                violations.append(f"bag {t} contains vertex {v} >= n={g.n}")
-            where.setdefault(v, []).append(t)
-        tops.update(bag - bags[parent[t]] if parent[t] >= 0 else bag)
-    for v in g.vertices():
-        if v not in where:
-            violations.append(f"vertex {v} appears in no bag")
-    occurs = {v: set(nodes) for v, nodes in where.items()}
-    for u, v in g.edges:
-        if u not in occurs or occurs[u].isdisjoint(occurs.get(v, ())):
-            violations.append(f"edge ({u},{v}) is contained in no bag")
-
-    def top(t: int, v: int) -> int:
-        while parent[t] >= 0 and v in bags[parent[t]]:
-            t = parent[t]
-        return t
-
-    for v in sorted(v for v, count in tops.items() if count > 1):  # one subtree per top
-        nodes = where[v]
-        first = top(nodes[0], v)
-        stray = next(t for t in nodes if top(t, v) != first)
-        violations.append(
-            f"vertex {v} occurs in disconnected tree nodes (e.g. bags {nodes[0]} and {stray})"
+    n, bags = g.n, td.bags
+    top: dict[int, int] = {}  # vertex -> its top, the least-indexed one if several
+    more: dict[int, list[int]] = {}  # vertex -> its other tops
+    for t, p in enumerate(parent):
+        for v in bags[t] - bags[p] if p >= 0 else bags[t]:
+            if v in top:
+                more.setdefault(v, []).append(t)
+            else:
+                top[v] = t
+    if top and max(top) >= n:
+        violations.extend(
+            f"bag {t} contains vertex {v} >= n={n}" for t, bag in enumerate(bags) for v in bag if v >= n
         )
+    violations.extend(f"vertex {v} appears in no bag" for v in range(n) if v not in top)
+    padded = bags + (frozenset(),)  # index -1: the bag of a vertex in none
+    top_bag = [padded[top.get(v, -1)] for v in range(n)]
+    for u, v in g.edges:
+        if v in top_bag[u] or u in top_bag[v]:
+            continue
+        if any(v in bags[a] for a in more.get(u, ())) or any(u in bags[b] for b in more.get(v, ())):
+            continue
+        violations.append(f"edge ({u},{v}) is contained in no bag")
+    if more:
+        # each node's piece (the top it hangs from) per split vertex, parents first
+        piece: dict[int, dict[int, int]] = {v: {} for v in more}
+        for t in order:
+            p = parent[t]
+            for v in bags[t] & more.keys():
+                piece[v][t] = piece[v][p] if p >= 0 and v in bags[p] else t
+        for v in sorted(more):
+            nodes = sorted(piece[v])
+            first = piece[v][nodes[0]]
+            stray = next(t for t in nodes if piece[v][t] != first)
+            violations.append(
+                f"vertex {v} occurs in disconnected tree nodes (e.g. bags {nodes[0]} and {stray})"
+            )
     return Validity(tuple(violations))
 
 

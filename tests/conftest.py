@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import signal
@@ -17,6 +18,7 @@ from twlab.graphs import (
     induced_subgraph,
     is_clique,
 )
+from twlab.kernels import backtrack
 from twlab.problems import (
     ChosenOutdegreeInstance,
     EquitableColoringInstance,
@@ -503,6 +505,67 @@ def tuple_chosen_outdegree_dp(
     return lam
 
 
+# --- the orientation search before hub propagation ------------------------------
+
+
+def rescan_orient_search(n, edges, w, rho):
+    """kernels.orient_search as it was before its incident lists were kept
+    heaviest first: every push rescans all of the vertex's incident edges.
+    The oracle for the witnesses of the hub propagation that replaced it."""
+    m = len(edges)
+    residual = list(rho)
+    dirs = [-1] * m
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    trail: list[int] = []  # decided edges, in decision order
+
+    def decide(e: int, d: int) -> bool:
+        tail = edges[e][d]
+        if residual[tail] < w[e]:
+            return False
+        dirs[e] = d
+        residual[tail] -= w[e]
+        trail.append(e)
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            e = trail.pop()
+            residual[edges[e][dirs[e]]] += w[e]
+            dirs[e] = -1
+
+    def propagate(stack: list[int]) -> bool:
+        while stack:
+            z = stack.pop()
+            for f in incident[z]:
+                if dirs[f] != -1 or w[f] <= residual[z]:
+                    continue
+                d = 1 if edges[f][0] == z else 0  # the tail must be the other end
+                o = edges[f][d]
+                if w[f] > residual[o]:
+                    return False
+                decide(f, d)
+                stack.append(o)
+        return True
+
+    def branches(e: int):
+        if dirs[e] != -1:
+            yield
+            return
+        for d in (0, 1):
+            mark = len(trail)
+            if decide(e, d) and propagate([edges[e][d]]):
+                yield
+            undo(mark)
+
+    # the initial propagation catches edges infeasible from the start
+    if propagate(list(range(n))) and backtrack(m, branches):
+        return dirs
+    return None
+
+
 # --- the recursive searches kernels.backtrack replaced -------------------------
 #
 # Kept verbatim as oracles for the witnesses of the searches that now run on
@@ -900,6 +963,20 @@ def explicit_orientation_from_clique(out, clique) -> Orientation:
     lam = Orientation(inst.graph, direction)
     assert check_admissible(inst, lam), "constructive orientation is not admissible"
     return lam
+
+
+def witness_missing_edge(reduce):
+    """`reduce` (a reduction) with its output's first edge uv dropped from
+    the witness: u leaves every bag that holds v.  On pc_to_list_coloring, u
+    is a selector and v a pad, so the witness misses exactly that edge."""
+
+    def patched(source):
+        out = reduce(source)
+        u, v = out.graph.edges[0]
+        bags = [b - {u} if v in b else b for b in out.witness.bags]
+        return dataclasses.replace(out, witness=TreeDecomposition(out.witness.tree, bags))
+
+    return patched
 
 
 @contextmanager

@@ -1,11 +1,13 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from conftest import within_seconds
+from conftest import witness_missing_edge, within_seconds
+from twlab import reductions as rd
 from twlab.cli import main
 
 
@@ -420,6 +422,59 @@ class TestVerify:
     def test_unknown_flag_exit_2(self, capsys):
         code, *_ = run(capsys, "verify", "--pipeline", "pc-lc", "--bogus")
         assert code == 2
+
+
+class TestCertification:
+    """A reduction whose witness misses an edge fails certification: verify
+    records bound_ok false and exits 1, reduce exits 1 and writes nothing,
+    with no traceback, and the same under python -O (no assert involved)."""
+
+    VERIFY = ("verify", "--pipeline", "pc-lc", "-k", "2", "-n", "2", "--cases", "3", "--seed", "1")
+
+    @pytest.fixture
+    def broken(self, monkeypatch):
+        monkeypatch.setattr(rd, "pc_to_list_coloring", witness_missing_edge(rd.pc_to_list_coloring))
+
+    def test_verify_fails_the_case(self, capsys, tmp_path, broken):
+        report = tmp_path / "r.json"
+        code, out, _ = run(capsys, *self.VERIFY, "--report", str(report))
+        assert code == 1 and "3/3 agree" in out and "FAIL" in out
+        rep = json.loads(report.read_text())
+        assert [r["bound_ok"] for r in rep["records"]] == [False] * 3
+        assert rep["summary"]["pass"] is False
+
+    def test_reduce_writes_nothing(self, capsys, tmp_path, broken):
+        src = tmp_path / "pg.json"
+        src.write_text(json.dumps(REDUCE_PINS["pc-lc"][0]))
+        red = tmp_path / "red.json"
+        code, out, err = run(capsys, "reduce", "--pipeline", "pc-lc", "-o", str(red), str(src))
+        assert code == 1 and out == "" and not red.exists()
+        assert err.splitlines()[-1] == (
+            "error: the reduction's witness fails certification: "
+            "witness: edge (0,2) is contained in no bag"
+        )
+
+    def test_optimized_interpreter(self, tmp_path):
+        src = tmp_path / "pg.json"
+        src.write_text(json.dumps(REDUCE_PINS["pc-lc"][0]))
+        red = tmp_path / "red.json"
+        script = (
+            "import sys, conftest; from twlab import reductions as rd; from twlab.cli import main; "
+            "rd.pc_to_list_coloring = conftest.witness_missing_edge(rd.pc_to_list_coloring); "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        paths = [pathlib.Path(rd.__file__).parents[1], pathlib.Path(__file__).parent]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+        verify, reduce = (
+            subprocess.run(
+                [sys.executable, "-O", "-c", script, *argv], capture_output=True, text=True, env=env
+            )
+            for argv in (self.VERIFY, ("reduce", "--pipeline", "pc-lc", "-o", str(red), str(src)))
+        )
+        for proc in (verify, reduce):
+            assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+        assert "FAIL" in verify.stdout and "fails certification" in reduce.stderr
+        assert not red.exists()
 
 
 class TestEntryPoint:

@@ -12,9 +12,15 @@ from conftest import (
     recursive_gensat_search,
     recursive_list_color_search,
     recursive_orient_search,
+    rescan_orient_search,
+    star,
+    within_seconds,
 )
 from twlab import kernels
 from twlab.errors import GuardError
+from twlab.graphs import EdgeWeighting
+from twlab.harness import gen_chosen_instance
+from twlab.problems import ChosenOutdegreeInstance, bf_chosen_outdegree
 
 
 def digits(state, choices=3):
@@ -140,6 +146,46 @@ class TestWitnessesMatchRecursiveSearches:
             assert kernels.gensat_search(num_vars, scopes, masks) == want
             results.append(want)
         both_answers(results)
+
+
+class TestHubPropagation:
+    """orient_search keeps each vertex's incident edges heaviest first and
+    stops a push at the first edge that fits: the witnesses of the search
+    that rescanned every incident edge, and a hub costs only what it forces."""
+
+    def test_witnesses_match_rescanning_search(self, monkeypatch):
+        rng = random.Random(20)
+        instances = [
+            gen_chosen_instance(
+                trial % 11, rng.choice((0.3, 0.6, 0.9)), rng.randint(1, 5), rng.randint(0, 9), rng.getrandbits(32)
+            )
+            for trial in range(3000)
+        ]
+        got = [bf_chosen_outdegree(inst) for inst in instances]
+        monkeypatch.setattr(kernels, "orient_search", rescan_orient_search)
+        assert got == [bf_chosen_outdegree(inst) for inst in instances]
+        both_answers(got)
+
+    def test_heavy_edge_listed_last_is_still_forced(self):
+        """The kernel sorts each incident list itself: an edge too heavy for
+        both ends is found by the first propagation although both ends list
+        a lighter edge first, so the search never branches on the 30 free
+        edges searched before it."""
+        k = 30
+        z, o, a, c = range(2 * k, 2 * k + 4)
+        edges = [(2 * i, 2 * i + 1) for i in range(k)] + [(z, a), (o, c), (z, o)]
+        w = [1] * (k + 2) + [5]
+        rho = [1] * (2 * k) + [3, 3, 0, 0]
+        with within_seconds(1, "an infeasible heavy edge behind 30 free ones"):
+            assert kernels.orient_search(len(rho), edges, w, rho) is None
+
+    def test_star_hub_of_ten_thousand_edges(self):
+        g = star(10**4 - 1)
+        inst = ChosenOutdegreeInstance(
+            g, EdgeWeighting(g, [1] * len(g.edges)), [g.degree(v) for v in g.vertices()]
+        )
+        with within_seconds(1, "capped orientation of the 10^4-vertex star"):
+            assert bf_chosen_outdegree(inst) is not None
 
 
 class TestKernelEdgeCases:

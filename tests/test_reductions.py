@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -27,6 +28,7 @@ from twlab.problems import (
 )
 from twlab.reductions import (
     GadgetParameters,
+    certify,
     chosen_to_minmax,
     clique_to_gensat,
     extract_clique,
@@ -39,6 +41,7 @@ from twlab.reductions import (
 from twlab.problems import ListColoringInstance
 from twlab.solvers import dp_chosen_outdegree
 from twlab.treewidth import (
+    TreeDecomposition,
     exact_treewidth,
     heuristic_decomposition,
     to_nice,
@@ -181,6 +184,20 @@ class TestCliqueToGensat:
         inc = out.meta["incidence_graph"]
         assert validate(out.meta["incidence_witness"], inc).ok
         assert width(out.meta["incidence_witness"]) <= out.meta["incidence_width_bound"] == 3
+
+    def test_certify_checks_both_witnesses(self):
+        out = clique_to_gensat(path(4), 3)
+        assert certify(out) == ()
+        inc = out.meta["incidence_witness"]
+        dropped = TreeDecomposition(inc.tree, [b - {0} for b in inc.bags])  # variable 0
+        broken = dataclasses.replace(
+            out, claimed_width_bound=1, meta={**out.meta, "incidence_witness": dropped}
+        )
+        violations = certify(broken)
+        assert violations[0] == "witness: width 2 exceeds claimed bound 1"
+        assert violations[1] == "incidence witness: vertex 0 appears in no bag"
+        assert len(violations) > 2
+        assert all(v.startswith("incidence witness: edge (0,") for v in violations[2:])
 
     def test_small_k_rejected(self, triangle):
         with pytest.raises(InputError):
