@@ -4,8 +4,8 @@ Every subcommand is a thin adapter over the library: parse flags, read and
 write the documented JSON formats, print results.  Verdicts are printed as
 the literal tokens "yes"/"no" on stdout; the fully resolved configuration is
 echoed to stderr.  Exit codes: 0 success / all-agree, 1 verification found a
-disagreement or failed bound, or a reduction's witness failed certification,
-2 usage or input error.
+disagreement or a failed check, a reduction's witness failed certification,
+or a solve's witness failed its check, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -129,8 +129,11 @@ def _cmd_solve(args) -> int:
         print(f"minimum max outgoing weight: {c * d} (instance allows {inst.r})")
     if witness is not None:
         kind = pr.kind_of(inst)
+        checked = kind.check(inst, witness)  # the one check of this witness
         noun, witness_obj = kind.witness(witness)
-        print(f"witness: {noun} (checked: {kind.check(inst, witness)})")
+        print(f"witness: {noun} (checked: {checked})")
+        if not checked:
+            return 1
         if args.witness_out:
             _write_json(args.witness_out, witness_obj)
     return 0

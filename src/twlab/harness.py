@@ -17,7 +17,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 from twlab.errors import GuardError, InputError
@@ -168,11 +168,13 @@ def gen_chosen_instance(n: int, edge_p: float, max_w: int, rho_max: int, seed: i
 @dataclass(frozen=True)
 class Source:
     """Where a pipeline's source instances come from: the seeded generator
-    (config, case seed), the oracle deciding them, their report JSON, and the
-    reader of `twlab reduce` (file object, -k, pipeline name)."""
+    (config, case seed), the oracle deciding them, the checker of its
+    yes-witnesses (source, witness), their report JSON, and the reader of
+    `twlab reduce` (file object, -k, pipeline name)."""
 
     generate: Callable[[ExperimentConfig, int], object]
     solve: Callable[[object], object]
+    check: Callable[[object, object], bool]
     to_json: Callable[[object], dict]
     read: Callable[[object, int | None, str], object]
 
@@ -196,24 +198,28 @@ def _read_instance(tag: str):
 PARTITIONED = Source(
     lambda cfg, seed: gen_partitioned(cfg.k, cfg.n, cfg.p, cfg.plant, seed),
     lambda pg: pr.bf_partitioned_clique(pg),
+    lambda pg, clique: len(clique) == pg.k and pr.is_clique(pg.graph, clique),
     partitioned_to_json,
     lambda obj, k, name: partitioned_from_json(obj),
 )
 GRAPH_AND_K = Source(  # the source is the pair (graph, k)
     lambda cfg, seed: (gen_graph(cfg.n, cfg.p, seed), cfg.k),
     lambda source: pr.bf_clique(*source),
+    lambda source, clique: len(clique) == source[1] and pr.is_clique(source[0], clique),
     lambda source: dict(graph_to_json(source[0]), k=source[1]),
     _read_graph_and_k,
 )
 LIST_COLORING = Source(
     lambda cfg, seed: gen_list_instance(cfg.n, cfg.k, cfg.p, seed),
     lambda inst: pr.bf_list_coloring(inst),
+    pr.check_list_coloring,
     pr.instance_to_json,
     _read_instance("list_coloring"),
 )
 CHOSEN_OUTDEGREE = Source(
     lambda cfg, seed: gen_chosen_instance(cfg.n, cfg.p, cfg.max_weight, cfg.rho_max, seed),
     lambda inst: pr.bf_chosen_outdegree(inst),
+    pr.check_admissible,
     pr.instance_to_json,
     _read_instance("chosen_outdegree"),
 )
@@ -230,17 +236,19 @@ class Pipeline:
     source: Source
     target: str  # problems.KINDS tag of the reduced instance
     reduce: Callable[[object], rd.ReductionOutput]
-    check: Callable | None = None  # (out, source, source witness, target witnesses, checks)
+    # (out, source, source witness or None, {solver: target witness}, checks);
+    # given only the yes-witnesses that passed their check
+    check: Callable | None = None
 
 
 def _clique_checks(out, pg, clique, witnesses, checks) -> None:
     """Read a clique back out of every yes-orientation, and build the
-    orientation of the source clique, when the gadget is not degenerate."""
+    orientation of the source clique, when the gadget is not degenerate.
+    Only witnesses that passed their own check are passed in."""
     if not out.meta.get("gadget"):
         return
     for name, lam in witnesses.items():
-        if lam is not None:
-            checks[f"clique_ok_{name}"] = pr.is_clique(pg.graph, rd.extract_clique(out, lam))
+        checks[f"clique_ok_{name}"] = pr.is_clique(pg.graph, rd.extract_clique(out, lam))
     if clique is not None:
         lam_c = rd.orientation_from_clique(out, clique)
         checks["constructive_ok"] = pr.check_admissible(out.instance, lam_c)
@@ -295,12 +303,26 @@ def _case_record(cfg: ExperimentConfig, case: int) -> dict:
     answers = {name: w is not None for name, w in solvers_run.items()}
     source_yes = source_witness is not None
     agree = all(a == source_yes for a in answers.values())
+
+    # each yes-witness is checked once, here, against its instance
+    if source_yes:
+        checks["witness_ok_source"] = pipeline.source.check(source, source_witness)
+    target_check = pr.kind_of(out.instance).check
+    for name, w in solvers_run.items():
+        if w is not None:
+            checks[f"witness_ok_{name}"] = target_check(out.instance, w)
     if pipeline.check is not None:
-        pipeline.check(out, source, source_witness, solvers_run, checks)
+        pipeline.check(
+            out,
+            source,
+            source_witness if checks.get("witness_ok_source") else None,
+            {name: w for name, w in solvers_run.items() if checks.get(f"witness_ok_{name}")},
+            checks,
+        )
 
     # bound_ok folds in every certificate check for the case: each witness
-    # decomposition against its graph and claimed width bound (certify), and
-    # the pipeline's yes-answer checks
+    # decomposition against its graph and claimed width bound (certify), each
+    # yes-witness against its instance, and the pipeline's read-back checks
     record.update(
         source_answer="yes" if source_yes else "no",
         target_answer="yes" if target_witness is not None else "no",
@@ -370,7 +392,7 @@ class VerificationReport:
             "no_source": len(records) - yes_source,
             "pass": disagreements == 0 and all(r["bound_ok"] for r in records),
         }
-        return VerificationReport(asdict(cfg), records, summary)
+        return VerificationReport(dict(vars(cfg)), records, summary)
 
 
 def verify_reduction(cfg: ExperimentConfig) -> VerificationReport:

@@ -1,9 +1,11 @@
 """Problem instance types with exact brute-force oracles.
 
-Every oracle returns a witness (or None for "no") and validates the witness
-against a direct transcription of the defining condition before returning,
-so a yes-answer is always certified.  Witnesses are deterministic: the
-lexicographically first one under the documented search order.
+Every oracle returns a witness (or None for "no").  The oracles do not check
+their own witnesses: each kind's checker, a direct transcription of the
+defining condition, is called once on every yes-witness where it is used
+(harness._case_record for `twlab verify`, the CLI for `twlab solve`).
+Witnesses are deterministic: the lexicographically first one under the
+documented search order.
 """
 
 from __future__ import annotations
@@ -293,10 +295,7 @@ def bf_list_coloring(inst: ListColoringInstance) -> dict[int, int] | None:
     left, before the search descends to that neighbor."""
     g = inst.graph
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    colors = _list_color(g, order, [sorted(inst.lists[v]) for v in order])
-    if colors is not None:
-        assert check_list_coloring(inst, colors)
-    return colors
+    return _list_color(g, order, [sorted(inst.lists[v]) for v in order])
 
 
 def bf_precoloring(inst: PrecoloringExtensionInstance) -> dict[int, int] | None:
@@ -306,10 +305,7 @@ def bf_precoloring(inst: PrecoloringExtensionInstance) -> dict[int, int] | None:
     pre = dict(inst.precolor)
     free = [v for v in inst.graph.vertices() if v not in pre]
     palettes = [[c] for c in pre.values()] + [range(1, inst.r + 1)] * len(free)
-    colors = _list_color(inst.graph, [*pre, *free], palettes)
-    if colors is not None:
-        assert check_precoloring(inst, colors)
-    return colors
+    return _list_color(inst.graph, [*pre, *free], palettes)
 
 
 def bf_equitable(inst: EquitableColoringInstance) -> dict[int, int] | None:
@@ -334,7 +330,6 @@ def bf_equitable(inst: EquitableColoringInstance) -> dict[int, int] | None:
 
     if not kernels.backtrack(g.n, branches, lambda: max(sizes) - min(sizes) <= 1):
         return None
-    assert check_equitable(inst, colors)
     return colors
 
 
@@ -376,9 +371,7 @@ def bf_general_factor(inst: GeneralFactorInstance) -> frozenset | None:
 
     if not kernels.backtrack(len(g.edges), branches, exact):
         return None
-    out = frozenset(chosen)
-    assert check_general_factor(inst, out)
-    return out
+    return frozenset(chosen)
 
 
 def bf_gensat(inst: GensatInstance) -> tuple[int, ...] | None:
@@ -396,9 +389,7 @@ def bf_gensat(inst: GensatInstance) -> tuple[int, ...] | None:
     )
     if got is None:
         return None
-    tau = tuple(got)
-    assert check_gensat(inst, tau)
-    return tau
+    return tuple(got)
 
 
 def bf_chosen_outdegree(inst: ChosenOutdegreeInstance) -> Orientation | None:
@@ -416,18 +407,13 @@ def bf_chosen_outdegree(inst: ChosenOutdegreeInstance) -> Orientation | None:
     got = kernels.orient_search(g.n, edges, [w[i] for i in order], inst.rho)
     if got is None:
         return None
-    lam = Orientation(g, {e: e[::-1] if d else e for e, d in zip(edges, got)})
-    assert check_admissible(inst, lam)
-    return lam
+    return Orientation(g, {e: e[::-1] if d else e for e, d in zip(edges, got)})
 
 
 def bf_min_max_outdegree(inst: MinMaxOutdegreeInstance) -> Orientation | None:
     """Decision via the chosen-cap search with every cap equal to r."""
     chosen = ChosenOutdegreeInstance(inst.graph, inst.weights, (inst.r,) * inst.graph.n)
-    lam = bf_chosen_outdegree(chosen)
-    if lam is not None:
-        assert check_minmax(inst, lam)
-    return lam
+    return bf_chosen_outdegree(chosen)
 
 
 def bf_min_max_value(g: Graph, w: EdgeWeighting) -> int:
@@ -465,9 +451,7 @@ def bf_partitioned_clique(pg: PartitionedGraph) -> tuple[int, ...] | None:
 
     if not kernels.backtrack(pg.k, branches):
         return None
-    out = tuple(picked)
-    assert is_clique(g, out)
-    return out
+    return tuple(picked)
 
 
 def bf_clique(g: Graph, k: int) -> tuple[int, ...] | None:
@@ -487,9 +471,7 @@ def bf_clique(g: Graph, k: int) -> tuple[int, ...] | None:
 
     if not kernels.backtrack(k, branches):
         return None
-    out = tuple(picked)
-    assert is_clique(g, out)
-    return out
+    return tuple(picked)
 
 
 # --- constraint graphs --------------------------------------------------------

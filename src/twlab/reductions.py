@@ -460,7 +460,8 @@ def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...]:
     member edge turned outward, and a hub ``d`` with several incoming
     candidate edges keeps only the first — both reversals preserve
     admissibility.  The member picked at each part is the one whose ``a``
-    edge points outward; the result is checked to be a clique.
+    edge points outward.  Whether the result is a clique is left to the
+    caller, which checks it once (the harness records ``clique_ok_<solver>``).
     """
     vid, inst, pg, k, n = _gadget(out)
     if not check_admissible(inst, lam):
@@ -486,16 +487,16 @@ def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...]:
         outgoing = [j for j in range(n) if direction[canon(a, vid["u", i, j])][0] == a]
         assert len(outgoing) == 1, f"pick vertex {i} selects {len(outgoing)} members"
         picked.append(pg.parts[i][outgoing[0]])
-    clique = tuple(picked)
-    assert is_clique(pg.graph, clique), "selected transversal is not a clique"
-    return clique
+    return tuple(picked)
 
 
 def orientation_from_clique(out: ReductionOutput, clique) -> Orientation:
     """The explicit admissible orientation encoding a given transversal
     clique: the clique selects the lever of each picked member and the
     candidate of each of its edges, and every gadget edge follows its plan
-    (built directly from the clique, independent of any search)."""
+    (built directly from the clique, independent of any search).  Whether
+    it is admissible is left to the caller, which checks it once (the
+    harness records ``constructive_ok``)."""
     vid, inst, pg, k, n = _gadget(out)
     clique = tuple(clique)
     if len(clique) != k or not is_clique(pg.graph, clique):
@@ -514,9 +515,7 @@ def orientation_from_clique(out: ReductionOutput, clique) -> Orientation:
     for edge, (owner, tail) in out.meta["plan"].items():
         head = edge[0] + edge[1] - tail
         direction[edge] = (tail, head) if owner in selected else (head, tail)
-    lam = Orientation(inst.graph, direction)
-    assert check_admissible(inst, lam), "constructive orientation is not admissible"
-    return lam
+    return Orientation(inst.graph, direction)
 
 
 # --- capped orientation via uniform cap ------------------------------------------

@@ -8,8 +8,9 @@ node children-first, asserts each table's size against its bound, tests the
 root table for the empty state and walks back root-to-leaves.  A DP brings
 only its encoding, one table handler per node kind and one back-step; the
 back-steps read witnesses off back-pointers in the orientation DP and
-least-colour maps at forget nodes in the list-colouring DP, so every
-yes-answer ships a re-checked certificate.
+least-colour maps at forget nodes in the list-colouring DP.  The solvers do
+not check the witnesses they return: the harness (`twlab verify`) and the
+CLI (`twlab solve`) check each yes-witness once with its kind's checker.
 """
 
 from __future__ import annotations
@@ -22,14 +23,8 @@ from math import prod
 from operator import and_
 
 from twlab.errors import InputError
-from twlab.graphs import EdgeWeighting, Graph, Orientation, canon
-from twlab.problems import (
-    ChosenOutdegreeInstance,
-    ListColoringInstance,
-    MinMaxOutdegreeInstance,
-    check_admissible,
-    check_list_coloring,
-)
+from twlab.graphs import Graph, Orientation, canon
+from twlab.problems import ChosenOutdegreeInstance, ListColoringInstance, MinMaxOutdegreeInstance
 from twlab.treewidth import (
     FORGET,
     INTRODUCE,
@@ -194,7 +189,6 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             JOIN: lambda i, node: tables.pop(node.children[0]) & tables.pop(node.children[1])}
     if not dp.run([len(l) for l in inst.lists], step, back):
         return None
-    assert check_list_coloring(inst, colors)
     return colors
 
 
@@ -339,9 +333,7 @@ def dp_chosen_outdegree(
             INTRODUCE_EDGE: introduce_edge, FORGET: forget, JOIN: join}
     if not dp.run([r + 1 for r in rho], step, back):
         return None
-    lam = Orientation(g, direction)
-    assert check_admissible(inst, lam)
-    return lam
+    return Orientation(g, direction)
 
 
 def min_max_outdegree(
@@ -395,10 +387,7 @@ def min_max_orientation(g: Graph) -> tuple[int, Orientation]:
                 for head, tail in zip(path, path[1:]):
                     out[tail].remove(head)
                     out[head].add(tail)
-    lam = Orientation(g, [(u, v) if v in out[u] else (v, u) for u, v in g.edges])
-    unit = EdgeWeighting(g, [1] * len(g.edges))
-    assert check_admissible(ChosenOutdegreeInstance(g, unit, (d,) * g.n), lam)
-    return d, lam
+    return d, Orientation(g, [(u, v) if v in out[u] else (v, u) for u, v in g.edges])
 
 
 def flow_min_max_uniform(g: Graph, c: int) -> int:

@@ -979,6 +979,30 @@ def witness_missing_edge(reduce):
     return patched
 
 
+def adjacency_ignored(search):
+    """`search` (kernels.list_color_search) run with every adjacency list
+    emptied: each vertex takes the first colour of its palette, so two
+    neighbours may share one."""
+
+    def patched(adj, palettes):
+        return search([[] for _ in adj], palettes)
+
+    return patched
+
+
+def first_edge_reversed(solve):
+    """`solve` (an orientation DP) with the first edge of each yes-witness
+    turned the other way."""
+
+    def patched(inst, ntd):
+        lam = solve(inst, ntd)
+        if lam is None:
+            return None
+        return Orientation(lam.graph, (lam.direction[0][::-1], *lam.direction[1:]))
+
+    return patched
+
+
 @contextmanager
 def within_seconds(seconds: int, what: str):
     """Raise TimeoutError if the block runs past `seconds` (SIGALRM); the

@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
+import conftest
 from conftest import witness_missing_edge, within_seconds
+from twlab import kernels
 from twlab import reductions as rd
+from twlab import solvers as sv
 from twlab.cli import main
 
 
@@ -475,6 +478,81 @@ class TestCertification:
             assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
         assert "FAIL" in verify.stdout and "fails certification" in reduce.stderr
         assert not red.exists()
+
+
+class TestWitnessCheck:
+    """A yes-witness that fails its check fails the case or the solve:
+    verify records witness_ok_<solver> false, pass false and exits 1, and
+    solve prints checked: False and exits 1, with no traceback, and the
+    same under python -O (the check is no assert)."""
+
+    LC_VERIFY = ("verify", "--pipeline", "pc-lc", "-k", "3", "-n", "3", "--cases", "20", "--seed", "1")
+    DP_VERIFY = ("verify", "--pipeline", "pc-chosen", "--solver", "dp",
+                 "-k", "2", "-n", "3", "--cases", "5", "--seed", "1")
+    # (module, attribute, conftest wrapper): one mutant per solver family
+    COLORING = (kernels, "list_color_search", "adjacency_ignored")
+    ORIENTATION = (sv, "dp_chosen_outdegree", "first_edge_reversed")
+
+    @staticmethod
+    def patch(monkeypatch, mutant):
+        module, name, wrapper = mutant
+        monkeypatch.setattr(module, name, getattr(conftest, wrapper)(getattr(module, name)))
+
+    @staticmethod
+    def witness_checks(report, solver):
+        rep = json.loads(report.read_text())
+        assert rep["summary"]["pass"] is False
+        return [r["checks"][f"witness_ok_{solver}"] for r in rep["records"] if r["target_answer"] == "yes"]
+
+    def test_verify_records_an_improper_coloring(self, capsys, tmp_path, monkeypatch):
+        self.patch(monkeypatch, self.COLORING)
+        report = tmp_path / "r.json"
+        code, out, _ = run(capsys, *self.LC_VERIFY, "--report", str(report))
+        assert code == 1 and "FAIL" in out
+        assert self.witness_checks(report, "bf") == [False] * 20
+
+    def test_verify_records_an_inadmissible_orientation(self, capsys, tmp_path, monkeypatch):
+        self.patch(monkeypatch, self.ORIENTATION)
+        report = tmp_path / "r.json"
+        code, out, _ = run(capsys, *self.DP_VERIFY, "--report", str(report))
+        assert code == 1 and "5/5 agree" in out and "FAIL" in out
+        assert self.witness_checks(report, "dp") == [False] * 5
+
+    def test_solve_exits_1_and_writes_no_witness(self, capsys, tmp_path, monkeypatch):
+        self.patch(monkeypatch, self.COLORING)
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(SOLVE_PINS["list_coloring"][0]))
+        wout = tmp_path / "wit.json"
+        code, out, _ = run(capsys, "solve", "--solver", "bf", "--witness-out", str(wout), str(f))
+        assert code == 1 and not wout.exists()
+        assert out.splitlines() == ["yes", "witness: proper coloring of 3 vertices (checked: False)"]
+
+    def test_optimized_interpreter(self, tmp_path):
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(SOLVE_PINS["list_coloring"][0]))
+        paths = [pathlib.Path(rd.__file__).parents[1], pathlib.Path(__file__).parent]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+        runs = {
+            "bf": (self.COLORING, (*self.LC_VERIFY, "--report", str(tmp_path / "bf.json"))),
+            "dp": (self.ORIENTATION, (*self.DP_VERIFY, "--report", str(tmp_path / "dp.json"))),
+            "solve": (self.COLORING, ("solve", "--solver", "bf", str(f))),
+        }
+        procs = {}
+        for name, ((module, attr, wrapper), argv) in runs.items():
+            script = (
+                f"import sys, conftest; from twlab import {module.__name__.split('.')[-1]} as m; "
+                f"from twlab.cli import main; m.{attr} = conftest.{wrapper}(m.{attr}); "
+                "sys.exit(main(sys.argv[1:]))"
+            )
+            procs[name] = subprocess.run(
+                [sys.executable, "-O", "-c", script, *argv], capture_output=True, text=True, env=env
+            )
+        for proc in procs.values():
+            assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+        assert "FAIL" in procs["bf"].stdout and "FAIL" in procs["dp"].stdout
+        assert self.witness_checks(tmp_path / "bf.json", "bf") == [False] * 20
+        assert self.witness_checks(tmp_path / "dp.json", "dp") == [False] * 5
+        assert "(checked: False)" in procs["solve"].stdout
 
 
 class TestEntryPoint:

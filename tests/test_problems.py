@@ -19,7 +19,7 @@ from conftest import (
 )
 from twlab.errors import InputError
 from twlab.graphs import EdgeWeighting, Graph, Orientation, PartitionedGraph
-from twlab.harness import gen_list_instance
+from twlab.harness import gen_list_instance, solve_bf
 from twlab.problems import (
     DEFAULT_WEIGHT_CEILING,
     BooleanRelation,
@@ -46,6 +46,7 @@ from twlab.problems import (
     check_admissible,
     instance_from_json,
     instance_to_json,
+    kind_of,
 )
 from twlab.reductions import lc_to_precoloring
 
@@ -337,29 +338,31 @@ class TestConstraintGraphs:
         assert variable_edges == []
 
 
-class TestWitnessesAndJson:
-    def test_every_yes_witness_is_checked(self):
-        # oracles assert their witnesses internally; spot-check structure
-        inst = ListColoringInstance(path(3), [{1}, {1, 2}, {1}])
-        got = bf_list_coloring(inst)
-        assert set(got) == {0, 1, 2}
+# one small instance of every kind
+INSTANCE_BUILDS = [
+    lambda: ListColoringInstance(path(3), [{1}, {1, 2}, {3}]),
+    lambda: PrecoloringExtensionInstance(cycle(4), {0: 1}, 2),
+    lambda: EquitableColoringInstance(star(3), 2),
+    lambda: GeneralFactorInstance(cycle(4), [{1}] * 4),
+    lambda: GensatInstance(
+        2, [Constraint((0, 1), BooleanRelation(2, [(0, 1), (1, 0)]))]
+    ),
+    lambda: ChosenOutdegreeInstance(
+        path(3), EdgeWeighting(path(3), [2, 1]), (2, 1, 0)
+    ),
+    lambda: MinMaxOutdegreeInstance(cycle(4), EdgeWeighting(cycle(4), [1] * 4), 1),
+]
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: ListColoringInstance(path(3), [{1}, {1, 2}, {3}]),
-            lambda: PrecoloringExtensionInstance(cycle(4), {0: 1}, 2),
-            lambda: EquitableColoringInstance(star(3), 2),
-            lambda: GeneralFactorInstance(cycle(4), [{1}] * 4),
-            lambda: GensatInstance(
-                2, [Constraint((0, 1), BooleanRelation(2, [(0, 1), (1, 0)]))]
-            ),
-            lambda: ChosenOutdegreeInstance(
-                path(3), EdgeWeighting(path(3), [2, 1]), (2, 1, 0)
-            ),
-            lambda: MinMaxOutdegreeInstance(cycle(4), EdgeWeighting(cycle(4), [1] * 4), 1),
-        ],
-    )
+
+class TestWitnessesAndJson:
+    @pytest.mark.parametrize("build", INSTANCE_BUILDS)
+    def test_every_yes_witness_is_checked(self, build):
+        # the oracles do not check their witnesses; the kind's checker does
+        inst = build()
+        got = solve_bf(inst)
+        assert got is None or kind_of(inst).check(inst, got)
+
+    @pytest.mark.parametrize("build", INSTANCE_BUILDS)
     def test_instance_json_round_trip(self, build):
         inst = build()
         assert instance_from_json(instance_to_json(inst)) == inst
@@ -520,10 +523,8 @@ class TestWitnessesMatchRecursiveSearches:
 class TestLargeInputs:
     def test_path_and_star_of_ten_thousand_vertices(self):
         """Every brute-force oracle solves a 10^4-vertex path and star (and
-        gensat a 10^4-variable chain) without running out of stack.  The
-        star's capped orientation, with every cap at the degree, takes most
-        of the time: propagation rescans the hub's edges after every
-        decision."""
+        gensat a 10^4-variable chain) without running out of stack, and each
+        yes-witness passes its kind's check."""
         n = 10**4
         xor = BooleanRelation(2, [(0, 1), (1, 0)])
         chain = GensatInstance(n, [Constraint((i, i + 1), xor) for i in range(n - 1)])
@@ -533,15 +534,19 @@ class TestLargeInputs:
                 w = EdgeWeighting(g, [1] * len(g.edges))
                 degrees = [g.degree(v) for v in g.vertices()]
                 answers[name] = [
-                    bf_list_coloring(ListColoringInstance(g, [{1, 2}] * n)),
-                    bf_precoloring(PrecoloringExtensionInstance(g, {0: 1}, 2)),
-                    bf_equitable(EquitableColoringInstance(g, 2)),
-                    bf_general_factor(GeneralFactorInstance(g, [{1}] * n)),
-                    bf_chosen_outdegree(ChosenOutdegreeInstance(g, w, degrees)),
-                    bf_min_max_outdegree(MinMaxOutdegreeInstance(g, w, 1)),
+                    (inst, solve_bf(inst)) for inst in (
+                        ListColoringInstance(g, [{1, 2}] * n),
+                        PrecoloringExtensionInstance(g, {0: 1}, 2),
+                        EquitableColoringInstance(g, 2),
+                        GeneralFactorInstance(g, [{1}] * n),
+                        ChosenOutdegreeInstance(g, w, degrees),
+                        MinMaxOutdegreeInstance(g, w, 1),
+                    )
                 ]
             tau = bf_gensat(chain)
-        assert [a is not None for a in answers["path"]] == [True] * 6
+        for pairs in answers.values():
+            assert all(a is None or kind_of(inst).check(inst, a) for inst, a in pairs)
+        assert [a is not None for _, a in answers["path"]] == [True] * 6
         # the star has no balanced 2-colouring and no perfect matching
-        assert [a is not None for a in answers["star"]] == [True, True, False, False, True, True]
+        assert [a is not None for _, a in answers["star"]] == [True, True, False, False, True, True]
         assert tau == tuple(i % 2 for i in range(n))
