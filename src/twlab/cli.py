@@ -60,7 +60,7 @@ def _cmd_gen(args) -> int:
 # --- tw -------------------------------------------------------------------------
 
 def _cmd_tw(args) -> int:
-    g = graph_from_json(_read_json(args.file))
+    g = graph_from_json(pr.instance_object(_read_json(args.file)))
     if args.method == "exact":
         value, td = tw.exact_treewidth(g, args.limit)
     else:
@@ -93,22 +93,14 @@ def _cmd_reduce(args) -> int:
 
 # --- solve ----------------------------------------------------------------------
 
-def _load_instance(obj, solver: str):
-    """Decode an instance file, bare or a reduction output wrapper, once its
-    type tag shows that `solver` can solve its kind: a refused kind is never
-    built, however large the sizes it states."""
-    if isinstance(obj, dict) and "instance" in obj and "type" not in obj:
-        obj = obj["instance"]
-    kind = pr.kind_from_json(obj)
-    if solver == "flow" and kind.cls is not pr.MinMaxOutdegreeInstance:
-        raise InputError("flow expects a minmax_outdegree instance")
-    if solver == "dp":
-        hn.require_dp(kind)
-    return pr.instance_from_json(obj)
-
-
 def _cmd_solve(args) -> int:
-    inst = _load_instance(_read_json(args.file), args.solver)
+    def check_kind(kind: pr.ProblemKind) -> None:
+        if args.solver == "flow" and kind.cls is not pr.MinMaxOutdegreeInstance:
+            raise InputError("flow expects a minmax_outdegree instance")
+        if args.solver == "dp":
+            hn.require_dp(kind)
+
+    inst = pr.instance_from_json(_read_json(args.file), check_kind)
     if args.solver == "flow":
         weights = set(inst.weights.weights)
         if len(weights) > 1:

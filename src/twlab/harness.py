@@ -182,14 +182,15 @@ class Source:
 def _read_graph_and_k(obj, k, name):
     if k is None:
         raise InputError(f"{name} requires -k")
-    return graph_from_json(obj), k
+    return graph_from_json(pr.instance_object(obj)), k
 
 
 def _read_instance(tag: str):
     def read(obj, k, name):
-        if pr.kind_from_json(obj).tag != tag:
-            raise InputError(f"{name} expects a {tag} instance file")
-        return pr.instance_from_json(obj)
+        def check_kind(kind: pr.ProblemKind) -> None:
+            if kind.tag != tag:
+                raise InputError(f"{name} expects a {tag} instance file")
+        return pr.instance_from_json(obj, check_kind)
     return read
 
 
@@ -286,7 +287,6 @@ def _case_record(cfg: ExperimentConfig, case: int) -> dict:
     t0 = time.perf_counter()
     source = pipeline.source.generate(cfg, case_seed)
     source_witness = pipeline.source.solve(source)
-    source_json = pipeline.source.to_json(source)
     t1 = time.perf_counter()
     out = pipeline.reduce(source)
     certified = not rd.certify(out)
@@ -342,7 +342,7 @@ def _case_record(cfg: ExperimentConfig, case: int) -> dict:
         record["checks"] = checks
     if not agree:
         record["replay"] = {
-            "source": source_json,
+            "source": pipeline.source.to_json(source),
             "target": pr.instance_to_json(out.instance),
         }
     return record

@@ -631,17 +631,24 @@ def instance_to_json(inst) -> dict:
     return {"type": kind.tag, **kind.encode(inst)}
 
 
-def kind_from_json(obj: dict) -> ProblemKind:
-    """The kind an instance object's "type" tag names, read before any other
-    field, so a caller can refuse the kind without building the instance."""
+def instance_object(obj):
+    """The "instance" of a reduction output file, or obj itself: the readers
+    of instance and graph files take both, so one reduction's output is the
+    next one's input."""
+    if isinstance(obj, dict) and "instance" in obj and "type" not in obj:
+        return obj["instance"]
+    return obj
+
+
+def instance_from_json(obj, check_kind: Callable[[ProblemKind], None] = lambda kind: None):
+    """Decode an instance object, bare or in a reduction output file, by the
+    row of KINDS its "type" tag names.  check_kind(kind) raises InputError
+    for a kind the caller does not take before any other field is decoded,
+    so a refused kind is never built, however large the sizes it states."""
+    obj = instance_object(obj)
     with decoding("instance object", obj):
         kind = KIND_BY_TAG.get(obj["type"])
         if kind is None:
             raise InputError(f"unknown instance type {obj['type']!r}")
-        return kind
-
-
-def instance_from_json(obj: dict):
-    kind = kind_from_json(obj)
-    with decoding("instance object", obj):
+        check_kind(kind)
         return kind.decode(obj)

@@ -251,29 +251,29 @@ def dp_chosen_outdegree(
     borrows nowhere), so bisection bounds them in the sorted right table and
     the guard test with b = caps - s1 picks them out.
 
-    Dominance: after introduce_edge, forget and join a table keeps only its
-    Pareto-minimal states (introduce keeps an antichain one).  Caps are
-    upper bounds, the nodes above only add to the accumulators, and the
-    edges still to come are the same for every state of a node (each is
-    introduced once, below the forget nodes of its ends), so the choices
-    that complete a state s complete any s' <= s as well.  Introduce_edge
-    skips the filter when its child's u field or v field is the same in
-    every state, as its table is then an antichain already.  Its child C is
-    one, so two states with the same tail, translates of two states of C,
-    are incomparable.  Take a = s + w·e_u and b = s' + w·e_v, s and s' in C,
-    with u's field constant, and w >= 1.  a <= b would need s_u + w <= s'_u
-    = s_u.  b <= a would need s'_v + w <= s_v and s'_x <= s_x at every
-    other field x (at u as s'_u = s_u), so s' < s, two comparable states of
-    C.  A constant v field is the mirror image.
+    Dominance: only forget filters, keeping the Pareto-minimal states of its
+    table.  Caps are upper bounds, the nodes above only add to the
+    accumulators, and the edges still to come are the same for every state
+    of a node (each is introduced once, below the forget nodes of its ends),
+    so the choices that complete a state s complete any s' <= s as well.
+    Each handler is monotone: if s >= m, m is feasible wherever s is and
+    its images are <= those of s.  So min(op(S)) = min(op(min S)): every
+    table's minimal states are those a filter at every node would keep.
 
-    Witness: the sorted-tuple DP that the tests keep as an oracle holds the
-    same states, and its back-pointers are the first found while walking
-    child states in tuple order; three tie-breaks give the same ones.
-    Introduce_edge: t - w at u and t - w at v agree before u and the first
-    is smaller at u, so tail u wins where it can, as adding at u first
-    gives.  Forget: every table is an antichain, and two states with one
-    projection would differ only at v, so each projection has one preimage.
-    Join: s1 fixes s2 = t - s1, and left states are walked in tuple order.
+    Witness: the sorted-tuple DP that the tests keep as an oracle filters at
+    every node, and its back-pointers are the first found while walking
+    child states in tuple order.  The traceback visits only minimal states:
+    0 at the root is one, and were a visited state's child state c above
+    some m of its table, the same step from m would give a smaller state
+    (forget is below).  So each back-pointer is read among the oracle's
+    states, and three tie-breaks pick the oracle's one.  Introduce_edge:
+    t - w at u and t - w at v agree before u and the first is smaller at u,
+    so tail u wins where it can, as adding at u first gives.  Join: s1
+    fixes s2 = t - s1, and left states are walked in tuple order.  Forget:
+    preimages differ only at v and are written in descending order, so the
+    least is kept.  It is minimal, as a state below it would have the same
+    minimal projection and a smaller v field: it is the one preimage in the
+    oracle's antichain.
     """
     g, rho = inst.graph, inst.rho
     vb = max(rho, default=0).bit_length()
@@ -294,15 +294,12 @@ def dp_chosen_outdegree(
         for s in child:
             if s & mv <= lv:
                 table.setdefault(s + wv, v)
-        if len({s & mu for s in child}) <= 1 or len({s & mv for s in child}) <= 1:
-            return table  # an antichain already; see Dominance above
-        guard = sum(map(gbit.__getitem__, node.bag))
-        return _minimal_states(table, guard, vmask, map(off.__getitem__, node.bag))
+        return table
 
     def forget(i: int, node: NiceNode) -> dict[int, object]:  # back-pointer: the child state
         keep = ~(vmask << off[node.vertex])
         guard = sum(map(gbit.__getitem__, node.bag))
-        table = {s & keep: s for s in tables[node.children[0]]}
+        table = {s & keep: s for s in sorted(tables[node.children[0]], reverse=True)}
         return _minimal_states(table, guard, vmask, map(off.__getitem__, node.bag))
 
     def join(i: int, node: NiceNode) -> dict[int, object]:  # back-pointer: the left state
@@ -317,7 +314,7 @@ def dp_chosen_outdegree(
             for s2 in rights[: bisect_right(rights, caps - s1)]:
                 if (top - s2) & guard == guard:
                     table.setdefault(s1 + s2, s1)
-        return _minimal_states(table, guard, vmask, map(off.__getitem__, node.bag))
+        return table
 
     def back(i: int, node: NiceNode, s: int) -> tuple[int, ...]:
         if node.kind == INTRODUCE:

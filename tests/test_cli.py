@@ -123,6 +123,21 @@ class TestReduceSolve:
         assert lines[0] == "yes"
         assert "admissible orientation (checked: True)" in lines[1]
 
+    def test_reduction_outputs_chain(self, capsys, tmp_path):
+        # a reduce output file is read as its instance by reduce, solve and tw
+        pg, ch, mm = (tmp_path / f for f in ("pg.json", "ch.json", "mm.json"))
+        run(capsys, "gen", "--kind", "kpartite", "-k", "3", "-n", "2", "-p", "0.5",
+            "--plant", "--seed", "1", "-o", str(pg))
+        assert run(capsys, "reduce", "--pipeline", "pc-chosen", str(pg), "-o", str(ch))[0] == 0
+        code, _, err = run(capsys, "reduce", "--pipeline", "chosen-minmax", str(ch), "-o", str(mm))
+        assert code == 0, err
+        code, out, _ = run(capsys, "solve", "--solver", "dp", str(mm))
+        assert code == 0 and out.splitlines()[:2] == [
+            "yes", "witness: admissible orientation (checked: True)"
+        ]
+        code, out, err = run(capsys, "tw", str(ch))
+        assert code == 0 and int(out) > 0, err
+
     def test_solve_dp_with_td_file(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
         inst.write_text(

@@ -394,34 +394,56 @@ class TestDpChosenOutdegree:
             answers.add(got is None)
         assert answers == {True, False}
 
-    def test_every_table_is_an_antichain(self, monkeypatch):
-        # introduce_edge skips the filter when one end's field is the same in
-        # every child state; its table must still have no dominated state
-        runs, filtered = [], [0]
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_only_forget_filters_and_the_traceback_visits_minimal_states(
+        self, monkeypatch, method
+    ):
+        # introduce_edge and join keep dominated states; forget filters its
+        # table to an antichain, and the traceback reads only minimal states
+        runs, filtered_at, kind_now = [], [], [None]
         run, minimal = solvers._NiceDP.run, solvers._minimal_states
 
-        def recording(dp, *args):
-            runs.append(dp)
-            return run(dp, *args)
+        def recording(dp, bound, step, back):
+            def at(kind, handler):
+                def handle(i, node):
+                    kind_now[0] = kind
+                    return handler(i, node)
+                return handle
+
+            def visiting(i, node, s):
+                visited.append((i, s))
+                return back(i, node, s)
+
+            visited = []
+            runs.append((dp, visited))
+            return run(dp, bound, {k: at(k, h) for k, h in step.items()}, visiting)
 
         def counting(*args):
-            filtered[0] += 1
+            filtered_at.append(kind_now[0])
             return minimal(*args)
 
         monkeypatch.setattr(solvers._NiceDP, "run", recording)
         monkeypatch.setattr(solvers, "_minimal_states", counting)
-        filterable = 0
-        for inst, ntd in chosen_corpus(random.Random(15), "min-fill"):
+        forgets = visits = 0
+        for inst, ntd in chosen_corpus(random.Random(13 if method == "min-fill" else 14), method):
             dp_chosen_outdegree(inst, ntd)
             vmask = (1 << max(inst.rho, default=0).bit_length()) - 1
-            dp = runs.pop()
-            for i, table in dp.tables.items():
+            dp, visited = runs.pop()
+
+            def decoded(i):
                 bag = sorted(ntd.nodes[i].bag)
-                decoded = {tuple(s >> dp.off[v] & vmask for v in bag): s for s in table}
-                assert len(decoded) == len(table)
-                assert tuple_pareto_minimal(decoded) == decoded
-            filterable += sum(n.kind in (INTRODUCE_EDGE, FORGET, JOIN) for n in ntd.nodes)
-        assert 0 < filtered[0] < filterable
+                return {tuple(s >> dp.off[v] & vmask for v in bag): s for s in dp.tables[i]}
+
+            for i, node in enumerate(ntd.nodes):
+                if node.kind == FORGET:
+                    table = decoded(i)
+                    assert len(table) == len(dp.tables[i])
+                    assert tuple_pareto_minimal(table) == table
+                    forgets += 1
+            for i, s in visited:
+                assert s in tuple_pareto_minimal(decoded(i)).values(), (i, s)
+            visits += len(visited)
+        assert filtered_at == [FORGET] * forgets and forgets > 0 and visits > 0
 
     def test_k5_gadget_within_budget(self):
         # width-20 pc-chosen gadgets whose tables reach 35k states, most of
