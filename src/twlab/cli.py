@@ -60,7 +60,11 @@ def _cmd_gen(args) -> int:
 # --- tw -------------------------------------------------------------------------
 
 def _cmd_tw(args) -> int:
-    g = graph_from_json(pr.instance_object(_read_json(args.file)))
+    obj = pr.instance_object(_read_json(args.file))
+    if isinstance(obj, dict) and obj.get("type") == "gensat":
+        raise InputError("a gensat instance has no graph of its own; tw takes a graph "
+                         "or an instance of a graph problem")
+    g = graph_from_json(obj)
     if args.method == "exact":
         value, td = tw.exact_treewidth(g, args.limit)
     else:

@@ -10,6 +10,13 @@ class GuardError(InputError):
     """Instance exceeds a size guard; lift with an explicit override."""
 
 
+def require_at_most(what: str, x, ceiling: int) -> None:
+    """InputError if x is above ceiling: the input ceilings are checked with
+    this before anything of size x is allocated."""
+    if x > ceiling:
+        raise InputError(f"{what} {x} exceeds the ceiling {ceiling}")
+
+
 @contextmanager
 def decoding(what: str, obj):
     """Refuse a JSON boolean anywhere in obj (bool is an int subclass, so

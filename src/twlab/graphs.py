@@ -10,9 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from twlab.errors import InputError, decoding
+from twlab.errors import InputError, decoding, require_at_most
 
 Edge = tuple[int, int]
+
+# Largest vertex count a JSON graph (or decomposition tree) may state.  It is
+# checked before the graph is built, as Graph allocates a set per vertex;
+# see problems.DEFAULT_WEIGHT_CEILING for the other input ceilings.
+VERTEX_CEILING = 10**5
 
 
 def canon(u: int, v: int) -> Edge:
@@ -227,6 +232,7 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(obj: dict) -> Graph:
     with decoding("graph object", obj):
+        require_at_most("vertex count", obj["n"], VERTEX_CEILING)
         return Graph(obj["n"], [tuple(e) for e in obj["edges"]])
 
 

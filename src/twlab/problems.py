@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from twlab import kernels
-from twlab.errors import InputError, decoding
+from twlab.errors import InputError, decoding, require_at_most
 from twlab.graphs import (
     EdgeWeighting,
     Graph,
@@ -29,7 +29,14 @@ from twlab.graphs import (
     weighting_to_json,
 )
 
-DEFAULT_WEIGHT_CEILING = 10**6
+# Input ceilings.  Each is checked before anything of its size is allocated,
+# raises InputError (exit 2 in the CLI) and is not lifted by --unsafe; each
+# lies far above every size the tests, CI and the benchmark use.
+DEFAULT_WEIGHT_CEILING = 10**6  # total edge weight of a minmax_outdegree instance
+R_CEILING = 10**6  # r of precoloring, equitable and minmax_outdegree (equitable allocates r)
+VARIABLE_CEILING = 10**5  # gensat variables (the search allocates per variable)
+ARITY_CEILING = 10**3  # gensat relation arity
+# graphs.VERTEX_CEILING bounds the vertex count of every JSON graph and tree
 
 
 def _require_ints(what: str, xs) -> None:
@@ -68,6 +75,7 @@ class PrecoloringExtensionInstance:
         _require_ints("r", [r])
         if r < 1:
             raise InputError(f"r must be positive, got {r}")
+        require_at_most("r", r, R_CEILING)
         items = sorted(dict(precolor).items())
         for v, c in items:
             _require_ints("precolor entry", (v, c))
@@ -92,6 +100,7 @@ class EquitableColoringInstance:
         _require_ints("r", [self.r])
         if self.r < 1:
             raise InputError(f"r must be positive, got {self.r}")
+        require_at_most("r", self.r, R_CEILING)
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,7 @@ class BooleanRelation:
         _require_ints("arity", [arity])
         if arity < 1:
             raise InputError(f"arity must be positive, got {arity}")
+        require_at_most("arity", arity, ARITY_CEILING)
         tuples = frozenset(tuple(t) for t in tuples)
         for t in tuples:
             _require_ints("relation tuple entry", t)
@@ -158,6 +168,7 @@ class GensatInstance:
         _require_ints("variable count", [num_variables])
         if num_variables < 0:
             raise InputError("variable count must be non-negative")
+        require_at_most("variable count", num_variables, VARIABLE_CEILING)
         constraints = tuple(constraints)
         for c in constraints:
             for x in c.scope:
@@ -200,6 +211,7 @@ class MinMaxOutdegreeInstance:
         _require_ints("r", [r])
         if r < 1:
             raise InputError(f"r must be positive, got {r}")
+        require_at_most("r", r, R_CEILING)
         if weights.graph != graph:
             raise InputError("weighting belongs to a different graph")
         if weights.total_weight > DEFAULT_WEIGHT_CEILING:

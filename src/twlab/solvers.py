@@ -3,14 +3,15 @@ for uniformly weighted orientation.
 
 Both DP solvers run on one driver, _NiceDP.  It checks the decomposition
 (unless to_nice built it for the same graph), gives each vertex a fixed bag
-slot (_order_and_slots), fills one sparse table of packed bag states per
-node children-first, asserts each table's size against its bound, tests the
-root table for the empty state and walks back root-to-leaves.  A DP brings
-only its encoding, one table handler per node kind and one back-step; the
-back-steps read witnesses off back-pointers in the orientation DP and
-least-colour maps at forget nodes in the list-colouring DP.  The solvers do
-not check the witnesses they return: the harness (`twlab verify`) and the
-CLI (`twlab solve`) check each yes-witness once with its kind's checker.
+slot (_slots), fills one sparse table of packed bag states per node in index
+order, which lists children first, asserts each table's size against its
+bound, tests the root table (the last node's) for the empty state and walks
+back root-to-leaves.  A DP brings only its encoding, one table handler per
+node kind and one back-step; the back-steps read witnesses off back-pointers
+in the orientation DP and least-colour maps at forget nodes in the
+list-colouring DP.  The solvers do not check the witnesses they return: the
+harness (`twlab verify`) and the CLI (`twlab solve`) check each yes-witness
+once with its kind's checker.
 """
 
 from __future__ import annotations
@@ -47,30 +48,23 @@ def _require_nice(ntd: NiceTreeDecomposition, g: Graph) -> None:
         raise InputError("invalid nice decomposition: " + "; ".join(check.violations[:3]))
 
 
-def _order_and_slots(ntd: NiceTreeDecomposition, n: int) -> tuple[list[int], list[int]]:
-    """Node ids with children before parents, and each vertex's bag slot:
-    walking root-first, the forget node of v gives v the least slot not
-    held by the rest of its bag, whose vertices are forgotten higher up and
-    so hold slots already.  Each vertex is forgotten once, so the vertices
-    of a bag hold distinct slots, at most width + 1 of them."""
-    order: list[int] = []
+def _slots(ntd: NiceTreeDecomposition, n: int) -> list[int]:
+    """Each vertex's bag slot: walking the nodes parents first (from the
+    root, the last node, down to node 0), the forget node of v gives v the
+    least slot not held by the rest of its bag, whose vertices are forgotten
+    higher up and so hold slots already.  Each vertex is forgotten once, so
+    the vertices of a bag hold distinct slots, at most width + 1 of them."""
     slot = [0] * n
-    stack = [ntd.root]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        node = ntd.nodes[i]
-        stack.extend(node.children)
+    for node in reversed(ntd.nodes):
         if node.kind == FORGET:
             held = {slot[u] for u in node.bag}
             slot[node.vertex] = min(set(range(len(held) + 1)) - held)
-    order.reverse()
-    return order, slot
+    return slot
 
 
 class _NiceDP:
     """The driver both DPs run on.  The constructor checks ntd against g and
-    gives vertex v the bit offset off[v], its slot of _order_and_slots times
+    gives vertex v the bit offset off[v], its slot of _slots times
     slot_bits.  A DP builds its encoding over off, then its handlers over off
     and tables (node id -> that node's table of packed bag states), and
     hands them to run.  Each handler pops the child tables it reads, or keeps
@@ -79,20 +73,18 @@ class _NiceDP:
     def __init__(self, g: Graph, ntd: NiceTreeDecomposition, slot_bits: int):
         _require_nice(ntd, g)
         self.ntd = ntd
-        self.order, slot = _order_and_slots(ntd, g.n)
-        self.off = [k * slot_bits for k in slot]
+        self.off = [k * slot_bits for k in _slots(ntd, g.n)]
         self.tables: dict[int, Collection[int]] = {}
 
     def run(self, bound: list[int], step: dict[str, Callable], back: Callable) -> bool:
-        """Children first, step[node.kind](i, node) builds node i's table,
-        once per node, and that table holds at most prod(bound[v] for v in
+        """In index order, children first, step[node.kind](i, node) builds
+        node i's table, and that table holds at most prod(bound[v] for v in
         bag) states.  False if the root table lacks state 0.  Otherwise walk
         root-to-leaves from state 0, where back(i, node, s) records what
         node i adds to the witness and gives the states of its children in
         order (a one-child node may give more), and return True."""
         nodes, tables = self.ntd.nodes, self.tables
-        for i in self.order:
-            node = nodes[i]
+        for i, node in enumerate(nodes):
             table = step[node.kind](i, node)
             assert len(table) <= prod(map(bound.__getitem__, node.bag)), "table over its bound"
             tables[i] = table
@@ -112,7 +104,7 @@ class _NiceDP:
 
 def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> dict[int, int] | None:
     """List coloring by DP over the nice decomposition, with each bag state
-    packed into one int over the slots of _order_and_slots.
+    packed into one int over the slots of _slots.
 
     Encoding: the union of all lists is sorted once into the palette, and
     palette[r] has code r + 1; code 0 marks an empty slot.  Each slot is
@@ -233,7 +225,7 @@ def dp_chosen_outdegree(
     inst: ChosenOutdegreeInstance, ntd: NiceTreeDecomposition
 ) -> Orientation | None:
     """Capped-orientation DP over the nice decomposition, with each bag
-    state packed into one int over the slots of _order_and_slots.
+    state packed into one int over the slots of _slots.
 
     Encoding: a slot is vb + 1 bits, vb = max(rho).bit_length(): v's
     accumulated outgoing weight in the low vb bits from off[v], then a guard

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from twlab import kernels
-from twlab.errors import GuardError, InputError, decoding
-from twlab.graphs import Graph, canon
+from twlab.errors import GuardError, InputError, decoding, require_at_most
+from twlab.graphs import VERTEX_CEILING, Graph, canon
 
 EXACT_DEFAULT_LIMIT = 18
 
@@ -345,68 +345,27 @@ class NiceNode(NamedTuple):
 class NiceTreeDecomposition:
     """Rooted normalized decomposition: leaf (empty bag), introduce(v),
     forget(v), join (two children with equal bags), introduce_edge(uv) with
-    every graph edge introduced exactly once.  The root bag is empty.
+    every graph edge introduced exactly once.  Nodes are stored children
+    first: every child's id is smaller than its parent's, and the last node
+    is the root, whose bag is empty.
 
     `graph` is the graph object to_nice built it for; hand-built ones and
     dataclasses.replace copies carry None, so the solvers check them in full.
     """
 
     nodes: tuple[NiceNode, ...]
-    root: int
     graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
+    @property
+    def root(self) -> int:
+        return len(self.nodes) - 1
+
     def as_tree_decomposition(self) -> TreeDecomposition:
-        edges = [
-            (i, c) for i, node in enumerate(self.nodes) for c in node.children
-        ]
+        edges = [(i, c) for i, node in enumerate(self.nodes) for c in node.children]
         return TreeDecomposition(Graph(len(self.nodes), edges), [n.bag for n in self.nodes])
 
     def width(self) -> int:
         return max(len(n.bag) for n in self.nodes) - 1
-
-
-class _NiceBuilder:
-    def __init__(self, g: Graph):
-        self.g = g
-        self.pending = set(g.edges)  # edges not yet introduced
-        self.nodes: list[NiceNode] = []
-
-    def add(self, kind, bag, children=(), vertex=-1, edge=(-1, -1)) -> int:
-        self.nodes.append(NiceNode(kind, bag, children, vertex, edge))
-        return len(self.nodes) - 1
-
-    def chain_to(self, node: int, target: frozenset[int]) -> int:
-        """Forget/introduce one vertex at a time until the bag equals target;
-        each introduce(v) is followed at once by an introduce_edge node for
-        each still-pending edge of v that the bag now holds, in sorted order
-        (sorting the edges uv is sorting by u, as v is fixed)."""
-        nodes, append, pending, adj = self.nodes, self.nodes.append, self.pending, self.g._adj
-        bag = nodes[node].bag
-        for v in sorted(bag - target):
-            bag = bag - {v}
-            append(NiceNode(FORGET, bag, (node,), v))
-            node = len(nodes) - 1
-        for v in sorted(target - bag):
-            bag = bag | {v}
-            append(NiceNode(INTRODUCE, bag, (node,), v))
-            node = len(nodes) - 1
-            for u in sorted(bag & adj[v]):
-                e = (u, v) if u < v else (v, u)
-                if e in pending:
-                    pending.remove(e)
-                    append(NiceNode(INTRODUCE_EDGE, bag, (node,), -1, e))
-                    node = len(nodes) - 1
-        return node
-
-    def leaf_chain(self, target: frozenset[int]) -> int:
-        return self.chain_to(self.add(LEAF, frozenset()), target)
-
-    def freeze(self, root: int) -> NiceTreeDecomposition:
-        if self.pending:
-            raise AssertionError(f"edges never introduced: {sorted(self.pending)}")
-        ntd = NiceTreeDecomposition(tuple(self.nodes), root)
-        object.__setattr__(ntd, "graph", self.g)
-        return ntd
 
 
 def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
@@ -417,14 +376,36 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     fails validate raises InputError.  The host tree, rooted at node 0, is
     built bottom-up in one pass: each child is chained up to its parent's
     bag, children are joined left to right, and each edge is introduced right
-    above the introduce node that first completes it.  The result is nice by
-    construction and carries g as its `graph`, which the solvers trust.
+    above the introduce node that first completes it.  Each node is appended
+    after its children, the root last, so the result is nice by construction;
+    it carries g as its `graph`, which the solvers trust.
     """
     if td.graph is not g:
         check = validate(td, g)
         if not check.ok:
             raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
-    b = _NiceBuilder(g)
+    nodes: list[NiceNode] = []
+    append, pending, adj = nodes.append, set(g.edges), g._adj  # pending: edges not yet introduced
+
+    def chain_to(node: int, target: frozenset[int]) -> int:
+        """Forget/introduce one vertex at a time until the bag equals target;
+        each introduce(v) is followed at once by an introduce_edge node for
+        each still-pending edge of v that the bag now holds, in sorted order
+        (sorting the edges uv is sorting by u, as v is fixed)."""
+        bag = nodes[node].bag
+        for v in sorted(bag - target):
+            append(NiceNode(FORGET, bag := bag - {v}, (node,), v))
+            node = len(nodes) - 1
+        for v in sorted(target - bag):
+            append(NiceNode(INTRODUCE, bag := bag | {v}, (node,), v))
+            node = len(nodes) - 1
+            for u in sorted(bag & adj[v]):
+                e = (u, v) if u < v else (v, u)
+                if e in pending:
+                    pending.remove(e)
+                    append(NiceNode(INTRODUCE_EDGE, bag, (node,), -1, e))
+                    node = len(nodes) - 1
+        return node
 
     order, parent = _walk(td.tree)  # rooted at node 0
     kids: list[list[int]] = [[] for _ in td.bags]
@@ -434,23 +415,42 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     for t in reversed(order):
         bag = td.bags[t]
         if not kids[t]:
-            built[t] = b.leaf_chain(bag)
+            append(NiceNode(LEAF, frozenset(), ()))
+            built[t] = chain_to(len(nodes) - 1, bag)
             continue
-        lifted = [b.chain_to(built[s], bag) for s in kids[t]]
+        lifted = [chain_to(built[s], bag) for s in kids[t]]
         node = lifted[0]
         for other in lifted[1:]:
-            node = b.add(JOIN, bag, (node, other))
+            append(NiceNode(JOIN, bag, (node, other)))
+            node = len(nodes) - 1
         built[t] = node
-    ntd = b.freeze(b.chain_to(built[0], frozenset()))
+    root = chain_to(built[0], frozenset())
+    if pending:
+        raise AssertionError(f"edges never introduced: {sorted(pending)}")
+    assert root == len(nodes) - 1, "the root is not the last node"
+    ntd = NiceTreeDecomposition(tuple(nodes))
+    object.__setattr__(ntd, "graph", g)
     assert ntd.width() == max(width(td), -1), "normalization changed the width"
     return ntd
 
 
 def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
-    """Structural checks for nice decompositions (used by solvers and tests)."""
+    """Structural checks for nice decompositions (used by solvers and tests).
+    Children before parents, and every node but the last the child of one
+    node, make the nodes a tree rooted at the last node."""
+    if not ntd.nodes:
+        return Validity(("no nodes: a nice decomposition has at least its root",))
     violations = []
     introduced: list[tuple[int, int]] = []
+    parents = [0] * len(ntd.nodes)
+    ordered = True
     for i, node in enumerate(ntd.nodes):
+        if not all(0 <= c < i for c in node.children):
+            violations.append(f"node {i}: children {node.children} do not all come before it")
+            ordered = False
+            continue
+        for c in node.children:
+            parents[c] += 1
         kids = [ntd.nodes[c] for c in node.children]
         if node.kind == LEAF:
             if node.bag or kids:
@@ -471,12 +471,14 @@ def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
             introduced.append(canon(u, v))
         else:
             violations.append(f"node {i}: unknown kind {node.kind}")
+    strays = [i for i, p in enumerate(parents[:-1]) if p != 1]
+    violations.extend(f"node {i} is the child of {parents[i]} nodes, not one" for i in strays)
     if ntd.nodes[ntd.root].bag:
         violations.append("root bag must be empty")
     if sorted(introduced) != sorted(g.edges):
         violations.append("introduced edges do not match the graph's edge set exactly once")
-    flat = validate(ntd.as_tree_decomposition(), g)
-    violations.extend(flat.violations)
+    if ordered and not strays:  # the nodes form a tree, so the flat host builds
+        violations.extend(validate(ntd.as_tree_decomposition(), g).violations)
     return Validity(tuple(violations))
 
 
@@ -494,5 +496,6 @@ def decomposition_to_json(td: TreeDecomposition) -> dict:
 
 def decomposition_from_json(obj: dict) -> TreeDecomposition:
     with decoding("decomposition object", obj):
+        require_at_most("tree node count", obj["nodes"], VERTEX_CEILING)
         tree = Graph(obj["nodes"], [tuple(e) for e in obj["tree_edges"]])
         return TreeDecomposition(tree, [frozenset(b) for b in obj["bags"]])

@@ -31,7 +31,7 @@ from twlab.problems import (
     check_list_coloring,
     check_precoloring,
 )
-from twlab.solvers import _order_and_slots, _require_nice
+from twlab.solvers import _require_nice
 from twlab.treewidth import (
     FORGET,
     INTRODUCE,
@@ -313,10 +313,9 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
     g = inst.graph
     _require_nice(ntd, g)
     bags = _sorted_bags(ntd)
-    order, _ = _order_and_slots(ntd, g.n)
     tables: list[dict[tuple[int, ...], object]] = [None] * len(ntd.nodes)  # type: ignore[list-item]
 
-    for i in order:
+    for i in range(len(ntd.nodes)):  # children first
         node = ntd.nodes[i]
         bag = bags[i]
         if node.kind == LEAF:
@@ -421,10 +420,9 @@ def tuple_chosen_outdegree_dp(
     rho = inst.rho
     wmap = dict(zip(g.edges, inst.weights.weights))
     bags = _sorted_bags(ntd)
-    order, _ = _order_and_slots(ntd, g.n)
     tables: list[dict[tuple[int, ...], object]] = [None] * len(ntd.nodes)  # type: ignore[list-item]
 
-    for i in order:
+    for i in range(len(ntd.nodes)):  # children first
         node = ntd.nodes[i]
         bag = bags[i]
         if node.kind == LEAF:
@@ -1003,13 +1001,19 @@ def first_edge_reversed(solve):
     return patched
 
 
+class OutOfTime(Exception):
+    """Raised by within_seconds.  Not a TimeoutError: that is an OSError,
+    which cli.main turns into exit 2, so an in-process CLI run that ran out
+    of time would pass for a refused input."""
+
+
 @contextmanager
 def within_seconds(seconds: int, what: str):
-    """Raise TimeoutError if the block runs past `seconds` (SIGALRM); the
+    """Raise OutOfTime if the block runs past `seconds` (SIGALRM); the
     previous handler is restored afterwards."""
 
     def out_of_time(signum, frame):
-        raise TimeoutError(f"{what} ran past {seconds} s")
+        raise OutOfTime(f"{what} ran past {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, out_of_time)
     signal.alarm(seconds)

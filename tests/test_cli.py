@@ -285,6 +285,7 @@ class TestReduceSolve:
             assert "error: no DP solver for GensatInstance" in err
 
 
+HUGE = 10**18
 FLOAT_CAP = {"type": "chosen_outdegree", "n": 2, "edges": [[0, 1]], "weights": [1],
              "rho": [0, 1.5]}
 
@@ -328,20 +329,83 @@ class TestMalformedInput:
             ("solve", {"type": "gensat", "variables": 1,
                        "relations": [{"arity": 1, "tuples": [[1]]}],
                        "constraints": [{"scope": [0.5], "relation": 0}]}),
+            ("solve", {"type": "equitable", "n": 3, "edges": [], "r": HUGE}),
+            ("solve", {"type": "equitable", "n": HUGE, "edges": [], "r": 2}),
+            ("solve", {"type": "precoloring", "n": 3, "edges": [], "precolor": [], "r": HUGE}),
+            ("solve", {"type": "gensat", "variables": HUGE, "relations": [], "constraints": []}),
+            ("solve", {"type": "gensat", "variables": 1,
+                       "relations": [{"arity": HUGE, "tuples": []}], "constraints": []}),
+            ("tw", {"n": HUGE, "edges": []}),
         ],
         ids=["number", "string", "precolor-triple", "relation-minus-1", "list-tag",
              "edge-triple", "graph-list", "bool-r", "bool-n", "bool-weight", "bool-edge",
              "float-rho", "float-equitable-r", "float-precoloring-r", "float-variables",
              "float-precolor-colour", "float-precolor-vertex", "float-cardinality",
-             "float-minmax-r", "float-tuple-entry", "float-scope-variable"],
+             "float-minmax-r", "float-tuple-entry", "float-scope-variable",
+             "ceiling-equitable-r", "ceiling-equitable-n", "ceiling-precoloring-r",
+             "ceiling-gensat-variables", "ceiling-gensat-arity", "ceiling-tw-n"],
     )
     def test_exit_2(self, capsys, tmp_path, command, content):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(content))
         extra = ["--solver", "bf"] if command == "solve" else []
-        code, out, err = run(capsys, command, *extra, str(f))
+        with within_seconds(5, f"{command} on {content}"):
+            code, out, err = run(capsys, command, *extra, str(f))
         assert code == 2 and out == ""
         assert err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["solve", "--solver", "dp"], {"type": "list_coloring", "n": HUGE, "edges": [], "lists": []},
+             f"vertex count {HUGE} exceeds the ceiling 100000"),
+            (["solve", "--solver", "dp"], {"type": "minmax_outdegree", "n": 2, "edges": [[0, 1]],
+                                           "weights": [1], "r": HUGE},
+             f"r {HUGE} exceeds the ceiling 1000000"),
+            (["solve", "--solver", "flow"], {"type": "minmax_outdegree", "n": HUGE, "edges": [],
+                                             "weights": [], "r": 1},
+             f"vertex count {HUGE} exceeds the ceiling 100000"),
+            (["solve", "--solver", "flow"], {"type": "minmax_outdegree", "n": 2, "edges": [[0, 1]],
+                                             "weights": [1], "r": HUGE},
+             f"r {HUGE} exceeds the ceiling 1000000"),
+            (["reduce", "--pipeline", "pc-chosen", "-o", "{tmp}/out.json"],
+             {"n": HUGE, "edges": [], "parts": [[0], [1]]},
+             f"vertex count {HUGE} exceeds the ceiling 100000"),
+            (["reduce", "--pipeline", "pc-minmax", "-o", "{tmp}/out.json"],
+             {"n": HUGE, "edges": [], "parts": [[0], [1]]},
+             f"vertex count {HUGE} exceeds the ceiling 100000"),
+        ],
+        ids=["dp-n", "dp-minmax-r", "flow-n", "flow-r", "reduce-pc-chosen-n", "reduce-pc-minmax-n"],
+    )
+    def test_past_a_ceiling_exit_2(self, capsys, tmp_path, argv, content, message):
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(content))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        with within_seconds(5, f"{' '.join(argv[:3])} past a ceiling"):
+            code, out, err = run(capsys, *argv, str(f))
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"error: {message}"
+
+    def test_td_past_the_vertex_ceiling_exit_2(self, capsys, tmp_path):
+        inst, td = tmp_path / "lc.json", tmp_path / "td.json"
+        inst.write_text(json.dumps({"type": "list_coloring", "n": 1, "edges": [], "lists": [[1]]}))
+        td.write_text(json.dumps({"nodes": HUGE, "tree_edges": [], "bags": []}))
+        with within_seconds(5, "solve --td with a 10^18-node tree"):
+            code, out, err = run(capsys, "solve", "--solver", "dp", "--td", str(td), str(inst))
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"error: tree node count {HUGE} exceeds the ceiling 100000"
+
+    def test_tw_on_gensat_names_the_type(self, capsys, tmp_path):
+        g8, gs8 = tmp_path / "g8.json", tmp_path / "gs8.json"
+        run(capsys, "gen", "--kind", "weighted", "-n", "8", "-p", "0.6", "--seed", "1", "-o", str(g8))
+        code, *_ = run(capsys, "reduce", "--pipeline", "clique-gensat", "-k", "4", str(g8), "-o", str(gs8))
+        assert code == 0
+        bare = tmp_path / "gs.json"
+        bare.write_text(json.dumps(json.loads(gs8.read_text())["instance"]))
+        for f in (gs8, bare):
+            code, out, err = run(capsys, "tw", str(f))
+            assert code == 2 and out == ""
+            assert err.splitlines()[-1].startswith("error: a gensat instance has no graph of its own")
 
     def test_float_cap_dp_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.json"

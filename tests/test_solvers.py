@@ -99,7 +99,7 @@ def other_branch_join_triangle():
         NiceNode(FORGET, frozenset({1}), (12,), vertex=0),
         NiceNode(FORGET, frozenset(), (13,), vertex=1),
     )
-    ntd = NiceTreeDecomposition(nodes, 14)
+    ntd = NiceTreeDecomposition(nodes)
     assert check_nice(ntd, g).ok and ntd.graph is None
     return g, ntd
 
@@ -128,8 +128,8 @@ def square_joined_at_its_diagonal():
         tops.append(add(FORGET, {0, 1}, (i,), vertex=x))
     i = add(JOIN, {0, 1}, tops)
     i = add(FORGET, {0}, (i,), vertex=1)
-    root = add(FORGET, (), (i,), vertex=0)
-    ntd = NiceTreeDecomposition(tuple(nodes), root)
+    add(FORGET, (), (i,), vertex=0)
+    ntd = NiceTreeDecomposition(tuple(nodes))
     assert check_nice(ntd, g).ok and ntd.graph is None
     return g, ntd
 
@@ -550,7 +550,7 @@ def splice_out(ntd, i):
         for j, node in enumerate(ntd.nodes)
         if j != i
     )
-    return replace(ntd, nodes=nodes, root=renumber(ntd.root))
+    return replace(ntd, nodes=nodes)
 
 
 def count_checks(monkeypatch):
@@ -619,13 +619,13 @@ class TestTrustedNice:
             bare.append(NiceNode(INTRODUCE, frozenset(range(v + 1)), (v,), vertex=v))
         for v in range(3):
             bare.append(NiceNode(FORGET, frozenset(range(v + 1, 3)), (3 + v,), vertex=v))
-        bare = NiceTreeDecomposition(tuple(bare), 6)
+        bare = NiceTreeDecomposition(tuple(bare))
         for dp, inst in triangle_instances(triangle):
             with pytest.raises(InputError, match="invalid nice decomposition"):
                 dp(inst, bare)
         # the nodes of a valid to_nice result, rewrapped by hand
         valid = nice_of(triangle)
-        rewrapped = NiceTreeDecomposition(valid.nodes, valid.root)
+        rewrapped = NiceTreeDecomposition(valid.nodes)
         assert rewrapped == valid and rewrapped.graph is None
         for dp, inst in triangle_instances(triangle):
             assert dp(inst, rewrapped) is None
@@ -638,6 +638,46 @@ class TestTrustedNice:
             ntd = to_nice(heuristic_decomposition(g, method), g)
             assert ntd.graph is g
             assert check_nice(ntd, g).ok
+
+
+class TestNodeOrder:
+    """A nice decomposition lists children before parents and ends with its
+    root; the DPs walk it by index, so check_nice refuses any other layout."""
+
+    def test_a_child_after_its_parent_is_rejected(self):
+        g, ntd = other_branch_join_triangle()
+        swap = {0: 1, 1: 0}  # the first leaf and the introduce above it trade ids
+        nodes = tuple(
+            ntd.nodes[swap.get(i, i)]._replace(
+                children=tuple(swap.get(c, c) for c in ntd.nodes[swap.get(i, i)].children)
+            )
+            for i in range(len(ntd.nodes))
+        )
+        renumbered = NiceTreeDecomposition(nodes)
+        check = check_nice(renumbered, g)
+        assert check.violations[0] == "node 0: children (1,) do not all come before it"
+        for dp, inst in triangle_instances(g):
+            with pytest.raises(InputError, match="invalid nice decomposition"):
+                dp(inst, renumbered)
+
+    def test_a_node_with_two_parents_is_rejected(self):
+        # node 1 hangs off the leaf beside the root's chain: a tree, but not
+        # rooted at the last node, and the leaf has two parents
+        g = Graph(2)
+        nodes = (
+            NiceNode(LEAF, frozenset(), ()),
+            NiceNode(INTRODUCE, frozenset({1}), (0,), vertex=1),
+            NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
+            NiceNode(FORGET, frozenset(), (2,), vertex=0),
+        )
+        ntd = NiceTreeDecomposition(nodes)
+        assert check_nice(ntd, g).violations == (
+            "node 0 is the child of 2 nodes, not one",
+            "node 1 is the child of 0 nodes, not one",
+        )
+        inst = ListColoringInstance(g, [{1}, {1}])
+        with pytest.raises(InputError, match="invalid nice decomposition"):
+            dp_list_coloring(inst, ntd)
 
 
 class TestFlow:

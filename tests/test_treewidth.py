@@ -25,6 +25,7 @@ from twlab.errors import GuardError, InputError
 from twlab.graphs import Graph, induced_subgraph
 from twlab.reductions import ReductionOutput, certify
 from twlab.treewidth import (
+    NiceTreeDecomposition,
     TreeDecomposition,
     augment_with_set,
     check_nice,
@@ -363,6 +364,17 @@ class TestToNice:
         g = cycle(5)
         ntd = to_nice(heuristic_decomposition(g), g)
         assert validate(ntd.as_tree_decomposition(), g).ok
+
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_children_come_first_and_the_last_node_is_the_root(self, method):
+        for g in elimination_test_graphs():
+            ntd = to_nice(heuristic_decomposition(g, method), g)
+            assert all(c < i for i, node in enumerate(ntd.nodes) for c in node.children)
+            assert ntd.root == len(ntd.nodes) - 1 and ntd.nodes[-1].bag == frozenset()
+
+    def test_check_nice_reports_an_empty_node_tuple(self):
+        check = check_nice(NiceTreeDecomposition(()), Graph(0))
+        assert not check.ok and "no nodes" in check.violations[0]
 
 
 def count_validations(monkeypatch):
