@@ -20,8 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from twlab.errors import GuardError, InputError
+from twlab.errors import GuardError, InputError, require_at_most
 from twlab.graphs import (
+    VERTEX_CEILING,
     EdgeWeighting,
     Graph,
     PartitionedGraph,
@@ -103,6 +104,9 @@ def gen_partitioned(k: int, n: int, p: float, plant: bool, seed: int) -> Partiti
         if value < 0:
             raise InputError(f"{name} must be non-negative, got {value}")
     _check_p(p)
+    require_at_most("part count", k, VERTEX_CEILING)
+    require_at_most("vertex count", k * n, VERTEX_CEILING)
+    require_at_most("pair count", n * n * (k * (k - 1) // 2), pr.PAIR_CEILING)
     rng = random.Random(seed)
     parts = [tuple(range(i * n, (i + 1) * n)) for i in range(k)]
     edges = set()
@@ -121,6 +125,8 @@ def gen_partitioned(k: int, n: int, p: float, plant: bool, seed: int) -> Partiti
 
 def gen_graph(n: int, edge_p: float, seed: int) -> Graph:
     _check_p(edge_p)
+    require_at_most("vertex count", n, VERTEX_CEILING)
+    require_at_most("pair count", n * (n - 1) // 2, pr.PAIR_CEILING)
     rng = random.Random(seed)
     return Graph(
         n,
@@ -255,6 +261,12 @@ def _clique_checks(out, pg, clique, witnesses, checks) -> None:
         checks["constructive_ok"] = pr.check_admissible(out.instance, lam_c)
 
 
+def _pc_to_minmax(pg):
+    """pc-chosen then chosen-minmax on the gadget's witness and its k(k-1)+1."""
+    out = rd.pc_to_chosen_outdegree(pg)
+    return rd.chosen_to_minmax(out.instance, (out.witness, out.claimed_width_bound))
+
+
 # conservative brute-force blowup guards; lift with unsafe=True
 PIPELINES = {p.name: p for p in (
     Pipeline("pc-lc", (4, 6), PARTITIONED, "list_coloring",
@@ -267,8 +279,7 @@ PIPELINES = {p.name: p for p in (
              lambda pg: rd.pc_to_chosen_outdegree(pg), _clique_checks),
     Pipeline("chosen-minmax", (10**9, 8), CHOSEN_OUTDEGREE, "minmax_outdegree",
              lambda inst: rd.chosen_to_minmax(inst)),
-    Pipeline("pc-minmax", (2, 2), PARTITIONED, "minmax_outdegree",
-             lambda pg: rd.chosen_to_minmax(rd.pc_to_chosen_outdegree(pg).instance)),
+    Pipeline("pc-minmax", (2, 2), PARTITIONED, "minmax_outdegree", _pc_to_minmax),
 )}
 
 

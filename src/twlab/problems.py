@@ -36,7 +36,9 @@ DEFAULT_WEIGHT_CEILING = 10**6  # total edge weight of a minmax_outdegree instan
 R_CEILING = 10**6  # r of precoloring, equitable and minmax_outdegree (equitable allocates r)
 VARIABLE_CEILING = 10**5  # gensat variables (the search allocates per variable)
 ARITY_CEILING = 10**3  # gensat relation arity
+PAIR_CEILING = 10**7  # vertex pairs a generator draws an edge for
 # graphs.VERTEX_CEILING bounds the vertex count of every JSON graph and tree
+# and of every generated graph
 
 
 def _require_ints(what: str, xs) -> None:

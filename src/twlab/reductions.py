@@ -1,12 +1,12 @@
 """Gadget reductions between problem families.
 
 Every reduction returns a ReductionOutput bundling the target instance, a
-constructively built witness tree decomposition certifying a width bound,
-and a provenance index mapping gadget vertices to their roles.  The
-reductions do not validate their own output: certify(out) checks every
-witness an output carries against its graph and claimed width bound, once,
-where the output is used (harness._case_record for `twlab verify`, the CLI
-for `twlab reduce`).
+witness tree decomposition certifying a width bound (pc-minmax composes the
+orientation gadget's, so it claims the paper's k(k-1)+1), and a provenance
+index mapping gadget vertices to their roles.  The reductions do not
+validate their own output: certify(out) checks every witness an output
+carries against its graph and claimed width bound, once, where the output
+is used (harness._case_record for `twlab verify`, the CLI for `twlab reduce`).
 
 Gadget role tags used by the provenance index:
 
@@ -520,10 +520,15 @@ def orientation_from_clique(out: ReductionOutput, clique) -> Orientation:
 
 # --- capped orientation via uniform cap ------------------------------------------
 
-def chosen_to_minmax(inst: ChosenOutdegreeInstance) -> ReductionOutput:
+def chosen_to_minmax(
+    inst: ChosenOutdegreeInstance, source_witness: tuple[TreeDecomposition, int] | None = None
+) -> ReductionOutput:
     """Equalize the caps: r becomes the largest cap, and every vertex with
     slack r - rho(v) gets a triangle (two slack edges of that weight plus a
-    weight-r brace) that forces it to spend exactly the slack."""
+    weight-r brace) that forces it to spend exactly the slack.  The triangles
+    hang as leaf bags on source_witness, a (decomposition, width bound) pair
+    of the source, or else on min-fill and its width; the claim is that
+    bound, at least 2."""
     g = inst.graph
     if g.n < 1:
         raise InputError("instance must have at least one vertex")
@@ -559,12 +564,14 @@ def chosen_to_minmax(inst: ChosenOutdegreeInstance) -> ReductionOutput:
     h = Graph(next_id, edges.keys())
     target = MinMaxOutdegreeInstance(h, EdgeWeighting(h, edges), r)
 
-    base = heuristic_decomposition(g, "min-fill")
+    if source_witness is None:
+        base = heuristic_decomposition(g, "min-fill")
+        source_witness = (base, width(base))
+    base, bound = source_witness
     td = _attach_leaf_bags(
         base, [(v, frozenset({v, xv, yv})) for v, xv, yv in triangles]
     )
-    bound = max(width(base), 2)
-    return _output(target, td, bound, index, h, {"source": inst})
+    return _output(target, td, max(bound, 2), index, h, {"source": inst})
 
 
 # --- serialization ----------------------------------------------------------------

@@ -257,11 +257,6 @@ def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[set[int]
     return order, rests
 
 
-def _greedy_order(g: Graph, method: str) -> list[int]:
-    """The elimination order of _greedy_elimination alone."""
-    return _greedy_elimination(g, method)[0]
-
-
 def heuristic_decomposition(g: Graph, method: str = "min-fill") -> TreeDecomposition:
     """Greedy elimination decomposition, min-fill or min-degree; fully
     deterministic (ties go to the smallest vertex).  Its bags are the

@@ -39,7 +39,7 @@ from twlab.treewidth import (
     LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
-    _greedy_order,
+    _greedy_elimination,
     heuristic_decomposition,
     relabel,
     to_nice,
@@ -202,6 +202,11 @@ def union_find_links(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, in
     return [(reps[i], reps[i + 1]) for i in range(len(reps) - 1)]
 
 
+def greedy_order(g: Graph, method: str) -> list[int]:
+    """The elimination order of the min-fill/min-degree heuristic alone."""
+    return _greedy_elimination(g, method)[0]
+
+
 def union_find_elimination_decomposition(g: Graph, order) -> TreeDecomposition:
     """Reference fill-in construction, its forest chained by union_find_links."""
     if g.n == 0:
@@ -226,7 +231,7 @@ def elimination_route_nice(g: Graph, method: str) -> NiceTreeDecomposition:
     """Reference route to the DP's nice decomposition: the greedy order
     alone, fill-in run a second time by the reference builder, and to_nice
     on a decomposition that carries no graph, so it is validated first."""
-    td = union_find_elimination_decomposition(g, _greedy_order(g, method))
+    td = union_find_elimination_decomposition(g, greedy_order(g, method))
     assert td.graph is None
     return to_nice(td, g)
 

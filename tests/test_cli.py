@@ -374,8 +374,21 @@ class TestMalformedInput:
             (["reduce", "--pipeline", "pc-minmax", "-o", "{tmp}/out.json"],
              {"n": HUGE, "edges": [], "parts": [[0], [1]]},
              f"vertex count {HUGE} exceeds the ceiling 100000"),
+            # gen takes the file as its -o: past a ceiling nothing is drawn or written
+            (["gen", "--kind", "kpartite", "-k", str(HUGE), "-n", "0", "-o"], {},
+             f"part count {HUGE} exceeds the ceiling 100000"),
+            (["gen", "--kind", "kpartite", "-k", "2", "-n", str(HUGE), "-o"], {},
+             f"vertex count {2 * HUGE} exceeds the ceiling 100000"),
+            (["gen", "--kind", "kpartite", "-k", "100", "-n", "1000", "-o"], {},
+             "pair count 4950000000 exceeds the ceiling 10000000"),
+            (["gen", "--kind", "weighted", "-n", "1000000000", "-p", "0", "-o"], {},
+             "vertex count 1000000000 exceeds the ceiling 100000"),
+            (["gen", "--kind", "weighted", "-n", "100000", "-p", "0", "-o"], {},
+             "pair count 4999950000 exceeds the ceiling 10000000"),
         ],
-        ids=["dp-n", "dp-minmax-r", "flow-n", "flow-r", "reduce-pc-chosen-n", "reduce-pc-minmax-n"],
+        ids=["dp-n", "dp-minmax-r", "flow-n", "flow-r", "reduce-pc-chosen-n", "reduce-pc-minmax-n",
+             "gen-kpartite-k", "gen-kpartite-n", "gen-kpartite-pairs", "gen-weighted-n",
+             "gen-weighted-pairs"],
     )
     def test_past_a_ceiling_exit_2(self, capsys, tmp_path, argv, content, message):
         f = tmp_path / "huge.json"
@@ -703,7 +716,7 @@ REDUCE_PINS = {
     "clique-gensat": ({"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}, ["-k", "3"], 2),
     "pc-chosen": ({"n": 2, "edges": [[0, 1]], "parts": [[0], [1]]}, [], 3),
     "chosen-minmax": (SOLVE_PINS["chosen_outdegree"][0], [], 2),
-    "pc-minmax": ({"n": 2, "edges": [[0, 1]], "parts": [[0], [1]]}, [], 2),
+    "pc-minmax": ({"n": 2, "edges": [[0, 1]], "parts": [[0], [1]]}, [], 3),
 }
 
 

@@ -13,7 +13,8 @@ from twlab.graphs import (
     canon,
     is_clique,
 )
-from twlab.harness import gen_partitioned
+from twlab import reductions
+from twlab.harness import PIPELINES, gen_partitioned
 from twlab.problems import (
     ChosenOutdegreeInstance,
     bf_chosen_outdegree,
@@ -261,13 +262,23 @@ class TestOrientationGadget:
             assert out.instance.graph.n == k * (3 * n + 1) + 3 * pairs + cross
             assert len(out.instance.graph.edges) == 3 * k * n + 3 * cross + 4 * n * pairs
 
-    def test_witness_bound_claim(self):
+    def test_witness_bound_claim(self, monkeypatch):
+        """pc-chosen claims the paper's k(k-1)+1, and pc-minmax carries that
+        claim (at least 2) through on the gadget's witness, without min-fill."""
+        def no_min_fill(*args):
+            raise AssertionError("pc-minmax ran min-fill")
+
+        monkeypatch.setattr(reductions, "heuristic_decomposition", no_min_fill)
         rng = random.Random(2)
-        for k, n in [(2, 2), (3, 2)]:
+        for k, n in [(2, 2), (3, 2), (1, 3), (2, 3)]:
             pg = rand_pg(rng, k, n, 0.9)
             out = pc_to_chosen_outdegree(pg)
+            assert "gadget" in out.meta
             assert validate(out.witness, out.instance.graph).ok
             assert width(out.witness) <= out.claimed_width_bound == 2 * (k * (k - 1) // 2) + 1
+            minmax = PIPELINES["pc-minmax"].reduce(pg)
+            assert minmax.claimed_width_bound == max(k * (k - 1) + 1, 2)
+            assert certify(minmax) == ()
 
     def test_equivalence_sweep(self):
         rng = random.Random(3)
@@ -381,7 +392,9 @@ class TestOrientationGadget:
 
     @pytest.mark.parametrize("k, n", [(0, 2), (2, 0), (2, 1)])
     def test_degenerate_output_has_no_gadget(self, k, n):
-        out = pc_to_chosen_outdegree(gen_partitioned(k, n, 0.0, False, 1))
+        pg = gen_partitioned(k, n, 0.0, False, 1)
+        assert PIPELINES["pc-minmax"].reduce(pg).claimed_width_bound == 2
+        out = pc_to_chosen_outdegree(pg)
         lam = bf_chosen_outdegree(out.instance)
         with pytest.raises(InputError, match="output does not carry a selection gadget"):
             extract_clique(out, lam)

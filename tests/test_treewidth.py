@@ -9,6 +9,7 @@ from conftest import (
     dp_pipeline_gadgets,
     elimination_route_nice,
     elimination_test_graphs,
+    greedy_order,
     grid,
     path,
     petersen,
@@ -32,7 +33,6 @@ from twlab.treewidth import (
     decompose_forest,
     decomposition_from_json,
     decomposition_to_json,
-    _greedy_order,
     _walk,
     exact_treewidth,
     from_elimination_order,
@@ -207,7 +207,7 @@ class TestGreedyOrder:
     @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
     def test_matches_quadratic_oracle(self, method):
         for g in elimination_test_graphs():
-            assert _greedy_order(g, method) == quadratic_greedy_order(g, method)
+            assert greedy_order(g, method) == quadratic_greedy_order(g, method)
 
     def test_grid_6x400_within_budget(self):
         """ROADMAP item 4 gate: min-fill and to_nice on the 6x400 grid (about
@@ -529,7 +529,7 @@ class TestSpanningWalk:
         for method in ("min-fill", "min-degree"):
             for _ in range(300):
                 g = random_graph(rng, n_max=9, p=rng.choice((0.1, 0.3)))
-                expected = union_find_elimination_decomposition(g, _greedy_order(g, method))
+                expected = union_find_elimination_decomposition(g, greedy_order(g, method))
                 assert heuristic_decomposition(g, method) == expected
 
     def test_forest_builder_matches_union_find_chaining(self):
