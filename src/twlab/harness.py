@@ -413,7 +413,9 @@ def verify_reduction(cfg: ExperimentConfig) -> VerificationReport:
     At most min(jobs, cases, CPU count) worker processes are started.
     """
     cfg.check_guards()
-    workers = min(cfg.jobs, cfg.cases, os.cpu_count() or 1)
+    workers = min(cfg.jobs, cfg.cases)
+    if workers > 1:  # os.cpu_count() costs microseconds; a serial run skips it
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_case_record, [cfg] * cfg.cases, range(cfg.cases)))

@@ -15,7 +15,9 @@ Every search is deterministic:
 * list_color_search colors vertices in the order 0..n-1 of its (pre-permuted)
   input, trying each vertex's palette in the given order; first success wins.
 * gensat_search returns the lexicographically first satisfying assignment
-  (variable 0 most significant, value 0 before 1).
+  (variable 0 most significant, value 0 before 1).  Its per-constraint
+  bitsets of compatible tuples prune exactly the branches a scan of the
+  tuples would, so they change its speed, not its witness.
 * exact_treewidth expands a level's sets in the order they were reached,
   each by its missing vertices in increasing index; a set keeps the first
   parent of least value.  The first set to close an order at the final
@@ -107,11 +109,9 @@ def orient_search(n, edges, w, rho):
                 if dirs[f] != -1:
                     continue
                 d = 1 if edges[f][0] == z else 0  # the tail must be the other end
-                o = edges[f][d]
-                if w[f] > residual[o]:
+                if not decide(f, d):
                     return False
-                decide(f, d)
-                stack.append(o)
+                stack.append(edges[f][d])
         return True
 
     def branches(e: int):
@@ -172,40 +172,62 @@ def gensat_search(num_vars, scopes, masks):
     """Backtracking search for a satisfying 0/1 assignment.
 
     Constraint j has scope variables scopes[j] and allowed tuples masks[j],
-    each encoded as a bitmask (bit p = value of scope position p).  A partial
-    assignment survives iff every constraint still has a compatible tuple.
+    each encoded as a bitmask (bit p = value of scope position p, no bit past
+    the scope); a scope lists distinct variables, as Constraint requires.
+    A partial assignment survives iff every constraint still has a
+    compatible tuple.
+
+    Constraint j keeps alive[j], a bitset over its tuples (bit i for
+    masks[j][i]) of those still compatible with the assignment: simple
+    tabular reduction in its bitset form (Ullmann 2007; Compact-Table,
+    Demeulenaere et al., CP 2016).  Each scope position has two supports,
+    the tuples with bit p = 0 and those with bit p = 1, built once per tuple
+    list however many constraints share it.  Setting x = val ANDs the
+    matching supports into the words of the constraints that hold x, as
+    saved when the search reached x, and leaving x restores them.  A branch
+    is pruned exactly when one of those words drops to 0, the test a scan
+    of the tuples makes ("no compatible tuple left"), so the search tree
+    and the witness are the scan's.
     """
-    assigned_mask = [0] * len(scopes)
-    assigned_val = [0] * len(scopes)
-    # per-variable list of (constraint, position-within-scope)
-    occ: list[list[tuple[int, int]]] = [[] for _ in range(num_vars)]
-    for j, scope in enumerate(scopes):
-        for p, x in enumerate(scope):
-            occ[x].append((j, p))
-
-    def consistent(j: int) -> bool:
-        am, av = assigned_mask[j], assigned_val[j]
-        for t in masks[j]:
-            if t & am == av:
-                return True
-        return False
-
-    if not all(map(consistent, range(len(scopes)))):
+    supports: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (id, arity) -> per position
+    alive = []
+    narrows = [([], ([], [])) for _ in range(num_vars)]  # x -> its constraints, supports per value
+    for j, (scope, ts) in enumerate(zip(scopes, masks)):
+        full = (1 << len(ts)) - 1
+        key = (id(ts), len(scope))  # masks holds ts, so its id is not reused meanwhile
+        if key not in supports:
+            ones = [0] * len(scope)
+            for i, t in enumerate(ts):
+                while t:
+                    low = t & -t
+                    ones[low.bit_length() - 1] |= 1 << i
+                    t ^= low
+            supports[key] = [(full ^ one, one) for one in ones]
+        alive.append(full)
+        for x, (zero, one) in zip(scope, supports[key]):
+            js, (if_0, if_1) = narrows[x]
+            js.append(j)
+            if_0.append(zero)
+            if_1.append(one)
+    if not all(alive):
         return None
 
     values = [0] * num_vars
 
     def branches(x: int):
-        for val in (0, 1):
-            values[x] = val
-            for j, p in occ[x]:
-                assigned_mask[j] |= 1 << p
-                assigned_val[j] |= val << p
-            if all(consistent(j) for j, _ in occ[x]):
+        js, by_value = narrows[x]
+        saved = [alive[j] for j in js]
+        for val, support in enumerate(by_value):
+            for j, a, s in zip(js, saved, support):
+                a &= s
+                if not a:
+                    break
+                alive[j] = a
+            else:
+                values[x] = val
                 yield
-            for j, p in occ[x]:
-                assigned_mask[j] &= ~(1 << p)
-                assigned_val[j] &= ~(1 << p)
+        for j, a in zip(js, saved):
+            alive[j] = a
         values[x] = 0
 
     return values if backtrack(num_vars, branches) else None

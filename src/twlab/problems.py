@@ -391,7 +391,9 @@ def bf_general_factor(inst: GeneralFactorInstance) -> frozenset | None:
 def bf_gensat(inst: GensatInstance) -> tuple[int, ...] | None:
     """Assignment search in variable-index order (0 before 1), pruning any
     prefix some constraint can no longer match.  Each distinct relation is
-    packed into bitmasks once, however many constraints share it."""
+    packed into bitmasks once, and the constraints that share it share that
+    one list, so the kernel builds its per-position tuple bitsets once per
+    relation too."""
     packed: dict[BooleanRelation, list[int]] = {}
     for c in inst.constraints:
         if c.relation not in packed:

@@ -19,8 +19,9 @@ from conftest import (
 from twlab import kernels
 from twlab.errors import GuardError
 from twlab.graphs import EdgeWeighting
-from twlab.harness import gen_chosen_instance
-from twlab.problems import ChosenOutdegreeInstance, bf_chosen_outdegree
+from twlab.harness import gen_chosen_instance, gen_graph
+from twlab.problems import ChosenOutdegreeInstance, bf_chosen_outdegree, bf_gensat
+from twlab.reductions import clique_to_gensat
 
 
 def digits(state, choices=3):
@@ -132,9 +133,17 @@ class TestWitnessesMatchRecursiveSearches:
             results.append(want)
         both_answers(results)
 
-    def test_gensat_search(self):
+    def test_gensat_search(self, monkeypatch):
         rng = random.Random(9)
         results = []
+        kernel = kernels.gensat_search
+
+        def search(num_vars, scopes, masks):
+            want = recursive_gensat_search(num_vars, *csr(scopes), *csr(masks))
+            assert kernel(num_vars, scopes, masks) == want
+            results.append(want)
+            return want
+
         for trial in range(400):
             num_vars = trial % 8
             scopes, masks = [], []
@@ -142,9 +151,20 @@ class TestWitnessesMatchRecursiveSearches:
                 arity = rng.randint(1, min(3, num_vars))
                 scopes.append(tuple(rng.sample(range(num_vars), arity)))
                 masks.append(rng.sample(range(1 << arity), rng.randint(0, 1 << arity)))
-            want = recursive_gensat_search(num_vars, *csr(scopes), *csr(masks))
-            assert kernels.gensat_search(num_vars, scopes, masks) == want
-            results.append(want)
+            search(num_vars, scopes, masks)
+        # wide arities, one tuple list shared by every constraint, and the top
+        # scope positions 0 in every tuple: supports must span the scope, not
+        # the tuples' bit_length
+        for trial in range(200):
+            num_vars = rng.randint(12, 24)
+            arity = rng.randint(12, min(20, num_vars))
+            shared = rng.sample(range(1 << (arity - rng.choice((0, 1, 4)))), rng.randint(1, 10))
+            scopes = [tuple(rng.sample(range(num_vars), arity)) for _ in range(rng.randint(1, 4))]
+            search(num_vars, scopes, [shared] * len(scopes))
+        # the reduction's instances, packed by the oracle
+        monkeypatch.setattr(kernels, "gensat_search", search)
+        for seed in range(30):
+            bf_gensat(clique_to_gensat(gen_graph(rng.randint(3, 10), 0.6, seed), 2 + seed % 4).instance)
         both_answers(results)
 
 
