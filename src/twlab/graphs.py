@@ -58,7 +58,11 @@ class Graph:
         canonical.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canonical))
-        object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
+        # A tuple made from a generator, by tuple() or by *-unpacking into a
+        # call, is grown by resizing, which takes no tuple from CPython's free
+        # lists although freeing it adds it there, so over many small graphs
+        # those lists fill up; a tuple made from a list is allocated once.
+        object.__setattr__(self, "_adj", tuple([frozenset(a) for a in adj]))
 
     @property
     def edge_set(self) -> frozenset[Edge]:
@@ -136,7 +140,8 @@ class PartitionedGraph:
     parts: tuple[tuple[int, ...], ...]
 
     def __init__(self, graph: Graph, parts):
-        parts = tuple(tuple(sorted(p)) for p in parts)
+        # a list, not a generator: see Graph._adj
+        parts = tuple([tuple(sorted(p)) for p in parts])
         seen: set[int] = set()
         for p in parts:
             for v in p:
@@ -176,7 +181,8 @@ class Orientation:
         if isinstance(direction, dict):
             if set(direction) != set(graph.edges):
                 raise InputError("orientation domain must equal the edge set")
-            direction = tuple(direction[e] for e in graph.edges)
+            # a list, not a generator: see Graph._adj
+            direction = tuple([direction[e] for e in graph.edges])
         else:
             direction = tuple(tuple(d) for d in direction)
         if len(direction) != len(graph.edges):

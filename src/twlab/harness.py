@@ -151,7 +151,8 @@ def gen_rho(n: int, bound: int, seed: int) -> tuple[int, ...]:
     if bound < 0:
         raise InputError(f"largest cap must be non-negative, got {bound}")
     rng = random.Random(seed)
-    return tuple(rng.randint(0, bound) for _ in range(n))
+    # a list, not a generator: see graphs.Graph._adj
+    return tuple([rng.randint(0, bound) for _ in range(n)])
 
 
 def gen_list_instance(n: int, colors: int, edge_p: float, seed: int) -> pr.ListColoringInstance:

@@ -5,9 +5,13 @@ Both DP solvers run on one driver, _NiceDP.  It checks the decomposition
 (unless to_nice built it for the same graph), gives each vertex a fixed bag
 slot (_slots), fills one sparse table of packed bag states per node in index
 order, which lists children first, asserts each table's size against its
-bound, tests the root table (the last node's) for the empty state and walks
-back root-to-leaves.  A DP brings only its encoding, one table handler per
-node kind and one back-step; the back-steps read witnesses off back-pointers
+bound (a product carried up the walk), tests the root table (the last
+node's) for the empty state and walks back root-to-leaves.  Everything reads
+the nice tree's flat lists by node id: a bag is an int bitmask whose
+vertices come by ascending bit, and a vertex's neighbours in it are the
+bag ANDed with the vertex's adjacency mask, built per solve.  A DP brings
+only its encoding, one table handler per node kind and one back-step, each
+taking a node id; the back-steps read witnesses off back-pointers
 in the orientation DP and least-colour maps at forget nodes in the
 list-colouring DP.  The solvers do not check the witnesses they return: the
 harness (`twlab verify`) and the CLI (`twlab solve`) check each yes-witness
@@ -32,9 +36,10 @@ from twlab.treewidth import (
     INTRODUCE_EDGE,
     JOIN,
     LEAF,
-    NiceNode,
     NiceTreeDecomposition,
+    bits,
     check_nice,
+    neighbour_masks,
 )
 
 
@@ -55,10 +60,11 @@ def _slots(ntd: NiceTreeDecomposition, n: int) -> list[int]:
     higher up and so hold slots already.  Each vertex is forgotten once, so
     the vertices of a bag hold distinct slots, at most width + 1 of them."""
     slot = [0] * n
-    for node in reversed(ntd.nodes):
-        if node.kind == FORGET:
-            held = {slot[u] for u in node.bag}
-            slot[node.vertex] = min(set(range(len(held) + 1)) - held)
+    kind, vertex, bag = ntd.kind, ntd.vertex, ntd.bag
+    for i in reversed(range(len(kind))):
+        if kind[i] == FORGET:
+            held = {slot[u] for u in bits(bag[i])}
+            slot[vertex[i]] = min(set(range(len(held) + 1)) - held)
     return slot
 
 
@@ -67,8 +73,10 @@ class _NiceDP:
     gives vertex v the bit offset off[v], its slot of _slots times
     slot_bits.  A DP builds its encoding over off, then its handlers over off
     and tables (node id -> that node's table of packed bag states), and
-    hands them to run.  Each handler pops the child tables it reads, or keeps
-    them where its back-step reads them again."""
+    hands them to run.  Handlers and back-steps take node ids and read the
+    node's kind, bag mask, vertex, edge and children off ntd's lists.  Each
+    handler pops the child tables it reads, or keeps them where its
+    back-step reads them again."""
 
     def __init__(self, g: Graph, ntd: NiceTreeDecomposition, slot_bits: int):
         _require_nice(ntd, g)
@@ -77,28 +85,42 @@ class _NiceDP:
         self.tables: dict[int, Collection[int]] = {}
 
     def run(self, bound: list[int], step: dict[str, Callable], back: Callable) -> bool:
-        """In index order, children first, step[node.kind](i, node) builds
-        node i's table, and that table holds at most prod(bound[v] for v in
-        bag) states.  False if the root table lacks state 0.  Otherwise walk
-        root-to-leaves from state 0, where back(i, node, s) records what
-        node i adds to the witness and gives the states of its children in
-        order (a one-child node may give more), and return True."""
-        nodes, tables = self.ntd.nodes, self.tables
-        for i, node in enumerate(nodes):
-            table = step[node.kind](i, node)
-            assert len(table) <= prod(map(bound.__getitem__, node.bag)), "table over its bound"
+        """In index order, children first, step[kind](i) builds node i's
+        table, and that table holds at most cap[i] = prod(bound[v] for v in
+        its bag) states.  cap is carried up from the child: introduce(v)
+        multiplies by bound[v], and forget(v) divides by it, or takes the
+        product afresh where bound[v] is 0.  False if the root table lacks
+        state 0.  Otherwise walk root-to-leaves from state 0, where back(i, s)
+        records what node i adds to the witness and gives the states of its
+        children in order (a one-child node may give more), and return
+        True."""
+        ntd, tables = self.ntd, self.tables
+        kind, vertex, bag, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.left, ntd.right
+        cap: list[int] = []
+        for i, k in enumerate(kind):
+            table = step[k](i)
+            if k == LEAF:
+                c = 1
+            elif k == INTRODUCE:
+                c = cap[left[i]] * bound[vertex[i]]
+            elif k == FORGET:
+                b = bound[vertex[i]]
+                c = cap[left[i]] // b if b else prod(bound[v] for v in bits(bag[i]))
+            else:
+                c = cap[left[i]]
+            assert len(table) <= c, "table over its bound"
+            cap.append(c)
             tables[i] = table
-        if 0 not in tables[self.ntd.root]:
+        if 0 not in tables[ntd.root]:
             return False
-        stack = [(self.ntd.root, 0)]
+        stack = [(ntd.root, 0)]
         while stack:
             i, s = stack.pop()
-            node = nodes[i]
-            if node.children:  # a leaf adds nothing
-                t = back(i, node, s)
-                stack.append((node.children[0], t[0]))
-                if node.kind == JOIN:
-                    stack.append((node.children[1], t[1]))
+            if left[i] >= 0:  # a leaf adds nothing
+                t = back(i, s)
+                stack.append((left[i], t[0]))
+                if right[i] >= 0:
+                    stack.append((right[i], t[1]))
         return True
 
 
@@ -139,46 +161,48 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     g = inst.graph
     palette = sorted(set().union(*inst.lists))
     code = {c: r + 1 for r, c in enumerate(palette)}
-    bits = len(palette).bit_length()
-    mask = (1 << bits) - 1
-    dp = _NiceDP(g, ntd, bits)
+    code_bits = len(palette).bit_length()
+    mask = (1 << code_bits) - 1
+    dp = _NiceDP(g, ntd, code_bits)
     off, tables = dp.off, dp.tables
+    kind, vertex, bag, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.left, ntd.right
+    adj = neighbour_masks(g)
     fresh = [[code[c] << o for c in l] for l, o in zip(inst.lists, off)]
     least: dict[int, dict[int, int]] = {}  # forget node -> state -> least child code
     colors: dict[int, int] = {}
 
-    def introduce(i: int, node: NiceNode) -> Collection[int]:
-        v = node.vertex
+    def introduce(i: int) -> Collection[int]:
+        v = vertex[i]
         o = off[v]
-        table = {s | cs for s in tables.pop(node.children[0]) for cs in fresh[v]}
-        for u in node.bag & g.neighbors(v):
+        table = {s | cs for s in tables.pop(left[i]) for cs in fresh[v]}
+        for u in bits(bag[i] & adj[v]):
             p = off[u]
             table = {s for s in table if (s >> p ^ s >> o) & mask}
         return table
 
-    def forget(i: int, node: NiceNode) -> Collection[int]:
-        o = off[node.vertex]
+    def forget(i: int) -> Collection[int]:
+        o = off[vertex[i]]
         keep = ~(mask << o)
         best: dict[int, int] = {}
-        for s in tables.pop(node.children[0]):
+        for s in tables.pop(left[i]):
             p, c = s & keep, s >> o & mask
             if best.get(p, c + 1) > c:
                 best[p] = c
         least[i] = best
         return best.keys()
 
-    def back(i: int, node: NiceNode, s: int) -> tuple[int, ...]:
-        if node.kind == FORGET:
+    def back(i: int, s: int) -> tuple[int, ...]:
+        if kind[i] == FORGET:
             c = least[i][s]
-            colors[node.vertex] = palette[c - 1]
-            return (s | c << off[node.vertex],)
-        if node.kind == INTRODUCE:
-            return (s & ~(mask << off[node.vertex]),)
+            colors[vertex[i]] = palette[c - 1]
+            return (s | c << off[vertex[i]],)
+        if kind[i] == INTRODUCE:
+            return (s & ~(mask << off[vertex[i]]),)
         return (s, s)  # join; introduce_edge passes s to its child
 
-    step = {LEAF: lambda i, node: {0}, INTRODUCE: introduce, FORGET: forget,
-            INTRODUCE_EDGE: lambda i, node: tables.pop(node.children[0]),
-            JOIN: lambda i, node: tables.pop(node.children[0]) & tables.pop(node.children[1])}
+    step = {LEAF: lambda i: {0}, INTRODUCE: introduce, FORGET: forget,
+            INTRODUCE_EDGE: lambda i: tables.pop(left[i]),
+            JOIN: lambda i: tables.pop(left[i]) & tables.pop(right[i])}
     if not dp.run([len(l) for l in inst.lists], step, back):
         return None
     return colors
@@ -272,14 +296,15 @@ def dp_chosen_outdegree(
     vmask = (1 << vb) - 1
     dp = _NiceDP(g, ntd, vb + 1)
     off, tables = dp.off, dp.tables  # tables: state -> back-pointer, kept for the traceback
+    kind, vertex, bag, edge, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.edge, ntd.left, ntd.right
     gbit = [1 << o + vb for o in off]
     wmap = inst.weights.as_dict()
     direction: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def introduce_edge(i: int, node: NiceNode) -> dict[int, object]:  # back-pointer: the tail
-        u, v = canon(*node.edge)
+    def introduce_edge(i: int) -> dict[int, object]:  # back-pointer: the tail
+        u, v = canon(*edge[i])
         w = wmap[(u, v)]
-        child = tables[node.children[0]]
+        child = tables[left[i]]
         mu, lu, wu = vmask << off[u], rho[u] - w << off[u], w << off[u]
         mv, lv, wv = vmask << off[v], rho[v] - w << off[v], w << off[v]
         table = {s + wu: u for s in child if s & mu <= lu}  # none if w > rho[u]
@@ -288,37 +313,38 @@ def dp_chosen_outdegree(
                 table.setdefault(s + wv, v)
         return table
 
-    def forget(i: int, node: NiceNode) -> dict[int, object]:  # back-pointer: the child state
-        keep = ~(vmask << off[node.vertex])
-        guard = sum(map(gbit.__getitem__, node.bag))
-        table = {s & keep: s for s in sorted(tables[node.children[0]], reverse=True)}
-        return _minimal_states(table, guard, vmask, map(off.__getitem__, node.bag))
+    def forget(i: int) -> dict[int, object]:  # back-pointer: the child state
+        keep = ~(vmask << off[vertex[i]])
+        vs = list(bits(bag[i]))
+        guard = sum(map(gbit.__getitem__, vs))
+        table = {s & keep: s for s in sorted(tables[left[i]], reverse=True)}
+        return _minimal_states(table, guard, vmask, map(off.__getitem__, vs))
 
-    def join(i: int, node: NiceNode) -> dict[int, object]:  # back-pointer: the left state
-        left, right = node.children
-        guard = sum(map(gbit.__getitem__, node.bag))
-        caps = sum(rho[v] << off[v] for v in node.bag)
-        offs = [off[v] for v in sorted(node.bag)]
-        rights = sorted(tables[right])
+    def join(i: int) -> dict[int, object]:  # back-pointer: the left state
+        vs = list(bits(bag[i]))  # ascending, the tuple oracle's field order
+        guard = sum(map(gbit.__getitem__, vs))
+        caps = sum(rho[v] << off[v] for v in vs)
+        offs = list(map(off.__getitem__, vs))
+        rights = sorted(tables[right[i]])
         table: dict[int, object] = {}
-        for s1 in sorted(tables[left], key=lambda s: [s >> o & vmask for o in offs]):
+        for s1 in sorted(tables[left[i]], key=lambda s: [s >> o & vmask for o in offs]):
             top = caps - s1 | guard
             for s2 in rights[: bisect_right(rights, caps - s1)]:
                 if (top - s2) & guard == guard:
                     table.setdefault(s1 + s2, s1)
         return table
 
-    def back(i: int, node: NiceNode, s: int) -> tuple[int, ...]:
-        if node.kind == INTRODUCE:
+    def back(i: int, s: int) -> tuple[int, ...]:
+        if kind[i] == INTRODUCE:
             return (s,)
         t = tables[i][s]
-        if node.kind == INTRODUCE_EDGE:  # t is the tail
-            e = canon(*node.edge)
+        if kind[i] == INTRODUCE_EDGE:  # t is the tail
+            e = canon(*edge[i])
             direction[e] = (t, e[1] if t == e[0] else e[0])
             return (s - (wmap[e] << off[t]),)
         return (t, s - t)  # forget: the child state; join: the left state, then the right
 
-    step = {LEAF: lambda i, node: {0: None}, INTRODUCE: lambda i, node: tables[node.children[0]],
+    step = {LEAF: lambda i: {0: None}, INTRODUCE: lambda i: tables[left[i]],
             INTRODUCE_EDGE: introduce_edge, FORGET: forget, JOIN: join}
     if not dp.run([r + 1 for r in rho], step, back):
         return None

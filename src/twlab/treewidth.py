@@ -10,11 +10,18 @@ from_elimination_order carries the graph object it was built for, and
 to_nice trusts it for that very object without validating it again; every
 other decomposition (hand-built, relabelled, augmented, read from JSON, or
 paired with an equal but distinct graph) is validated.
+
+A nice decomposition is stored flat: parallel lists of kind, bag (an int
+bitmask), vertex, edge and the two children, one entry per node.  to_nice
+writes them directly and check_nice and the solvers read them, so building
+and walking a nice tree allocates no tuple or set per node; NiceNode
+records are built only when `nodes` is read.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,7 +49,8 @@ class TreeDecomposition:
     graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, tree: Graph, bags):
-        bags = tuple(frozenset(b) for b in bags)
+        # a list, not a generator: see graphs.Graph._adj
+        bags = tuple([frozenset(b) for b in bags])
         if len(bags) != tree.n:
             raise InputError(f"{len(bags)} bags for {tree.n} tree nodes")
         for b in bags:
@@ -67,6 +75,12 @@ def width(td: TreeDecomposition) -> int:
     if not td.bags:
         raise InputError("decomposition has no bags")
     return max(len(b) for b in td.bags) - 1
+
+
+def neighbour_masks(g: Graph) -> list[int]:
+    """Each vertex's neighbourhood in g as an int bitmask, built anew on
+    every call (a Graph caches none)."""
+    return [sum(1 << u for u in ns) for ns in g._adj]
 
 
 def _walk(g: Graph) -> tuple[list[int], list[int]]:
@@ -217,7 +231,7 @@ def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[set[int]
     from both ends.
     """
     adj = [set(g.neighbors(v)) for v in g.vertices()]
-    mask = [sum(1 << u for u in ns) for ns in adj]
+    mask = neighbour_masks(g)
 
     if method == "min-degree":
         def score(v: int) -> int:
@@ -247,7 +261,8 @@ def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[set[int]
             na.discard(a)
             na.discard(v)
             mask[a] = (mask[a] | nm) & ~(1 << a | 1 << v)
-        for u in ns.union(*map(adj.__getitem__, ns)):
+        # a list, not a generator: see graphs.Graph._adj
+        for u in ns.union(*[adj[a] for a in ns]):
             if u not in ns and (mask[u] & nm).bit_count() < 2:
                 continue
             s = score(u)
@@ -278,13 +293,9 @@ def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, Tr
             f"exact treewidth is gated to {limit} vertices (graph has {g.n}); "
             "raise the limit or use heuristic_decomposition"
         )
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
     min_fill, rests = _greedy_elimination(g, "min-fill")
     upper = (max(map(len, rests), default=-1), min_fill)
-    tw, order = kernels.exact_treewidth(g.n, masks, upper)
+    tw, order = kernels.exact_treewidth(g.n, neighbour_masks(g), upper)
     td = from_elimination_order(g, order)
     assert width(td) == tw, "witness width disagrees with the DP value"
     return tw, td
@@ -323,20 +334,46 @@ INTRODUCE = "introduce"
 FORGET = "forget"
 JOIN = "join"
 INTRODUCE_EDGE = "introduce_edge"
+NO_EDGE = (-1, -1)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of mask in ascending order: a bitmask bag's vertices,
+    sorted."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class NiceNode(NamedTuple):
-    """One node of a nice decomposition; a named tuple, as to_nice builds
-    one per node and a frozen dataclass costs a setattr per field."""
+    """One node of a nice decomposition as a record: what
+    NiceTreeDecomposition.nodes hands out and what its constructor takes."""
 
     kind: str
     bag: frozenset[int]
     children: tuple[int, ...]
     vertex: int = -1  # introduce/forget payload
-    edge: tuple[int, int] = (-1, -1)  # introduce_edge payload
+    edge: tuple[int, int] = NO_EDGE  # introduce_edge payload
 
 
-@dataclass(frozen=True)
+class _Nodes(Sequence[NiceNode]):
+    """The nodes of a NiceTreeDecomposition as NiceNode records, each built
+    when it is read."""
+
+    def __init__(self, ntd: NiceTreeDecomposition):
+        self._ntd = ntd
+
+    def __len__(self) -> int:
+        return len(self._ntd.kind)
+
+    def __getitem__(self, i: int) -> NiceNode:
+        t = self._ntd
+        i = range(len(t.kind))[i]
+        return NiceNode(t.kind[i], frozenset(bits(t.bag[i])), t.children(i), t.vertex[i], t.edge[i])
+
+
+@dataclass(frozen=True, init=False)
 class NiceTreeDecomposition:
     """Rooted normalized decomposition: leaf (empty bag), introduce(v),
     forget(v), join (two children with equal bags), introduce_edge(uv) with
@@ -344,23 +381,60 @@ class NiceTreeDecomposition:
     first: every child's id is smaller than its parent's, and the last node
     is the root, whose bag is empty.
 
-    `graph` is the graph object to_nice built it for; hand-built ones and
-    dataclasses.replace copies carry None, so the solvers check them in full.
+    The store is flat, one list entry per node id: kind[i]; bag[i] as an
+    int bitmask, bit v set iff v is in the bag; vertex[i], the introduce or
+    forget payload (-1 elsewhere); edge[i], the introduce_edge payload
+    (NO_EDGE elsewhere); left[i] and right[i], the children (-1 where
+    there is none; a one-child node has only a left child).  to_nice writes
+    the lists directly.  The constructor takes NiceNode records, and
+    `nodes` hands them out, built on demand, for hand-built trees, tests
+    and messages.
+
+    `graph` is the graph object to_nice built it for; hand-built ones carry
+    None, so the solvers check them in full.
     """
 
-    nodes: tuple[NiceNode, ...]
-    graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
+    kind: list[str]
+    bag: list[int]
+    vertex: list[int]
+    edge: list[tuple[int, int]]
+    left: list[int]
+    right: list[int]
+    graph: Graph | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, nodes: Iterable[NiceNode] = ()):
+        for name in ("kind", "bag", "vertex", "edge", "left", "right"):
+            object.__setattr__(self, name, [])
+        object.__setattr__(self, "graph", None)
+        for i, node in enumerate(nodes):
+            if len(node.children) > 2 or min(node.children, default=0) < 0:
+                raise InputError(f"node {i}: children {node.children} are not up to two node ids")
+            if min(node.bag, default=0) < 0:
+                raise InputError(f"node {i}: negative vertex in bag {sorted(node.bag)}")
+            self.kind.append(node.kind)
+            self.bag.append(sum(1 << v for v in node.bag))
+            self.vertex.append(node.vertex)
+            self.edge.append(node.edge)
+            self.left.append(node.children[0] if node.children else -1)
+            self.right.append(node.children[1] if len(node.children) == 2 else -1)
+
+    @property
+    def nodes(self) -> Sequence[NiceNode]:
+        return _Nodes(self)
 
     @property
     def root(self) -> int:
-        return len(self.nodes) - 1
+        return len(self.kind) - 1
+
+    def children(self, i: int) -> tuple[int, ...]:
+        return tuple(c for c in (self.left[i], self.right[i]) if c >= 0)
 
     def as_tree_decomposition(self) -> TreeDecomposition:
-        edges = [(i, c) for i, node in enumerate(self.nodes) for c in node.children]
-        return TreeDecomposition(Graph(len(self.nodes), edges), [n.bag for n in self.nodes])
+        edges = [(i, c) for i, lr in enumerate(zip(self.left, self.right)) for c in lr if c >= 0]
+        return TreeDecomposition(Graph(len(self.kind), edges), map(bits, self.bag))
 
     def width(self) -> int:
-        return max(len(n.bag) for n in self.nodes) - 1
+        return max(b.bit_count() for b in self.bag) - 1
 
 
 def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
@@ -374,101 +448,120 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     above the introduce node that first completes it.  Each node is appended
     after its children, the root last, so the result is nice by construction;
     it carries g as its `graph`, which the solvers trust.
+
+    Bags are int bitmasks throughout, and the node lists of the result are
+    appended to directly.  pending[v] masks the neighbours u of v whose edge
+    uv is not introduced yet, so the edges an introduce(v) completes are the
+    bits of bag & pending[v].
     """
     if td.graph is not g:
         check = validate(td, g)
         if not check.ok:
             raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
-    nodes: list[NiceNode] = []
-    append, pending, adj = nodes.append, set(g.edges), g._adj  # pending: edges not yet introduced
+    ntd = NiceTreeDecomposition()
+    kinds, bags, vertices, edges, lefts, rights = ntd.kind, ntd.bag, ntd.vertex, ntd.edge, ntd.left, ntd.right
+    pending = neighbour_masks(g)
 
-    def chain_to(node: int, target: frozenset[int]) -> int:
-        """Forget/introduce one vertex at a time until the bag equals target;
-        each introduce(v) is followed at once by an introduce_edge node for
-        each still-pending edge of v that the bag now holds, in sorted order
-        (sorting the edges uv is sorting by u, as v is fixed)."""
-        bag = nodes[node].bag
-        for v in sorted(bag - target):
-            append(NiceNode(FORGET, bag := bag - {v}, (node,), v))
-            node = len(nodes) - 1
-        for v in sorted(target - bag):
-            append(NiceNode(INTRODUCE, bag := bag | {v}, (node,), v))
-            node = len(nodes) - 1
-            for u in sorted(bag & adj[v]):
-                e = (u, v) if u < v else (v, u)
-                if e in pending:
-                    pending.remove(e)
-                    append(NiceNode(INTRODUCE_EDGE, bag, (node,), -1, e))
-                    node = len(nodes) - 1
+    def add(kind: str, bag: int, left: int, vertex: int = -1, edge=NO_EDGE, right: int = -1) -> int:
+        kinds.append(kind)
+        bags.append(bag)
+        vertices.append(vertex)
+        edges.append(edge)
+        lefts.append(left)
+        rights.append(right)
+        return len(kinds) - 1
+
+    def chain_to(node: int, target: int) -> int:
+        """Forget/introduce one vertex at a time until the bag equals target,
+        in ascending vertex order; each introduce(v) is followed at once by
+        an introduce_edge node for each still-pending edge of v that the bag
+        now holds, in sorted order (sorting the edges uv is sorting by u, as
+        v is fixed)."""
+        bag = bags[node]
+        for v in bits(bag & ~target):
+            bag ^= 1 << v
+            node = add(FORGET, bag, node, v)
+        for v in bits(target & ~bag):
+            bag |= 1 << v
+            node = add(INTRODUCE, bag, node, v)
+            done = bag & pending[v]
+            pending[v] ^= done
+            for u in bits(done):
+                pending[u] ^= 1 << v
+                node = add(INTRODUCE_EDGE, bag, node, -1, (u, v) if u < v else (v, u))
         return node
 
     order, parent = _walk(td.tree)  # rooted at node 0
     kids: list[list[int]] = [[] for _ in td.bags]
     for t in order[1:]:
         kids[parent[t]].append(t)
-    built: dict[int, int] = {}
+    built = [0] * len(td.bags)  # host node -> the nice node that ends its chain
     for t in reversed(order):
-        bag = td.bags[t]
+        bag = sum(1 << v for v in td.bags[t])
         if not kids[t]:
-            append(NiceNode(LEAF, frozenset(), ()))
-            built[t] = chain_to(len(nodes) - 1, bag)
+            built[t] = chain_to(add(LEAF, 0, -1), bag)
             continue
         lifted = [chain_to(built[s], bag) for s in kids[t]]
         node = lifted[0]
         for other in lifted[1:]:
-            append(NiceNode(JOIN, bag, (node, other)))
-            node = len(nodes) - 1
+            node = add(JOIN, bag, node, right=other)
         built[t] = node
-    root = chain_to(built[0], frozenset())
-    if pending:
-        raise AssertionError(f"edges never introduced: {sorted(pending)}")
-    assert root == len(nodes) - 1, "the root is not the last node"
-    ntd = NiceTreeDecomposition(tuple(nodes))
+    root = chain_to(built[0], 0)
+    if any(pending):
+        missed = [(u, v) for u, m in enumerate(pending) for v in bits(m) if u < v]
+        raise AssertionError(f"edges never introduced: {missed}")
+    assert root == len(kinds) - 1, "the root is not the last node"
     object.__setattr__(ntd, "graph", g)
     assert ntd.width() == max(width(td), -1), "normalization changed the width"
     return ntd
 
 
 def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
-    """Structural checks for nice decompositions (used by solvers and tests).
-    Children before parents, and every node but the last the child of one
-    node, make the nodes a tree rooted at the last node."""
-    if not ntd.nodes:
+    """Structural checks for nice decompositions (used by solvers and tests),
+    read off the flat lists.  Children before parents, and every node but
+    the last the child of one node, make the nodes a tree rooted at the last
+    node."""
+    if not ntd.kind:
         return Validity(("no nodes: a nice decomposition has at least its root",))
     violations = []
     introduced: list[tuple[int, int]] = []
-    parents = [0] * len(ntd.nodes)
+    bags = ntd.bag
+    parents = [0] * len(bags)
     ordered = True
-    for i, node in enumerate(ntd.nodes):
-        if not all(0 <= c < i for c in node.children):
-            violations.append(f"node {i}: children {node.children} do not all come before it")
+    for i, (kind, bag, x, edge, left, right) in enumerate(
+        zip(ntd.kind, bags, ntd.vertex, ntd.edge, ntd.left, ntd.right)
+    ):
+        children = ntd.children(i)
+        if left >= i or right >= i:
+            violations.append(f"node {i}: children {children} do not all come before it")
             ordered = False
             continue
-        for c in node.children:
+        for c in children:
             parents[c] += 1
-        kids = [ntd.nodes[c] for c in node.children]
-        if node.kind == LEAF:
-            if node.bag or kids:
+        one = len(children) == 1
+        below = bags[left] if one else 0
+        if kind == LEAF:
+            if bag or children:
                 violations.append(f"node {i}: leaf must have an empty bag and no children")
-        elif node.kind == INTRODUCE:
-            if len(kids) != 1 or node.bag != kids[0].bag | {node.vertex} or node.vertex in kids[0].bag:
-                violations.append(f"node {i}: bad introduce of {node.vertex}")
-        elif node.kind == FORGET:
-            if len(kids) != 1 or node.bag != kids[0].bag - {node.vertex} or node.vertex not in kids[0].bag:
-                violations.append(f"node {i}: bad forget of {node.vertex}")
-        elif node.kind == JOIN:
-            if len(kids) != 2 or any(k.bag != node.bag for k in kids):
+        elif kind == INTRODUCE:
+            if not one or x < 0 or below >> x & 1 or bag != below | 1 << x:
+                violations.append(f"node {i}: bad introduce of {x}")
+        elif kind == FORGET:
+            if not one or x < 0 or not below >> x & 1 or bag != below ^ 1 << x:
+                violations.append(f"node {i}: bad forget of {x}")
+        elif kind == JOIN:
+            if len(children) != 2 or bags[left] != bag or bags[right] != bag:
                 violations.append(f"node {i}: join children must repeat the bag")
-        elif node.kind == INTRODUCE_EDGE:
-            u, v = node.edge
-            if len(kids) != 1 or node.bag != kids[0].bag or u not in node.bag or v not in node.bag:
-                violations.append(f"node {i}: bad introduce_edge {node.edge}")
+        elif kind == INTRODUCE_EDGE:
+            u, v = edge
+            if not one or bag != below or min(u, v) < 0 or not (bag >> u & 1 and bag >> v & 1):
+                violations.append(f"node {i}: bad introduce_edge {edge}")
             introduced.append(canon(u, v))
         else:
-            violations.append(f"node {i}: unknown kind {node.kind}")
+            violations.append(f"node {i}: unknown kind {kind}")
     strays = [i for i, p in enumerate(parents[:-1]) if p != 1]
     violations.extend(f"node {i} is the child of {parents[i]} nodes, not one" for i in strays)
-    if ntd.nodes[ntd.root].bag:
+    if bags[-1]:
         violations.append("root bag must be empty")
     if sorted(introduced) != sorted(g.edges):
         violations.append("introduced edges do not match the graph's edge set exactly once")

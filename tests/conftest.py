@@ -36,13 +36,17 @@ from twlab.treewidth import (
     FORGET,
     INTRODUCE,
     INTRODUCE_EDGE,
+    JOIN,
     LEAF,
+    NiceNode,
     NiceTreeDecomposition,
     TreeDecomposition,
     _greedy_elimination,
+    _walk,
     heuristic_decomposition,
     relabel,
     to_nice,
+    validate,
 )
 
 
@@ -236,6 +240,55 @@ def elimination_route_nice(g: Graph, method: str) -> NiceTreeDecomposition:
     return to_nice(td, g)
 
 
+def reference_to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
+    """Reference normalization to nice form: the one-pass builder over
+    frozenset bags and NiceNode records that treewidth.to_nice replaced,
+    kept as an oracle for its trees node for node.  It validates every
+    decomposition, and its result carries no graph."""
+    check = validate(td, g)
+    if not check.ok:
+        raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
+    nodes: list[NiceNode] = []
+    append, pending, adj = nodes.append, set(g.edges), g._adj  # pending: edges not yet introduced
+
+    def chain_to(node: int, target: frozenset[int]) -> int:
+        bag = nodes[node].bag
+        for v in sorted(bag - target):
+            append(NiceNode(FORGET, bag := bag - {v}, (node,), v))
+            node = len(nodes) - 1
+        for v in sorted(target - bag):
+            append(NiceNode(INTRODUCE, bag := bag | {v}, (node,), v))
+            node = len(nodes) - 1
+            for u in sorted(bag & adj[v]):
+                e = (u, v) if u < v else (v, u)
+                if e in pending:
+                    pending.remove(e)
+                    append(NiceNode(INTRODUCE_EDGE, bag, (node,), -1, e))
+                    node = len(nodes) - 1
+        return node
+
+    order, parent = _walk(td.tree)  # rooted at node 0
+    kids: list[list[int]] = [[] for _ in td.bags]
+    for t in order[1:]:
+        kids[parent[t]].append(t)
+    built: dict[int, int] = {}
+    for t in reversed(order):
+        bag = td.bags[t]
+        if not kids[t]:
+            append(NiceNode(LEAF, frozenset(), ()))
+            built[t] = chain_to(len(nodes) - 1, bag)
+            continue
+        lifted = [chain_to(built[s], bag) for s in kids[t]]
+        node = lifted[0]
+        for other in lifted[1:]:
+            append(NiceNode(JOIN, bag, (node, other)))
+            node = len(nodes) - 1
+        built[t] = node
+    chain_to(built[0], frozenset())
+    assert not pending, f"edges never introduced: {sorted(pending)}"
+    return NiceTreeDecomposition(nodes)
+
+
 def dp_pipeline_gadgets(cases: int) -> list[Graph]:
     """Target graphs of `cases` seeded sources on every pipeline whose
     target kind has a DP, at the sizes the DP sweeps use."""
@@ -302,8 +355,8 @@ def stack_rooting(tree: Graph) -> tuple[list[int], list[list[int]]]:
     return order, kids
 
 
-def _sorted_bags(ntd: NiceTreeDecomposition) -> list[tuple[int, ...]]:
-    return [tuple(sorted(n.bag)) for n in ntd.nodes]
+def _sorted_bags(nodes: list[NiceNode]) -> list[tuple[int, ...]]:
+    return [tuple(sorted(n.bag)) for n in nodes]
 
 
 def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> dict[int, int] | None:
@@ -317,11 +370,12 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
     """
     g = inst.graph
     _require_nice(ntd, g)
-    bags = _sorted_bags(ntd)
-    tables: list[dict[tuple[int, ...], object]] = [None] * len(ntd.nodes)  # type: ignore[list-item]
+    nodes = list(ntd.nodes)
+    bags = _sorted_bags(nodes)
+    tables: list[dict[tuple[int, ...], object]] = [None] * len(nodes)  # type: ignore[list-item]
 
-    for i in range(len(ntd.nodes)):  # children first
-        node = ntd.nodes[i]
+    for i in range(len(nodes)):  # children first
+        node = nodes[i]
         bag = bags[i]
         if node.kind == LEAF:
             tables[i] = {(): None}
@@ -358,7 +412,7 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
     stack: list[tuple[int, tuple[int, ...]]] = [(ntd.root, ())]
     while stack:
         i, s = stack.pop()
-        node = ntd.nodes[i]
+        node = nodes[i]
         if node.kind == LEAF:
             continue
         if node.kind == INTRODUCE:
@@ -424,11 +478,12 @@ def tuple_chosen_outdegree_dp(
     _require_nice(ntd, g)
     rho = inst.rho
     wmap = dict(zip(g.edges, inst.weights.weights))
-    bags = _sorted_bags(ntd)
-    tables: list[dict[tuple[int, ...], object]] = [None] * len(ntd.nodes)  # type: ignore[list-item]
+    nodes = list(ntd.nodes)
+    bags = _sorted_bags(nodes)
+    tables: list[dict[tuple[int, ...], object]] = [None] * len(nodes)  # type: ignore[list-item]
 
-    for i in range(len(ntd.nodes)):  # children first
-        node = ntd.nodes[i]
+    for i in range(len(nodes)):  # children first
+        node = nodes[i]
         bag = bags[i]
         if node.kind == LEAF:
             tables[i] = {(): None}
@@ -486,7 +541,7 @@ def tuple_chosen_outdegree_dp(
     stack: list[tuple[int, tuple[int, ...]]] = [(ntd.root, ())]
     while stack:
         i, s = stack.pop()
-        node = ntd.nodes[i]
+        node = nodes[i]
         if node.kind == LEAF:
             continue
         if node.kind == INTRODUCE:

@@ -1,7 +1,6 @@
 import itertools
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -318,6 +317,18 @@ class TestDpListColoring:
                     answers.add(got is None)
         assert answers == {True, False}
 
+    def test_an_empty_list_answers_no(self):
+        # bound 0 at the empty-list vertex: the tables are empty from its
+        # introduce on, and the bound product is taken afresh past its forget
+        g3, joined = other_branch_join_triangle()
+        cases = [(g3, joined, [{1, 2}, set(), {1, 2, 3}])]
+        cases += [(g, nice_of(g), [{1, 2, 3}] * v + [set()] + [{1, 2, 3}] * (g.n - v - 1))
+                  for g in (path(5), grid(3, 4), complete(4)) for v in (0, g.n // 2, g.n - 1)]
+        for g, ntd, lists in cases:
+            inst = ListColoringInstance(g, lists)
+            assert dp_list_coloring(inst, ntd) is None
+            assert tuple_list_coloring_dp(inst, ntd) is None
+
     def test_7x40_grid_peak_memory(self):
         inst = grid_instance(7, 40, random.Random(11))
         ntd = nice_of(inst.graph)
@@ -405,14 +416,14 @@ class TestDpChosenOutdegree:
 
         def recording(dp, bound, step, back):
             def at(kind, handler):
-                def handle(i, node):
+                def handle(i):
                     kind_now[0] = kind
-                    return handler(i, node)
+                    return handler(i)
                 return handle
 
-            def visiting(i, node, s):
+            def visiting(i, s):
                 visited.append((i, s))
-                return back(i, node, s)
+                return back(i, s)
 
             visited = []
             runs.append((dp, visited))
@@ -545,12 +556,11 @@ def splice_out(ntd, i):
         c = child if c == i else c
         return c - (c > i)
 
-    nodes = tuple(
+    return NiceTreeDecomposition(
         node._replace(children=tuple(map(renumber, node.children)))
         for j, node in enumerate(ntd.nodes)
         if j != i
     )
-    return replace(ntd, nodes=nodes)
 
 
 def count_checks(monkeypatch):
@@ -675,9 +685,10 @@ class TestNodeOrder:
             "node 0 is the child of 2 nodes, not one",
             "node 1 is the child of 0 nodes, not one",
         )
-        inst = ListColoringInstance(g, [{1}, {1}])
-        with pytest.raises(InputError, match="invalid nice decomposition"):
-            dp_list_coloring(inst, ntd)
+        for dp, inst in ((dp_list_coloring, ListColoringInstance(g, [{1}, {1}])),
+                         (dp_chosen_outdegree, ChosenOutdegreeInstance(g, EdgeWeighting(g, []), (0, 0)))):
+            with pytest.raises(InputError, match="invalid nice decomposition"):
+                dp(inst, ntd)
 
 
 class TestFlow:

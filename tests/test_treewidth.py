@@ -13,6 +13,7 @@ from conftest import (
     grid,
     path,
     petersen,
+    reference_to_nice,
     search_forest_decomposition,
     search_validate,
     stack_rooting,
@@ -23,9 +24,15 @@ from conftest import (
 )
 from twlab import kernels, treewidth
 from twlab.errors import GuardError, InputError
-from twlab.graphs import Graph, induced_subgraph
+from twlab.graphs import Graph, canon, induced_subgraph
+from twlab.problems import ListColoringInstance
 from twlab.reductions import ReductionOutput, certify
+from twlab.solvers import dp_list_coloring
 from twlab.treewidth import (
+    INTRODUCE,
+    JOIN,
+    LEAF,
+    NiceNode,
     NiceTreeDecomposition,
     TreeDecomposition,
     augment_with_set,
@@ -375,6 +382,56 @@ class TestToNice:
     def test_check_nice_reports_an_empty_node_tuple(self):
         check = check_nice(NiceTreeDecomposition(()), Graph(0))
         assert not check.ok and "no nodes" in check.violations[0]
+        assert NiceTreeDecomposition() == NiceTreeDecomposition(())
+        inst = ListColoringInstance(Graph(0), [])
+        with pytest.raises(InputError, match="invalid nice decomposition: no nodes"):
+            dp_list_coloring(inst, NiceTreeDecomposition(()))
+
+    def test_records_the_flat_form_cannot_hold_are_refused(self):
+        for node in (NiceNode(JOIN, frozenset(), (0, 1, 2)),
+                     NiceNode(INTRODUCE, frozenset({0}), (-1,), vertex=0),
+                     NiceNode(LEAF, frozenset({-2}), ())):
+            with pytest.raises(InputError):
+                NiceTreeDecomposition([NiceNode(LEAF, frozenset(), ()), node])
+
+
+def assert_same_nice(td, g):
+    got, ref = to_nice(td, g), reference_to_nice(td, g)
+    assert list(got.nodes) == list(ref.nodes)  # kind, bag, children, vertex, edge
+    assert got == ref and got.graph is g and ref.graph is None
+
+
+class TestMatchesReferenceBuilder:
+    """to_nice writes the flat node lists directly; its tree equals the
+    record builder's node for node: ids, kinds, bags, children, vertices
+    and edges."""
+
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_elimination_test_graphs(self, method):
+        for g in elimination_test_graphs():
+            assert_same_nice(heuristic_decomposition(g, method), g)
+
+    def test_validated_hand_built_decomposition(self):
+        # a star host: its children are joined over repeated bags
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        td = TreeDecomposition(
+            Graph(4, [(0, 1), (0, 2), (0, 3)]), [{0, 2}, {0, 1, 2}, {0, 2, 3}, {0, 4}]
+        )
+        assert td.graph is None and validate(td, g).ok
+        assert_same_nice(td, g)
+
+    def test_grid_and_band_graph(self):
+        rng = random.Random(12)
+        n, band = 300, 5
+        perm = rng.sample(range(n), n)
+        banded = Graph(n, {
+            canon(perm[i], perm[j])
+            for i in range(n)
+            for j in range(i + 1, min(n, i + band + 1))
+            if j == i + 1 or rng.random() < 0.15
+        })
+        for g in (grid(6, 30), banded):
+            assert_same_nice(heuristic_decomposition(g), g)
 
 
 def count_validations(monkeypatch):
