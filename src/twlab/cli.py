@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
 from twlab import harness as hn
 from twlab import problems as pr
@@ -20,7 +21,7 @@ from twlab import reductions as rd
 from twlab import solvers as sv
 from twlab import treewidth as tw
 from twlab.errors import InputError
-from twlab.graphs import graph_from_json, partitioned_to_json, weighting_to_json
+from twlab.graphs import partitioned_to_json, weighting_to_json
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -60,11 +61,7 @@ def _cmd_gen(args) -> int:
 # --- tw -------------------------------------------------------------------------
 
 def _cmd_tw(args) -> int:
-    obj = pr.instance_object(_read_json(args.file))
-    if isinstance(obj, dict) and obj.get("type") == "gensat":
-        raise InputError("a gensat instance has no graph of its own; tw takes a graph "
-                         "or an instance of a graph problem")
-    g = graph_from_json(obj)
+    g = pr.graph_from_file(_read_json(args.file))
     if args.method == "exact":
         value, td = tw.exact_treewidth(g, args.limit)
     else:
@@ -138,20 +135,7 @@ def _cmd_solve(args) -> int:
 # --- verify ---------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    cfg = hn.ExperimentConfig(
-        pipeline=args.pipeline,
-        k=args.k,
-        n=args.n,
-        p=args.p,
-        plant=args.plant,
-        cases=args.cases,
-        seed=args.seed,
-        solver=args.solver,
-        max_weight=args.max_weight,
-        rho_max=args.rho_max,
-        unsafe=args.unsafe,
-        jobs=args.jobs,
-    )
+    cfg = hn.ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(hn.ExperimentConfig)})
     rep = hn.verify_reduction(cfg)
     if args.report:
         fmt = "csv" if args.report.endswith(".csv") else "json"
@@ -207,19 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a seeded oracle-equivalence sweep")
     v.add_argument("--pipeline", choices=list(hn.PIPELINES), required=True)
-    v.add_argument("-k", type=int, default=2)
-    v.add_argument("-n", type=int, default=2)
-    v.add_argument("-p", type=float, default=0.5)
+    v.add_argument("-k", type=int)
+    v.add_argument("-n", type=int)
+    v.add_argument("-p", type=float)
     v.add_argument("--plant", action="store_true")
-    v.add_argument("--cases", type=int, default=10)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--solver", choices=["bf", "dp", "both"], default="bf")
-    v.add_argument("--max-weight", type=int, default=4)
-    v.add_argument("--rho-max", type=int, default=6)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--cases", type=int)
+    v.add_argument("--seed", type=int)
+    v.add_argument("--solver", choices=["bf", "dp", "both"])
+    v.add_argument("--max-weight", type=int)
+    v.add_argument("--rho-max", type=int)
+    v.add_argument("--jobs", type=int)
     v.add_argument("--unsafe", action="store_true", help="lift size guards")
     v.add_argument("--report", help="write the report here (.json or .csv)")
-    v.set_defaults(func=_cmd_verify)
+    # the defaults are ExperimentConfig's
+    v.set_defaults(func=_cmd_verify, **{
+        f.name: f.default for f in fields(hn.ExperimentConfig) if f.default is not MISSING
+    })
     return parser
 
 

@@ -40,7 +40,6 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
-        seen: set[Edge] = set()
         canonical: list[Edge] = []
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
@@ -48,13 +47,12 @@ class Graph:
                 raise InputError(f"loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            e = canon(u, v)
-            if e in seen:
-                raise InputError(f"duplicate edge {e}")
-            seen.add(e)
-            canonical.append(e)
-            adj[u].add(v)
+            au = adj[u]
+            if v in au:
+                raise InputError(f"duplicate edge {canon(u, v)}")
+            au.add(v)
             adj[v].add(u)
+            canonical.append((u, v) if u < v else (v, u))
         canonical.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canonical))

@@ -1,6 +1,11 @@
 """Seeded instance generation, end-to-end reduction verification against
 brute-force oracles, and report emission.
 
+A pipeline's source is a seeded generator with the oracle, checker, report
+JSON and file reader of its instances; a source of one problem kind
+(lc-pce's lists, chosen-minmax's caps) takes all but the generator from
+that kind's row of problems.KINDS.
+
 Each case draws its own 64-bit seed from the run seed and the case index
 through a splitmix-style mixer, so runs are reproducible case by case and a
 disagreeing case can be replayed standalone.  Disagreement is report data,
@@ -26,7 +31,6 @@ from twlab.graphs import (
     EdgeWeighting,
     Graph,
     PartitionedGraph,
-    graph_from_json,
     graph_to_json,
     partitioned_from_json,
     partitioned_to_json,
@@ -189,20 +193,26 @@ class Source:
 def _read_graph_and_k(obj, k, name):
     if k is None:
         raise InputError(f"{name} requires -k")
-    return graph_from_json(pr.instance_object(obj)), k
-
-
-def _read_instance(tag: str):
-    def read(obj, k, name):
-        def check_kind(kind: pr.ProblemKind) -> None:
-            if kind.tag != tag:
-                raise InputError(f"{name} expects a {tag} instance file")
-        return pr.instance_from_json(obj, check_kind)
-    return read
+    return pr.graph_from_file(obj), k
 
 
 # Oracles and reductions are called through module attributes (pr.*, rd.*)
 # looked up when the lambda runs, so tracing and monkeypatching see them.
+def _kind_source(tag: str, generate: Callable[[ExperimentConfig, int], object]) -> Source:
+    """A source of problems.KINDS instances of one kind: that row's oracle,
+    checker and codec, and a reader refusing every other kind."""
+    kind = pr.KIND_BY_TAG[tag]
+
+    def read(obj, k, name):
+        def refuse_other(other: pr.ProblemKind) -> None:
+            if other is not kind:
+                raise InputError(f"{name} expects a {tag} instance file")
+        return pr.instance_from_json(obj, refuse_other)
+
+    return Source(generate, lambda inst: getattr(pr, kind.oracle)(inst), kind.check,
+                  pr.instance_to_json, read)
+
+
 PARTITIONED = Source(
     lambda cfg, seed: gen_partitioned(cfg.k, cfg.n, cfg.p, cfg.plant, seed),
     lambda pg: pr.bf_partitioned_clique(pg),
@@ -217,19 +227,12 @@ GRAPH_AND_K = Source(  # the source is the pair (graph, k)
     lambda source: dict(graph_to_json(source[0]), k=source[1]),
     _read_graph_and_k,
 )
-LIST_COLORING = Source(
-    lambda cfg, seed: gen_list_instance(cfg.n, cfg.k, cfg.p, seed),
-    lambda inst: pr.bf_list_coloring(inst),
-    pr.check_list_coloring,
-    pr.instance_to_json,
-    _read_instance("list_coloring"),
+LIST_COLORING = _kind_source(
+    "list_coloring", lambda cfg, seed: gen_list_instance(cfg.n, cfg.k, cfg.p, seed)
 )
-CHOSEN_OUTDEGREE = Source(
+CHOSEN_OUTDEGREE = _kind_source(
+    "chosen_outdegree",
     lambda cfg, seed: gen_chosen_instance(cfg.n, cfg.p, cfg.max_weight, cfg.rho_max, seed),
-    lambda inst: pr.bf_chosen_outdegree(inst),
-    pr.check_admissible,
-    pr.instance_to_json,
-    _read_instance("chosen_outdegree"),
 )
 
 

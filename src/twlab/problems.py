@@ -5,7 +5,9 @@ their own witnesses: each kind's checker, a direct transcription of the
 defining condition, is called once on every yes-witness where it is used
 (harness._case_record for `twlab verify`, the CLI for `twlab solve`).
 Witnesses are deterministic: the lexicographically first one under the
-documented search order.
+documented search order.  A uniform-cap (minmax) instance is a capped
+(chosen) instance whose every cap is r, so the capped oracle, DP and checker
+serve both kinds.
 """
 
 from __future__ import annotations
@@ -201,12 +203,12 @@ class ChosenOutdegreeInstance:
 
 
 @dataclass(frozen=True)
-class MinMaxOutdegreeInstance:
-    """Uniform-cap variant; weights are integers standing in for a unary
-    encoding, so the total weight is capped at DEFAULT_WEIGHT_CEILING."""
+class MinMaxOutdegreeInstance(ChosenOutdegreeInstance):
+    """The uniform-cap case: a capped instance whose every cap is r, so the
+    capped oracle, DP and checker take it as it is.  Weights are integers
+    standing in for a unary encoding, so the total weight is capped at
+    DEFAULT_WEIGHT_CEILING."""
 
-    graph: Graph
-    weights: EdgeWeighting
     r: int
 
     def __init__(self, graph: Graph, weights: EdgeWeighting, r: int):
@@ -214,15 +216,12 @@ class MinMaxOutdegreeInstance:
         if r < 1:
             raise InputError(f"r must be positive, got {r}")
         require_at_most("r", r, R_CEILING)
-        if weights.graph != graph:
-            raise InputError("weighting belongs to a different graph")
+        super().__init__(graph, weights, (r,) * graph.n)
         if weights.total_weight > DEFAULT_WEIGHT_CEILING:
             raise InputError(
                 f"total weight {weights.total_weight} exceeds the ceiling "
                 f"{DEFAULT_WEIGHT_CEILING} (weights are treated as unary)"
             )
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "r", r)
 
 
@@ -281,11 +280,6 @@ def check_gensat(inst: GensatInstance, tau) -> bool:
 def check_admissible(inst: ChosenOutdegreeInstance, lam: Orientation) -> bool:
     out = all_outdegrees(inst.graph, inst.weights, lam)
     return all(out[v] <= inst.rho[v] for v in inst.graph.vertices())
-
-
-def check_minmax(inst: MinMaxOutdegreeInstance, lam: Orientation) -> bool:
-    out = all_outdegrees(inst.graph, inst.weights, lam)
-    return all(o <= inst.r for o in out)
 
 
 # --- brute-force oracles ------------------------------------------------------
@@ -427,9 +421,8 @@ def bf_chosen_outdegree(inst: ChosenOutdegreeInstance) -> Orientation | None:
 
 
 def bf_min_max_outdegree(inst: MinMaxOutdegreeInstance) -> Orientation | None:
-    """Decision via the chosen-cap search with every cap equal to r."""
-    chosen = ChosenOutdegreeInstance(inst.graph, inst.weights, (inst.r,) * inst.graph.n)
-    return bf_chosen_outdegree(chosen)
+    """The capped search: every cap of inst is r."""
+    return bf_chosen_outdegree(inst)
 
 
 def bf_min_max_value(g: Graph, w: EdgeWeighting) -> int:
@@ -508,9 +501,7 @@ def build_incidence(inst: GensatInstance) -> Graph:
     """Bipartite: variables 0..m-1, then constraints m..m+|S|-1; a pair is
     adjacent when the variable occurs in the constraint."""
     m = inst.num_variables
-    edges = [
-        (x, m + j) for j, c in enumerate(inst.constraints) for x in sorted(c.scope)
-    ]
+    edges = [(x, m + j) for j, c in enumerate(inst.constraints) for x in c.scope]
     return Graph(m + len(inst.constraints), edges)
 
 
@@ -628,7 +619,7 @@ KINDS = (
         "minmax_outdegree", MinMaxOutdegreeInstance,
         lambda i: dict(weighting_to_json(i.weights), r=i.r),
         lambda o: _weighted(MinMaxOutdegreeInstance, o, o["r"]),
-        "bf_min_max_outdegree", check_minmax, _orientation_witness, dp="min_max_outdegree",
+        "bf_min_max_outdegree", check_admissible, _orientation_witness, dp="min_max_outdegree",
     ),
 )
 KIND_BY_TAG = {kind.tag: kind for kind in KINDS}
@@ -654,6 +645,16 @@ def instance_object(obj):
     if isinstance(obj, dict) and "instance" in obj and "type" not in obj:
         return obj["instance"]
     return obj
+
+
+def graph_from_file(obj) -> Graph:
+    """The graph of a graph file or of a graph problem's instance, bare or in
+    a reduction output file; a gensat instance has none."""
+    obj = instance_object(obj)
+    if isinstance(obj, dict) and obj.get("type") == "gensat":
+        raise InputError("a gensat instance has no graph of its own; this command takes "
+                         "a graph or an instance of a graph problem")
+    return graph_from_json(obj)
 
 
 def instance_from_json(obj, check_kind: Callable[[ProblemKind], None] = lambda kind: None):

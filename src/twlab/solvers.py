@@ -354,9 +354,8 @@ def dp_chosen_outdegree(
 def min_max_outdegree(
     inst: MinMaxOutdegreeInstance, ntd: NiceTreeDecomposition
 ) -> Orientation | None:
-    """Uniform-cap decision via the capped-orientation DP."""
-    chosen = ChosenOutdegreeInstance(inst.graph, inst.weights, (inst.r,) * inst.graph.n)
-    return dp_chosen_outdegree(chosen, ntd)
+    """The capped-orientation DP: every cap of inst is r."""
+    return dp_chosen_outdegree(inst, ntd)
 
 
 # --- uniform orientation --------------------------------------------------------

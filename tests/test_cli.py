@@ -408,16 +408,29 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == f"error: tree node count {HUGE} exceeds the ceiling 100000"
 
-    def test_tw_on_gensat_names_the_type(self, capsys, tmp_path):
+    @staticmethod
+    def gensat_files(capsys, tmp_path):
+        """A clique-gensat reduction output and its bare instance."""
         g8, gs8 = tmp_path / "g8.json", tmp_path / "gs8.json"
         run(capsys, "gen", "--kind", "weighted", "-n", "8", "-p", "0.6", "--seed", "1", "-o", str(g8))
         code, *_ = run(capsys, "reduce", "--pipeline", "clique-gensat", "-k", "4", str(g8), "-o", str(gs8))
         assert code == 0
         bare = tmp_path / "gs.json"
         bare.write_text(json.dumps(json.loads(gs8.read_text())["instance"]))
-        for f in (gs8, bare):
+        return gs8, bare
+
+    def test_tw_on_gensat_names_the_type(self, capsys, tmp_path):
+        for f in self.gensat_files(capsys, tmp_path):
             code, out, err = run(capsys, "tw", str(f))
             assert code == 2 and out == ""
+            assert err.splitlines()[-1].startswith("error: a gensat instance has no graph of its own")
+
+    def test_clique_gensat_on_its_own_output_names_the_type(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        for f in self.gensat_files(capsys, tmp_path):
+            code, out, err = run(capsys, "reduce", "--pipeline", "clique-gensat", "-k", "3", str(f),
+                                 "-o", str(bad))
+            assert code == 2 and out == "" and not bad.exists()
             assert err.splitlines()[-1].startswith("error: a gensat instance has no graph of its own")
 
     def test_float_cap_dp_exit_2(self, capsys, tmp_path):

@@ -18,8 +18,9 @@ from conftest import (
 )
 from twlab import harness
 from twlab.errors import InputError
-from twlab.graphs import EdgeWeighting, Graph
+from twlab.graphs import EdgeWeighting, Graph, Orientation, all_outdegrees
 from twlab.problems import (
+    KIND_BY_TAG,
     ChosenOutdegreeInstance,
     ListColoringInstance,
     MinMaxOutdegreeInstance,
@@ -29,7 +30,6 @@ from twlab.problems import (
     bf_min_max_value,
     check_admissible,
     check_list_coloring,
-    check_minmax,
 )
 from twlab import solvers
 from twlab.solvers import (
@@ -64,6 +64,16 @@ def rand_graph(rng, n_max, p=0.4):
     return Graph(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     )
+
+
+def minmax_instances(seed, n_max, max_w, max_r):
+    """Endless random minmax instances; graphs without edges are skipped."""
+    rng = random.Random(seed)
+    while True:
+        g = rand_graph(rng, n_max)
+        if g.edges:
+            w = EdgeWeighting(g, [rng.randint(1, max_w) for _ in g.edges])
+            yield MinMaxOutdegreeInstance(g, w, rng.randint(1, max_r))
 
 
 def grid_instance(rows, cols, rng):
@@ -481,19 +491,10 @@ class TestMinMaxDp:
             MinMaxOutdegreeInstance(triangle, EdgeWeighting(triangle, [1, 1, 1]), 0)
 
     def test_matches_oracle_on_randoms(self):
-        rng = random.Random(12)
-        done = 0
-        while done < 100:
-            g = rand_graph(rng, n_max=7)
-            if not g.edges:
-                continue
-            w = EdgeWeighting(g, [rng.randint(1, 3) for _ in g.edges])
-            r = rng.randint(1, 5)
-            inst = MinMaxOutdegreeInstance(g, w, r)
-            assert (min_max_outdegree(inst, nice_of(g)) is None) == (
+        for inst in itertools.islice(minmax_instances(12, 7, 3, 5), 100):
+            assert (min_max_outdegree(inst, nice_of(inst.graph)) is None) == (
                 bf_min_max_outdegree(inst) is None
             )
-            done += 1
 
     def test_matches_oracle_with_heavy_weights(self, monkeypatch):
         pruned = count_pruned(monkeypatch)
@@ -514,6 +515,29 @@ class TestMinMaxDp:
                 )
                 yes += 1
         assert 0 < yes < checked and pruned[0] > 0
+
+    def test_is_a_capped_instance(self):
+        """The capped oracle, DP and checker take a minmax instance as it is,
+        and agree with the minmax entry points on the corpora of the two
+        tests above (the second's 80 draws hold 58 graphs with edges)."""
+        checker = KIND_BY_TAG["minmax_outdegree"].check
+        corpora = (minmax_instances(12, 7, 3, 5), minmax_instances(41, 8, 40, 60))
+        yes = 0
+        for corpus, count in zip(corpora, (100, 58)):
+            for inst in itertools.islice(corpus, count):
+                ntd = nice_of(inst.graph)
+                assert inst.rho == (inst.r,) * inst.graph.n
+                lam = bf_chosen_outdegree(inst)
+                assert lam == bf_min_max_outdegree(inst)
+                assert dp_chosen_outdegree(inst, ntd) == min_max_outdegree(inst, ntd)
+                if lam is None:
+                    continue
+                yes += 1
+                flipped = Orientation(inst.graph, [d[::-1] for d in lam.direction])
+                for o in (lam, flipped):
+                    within = max(all_outdegrees(inst.graph, inst.weights, o)) <= inst.r
+                    assert check_admissible(inst, o) == checker(inst, o) == within
+        assert 0 < yes < 158
 
 
 class TestNonHeuristicDecompositions:
@@ -730,7 +754,7 @@ class TestFlow:
             value, lam = min_max_orientation(g)
             assert value == flow_min_max_uniform(g, 1)
             unit = EdgeWeighting(g, [1] * len(g.edges))
-            assert check_minmax(MinMaxOutdegreeInstance(g, unit, max(value, 1)), lam)
+            assert check_admissible(MinMaxOutdegreeInstance(g, unit, max(value, 1)), lam)
             if not g.edges:
                 assert value == 0
                 continue
@@ -755,5 +779,5 @@ class TestFlow:
         with within_seconds(10, "min-max orientation of the n=800 graph"):
             value, lam = min_max_orientation(g)
         unit = EdgeWeighting(g, [1] * len(g.edges))
-        assert check_minmax(MinMaxOutdegreeInstance(g, unit, value), lam)
-        assert not check_minmax(MinMaxOutdegreeInstance(g, unit, value - 1), lam)
+        assert check_admissible(MinMaxOutdegreeInstance(g, unit, value), lam)
+        assert not check_admissible(MinMaxOutdegreeInstance(g, unit, value - 1), lam)
