@@ -377,7 +377,8 @@ def require_dp(kind: pr.ProblemKind) -> None:
 
 def solve_dp(instance, ntd=None):
     """Solve an instance with its kind's DP solver, building a heuristic
-    nice decomposition if none is given."""
+    nice decomposition if none is given.  A given one must be to_nice's
+    tree for a graph equal to the instance's."""
     kind = pr.kind_of(instance)
     require_dp(kind)
     if ntd is None:

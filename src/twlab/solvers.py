@@ -1,21 +1,22 @@
 """Solvers driven by nice tree decompositions, plus the path-reversal solver
 for uniformly weighted orientation.
 
-Both DP solvers run on one driver, _NiceDP.  It checks the decomposition
-(unless to_nice built it for the same graph), gives each vertex a fixed bag
-slot (_slots), fills one sparse table of packed bag states per node in index
-order, which lists children first, asserts each table's size against its
-bound (a product carried up the walk), tests the root table (the last
-node's) for the empty state and walks back root-to-leaves.  Everything reads
-the nice tree's flat lists by node id: a bag is an int bitmask whose
-vertices come by ascending bit, and a vertex's neighbours in it are the
-bag ANDed with the vertex's adjacency mask, built per solve.  A DP brings
-only its encoding, one table handler per node kind and one back-step, each
-taking a node id; the back-steps read witnesses off back-pointers
-in the orientation DP and least-colour maps at forget nodes in the
-list-colouring DP.  The solvers do not check the witnesses they return: the
-harness (`twlab verify`) and the CLI (`twlab solve`) check each yes-witness
-once with its kind's checker.
+Both DP solvers run on one driver, _NiceDP.  Every nice tree comes from
+to_nice, so the driver checks only that the tree was built for the graph
+solved on, not the tree itself.  It gives each vertex a fixed bag slot
+(_slots), fills one sparse table of packed bag states per node in index
+order, which lists children first, checks each table's size against its
+bound (a product carried up the walk; a plain check, so it holds under
+python -O), tests the root table (the last node's) for the empty state and
+walks back root-to-leaves.  Everything reads the nice tree's flat lists by
+node id: a bag is an int bitmask whose vertices come by ascending bit, and
+a vertex's neighbours in it are the bag ANDed with the vertex's adjacency
+mask, built per solve.  A DP brings only its encoding, one table handler
+per node kind and one back-step, each taking a node id; the back-steps read
+witnesses off back-pointers in the orientation DP and least-colour maps at
+forget nodes in the list-colouring DP.  The solvers do not check the
+witnesses they return: the harness (`twlab verify`) and the CLI (`twlab
+solve`) check each yes-witness once with its kind's checker.
 """
 
 from __future__ import annotations
@@ -38,19 +39,17 @@ from twlab.treewidth import (
     LEAF,
     NiceTreeDecomposition,
     bits,
-    check_nice,
+    check_nice,  # noqa: F401  not called; test_tracer_restores_every_binding reads it here
     neighbour_masks,
 )
 
 
 def _require_nice(ntd: NiceTreeDecomposition, g: Graph) -> None:
-    """Raise InputError unless ntd is a nice decomposition of g.  One that
-    to_nice built for this very graph object is trusted without a re-check."""
-    if ntd.graph is g:
-        return
-    check = check_nice(ntd, g)
-    if not check.ok:
-        raise InputError("invalid nice decomposition: " + "; ".join(check.violations[:3]))
+    """Raise InputError unless ntd was built for a graph equal to g.  Only
+    to_nice builds nice trees, and its tree for an equal graph is a nice
+    tree of g."""
+    if ntd.graph != g:
+        raise InputError("invalid nice decomposition: built for another graph")
 
 
 def _slots(ntd: NiceTreeDecomposition, n: int) -> list[int]:
@@ -69,14 +68,14 @@ def _slots(ntd: NiceTreeDecomposition, n: int) -> list[int]:
 
 
 class _NiceDP:
-    """The driver both DPs run on.  The constructor checks ntd against g and
-    gives vertex v the bit offset off[v], its slot of _slots times
-    slot_bits.  A DP builds its encoding over off, then its handlers over off
-    and tables (node id -> that node's table of packed bag states), and
-    hands them to run.  Handlers and back-steps take node ids and read the
-    node's kind, bag mask, vertex, edge and children off ntd's lists.  Each
-    handler pops the child tables it reads, or keeps them where its
-    back-step reads them again."""
+    """The driver both DPs run on.  The constructor checks that ntd was
+    built for g and gives vertex v the bit offset off[v], its slot of _slots
+    times slot_bits.  A DP builds its encoding over off, then its handlers
+    over off and tables (node id -> that node's table of packed bag
+    states), and hands them to run.  Handlers and back-steps take node ids
+    and read the node's kind, bag mask, vertex, edge and children off ntd's
+    lists.  Each handler pops the child tables it reads, or keeps them where
+    its back-step reads them again."""
 
     def __init__(self, g: Graph, ntd: NiceTreeDecomposition, slot_bits: int):
         _require_nice(ntd, g)
@@ -86,14 +85,14 @@ class _NiceDP:
 
     def run(self, bound: list[int], step: dict[str, Callable], back: Callable) -> bool:
         """In index order, children first, step[kind](i) builds node i's
-        table, and that table holds at most cap[i] = prod(bound[v] for v in
-        its bag) states.  cap is carried up from the child: introduce(v)
-        multiplies by bound[v], and forget(v) divides by it, or takes the
-        product afresh where bound[v] is 0.  False if the root table lacks
-        state 0.  Otherwise walk root-to-leaves from state 0, where back(i, s)
-        records what node i adds to the witness and gives the states of its
-        children in order (a one-child node may give more), and return
-        True."""
+        table, which must hold at most cap[i] = prod(bound[v] for v in its
+        bag) states: a larger one raises AssertionError, under python -O
+        too.  cap is carried up from the child: introduce(v) multiplies by
+        bound[v], and forget(v) divides by it, or takes the product afresh
+        where bound[v] is 0.  False if the root table lacks state 0.
+        Otherwise walk root-to-leaves from state 0, where back(i, s) records
+        what node i adds to the witness and gives the states of its children
+        in order (a one-child node may give more), and return True."""
         ntd, tables = self.ntd, self.tables
         kind, vertex, bag, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.left, ntd.right
         cap: list[int] = []
@@ -108,7 +107,8 @@ class _NiceDP:
                 c = cap[left[i]] // b if b else prod(bound[v] for v in bits(bag[i]))
             else:
                 c = cap[left[i]]
-            assert len(table) <= c, "table over its bound"
+            if len(table) > c:
+                raise AssertionError("table over its bound")
             cap.append(c)
             tables[i] = table
         if 0 not in tables[ntd.root]:

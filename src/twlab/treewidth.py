@@ -12,18 +12,18 @@ other decomposition (hand-built, relabelled, augmented, read from JSON, or
 paired with an equal but distinct graph) is validated.
 
 A nice decomposition is stored flat: parallel lists of kind, bag (an int
-bitmask), vertex, edge and the two children, one entry per node.  to_nice
-writes them directly and check_nice and the solvers read them, so building
-and walking a nice tree allocates no tuple or set per node; NiceNode
-records are built only when `nodes` is read.
+bitmask), vertex, edge and the two children, one entry per node.  Only
+to_nice builds one, for the graph it carries, and it writes the lists
+directly; the solvers read them, so building and walking a nice tree
+allocates no tuple or set per node.  check_nice is the tests' oracle for
+to_nice's trees; no solver calls it.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from twlab import kernels
 from twlab.errors import GuardError, InputError, decoding, require_at_most
@@ -346,34 +346,7 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class NiceNode(NamedTuple):
-    """One node of a nice decomposition as a record: what
-    NiceTreeDecomposition.nodes hands out and what its constructor takes."""
-
-    kind: str
-    bag: frozenset[int]
-    children: tuple[int, ...]
-    vertex: int = -1  # introduce/forget payload
-    edge: tuple[int, int] = NO_EDGE  # introduce_edge payload
-
-
-class _Nodes(Sequence[NiceNode]):
-    """The nodes of a NiceTreeDecomposition as NiceNode records, each built
-    when it is read."""
-
-    def __init__(self, ntd: NiceTreeDecomposition):
-        self._ntd = ntd
-
-    def __len__(self) -> int:
-        return len(self._ntd.kind)
-
-    def __getitem__(self, i: int) -> NiceNode:
-        t = self._ntd
-        i = range(len(t.kind))[i]
-        return NiceNode(t.kind[i], frozenset(bits(t.bag[i])), t.children(i), t.vertex[i], t.edge[i])
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class NiceTreeDecomposition:
     """Rooted normalized decomposition: leaf (empty bag), introduce(v),
     forget(v), join (two children with equal bags), introduce_edge(uv) with
@@ -385,53 +358,28 @@ class NiceTreeDecomposition:
     int bitmask, bit v set iff v is in the bag; vertex[i], the introduce or
     forget payload (-1 elsewhere); edge[i], the introduce_edge payload
     (NO_EDGE elsewhere); left[i] and right[i], the children (-1 where
-    there is none; a one-child node has only a left child).  to_nice writes
-    the lists directly.  The constructor takes NiceNode records, and
-    `nodes` hands them out, built on demand, for hand-built trees, tests
-    and messages.
+    there is none; a one-child node has only a left child).
 
-    `graph` is the graph object to_nice built it for; hand-built ones carry
-    None, so the solvers check them in full.
+    Only to_nice builds one: the constructor takes the graph and makes the
+    lists empty, and to_nice fills them.  So every nice tree is a nice tree
+    of its `graph`, and the solvers compare graphs instead of checking it.
     """
 
-    kind: list[str]
-    bag: list[int]
-    vertex: list[int]
-    edge: list[tuple[int, int]]
-    left: list[int]
-    right: list[int]
-    graph: Graph | None = field(default=None, compare=False, repr=False)
-
-    def __init__(self, nodes: Iterable[NiceNode] = ()):
-        for name in ("kind", "bag", "vertex", "edge", "left", "right"):
-            object.__setattr__(self, name, [])
-        object.__setattr__(self, "graph", None)
-        for i, node in enumerate(nodes):
-            if len(node.children) > 2 or min(node.children, default=0) < 0:
-                raise InputError(f"node {i}: children {node.children} are not up to two node ids")
-            if min(node.bag, default=0) < 0:
-                raise InputError(f"node {i}: negative vertex in bag {sorted(node.bag)}")
-            self.kind.append(node.kind)
-            self.bag.append(sum(1 << v for v in node.bag))
-            self.vertex.append(node.vertex)
-            self.edge.append(node.edge)
-            self.left.append(node.children[0] if node.children else -1)
-            self.right.append(node.children[1] if len(node.children) == 2 else -1)
+    graph: Graph = field(compare=False, repr=False)
+    kind: list[str] = field(default_factory=list, init=False)
+    bag: list[int] = field(default_factory=list, init=False)
+    vertex: list[int] = field(default_factory=list, init=False)
+    edge: list[tuple[int, int]] = field(default_factory=list, init=False)
+    left: list[int] = field(default_factory=list, init=False)
+    right: list[int] = field(default_factory=list, init=False)
 
     @property
-    def nodes(self) -> Sequence[NiceNode]:
-        return _Nodes(self)
+    def nodes(self) -> range:
+        return range(len(self.kind))
 
     @property
     def root(self) -> int:
         return len(self.kind) - 1
-
-    def children(self, i: int) -> tuple[int, ...]:
-        return tuple(c for c in (self.left[i], self.right[i]) if c >= 0)
-
-    def as_tree_decomposition(self) -> TreeDecomposition:
-        edges = [(i, c) for i, lr in enumerate(zip(self.left, self.right)) for c in lr if c >= 0]
-        return TreeDecomposition(Graph(len(self.kind), edges), map(bits, self.bag))
 
     def width(self) -> int:
         return max(b.bit_count() for b in self.bag) - 1
@@ -446,8 +394,8 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     built bottom-up in one pass: each child is chained up to its parent's
     bag, children are joined left to right, and each edge is introduced right
     above the introduce node that first completes it.  Each node is appended
-    after its children, the root last, so the result is nice by construction;
-    it carries g as its `graph`, which the solvers trust.
+    after its children, the root last, so the result is a nice tree of g by
+    construction, and it carries g as its `graph`.
 
     Bags are int bitmasks throughout, and the node lists of the result are
     appended to directly.  pending[v] masks the neighbours u of v whose edge
@@ -458,7 +406,7 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         check = validate(td, g)
         if not check.ok:
             raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
-    ntd = NiceTreeDecomposition()
+    ntd = NiceTreeDecomposition(g)
     kinds, bags, vertices, edges, lefts, rights = ntd.kind, ntd.bag, ntd.vertex, ntd.edge, ntd.left, ntd.right
     pending = neighbour_masks(g)
 
@@ -511,16 +459,15 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         missed = [(u, v) for u, m in enumerate(pending) for v in bits(m) if u < v]
         raise AssertionError(f"edges never introduced: {missed}")
     assert root == len(kinds) - 1, "the root is not the last node"
-    object.__setattr__(ntd, "graph", g)
     assert ntd.width() == max(width(td), -1), "normalization changed the width"
     return ntd
 
 
 def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
-    """Structural checks for nice decompositions (used by solvers and tests),
-    read off the flat lists.  Children before parents, and every node but
-    the last the child of one node, make the nodes a tree rooted at the last
-    node."""
+    """Structural checks for nice decompositions, read off the flat lists:
+    the tests' oracle for to_nice's trees.  Children before parents, and
+    every node but the last the child of one node, make the nodes a tree
+    rooted at the last node."""
     if not ntd.kind:
         return Validity(("no nodes: a nice decomposition has at least its root",))
     violations = []
@@ -531,7 +478,7 @@ def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
     for i, (kind, bag, x, edge, left, right) in enumerate(
         zip(ntd.kind, bags, ntd.vertex, ntd.edge, ntd.left, ntd.right)
     ):
-        children = ntd.children(i)
+        children = tuple([c for c in (left, right) if c >= 0])
         if left >= i or right >= i:
             violations.append(f"node {i}: children {children} do not all come before it")
             ordered = False
@@ -566,7 +513,9 @@ def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
     if sorted(introduced) != sorted(g.edges):
         violations.append("introduced edges do not match the graph's edge set exactly once")
     if ordered and not strays:  # the nodes form a tree, so the flat host builds
-        violations.extend(validate(ntd.as_tree_decomposition(), g).violations)
+        host = [(i, c) for i, lr in enumerate(zip(ntd.left, ntd.right)) for c in lr if c >= 0]
+        flat = TreeDecomposition(Graph(len(bags), host), map(bits, bags))
+        violations.extend(validate(flat, g).violations)
     return Validity(tuple(violations))
 
 

@@ -6,6 +6,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import groupby
 from operator import add, le
+from typing import NamedTuple
 
 import pytest
 
@@ -38,11 +39,12 @@ from twlab.treewidth import (
     INTRODUCE_EDGE,
     JOIN,
     LEAF,
-    NiceNode,
+    NO_EDGE,
     NiceTreeDecomposition,
     TreeDecomposition,
     _greedy_elimination,
     _walk,
+    bits,
     heuristic_decomposition,
     relabel,
     to_nice,
@@ -231,6 +233,38 @@ def union_find_elimination_decomposition(g: Graph, order) -> TreeDecomposition:
     return TreeDecomposition(Graph(g.n, tree_edges), bags)
 
 
+class NiceNode(NamedTuple):
+    """One node of a nice decomposition as a record, for trees built by hand
+    (nice_from_records) and for reading a tree node by node (nice_records)."""
+
+    kind: str
+    bag: frozenset[int]
+    children: tuple[int, ...]
+    vertex: int = -1  # introduce/forget payload
+    edge: tuple[int, int] = NO_EDGE  # introduce_edge payload
+
+
+def nice_from_records(g: Graph, nodes) -> NiceTreeDecomposition:
+    """A nice decomposition for g with the given NiceNode records as its
+    nodes, written into the flat lists unchecked (check_nice checks it)."""
+    ntd = NiceTreeDecomposition(g)
+    for node in nodes:
+        ntd.kind.append(node.kind)
+        ntd.bag.append(sum(1 << v for v in node.bag))
+        ntd.vertex.append(node.vertex)
+        ntd.edge.append(node.edge)
+        ntd.left.append(node.children[0] if node.children else -1)
+        ntd.right.append(node.children[1] if len(node.children) == 2 else -1)
+    return ntd
+
+
+def nice_records(ntd: NiceTreeDecomposition) -> list[NiceNode]:
+    """The nodes of ntd as NiceNode records, in node id order."""
+    rows = zip(ntd.kind, ntd.bag, ntd.left, ntd.right, ntd.vertex, ntd.edge)
+    return [NiceNode(kind, frozenset(bits(bag)), tuple([c for c in (l, r) if c >= 0]), x, e)
+            for kind, bag, l, r, x, e in rows]
+
+
 def elimination_route_nice(g: Graph, method: str) -> NiceTreeDecomposition:
     """Reference route to the DP's nice decomposition: the greedy order
     alone, fill-in run a second time by the reference builder, and to_nice
@@ -244,7 +278,7 @@ def reference_to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     """Reference normalization to nice form: the one-pass builder over
     frozenset bags and NiceNode records that treewidth.to_nice replaced,
     kept as an oracle for its trees node for node.  It validates every
-    decomposition, and its result carries no graph."""
+    decomposition."""
     check = validate(td, g)
     if not check.ok:
         raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
@@ -286,7 +320,7 @@ def reference_to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         built[t] = node
     chain_to(built[0], frozenset())
     assert not pending, f"edges never introduced: {sorted(pending)}"
-    return NiceTreeDecomposition(nodes)
+    return nice_from_records(g, nodes)
 
 
 def dp_pipeline_gadgets(cases: int) -> list[Graph]:
@@ -370,7 +404,7 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
     """
     g = inst.graph
     _require_nice(ntd, g)
-    nodes = list(ntd.nodes)
+    nodes = nice_records(ntd)
     bags = _sorted_bags(nodes)
     tables: list[dict[tuple[int, ...], object]] = [None] * len(nodes)  # type: ignore[list-item]
 
@@ -478,7 +512,7 @@ def tuple_chosen_outdegree_dp(
     _require_nice(ntd, g)
     rho = inst.rho
     wmap = dict(zip(g.edges, inst.weights.weights))
-    nodes = list(ntd.nodes)
+    nodes = nice_records(ntd)
     bags = _sorted_bags(nodes)
     tables: list[dict[tuple[int, ...], object]] = [None] * len(nodes)  # type: ignore[list-item]
 
