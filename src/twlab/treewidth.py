@@ -4,8 +4,9 @@ and normalization to the nice form consumed by the DP solvers.
 
 The heuristic runs fill-in once: the greedy elimination already holds each
 vertex's not-yet-eliminated neighbourhood when it picks the vertex, and that
-neighbourhood plus the vertex is its bag.  Min-fill scores come from int
-bitmask neighbourhoods.  A decomposition built by heuristic_decomposition or
+neighbourhood plus the vertex is its bag.  Its neighbourhoods are int
+bitmasks, and each elimination adjusts the scores it changes instead of
+rescoring.  A decomposition built by heuristic_decomposition or
 from_elimination_order carries the graph object it was built for, and
 to_nice trusts it for that very object without validating it again; every
 other decomposition (hand-built, relabelled, augmented, read from JSON, or
@@ -22,7 +23,7 @@ to_nice's trees; no solver calls it.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 
 from twlab import kernels
@@ -169,7 +170,7 @@ def relabel(td: TreeDecomposition, mapping: dict[int, int]) -> TreeDecomposition
     return TreeDecomposition(td.tree, bags)
 
 
-def _fill_in(g: Graph, order: list[int], rests: list[set[int]]) -> TreeDecomposition:
+def _fill_in(g: Graph, order: list[int], rests: list[Collection[int]]) -> TreeDecomposition:
     """The decomposition of an elimination of g: rests[i] is the
     not-yet-eliminated neighbourhood of order[i] at its elimination, and the
     bag of position i is that plus order[i].  Each bag hangs under the bag of
@@ -189,7 +190,7 @@ def _fill_in(g: Graph, order: list[int], rests: list[set[int]]) -> TreeDecomposi
             else:
                 roots.append(i)
         tree_edges += zip(roots, roots[1:])
-        bags = [frozenset(rest | {v}) for v, rest in zip(order, rests)]
+        bags = [frozenset([v, *rest]) for v, rest in zip(order, rests)]
         td = TreeDecomposition(Graph(g.n, tree_edges), bags)
     object.__setattr__(td, "graph", g)
     return td
@@ -215,60 +216,67 @@ def from_elimination_order(g: Graph, order) -> TreeDecomposition:
     return _fill_in(g, order, rests)
 
 
-def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[set[int]]]:
+def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[list[int]]]:
     """Eliminate a vertex of least score (fill-in edges for min-fill, degree
     for min-degree) until none is left; ties go to the smallest vertex.
     Returns the order and, for each position, the eliminated vertex's
     not-yet-eliminated neighbourhood, as _fill_in takes them.
 
-    Scores are updated in place (Bodlaender & Koster 2010): eliminating v
-    changes the neighbourhoods of N(v) only and adds edges only inside N(v),
-    so only scores in N(v) can change, and those of vertices outside it with
-    at least two neighbours in N(v).  The next vertex comes off a heap keyed
-    (score, v) that skips out-of-date entries.  Neighbourhoods are kept
-    twice, as sets to walk and as int bitmasks to score: a ∈ N(v) misses
-    |N(v) & ~N(a)| - 1 vertices of N(v), and each missing pair is counted
-    from both ends.
+    Neighbourhoods are int bitmasks, and scores[u] always holds u's exact
+    score (Bodlaender & Koster 2010): |N(u)| for min-degree, and for min-fill
+    the number of non-adjacent pairs in N(u).  Eliminating v updates it,
+    never recomputes it.  With N = N(v):
+    - each a in N loses v, and the pairs {v, x} for x in N(a) - N;
+    - each missing pair a < b in N becomes an edge: a gains the pairs {b, x}
+      for x in N(a) - N(b), b likewise, and each common neighbour of a and
+      b loses the missing pair {a, b}.
+    Each vertex whose score changed gets one heap entry (score, u), and a
+    popped entry that is out of date is skipped.  So a live entry exists for
+    every current score, and the pop is the least (score, v), as if every
+    score were computed anew at each step.
     """
-    adj = [set(g.neighbors(v)) for v in g.vertices()]
     mask = neighbour_masks(g)
-
-    if method == "min-degree":
-        def score(v: int) -> int:
-            return len(adj[v])
-    else:
-        def score(v: int) -> int:
-            ns, m = adj[v], mask[v]
-            return (sum([(m & ~mask[a]).bit_count() for a in ns]) - len(ns)) // 2
-
-    scores = [score(v) for v in g.vertices()]  # -1 once eliminated
+    fill = method == "min-fill"
+    # a ∈ N(v) misses |N(v) & ~N(a)| - 1 vertices of N(v); each pair counts twice
+    scores = [(sum([(m & ~mask[a]).bit_count() for a in ns]) - len(ns)) // 2 if fill else len(ns)
+              for ns, m in zip(g._adj, mask)]
     heap = [(s, v) for v, s in enumerate(scores)]
     heapq.heapify(heap)
     order: list[int] = []
-    rests: list[set[int]] = []
+    rests: list[list[int]] = []
     while len(order) < g.n:
         s, v = heapq.heappop(heap)
         if scores[v] != s:
             continue
-        scores[v] = -1
+        scores[v] = -1  # -1 once eliminated
         order.append(v)
-        ns = adj[v]
-        rests.append(ns)
-        nm = mask[v]
-        for a in ns:
-            na = adj[a]
-            na |= ns
-            na.discard(a)
-            na.discard(v)
-            mask[a] = (mask[a] | nm) & ~(1 << a | 1 << v)
-        # a list, not a generator: see graphs.Graph._adj
-        for u in ns.union(*[adj[a] for a in ns]):
-            if u not in ns and (mask[u] & nm).bit_count() < 2:
-                continue
-            s = score(u)
-            if s != scores[u]:
-                scores[u] = s
-                heapq.heappush(heap, (s, u))
+        nm, vb = mask[v], 1 << v
+        rest = list(bits(nm))
+        rests.append(rest)
+        before = [scores[a] for a in rest]
+        common = 0  # vertices that lost a missing pair
+        for a in rest:
+            ma = mask[a] ^ vb
+            if fill:
+                scores[a] -= (ma & ~nm).bit_count()
+            else:
+                ma = (ma | nm) ^ 1 << a
+                scores[a] = ma.bit_count()
+            mask[a] = ma
+        if fill and len(rest) > 1:
+            for a in rest:
+                for b in bits(nm & ~mask[a] & -(2 << a)):  # missing partners b > a
+                    ma, mb = mask[a], mask[b]
+                    scores[a] += (ma & ~mb).bit_count()
+                    scores[b] += (mb & ~ma).bit_count()
+                    both = ma & mb
+                    for u in bits(both):
+                        scores[u] -= 1
+                    common |= both
+                    mask[a] = ma | 1 << b
+                    mask[b] = mb | 1 << a
+        for u in [a for a, s in zip(rest, before) if scores[a] != s] + list(bits(common & ~nm)):
+            heapq.heappush(heap, (scores[u], u))
     return order, rests
 
 
