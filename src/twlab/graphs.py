@@ -197,18 +197,6 @@ class Orientation:
         return dict(zip(self.graph.edges, self.direction))
 
 
-def induced_subgraph(g: Graph, xs) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by the vertex set xs, reindexed to 0..|xs|-1.
-
-    Returns the subgraph and the old->new index map (sorted order).
-    """
-    xs = g._check_vertex_set(xs)
-    order = sorted(xs)
-    index = {v: i for i, v in enumerate(order)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u in xs and v in xs]
-    return Graph(len(order), edges), index
-
-
 def is_clique(g: Graph, s) -> bool:
     """True iff every unordered pair in s is an edge of g (vacuously true
     for |s| <= 1)."""

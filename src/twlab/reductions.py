@@ -8,6 +8,14 @@ validate their own output: certify(out) checks every witness an output
 carries against its graph and claimed width bound, once, where the output
 is used (harness._case_record for `twlab verify`, the CLI for `twlab reduce`).
 
+Two witnesses are written straight from the gadget.  The orientation gadget
+minus its hubs ``b`` and ``c`` is a forest, and each vertex is allocated
+with its forest parent, so its witness takes one pass: per non-hub vertex in
+increasing id, a bag of it, its parent and every hub, under its parent's
+bag, with the roots (``a`` and ``d``) chained in increasing order.  That
+certifies 2·C(k,2)+1.  clique_to_gensat's incidence witness is a path of
+bags, one variable plus every constraint vertex, in variable order.
+
 Gadget role tags used by the provenance index:
 
 * ``v``       selector vertex standing for a part (list-coloring target)
@@ -39,7 +47,6 @@ from twlab.graphs import (
     PartitionedGraph,
     canon,
     graph_to_json,
-    induced_subgraph,
     is_clique,
 )
 from twlab.problems import (
@@ -57,11 +64,8 @@ from twlab.problems import (
 )
 from twlab.treewidth import (
     TreeDecomposition,
-    augment_with_set,
-    decompose_forest,
     decomposition_to_json,
     heuristic_decomposition,
-    relabel,
     validate,
     width,
 )
@@ -276,11 +280,11 @@ def clique_to_gensat(g: Graph, k: int) -> ReductionOutput:
     num_cons = len(constraints)
     dual_witness = TreeDecomposition(Graph(1), [frozenset(range(num_cons))])
     incidence = build_incidence(inst)
-    variables_only, _ = induced_subgraph(incidence, range(k * n))
-    inc_witness = augment_with_set(
-        decompose_forest(variables_only),
-        range(k * n, k * n + num_cons),
-        incidence,
+    # the variables are independent in the incidence graph: a path of bags
+    # {x} plus every constraint vertex, in variable order
+    cons = frozenset(range(k * n, k * n + num_cons))
+    inc_witness = TreeDecomposition(
+        Graph(k * n, [(x, x + 1) for x in range(k * n - 1)]), [cons | {x} for x in range(k * n)]
     )
     meta = {
         "source": (g, k),
@@ -336,13 +340,18 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
     index: list[dict] = []
     vid: dict[tuple, int] = {}  # role (tag, *fields) -> vertex
     rho: list[int] = []
+    # each vertex's parent in the gadget minus its hubs, a forest: ROOT at
+    # a and d, HUB at b and c; a parent is allocated before its children
+    ROOT, HUB = -1, -2
+    parent: list[int] = []
 
-    def new(tag: str, **fields) -> int:
+    def new(tag: str, up: int, **fields) -> int:
         role = (tag, *fields.values())
         assert role not in vid, f"gadget role {role} allocated twice"
         vid[role] = len(index)
         index.append({"tag": tag, **fields, "vertex": len(index)})
         rho.append(0)
+        parent.append(up)
         return vid[role]
 
     # rank weights: member j of the lower part encodes as j+1, of the upper
@@ -361,16 +370,17 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
         plan[canon(u, v)] = (owner, tail)
 
     for i in range(k):
-        a = new("a", i=i)
+        a = new("a", ROOT, i=i)
         rho[a] = 1
         for j in range(n):
-            u, x, y = new("u", i=i, j=j), new("x", i=i, j=j), new("y", i=i, j=j)
+            u = new("u", a, i=i, j=j)
+            x, y = new("x", u, i=i, j=j), new("y", u, i=i, j=j)
             add_edge(a, u, 1, u, a)
             add_edge(u, x, big, u, x)
             add_edge(u, y, big + 1, u, u)
             rho[u], rho[x], rho[y] = big + 1, big, big + 1
     for (i, ip), es in pair_edges.items():
-        b, c, d = new("b", i=i, ip=ip), new("c", i=i, ip=ip), new("d", i=i, ip=ip)
+        b, c, d = new("b", HUB, i=i, ip=ip), new("c", HUB, i=i, ip=ip), new("d", ROOT, i=i, ip=ip)
         for j in range(n):
             for part, lower in ((i, True), (ip, False)):
                 u, x, y = vid["u", part, j], vid["x", part, j], vid["y", part, j]
@@ -378,7 +388,7 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
                 add_edge(y, c, yw(lower, j), u, y)
         rho[d] = len(es) - 1
         for q, qp in es:
-            e = new("e", i=i, ip=ip, q=q, qp=qp)
+            e = new("e", d, i=i, ip=ip, q=q, qp=qp)
             web = xw(True, q) + xw(False, qp)
             wec = yw(True, q) + yw(False, qp)
             add_edge(d, e, 1, e, e)
@@ -390,28 +400,41 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
 
     h = Graph(len(index), edges.keys())
     inst = ChosenOutdegreeInstance(h, EdgeWeighting(h, edges), rho)
-    hubs = frozenset(vid[t, i, ip] for (i, ip) in pair_edges for t in ("b", "c"))
-    _check_gadget_arithmetic(params, vid, hubs, pair_edges, inst)
+    hubs = frozenset([v for v, up in enumerate(parent) if up == HUB])
+    _check_gadget_arithmetic(params, vid, hubs, pair_edges, edges, inst.rho)
 
     num_pairs = k * (k - 1) // 2
     total_cross = sum(len(es) for es in pair_edges.values())
     assert h.n == k * (3 * n + 1) + 3 * num_pairs + total_cross
     assert len(h.edges) == 3 * k * n + 3 * total_cross + 4 * n * num_pairs
 
-    rest, back = induced_subgraph(h, set(h.vertices()) - hubs)
-    forest_td = relabel(decompose_forest(rest), {v: u for u, v in back.items()})
-    witness = augment_with_set(forest_td, hubs, h)
+    # the witness, as the module docstring describes it
+    node = [-1] * h.n
+    bags: list[frozenset[int]] = []
+    tree_edges: list[tuple[int, int]] = []
+    roots: list[int] = []
+    for v, up in enumerate(parent):
+        if up == HUB:
+            continue
+        node[v] = t = len(bags)
+        if up == ROOT:
+            bags.append(hubs | {v})
+            roots.append(t)
+        else:
+            bags.append(hubs | {v, up})
+            tree_edges.append((t, node[up]))
+    tree_edges += zip(roots, roots[1:])
+    witness = TreeDecomposition(Graph(len(bags), tree_edges), bags)
     meta = {"source": pg, "gadget": vid, "plan": plan, "params": params, "pair_edges": pair_edges}
     return _output(inst, witness, bound, index, h, meta)
 
 
-def _check_gadget_arithmetic(params, vid, hubs, pair_edges, inst) -> None:
+def _check_gadget_arithmetic(params, vid, hubs, pair_edges, wmap, rho) -> None:
     """Construction-time checks of the capacity algebra the forcing argument
-    relies on."""
+    relies on, over the gadget's edge -> weight map and caps."""
     k, n = params.k, params.n
     r3 = params.radix**3
-    wmap = inst.weights.as_dict()
-    special = [0] * inst.graph.n  # weight on each vertex's edges that touch a hub
+    special = [0] * len(rho)  # weight on each vertex's edges that touch a hub
     for (a, b), w in wmap.items():
         if a in hubs or b in hubs:
             special[a] += w
@@ -425,13 +448,13 @@ def _check_gadget_arithmetic(params, vid, hubs, pair_edges, inst) -> None:
                 assert mx < my < params.big, f"lever budgets out of order at part {i} member {j}"
     for (i, ip), es in pair_edges.items():
         b, c = vid["b", i, ip], vid["c", i, ip]
-        assert inst.rho[c] // r3 == 2 * n
+        assert rho[c] // r3 == 2 * n
         for q, qp in es:
             e = vid["e", i, ip, q, qp]
             web = wmap[canon(e, b)]
             wec = wmap[canon(e, c)]
             assert wec == web + 2
-            assert inst.rho[e] - web >= 2
+            assert rho[e] - web >= 2
             assert wec > 2 * r3
         for j in range(n):
             for xv, hub in (

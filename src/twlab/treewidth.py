@@ -1,6 +1,6 @@
 """Tree decompositions: validation, width, construction (heuristic, exact,
-fill-in from an elimination order), forest decomposition, bag augmentation,
-and normalization to the nice form consumed by the DP solvers.
+fill-in from an elimination order), and normalization to the nice form
+consumed by the DP solvers.
 
 The heuristic runs fill-in once: the greedy elimination already holds each
 vertex's not-yet-eliminated neighbourhood when it picks the vertex, and that
@@ -9,7 +9,7 @@ bitmasks, and each elimination adjusts the scores it changes instead of
 rescoring.  A decomposition built by heuristic_decomposition or
 from_elimination_order carries the graph object it was built for, and
 to_nice trusts it for that very object without validating it again; every
-other decomposition (hand-built, relabelled, augmented, read from JSON, or
+other decomposition (hand-built, written by a reduction, read from JSON, or
 paired with an equal but distinct graph) is validated.
 
 A nice decomposition is stored flat: parallel lists of kind, bag (an int
@@ -161,15 +161,6 @@ def validate(td: TreeDecomposition, g: Graph) -> Validity:
     return Validity(tuple(violations))
 
 
-def relabel(td: TreeDecomposition, mapping: dict[int, int]) -> TreeDecomposition:
-    """Rename every bag vertex through mapping (which must cover them all)."""
-    try:
-        bags = [frozenset(mapping[v] for v in b) for b in td.bags]
-    except KeyError as exc:
-        raise InputError(f"mapping misses vertex {exc.args[0]}") from exc
-    return TreeDecomposition(td.tree, bags)
-
-
 def _fill_in(g: Graph, order: list[int], rests: list[Collection[int]]) -> TreeDecomposition:
     """The decomposition of an elimination of g: rests[i] is the
     not-yet-eliminated neighbourhood of order[i] at its elimination, and the
@@ -307,32 +298,6 @@ def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, Tr
     td = from_elimination_order(g, order)
     assert width(td) == tw, "witness width disagrees with the DP value"
     return tw, td
-
-
-def augment_with_set(td: TreeDecomposition, xs, g: Graph) -> TreeDecomposition:
-    """Add the vertex set xs to every bag, turning a decomposition of
-    g minus xs (same vertex labels) into one of g.  Width grows by at
-    most |xs|.  The base decomposition is not validated here: callers
-    certify the result against g, which fails whenever the base is not a
-    decomposition of g minus xs."""
-    xs = g._check_vertex_set(xs)
-    return TreeDecomposition(td.tree, [bag | xs for bag in td.bags])
-
-
-def decompose_forest(g: Graph) -> TreeDecomposition:
-    """Width <= 1 decomposition of an acyclic graph: one bag per vertex,
-    {v, parent(v)} under a rooting of each component, components chained."""
-    if g.n == 0:
-        return TreeDecomposition(Graph(1), [frozenset()])
-    parent = _walk(g)[1]
-    roots = [v for v in g.vertices() if parent[v] == -1]
-    if len(g.edges) != g.n - len(roots):
-        u, v = next((u, v) for u, v in g.edges if v != parent[u] and u != parent[v])
-        raise InputError(f"graph has a cycle through edge ({u},{v})")
-    tree_edges = [(v, p) for v, p in enumerate(parent) if p >= 0]
-    tree_edges += zip(roots, roots[1:])
-    bags = [frozenset({v, p} if p >= 0 else {v}) for v, p in enumerate(parent)]
-    return TreeDecomposition(Graph(g.n, tree_edges), bags)
 
 
 # --- nice form ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from twlab.graphs import (
     Orientation,
     PartitionedGraph,
     canon,
-    induced_subgraph,
     is_clique,
 )
 from twlab.kernels import backtrack
@@ -46,7 +45,6 @@ from twlab.treewidth import (
     _walk,
     bits,
     heuristic_decomposition,
-    relabel,
     to_nice,
     validate,
 )
@@ -127,6 +125,63 @@ def subset_dp_treewidth(g: Graph) -> int:
                 best = min(best, max(dp[prev], back))
         dp[s] = best
     return dp[-1]
+
+
+def induced_subgraph(g: Graph, xs) -> tuple[Graph, dict[int, int]]:
+    """Subgraph induced by the vertex set xs, reindexed to 0..|xs|-1.
+
+    Returns the subgraph and the old->new index map (sorted order).
+    """
+    xs = g._check_vertex_set(xs)
+    order = sorted(xs)
+    index = {v: i for i, v in enumerate(order)}
+    edges = [(index[u], index[v]) for u, v in g.edges if u in xs and v in xs]
+    return Graph(len(order), edges), index
+
+
+def relabel(td: TreeDecomposition, mapping: dict[int, int]) -> TreeDecomposition:
+    """Rename every bag vertex through mapping (which must cover them all)."""
+    try:
+        bags = [frozenset(mapping[v] for v in b) for b in td.bags]
+    except KeyError as exc:
+        raise InputError(f"mapping misses vertex {exc.args[0]}") from exc
+    return TreeDecomposition(td.tree, bags)
+
+
+def augment_with_set(td: TreeDecomposition, xs, g: Graph) -> TreeDecomposition:
+    """Add the vertex set xs to every bag, turning a decomposition of
+    g minus xs (same vertex labels) into one of g.  Width grows by at
+    most |xs|.  The base decomposition is not validated here: callers
+    certify the result against g, which fails whenever the base is not a
+    decomposition of g minus xs."""
+    xs = g._check_vertex_set(xs)
+    return TreeDecomposition(td.tree, [bag | xs for bag in td.bags])
+
+
+def decompose_forest(g: Graph) -> TreeDecomposition:
+    """Width <= 1 decomposition of an acyclic graph: one bag per vertex,
+    {v, parent(v)} under a rooting of each component, components chained."""
+    if g.n == 0:
+        return TreeDecomposition(Graph(1), [frozenset()])
+    parent = _walk(g)[1]
+    roots = [v for v in g.vertices() if parent[v] == -1]
+    if len(g.edges) != g.n - len(roots):
+        u, v = next((u, v) for u, v in g.edges if v != parent[u] and u != parent[v])
+        raise InputError(f"graph has a cycle through edge ({u},{v})")
+    tree_edges = [(v, p) for v, p in enumerate(parent) if p >= 0]
+    tree_edges += zip(roots, roots[1:])
+    bags = [frozenset({v, p} if p >= 0 else {v}) for v, p in enumerate(parent)]
+    return TreeDecomposition(Graph(g.n, tree_edges), bags)
+
+
+def forest_plus_set(g: Graph, xs) -> TreeDecomposition:
+    """Reference witness for a graph that is a forest once xs is removed:
+    the forest decomposition of g minus xs, relabelled to g's vertices, with
+    xs added to every bag.  The reductions write their witnesses directly;
+    this chain is the oracle they are checked against."""
+    rest, index = induced_subgraph(g, set(g.vertices()) - set(xs))
+    back = {i: v for v, i in index.items()}
+    return augment_with_set(relabel(decompose_forest(rest), back), xs, g)
 
 
 def decomposition_of_subset(g: Graph, xs) -> TreeDecomposition:

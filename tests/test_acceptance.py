@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from conftest import complete, cycle, decomposition_of_subset
+from conftest import augment_with_set, complete, cycle, decomposition_of_subset
 from twlab.graphs import EdgeWeighting, Graph
 from twlab.harness import (
     ExperimentConfig,
@@ -41,7 +41,6 @@ from twlab.reductions import (
 )
 from twlab.solvers import dp_chosen_outdegree, dp_list_coloring, flow_min_max_uniform
 from twlab.treewidth import (
-    augment_with_set,
     exact_treewidth,
     heuristic_decomposition,
     to_nice,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import complete, cycle, path, star
+from conftest import complete, cycle, induced_subgraph, path, star
 from twlab.errors import InputError
 from twlab.graphs import (
     EdgeWeighting,
@@ -11,7 +11,6 @@ from twlab.graphs import (
     all_outdegrees,
     graph_from_json,
     graph_to_json,
-    induced_subgraph,
     is_clique,
     orientation_to_json,
     partitioned_from_json,

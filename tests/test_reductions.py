@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import complete, explicit_orientation_from_clique, path
+from conftest import complete, explicit_orientation_from_clique, forest_plus_set, path
 from twlab.errors import InputError
 from twlab.graphs import (
     EdgeWeighting,
@@ -14,7 +14,7 @@ from twlab.graphs import (
     is_clique,
 )
 from twlab import reductions
-from twlab.harness import PIPELINES, gen_partitioned
+from twlab.harness import PIPELINES, gen_graph, gen_partitioned
 from twlab.problems import (
     ChosenOutdegreeInstance,
     bf_chosen_outdegree,
@@ -456,6 +456,40 @@ class TestChosenToMinmax:
             )
             assert validate(out.witness, out.instance.graph).ok
             assert width(out.witness) <= out.claimed_width_bound
+
+
+class TestDirectWitnesses:
+    """The gadgets write their forest-plus-hubs witnesses directly; the
+    chain of induced subgraph, forest decomposition, relabel and augment
+    (conftest.forest_plus_set) is the oracle they must equal node for node."""
+
+    @pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)] + [(4, 2)])
+    def test_orientation_gadget_witness_matches_forest_chain(self, k, n):
+        gadgets = 0
+        for seed in range(4):
+            for p in (0.3, 0.6, 0.9):
+                for plant in (False, True):
+                    pg = gen_partitioned(k, n, p, plant, seed)
+                    out = pc_to_chosen_outdegree(pg)
+                    if "gadget" not in out.meta:  # degenerate: one bag, no forest
+                        continue
+                    gadgets += 1
+                    g = out.instance.graph
+                    hubs = [v for role, v in out.meta["gadget"].items() if role[0] in ("b", "c")]
+                    expected = forest_plus_set(g, hubs)
+                    assert out.witness == expected
+                    minmax = PIPELINES["pc-minmax"].reduce(pg)
+                    composed = chosen_to_minmax(out.instance, (expected, out.claimed_width_bound))
+                    assert minmax.witness == composed.witness
+        assert gadgets >= 12  # every planted source builds a gadget
+
+    def test_incidence_witness_matches_forest_chain(self):
+        for n in range(1, 9):
+            for k in (2, 3, 4):
+                out = clique_to_gensat(gen_graph(n, 0.5, 10 * n + k), k)
+                inc = out.meta["incidence_graph"]
+                expected = forest_plus_set(inc, range(k * n, inc.n))
+                assert out.meta["incidence_witness"] == expected
 
 
 class TestOutputJson:

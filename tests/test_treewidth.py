@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    augment_with_set,
     complete,
     cycle,
+    decompose_forest,
     decomposition_of_subset,
     dp_pipeline_gadgets,
     elimination_route_nice,
     elimination_test_graphs,
     greedy_order,
     grid,
+    induced_subgraph,
     nice_records,
     path,
     petersen,
     reference_to_nice,
+    relabel,
     search_forest_decomposition,
     search_validate,
     stack_rooting,
@@ -27,22 +31,19 @@ from conftest import (
 )
 from twlab import kernels, treewidth
 from twlab.errors import GuardError, InputError
-from twlab.graphs import Graph, canon, induced_subgraph
+from twlab.graphs import Graph, canon
 from twlab.reductions import ReductionOutput, certify
 from twlab.treewidth import (
     NiceTreeDecomposition,
     TreeDecomposition,
     _greedy_elimination,
-    augment_with_set,
     check_nice,
-    decompose_forest,
     decomposition_from_json,
     decomposition_to_json,
     _walk,
     exact_treewidth,
     from_elimination_order,
     heuristic_decomposition,
-    relabel,
     to_nice,
     validate,
     width,
