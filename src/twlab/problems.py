@@ -80,18 +80,20 @@ class PrecoloringExtensionInstance:
         if r < 1:
             raise InputError(f"r must be positive, got {r}")
         require_at_most("r", r, R_CEILING)
-        items = sorted(dict(precolor).items())
-        for v, c in items:
+        cmap: dict[int, int] = {}
+        for v, c in precolor.items() if isinstance(precolor, dict) else precolor:
+            if v in cmap:
+                raise InputError(f"vertex {v} is precolored more than once")
             _require_ints("precolor entry", (v, c))
             graph._check_vertex(v)
             if not 1 <= c <= r:
                 raise InputError(f"precolor {c} of vertex {v} outside 1..{r}")
-        cmap = dict(items)
+            cmap[v] = c
         for u, v in graph.edges:
             if u in cmap and v in cmap and cmap[u] == cmap[v]:
                 raise InputError(f"precoloring is not proper on edge ({u},{v})")
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "precolor", tuple(items))
+        object.__setattr__(self, "precolor", tuple(sorted(cmap.items())))
         object.__setattr__(self, "r", r)
 
 

@@ -28,11 +28,20 @@ Gadget role tags used by the provenance index:
 * ``e``       candidate vertex for one cross edge of a part pair
 * ``xv yv``   slack triangle attached to a vertex with unused budget
 
-The orientation gadget's output also carries ``meta["gadget"]``, a dict from
-role (the tag followed by its fields, as in ``("e", i, ip, q, qp)``; part
-indices and member ranks are 0-based) to vertex, and ``meta["plan"]``, which gives every gadget edge an owner (a lever
-``u`` or a candidate ``e``) and the tail the edge takes when its owner is
-selected; otherwise the edge points the other way.
+``ReductionOutput.meta`` holds only what a reader needs and cannot get from
+the output itself.  It is ``{}`` for pc-lc, lc-pce and chosen-minmax (so
+pc-minmax), and for every degenerate single-bag output.  Otherwise:
+
+* pc-chosen: ``source``, the partitioned graph the read-back reads;
+  ``gadget``, a dict from role (the tag followed by its fields, as in
+  ``("e", i, ip, q, qp)``; part indices and member ranks are 0-based) to
+  vertex; ``pair_edges``, each part pair's cross edges as rank pairs; and
+  ``plan``, which gives every gadget edge an owner (a lever ``u`` or a
+  candidate ``e``) and the tail the edge takes when its owner is selected;
+  otherwise the edge points the other way.
+* clique-gensat: ``dual_graph`` (``out.graph`` again) and the incidence
+  graph, witness and bound that certify checks, as ``incidence_graph``,
+  ``incidence_witness`` and ``incidence_width_bound``.
 """
 
 from __future__ import annotations
@@ -72,34 +81,14 @@ from twlab.treewidth import (
 
 
 @dataclass(frozen=True)
-class GadgetParameters:
-    """Numeric frame of the orientation gadget: member ranks are encoded in
-    base radix = n + 1, and big = k * (radix^3 + radix^2) exceeds the total
-    special weight at any lever vertex."""
-
-    k: int
-    n: int
-
-    @property
-    def radix(self) -> int:
-        return self.n + 1
-
-    @property
-    def big(self) -> int:
-        r = self.radix
-        return self.k * (r**3 + r**2)
-
-
-@dataclass(frozen=True)
 class ReductionOutput:
     """Target instance + witness decomposition + provenance.
 
     ``graph`` is the graph certify checks the witness against: the target's
     own graph, or the dual graph for a generalized-satisfiability target.
-    ``meta`` carries in-memory companions (source instance, the orientation
-    gadget's role map ``gadget`` and edge plan ``plan``, secondary
-    graphs/witnesses, notes); it is not part of the JSON format except for
-    the documented dual/incidence extras.
+    ``meta`` holds the in-memory tables a reader needs beyond these, as the
+    module docstring lists them per reduction; it is not part of the JSON
+    format except for the documented dual/incidence extras.
     """
 
     instance: object
@@ -130,18 +119,12 @@ def certify(out: ReductionOutput) -> tuple[str, ...]:
     return tuple(violations)
 
 
-def _output(instance, witness, bound, index, graph, meta) -> ReductionOutput:
-    """Bundle a reduction's output, unchecked: certify checks it where it is
-    used."""
-    return ReductionOutput(instance, witness, bound, tuple(index), graph, meta)
-
-
-def _single_bag(instance, bound, detail, meta) -> ReductionOutput:
+def _single_bag(instance, bound, detail) -> ReductionOutput:
     """A degenerate target: a canonical instance under one bag holding all of
     its vertices, indexed by a single note."""
     g = instance.graph
     td = TreeDecomposition(Graph(1), [frozenset(g.vertices())])
-    return _output(instance, td, bound, [{"tag": "note", "detail": detail}], g, meta)
+    return ReductionOutput(instance, td, bound, ({"tag": "note", "detail": detail},), g)
 
 
 # --- clique selection via list coloring ---------------------------------------
@@ -176,7 +159,7 @@ def pc_to_list_coloring(pg: PartitionedGraph) -> ReductionOutput:
     pads = range(k, next_id)
     tree = Graph(1 + len(pads), [(0, 1 + t) for t in range(len(pads))])
     td = TreeDecomposition(tree, [selectors] + [selectors | {p} for p in pads])
-    return _output(inst, td, k + 1, index, h, {"source": pg})
+    return ReductionOutput(inst, td, k + 1, tuple(index), h)
 
 
 # --- lists via precolored pendants ---------------------------------------------
@@ -191,8 +174,7 @@ def lc_to_precoloring(inst: ListColoringInstance) -> ReductionOutput:
         # every list is empty: no coloring can exist; emit the canonical
         # infeasible target (r = 0 is outside the problem's domain)
         target = PrecoloringExtensionInstance(Graph(2, [(0, 1)]), {}, 1)
-        meta = {"source": inst, "note": "all lists empty"}
-        return _single_bag(target, 1, "canonical infeasible", meta)
+        return _single_bag(target, 1, "canonical infeasible")
     rank = {c: i + 1 for i, c in enumerate(universe)}
     r = max(len(universe), 1)
     edges = list(g.edges)
@@ -215,7 +197,7 @@ def lc_to_precoloring(inst: ListColoringInstance) -> ReductionOutput:
     base = heuristic_decomposition(g, "min-fill")
     td = _attach_leaf_bags(base, [(owner, frozenset({owner, p})) for owner, p in pendants])
     bound = max(width(base), 1) if g.n else 0
-    return _output(target, td, bound, index, h, {"source": inst})
+    return ReductionOutput(target, td, bound, tuple(index), h)
 
 
 def _attach_leaf_bags(
@@ -278,8 +260,7 @@ def clique_to_gensat(g: Graph, k: int) -> ReductionOutput:
 
     dual = build_dual(inst)
     num_cons = len(constraints)
-    dual_witness = TreeDecomposition(Graph(1), [frozenset(range(num_cons))])
-    incidence = build_incidence(inst)
+    witness = TreeDecomposition(Graph(1), [frozenset(range(num_cons))])
     # the variables are independent in the incidence graph: a path of bags
     # {x} plus every constraint vertex, in variable order
     cons = frozenset(range(k * n, k * n + num_cons))
@@ -287,15 +268,12 @@ def clique_to_gensat(g: Graph, k: int) -> ReductionOutput:
         Graph(k * n, [(x, x + 1) for x in range(k * n - 1)]), [cons | {x} for x in range(k * n)]
     )
     meta = {
-        "source": (g, k),
-        "dual_graph": dual,
-        "dual_witness": dual_witness,
-        "dual_width_bound": num_cons - 1,
-        "incidence_graph": incidence,
+        "dual_graph": dual,  # out.graph again, kept as perfbench/tracer.py reads it
+        "incidence_graph": build_incidence(inst),
         "incidence_witness": inc_witness,
         "incidence_width_bound": num_cons,
     }
-    return _output(inst, dual_witness, num_cons - 1, index, dual, meta)
+    return ReductionOutput(inst, witness, num_cons - 1, tuple(index), dual, meta)
 
 
 # --- clique selection via capped orientation ------------------------------------
@@ -312,7 +290,6 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
     encode a transversal clique and vice versa.
     """
     k, n = pg.k, pg.part_size
-    params = GadgetParameters(k, n)
     bound = 2 * (k * (k - 1) // 2) + 1
 
     pair_edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -325,18 +302,20 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
                 if pg.graph.has_edge(pg.parts[i][q], pg.parts[ip][qp])
             ]
     if k == 0:
+        # empty partition: the empty clique exists
         g = Graph(1)
         inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, []), (0,))
-        note = "empty partition: the empty clique exists"
-        return _single_bag(inst, bound, "canonical feasible", {"source": pg, "note": note})
+        return _single_bag(inst, bound, "canonical feasible")
     if n == 0 or not all(pair_edges.values()):
+        # a part pair has no cross edges: no transversal clique exists
         g = Graph(2, [(0, 1)])
         inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (0, 0))
-        note = "a part pair has no cross edges; no transversal clique exists"
-        return _single_bag(inst, bound, "canonical infeasible", {"source": pg, "note": note})
+        return _single_bag(inst, bound, "canonical infeasible")
 
-    radix, big = params.radix, params.big
+    # ranks are encoded in base radix; big exceeds any lever's special weight
+    radix = n + 1
     r3 = radix**3
+    big = k * (r3 + radix**2)
     index: list[dict] = []
     vid: dict[tuple, int] = {}  # role (tag, *fields) -> vertex
     rho: list[int] = []
@@ -401,7 +380,7 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
     h = Graph(len(index), edges.keys())
     inst = ChosenOutdegreeInstance(h, EdgeWeighting(h, edges), rho)
     hubs = frozenset([v for v, up in enumerate(parent) if up == HUB])
-    _check_gadget_arithmetic(params, vid, hubs, pair_edges, edges, inst.rho)
+    _check_gadget_arithmetic(k, n, big, vid, hubs, pair_edges, edges, inst.rho)
 
     num_pairs = k * (k - 1) // 2
     total_cross = sum(len(es) for es in pair_edges.values())
@@ -425,15 +404,14 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
             tree_edges.append((t, node[up]))
     tree_edges += zip(roots, roots[1:])
     witness = TreeDecomposition(Graph(len(bags), tree_edges), bags)
-    meta = {"source": pg, "gadget": vid, "plan": plan, "params": params, "pair_edges": pair_edges}
-    return _output(inst, witness, bound, index, h, meta)
+    meta = {"source": pg, "gadget": vid, "plan": plan, "pair_edges": pair_edges}
+    return ReductionOutput(inst, witness, bound, tuple(index), h, meta)
 
 
-def _check_gadget_arithmetic(params, vid, hubs, pair_edges, wmap, rho) -> None:
+def _check_gadget_arithmetic(k, n, big, vid, hubs, pair_edges, wmap, rho) -> None:
     """Construction-time checks of the capacity algebra the forcing argument
     relies on, over the gadget's edge -> weight map and caps."""
-    k, n = params.k, params.n
-    r3 = params.radix**3
+    r3 = (n + 1) ** 3
     special = [0] * len(rho)  # weight on each vertex's edges that touch a hub
     for (a, b), w in wmap.items():
         if a in hubs or b in hubs:
@@ -445,7 +423,7 @@ def _check_gadget_arithmetic(params, vid, hubs, pair_edges, wmap, rho) -> None:
             for j in range(n):
                 mx = special[vid["x", i, j]]
                 my = special[vid["y", i, j]]
-                assert mx < my < params.big, f"lever budgets out of order at part {i} member {j}"
+                assert mx < my < big, f"lever budgets out of order at part {i} member {j}"
     for (i, ip), es in pair_edges.items():
         b, c = vid["b", i, ip], vid["c", i, ip]
         assert rho[c] // r3 == 2 * n
@@ -471,8 +449,8 @@ def _gadget(out: ReductionOutput):
     vid = out.meta.get("gadget")
     if vid is None:
         raise InputError("output does not carry a selection gadget")
-    params = out.meta["params"]
-    return vid, out.instance, out.meta["source"], params.k, params.n
+    pg = out.meta["source"]
+    return vid, out.instance, pg, pg.k, pg.part_size
 
 
 def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...]:
@@ -559,14 +537,10 @@ def chosen_to_minmax(
     if r == 0:
         # no budget anywhere: feasible iff there is nothing to orient
         if g.edges:
-            h = Graph(2, [(0, 1)])
-            target = MinMaxOutdegreeInstance(h, EdgeWeighting(h, [2]), 1)
-            note = "zero caps with edges present: canonical infeasible"
+            h, weights, detail = Graph(2, [(0, 1)]), [2], "canonical infeasible"
         else:
-            h = Graph(1)
-            target = MinMaxOutdegreeInstance(h, EdgeWeighting(h, []), 1)
-            note = "zero caps, edgeless: canonical feasible"
-        return _single_bag(target, 2, note.split(": ")[1], {"source": inst, "note": note})
+            h, weights, detail = Graph(1), [], "canonical feasible"
+        return _single_bag(MinMaxOutdegreeInstance(h, EdgeWeighting(h, weights), 1), 2, detail)
 
     edges = inst.weights.as_dict()
     index = [{"tag": "orig", "v": v, "vertex": v} for v in g.vertices()]
@@ -594,7 +568,7 @@ def chosen_to_minmax(
     td = _attach_leaf_bags(
         base, [(v, frozenset({v, xv, yv})) for v, xv, yv in triangles]
     )
-    return _output(target, td, max(bound, 2), index, h, {"source": inst})
+    return ReductionOutput(target, td, max(bound, 2), tuple(index), h)
 
 
 # --- serialization ----------------------------------------------------------------
@@ -606,11 +580,11 @@ def reduction_output_to_json(out: ReductionOutput) -> dict:
         "claimed_width_bound": out.claimed_width_bound,
         "index": list(out.index),
     }
-    if "dual_graph" in out.meta:
+    if "incidence_graph" in out.meta:
         obj["dual"] = {
-            "graph": graph_to_json(out.meta["dual_graph"]),
-            "witness": decomposition_to_json(out.meta["dual_witness"]),
-            "claimed_width_bound": out.meta["dual_width_bound"],
+            "graph": graph_to_json(out.graph),
+            "witness": decomposition_to_json(out.witness),
+            "claimed_width_bound": out.claimed_width_bound,
         }
         obj["incidence"] = {
             "graph": graph_to_json(out.meta["incidence_graph"]),

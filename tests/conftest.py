@@ -1054,7 +1054,7 @@ def explicit_orientation_from_clique(out, clique) -> Orientation:
     inst: ChosenOutdegreeInstance = out.instance
     pg: PartitionedGraph = out.meta["source"]
     pair_edges = out.meta["pair_edges"]
-    k, n = out.meta["params"].k, out.meta["params"].n
+    k, n = pg.k, pg.part_size
 
     clique = tuple(clique)
     if len(clique) != k or not is_clique(pg.graph, clique):

@@ -354,6 +354,14 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.splitlines()[-1].startswith("error: ")
 
+    def test_vertex_precolored_twice_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "twice.json"
+        f.write_text(json.dumps({"type": "precoloring", "n": 2, "edges": [],
+                                 "precolor": [[0, 1], [0, 2]], "r": 2}))
+        code, out, err = run(capsys, "solve", "--solver", "bf", str(f))
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "error: vertex 0 is precolored more than once"
+
     @pytest.mark.parametrize(
         "argv, content, message",
         [

@@ -109,6 +109,14 @@ class TestPrecoloring:
         with pytest.raises(InputError):
             PrecoloringExtensionInstance(path(2), {0: 1, 1: 1}, 2)
 
+    @pytest.mark.parametrize("precolor", [[(0, 1), (0, 2)], [(1, 2), (0, 1), (1, 2)]])
+    def test_vertex_precolored_twice_rejected(self, precolor):
+        """Checked before the pairs collapse, so neither the last colour nor
+        a repeated equal one passes silently."""
+        v = precolor[-1][0]
+        with pytest.raises(InputError, match=f"vertex {v} is precolored more than once"):
+            PrecoloringExtensionInstance(Graph(3, []), precolor, 2)
+
 
 class TestEquitable:
     def test_k2_two_colors(self):

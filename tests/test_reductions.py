@@ -11,6 +11,7 @@ from twlab.graphs import (
     Graph,
     PartitionedGraph,
     canon,
+    graph_to_json,
     is_clique,
 )
 from twlab import reductions
@@ -28,7 +29,6 @@ from twlab.problems import (
     instance_from_json,
 )
 from twlab.reductions import (
-    GadgetParameters,
     certify,
     chosen_to_minmax,
     clique_to_gensat,
@@ -123,7 +123,7 @@ class TestLcToPrecoloring:
         inst = ListColoringInstance(Graph(2, []), [set(), set()])
         out = lc_to_precoloring(inst)
         assert bf_precoloring(out.instance) is None
-        assert out.meta["note"] == "all lists empty"
+        assert out.index == ({"tag": "note", "detail": "canonical infeasible"},)
 
     def test_equivalence_sweep(self):
         rng = random.Random(17)
@@ -232,8 +232,9 @@ class TestOrientationGadget:
         inst = out.instance
         vid = out.meta["gadget"]
         assert inst.graph.n == 12 and len(inst.graph.edges) == 13
-        assert out.meta["params"].big == 24
         wmap = dict(zip(inst.graph.edges, inst.weights.weights))
+        u, x, y = vid["u", 0, 0], vid["x", 0, 0], vid["y", 0, 0]
+        assert wmap[canon(u, x)] == 24 and wmap[canon(u, y)] == 25  # big = 2 * (8 + 4)
         b, c, d = vid["b", 0, 1], vid["c", 0, 1], vid["d", 0, 1]
         e = vid["e", 0, 1, 0, 0]
         assert wmap[canon(vid["x", 0, 0], b)] == 9
@@ -248,7 +249,7 @@ class TestOrientationGadget:
     def test_no_cross_edge_short_circuits(self):
         out = pc_to_chosen_outdegree(make_pg(2, 1, []))
         assert bf_chosen_outdegree(out.instance) is None
-        assert "note" in out.meta
+        assert out.index == ({"tag": "note", "detail": "canonical infeasible"},)
 
     def test_size_formulas(self):
         rng = random.Random(1)
@@ -381,7 +382,6 @@ class TestOrientationGadget:
     def test_empty_partition_is_canonical_feasible(self):
         out = pc_to_chosen_outdegree(gen_partitioned(0, 2, 0.5, False, 1))
         assert out.index == ({"tag": "note", "detail": "canonical feasible"},)
-        assert out.meta["note"] == "empty partition: the empty clique exists"
         assert out.claimed_width_bound == 1
         assert bf_chosen_outdegree(out.instance) is not None
 
@@ -401,10 +401,17 @@ class TestOrientationGadget:
         with pytest.raises(InputError, match="output does not carry a selection gadget"):
             orientation_from_clique(out, ())
 
-    def test_gadget_parameters(self):
-        p = GadgetParameters(3, 4)
-        assert p.radix == 5
-        assert p.big == 3 * (125 + 25)
+    def test_lever_edges_weigh_big(self):
+        """Every lever's u-x edge weighs big = k * (radix^3 + radix^2) with
+        radix = n + 1, and its u-y edge big + 1."""
+        for k, n, big in [(2, 1, 2 * (8 + 4)), (3, 4, 3 * (125 + 25))]:
+            out = pc_to_chosen_outdegree(gen_partitioned(k, n, 1.0, False, 1))
+            wmap = out.instance.weights.as_dict()
+            vid = out.meta["gadget"]
+            for i in range(k):
+                for j in range(n):
+                    u, x, y = vid["u", i, j], vid["x", i, j], vid["y", i, j]
+                    assert wmap[canon(u, x)] == big and wmap[canon(u, y)] == big + 1
 
 
 class TestChosenToMinmax:
@@ -501,6 +508,43 @@ class TestOutputJson:
         assert any(e["tag"] == "e" and "qp" in e for e in obj["index"])
 
     def test_gensat_output_carries_both_graph_views(self, triangle):
-        obj = reduction_output_to_json(clique_to_gensat(triangle, 3))
+        out = clique_to_gensat(triangle, 3)
+        obj = reduction_output_to_json(out)
+        assert obj["dual"]["graph"] == graph_to_json(out.meta["dual_graph"])
         assert obj["dual"]["graph"]["n"] == 3
+        # the dual block repeats the output's own witness and bound
+        assert obj["dual"]["witness"] == obj["witness"]
+        assert obj["dual"]["claimed_width_bound"] == obj["claimed_width_bound"] == 2
         assert obj["incidence"]["claimed_width_bound"] == 3
+
+
+class TestMeta:
+    """Each reduction's meta holds exactly the tables its readers read."""
+
+    def test_key_sets(self):
+        gadget = {"source", "gadget", "plan", "pair_edges"}
+        gensat = {"dual_graph", "incidence_graph", "incidence_witness", "incidence_width_bound"}
+        pg = make_pg(2, 1, [(0, 1)])
+        caps = ChosenOutdegreeInstance(path(3), EdgeWeighting(path(3), [1, 2]), (1, 2, 0))
+        zero = ChosenOutdegreeInstance(path(2), EdgeWeighting(path(2), [1]), (0, 0))
+        edgeless = ChosenOutdegreeInstance(Graph(2), EdgeWeighting(Graph(2), []), (0, 0))
+        cases = [
+            (pc_to_list_coloring(pg), set()),
+            (pc_to_list_coloring(make_pg(0, 2, [])), set()),
+            (lc_to_precoloring(ListColoringInstance(path(2), [{1}, {1, 2}])), set()),
+            (lc_to_precoloring(ListColoringInstance(Graph(2), [set(), set()])), set()),  # canonical
+            (clique_to_gensat(path(4), 3), gensat),
+            (clique_to_gensat(Graph(1), 2), gensat),
+            (pc_to_chosen_outdegree(pg), gadget),
+            (pc_to_chosen_outdegree(make_pg(0, 2, [])), set()),  # canonical feasible
+            (pc_to_chosen_outdegree(make_pg(2, 1, [])), set()),  # canonical infeasible
+            (pc_to_chosen_outdegree(make_pg(2, 0, [])), set()),  # canonical infeasible
+            (chosen_to_minmax(caps), set()),
+            (chosen_to_minmax(zero), set()),  # canonical infeasible
+            (chosen_to_minmax(edgeless), set()),  # canonical feasible
+            (PIPELINES["pc-minmax"].reduce(pg), set()),
+            (PIPELINES["pc-minmax"].reduce(make_pg(2, 1, [])), set()),
+        ]
+        for out, keys in cases:
+            assert set(out.meta) == keys, out.index
+        assert pc_to_chosen_outdegree(pg).meta["source"] is pg
