@@ -14,7 +14,9 @@ a vertex's neighbours in it are the bag ANDed with the vertex's adjacency
 mask, built per solve.  A DP brings only its encoding, one table handler
 per node kind and one back-step, each taking a node id; the back-steps read
 witnesses off back-pointers in the orientation DP and least-colour maps at
-forget nodes in the list-colouring DP.  The solvers do not check the
+forget nodes in the list-colouring DP.  The list-colouring DP joins the
+tables below the introduce chains that to_nice lifts each join child by,
+and the nodes of those chains build no table.  The solvers do not check the
 witnesses they return: the harness (`twlab verify`) and the CLI (`twlab
 solve`) check each yes-witness once with its kind's checker.
 """
@@ -62,8 +64,10 @@ def _slots(ntd: NiceTreeDecomposition, n: int) -> list[int]:
     kind, vertex, bag = ntd.kind, ntd.vertex, ntd.bag
     for i in reversed(range(len(kind))):
         if kind[i] == FORGET:
-            held = {slot[u] for u in bits(bag[i])}
-            slot[vertex[i]] = min(set(range(len(held) + 1)) - held)
+            held = 0  # bit k set iff slot k is held
+            for u in bits(bag[i]):
+                held |= 1 << slot[u]
+            slot[vertex[i]] = (~held & (held + 1)).bit_length() - 1  # the lowest clear bit
     return slot
 
 
@@ -74,8 +78,12 @@ class _NiceDP:
     over off and tables (node id -> that node's table of packed bag
     states), and hands them to run.  Handlers and back-steps take node ids
     and read the node's kind, bag mask, vertex, edge and children off ntd's
-    lists.  Each handler pops the child tables it reads, or keeps them where
-    its back-step reads them again."""
+    lists.  Each handler pops the tables it reads, or keeps them where its
+    back-step reads them again.  A handler may read and pop tables below its
+    children, provided the nodes in between build none: the list-colouring
+    join reads the tables below its lifting chains, whose introduce and
+    introduce_edge nodes return an empty table (run stores and checks it
+    like any other, and the node above pops it)."""
 
     def __init__(self, g: Graph, ntd: NiceTreeDecomposition, slot_bits: int):
         _require_nice(ntd, g)
@@ -131,32 +139,44 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     Encoding: the union of all lists is sorted once into the palette, and
     palette[r] has code r + 1; code 0 marks an empty slot.  Each slot is
     len(palette).bit_length() bits wide, and v's slot starts at bit off[v].
-    Introduce ORs code << off[v] in, forget masks it out, join intersects the
-    two tables, and the root state is 0.  A table is a set of these ints
-    (at a forget node, the keys of its least-colour map).
+    Introduce ORs code << off[v] in, forget masks it out, and the root state
+    is 0.  A table is a set of these ints (at a forget node, the keys of its
+    least-colour map).
 
     Filtering: introduce colours v from its list and drops every state in
     which a neighbour of v in the bag has v's colour; introduce_edge then
-    passes its child's table through.  This is sound for any valid nice
+    passes its child's table through.  So every table holds only proper
+    colourings of the graph induced on its bag, for any valid nice
     decomposition, even when the introduce_edge node of uv sits in another
     join branch: a state colouring two adjacent bag vertices alike can never
-    be completed, so dropping it early changes no answer.  And no such state
-    survives: going down from any node whose bag holds u and v, some path
-    keeps both in the bag until one of them is introduced with the other
-    present, where the clash is dropped, and a join keeps only states found
-    in both of its branches.
+    be completed, so dropping it early changes no answer.
+
+    Join: to_nice lifts each join child to the join's bag B by a chain of
+    introduce and introduce_edge nodes.  Lifted, a branch would colour the
+    vertices only the other branch holds with no constraint, and the join
+    would throw most of those states away.  So the nodes of those chains
+    build no table (a pass over the joins, walking down each chain once,
+    finds them), and the join reads the tables T1 and T2 of the nodes right
+    below its two chains, over bags X1 and X2.  It indexes T2 by the colours
+    on X1 & X2 and ORs each state of T1 with every state of T2 that agrees
+    there (a natural join; Yannakakis, VLDB 1981), drops the states that
+    colour alike the ends of an edge between X1 - X2 and X2 - X1, and
+    colours the vertices of B outside X1 | X2 as introduce does.  That gives
+    the proper colourings of G[B] that restrict into T1 and T2, which is the
+    intersection of the two lifted tables.
 
     Witness: forget keeps, for each projected state, the least colour code
-    it saw, and the traceback rebuilds the child state as s | code << off[v].
+    it saw, and the traceback rebuilds the child state as s | code << off[v];
+    it reads nothing else, so passing down a lifting chain needs no table.
     The tuple DP that the tests keep as an oracle takes the first child state
     in sorted order, which has the least colour at v.  Its tables also hold
     states colouring adjacent bag vertices alike before their edge is
     introduced, but the traceback only visits restrictions of the final,
     proper colouring, and every edge at v is introduced below v's forget
     node; so at each visited forget node both DPs pick the least of the
-    same colours and return the same colouring.  Each child table is dropped
-    as soon as its parent has read it; only the forget nodes' least-colour
-    maps are kept.
+    same colours and return the same colouring.  Each table is dropped as
+    soon as the node above it (or the join above its chain) has read it;
+    only the forget nodes' least-colour maps are kept.
     """
     g = inst.graph
     palette = sorted(set().union(*inst.lists))
@@ -170,15 +190,36 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     fresh = [[code[c] << o for c in l] for l, o in zip(inst.lists, off)]
     least: dict[int, dict[int, int]] = {}  # forget node -> state -> least child code
     colors: dict[int, int] = {}
+    lifting: set[int] = set()  # the introduce and introduce_edge nodes of join children's chains
 
-    def introduce(i: int) -> Collection[int]:
-        v = vertex[i]
+    def under(c: int) -> int:
+        """The node below the chain of introduce and introduce_edge nodes
+        that c heads (c itself if it heads none), marking the chain lifting."""
+        while kind[c] == INTRODUCE or kind[c] == INTRODUCE_EDGE:
+            lifting.add(c)
+            c = left[c]
+        return c
+
+    below = {i: (under(left[i]), under(right[i])) for i, k in enumerate(kind) if k == JOIN}
+
+    def proper(table: set[int], v: int, nbrs: int) -> set[int]:
+        """The states of table in which no vertex of the mask nbrs has v's colour."""
         o = off[v]
-        table = {s | cs for s in tables.pop(left[i]) for cs in fresh[v]}
-        for u in bits(bag[i] & adj[v]):
+        for u in bits(nbrs):
             p = off[u]
             table = {s for s in table if (s >> p ^ s >> o) & mask}
         return table
+
+    def lift(i: int) -> Collection[int]:  # on a lifting chain: no table
+        if left[i] in lifting:
+            del tables[left[i]]
+        return ()
+
+    def introduce(i: int) -> Collection[int]:
+        if i in lifting:
+            return lift(i)
+        v = vertex[i]
+        return proper({s | cs for s in tables.pop(left[i]) for cs in fresh[v]}, v, bag[i] & adj[v])
 
     def forget(i: int) -> Collection[int]:
         o = off[vertex[i]]
@@ -191,6 +232,25 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
         least[i] = best
         return best.keys()
 
+    def join(i: int) -> Collection[int]:
+        for c in (left[i], right[i]):
+            if c in lifting:
+                del tables[c]
+        b1, b2 = below[i]
+        x1, x2 = bag[b1], bag[b2]
+        key = sum(mask << off[v] for v in bits(x1 & x2))
+        index: dict[int, list[int]] = {}
+        for s in tables.pop(b2):
+            index.setdefault(s & key, []).append(s)
+        table = {s | t for s in tables.pop(b1) for t in index.get(s & key, ())}
+        for u in bits(x1 & ~x2):  # the edges between the two sides
+            table = proper(table, u, adj[u] & x2 & ~x1)
+        have = x1 | x2
+        for v in bits(bag[i] & ~have):  # the bag vertices neither side holds
+            have |= 1 << v
+            table = proper({s | cs for s in table for cs in fresh[v]}, v, have & adj[v])
+        return table
+
     def back(i: int, s: int) -> tuple[int, ...]:
         if kind[i] == FORGET:
             c = least[i][s]
@@ -200,9 +260,8 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             return (s & ~(mask << off[vertex[i]]),)
         return (s, s)  # join; introduce_edge passes s to its child
 
-    step = {LEAF: lambda i: {0}, INTRODUCE: introduce, FORGET: forget,
-            INTRODUCE_EDGE: lambda i: tables.pop(left[i]),
-            JOIN: lambda i: tables.pop(left[i]) & tables.pop(right[i])}
+    step = {LEAF: lambda i: {0}, INTRODUCE: introduce, FORGET: forget, JOIN: join,
+            INTRODUCE_EDGE: lambda i: lift(i) if i in lifting else tables.pop(left[i])}
     if not dp.run([len(l) for l in inst.lists], step, back):
         return None
     return colors
@@ -257,6 +316,9 @@ def dp_chosen_outdegree(
     field is below 2^vb; for two such states a and b and G the bag's guard
     bits, each slot of (b | G) - a holds 2^vb + b_v - a_v, in [1, 2^(vb+1)):
     no borrow crosses a slot, and ((b | G) - a) & G == G iff a <= b pointwise.
+    G is taken once per solve, over every slot rather than the bag's: a slot
+    no bag vertex holds is 0 in both states, so it reads 2^vb in (b | G) - a,
+    its guard bit set, and the test is the same.
 
     Nodes: introduce passes its child's table through, as v's slot is 0.
     Introduce_edge of uv, u < v, adds w at u to the states that keep u
@@ -297,7 +359,7 @@ def dp_chosen_outdegree(
     dp = _NiceDP(g, ntd, vb + 1)
     off, tables = dp.off, dp.tables  # tables: state -> back-pointer, kept for the traceback
     kind, vertex, bag, edge, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.edge, ntd.left, ntd.right
-    gbit = [1 << o + vb for o in off]
+    guard = sum(1 << o + vb for o in set(off))  # every slot's guard bit
     wmap = inst.weights.as_dict()
     direction: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -315,19 +377,21 @@ def dp_chosen_outdegree(
 
     def forget(i: int) -> dict[int, object]:  # back-pointer: the child state
         keep = ~(vmask << off[vertex[i]])
-        vs = list(bits(bag[i]))
-        guard = sum(map(gbit.__getitem__, vs))
-        table = {s & keep: s for s in sorted(tables[left[i]], reverse=True)}
-        return _minimal_states(table, guard, vmask, map(off.__getitem__, vs))
+        child = tables[left[i]]
+        if len(child) <= 1:
+            return {s & keep: s for s in child}
+        table = {s & keep: s for s in sorted(child, reverse=True)}
+        return _minimal_states(table, guard, vmask, map(off.__getitem__, bits(bag[i])))
 
     def join(i: int) -> dict[int, object]:  # back-pointer: the left state
-        vs = list(bits(bag[i]))  # ascending, the tuple oracle's field order
-        guard = sum(map(gbit.__getitem__, vs))
-        caps = sum(rho[v] << off[v] for v in vs)
-        offs = list(map(off.__getitem__, vs))
+        caps = sum(rho[v] << off[v] for v in bits(bag[i]))
         rights = sorted(tables[right[i]])
+        lefts = tables[left[i]]
+        if len(lefts) > 1:  # in the tuple oracle's order: fields by ascending vertex
+            offs = [off[v] for v in bits(bag[i])]
+            lefts = sorted(lefts, key=lambda s: [s >> o & vmask for o in offs])
         table: dict[int, object] = {}
-        for s1 in sorted(tables[left[i]], key=lambda s: [s >> o & vmask for o in offs]):
+        for s1 in lefts:
             top = caps - s1 | guard
             for s2 in rights[: bisect_right(rights, caps - s1)]:
                 if (top - s2) & guard == guard:

@@ -45,6 +45,7 @@ from twlab.treewidth import (
     _walk,
     bits,
     heuristic_decomposition,
+    neighbour_masks,
     to_nice,
     validate,
 )
@@ -519,6 +520,42 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
             stack.append((node.children[1], s))
     assert check_list_coloring(inst, colors)
     return colors
+
+
+def lift_then_intersect_join_tables(
+    inst: ListColoringInstance, ntd: NiceTreeDecomposition, off: list[int]
+) -> dict[int, set[int]]:
+    """Reference join tables of the list-colouring DP: the step that
+    solvers.dp_list_coloring replaced, kept as an oracle for its joins.
+    Every node builds its table, so each join child is lifted to the join's
+    bag by its chain of introduce nodes, each colouring its vertex from its
+    list and dropping the states in which a bag neighbour has that colour,
+    and the join intersects the two lifted tables.  States are packed as in
+    dp_list_coloring, vertex v's slot at bit off[v].  Returns join node ->
+    table."""
+    palette = sorted(set().union(*inst.lists))
+    code = {c: r + 1 for r, c in enumerate(palette)}
+    mask = (1 << len(palette).bit_length()) - 1
+    adj = neighbour_masks(inst.graph)
+    tables: list[set[int]] = []
+    joins = {}
+    for i, kind in enumerate(ntd.kind):
+        child, v = ntd.left[i], ntd.vertex[i]
+        if kind == LEAF:
+            table = {0}
+        elif kind == INTRODUCE:
+            o = off[v]
+            table = {s | code[c] << o for s in tables[child] for c in inst.lists[v]}
+            for u in bits(ntd.bag[i] & adj[v]):
+                table = {s for s in table if (s >> off[u] ^ s >> o) & mask}
+        elif kind == FORGET:
+            table = {s & ~(mask << off[v]) for s in tables[child]}
+        elif kind == INTRODUCE_EDGE:
+            table = tables[child]
+        else:
+            table = joins[i] = tables[child] & tables[ntd.right[i]]
+        tables.append(table)
+    return joins
 
 
 def tuple_pareto_minimal(table: dict[tuple[int, ...], object]) -> dict[tuple[int, ...], object]:

@@ -14,6 +14,7 @@ from conftest import (
     cycle,
     elimination_test_graphs,
     grid,
+    lift_then_intersect_join_tables,
     nice_from_records,
     nice_records,
     path,
@@ -25,7 +26,7 @@ from conftest import (
 )
 from twlab import harness
 from twlab.errors import InputError
-from twlab.graphs import EdgeWeighting, Graph, Orientation, all_outdegrees
+from twlab.graphs import EdgeWeighting, Graph, Orientation, all_outdegrees, canon
 from twlab.problems import (
     KIND_BY_TAG,
     ChosenOutdegreeInstance,
@@ -88,6 +89,34 @@ def grid_instance(rows, cols, rng):
     return ListColoringInstance(
         g, [rng.sample((1, 2, 3, 4), rng.choice((2, 3))) for _ in range(g.n)]
     )
+
+
+def band_instance(n, band, rng):
+    """A random graph of bandwidth band, relabelled at random (a Hamiltonian
+    path plus each other pair at most band apart with probability 0.15),
+    with random 2- or 3-colour lists over 1..4."""
+    perm = rng.sample(range(n), n)
+    edges = {canon(perm[i], perm[j]) for i in range(n) for j in range(i + 1, min(n, i + band + 1))
+             if j == i + 1 or rng.random() < 0.15}
+    return ListColoringInstance(
+        Graph(n, sorted(edges)), [rng.sample((1, 2, 3, 4), rng.choice((2, 3))) for _ in range(n)]
+    )
+
+
+def hand_built_joins():
+    """Graphs with hand-built decompositions whose nice trees join in the
+    less common ways: a join bag {0, 1, 2} whose vertex 2 is in neither
+    child (children {0, 3} and {1, 4}, and the edge 01 runs between the
+    child bags); children {0, 1} and {1, 2} inside the join bag, so both
+    chains start at a leaf; and a host node with three children, so the
+    first join feeds the second directly."""
+    triangle = [(0, 1), (0, 2), (1, 2)]
+    yield (Graph(5, triangle + [(0, 3), (1, 4)]),
+           TreeDecomposition(Graph(3, [(0, 1), (0, 2)]), [{0, 1, 2}, {0, 3}, {1, 4}]))
+    yield (Graph(4, triangle + [(2, 3)]),
+           TreeDecomposition(Graph(4, [(0, 1), (0, 2), (0, 3)]), [{0, 1, 2}, {0, 1}, {1, 2}, {2, 3}]))
+    yield (Graph(6, triangle + [(0, 3), (1, 4), (2, 5)]),
+           TreeDecomposition(Graph(4, [(0, 1), (0, 2), (0, 3)]), [{0, 1, 2}, {0, 3}, {1, 4}, {2, 5}]))
 
 
 def other_branch_join_triangle():
@@ -345,6 +374,38 @@ class TestDpListColoring:
             assert dp_list_coloring(inst, ntd) is None
             assert tuple_list_coloring_dp(inst, ntd) is None
 
+    def test_joins_below_lifting_chains_match_lift_then_intersect(self, monkeypatch):
+        # a join reads the tables below its two lifting chains, which build
+        # none; its table must be the intersection of the two lifted tables
+        runs, run = [], solvers._NiceDP.run
+
+        def recording(dp, bound, step, back):
+            def join(i):
+                joins[i] = set(step[JOIN](i))
+                return joins[i]
+
+            joins = {}
+            runs.append((dp, joins))
+            return run(dp, bound, {**step, JOIN: join}, back)
+
+        monkeypatch.setattr(solvers._NiceDP, "run", recording)
+        rng = random.Random(16)
+        insts = [grid_instance(rows, cols, rng) for rows, cols in ((3, 40), (4, 40), (5, 30), (6, 30)) for _ in "ab"]
+        insts += [band_instance(n, 5, rng) for n in (100, 200, 300)]
+        cases = [(inst, nice_of(inst.graph)) for inst in insts]
+        for g, td in hand_built_joins():
+            ntd = to_nice(td, g)
+            cases += [(ListColoringInstance(g, [rng.sample((1, 2, 3), rng.choice((1, 2, 2, 3))) for _ in range(g.n)]),
+                       ntd) for _ in range(150)]
+        answers, lifted = set(), 0
+        for inst, ntd in cases:
+            answers.add(dp_list_coloring(inst, ntd) is None)
+            dp, joins = runs.pop()
+            assert joins == lift_then_intersect_join_tables(inst, ntd, dp.off)
+            assert list(dp.tables) == [ntd.root]  # every table is dropped once read
+            lifted += sum(1 for i in joins if joins[i] and ntd.kind[ntd.left[i]] == INTRODUCE)
+        assert answers == {True, False} and lifted > 100
+
     def test_7x40_grid_peak_memory(self):
         inst = grid_instance(7, 40, random.Random(11))
         ntd = nice_of(inst.graph)
@@ -426,7 +487,8 @@ class TestDpChosenOutdegree:
         self, monkeypatch, method
     ):
         # introduce_edge and join keep dominated states; forget filters its
-        # table to an antichain, and the traceback reads only minimal states
+        # table to an antichain (one of at most one state is one unfiltered),
+        # and the traceback reads only minimal states
         runs, filtered_at, kind_now = [], [], [None]
         run, minimal = solvers._NiceDP.run, solvers._minimal_states
 
@@ -466,7 +528,7 @@ class TestDpChosenOutdegree:
                     table = decoded(i)
                     assert len(table) == len(dp.tables[i])
                     assert tuple_pareto_minimal(table) == table
-                    forgets += 1
+                    forgets += len(dp.tables[ntd.left[i]]) > 1
             for i, s in visited:
                 assert s in tuple_pareto_minimal(decoded(i)).values(), (i, s)
             visits += len(visited)
