@@ -259,7 +259,8 @@ def _clique_checks(out, pg, clique, witnesses, checks) -> None:
     if not out.meta.get("gadget"):
         return
     for name, lam in witnesses.items():
-        checks[f"clique_ok_{name}"] = pr.is_clique(pg.graph, rd.extract_clique(out, lam))
+        picked = rd.extract_clique(out, lam)
+        checks[f"clique_ok_{name}"] = picked is not None and pr.is_clique(pg.graph, picked)
     if clique is not None:
         lam_c = rd.orientation_from_clique(out, clique)
         checks["constructive_ok"] = pr.check_admissible(out.instance, lam_c)

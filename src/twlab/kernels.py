@@ -17,7 +17,8 @@ Every search is deterministic:
 * gensat_search returns the lexicographically first satisfying assignment
   (variable 0 most significant, value 0 before 1).  Its per-constraint
   bitsets of compatible tuples prune exactly the branches a scan of the
-  tuples would, so they change its speed, not its witness.
+  tuples would, so they change its speed, not its witness.  The supports
+  it ANDs in come with each relation, built once when the relation is.
 * exact_treewidth expands a level's sets in the order they were reached,
   each by its missing vertices in increasing index; a set keeps the first
   parent of least value.  The first set to close an order at the final
@@ -168,43 +169,30 @@ def list_color_search(adj, palettes):
     return colors if backtrack(len(adj), branches) else None
 
 
-def gensat_search(num_vars, scopes, masks):
+def gensat_search(num_vars, scopes, supports):
     """Backtracking search for a satisfying 0/1 assignment.
 
-    Constraint j has scope variables scopes[j] and allowed tuples masks[j],
-    each encoded as a bitmask (bit p = value of scope position p, no bit past
-    the scope); a scope lists distinct variables, as Constraint requires.
-    A partial assignment survives iff every constraint still has a
-    compatible tuple.
+    Constraint j has the distinct scope variables scopes[j] and supports[j],
+    as problems.BooleanRelation builds them once per relation: per scope
+    position p, the bitsets (zero, one) of the relation's tuples (bit i for
+    tuple i) with entry p = 0 and = 1.  A partial assignment survives iff
+    every constraint still has a compatible tuple.
 
-    Constraint j keeps alive[j], a bitset over its tuples (bit i for
-    masks[j][i]) of those still compatible with the assignment: simple
-    tabular reduction in its bitset form (Ullmann 2007; Compact-Table,
-    Demeulenaere et al., CP 2016).  Each scope position has two supports,
-    the tuples with bit p = 0 and those with bit p = 1, built once per tuple
-    list however many constraints share it.  Setting x = val ANDs the
-    matching supports into the words of the constraints that hold x, as
-    saved when the search reached x, and leaving x restores them.  A branch
-    is pruned exactly when one of those words drops to 0, the test a scan
-    of the tuples makes ("no compatible tuple left"), so the search tree
-    and the witness are the scan's.
+    Constraint j keeps alive[j], a bitset of its tuples still compatible
+    with the assignment, at first all of them (zero | one at position 0;
+    the arity is at least 1): simple tabular reduction in its bitset form
+    (Ullmann 2007; Compact-Table, Demeulenaere et al., CP 2016).  Setting
+    x = val ANDs the matching supports into the words of the constraints
+    that hold x, as saved when the search reached x, and leaving x restores
+    them.  A branch is pruned exactly when one of those words drops to 0,
+    the test a scan of the tuples makes ("no compatible tuple left"), so the
+    search tree and the witness are the scan's.
     """
-    supports: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (id, arity) -> per position
     alive = []
     narrows = [([], ([], [])) for _ in range(num_vars)]  # x -> its constraints, supports per value
-    for j, (scope, ts) in enumerate(zip(scopes, masks)):
-        full = (1 << len(ts)) - 1
-        key = (id(ts), len(scope))  # masks holds ts, so its id is not reused meanwhile
-        if key not in supports:
-            ones = [0] * len(scope)
-            for i, t in enumerate(ts):
-                while t:
-                    low = t & -t
-                    ones[low.bit_length() - 1] |= 1 << i
-                    t ^= low
-            supports[key] = [(full ^ one, one) for one in ones]
-        alive.append(full)
-        for x, (zero, one) in zip(scope, supports[key]):
+    for j, (scope, sup) in enumerate(zip(scopes, supports)):
+        alive.append(sup[0][0] | sup[0][1])
+        for x, (zero, one) in zip(scope, sup):
             js, (if_0, if_1) = narrows[x]
             js.append(j)
             if_0.append(zero)

@@ -12,7 +12,7 @@ serve both kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from twlab import kernels
@@ -51,6 +51,14 @@ def _require_ints(what: str, xs) -> None:
             raise InputError(f"{what} must be an integer, got {x!r}")
 
 
+def _require_r(r) -> None:
+    """InputError unless r, a colour or weight bound, is an int in 1..R_CEILING."""
+    _require_ints("r", [r])
+    if r < 1:
+        raise InputError(f"r must be positive, got {r}")
+    require_at_most("r", r, R_CEILING)
+
+
 # --- instance types ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -76,10 +84,7 @@ class PrecoloringExtensionInstance:
     r: int
 
     def __init__(self, graph: Graph, precolor, r: int):
-        _require_ints("r", [r])
-        if r < 1:
-            raise InputError(f"r must be positive, got {r}")
-        require_at_most("r", r, R_CEILING)
+        _require_r(r)
         cmap: dict[int, int] = {}
         for v, c in precolor.items() if isinstance(precolor, dict) else precolor:
             if v in cmap:
@@ -103,10 +108,7 @@ class EquitableColoringInstance:
     r: int
 
     def __post_init__(self):
-        _require_ints("r", [self.r])
-        if self.r < 1:
-            raise InputError(f"r must be positive, got {self.r}")
-        require_at_most("r", self.r, R_CEILING)
+        _require_r(self.r)
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,9 @@ class GeneralFactorInstance:
 class BooleanRelation:
     arity: int
     tuples: frozenset[tuple[int, ...]]
+    # per position p, the bitsets (zero, one) of the sorted tuples (bit i for
+    # the i-th) with entry p = 0 and = 1, as kernels.gensat_search reads them
+    supports: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __init__(self, arity: int, tuples):
         _require_ints("arity", [arity])
@@ -139,12 +144,18 @@ class BooleanRelation:
             raise InputError(f"arity must be positive, got {arity}")
         require_at_most("arity", arity, ARITY_CEILING)
         tuples = frozenset(tuple(t) for t in tuples)
-        for t in tuples:
-            _require_ints("relation tuple entry", t)
+        _require_ints("relation tuple entry", [b for t in tuples for b in t])  # before sorted() compares them
+        ones = [0] * arity
+        for i, t in enumerate(sorted(tuples)):
             if len(t) != arity or any(b not in (0, 1) for b in t):
                 raise InputError(f"tuple {t} is not a 0/1 sequence of length {arity}")
+            for p, b in enumerate(t):
+                if b:  # tuples are often sparse: OR only the 1 entries into the growing bitsets
+                    ones[p] |= 1 << i
+        full = (1 << len(tuples)) - 1
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "tuples", tuples)
+        object.__setattr__(self, "supports", tuple((full ^ one, one) for one in ones))
 
 
 @dataclass(frozen=True)
@@ -214,10 +225,7 @@ class MinMaxOutdegreeInstance(ChosenOutdegreeInstance):
     r: int
 
     def __init__(self, graph: Graph, weights: EdgeWeighting, r: int):
-        _require_ints("r", [r])
-        if r < 1:
-            raise InputError(f"r must be positive, got {r}")
-        require_at_most("r", r, R_CEILING)
+        _require_r(r)
         super().__init__(graph, weights, (r,) * graph.n)
         if weights.total_weight > DEFAULT_WEIGHT_CEILING:
             raise InputError(
@@ -386,18 +394,11 @@ def bf_general_factor(inst: GeneralFactorInstance) -> frozenset | None:
 
 def bf_gensat(inst: GensatInstance) -> tuple[int, ...] | None:
     """Assignment search in variable-index order (0 before 1), pruning any
-    prefix some constraint can no longer match.  Each distinct relation is
-    packed into bitmasks once, and the constraints that share it share that
-    one list, so the kernel builds its per-position tuple bitsets once per
-    relation too."""
-    packed: dict[BooleanRelation, list[int]] = {}
-    for c in inst.constraints:
-        if c.relation not in packed:
-            packed[c.relation] = [sum(b << p for p, b in enumerate(t)) for t in sorted(c.relation.tuples)]
+    prefix some constraint can no longer match."""
     got = kernels.gensat_search(
         inst.num_variables,
         [c.scope for c in inst.constraints],
-        [packed[c.relation] for c in inst.constraints],
+        [c.relation.supports for c in inst.constraints],
     )
     if got is None:
         return None

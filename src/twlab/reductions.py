@@ -453,7 +453,7 @@ def _gadget(out: ReductionOutput):
     return vid, out.instance, pg, pg.k, pg.part_size
 
 
-def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...]:
+def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...] | None:
     """Read the selected transversal out of an admissible orientation of the
     selection gadget.
 
@@ -461,8 +461,9 @@ def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...]:
     member edge turned outward, and a hub ``d`` with several incoming
     candidate edges keeps only the first — both reversals preserve
     admissibility.  The member picked at each part is the one whose ``a``
-    edge points outward.  Whether the result is a clique is left to the
-    caller, which checks it once (the harness records ``clique_ok_<solver>``).
+    edge points outward; None if normalization broke admissibility or a
+    pick vertex selects other than one member.  The caller checks once that
+    the result is a clique (the harness records ``clique_ok_<solver>``).
     """
     vid, inst, pg, k, n = _gadget(out)
     if not check_admissible(inst, lam):
@@ -479,14 +480,15 @@ def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...]:
         incoming = [e for e in candidates if direction[canon(d, e)][0] != d]
         for e in incoming[1:]:
             direction[canon(d, e)] = (d, e)
-    normalized = Orientation(inst.graph, direction)  # as_dict() would give `direction` back
-    assert check_admissible(inst, normalized), "normalization broke admissibility"
+    if not check_admissible(inst, Orientation(inst.graph, direction)):
+        return None
 
     picked = []
     for i in range(k):
         a = vid["a", i]
         outgoing = [j for j in range(n) if direction[canon(a, vid["u", i, j])][0] == a]
-        assert len(outgoing) == 1, f"pick vertex {i} selects {len(outgoing)} members"
+        if len(outgoing) != 1:
+            return None
         picked.append(pg.parts[i][outgoing[0]])
     return tuple(picked)
 

@@ -15,10 +15,11 @@ mask, built per solve.  A DP brings only its encoding, one table handler
 per node kind and one back-step, each taking a node id; the back-steps read
 witnesses off back-pointers in the orientation DP and least-colour maps at
 forget nodes in the list-colouring DP.  The list-colouring DP joins the
-tables below the introduce chains that to_nice lifts each join child by,
-and the nodes of those chains build no table.  The solvers do not check the
-witnesses they return: the harness (`twlab verify`) and the CLI (`twlab
-solve`) check each yes-witness once with its kind's checker.
+tables below the introduce chains that to_nice lifts each join child by:
+the nodes of those chains carry the table below them up to the join as it
+is.  The solvers do not check the witnesses they return: the harness
+(`twlab verify`) and the CLI (`twlab solve`) check each yes-witness once
+with its kind's checker.
 """
 
 from __future__ import annotations
@@ -78,12 +79,8 @@ class _NiceDP:
     over off and tables (node id -> that node's table of packed bag
     states), and hands them to run.  Handlers and back-steps take node ids
     and read the node's kind, bag mask, vertex, edge and children off ntd's
-    lists.  Each handler pops the tables it reads, or keeps them where its
-    back-step reads them again.  A handler may read and pop tables below its
-    children, provided the nodes in between build none: the list-colouring
-    join reads the tables below its lifting chains, whose introduce and
-    introduce_edge nodes return an empty table (run stores and checks it
-    like any other, and the node above pops it)."""
+    lists.  Each handler reads only its children's tables, and pops them,
+    or keeps them where its back-step reads them again."""
 
     def __init__(self, g: Graph, ntd: NiceTreeDecomposition, slot_bits: int):
         _require_nice(ntd, g)
@@ -155,19 +152,22 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     introduce and introduce_edge nodes.  Lifted, a branch would colour the
     vertices only the other branch holds with no constraint, and the join
     would throw most of those states away.  So the nodes of those chains
-    build no table (a pass over the joins, walking down each chain once,
-    finds them), and the join reads the tables T1 and T2 of the nodes right
-    below its two chains, over bags X1 and X2.  It indexes T2 by the colours
-    on X1 & X2 and ORs each state of T1 with every state of T2 that agrees
+    carry the table of the node below them up as it is (a pass over the
+    joins, walking down each chain once, finds them), and the join reads,
+    from its two children, the tables T1 and T2 of the nodes right below its
+    two chains, over bags X1 and X2.  It indexes T2 by the colours on
+    X1 & X2 and ORs each state of T1 with every state of T2 that agrees
     there (a natural join; Yannakakis, VLDB 1981), drops the states that
     colour alike the ends of an edge between X1 - X2 and X2 - X1, and
     colours the vertices of B outside X1 | X2 as introduce does.  That gives
     the proper colourings of G[B] that restrict into T1 and T2, which is the
-    intersection of the two lifted tables.
+    intersection of the two lifted tables.  A carried table keeps within
+    the bound of each chain node only while no list is empty, so an empty
+    list answers None before the walk.
 
     Witness: forget keeps, for each projected state, the least colour code
     it saw, and the traceback rebuilds the child state as s | code << off[v];
-    it reads nothing else, so passing down a lifting chain needs no table.
+    it reads nothing else, so passing down a lifting chain reads no table.
     The tuple DP that the tests keep as an oracle takes the first child state
     in sorted order, which has the least colour at v.  Its tables also hold
     states colouring adjacent bag vertices alike before their edge is
@@ -175,8 +175,8 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     proper colouring, and every edge at v is introduced below v's forget
     node; so at each visited forget node both DPs pick the least of the
     same colours and return the same colouring.  Each table is dropped as
-    soon as the node above it (or the join above its chain) has read it;
-    only the forget nodes' least-colour maps are kept.
+    soon as the node above it has read it; only the forget nodes'
+    least-colour maps are kept.
     """
     g = inst.graph
     palette = sorted(set().union(*inst.lists))
@@ -184,6 +184,8 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     code_bits = len(palette).bit_length()
     mask = (1 << code_bits) - 1
     dp = _NiceDP(g, ntd, code_bits)
+    if not all(inst.lists):
+        return None
     off, tables = dp.off, dp.tables
     kind, vertex, bag, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.left, ntd.right
     adj = neighbour_masks(g)
@@ -200,7 +202,8 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             c = left[c]
         return c
 
-    below = {i: (under(left[i]), under(right[i])) for i, k in enumerate(kind) if k == JOIN}
+    # join -> the bags X1 and X2 of the nodes below its two chains
+    below = {i: (bag[under(left[i])], bag[under(right[i])]) for i, k in enumerate(kind) if k == JOIN}
 
     def proper(table: set[int], v: int, nbrs: int) -> set[int]:
         """The states of table in which no vertex of the mask nbrs has v's colour."""
@@ -210,16 +213,12 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             table = {s for s in table if (s >> p ^ s >> o) & mask}
         return table
 
-    def lift(i: int) -> Collection[int]:  # on a lifting chain: no table
-        if left[i] in lifting:
-            del tables[left[i]]
-        return ()
-
     def introduce(i: int) -> Collection[int]:
-        if i in lifting:
-            return lift(i)
+        table = tables.pop(left[i])
+        if i in lifting:  # carried up to the join as it is
+            return table
         v = vertex[i]
-        return proper({s | cs for s in tables.pop(left[i]) for cs in fresh[v]}, v, bag[i] & adj[v])
+        return proper({s | cs for s in table for cs in fresh[v]}, v, bag[i] & adj[v])
 
     def forget(i: int) -> Collection[int]:
         o = off[vertex[i]]
@@ -232,17 +231,13 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
         least[i] = best
         return best.keys()
 
-    def join(i: int) -> Collection[int]:
-        for c in (left[i], right[i]):
-            if c in lifting:
-                del tables[c]
-        b1, b2 = below[i]
-        x1, x2 = bag[b1], bag[b2]
+    def join(i: int) -> Collection[int]:  # its children carry the tables below their chains
+        x1, x2 = below[i]
         key = sum(mask << off[v] for v in bits(x1 & x2))
         index: dict[int, list[int]] = {}
-        for s in tables.pop(b2):
+        for s in tables.pop(right[i]):
             index.setdefault(s & key, []).append(s)
-        table = {s | t for s in tables.pop(b1) for t in index.get(s & key, ())}
+        table = {s | t for s in tables.pop(left[i]) for t in index.get(s & key, ())}
         for u in bits(x1 & ~x2):  # the edges between the two sides
             table = proper(table, u, adj[u] & x2 & ~x1)
         have = x1 | x2
@@ -261,7 +256,7 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
         return (s, s)  # join; introduce_edge passes s to its child
 
     step = {LEAF: lambda i: {0}, INTRODUCE: introduce, FORGET: forget, JOIN: join,
-            INTRODUCE_EDGE: lambda i: lift(i) if i in lifting else tables.pop(left[i])}
+            INTRODUCE_EDGE: lambda i: tables.pop(left[i])}
     if not dp.run([len(l) for l in inst.lists], step, back):
         return None
     return colors

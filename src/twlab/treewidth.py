@@ -194,15 +194,12 @@ def from_elimination_order(g: Graph, order) -> TreeDecomposition:
     order = list(order)
     if sorted(order) != list(range(g.n)):
         raise InputError("order is not a permutation of the vertices")
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    mask = neighbour_masks(g)
     rests = []
     for v in order:
-        rest = adj.pop(v)
+        rest = list(bits(mask[v]))
         for a in rest:
-            na = adj[a]
-            na |= rest
-            na.discard(a)
-            na.discard(v)
+            mask[a] = (mask[a] | mask[v]) & ~(1 << a | 1 << v)
         rests.append(rest)
     return _fill_in(g, order, rests)
 

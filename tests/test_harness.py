@@ -226,6 +226,37 @@ class TestVerify:
             assert bf_list_coloring(inst) is not None  # true verdict: yes
             assert r["replay"]["source"]["parts"]
 
+    def test_broken_pick_cap_is_a_failed_read_back(self, monkeypatch):
+        """A gadget whose pick vertices may each pick two members (their cap
+        raised from 1 to 2) is admissible where it should not be; reading a
+        clique back from such an orientation gives clique_ok false, not an
+        exception, and the sweep fails."""
+        import dataclasses
+
+        import twlab.reductions as rd
+        from twlab.problems import ChosenOutdegreeInstance
+
+        build = rd.pc_to_chosen_outdegree
+
+        def raised_picks(pg):
+            out = build(pg)
+            vid = out.meta.get("gadget")
+            if not vid:
+                return out
+            rho = list(out.instance.rho)
+            for i in range(pg.k):
+                rho[vid["a", i]] = 2
+            inst = ChosenOutdegreeInstance(out.instance.graph, out.instance.weights, rho)
+            return dataclasses.replace(out, instance=inst)
+
+        monkeypatch.setattr(rd, "pc_to_chosen_outdegree", raised_picks)
+        rep = verify_reduction(
+            ExperimentConfig(pipeline="pc-chosen", k=2, n=3, solver="both", cases=20, seed=1)
+        )
+        assert rep.summary["pass"] is False
+        checks = [r.get("checks", {}) for r in rep.records]
+        assert any(c.get(f"clique_ok_{s}") is False for c in checks for s in ("bf", "dp"))
+
 
 class TestPipelineTable:
     def test_target_tag_is_the_reduced_kind(self):

@@ -20,7 +20,7 @@ from twlab import kernels
 from twlab.errors import GuardError
 from twlab.graphs import EdgeWeighting
 from twlab.harness import gen_chosen_instance, gen_graph
-from twlab.problems import ChosenOutdegreeInstance, bf_chosen_outdegree, bf_gensat
+from twlab.problems import BooleanRelation, ChosenOutdegreeInstance, bf_chosen_outdegree, bf_gensat
 from twlab.reductions import clique_to_gensat
 
 
@@ -133,38 +133,48 @@ class TestWitnessesMatchRecursiveSearches:
             results.append(want)
         both_answers(results)
 
-    def test_gensat_search(self, monkeypatch):
+    def test_gensat_search(self):
         rng = random.Random(9)
         results = []
-        kernel = kernels.gensat_search
 
-        def search(num_vars, scopes, masks):
+        def reference(num_vars, scopes, relations):
+            """The recursive search on the relations' tuples, each packed into
+            a bitmask (bit p = entry p)."""
+            masks = [[sum(b << p for p, b in enumerate(t)) for t in sorted(r.tuples)] for r in relations]
             want = recursive_gensat_search(num_vars, *csr(scopes), *csr(masks))
-            assert kernel(num_vars, scopes, masks) == want
             results.append(want)
             return want
 
+        def check(num_vars, scopes, relations):
+            want = reference(num_vars, scopes, relations)
+            assert kernels.gensat_search(num_vars, scopes, [r.supports for r in relations]) == want
+
+        def relation(arity, masks):
+            return BooleanRelation(arity, [[m >> p & 1 for p in range(arity)] for m in masks])
+
         for trial in range(400):
             num_vars = trial % 8
-            scopes, masks = [], []
+            scopes, relations = [], []
             for _ in range(rng.randint(0, 6) if num_vars else 0):
                 arity = rng.randint(1, min(3, num_vars))
                 scopes.append(tuple(rng.sample(range(num_vars), arity)))
-                masks.append(rng.sample(range(1 << arity), rng.randint(0, 1 << arity)))
-            search(num_vars, scopes, masks)
-        # wide arities, one tuple list shared by every constraint, and the top
+                relations.append(relation(arity, rng.sample(range(1 << arity), rng.randint(0, 1 << arity))))
+            check(num_vars, scopes, relations)
+        # wide arities, one relation shared by every constraint, and the top
         # scope positions 0 in every tuple: supports must span the scope, not
         # the tuples' bit_length
         for trial in range(200):
             num_vars = rng.randint(12, 24)
             arity = rng.randint(12, min(20, num_vars))
-            shared = rng.sample(range(1 << (arity - rng.choice((0, 1, 4)))), rng.randint(1, 10))
+            shared = relation(arity, rng.sample(range(1 << (arity - rng.choice((0, 1, 4)))), rng.randint(1, 10)))
             scopes = [tuple(rng.sample(range(num_vars), arity)) for _ in range(rng.randint(1, 4))]
-            search(num_vars, scopes, [shared] * len(scopes))
-        # the reduction's instances, packed by the oracle
-        monkeypatch.setattr(kernels, "gensat_search", search)
+            check(num_vars, scopes, [shared] * len(scopes))
+        # the reduction's instances, through the oracle
         for seed in range(30):
-            bf_gensat(clique_to_gensat(gen_graph(rng.randint(3, 10), 0.6, seed), 2 + seed % 4).instance)
+            inst = clique_to_gensat(gen_graph(rng.randint(3, 10), 0.6, seed), 2 + seed % 4).instance
+            cs = inst.constraints
+            want = reference(inst.num_variables, [c.scope for c in cs], [c.relation for c in cs])
+            assert bf_gensat(inst) == (None if want is None else tuple(want))
         both_answers(results)
 
 
@@ -229,7 +239,7 @@ class TestKernelEdgeCases:
         assert kernels.gensat_search(2, [], []) == [0, 0]
 
     def test_gensat_empty_relation(self):
-        assert kernels.gensat_search(1, [(0,)], [[]]) is None
+        assert kernels.gensat_search(1, [(0,)], [BooleanRelation(1, []).supports]) is None
 
     def test_exact_tw_empty_graph(self):
         assert kernels.exact_treewidth(0, []) == (-1, [])

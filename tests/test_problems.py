@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -174,6 +175,31 @@ class TestGensat:
         xor = BooleanRelation(2, [(0, 1), (1, 0)])
         inst = GensatInstance(3, [Constraint((0, 1), xor), Constraint((1, 2), xor)])
         assert bf_gensat(inst) == (0, 1, 0)  # lexicographically first
+
+    def test_supports_split_sorted_tuples_outside_equality(self):
+        """supports holds, per position, the bitsets of the sorted tuples with
+        entry 0 and entry 1; it is derived, so two relations built from the
+        same tuples in any order are equal and hash alike, and neither repr
+        nor JSON shows it."""
+        rng = random.Random(4)
+        for _ in range(50):
+            arity = rng.randint(1, 6)
+            tuples = [tuple(rng.randint(0, 1) for _ in range(arity)) for _ in range(rng.randint(0, 12))]
+            rel = BooleanRelation(arity, tuples)
+            ordered = sorted(set(tuples))
+            assert rel.supports == tuple(
+                tuple(sum(1 << i for i, t in enumerate(ordered) if t[p] == b) for b in (0, 1))
+                for p in range(arity)
+            )
+            shuffled = BooleanRelation(arity, rng.sample(tuples, len(tuples)) + tuples[:1])
+            assert shuffled == rel and hash(shuffled) == hash(rel)
+            assert "supports" not in repr(rel)
+            inst = GensatInstance(arity, [Constraint(range(arity), rel)])
+            assert "supports" not in json.dumps(instance_to_json(inst))
+
+    def test_non_integer_entry_named_before_tuples_are_sorted(self):
+        with pytest.raises(InputError, match="relation tuple entry must be an integer, got 'a'"):
+            BooleanRelation(2, [(0, "a"), (0, 1)])
 
     def test_wide_relation_uses_pure_fallback(self):
         # tuple masks wider than 64 bits
