@@ -182,7 +182,7 @@ class Orientation:
             # a list, not a generator: see Graph._adj
             direction = tuple([direction[e] for e in graph.edges])
         else:
-            direction = tuple(tuple(d) for d in direction)
+            direction = tuple([tuple(d) for d in direction])
         if len(direction) != len(graph.edges):
             raise InputError(
                 f"{len(direction)} directions for {len(graph.edges)} edges"

@@ -10,8 +10,8 @@ bounded by memory, not by Python's recursion limit.
 Every search is deterministic:
 
 * orient_search returns the lexicographically first admissible direction
-  vector (edge i contributes digit 0 when its tail is the smaller endpoint,
-  1 otherwise; edge index is the most significant digit).
+  vector (edge i contributes digit 0 when its tail is the first endpoint of
+  edges[i], 1 otherwise; edge index is the most significant digit).
 * list_color_search colors vertices in the order 0..n-1 of its (pre-permuted)
   input, trying each vertex's palette in the given order; first success wins.
 * gensat_search returns the lexicographically first satisfying assignment
@@ -32,17 +32,21 @@ from twlab.errors import GuardError
 
 BACKEND = "python"  # the name benchmark results record for this implementation
 
+_ONCE = (None,)  # iter(_ONCE) is the one branch of a position already decided
+
 
 def backtrack(depth, branches, accept=None):
     """Depth-first search over positions 0..depth-1 on an explicit stack.
 
-    branches(i) returns a generator that applies each live choice for
-    position i in turn, yields while it is applied and undoes it when
-    resumed.  The first full assignment that accept() takes (any, when
-    accept is None) ends the search with True; its choices are left
-    applied, so the caller's state is the witness.  Undo code must therefore
-    not sit in a `finally` block.  Returns False once every branch is
-    exhausted, with every choice undone.
+    branches(i) returns an iterator over the live choices for position i:
+    each step applies the next choice, and the step after it undoes that
+    choice first.  A generator that yields while its choice is applied
+    does this; so does iter() of a one-item tuple where the position's one
+    choice is already applied.  The first full assignment that accept()
+    takes (any, when accept is None) ends the search with True; its choices
+    are left applied, so the caller's state is the witness.  Undo code must
+    therefore not sit in a `finally` block.  Returns False once every
+    branch is exhausted, with every choice undone.
     """
     if depth == 0:
         return accept is None or accept()
@@ -70,7 +74,8 @@ def orient_search(n, edges, w, rho):
     Depth-first search over edges in index order with unit-propagation:
     an undecided edge too heavy for one endpoint's remaining budget is forced
     toward the other; an edge too heavy for both prunes the branch.  An edge
-    already forced when the search reaches it has a single branch.  Each
+    already forced when the search reaches it has a single branch, a
+    one-item iterator that costs no generator.  Each
     vertex keeps its incident edges heaviest first, so a push stops at the
     first edge that fits the residual: a hub costs the edges it forces, not
     its degree.  Unit propagation reaches the same closure in any order.
@@ -85,45 +90,43 @@ def orient_search(n, edges, w, rho):
         incident[v].append(i)
     trail: list[int] = []  # decided edges, in decision order
 
-    def decide(e: int, d: int) -> bool:
-        tail = edges[e][d]
-        if residual[tail] < w[e]:
-            return False
-        dirs[e] = d
-        residual[tail] -= w[e]
-        trail.append(e)
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            e = trail.pop()
-            residual[edges[e][dirs[e]]] += w[e]
-            dirs[e] = -1
-
     def propagate(stack: list[int]) -> bool:
         while stack:
             z = stack.pop()
             room = residual[z]  # forcing edges away from z leaves it unchanged
             for f in incident[z]:
-                if w[f] <= room:
+                wf = w[f]
+                if wf <= room:
                     break  # so does every lighter edge
                 if dirs[f] != -1:
                     continue
                 d = 1 if edges[f][0] == z else 0  # the tail must be the other end
-                if not decide(f, d):
+                tail = edges[f][d]
+                if residual[tail] < wf:
                     return False
-                stack.append(edges[f][d])
+                dirs[f] = d
+                residual[tail] -= wf
+                trail.append(f)
+                stack.append(tail)
         return True
 
+    def choices(e: int):
+        we = w[e]
+        for d, tail in enumerate(edges[e]):
+            if residual[tail] >= we:
+                mark = len(trail)
+                dirs[e] = d
+                residual[tail] -= we
+                trail.append(e)
+                if propagate([tail]):
+                    yield
+                while len(trail) > mark:  # undo e and what it forced
+                    f = trail.pop()
+                    residual[edges[f][dirs[f]]] += w[f]
+                    dirs[f] = -1
+
     def branches(e: int):
-        if dirs[e] != -1:
-            yield
-            return
-        for d in (0, 1):
-            mark = len(trail)
-            if decide(e, d) and propagate([edges[e][d]]):
-                yield
-            undo(mark)
+        return iter(_ONCE) if dirs[e] != -1 else choices(e)
 
     # the initial propagation catches edges infeasible from the start
     if propagate(list(range(n))) and backtrack(m, branches):

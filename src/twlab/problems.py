@@ -420,7 +420,11 @@ def bf_chosen_outdegree(inst: ChosenOutdegreeInstance) -> Orientation | None:
     got = kernels.orient_search(g.n, edges, [w[i] for i in order], inst.rho)
     if got is None:
         return None
-    return Orientation(g, {e: e[::-1] if d else e for e, d in zip(edges, got)})
+    direction = list(g.edges)
+    for i, e, d in zip(order, edges, got):
+        if d:
+            direction[i] = (e[1], e[0])
+    return Orientation(g, direction)
 
 
 def bf_min_max_outdegree(inst: MinMaxOutdegreeInstance) -> Orientation | None:

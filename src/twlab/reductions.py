@@ -54,6 +54,7 @@ from twlab.graphs import (
     Graph,
     Orientation,
     PartitionedGraph,
+    all_outdegrees,
     canon,
     graph_to_json,
     is_clique,
@@ -68,7 +69,6 @@ from twlab.problems import (
     PrecoloringExtensionInstance,
     build_dual,
     build_incidence,
-    check_admissible,
     instance_to_json,
 )
 from twlab.treewidth import (
@@ -345,8 +345,9 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
     plan: dict[tuple[int, int], tuple[int, int]] = {}  # edge -> (owner, tail if owner selected)
 
     def add_edge(u: int, v: int, w: int, owner: int, tail: int) -> None:
-        edges[canon(u, v)] = w
-        plan[canon(u, v)] = (owner, tail)
+        e = canon(u, v)
+        edges[e] = w
+        plan[e] = (owner, tail)
 
     for i in range(k):
         a = new("a", ROOT, i=i)
@@ -378,7 +379,7 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
         rho[c] = sum(yw(True, j) + yw(False, j) for j in range(n))
 
     h = Graph(len(index), edges.keys())
-    inst = ChosenOutdegreeInstance(h, EdgeWeighting(h, edges), rho)
+    inst = ChosenOutdegreeInstance(h, EdgeWeighting(h, [edges[e] for e in h.edges]), rho)
     hubs = frozenset([v for v, up in enumerate(parent) if up == HUB])
     _check_gadget_arithmetic(k, n, big, vid, hubs, pair_edges, edges, inst.rho)
 
@@ -457,40 +458,51 @@ def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...] | 
     """Read the selected transversal out of an admissible orientation of the
     selection gadget.
 
-    Normalization first: a pick vertex with no outgoing edge has its first
+    One outdegree pass checks that lam is admissible (InputError if not).
+    Normalization follows: a pick vertex with no outgoing edge has its first
     member edge turned outward, and a hub ``d`` with several incoming
-    candidate edges keeps only the first — both reversals preserve
-    admissibility.  The member picked at each part is the one whose ``a``
+    candidate edges keeps only the first.  Each turn moves the edge's weight
+    from its old tail to its new one on the outdegree vector, and only the
+    new tails are checked against their caps again, as no other vertex
+    gained weight.  The member picked at each part is the one whose ``a``
     edge points outward; None if normalization broke admissibility or a
     pick vertex selects other than one member.  The caller checks once that
     the result is a clique (the harness records ``clique_ok_<solver>``).
     """
     vid, inst, pg, k, n = _gadget(out)
-    if not check_admissible(inst, lam):
+    g, rho = inst.graph, inst.rho
+    load = all_outdegrees(g, inst.weights, lam)
+    if any(x > r for x, r in zip(load, rho)):
         raise InputError("orientation is not admissible for the gadget instance")
 
-    direction = lam.as_dict()
+    at = {e: t for t, e in enumerate(g.edges)}  # edge -> its index in g.edges
+    turned = []  # the new tail of every edge turned
+
+    def tail(u: int, v: int) -> int:
+        return lam.direction[at[canon(u, v)]][0]
+
+    def turn(u: int, v: int) -> None:  # from tail u to tail v
+        w = inst.weights.weights[at[canon(u, v)]]
+        load[u] -= w
+        load[v] += w
+        turned.append(v)
+
+    picks = []
     for i in range(k):
         a = vid["a", i]
-        if not any(direction[canon(a, vid["u", i, j])][0] == a for j in range(n)):
-            direction[canon(a, vid["u", i, 0])] = (a, vid["u", i, 0])
+        outgoing = [j for j in range(n) if tail(a, vid["u", i, j]) == a]
+        if not outgoing:
+            turn(vid["u", i, 0], a)
+            outgoing = [0]
+        picks.append(outgoing)
     for (i, ip), es in out.meta["pair_edges"].items():
         d = vid["d", i, ip]
-        candidates = [vid["e", i, ip, q, qp] for q, qp in es]
-        incoming = [e for e in candidates if direction[canon(d, e)][0] != d]
+        incoming = [e for e in (vid["e", i, ip, q, qp] for q, qp in es) if tail(d, e) != d]
         for e in incoming[1:]:
-            direction[canon(d, e)] = (d, e)
-    if not check_admissible(inst, Orientation(inst.graph, direction)):
+            turn(e, d)
+    if any(load[v] > rho[v] for v in turned) or any(len(js) != 1 for js in picks):
         return None
-
-    picked = []
-    for i in range(k):
-        a = vid["a", i]
-        outgoing = [j for j in range(n) if direction[canon(a, vid["u", i, j])][0] == a]
-        if len(outgoing) != 1:
-            return None
-        picked.append(pg.parts[i][outgoing[0]])
-    return tuple(picked)
+    return tuple([part[js[0]] for part, js in zip(pg.parts, picks)])
 
 
 def orientation_from_clique(out: ReductionOutput, clique) -> Orientation:
@@ -514,10 +526,12 @@ def orientation_from_clique(out: ReductionOutput, clique) -> Orientation:
 
     selected = {vid["u", i, j] for i, j in pick.items()}
     selected |= {vid["e", i, ip, pick[i], pick[ip]] for i, ip in out.meta["pair_edges"]}
-    direction = {}
-    for edge, (owner, tail) in out.meta["plan"].items():
+    plan = out.meta["plan"]
+    direction = []
+    for edge in inst.graph.edges:
+        owner, tail = plan[edge]
         head = edge[0] + edge[1] - tail
-        direction[edge] = (tail, head) if owner in selected else (head, tail)
+        direction.append((tail, head) if owner in selected else (head, tail))
     return Orientation(inst.graph, direction)
 
 
@@ -554,14 +568,14 @@ def chosen_to_minmax(
             continue
         xv, yv = next_id, next_id + 1
         next_id += 2
-        edges[canon(v, xv)] = slack
-        edges[canon(v, yv)] = slack
-        edges[canon(xv, yv)] = r
+        edges[v, xv] = slack  # v < xv < yv: each pair is canonical
+        edges[v, yv] = slack
+        edges[xv, yv] = r
         index.append({"tag": "xv", "v": v, "vertex": xv})
         index.append({"tag": "yv", "v": v, "vertex": yv})
         triangles.append((v, xv, yv))
     h = Graph(next_id, edges.keys())
-    target = MinMaxOutdegreeInstance(h, EdgeWeighting(h, edges), r)
+    target = MinMaxOutdegreeInstance(h, EdgeWeighting(h, [edges[e] for e in h.edges]), r)
 
     if source_witness is None:
         base = heuristic_decomposition(g, "min-fill")

@@ -355,12 +355,13 @@ def dp_chosen_outdegree(
     off, tables = dp.off, dp.tables  # tables: state -> back-pointer, kept for the traceback
     kind, vertex, bag, edge, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.edge, ntd.left, ntd.right
     guard = sum(1 << o + vb for o in set(off))  # every slot's guard bit
-    wmap = inst.weights.as_dict()
-    direction: dict[tuple[int, int], tuple[int, int]] = {}
+    weights = inst.weights.weights
+    at = {e: t for t, e in enumerate(g.edges)}  # edge -> its index in g.edges
+    direction = list(g.edges)  # aligned with g.edges; the traceback turns some
 
     def introduce_edge(i: int) -> dict[int, object]:  # back-pointer: the tail
-        u, v = canon(*edge[i])
-        w = wmap[(u, v)]
+        u, v = e = canon(*edge[i])
+        w = weights[at[e]]
         child = tables[left[i]]
         mu, lu, wu = vmask << off[u], rho[u] - w << off[u], w << off[u]
         mv, lv, wv = vmask << off[v], rho[v] - w << off[v], w << off[v]
@@ -398,9 +399,11 @@ def dp_chosen_outdegree(
             return (s,)
         t = tables[i][s]
         if kind[i] == INTRODUCE_EDGE:  # t is the tail
-            e = canon(*edge[i])
-            direction[e] = (t, e[1] if t == e[0] else e[0])
-            return (s - (wmap[e] << off[t]),)
+            u, v = e = canon(*edge[i])
+            j = at[e]
+            if t == v:
+                direction[j] = (v, u)
+            return (s - (weights[j] << off[t]),)
         return (t, s - t)  # forget: the child state; join: the left state, then the right
 
     step = {LEAF: lambda i: {0: None}, INTRODUCE: lambda i: tables[left[i]],

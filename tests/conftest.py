@@ -19,6 +19,7 @@ from twlab.graphs import (
     is_clique,
 )
 from twlab.kernels import backtrack
+from twlab.reductions import ReductionOutput, _gadget
 from twlab.problems import (
     ChosenOutdegreeInstance,
     EquitableColoringInstance,
@@ -1147,6 +1148,54 @@ def explicit_orientation_from_clique(out, clique) -> Orientation:
     lam = Orientation(inst.graph, direction)
     assert check_admissible(inst, lam), "constructive orientation is not admissible"
     return lam
+
+
+# --- the read-back with two full admissibility passes ---------------------------
+#
+# reductions.extract_clique as it was before it moved the normalization's
+# weight on one outdegree vector: a whole admissibility pass before the
+# normalization and another after it.  The oracle for its outcome (clique,
+# None or InputError) on every orientation of a small gadget.
+
+
+def two_pass_extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...] | None:
+    """Read the selected transversal out of an admissible orientation of the
+    selection gadget.
+
+    Normalization first: a pick vertex with no outgoing edge has its first
+    member edge turned outward, and a hub ``d`` with several incoming
+    candidate edges keeps only the first — both reversals preserve
+    admissibility.  The member picked at each part is the one whose ``a``
+    edge points outward; None if normalization broke admissibility or a
+    pick vertex selects other than one member.  The caller checks once that
+    the result is a clique (the harness records ``clique_ok_<solver>``).
+    """
+    vid, inst, pg, k, n = _gadget(out)
+    if not check_admissible(inst, lam):
+        raise InputError("orientation is not admissible for the gadget instance")
+
+    direction = lam.as_dict()
+    for i in range(k):
+        a = vid["a", i]
+        if not any(direction[canon(a, vid["u", i, j])][0] == a for j in range(n)):
+            direction[canon(a, vid["u", i, 0])] = (a, vid["u", i, 0])
+    for (i, ip), es in out.meta["pair_edges"].items():
+        d = vid["d", i, ip]
+        candidates = [vid["e", i, ip, q, qp] for q, qp in es]
+        incoming = [e for e in candidates if direction[canon(d, e)][0] != d]
+        for e in incoming[1:]:
+            direction[canon(d, e)] = (d, e)
+    if not check_admissible(inst, Orientation(inst.graph, direction)):
+        return None
+
+    picked = []
+    for i in range(k):
+        a = vid["a", i]
+        outgoing = [j for j in range(n) if direction[canon(a, vid["u", i, j])][0] == a]
+        if len(outgoing) != 1:
+            return None
+        picked.append(pg.parts[i][outgoing[0]])
+    return tuple(picked)
 
 
 def witness_missing_edge(reduce):

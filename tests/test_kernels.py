@@ -19,7 +19,7 @@ from conftest import (
 from twlab import kernels
 from twlab.errors import GuardError
 from twlab.graphs import EdgeWeighting
-from twlab.harness import gen_chosen_instance, gen_graph
+from twlab.harness import PIPELINES, gen_chosen_instance, gen_graph, gen_partitioned
 from twlab.problems import BooleanRelation, ChosenOutdegreeInstance, bf_chosen_outdegree, bf_gensat
 from twlab.reductions import clique_to_gensat
 
@@ -195,6 +195,25 @@ class TestHubPropagation:
         monkeypatch.setattr(kernels, "orient_search", rescan_orient_search)
         assert got == [bf_chosen_outdegree(inst) for inst in instances]
         both_answers(got)
+
+    @pytest.mark.parametrize("pipeline, k, n", [
+        ("pc-chosen", 2, 3), ("pc-chosen", 3, 2), ("pc-chosen", 3, 3), ("pc-minmax", 2, 2),
+    ])
+    def test_gadgets_match_rescanning_search(self, pipeline, k, n):
+        """At gadget scale (up to 126 edges, where the corpus above stops
+        at 10 vertices), on seeded sources with and without a planted
+        clique, the edges in bf_chosen_outdegree's heaviest-first order."""
+        results = []
+        for seed in range(40):
+            pg = gen_partitioned(k, n, (0.1, 0.3, 0.5)[seed % 3], seed % 4 == 0, seed)
+            inst = PIPELINES[pipeline].reduce(pg).instance
+            g, w = inst.graph, inst.weights.weights
+            order = sorted(range(len(g.edges)), key=lambda i: (-w[i], i))
+            args = (g.n, [g.edges[i] for i in order], [w[i] for i in order], inst.rho)
+            want = rescan_orient_search(*args)
+            assert kernels.orient_search(*args) == want
+            results.append(want)
+        both_answers(results)
 
     def test_heavy_edge_listed_last_is_still_forced(self):
         """The kernel sorts each incident list itself: an edge too heavy for

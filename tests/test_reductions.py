@@ -4,11 +4,18 @@ import random
 
 import pytest
 
-from conftest import complete, explicit_orientation_from_clique, forest_plus_set, path
+from conftest import (
+    complete,
+    explicit_orientation_from_clique,
+    forest_plus_set,
+    path,
+    two_pass_extract_clique,
+)
 from twlab.errors import InputError
 from twlab.graphs import (
     EdgeWeighting,
     Graph,
+    Orientation,
     PartitionedGraph,
     canon,
     graph_to_json,
@@ -323,6 +330,45 @@ class TestOrientationGadget:
             pytest.skip("orientation happened to be admissible")
         with pytest.raises(InputError):
             extract_clique(out, lam)
+
+    def test_extract_matches_two_pass_read_back_on_every_orientation(self):
+        """extract_clique gives the two-pass read-back's outcome (the clique,
+        None or InputError) on every orientation of three gadgets: all 2^13
+        of the k=2 n=1 gadget with its cross edge, and all 2^6 of the k=1
+        n=2 gadget with its pick cap lowered to 0 and raised to 2.  A k=2
+        gadget with a pick cap of 0 has no admissible orientation, as its
+        part pair needs a selected lever; on one part, a cap of 0 admits
+        orientations whose normalization breaks admissibility, and a cap of
+        2 admits picks of two members: the two paths to None."""
+
+        def outcome(extract, out, lam):
+            try:
+                return extract(out, lam)
+            except InputError:
+                return InputError
+
+        def with_pick_cap(out, cap):
+            inst = out.instance
+            rho = list(inst.rho)
+            rho[out.meta["gadget"]["a", 0]] = cap
+            return dataclasses.replace(out, instance=ChosenOutdegreeInstance(inst.graph, inst.weights, rho))
+
+        pair = pc_to_chosen_outdegree(make_pg(2, 1, [(0, 1)]))
+        assert len(pair.instance.graph.edges) == 13
+        single = pc_to_chosen_outdegree(make_pg(1, 2, []))
+        for out, want_kinds in (
+            (pair, {tuple, type}),
+            (with_pick_cap(single, 0), {type(None), type}),
+            (with_pick_cap(single, 2), {tuple, type(None), type}),
+        ):
+            g = out.instance.graph
+            kinds = set()
+            for flips in itertools.product((False, True), repeat=len(g.edges)):
+                lam = Orientation(g, [(v, u) if f else (u, v) for (u, v), f in zip(g.edges, flips)])
+                want = outcome(two_pass_extract_clique, out, lam)
+                assert outcome(extract_clique, out, lam) == want
+                kinds.add(type(want))
+            assert kinds == want_kinds
 
     def test_constructive_orientation_from_every_clique(self):
         rng = random.Random(7)
