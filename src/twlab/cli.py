@@ -21,7 +21,7 @@ from twlab import reductions as rd
 from twlab import solvers as sv
 from twlab import treewidth as tw
 from twlab.errors import InputError
-from twlab.graphs import partitioned_to_json, weighting_to_json
+from twlab.graphs import graph_to_json, partitioned_to_json
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -52,8 +52,8 @@ def _cmd_gen(args) -> int:
         pg = hn.gen_partitioned(args.k, args.n, args.p, args.plant, args.seed)
         _write_json(args.output, partitioned_to_json(pg))
     else:
-        _, w = hn.gen_weighted(args.n, args.p, args.max_weight, args.seed)
-        _write_json(args.output, weighting_to_json(w))
+        g, weights = hn.gen_weighted(args.n, args.p, args.max_weight, args.seed)
+        _write_json(args.output, dict(graph_to_json(g), weights=weights))
     print(f"wrote {args.output}")
     return 0
 
@@ -103,7 +103,7 @@ def _cmd_solve(args) -> int:
 
     inst = pr.instance_from_json(_read_json(args.file), check_kind)
     if args.solver == "flow":
-        weights = set(inst.weights.weights)
+        weights = set(inst.weights)
         if len(weights) > 1:
             raise InputError("flow requires a uniform weighting")
         c = weights.pop() if weights else 1
@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reduce", help="apply a reduction to an instance file")
     r.add_argument("--pipeline", choices=list(hn.PIPELINES), required=True)
-    r.add_argument("-k", type=int, default=None, help="clique size (clique-gensat)")
+    r.add_argument("-k", type=int, default=None,
+                   help="clique size (clique-gensat), or a k-partite source's part count")
     r.add_argument("-o", "--output", required=True)
     r.add_argument("--witness", help="also write the witness decomposition here")
     r.add_argument("file")

@@ -1,5 +1,4 @@
-"""Simple undirected graphs with edge weightings, balanced partitions, and
-edge orientations.
+"""Simple undirected graphs with balanced partitions and edge orientations.
 
 Vertices are dense 0-based integers.  Edges are stored canonically with the
 smaller endpoint first; all maps keyed by edges use the canonical form.  All
@@ -91,42 +90,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class EdgeWeighting:
-    """Positive integer weights, one per edge of a companion graph."""
-
-    graph: Graph
-    weights: tuple[int, ...]  # aligned with graph.edges
-
-    def __init__(self, graph: Graph, weights):
-        if isinstance(weights, dict):
-            if set(weights) != set(graph.edges):
-                missing = set(graph.edges) - set(weights)
-                extra = set(weights) - set(graph.edges)
-                raise InputError(
-                    f"weight domain mismatch: missing={missing} extra={extra}"
-                )
-            weights = tuple(weights[e] for e in graph.edges)
-        else:
-            weights = tuple(weights)
-        if len(weights) != len(graph.edges):
-            raise InputError(
-                f"{len(weights)} weights for {len(graph.edges)} edges"
-            )
-        for e, w in zip(graph.edges, weights):
-            if not isinstance(w, int) or w < 1:
-                raise InputError(f"weight of edge {e} must be a positive integer, got {w}")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "weights", weights)
-
-    def as_dict(self) -> dict[Edge, int]:
-        return dict(zip(self.graph.edges, self.weights))
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
-
-@dataclass(frozen=True)
 class PartitionedGraph:
     """A k-partite graph with equal-size parts and no intra-part edges.
 
@@ -176,13 +139,7 @@ class Orientation:
     direction: tuple[Edge, ...]  # aligned with graph.edges; each a reordering of its edge
 
     def __init__(self, graph: Graph, direction):
-        if isinstance(direction, dict):
-            if set(direction) != set(graph.edges):
-                raise InputError("orientation domain must equal the edge set")
-            # a list, not a generator: see Graph._adj
-            direction = tuple([direction[e] for e in graph.edges])
-        else:
-            direction = tuple([tuple(d) for d in direction])
+        direction = tuple([tuple(d) for d in direction])
         if len(direction) != len(graph.edges):
             raise InputError(
                 f"{len(direction)} directions for {len(graph.edges)} edges"
@@ -193,9 +150,6 @@ class Orientation:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "direction", direction)
 
-    def as_dict(self) -> dict[Edge, Edge]:
-        return dict(zip(self.graph.edges, self.direction))
-
 
 def is_clique(g: Graph, s) -> bool:
     """True iff every unordered pair in s is an edge of g (vacuously true
@@ -204,10 +158,11 @@ def is_clique(g: Graph, s) -> bool:
     return all(g.has_edge(u, v) for i, u in enumerate(s) for v in s[i + 1 :])
 
 
-def all_outdegrees(g: Graph, w: EdgeWeighting, lam: Orientation) -> list[int]:
-    """Weighted outdegree of every vertex in one pass."""
+def all_outdegrees(g: Graph, weights, lam: Orientation) -> list[int]:
+    """Weighted outdegree of every vertex in one pass; weights are aligned
+    with g.edges."""
     out = [0] * g.n
-    for d, wt in zip(lam.direction, w.weights):
+    for d, wt in zip(lam.direction, weights):
         out[d[0]] += wt
     return out
 
@@ -215,8 +170,9 @@ def all_outdegrees(g: Graph, w: EdgeWeighting, lam: Orientation) -> list[int]:
 # --- JSON wire format -------------------------------------------------------
 #
 # {"n": int, "edges": [[u,v],...]} with u < v; optional "weights" aligned
-# with "edges"; optional "parts"; optional "orientation" ([tail, head] pairs
-# aligned with "edges").
+# with "edges" (an orientation instance's, written by problems.KINDS);
+# optional "parts"; optional "orientation" ([tail, head] pairs aligned with
+# "edges").
 
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
@@ -226,18 +182,6 @@ def graph_from_json(obj: dict) -> Graph:
     with decoding("graph object", obj):
         require_at_most("vertex count", obj["n"], VERTEX_CEILING)
         return Graph(obj["n"], [tuple(e) for e in obj["edges"]])
-
-
-def weighting_to_json(w: EdgeWeighting) -> dict:
-    obj = graph_to_json(w.graph)
-    obj["weights"] = list(w.weights)
-    return obj
-
-
-def weighting_from_json(obj: dict) -> EdgeWeighting:
-    g = graph_from_json(obj)
-    with decoding("weighting object", obj):
-        return EdgeWeighting(g, list(obj["weights"]))
 
 
 def partitioned_to_json(pg: PartitionedGraph) -> dict:

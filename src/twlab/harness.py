@@ -28,7 +28,6 @@ from typing import Callable
 from twlab.errors import GuardError, InputError, require_at_most
 from twlab.graphs import (
     VERTEX_CEILING,
-    EdgeWeighting,
     Graph,
     PartitionedGraph,
     graph_to_json,
@@ -143,12 +142,13 @@ def gen_graph(n: int, edge_p: float, seed: int) -> Graph:
     )
 
 
-def gen_weighted(n: int, edge_p: float, max_w: int, seed: int) -> tuple[Graph, EdgeWeighting]:
+def gen_weighted(n: int, edge_p: float, max_w: int, seed: int) -> tuple[Graph, list[int]]:
+    """A seeded graph and its weights, aligned with its edges."""
     if max_w < 1:
         raise InputError(f"max weight must be at least 1, got {max_w}")
     rng = random.Random(seed)
     g = gen_graph(n, edge_p, mix(seed, 1))
-    return g, EdgeWeighting(g, [rng.randint(1, max_w) for _ in g.edges])
+    return g, [rng.randint(1, max_w) for _ in g.edges]
 
 
 def gen_rho(n: int, bound: int, seed: int) -> tuple[int, ...]:
@@ -181,7 +181,8 @@ class Source:
     """Where a pipeline's source instances come from: the seeded generator
     (config, case seed), the oracle deciding them, the checker of its
     yes-witnesses (source, witness), their report JSON, and the reader of
-    `twlab reduce` (file object, -k, pipeline name)."""
+    `twlab reduce` (file object, -k or None, pipeline name), which refuses a
+    -k that the file does not bear out."""
 
     generate: Callable[[ExperimentConfig, int], object]
     solve: Callable[[object], object]
@@ -196,6 +197,13 @@ def _read_graph_and_k(obj, k, name):
     return pr.graph_from_file(obj), k
 
 
+def _read_partitioned(obj, k, name):
+    pg = partitioned_from_json(obj)
+    if k is not None and k != pg.k:
+        raise InputError(f"{name}: -k {k} differs from the {pg.k} parts of the file")
+    return pg
+
+
 # Oracles and reductions are called through module attributes (pr.*, rd.*)
 # looked up when the lambda runs, so tracing and monkeypatching see them.
 def _kind_source(tag: str, generate: Callable[[ExperimentConfig, int], object]) -> Source:
@@ -204,6 +212,9 @@ def _kind_source(tag: str, generate: Callable[[ExperimentConfig, int], object]) 
     kind = pr.KIND_BY_TAG[tag]
 
     def read(obj, k, name):
+        if k is not None:
+            raise InputError(f"{name} takes no -k: its source is a {tag} instance file")
+
         def refuse_other(other: pr.ProblemKind) -> None:
             if other is not kind:
                 raise InputError(f"{name} expects a {tag} instance file")
@@ -218,7 +229,7 @@ PARTITIONED = Source(
     lambda pg: pr.bf_partitioned_clique(pg),
     lambda pg, clique: len(clique) == pg.k and pr.is_clique(pg.graph, clique),
     partitioned_to_json,
-    lambda obj, k, name: partitioned_from_json(obj),
+    _read_partitioned,
 )
 GRAPH_AND_K = Source(  # the source is the pair (graph, k)
     lambda cfg, seed: (gen_graph(cfg.n, cfg.p, seed), cfg.k),

@@ -18,7 +18,6 @@ from typing import Callable
 from twlab import kernels
 from twlab.errors import InputError, decoding, require_at_most
 from twlab.graphs import (
-    EdgeWeighting,
     Graph,
     Orientation,
     PartitionedGraph,
@@ -27,8 +26,6 @@ from twlab.graphs import (
     graph_to_json,
     is_clique,
     orientation_to_json,
-    weighting_from_json,
-    weighting_to_json,
 )
 
 # Input ceilings.  Each is checked before anything of its size is allocated,
@@ -197,14 +194,20 @@ class GensatInstance:
 
 @dataclass(frozen=True)
 class ChosenOutdegreeInstance:
+    """Positive integer weights aligned with graph.edges, checked here, and a
+    cap on each vertex's outgoing weight."""
+
     graph: Graph
-    weights: EdgeWeighting
+    weights: tuple[int, ...]  # aligned with graph.edges
     rho: tuple[int, ...]  # per-vertex outgoing-weight cap
 
-    def __init__(self, graph: Graph, weights: EdgeWeighting, rho):
-        rho = tuple(rho)
-        if weights.graph != graph:
-            raise InputError("weighting belongs to a different graph")
+    def __init__(self, graph: Graph, weights, rho):
+        weights, rho = tuple(weights), tuple(rho)
+        if len(weights) != len(graph.edges):
+            raise InputError(f"{len(weights)} weights for {len(graph.edges)} edges")
+        for e, w in zip(graph.edges, weights):
+            if not isinstance(w, int) or w < 1:
+                raise InputError(f"weight of edge {e} must be a positive integer, got {w}")
         if len(rho) != graph.n:
             raise InputError(f"{len(rho)} caps for {graph.n} vertices")
         _require_ints("cap", rho)
@@ -224,12 +227,12 @@ class MinMaxOutdegreeInstance(ChosenOutdegreeInstance):
 
     r: int
 
-    def __init__(self, graph: Graph, weights: EdgeWeighting, r: int):
+    def __init__(self, graph: Graph, weights, r: int):
         _require_r(r)
         super().__init__(graph, weights, (r,) * graph.n)
-        if weights.total_weight > DEFAULT_WEIGHT_CEILING:
+        if sum(self.weights) > DEFAULT_WEIGHT_CEILING:
             raise InputError(
-                f"total weight {weights.total_weight} exceeds the ceiling "
+                f"total weight {sum(self.weights)} exceeds the ceiling "
                 f"{DEFAULT_WEIGHT_CEILING} (weights are treated as unary)"
             )
         object.__setattr__(self, "r", r)
@@ -414,7 +417,7 @@ def bf_chosen_outdegree(inst: ChosenOutdegreeInstance) -> Orientation | None:
     smaller endpoint tried as tail first.
     """
     g = inst.graph
-    w = inst.weights.weights
+    w = inst.weights
     order = sorted(range(len(g.edges)), key=lambda i: (-w[i], i))
     edges = [g.edges[i] for i in order]
     got = kernels.orient_search(g.n, edges, [w[i] for i in order], inst.rho)
@@ -432,15 +435,15 @@ def bf_min_max_outdegree(inst: MinMaxOutdegreeInstance) -> Orientation | None:
     return bf_chosen_outdegree(inst)
 
 
-def bf_min_max_value(g: Graph, w: EdgeWeighting) -> int:
+def bf_min_max_value(g: Graph, weights) -> int:
     """Least r admitting an orientation with all outgoing weights <= r
-    (binary search over [0, total weight])."""
+    (binary search over [0, total weight]); weights are aligned with g.edges."""
     if not g.edges:
         return 0
-    lo, hi = 0, w.total_weight
+    lo, hi = 0, sum(weights)
 
     def ok(r: int) -> bool:
-        inst = ChosenOutdegreeInstance(g, w, (r,) * g.n)
+        inst = ChosenOutdegreeInstance(g, weights, (r,) * g.n)
         return bf_chosen_outdegree(inst) is not None
 
     while lo < hi:
@@ -567,11 +570,6 @@ def _gensat_from_fields(obj: dict) -> GensatInstance:
     return GensatInstance(obj["variables"], constraints)
 
 
-def _weighted(cls, obj: dict, *fields):
-    w = weighting_from_json(obj)
-    return cls(w.graph, w, *fields)
-
-
 def _coloring_witness(colors):
     noun = f"proper coloring of {len(colors)} vertices"
     return noun, {"coloring": [colors[v] for v in sorted(colors)]}
@@ -618,14 +616,14 @@ KINDS = (
     ),
     ProblemKind(
         "chosen_outdegree", ChosenOutdegreeInstance,
-        lambda i: dict(weighting_to_json(i.weights), rho=list(i.rho)),
-        lambda o: _weighted(ChosenOutdegreeInstance, o, o["rho"]),
+        lambda i: dict(graph_to_json(i.graph), weights=list(i.weights), rho=list(i.rho)),
+        lambda o: ChosenOutdegreeInstance(graph_from_json(o), o["weights"], o["rho"]),
         "bf_chosen_outdegree", check_admissible, _orientation_witness, dp="dp_chosen_outdegree",
     ),
     ProblemKind(
         "minmax_outdegree", MinMaxOutdegreeInstance,
-        lambda i: dict(weighting_to_json(i.weights), r=i.r),
-        lambda o: _weighted(MinMaxOutdegreeInstance, o, o["r"]),
+        lambda i: dict(graph_to_json(i.graph), weights=list(i.weights), r=i.r),
+        lambda o: MinMaxOutdegreeInstance(graph_from_json(o), o["weights"], o["r"]),
         "bf_min_max_outdegree", check_admissible, _orientation_witness, dp="min_max_outdegree",
     ),
 )

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 
 from twlab.errors import InputError
 from twlab.graphs import (
-    EdgeWeighting,
     Graph,
     Orientation,
     PartitionedGraph,
@@ -304,12 +303,12 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
     if k == 0:
         # empty partition: the empty clique exists
         g = Graph(1)
-        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, []), (0,))
+        inst = ChosenOutdegreeInstance(g, [], (0,))
         return _single_bag(inst, bound, "canonical feasible")
     if n == 0 or not all(pair_edges.values()):
         # a part pair has no cross edges: no transversal clique exists
         g = Graph(2, [(0, 1)])
-        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (0, 0))
+        inst = ChosenOutdegreeInstance(g, [1], (0, 0))
         return _single_bag(inst, bound, "canonical infeasible")
 
     # ranks are encoded in base radix; big exceeds any lever's special weight
@@ -379,7 +378,7 @@ def pc_to_chosen_outdegree(pg: PartitionedGraph) -> ReductionOutput:
         rho[c] = sum(yw(True, j) + yw(False, j) for j in range(n))
 
     h = Graph(len(index), edges.keys())
-    inst = ChosenOutdegreeInstance(h, EdgeWeighting(h, [edges[e] for e in h.edges]), rho)
+    inst = ChosenOutdegreeInstance(h, [edges[e] for e in h.edges], rho)
     hubs = frozenset([v for v, up in enumerate(parent) if up == HUB])
     _check_gadget_arithmetic(k, n, big, vid, hubs, pair_edges, edges, inst.rho)
 
@@ -482,7 +481,7 @@ def extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int, ...] | 
         return lam.direction[at[canon(u, v)]][0]
 
     def turn(u: int, v: int) -> None:  # from tail u to tail v
-        w = inst.weights.weights[at[canon(u, v)]]
+        w = inst.weights[at[canon(u, v)]]
         load[u] -= w
         load[v] += w
         turned.append(v)
@@ -556,9 +555,9 @@ def chosen_to_minmax(
             h, weights, detail = Graph(2, [(0, 1)]), [2], "canonical infeasible"
         else:
             h, weights, detail = Graph(1), [], "canonical feasible"
-        return _single_bag(MinMaxOutdegreeInstance(h, EdgeWeighting(h, weights), 1), 2, detail)
+        return _single_bag(MinMaxOutdegreeInstance(h, weights, 1), 2, detail)
 
-    edges = inst.weights.as_dict()
+    edges = dict(zip(g.edges, inst.weights))
     index = [{"tag": "orig", "v": v, "vertex": v} for v in g.vertices()]
     next_id = g.n
     triangles: list[tuple[int, int, int]] = []  # (v, xv, yv)
@@ -575,7 +574,7 @@ def chosen_to_minmax(
         index.append({"tag": "yv", "v": v, "vertex": yv})
         triangles.append((v, xv, yv))
     h = Graph(next_id, edges.keys())
-    target = MinMaxOutdegreeInstance(h, EdgeWeighting(h, [edges[e] for e in h.edges]), r)
+    target = MinMaxOutdegreeInstance(h, [edges[e] for e in h.edges], r)
 
     if source_witness is None:
         base = heuristic_decomposition(g, "min-fill")

@@ -355,7 +355,7 @@ def dp_chosen_outdegree(
     off, tables = dp.off, dp.tables  # tables: state -> back-pointer, kept for the traceback
     kind, vertex, bag, edge, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.edge, ntd.left, ntd.right
     guard = sum(1 << o + vb for o in set(off))  # every slot's guard bit
-    weights = inst.weights.weights
+    weights = inst.weights
     at = {e: t for t, e in enumerate(g.edges)}  # edge -> its index in g.edges
     direction = list(g.edges)  # aligned with g.edges; the traceback turns some
 

@@ -604,7 +604,7 @@ def tuple_chosen_outdegree_dp(
     g = inst.graph
     _require_nice(ntd, g)
     rho = inst.rho
-    wmap = dict(zip(g.edges, inst.weights.weights))
+    wmap = dict(zip(g.edges, inst.weights))
     nodes = nice_records(ntd)
     bags = _sorted_bags(nodes)
     tables: list[dict[tuple[int, ...], object]] = [None] * len(nodes)  # type: ignore[list-item]
@@ -685,7 +685,7 @@ def tuple_chosen_outdegree_dp(
             s1, s2 = tables[i][s]
             stack.append((node.children[0], s1))
             stack.append((node.children[1], s2))
-    lam = Orientation(g, direction)
+    lam = Orientation(g, [direction[e] for e in g.edges])
     assert check_admissible(inst, lam)
     return lam
 
@@ -1145,7 +1145,7 @@ def explicit_orientation_from_clique(out, clique) -> Orientation:
                 orient(d, e)
                 orient(b, e)
                 orient(e, c)
-    lam = Orientation(inst.graph, direction)
+    lam = Orientation(inst.graph, [direction[e] for e in inst.graph.edges])
     assert check_admissible(inst, lam), "constructive orientation is not admissible"
     return lam
 
@@ -1174,7 +1174,7 @@ def two_pass_extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int
     if not check_admissible(inst, lam):
         raise InputError("orientation is not admissible for the gadget instance")
 
-    direction = lam.as_dict()
+    direction = dict(zip(inst.graph.edges, lam.direction))
     for i in range(k):
         a = vid["a", i]
         if not any(direction[canon(a, vid["u", i, j])][0] == a for j in range(n)):
@@ -1185,7 +1185,7 @@ def two_pass_extract_clique(out: ReductionOutput, lam: Orientation) -> tuple[int
         incoming = [e for e in candidates if direction[canon(d, e)][0] != d]
         for e in incoming[1:]:
             direction[canon(d, e)] = (d, e)
-    if not check_admissible(inst, Orientation(inst.graph, direction)):
+    if not check_admissible(inst, Orientation(inst.graph, [direction[e] for e in inst.graph.edges])):
         return None
 
     picked = []

@@ -10,7 +10,7 @@ import random
 import time
 
 from conftest import complete, cycle
-from twlab.graphs import EdgeWeighting, Graph
+from twlab.graphs import Graph
 from twlab.harness import (
     PIPELINES,
     ExperimentConfig,
@@ -170,7 +170,7 @@ def test_c06_capped_to_uniform_cap():
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
         ][:12]
         g = Graph(n, edges)
-        w = EdgeWeighting(g, [rng.randint(1, 4) for _ in edges])
+        w = [rng.randint(1, 4) for _ in edges]
         inst = ChosenOutdegreeInstance(g, w, tuple(rng.randint(0, 6) for _ in range(n)))
         out = chosen_to_minmax(inst)
         assert (bf_chosen_outdegree(inst) is None) == (
@@ -206,8 +206,8 @@ def test_c07_dp_solvers_match_oracles():
         rng = random.Random(seed)
         n = rng.randint(1, 8)
         g = gen_graph(n, 0.35, mix(seed, 1))
-        w = EdgeWeighting(g, [rng.randint(1, 3) for _ in g.edges])
-        if w.total_weight > 24:
+        w = [rng.randint(1, 3) for _ in g.edges]
+        if sum(w) > 24:
             continue
         inst = ChosenOutdegreeInstance(g, w, tuple(rng.randint(0, 5) for _ in range(n)))
         ntd = to_nice(heuristic_decomposition(g), g)
@@ -229,7 +229,7 @@ def test_c08_flow_matches_oracle():
         rng = random.Random(seed)
         n = rng.randint(1, 10)
         g = gen_graph(n, rng.uniform(0.2, 0.7), mix(seed, 1))
-        w = EdgeWeighting(g, [1] * len(g.edges))
+        w = [1] * len(g.edges)
         assert flow_min_max_uniform(g, 1) == bf_min_max_value(g, w)
         agree += 1
     conclude(8, "flow solver vs brute-force minimum", f"{agree}/200 agree (incl. K4=2, C4=1)", t0, 60)

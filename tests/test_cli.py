@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -310,6 +311,12 @@ class TestMalformedInput:
             ("solve", {"type": "equitable", "n": True, "edges": [], "r": 2}),
             ("solve", {"type": "minmax_outdegree", "n": 2, "edges": [[0, 1]],
                        "weights": [True], "r": 1}),
+            ("solve", {"type": "chosen_outdegree", "n": 2, "edges": [[0, 1]], "weights": [0],
+                       "rho": [1, 1]}),
+            ("solve", {"type": "chosen_outdegree", "n": 2, "edges": [[0, 1]], "weights": [1.5],
+                       "rho": [1, 1]}),
+            ("solve", {"type": "minmax_outdegree", "n": 2, "edges": [[0, 1]], "weights": [1, 1],
+                       "r": 1}),
             ("tw", {"n": 2, "edges": [[False, True]]}),
             ("solve", FLOAT_CAP),
             ("solve", {"type": "equitable", "n": 3, "edges": [], "r": 1.5}),
@@ -338,7 +345,8 @@ class TestMalformedInput:
             ("tw", {"n": HUGE, "edges": []}),
         ],
         ids=["number", "string", "precolor-triple", "relation-minus-1", "list-tag",
-             "edge-triple", "graph-list", "bool-r", "bool-n", "bool-weight", "bool-edge",
+             "edge-triple", "graph-list", "bool-r", "bool-n", "bool-weight", "zero-weight",
+             "float-weight", "weight-count", "bool-edge",
              "float-rho", "float-equitable-r", "float-precoloring-r", "float-variables",
              "float-precolor-colour", "float-precolor-vertex", "float-cardinality",
              "float-minmax-r", "float-tuple-entry", "float-scope-variable",
@@ -742,6 +750,18 @@ REDUCE_PINS = {
 
 
 class TestPinnedOutputs:
+    def test_gen_weighted_bytes(self, capsys, tmp_path):
+        out = tmp_path / "w.json"
+        run(capsys, "gen", "--kind", "weighted", "-n", "6", "-p", "0.5", "--seed", "7", "-o", str(out))
+        assert json.loads(out.read_text()) == {
+            "n": 6,
+            "edges": [[0, 1], [0, 2], [0, 4], [0, 5], [1, 3], [3, 4], [3, 5], [4, 5]],
+            "weights": [3, 2, 4, 1, 1, 1, 3, 1],
+        }
+        # indented by 2, keys sorted, one value per line, a final newline
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "b8d016290fd7bc51889a52e9ef6602257daeaf7930dc86d69559814714d28c2c"
+
     @pytest.mark.parametrize("kind", sorted(SOLVE_PINS))
     def test_solve_bf_summary_and_witness(self, capsys, tmp_path, kind):
         instance, summary, witness = SOLVE_PINS[kind]
@@ -763,3 +783,34 @@ class TestPinnedOutputs:
         assert code == 0
         assert out == f"wrote {red} (claimed width bound {bound})\n"
         assert red.read_text() == (GOLDEN / f"reduce-{pipeline}.json").read_text()
+
+    @pytest.mark.parametrize("pipeline", ["pc-lc", "pc-chosen", "pc-minmax"])
+    def test_reduce_takes_the_part_count_as_k(self, capsys, tmp_path, pipeline):
+        source, _, bound = REDUCE_PINS[pipeline]
+        f = tmp_path / "source.json"
+        f.write_text(json.dumps(source))
+        red = tmp_path / "red.json"
+        code, _, _ = run(capsys, "reduce", "--pipeline", pipeline, "-k", "2", "-o", str(red), str(f))
+        assert code == 0
+        assert red.read_text() == (GOLDEN / f"reduce-{pipeline}.json").read_text()
+
+    @pytest.mark.parametrize("pipeline, argv, message", [
+        ("pc-lc", ["-k", "5"], "pc-lc: -k 5 differs from the 3 parts of the file"),
+        ("pc-chosen", ["-k", "5"], "pc-chosen: -k 5 differs from the 3 parts of the file"),
+        ("pc-minmax", ["-k", "5"], "pc-minmax: -k 5 differs from the 3 parts of the file"),
+        ("lc-pce", ["-k", "3"], "lc-pce takes no -k: its source is a list_coloring instance file"),
+        ("chosen-minmax", ["-k", "3"],
+         "chosen-minmax takes no -k: its source is a chosen_outdegree instance file"),
+        ("clique-gensat", [], "clique-gensat requires -k"),
+    ], ids=["pc-lc", "pc-chosen", "pc-minmax", "lc-pce", "chosen-minmax", "clique-gensat"])
+    def test_reduce_refuses_a_k_the_file_does_not_bear_out(self, capsys, tmp_path, pipeline, argv,
+                                                           message):
+        f = tmp_path / "source.json"
+        if pipeline.startswith("pc-"):  # a 3-part file
+            run(capsys, "gen", "--kind", "kpartite", "-k", "3", "-n", "2", "--seed", "1", "-o", str(f))
+        else:
+            f.write_text(json.dumps(REDUCE_PINS[pipeline][0]))
+        red = tmp_path / "red.json"
+        code, out, err = run(capsys, "reduce", "--pipeline", pipeline, *argv, "-o", str(red), str(f))
+        assert code == 2 and out == "" and not red.exists()
+        assert err.splitlines()[-1] == f"error: {message}"

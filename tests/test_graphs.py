@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from conftest import complete, cycle, induced_subgraph, path, star
 from twlab.errors import InputError
 from twlab.graphs import (
-    EdgeWeighting,
     Graph,
     Orientation,
     PartitionedGraph,
@@ -15,8 +14,6 @@ from twlab.graphs import (
     orientation_to_json,
     partitioned_from_json,
     partitioned_to_json,
-    weighting_from_json,
-    weighting_to_json,
 )
 
 
@@ -54,16 +51,6 @@ class TestConstruction:
         assert g.edges == ((0, 1), (0, 2))
         assert g.has_edge(0, 2) and g.has_edge(2, 0)
 
-    def test_weights_must_be_positive(self):
-        g = path(2)
-        with pytest.raises(InputError):
-            EdgeWeighting(g, [0])
-
-    def test_weight_domain_must_match(self):
-        g = path(3)
-        with pytest.raises(InputError):
-            EdgeWeighting(g, {(0, 1): 1})
-
     def test_partition_rejects_intra_part_edge(self):
         with pytest.raises(InputError):
             PartitionedGraph(Graph(2, [(0, 1)]), [(0, 1)])
@@ -74,8 +61,8 @@ class TestConstruction:
 
     def test_orientation_must_cover_edges(self):
         g = path(3)
-        with pytest.raises(InputError):
-            Orientation(g, {(0, 1): (0, 1)})
+        with pytest.raises(InputError, match="1 directions for 2 edges"):
+            Orientation(g, [(0, 1)])
 
 
 class TestInducedSubgraph:
@@ -136,43 +123,37 @@ class TestIsClique:
 class TestWeightedOutdegree:
     def test_isolated_vertex(self):
         g = Graph(2, [])
-        w = EdgeWeighting(g, [])
+        w = []
         lam = Orientation(g, [])
         assert all_outdegrees(g, w, lam) == [0, 0]
 
     def test_single_edge(self):
         g = path(2)
-        w = EdgeWeighting(g, [5])
+        w = [5]
         lam = Orientation(g, [(0, 1)])
         assert all_outdegrees(g, w, lam) == [5, 0]
 
     def test_directed_triangle_sums_to_total(self, triangle):
-        w = EdgeWeighting(triangle, {(0, 1): 1, (1, 2): 2, (0, 2): 3})
-        lam = Orientation(triangle, {(0, 1): (0, 1), (1, 2): (1, 2), (0, 2): (2, 0)})
+        w = [1, 3, 2]  # (0, 1), (0, 2), (1, 2)
+        lam = Orientation(triangle, [(0, 1), (2, 0), (1, 2)])
         outs = all_outdegrees(triangle, w, lam)
         assert outs == [1, 2, 3]
-        assert sum(outs) == w.total_weight == 6
+        assert sum(outs) == sum(w) == 6
 
     @given(random_graphs(), st.data())
     def test_outdegrees_sum_to_total_weight(self, g, data):
-        weights = [data.draw(st.integers(1, 9)) for _ in g.edges]
-        w = EdgeWeighting(g, weights)
+        w = [data.draw(st.integers(1, 9)) for _ in g.edges]
         dirs = [
             e if data.draw(st.booleans()) else (e[1], e[0]) for e in g.edges
         ]
         lam = Orientation(g, dirs)
-        assert sum(all_outdegrees(g, w, lam)) == w.total_weight
+        assert sum(all_outdegrees(g, w, lam)) == sum(w)
 
 
 class TestSerialization:
     def test_graph_round_trip(self):
         g = cycle(5)
         assert graph_from_json(graph_to_json(g)) == g
-
-    def test_weighting_round_trip(self):
-        g = path(4)
-        w = EdgeWeighting(g, [3, 1, 2])
-        assert weighting_from_json(weighting_to_json(w)) == w
 
     def test_partitioned_round_trip(self):
         pg = PartitionedGraph(Graph(4, [(0, 2), (1, 3)]), [(0, 1), (2, 3)])
@@ -187,8 +168,3 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(InputError):
             graph_from_json({"n": 2})
-
-    def test_total_weight_matches_recomputation(self):
-        g = complete(4)
-        w = EdgeWeighting(g, list(range(1, 7)))
-        assert w.total_weight == sum(w.as_dict().values())

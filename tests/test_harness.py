@@ -41,7 +41,7 @@ class TestGenerators:
 
     def test_weight_bounds(self):
         _, w = gen_weighted(8, 0.9, 1, 4)
-        assert set(w.weights) <= {1}
+        assert set(w) <= {1}
 
     def test_bad_bounds_are_input_errors(self):
         with pytest.raises(InputError, match="max weight"):

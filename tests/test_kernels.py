@@ -18,7 +18,6 @@ from conftest import (
 )
 from twlab import kernels
 from twlab.errors import GuardError
-from twlab.graphs import EdgeWeighting
 from twlab.harness import PIPELINES, gen_chosen_instance, gen_graph, gen_partitioned
 from twlab.problems import BooleanRelation, ChosenOutdegreeInstance, bf_chosen_outdegree, bf_gensat
 from twlab.reductions import clique_to_gensat
@@ -207,7 +206,7 @@ class TestHubPropagation:
         for seed in range(40):
             pg = gen_partitioned(k, n, (0.1, 0.3, 0.5)[seed % 3], seed % 4 == 0, seed)
             inst = PIPELINES[pipeline].reduce(pg).instance
-            g, w = inst.graph, inst.weights.weights
+            g, w = inst.graph, inst.weights
             order = sorted(range(len(g.edges)), key=lambda i: (-w[i], i))
             args = (g.n, [g.edges[i] for i in order], [w[i] for i in order], inst.rho)
             want = rescan_orient_search(*args)
@@ -231,7 +230,7 @@ class TestHubPropagation:
     def test_star_hub_of_ten_thousand_edges(self):
         g = star(10**4 - 1)
         inst = ChosenOutdegreeInstance(
-            g, EdgeWeighting(g, [1] * len(g.edges)), [g.degree(v) for v in g.vertices()]
+            g, [1] * len(g.edges), [g.degree(v) for v in g.vertices()]
         )
         with within_seconds(1, "capped orientation of the 10^4-vertex star"):
             assert bf_chosen_outdegree(inst) is not None

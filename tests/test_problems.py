@@ -19,7 +19,7 @@ from conftest import (
     within_seconds,
 )
 from twlab.errors import InputError
-from twlab.graphs import EdgeWeighting, Graph, Orientation, PartitionedGraph
+from twlab.graphs import Graph, Orientation, PartitionedGraph
 from twlab.harness import gen_list_instance, solve_bf
 from twlab.problems import (
     DEFAULT_WEIGHT_CEILING,
@@ -213,12 +213,12 @@ class TestGensat:
 class TestChosenOutdegree:
     def test_single_edge_no_budget(self):
         g = path(2)
-        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (0, 0))
+        inst = ChosenOutdegreeInstance(g, [1], (0, 0))
         assert bf_chosen_outdegree(inst) is None
 
     def test_single_edge_one_side(self):
         g = path(2)
-        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (1, 0))
+        inst = ChosenOutdegreeInstance(g, [1], (1, 0))
         lam = bf_chosen_outdegree(inst)
         assert lam.direction == ((0, 1),)
 
@@ -228,7 +228,7 @@ class TestChosenOutdegree:
             g = rand_graph(rng, n_max=6)
             if len(g.edges) > 16:
                 continue
-            w = EdgeWeighting(g, [rng.randint(1, 4) for _ in g.edges])
+            w = [rng.randint(1, 4) for _ in g.edges]
             rho = tuple(rng.randint(0, 5) for _ in range(g.n))
             inst = ChosenOutdegreeInstance(g, w, rho)
             brute = next(
@@ -241,7 +241,7 @@ class TestChosenOutdegree:
     def test_huge_caps_use_pure_backend(self):
         # caps beyond 64-bit range must still solve
         g = path(2)
-        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (1 << 80, 0))
+        inst = ChosenOutdegreeInstance(g, [1], (1 << 80, 0))
         lam = bf_chosen_outdegree(inst)
         assert lam is not None and lam.direction == ((0, 1),)
 
@@ -255,7 +255,7 @@ class TestChosenOutdegree:
         rng = random.Random(13)
         for _ in range(60):
             g = rand_graph(rng, n_max=6)
-            w = EdgeWeighting(g, [rng.randint(1, 3) for _ in g.edges])
+            w = [rng.randint(1, 3) for _ in g.edges]
             rho = tuple(rng.randint(0, 4) for _ in range(g.n))
             bigger = tuple(r + rng.randint(0, 2) for r in rho)
             if bf_chosen_outdegree(ChosenOutdegreeInstance(g, w, rho)) is not None:
@@ -264,17 +264,17 @@ class TestChosenOutdegree:
 
 class TestMinMax:
     def test_triangle_unit_value(self, triangle):
-        w = EdgeWeighting(triangle, [1, 1, 1])
+        w = [1, 1, 1]
         assert bf_min_max_value(triangle, w) == 1
 
     def test_heavy_edge_dominates(self):
         g = path(3)
-        w = EdgeWeighting(g, {(0, 1): 3, (1, 2): 1})
+        w = [3, 1]  # (0, 1) then (1, 2)
         assert bf_min_max_value(g, w) == 3
 
     def test_k4_unit(self):
         g = complete(4)
-        assert bf_min_max_value(g, EdgeWeighting(g, [1] * 6)) == 2
+        assert bf_min_max_value(g, [1] * 6) == 2
 
     def test_decision_consistent_with_value(self):
         rng = random.Random(8)
@@ -282,7 +282,7 @@ class TestMinMax:
             g = rand_graph(rng, n_max=6)
             if not g.edges:
                 continue
-            w = EdgeWeighting(g, [rng.randint(1, 4) for _ in g.edges])
+            w = [rng.randint(1, 4) for _ in g.edges]
             value = bf_min_max_value(g, w)
             assert bf_min_max_outdegree(MinMaxOutdegreeInstance(g, w, value)) is not None
             if value > 1:
@@ -294,18 +294,43 @@ class TestMinMax:
             g = rand_graph(rng, n_max=5)
             if not g.edges:
                 continue
-            w = EdgeWeighting(g, [rng.randint(1, 3) for _ in g.edges])
+            w = [rng.randint(1, 3) for _ in g.edges]
             r = rng.randint(1, 6)
-            scaled = EdgeWeighting(g, [3 * x for x in w.weights])
+            scaled = [3 * x for x in w]
             lhs = bf_min_max_outdegree(MinMaxOutdegreeInstance(g, w, r)) is not None
             rhs = bf_min_max_outdegree(MinMaxOutdegreeInstance(g, scaled, 3 * r)) is not None
             assert lhs == rhs
 
     def test_weight_ceiling_enforced(self):
         g = path(2)
-        MinMaxOutdegreeInstance(g, EdgeWeighting(g, [DEFAULT_WEIGHT_CEILING]), 1)
+        MinMaxOutdegreeInstance(g, [DEFAULT_WEIGHT_CEILING], 1)
         with pytest.raises(InputError):
-            MinMaxOutdegreeInstance(g, EdgeWeighting(g, [DEFAULT_WEIGHT_CEILING + 1]), 1)
+            MinMaxOutdegreeInstance(g, [DEFAULT_WEIGHT_CEILING + 1], 1)
+
+
+# each orientation instance kind on path(3), edges (0, 1) and (1, 2)
+WEIGHTED_BUILDS = {
+    "chosen": lambda weights: ChosenOutdegreeInstance(path(3), weights, (2, 2, 2)),
+    "minmax": lambda weights: MinMaxOutdegreeInstance(path(3), weights, 2),
+}
+
+
+@pytest.mark.parametrize("build", WEIGHTED_BUILDS.values(), ids=WEIGHTED_BUILDS.keys())
+class TestWeights:
+    def test_weights_held_aligned_with_edges(self, build):
+        assert build([2, 1]).weights == (2, 1)
+
+    def test_weights_must_be_positive(self, build):
+        with pytest.raises(InputError, match=r"weight of edge \(1, 2\) must be a positive integer, got 0"):
+            build([1, 0])
+
+    def test_weights_must_be_integers(self, build):
+        with pytest.raises(InputError, match=r"weight of edge \(1, 2\) must be a positive integer, got 1.5"):
+            build([1, 1.5])
+
+    def test_one_weight_per_edge(self, build):
+        with pytest.raises(InputError, match="1 weights for 2 edges"):
+            build([1])
 
 
 class TestPartitionedClique:
@@ -381,10 +406,8 @@ INSTANCE_BUILDS = [
     lambda: GensatInstance(
         2, [Constraint((0, 1), BooleanRelation(2, [(0, 1), (1, 0)]))]
     ),
-    lambda: ChosenOutdegreeInstance(
-        path(3), EdgeWeighting(path(3), [2, 1]), (2, 1, 0)
-    ),
-    lambda: MinMaxOutdegreeInstance(cycle(4), EdgeWeighting(cycle(4), [1] * 4), 1),
+    lambda: ChosenOutdegreeInstance(path(3), [2, 1], (2, 1, 0)),
+    lambda: MinMaxOutdegreeInstance(cycle(4), [1] * 4, 1),
 ]
 
 
@@ -565,7 +588,7 @@ class TestLargeInputs:
         answers = {}
         with within_seconds(30, "the 10^4-vertex path and star"):
             for name, g in (("path", path(n)), ("star", star(n - 1))):
-                w = EdgeWeighting(g, [1] * len(g.edges))
+                w = [1] * len(g.edges)
                 degrees = [g.degree(v) for v in g.vertices()]
                 answers[name] = [
                     (inst, solve_bf(inst)) for inst in (

@@ -13,7 +13,6 @@ from conftest import (
 )
 from twlab.errors import InputError
 from twlab.graphs import (
-    EdgeWeighting,
     Graph,
     Orientation,
     PartitionedGraph,
@@ -239,7 +238,7 @@ class TestOrientationGadget:
         inst = out.instance
         vid = out.meta["gadget"]
         assert inst.graph.n == 12 and len(inst.graph.edges) == 13
-        wmap = dict(zip(inst.graph.edges, inst.weights.weights))
+        wmap = dict(zip(inst.graph.edges, inst.weights))
         u, x, y = vid["u", 0, 0], vid["x", 0, 0], vid["y", 0, 0]
         assert wmap[canon(u, x)] == 24 and wmap[canon(u, y)] == 25  # big = 2 * (8 + 4)
         b, c, d = vid["b", 0, 1], vid["c", 0, 1], vid["d", 0, 1]
@@ -452,7 +451,7 @@ class TestOrientationGadget:
         radix = n + 1, and its u-y edge big + 1."""
         for k, n, big in [(2, 1, 2 * (8 + 4)), (3, 4, 3 * (125 + 25))]:
             out = pc_to_chosen_outdegree(gen_partitioned(k, n, 1.0, False, 1))
-            wmap = out.instance.weights.as_dict()
+            wmap = dict(zip(out.instance.graph.edges, out.instance.weights))
             vid = out.meta["gadget"]
             for i in range(k):
                 for j in range(n):
@@ -463,7 +462,7 @@ class TestOrientationGadget:
 class TestChosenToMinmax:
     def test_uniform_caps_identity(self):
         g = path(3)
-        w = EdgeWeighting(g, [2, 1])
+        w = [2, 1]
         inst = ChosenOutdegreeInstance(g, w, (2, 2, 2))
         out = chosen_to_minmax(inst)
         assert out.instance.graph == g
@@ -471,20 +470,20 @@ class TestChosenToMinmax:
 
     def test_k2_slack_triangle(self):
         g = path(2)
-        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [2]), (2, 0))
+        inst = ChosenOutdegreeInstance(g, [2], (2, 0))
         out = chosen_to_minmax(inst)
         h = out.instance.graph
         assert h.n == 4 and len(h.edges) == 4
-        wmap = dict(zip(h.edges, out.instance.weights.weights))
+        wmap = dict(zip(h.edges, out.instance.weights))
         assert sorted(wmap.values()) == [2, 2, 2, 2]
         assert bf_min_max_outdegree(out.instance) is not None
 
     def test_zero_caps(self):
         g = path(2)
-        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (0, 0))
+        inst = ChosenOutdegreeInstance(g, [1], (0, 0))
         out = chosen_to_minmax(inst)
         assert bf_min_max_outdegree(out.instance) is None
-        edgeless = ChosenOutdegreeInstance(Graph(2, []), EdgeWeighting(Graph(2, []), []), (0, 0))
+        edgeless = ChosenOutdegreeInstance(Graph(2, []), [], (0, 0))
         out2 = chosen_to_minmax(edgeless)
         assert bf_min_max_outdegree(out2.instance) is not None
 
@@ -499,7 +498,7 @@ class TestChosenToMinmax:
                 if rng.random() < 0.5
             ][:12]
             g = Graph(n, edges)
-            w = EdgeWeighting(g, [rng.randint(1, 4) for _ in edges])
+            w = [rng.randint(1, 4) for _ in edges]
             inst = ChosenOutdegreeInstance(
                 g, w, tuple(rng.randint(0, 6) for _ in range(n))
             )
@@ -571,9 +570,9 @@ class TestMeta:
         gadget = {"source", "gadget", "plan", "pair_edges"}
         gensat = {"dual_graph", "incidence_graph", "incidence_witness", "incidence_width_bound"}
         pg = make_pg(2, 1, [(0, 1)])
-        caps = ChosenOutdegreeInstance(path(3), EdgeWeighting(path(3), [1, 2]), (1, 2, 0))
-        zero = ChosenOutdegreeInstance(path(2), EdgeWeighting(path(2), [1]), (0, 0))
-        edgeless = ChosenOutdegreeInstance(Graph(2), EdgeWeighting(Graph(2), []), (0, 0))
+        caps = ChosenOutdegreeInstance(path(3), [1, 2], (1, 2, 0))
+        zero = ChosenOutdegreeInstance(path(2), [1], (0, 0))
+        edgeless = ChosenOutdegreeInstance(Graph(2), [], (0, 0))
         cases = [
             (pc_to_list_coloring(pg), set()),
             (pc_to_list_coloring(make_pg(0, 2, [])), set()),

@@ -26,7 +26,7 @@ from conftest import (
 )
 from twlab import harness
 from twlab.errors import InputError
-from twlab.graphs import EdgeWeighting, Graph, Orientation, all_outdegrees, canon
+from twlab.graphs import Graph, Orientation, all_outdegrees, canon
 from twlab.problems import (
     KIND_BY_TAG,
     ChosenOutdegreeInstance,
@@ -79,7 +79,7 @@ def minmax_instances(seed, n_max, max_w, max_r):
     while True:
         g = rand_graph(rng, n_max)
         if g.edges:
-            w = EdgeWeighting(g, [rng.randint(1, max_w) for _ in g.edges])
+            w = [rng.randint(1, max_w) for _ in g.edges]
             yield MinMaxOutdegreeInstance(g, w, rng.randint(1, max_r))
 
 
@@ -192,15 +192,15 @@ def chosen_corpus(rng, method):
         g = Graph(n, edges) if trial % 25 else three_parts
         caps, heaviest = ((0, 3), (4, 9), (1000, 400), (8, 3), (8, 3))[trial % 5]
         rho = tuple(rng.randint(0, caps) for _ in range(g.n))
-        w = EdgeWeighting(g, [rng.randint(1, heaviest) for _ in g.edges])
+        w = [rng.randint(1, heaviest) for _ in g.edges]
         yield ChosenOutdegreeInstance(g, w, rho), to_nice(heuristic_decomposition(g, method), g)
     g, ntd = other_branch_join_triangle()
     for weights in itertools.product((1, 2), repeat=3):
         for rho in itertools.product(range(3), repeat=3):
-            yield ChosenOutdegreeInstance(g, EdgeWeighting(g, list(weights)), rho), ntd
+            yield ChosenOutdegreeInstance(g, weights, rho), ntd
     g, ntd = square_joined_at_its_diagonal()
     for rho in itertools.product((1, 2), (1, 2), (0, 1, 2), (0, 1, 2)):
-        yield ChosenOutdegreeInstance(g, EdgeWeighting(g, [1] * 4), rho), ntd
+        yield ChosenOutdegreeInstance(g, [1] * 4, rho), ntd
 
 
 def count_pruned(monkeypatch):
@@ -430,13 +430,13 @@ class TestDpListColoring:
 class TestDpChosenOutdegree:
     def test_single_edge_yes(self):
         g = path(2)
-        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (1, 0))
+        inst = ChosenOutdegreeInstance(g, [1], (1, 0))
         lam = dp_chosen_outdegree(inst, nice_of(g))
         assert lam is not None and check_admissible(inst, lam)
 
     def test_single_edge_no(self):
         g = path(2)
-        inst = ChosenOutdegreeInstance(g, EdgeWeighting(g, [1]), (0, 0))
+        inst = ChosenOutdegreeInstance(g, [1], (0, 0))
         assert dp_chosen_outdegree(inst, nice_of(g)) is None
 
     def test_matches_oracle_on_randoms(self):
@@ -444,8 +444,8 @@ class TestDpChosenOutdegree:
         checked = 0
         while checked < 100:
             g = rand_graph(rng, n_max=8)
-            w = EdgeWeighting(g, [rng.randint(1, 3) for _ in g.edges])
-            if w.total_weight > 24:
+            w = [rng.randint(1, 3) for _ in g.edges]
+            if sum(w) > 24:
                 continue
             checked += 1
             rho = tuple(rng.randint(0, 5) for _ in range(g.n))
@@ -461,7 +461,7 @@ class TestDpChosenOutdegree:
         yes = 0
         for _ in range(80):
             g = rand_graph(rng, n_max=8)
-            w = EdgeWeighting(g, [rng.randint(1, 40) for _ in g.edges])
+            w = [rng.randint(1, 40) for _ in g.edges]
             rho = tuple(rng.randint(0, 60) for _ in range(g.n))
             inst = ChosenOutdegreeInstance(g, w, rho)
             lam = dp_chosen_outdegree(inst, nice_of(g))
@@ -478,7 +478,7 @@ class TestDpChosenOutdegree:
         for inst, ntd in chosen_corpus(random.Random(13 if method == "min-fill" else 14), method):
             got = dp_chosen_outdegree(inst, ntd)
             expected = tuple_chosen_outdegree_dp(inst, ntd)
-            assert got == expected, (inst.graph.edges, inst.weights.weights, inst.rho)
+            assert got == expected, (inst.graph.edges, inst.weights, inst.rho)
             answers.add(got is None)
         assert answers == {True, False}
 
@@ -551,12 +551,12 @@ class TestDpChosenOutdegree:
 
 class TestMinMaxDp:
     def test_triangle_r1(self, triangle):
-        w = EdgeWeighting(triangle, [1, 1, 1])
+        w = [1, 1, 1]
         assert min_max_outdegree(MinMaxOutdegreeInstance(triangle, w, 1), nice_of(triangle)) is not None
 
     def test_triangle_r_zero_rejected_by_type(self, triangle):
         with pytest.raises(InputError):
-            MinMaxOutdegreeInstance(triangle, EdgeWeighting(triangle, [1, 1, 1]), 0)
+            MinMaxOutdegreeInstance(triangle, [1, 1, 1], 0)
 
     def test_matches_oracle_on_randoms(self):
         for inst in itertools.islice(minmax_instances(12, 7, 3, 5), 100):
@@ -573,7 +573,7 @@ class TestMinMaxDp:
             if not g.edges:
                 continue
             checked += 1
-            w = EdgeWeighting(g, [rng.randint(1, 40) for _ in g.edges])
+            w = [rng.randint(1, 40) for _ in g.edges]
             inst = MinMaxOutdegreeInstance(g, w, rng.randint(1, 60))
             lam = min_max_outdegree(inst, nice_of(g))
             assert (lam is None) == (bf_min_max_outdegree(inst) is None)
@@ -659,7 +659,7 @@ TRIANGLE_CAPS = (0, 1, 1)
 def triangle_instances(g):
     return (
         (dp_list_coloring, ListColoringInstance(g, TRIANGLE_LISTS)),
-        (dp_chosen_outdegree, ChosenOutdegreeInstance(g, EdgeWeighting(g, [1] * 3), TRIANGLE_CAPS)),
+        (dp_chosen_outdegree, ChosenOutdegreeInstance(g, [1] * 3, TRIANGLE_CAPS)),
     )
 
 
@@ -783,7 +783,7 @@ class TestFlow:
         rng = random.Random(19)
         for _ in range(60):
             g = rand_graph(rng, n_max=8, p=0.45)
-            w = EdgeWeighting(g, [1] * len(g.edges))
+            w = [1] * len(g.edges)
             assert flow_min_max_uniform(g, 1) == bf_min_max_value(g, w)
 
     def test_orientation_certifies_its_value(self):
@@ -797,7 +797,7 @@ class TestFlow:
             g = rand_graph(rng, n_max=n, p=p)
             value, lam = min_max_orientation(g)
             assert value == flow_min_max_uniform(g, 1)
-            unit = EdgeWeighting(g, [1] * len(g.edges))
+            unit = [1] * len(g.edges)
             assert check_admissible(MinMaxOutdegreeInstance(g, unit, max(value, 1)), lam)
             if not g.edges:
                 assert value == 0
@@ -822,6 +822,6 @@ class TestFlow:
         assert len(g.edges) == 3161
         with within_seconds(10, "min-max orientation of the n=800 graph"):
             value, lam = min_max_orientation(g)
-        unit = EdgeWeighting(g, [1] * len(g.edges))
+        unit = [1] * len(g.edges)
         assert check_admissible(MinMaxOutdegreeInstance(g, unit, value), lam)
         assert not check_admissible(MinMaxOutdegreeInstance(g, unit, value - 1), lam)
