@@ -48,6 +48,8 @@ def _write_json(path: str, obj: dict) -> None:
 # --- gen ------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
+    reads = hn.PARTITIONED.reads if args.kind == "kpartite" else ("n", "p", "max_weight")
+    hn.refuse_unread(f"gen --kind {args.kind}", reads, args)
     if args.kind == "kpartite":
         pg = hn.gen_partitioned(args.k, args.n, args.p, args.plant, args.seed)
         _write_json(args.output, partitioned_to_json(pg))
@@ -150,6 +152,8 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # gen's and verify's defaults are ExperimentConfig's, which refuse_unread compares with
+    defaults = {f.name: f.default for f in fields(hn.ExperimentConfig) if f.default is not MISSING}
     parser = argparse.ArgumentParser(
         prog="twlab",
         description="treewidth gadget reductions, solvers, and verification",
@@ -158,14 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a seeded instance file")
     g.add_argument("--kind", choices=["kpartite", "weighted"], required=True)
-    g.add_argument("-k", type=int, default=2)
-    g.add_argument("-n", type=int, default=2)
-    g.add_argument("-p", type=float, default=0.5)
+    g.add_argument("-k", type=int)
+    g.add_argument("-n", type=int)
+    g.add_argument("-p", type=float)
     g.add_argument("--plant", action="store_true")
-    g.add_argument("--max-weight", type=int, default=4)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--max-weight", type=int)
+    g.add_argument("--seed", type=int)
     g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=_cmd_gen)
+    g.set_defaults(func=_cmd_gen, **{f: defaults[f] for f in ("k", "n", "p", "plant", "max_weight", "seed")})
 
     t = sub.add_parser("tw", help="decompose a graph and print its width")
     t.add_argument("--method", choices=["minfill", "mindeg", "exact"], default="minfill")
@@ -204,10 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--jobs", type=int)
     v.add_argument("--unsafe", action="store_true", help="lift size guards")
     v.add_argument("--report", help="write the report here (.json or .csv)")
-    # the defaults are ExperimentConfig's
-    v.set_defaults(func=_cmd_verify, **{
-        f.name: f.default for f in fields(hn.ExperimentConfig) if f.default is not MISSING
-    })
+    v.set_defaults(func=_cmd_verify, **defaults)
     return parser
 
 

@@ -71,6 +71,7 @@ class ExperimentConfig:
             raise InputError(
                 f"unknown pipeline {self.pipeline!r}; choose from {tuple(PIPELINES)}"
             )
+        refuse_unread(f"{self.pipeline}'s generator", PIPELINES[self.pipeline].source.reads, self)
         if self.cases < 1:
             raise InputError("cases must be at least 1")
         if self.jobs < 1:
@@ -94,6 +95,22 @@ class ExperimentConfig:
 
 
 # --- generators ---------------------------------------------------------------
+
+# the fields some generator reads, with their defaults
+GENERATOR_FIELDS = {f: ExperimentConfig.__dataclass_fields__[f].default
+                    for f in ("k", "n", "p", "plant", "max_weight", "rho_max")}
+
+
+def refuse_unread(name: str, reads: tuple[str, ...], values) -> None:
+    """Raise InputError naming the flag of the first of GENERATOR_FIELDS
+    that `reads` lacks and that values (an ExperimentConfig or the CLI's
+    parsed flags, which share its defaults) sets away from its default: the
+    generator `name` would drop it unread.  A field values lacks is unset."""
+    for f, default in GENERATOR_FIELDS.items():
+        if f not in reads and getattr(values, f, default) != default:
+            flag = f"-{f}" if len(f) == 1 else "--" + f.replace("_", "-")
+            raise InputError(f"{name} does not read {flag}")
+
 
 def _check_p(p: float) -> None:
     if not 0.0 <= p <= 1.0:
@@ -179,12 +196,14 @@ def gen_chosen_instance(n: int, edge_p: float, max_w: int, rho_max: int, seed: i
 @dataclass(frozen=True)
 class Source:
     """Where a pipeline's source instances come from: the seeded generator
-    (config, case seed), the oracle deciding them, the checker of its
-    yes-witnesses (source, witness), their report JSON, and the reader of
-    `twlab reduce` (file object, -k or None, pipeline name), which refuses a
-    -k that the file does not bear out."""
+    (config, case seed) and the GENERATOR_FIELDS of the config it reads (a
+    config setting any other away from its default is refused), the oracle
+    deciding them, the checker of its yes-witnesses (source, witness), their
+    report JSON, and the reader of `twlab reduce` (file object, -k or None,
+    pipeline name), which refuses a -k that the file does not bear out."""
 
     generate: Callable[[ExperimentConfig, int], object]
+    reads: tuple[str, ...]
     solve: Callable[[object], object]
     check: Callable[[object, object], bool]
     to_json: Callable[[object], dict]
@@ -206,7 +225,8 @@ def _read_partitioned(obj, k, name):
 
 # Oracles and reductions are called through module attributes (pr.*, rd.*)
 # looked up when the lambda runs, so tracing and monkeypatching see them.
-def _kind_source(tag: str, generate: Callable[[ExperimentConfig, int], object]) -> Source:
+def _kind_source(tag: str, generate: Callable[[ExperimentConfig, int], object],
+                 reads: tuple[str, ...]) -> Source:
     """A source of problems.KINDS instances of one kind: that row's oracle,
     checker and codec, and a reader refusing every other kind."""
     kind = pr.KIND_BY_TAG[tag]
@@ -220,12 +240,13 @@ def _kind_source(tag: str, generate: Callable[[ExperimentConfig, int], object]) 
                 raise InputError(f"{name} expects a {tag} instance file")
         return pr.instance_from_json(obj, refuse_other)
 
-    return Source(generate, lambda inst: getattr(pr, kind.oracle)(inst), kind.check,
+    return Source(generate, reads, lambda inst: getattr(pr, kind.oracle)(inst), kind.check,
                   pr.instance_to_json, read)
 
 
 PARTITIONED = Source(
     lambda cfg, seed: gen_partitioned(cfg.k, cfg.n, cfg.p, cfg.plant, seed),
+    ("k", "n", "p", "plant"),
     lambda pg: pr.bf_partitioned_clique(pg),
     lambda pg, clique: len(clique) == pg.k and pr.is_clique(pg.graph, clique),
     partitioned_to_json,
@@ -233,17 +254,19 @@ PARTITIONED = Source(
 )
 GRAPH_AND_K = Source(  # the source is the pair (graph, k)
     lambda cfg, seed: (gen_graph(cfg.n, cfg.p, seed), cfg.k),
+    ("k", "n", "p"),
     lambda source: pr.bf_clique(*source),
     lambda source, clique: len(clique) == source[1] and pr.is_clique(source[0], clique),
     lambda source: dict(graph_to_json(source[0]), k=source[1]),
     _read_graph_and_k,
 )
 LIST_COLORING = _kind_source(
-    "list_coloring", lambda cfg, seed: gen_list_instance(cfg.n, cfg.k, cfg.p, seed)
+    "list_coloring", lambda cfg, seed: gen_list_instance(cfg.n, cfg.k, cfg.p, seed), ("k", "n", "p")
 )
 CHOSEN_OUTDEGREE = _kind_source(
     "chosen_outdegree",
     lambda cfg, seed: gen_chosen_instance(cfg.n, cfg.p, cfg.max_weight, cfg.rho_max, seed),
+    ("n", "p", "max_weight", "rho_max"),
 )
 
 

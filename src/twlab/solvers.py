@@ -8,10 +8,12 @@ solved on, not the tree itself.  It gives each vertex a fixed bag slot
 order, which lists children first, checks each table's size against its
 bound (a product carried up the walk; a plain check, so it holds under
 python -O), tests the root table (the last node's) for the empty state and
-walks back root-to-leaves.  Everything reads the nice tree's flat lists by
-node id: a bag is an int bitmask whose vertices come by ascending bit, and
-a vertex's neighbours in it are the bag ANDed with the vertex's adjacency
-mask, built per solve.  A DP brings only its encoding, one table handler
+walks back root-to-leaves.  A nice tree has no edge nodes: the list DP
+drops colour clashes at introduce, and the orientation DP applies each edge
+at the forget of the end forgotten first.  Everything reads the nice tree's
+flat lists by node id: a bag is an int bitmask whose vertices come by
+ascending bit, and a vertex's neighbours in it are the bag ANDed with the
+vertex's adjacency mask, built per solve.  A DP brings only its encoding, one table handler
 per node kind and one back-step, each taking a node id; the back-steps read
 witnesses off back-pointers in the orientation DP and least-colour maps at
 forget nodes in the list-colouring DP.  The list-colouring DP joins the
@@ -28,7 +30,6 @@ from bisect import bisect_right
 from collections.abc import Callable, Collection, Iterable
 from functools import reduce
 from itertools import groupby
-from math import prod
 from operator import and_
 
 from twlab.errors import InputError
@@ -37,7 +38,6 @@ from twlab.problems import ChosenOutdegreeInstance, ListColoringInstance, MinMax
 from twlab.treewidth import (
     FORGET,
     INTRODUCE,
-    INTRODUCE_EDGE,
     JOIN,
     LEAF,
     NiceTreeDecomposition,
@@ -78,7 +78,7 @@ class _NiceDP:
     times slot_bits.  A DP builds its encoding over off, then its handlers
     over off and tables (node id -> that node's table of packed bag
     states), and hands them to run.  Handlers and back-steps take node ids
-    and read the node's kind, bag mask, vertex, edge and children off ntd's
+    and read the node's kind, bag mask, vertex and children off ntd's
     lists.  Each handler reads only its children's tables, and pops them,
     or keeps them where its back-step reads them again."""
 
@@ -92,14 +92,14 @@ class _NiceDP:
         """In index order, children first, step[kind](i) builds node i's
         table, which must hold at most cap[i] = prod(bound[v] for v in its
         bag) states: a larger one raises AssertionError, under python -O
-        too.  cap is carried up from the child: introduce(v) multiplies by
-        bound[v], and forget(v) divides by it, or takes the product afresh
-        where bound[v] is 0.  False if the root table lacks state 0.
+        too.  Every bound is at least 1, and cap is carried up from the
+        child: introduce(v) multiplies by bound[v], and forget(v) divides by
+        it.  False if the root table lacks state 0.
         Otherwise walk root-to-leaves from state 0, where back(i, s) records
         what node i adds to the witness and gives the states of its children
         in order (a one-child node may give more), and return True."""
         ntd, tables = self.ntd, self.tables
-        kind, vertex, bag, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.left, ntd.right
+        kind, vertex, left, right = ntd.kind, ntd.vertex, ntd.left, ntd.right
         cap: list[int] = []
         for i, k in enumerate(kind):
             table = step[k](i)
@@ -108,8 +108,7 @@ class _NiceDP:
             elif k == INTRODUCE:
                 c = cap[left[i]] * bound[vertex[i]]
             elif k == FORGET:
-                b = bound[vertex[i]]
-                c = cap[left[i]] // b if b else prod(bound[v] for v in bits(bag[i]))
+                c = cap[left[i]] // bound[vertex[i]]
             else:
                 c = cap[left[i]]
             if len(table) > c:
@@ -141,15 +140,13 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     least-colour map).
 
     Filtering: introduce colours v from its list and drops every state in
-    which a neighbour of v in the bag has v's colour; introduce_edge then
-    passes its child's table through.  So every table holds only proper
-    colourings of the graph induced on its bag, for any valid nice
-    decomposition, even when the introduce_edge node of uv sits in another
-    join branch: a state colouring two adjacent bag vertices alike can never
-    be completed, so dropping it early changes no answer.
+    which a neighbour of v in the bag has v's colour.  So every table holds
+    only proper colourings of the graph induced on its bag, and as every
+    edge lies in some bag, the introduce of its later endpoint below that
+    bag drops its clashes: the tree needs no edge nodes.
 
     Join: to_nice lifts each join child to the join's bag B by a chain of
-    introduce and introduce_edge nodes.  Lifted, a branch would colour the
+    introduce nodes.  Lifted, a branch would colour the
     vertices only the other branch holds with no constraint, and the join
     would throw most of those states away.  So the nodes of those chains
     carry the table of the node below them up as it is (a pass over the
@@ -169,12 +166,12 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     it saw, and the traceback rebuilds the child state as s | code << off[v];
     it reads nothing else, so passing down a lifting chain reads no table.
     The tuple DP that the tests keep as an oracle takes the first child state
-    in sorted order, which has the least colour at v.  Its tables also hold
-    states colouring adjacent bag vertices alike before their edge is
-    introduced, but the traceback only visits restrictions of the final,
-    proper colouring, and every edge at v is introduced below v's forget
-    node; so at each visited forget node both DPs pick the least of the
-    same colours and return the same colouring.  Each table is dropped as
+    in sorted order, which has the least colour at v.  It drops clashes at
+    forget instead, where v leaves its bag neighbours, so its tables also
+    hold states colouring adjacent bag vertices alike; but the traceback
+    only visits restrictions of the final, proper colouring, so at each
+    visited forget node both DPs pick the least of the same colours and
+    return the same colouring.  Each table is dropped as
     soon as the node above it has read it; only the forget nodes'
     least-colour maps are kept.
     """
@@ -192,12 +189,12 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     fresh = [[code[c] << o for c in l] for l, o in zip(inst.lists, off)]
     least: dict[int, dict[int, int]] = {}  # forget node -> state -> least child code
     colors: dict[int, int] = {}
-    lifting: set[int] = set()  # the introduce and introduce_edge nodes of join children's chains
+    lifting: set[int] = set()  # the introduce nodes of join children's chains
 
     def under(c: int) -> int:
-        """The node below the chain of introduce and introduce_edge nodes
-        that c heads (c itself if it heads none), marking the chain lifting."""
-        while kind[c] == INTRODUCE or kind[c] == INTRODUCE_EDGE:
+        """The node below the chain of introduce nodes that c heads (c
+        itself if it heads none), marking the chain lifting."""
+        while kind[c] == INTRODUCE:
             lifting.add(c)
             c = left[c]
         return c
@@ -253,10 +250,9 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             return (s | c << off[vertex[i]],)
         if kind[i] == INTRODUCE:
             return (s & ~(mask << off[vertex[i]]),)
-        return (s, s)  # join; introduce_edge passes s to its child
+        return (s, s)  # join
 
-    step = {LEAF: lambda i: {0}, INTRODUCE: introduce, FORGET: forget, JOIN: join,
-            INTRODUCE_EDGE: lambda i: tables.pop(left[i])}
+    step = {LEAF: lambda i: {0}, INTRODUCE: introduce, FORGET: forget, JOIN: join}
     if not dp.run([len(l) for l in inst.lists], step, back):
         return None
     return colors
@@ -316,64 +312,76 @@ def dp_chosen_outdegree(
     its guard bit set, and the test is the same.
 
     Nodes: introduce passes its child's table through, as v's slot is 0.
-    Introduce_edge of uv, u < v, adds w at u to the states that keep u
-    within its cap, then w at v where that gives a new state.  Forget masks
-    v's slot out.  Join adds a left and a right state, sound as every edge
-    is introduced once.  For a left state s1 the right states that fit,
+    Forget(v) first applies each edge from v to a neighbour u in its child's
+    bag (each edge once: see NiceTreeDecomposition), by ascending u, into a
+    table of its own (state -> tail): for the edge ab, a < b, it adds w at a
+    to the states that keep a within its cap, then w at b where that gives
+    a new state.  A count of the edges applied short of the graph's raises
+    AssertionError, by a plain raise that holds under python -O.  Forget
+    then masks v's slot out.  Join adds a left and a right state, sound as
+    every edge is applied once.  For a left state s1 the right states that fit,
     s2 <= caps - s1 pointwise, are <= caps - s1 as ints (the difference
     borrows nowhere), so bisection bounds them in the sorted right table and
     the guard test with b = caps - s1 picks them out.
 
     Dominance: only forget filters, keeping the Pareto-minimal states of its
-    table.  Caps are upper bounds, the nodes above only add to the
-    accumulators, and the edges still to come are the same for every state
-    of a node (each is introduced once, below the forget nodes of its ends),
-    so the choices that complete a state s complete any s' <= s as well.
-    Each handler is monotone: if s >= m, m is feasible wherever s is and
-    its images are <= those of s.  So min(op(S)) = min(op(min S)): every
-    table's minimal states are those a filter at every node would keep.
+    table once its edges are applied and v's slot is masked out.  Caps are
+    upper bounds, the steps above a node only add to the accumulators, and
+    the edges still to come are the same for every state of a node (each is
+    applied at one forget), so the choices that complete a state s complete
+    any s' <= s as well.  Each step is monotone: if s >= m, m is feasible
+    wherever s is and its images are <= those of s.  So
+    min(op(S)) = min(op(min S)): every table's minimal states are those a
+    filter after every node and every edge would keep.
 
-    Witness: the sorted-tuple DP that the tests keep as an oracle filters at
-    every node, and its back-pointers are the first found while walking
-    child states in tuple order.  The traceback visits only minimal states:
-    0 at the root is one, and were a visited state's child state c above
-    some m of its table, the same step from m would give a smaller state
-    (forget is below).  So each back-pointer is read among the oracle's
-    states, and three tie-breaks pick the oracle's one.  Introduce_edge:
-    t - w at u and t - w at v agree before u and the first is smaller at u,
-    so tail u wins where it can, as adding at u first gives.  Join: s1
-    fixes s2 = t - s1, and left states are walked in tuple order.  Forget:
-    preimages differ only at v and are written in descending order, so the
-    least is kept.  It is minimal, as a state below it would have the same
-    minimal projection and a smaller v field: it is the one preimage in the
-    oracle's antichain.
+    Witness: the sorted-tuple DP that the tests keep as an oracle applies
+    the edges at forget too, filters after every node and every edge, and
+    its back-pointers are the first found while walking the states before
+    each step in tuple order.  The traceback visits only minimal states: 0
+    at the root is one, and were a visited state's preimage c above some m
+    of its table, the same step from m would give a smaller state.  So each
+    back-pointer is read among the oracle's states, and three tie-breaks
+    pick the oracle's one.  Edge ab: t - w at a and t - w at b agree before
+    a and the first is smaller at a, so tail a wins where it can, as adding
+    at a first gives.  Join: s1 fixes s2 = t - s1, and left states are
+    walked in tuple order.  Forget's projection: preimages differ only at v
+    and are written in descending order, so the least is kept.  It is
+    minimal, as a state below it would have the same minimal projection and
+    a smaller v field: it is the one preimage in the oracle's antichain.
     """
     g, rho = inst.graph, inst.rho
     vb = max(rho, default=0).bit_length()
     vmask = (1 << vb) - 1
     dp = _NiceDP(g, ntd, vb + 1)
     off, tables = dp.off, dp.tables  # tables: state -> back-pointer, kept for the traceback
-    kind, vertex, bag, edge, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.edge, ntd.left, ntd.right
+    kind, vertex, bag, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.left, ntd.right
     guard = sum(1 << o + vb for o in set(off))  # every slot's guard bit
     weights = inst.weights
+    adj = neighbour_masks(g)
     at = {e: t for t, e in enumerate(g.edges)}  # edge -> its index in g.edges
-    direction = list(g.edges)  # aligned with g.edges; the traceback turns some
+    tails: dict[int, dict[int, int]] = {}  # edge index -> state -> tail, kept for the traceback
+    direction = list(g.edges)  # aligned with g.edges; the traceback sets each
+    applied = 0  # edges applied so far
 
-    def introduce_edge(i: int) -> dict[int, object]:  # back-pointer: the tail
-        u, v = e = canon(*edge[i])
-        w = weights[at[e]]
-        child = tables[left[i]]
-        mu, lu, wu = vmask << off[u], rho[u] - w << off[u], w << off[u]
-        mv, lv, wv = vmask << off[v], rho[v] - w << off[v], w << off[v]
-        table = {s + wu: u for s in child if s & mu <= lu}  # none if w > rho[u]
+    def apply(child: Collection[int], a: int, b: int, w: int) -> dict[int, int]:  # state -> tail
+        ma, la, wa = vmask << off[a], rho[a] - w << off[a], w << off[a]
+        mb, lb, wb = vmask << off[b], rho[b] - w << off[b], w << off[b]
+        table = {s + wa: a for s in child if s & ma <= la}  # none if w > rho[a]
         for s in child:
-            if s & mv <= lv:
-                table.setdefault(s + wv, v)
+            if s & mb <= lb:
+                table.setdefault(s + wb, b)
         return table
 
-    def forget(i: int) -> dict[int, object]:  # back-pointer: the child state
-        keep = ~(vmask << off[vertex[i]])
+    def forget(i: int) -> dict[int, object]:  # back-pointer: the state after the edges at v
+        nonlocal applied
+        v = vertex[i]
         child = tables[left[i]]
+        for u in bits(bag[i] & adj[v]):
+            e = canon(u, v)
+            j = at[e]
+            child = tails[j] = apply(child, *e, weights[j])
+            applied += 1
+        keep = ~(vmask << off[v])
         if len(child) <= 1:
             return {s & keep: s for s in child}
         table = {s & keep: s for s in sorted(child, reverse=True)}
@@ -398,19 +406,21 @@ def dp_chosen_outdegree(
         if kind[i] == INTRODUCE:
             return (s,)
         t = tables[i][s]
-        if kind[i] == INTRODUCE_EDGE:  # t is the tail
-            u, v = e = canon(*edge[i])
-            j = at[e]
-            if t == v:
-                direction[j] = (v, u)
-            return (s - (weights[j] << off[t]),)
-        return (t, s - t)  # forget: the child state; join: the left state, then the right
+        if kind[i] == JOIN:  # t is the left state
+            return (t, s - t)
+        v = vertex[i]
+        for u in sorted(bits(bag[i] & adj[v]), reverse=True):  # the edges at v, last applied first
+            j = at[canon(u, v)]
+            tail = tails[j][t]
+            direction[j] = (tail, u + v - tail)
+            t -= weights[j] << off[tail]
+        return (t,)
 
-    step = {LEAF: lambda i: {0: None}, INTRODUCE: lambda i: tables[left[i]],
-            INTRODUCE_EDGE: introduce_edge, FORGET: forget, JOIN: join}
-    if not dp.run([r + 1 for r in rho], step, back):
-        return None
-    return Orientation(g, direction)
+    step = {LEAF: lambda i: {0: None}, INTRODUCE: lambda i: tables[left[i]], FORGET: forget, JOIN: join}
+    found = dp.run([r + 1 for r in rho], step, back)
+    if applied != len(g.edges):
+        raise AssertionError(f"the nice tree applies {applied} of the graph's {len(g.edges)} edges")
+    return Orientation(g, direction) if found else None
 
 
 def min_max_outdegree(

@@ -12,12 +12,12 @@ to_nice trusts it for that very object without validating it again; every
 other decomposition (hand-built, written by a reduction, read from JSON, or
 paired with an equal but distinct graph) is validated.
 
-A nice decomposition is stored flat: parallel lists of kind, bag (an int
-bitmask), vertex, edge and the two children, one entry per node.  Only
-to_nice builds one, for the graph it carries, and it writes the lists
-directly; the solvers read them, so building and walking a nice tree
-allocates no tuple or set per node.  check_nice is the tests' oracle for
-to_nice's trees; no solver calls it.
+A nice decomposition has leaf, introduce, forget and join nodes and no edge
+nodes.  It is stored flat: parallel lists of kind, bag (an int bitmask),
+vertex and the two children, one entry per node.  Only to_nice builds one, for the graph
+it carries, and it writes the lists directly; the solvers read them, so
+building and walking a nice tree allocates no tuple or set per node.
+check_nice is the tests' oracle for to_nice's trees; no solver calls it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from twlab import kernels
 from twlab.errors import GuardError, InputError, decoding, require_at_most
-from twlab.graphs import VERTEX_CEILING, Graph, canon
+from twlab.graphs import VERTEX_CEILING, Graph
 
 EXACT_DEFAULT_LIMIT = 18
 
@@ -303,8 +303,6 @@ LEAF = "leaf"
 INTRODUCE = "introduce"
 FORGET = "forget"
 JOIN = "join"
-INTRODUCE_EDGE = "introduce_edge"
-NO_EDGE = (-1, -1)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -318,17 +316,19 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class NiceTreeDecomposition:
-    """Rooted normalized decomposition: leaf (empty bag), introduce(v),
-    forget(v), join (two children with equal bags), introduce_edge(uv) with
-    every graph edge introduced exactly once.  Nodes are stored children
-    first: every child's id is smaller than its parent's, and the last node
-    is the root, whose bag is empty.
+    """Rooted normalized decomposition with four kinds of node: leaf (empty
+    bag), introduce(v), forget(v) and join (two children with equal bags).
+    There are no edge nodes.  The nodes holding a vertex form a subtree, and
+    v's forget is the parent of its top, so for each edge uv exactly one of
+    the two forgets, that of the endpoint forgotten first, has the other
+    endpoint in its child's bag: that forget is where a solver handles uv.
+    Nodes are stored children first: every child's id is smaller than its
+    parent's, and the last node is the root, whose bag is empty.
 
     The store is flat, one list entry per node id: kind[i]; bag[i] as an
     int bitmask, bit v set iff v is in the bag; vertex[i], the introduce or
-    forget payload (-1 elsewhere); edge[i], the introduce_edge payload
-    (NO_EDGE elsewhere); left[i] and right[i], the children (-1 where
-    there is none; a one-child node has only a left child).
+    forget payload (-1 elsewhere); left[i] and right[i], the children (-1
+    where there is none; a one-child node has only a left child).
 
     Only to_nice builds one: the constructor takes the graph and makes the
     lists empty, and to_nice fills them.  So every nice tree is a nice tree
@@ -339,7 +339,6 @@ class NiceTreeDecomposition:
     kind: list[str] = field(default_factory=list, init=False)
     bag: list[int] = field(default_factory=list, init=False)
     vertex: list[int] = field(default_factory=list, init=False)
-    edge: list[tuple[int, int]] = field(default_factory=list, init=False)
     left: list[int] = field(default_factory=list, init=False)
     right: list[int] = field(default_factory=list, init=False)
 
@@ -362,39 +361,29 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     (td.graph is g) is trusted; any other is validated first, and one that
     fails validate raises InputError.  The host tree, rooted at node 0, is
     built bottom-up in one pass: each child is chained up to its parent's
-    bag, children are joined left to right, and each edge is introduced right
-    above the introduce node that first completes it.  Each node is appended
-    after its children, the root last, so the result is a nice tree of g by
-    construction, and it carries g as its `graph`.
-
-    Bags are int bitmasks throughout, and the node lists of the result are
-    appended to directly.  pending[v] masks the neighbours u of v whose edge
-    uv is not introduced yet, so the edges an introduce(v) completes are the
-    bits of bag & pending[v].
+    bag and children are joined left to right.  Each node is appended after
+    its children, the root last, so the result is a nice tree of g by
+    construction, and it carries g as its `graph`.  Bags are int bitmasks
+    throughout, and the node lists of the result are appended to directly.
     """
     if td.graph is not g:
         check = validate(td, g)
         if not check.ok:
             raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
     ntd = NiceTreeDecomposition(g)
-    kinds, bags, vertices, edges, lefts, rights = ntd.kind, ntd.bag, ntd.vertex, ntd.edge, ntd.left, ntd.right
-    pending = neighbour_masks(g)
+    kinds, bags, vertices, lefts, rights = ntd.kind, ntd.bag, ntd.vertex, ntd.left, ntd.right
 
-    def add(kind: str, bag: int, left: int, vertex: int = -1, edge=NO_EDGE, right: int = -1) -> int:
+    def add(kind: str, bag: int, left: int, vertex: int = -1, right: int = -1) -> int:
         kinds.append(kind)
         bags.append(bag)
         vertices.append(vertex)
-        edges.append(edge)
         lefts.append(left)
         rights.append(right)
         return len(kinds) - 1
 
     def chain_to(node: int, target: int) -> int:
         """Forget/introduce one vertex at a time until the bag equals target,
-        in ascending vertex order; each introduce(v) is followed at once by
-        an introduce_edge node for each still-pending edge of v that the bag
-        now holds, in sorted order (sorting the edges uv is sorting by u, as
-        v is fixed)."""
+        in ascending vertex order."""
         bag = bags[node]
         for v in bits(bag & ~target):
             bag ^= 1 << v
@@ -402,11 +391,6 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         for v in bits(target & ~bag):
             bag |= 1 << v
             node = add(INTRODUCE, bag, node, v)
-            done = bag & pending[v]
-            pending[v] ^= done
-            for u in bits(done):
-                pending[u] ^= 1 << v
-                node = add(INTRODUCE_EDGE, bag, node, -1, (u, v) if u < v else (v, u))
         return node
 
     order, parent = _walk(td.tree)  # rooted at node 0
@@ -425,9 +409,6 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
             node = add(JOIN, bag, node, right=other)
         built[t] = node
     root = chain_to(built[0], 0)
-    if any(pending):
-        missed = [(u, v) for u, m in enumerate(pending) for v in bits(m) if u < v]
-        raise AssertionError(f"edges never introduced: {missed}")
     assert root == len(kinds) - 1, "the root is not the last node"
     assert ntd.width() == max(width(td), -1), "normalization changed the width"
     return ntd
@@ -437,17 +418,15 @@ def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
     """Structural checks for nice decompositions, read off the flat lists:
     the tests' oracle for to_nice's trees.  Children before parents, and
     every node but the last the child of one node, make the nodes a tree
-    rooted at the last node."""
+    rooted at the last node, and validate on that tree checks the bags,
+    each edge of g in some bag included."""
     if not ntd.kind:
         return Validity(("no nodes: a nice decomposition has at least its root",))
     violations = []
-    introduced: list[tuple[int, int]] = []
     bags = ntd.bag
     parents = [0] * len(bags)
     ordered = True
-    for i, (kind, bag, x, edge, left, right) in enumerate(
-        zip(ntd.kind, bags, ntd.vertex, ntd.edge, ntd.left, ntd.right)
-    ):
+    for i, (kind, bag, x, left, right) in enumerate(zip(ntd.kind, bags, ntd.vertex, ntd.left, ntd.right)):
         children = tuple([c for c in (left, right) if c >= 0])
         if left >= i or right >= i:
             violations.append(f"node {i}: children {children} do not all come before it")
@@ -469,19 +448,12 @@ def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
         elif kind == JOIN:
             if len(children) != 2 or bags[left] != bag or bags[right] != bag:
                 violations.append(f"node {i}: join children must repeat the bag")
-        elif kind == INTRODUCE_EDGE:
-            u, v = edge
-            if not one or bag != below or min(u, v) < 0 or not (bag >> u & 1 and bag >> v & 1):
-                violations.append(f"node {i}: bad introduce_edge {edge}")
-            introduced.append(canon(u, v))
         else:
             violations.append(f"node {i}: unknown kind {kind}")
     strays = [i for i, p in enumerate(parents[:-1]) if p != 1]
     violations.extend(f"node {i} is the child of {parents[i]} nodes, not one" for i in strays)
     if bags[-1]:
         violations.append("root bag must be empty")
-    if sorted(introduced) != sorted(g.edges):
-        violations.append("introduced edges do not match the graph's edge set exactly once")
     if ordered and not strays:  # the nodes form a tree, so the flat host builds
         host = [(i, c) for i, lr in enumerate(zip(ntd.left, ntd.right)) for c in lr if c >= 0]
         flat = TreeDecomposition(Graph(len(bags), host), map(bits, bags))

@@ -36,10 +36,8 @@ from twlab.solvers import _require_nice
 from twlab.treewidth import (
     FORGET,
     INTRODUCE,
-    INTRODUCE_EDGE,
     JOIN,
     LEAF,
-    NO_EDGE,
     NiceTreeDecomposition,
     TreeDecomposition,
     _greedy_elimination,
@@ -298,7 +296,6 @@ class NiceNode(NamedTuple):
     bag: frozenset[int]
     children: tuple[int, ...]
     vertex: int = -1  # introduce/forget payload
-    edge: tuple[int, int] = NO_EDGE  # introduce_edge payload
 
 
 def nice_from_records(g: Graph, nodes) -> NiceTreeDecomposition:
@@ -309,7 +306,6 @@ def nice_from_records(g: Graph, nodes) -> NiceTreeDecomposition:
         ntd.kind.append(node.kind)
         ntd.bag.append(sum(1 << v for v in node.bag))
         ntd.vertex.append(node.vertex)
-        ntd.edge.append(node.edge)
         ntd.left.append(node.children[0] if node.children else -1)
         ntd.right.append(node.children[1] if len(node.children) == 2 else -1)
     return ntd
@@ -317,9 +313,9 @@ def nice_from_records(g: Graph, nodes) -> NiceTreeDecomposition:
 
 def nice_records(ntd: NiceTreeDecomposition) -> list[NiceNode]:
     """The nodes of ntd as NiceNode records, in node id order."""
-    rows = zip(ntd.kind, ntd.bag, ntd.left, ntd.right, ntd.vertex, ntd.edge)
-    return [NiceNode(kind, frozenset(bits(bag)), tuple([c for c in (l, r) if c >= 0]), x, e)
-            for kind, bag, l, r, x, e in rows]
+    rows = zip(ntd.kind, ntd.bag, ntd.left, ntd.right, ntd.vertex)
+    return [NiceNode(kind, frozenset(bits(bag)), tuple([c for c in (l, r) if c >= 0]), x)
+            for kind, bag, l, r, x in rows]
 
 
 def elimination_route_nice(g: Graph, method: str) -> NiceTreeDecomposition:
@@ -340,7 +336,7 @@ def reference_to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     if not check.ok:
         raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
     nodes: list[NiceNode] = []
-    append, pending, adj = nodes.append, set(g.edges), g._adj  # pending: edges not yet introduced
+    append = nodes.append
 
     def chain_to(node: int, target: frozenset[int]) -> int:
         bag = nodes[node].bag
@@ -350,12 +346,6 @@ def reference_to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         for v in sorted(target - bag):
             append(NiceNode(INTRODUCE, bag := bag | {v}, (node,), v))
             node = len(nodes) - 1
-            for u in sorted(bag & adj[v]):
-                e = (u, v) if u < v else (v, u)
-                if e in pending:
-                    pending.remove(e)
-                    append(NiceNode(INTRODUCE_EDGE, bag, (node,), -1, e))
-                    node = len(nodes) - 1
         return node
 
     order, parent = _walk(td.tree)  # rooted at node 0
@@ -376,7 +366,6 @@ def reference_to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
             node = len(nodes) - 1
         built[t] = node
     chain_to(built[0], frozenset())
-    assert not pending, f"edges never introduced: {sorted(pending)}"
     return nice_from_records(g, nodes)
 
 
@@ -389,7 +378,8 @@ def dp_pipeline_gadgets(cases: int) -> list[Graph]:
     for name, k, n, p in (("pc-chosen", 2, 3, 0.5), ("pc-chosen", 3, 2, 0.4),
                           ("pc-minmax", 2, 2, 0.25), ("chosen-minmax", 2, 8, 0.4),
                           ("pc-lc", 4, 3, 0.5)):
-        cfg = hn.ExperimentConfig(name, k=k, n=n, p=p, rho_max=10)
+        extra = {"rho_max": 10} if name == "chosen-minmax" else {}
+        cfg = hn.ExperimentConfig(name, k=k, n=n, p=p, **extra)
         pipeline = hn.PIPELINES[name]
         for case in range(cases):
             source = pipeline.source.generate(cfg, hn.mix(17, case))
@@ -455,9 +445,11 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
     solvers.dp_list_coloring replaced, kept as an oracle for its witnesses.
 
     A bag state assigns each bag vertex a color from its list; introduce
-    branches over the fresh vertex's list, introduce_edge discards states
-    coloring the endpoints equally, forget projects, join keeps states
-    present on both sides.
+    branches over the fresh vertex's list, forget discards the states
+    coloring the forgotten vertex like one of its neighbours in the bag and
+    projects the rest, join keeps states present on both sides.  Each edge
+    is checked at the forget of the endpoint forgotten first, unlike the
+    packed DP, which drops clashes at introduce.
     """
     g = inst.graph
     _require_nice(ntd, g)
@@ -478,18 +470,14 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
                 for c in palette:
                     table.setdefault(s[:pos] + (c,) + s[pos:], s)
             tables[i] = table
-        elif node.kind == INTRODUCE_EDGE:
-            u, v = node.edge
-            pu, pv = bag.index(u), bag.index(v)
-            tables[i] = {
-                s: s for s in sorted(tables[node.children[0]]) if s[pu] != s[pv]
-            }
         elif node.kind == FORGET:
             child_bag = bags[node.children[0]]
             pos = child_bag.index(node.vertex)
+            nbrs = [child_bag.index(u) for u in g.neighbors(node.vertex) if u in child_bag]
             table = {}
             for s in sorted(tables[node.children[0]]):
-                table.setdefault(s[:pos] + s[pos + 1 :], s)
+                if all(s[p] != s[pos] for p in nbrs):
+                    table.setdefault(s[:pos] + s[pos + 1 :], s)
             tables[i] = table
         else:  # JOIN
             left, right = node.children
@@ -509,8 +497,6 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
         if node.kind == INTRODUCE:
             pos = bags[i].index(node.vertex)
             stack.append((node.children[0], s[:pos] + s[pos + 1 :]))
-        elif node.kind == INTRODUCE_EDGE:
-            stack.append((node.children[0], s))
         elif node.kind == FORGET:
             child_state = tables[i][s]
             pos = bags[node.children[0]].index(node.vertex)
@@ -551,8 +537,6 @@ def lift_then_intersect_join_tables(
                 table = {s for s in table if (s >> off[u] ^ s >> o) & mask}
         elif kind == FORGET:
             table = {s & ~(mask << off[v]) for s in tables[child]}
-        elif kind == INTRODUCE_EDGE:
-            table = tables[child]
         else:
             table = joins[i] = tables[child] & tables[ntd.right[i]]
         tables.append(table)
@@ -593,10 +577,11 @@ def tuple_chosen_outdegree_dp(
     witnesses.
 
     A bag state carries each bag vertex's accumulated outgoing weight;
-    introduce starts at 0, introduce_edge branches over the edge direction
-    (smaller tail tried first) and prunes past the cap, forget drops the
-    accumulator, join adds accumulators pointwise.  After every
-    introduce_edge, forget and join a table keeps only its Pareto-minimal
+    introduce starts at 0, forget applies each edge from the forgotten
+    vertex to a neighbour in its bag (by ascending neighbour), branching
+    over the edge direction (smaller tail tried first) and pruning past the
+    cap, then drops the accumulator; join adds accumulators pointwise.
+    After every edge, forget and join a table keeps only its Pareto-minimal
     states; a kept state's back-pointer is the first one found.  Join sorts
     the right table once and walks, per left state, only the prefix whose
     first coordinate is within the slack.
@@ -608,6 +593,7 @@ def tuple_chosen_outdegree_dp(
     nodes = nice_records(ntd)
     bags = _sorted_bags(nodes)
     tables: list[dict[tuple[int, ...], object]] = [None] * len(nodes)  # type: ignore[list-item]
+    at_forget: dict[int, list] = {}  # forget node -> [(edge, its table of (state, tail))]
 
     for i in range(len(nodes)):  # children first
         node = nodes[i]
@@ -619,26 +605,24 @@ def tuple_chosen_outdegree_dp(
             tables[i] = {
                 s[:pos] + (0,) + s[pos:]: s for s in sorted(tables[node.children[0]])
             }
-        elif node.kind == INTRODUCE_EDGE:
-            u, v = canon(*node.edge)
-            w = wmap[(u, v)]
-            pu, pv = bag.index(u), bag.index(v)
-            table: dict[tuple[int, ...], object] = {}
-            for s in sorted(tables[node.children[0]]):
-                if s[pu] + w <= rho[u]:
-                    t = list(s)
-                    t[pu] += w
-                    table.setdefault(tuple(t), (s, u))
-                if s[pv] + w <= rho[v]:
-                    t = list(s)
-                    t[pv] += w
-                    table.setdefault(tuple(t), (s, v))
-            tables[i] = tuple_pareto_minimal(table)
         elif node.kind == FORGET:
             child_bag = bags[node.children[0]]
-            pos = child_bag.index(node.vertex)
+            x = node.vertex
+            states = tables[node.children[0]]
+            at_forget[i] = []
+            for e in sorted(canon(u, x) for u in g.neighbors(x) if u in child_bag):
+                w = wmap[e]
+                table: dict[tuple[int, ...], object] = {}
+                for s in sorted(states):
+                    for tail in e:
+                        p = child_bag.index(tail)
+                        if s[p] + w <= rho[tail]:
+                            table.setdefault(s[:p] + (s[p] + w,) + s[p + 1 :], (s, tail))
+                states = tuple_pareto_minimal(table)
+                at_forget[i].append((e, states))
+            pos = child_bag.index(x)
             table = {}
-            for s in sorted(tables[node.children[0]]):
+            for s in sorted(states):
                 table.setdefault(s[:pos] + s[pos + 1 :], s)
             tables[i] = tuple_pareto_minimal(table)
         elif not bag:  # JOIN over the empty bag
@@ -674,13 +658,12 @@ def tuple_chosen_outdegree_dp(
         if node.kind == INTRODUCE:
             pos = bags[i].index(node.vertex)
             stack.append((node.children[0], s[:pos] + s[pos + 1 :]))
-        elif node.kind == INTRODUCE_EDGE:
-            child_state, tail = tables[i][s]
-            e = canon(*node.edge)
-            direction[e] = (tail, e[1] if tail == e[0] else e[0])
-            stack.append((node.children[0], child_state))
         elif node.kind == FORGET:
-            stack.append((node.children[0], tables[i][s]))
+            s = tables[i][s]
+            for e, table in reversed(at_forget[i]):
+                s, tail = table[s]
+                direction[e] = (tail, e[1] if tail == e[0] else e[0])
+            stack.append((node.children[0], s))
         else:  # JOIN
             s1, s2 = tables[i][s]
             stack.append((node.children[0], s1))

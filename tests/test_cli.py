@@ -69,6 +69,28 @@ class TestGen:
         assert code == 2 and stdout == "" and not out.exists()
         assert err.splitlines()[-1] == f"error: {message}"
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("--kind", "weighted", "-k", "9"), "-k"),
+         (("--kind", "weighted", "--plant"), "--plant"),
+         (("--kind", "kpartite", "--max-weight", "9"), "--max-weight")],
+        ids=["weighted-k", "weighted-plant", "kpartite-max-weight"],
+    )
+    def test_unread_flag_exit_2(self, capsys, tmp_path, argv, flag):
+        # a flag the generator would drop is refused, not ignored
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "gen", *argv, "-n", "6", "--seed", "7", "-o", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.splitlines()[-1] == f"error: gen {argv[0]} {argv[1]} does not read {flag}"
+
+    def test_an_unread_flag_at_its_default_passes(self, capsys, tmp_path):
+        # the defaults are ExperimentConfig's, and a flag set to its default
+        # cannot be told from an absent one
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(capsys, "gen", "--kind", "weighted", "-n", "6", "-k", "2", "-o", str(a))[0] == 0
+        assert run(capsys, "gen", "--kind", "weighted", "-n", "6", "-o", str(b))[0] == 0
+        assert a.read_text() == b.read_text()
+
     def test_same_seed_same_file(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "gen", "--kind", "weighted", "-n", "6", "--seed", "9", "-o", str(a))
@@ -535,6 +557,25 @@ class TestVerify:
         )
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "pipeline, argv, flag",
+        [("chosen-minmax", ("--plant",), "--plant"),
+         ("lc-pce", ("--plant",), "--plant"),
+         ("clique-gensat", ("--plant",), "--plant"),
+         ("pc-lc", ("--max-weight", "9"), "--max-weight"),
+         ("pc-minmax", ("--max-weight", "9"), "--max-weight"),
+         ("lc-pce", ("--rho-max", "9"), "--rho-max"),
+         ("pc-chosen", ("--rho-max", "50"), "--rho-max"),
+         ("chosen-minmax", ("-k", "99"), "-k")],
+        ids=["chosen-minmax-plant", "lc-pce-plant", "clique-gensat-plant", "pc-lc-max-weight",
+             "pc-minmax-max-weight", "lc-pce-rho-max", "pc-chosen-rho-max", "chosen-minmax-k"],
+    )
+    def test_unread_flag_exit_2(self, capsys, pipeline, argv, flag):
+        # a flag the pipeline's generator would drop is refused, not echoed and ignored
+        code, out, err = run(capsys, "verify", "--pipeline", pipeline, "-n", "2", *argv, "--cases", "1")
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"error: {pipeline}'s generator does not read {flag}"
 
     def test_negative_part_size_named(self, capsys):
         code, out, err = run(

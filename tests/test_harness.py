@@ -259,6 +259,27 @@ class TestVerify:
 
 
 class TestPipelineTable:
+    def test_each_source_reads_exactly_its_fields(self):
+        # changing a field outside a source's reads leaves every generated
+        # source as it is (so ExperimentConfig refuses it), and changing a
+        # field inside it changes some source
+        import twlab.harness as hn
+
+        changed = {"k": 3, "n": 7, "p": 0.9, "plant": True, "max_weight": 9, "rho_max": 20}
+        assert changed.keys() == hn.GENERATOR_FIELDS.keys()
+        for name, pipeline in hn.PIPELINES.items():
+            base = ExperimentConfig(pipeline=name, n=6)
+            for field, value in changed.items():
+                cfg = ExperimentConfig(pipeline=name, n=6)
+                object.__setattr__(cfg, field, value)  # past the refusal
+                same = all(pipeline.source.generate(cfg, seed) == pipeline.source.generate(base, seed)
+                           for seed in range(5))
+                assert same == (field not in pipeline.source.reads), (name, field)
+                if not same:
+                    continue
+                with pytest.raises(InputError, match=f"{name}'s generator does not read -"):
+                    ExperimentConfig(pipeline=name, **{field: value})
+
     def test_target_tag_is_the_reduced_kind(self):
         import twlab.harness as hn
         from twlab.problems import kind_of

@@ -51,7 +51,6 @@ from twlab.solvers import (
 from twlab.treewidth import (
     FORGET,
     INTRODUCE,
-    INTRODUCE_EDGE,
     JOIN,
     LEAF,
     TreeDecomposition,
@@ -121,27 +120,25 @@ def hand_built_joins():
 
 def other_branch_join_triangle():
     """Triangle 0-1-2 with a hand-built nice decomposition, checked by
-    check_nice.  Edge 01 is introduced in the left join branch, but
-    the right branch introduces 0 after 1; edge 12 is introduced on the
-    right, but the left branch introduces 2 after 1; edge 02 is introduced
-    above the join."""
+    check_nice.  Both join branches hold every edge: the left one
+    introduces 0, 1, 2 and the right one 2, 1, 0, so each branch meets
+    each edge at the introduce of its later end in that order.  The
+    orientation DP applies edges 02 and 12 at the forget of 2 above the
+    join, and 01 at the forget of 0."""
     g = complete(3)
     nodes = (
         NiceNode(LEAF, frozenset(), ()),  # 0
         NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
         NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
-        NiceNode(INTRODUCE_EDGE, frozenset({0, 1}), (2,), edge=(0, 1)),
-        NiceNode(INTRODUCE, frozenset({0, 1, 2}), (3,), vertex=2),
-        NiceNode(LEAF, frozenset(), ()),  # 5
-        NiceNode(INTRODUCE, frozenset({2}), (5,), vertex=2),
-        NiceNode(INTRODUCE, frozenset({1, 2}), (6,), vertex=1),
-        NiceNode(INTRODUCE_EDGE, frozenset({1, 2}), (7,), edge=(1, 2)),
-        NiceNode(INTRODUCE, frozenset({0, 1, 2}), (8,), vertex=0),
-        NiceNode(JOIN, frozenset({0, 1, 2}), (4, 9)),  # 10
-        NiceNode(INTRODUCE_EDGE, frozenset({0, 1, 2}), (10,), edge=(0, 2)),
-        NiceNode(FORGET, frozenset({0, 1}), (11,), vertex=2),
-        NiceNode(FORGET, frozenset({1}), (12,), vertex=0),
-        NiceNode(FORGET, frozenset(), (13,), vertex=1),
+        NiceNode(INTRODUCE, frozenset({0, 1, 2}), (2,), vertex=2),
+        NiceNode(LEAF, frozenset(), ()),  # 4
+        NiceNode(INTRODUCE, frozenset({2}), (4,), vertex=2),
+        NiceNode(INTRODUCE, frozenset({1, 2}), (5,), vertex=1),
+        NiceNode(INTRODUCE, frozenset({0, 1, 2}), (6,), vertex=0),
+        NiceNode(JOIN, frozenset({0, 1, 2}), (3, 7)),  # 8
+        NiceNode(FORGET, frozenset({0, 1}), (8,), vertex=2),
+        NiceNode(FORGET, frozenset({1}), (9,), vertex=0),
+        NiceNode(FORGET, frozenset(), (10,), vertex=1),
     )
     ntd = nice_from_records(g, nodes)
     assert check_nice(ntd, g).ok
@@ -150,10 +147,10 @@ def other_branch_join_triangle():
 
 def square_joined_at_its_diagonal():
     """The 4-cycle 0-2-1-3 with a hand-built nice decomposition that joins
-    over the bag {0, 1}: vertex 2 and its edges lie in the left branch and
-    vertex 3 and its edges in the right.  With caps (2, 2, 1, 1), each side
-    has the states (0, 1) and (1, 0) over (0, 1), and the join state (1, 1)
-    arises from both pairs."""
+    over the bag {0, 1}: vertex 2 lies in the left branch and vertex 3 in
+    the right, and each one's edges are applied at its forget there.  With
+    caps (2, 2, 1, 1), each side has the states (0, 1) and (1, 0) over
+    (0, 1), and the join state (1, 1) arises from both pairs."""
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     nodes = []
 
@@ -167,8 +164,6 @@ def square_joined_at_its_diagonal():
         i = add(INTRODUCE, {0}, (i,), vertex=0)
         i = add(INTRODUCE, {0, 1}, (i,), vertex=1)
         i = add(INTRODUCE, {0, 1, x}, (i,), vertex=x)
-        i = add(INTRODUCE_EDGE, {0, 1, x}, (i,), edge=(0, x))
-        i = add(INTRODUCE_EDGE, {0, 1, x}, (i,), edge=(1, x))
         tops.append(add(FORGET, {0, 1}, (i,), vertex=x))
     i = add(JOIN, {0, 1}, tops)
     i = add(FORGET, {0}, (i,), vertex=1)
@@ -363,8 +358,8 @@ class TestDpListColoring:
         assert answers == {True, False}
 
     def test_an_empty_list_answers_no(self):
-        # bound 0 at the empty-list vertex: the tables are empty from its
-        # introduce on, and the bound product is taken afresh past its forget
+        # the DP answers None on an empty list before it builds any table,
+        # as every bound of the driver is at least 1
         g3, joined = other_branch_join_triangle()
         cases = [(g3, joined, [{1, 2}, set(), {1, 2, 3}])]
         cases += [(g, nice_of(g), [{1, 2, 3}] * v + [set()] + [{1, 2, 3}] * (g.n - v - 1))
@@ -486,9 +481,10 @@ class TestDpChosenOutdegree:
     def test_only_forget_filters_and_the_traceback_visits_minimal_states(
         self, monkeypatch, method
     ):
-        # introduce_edge and join keep dominated states; forget filters its
-        # table to an antichain (one of at most one state is one unfiltered),
-        # and the traceback reads only minimal states
+        # join and the edges applied at forget keep dominated states; forget
+        # filters its table to an antichain once it has applied its edges and
+        # projected (a table of at most one state is one unfiltered), and the
+        # traceback reads only minimal states
         runs, filtered_at, kind_now = [], [], [None]
         run, minimal = solvers._NiceDP.run, solvers._minimal_states
 
@@ -523,12 +519,22 @@ class TestDpChosenOutdegree:
                 bag = list(bits(ntd.bag[i]))
                 return {tuple(s >> dp.off[v] & vmask for v in bag): s for s in dp.tables[i]}
 
+            def before_projection(i):
+                # the child's table with every edge at the forgotten vertex
+                # applied in both directions, unfiltered
+                g, x, table = inst.graph, ntd.vertex[i], set(dp.tables[ntd.left[i]])
+                for e, w in zip(g.edges, inst.weights):
+                    if x in e and ntd.bag[i] >> (e[0] + e[1] - x) & 1:
+                        table = {s + (w << dp.off[t]) for s in table for t in e
+                                 if (s >> dp.off[t] & vmask) + w <= inst.rho[t]}
+                return table
+
             for i, kind in enumerate(ntd.kind):
                 if kind == FORGET:
                     table = decoded(i)
                     assert len(table) == len(dp.tables[i])
                     assert tuple_pareto_minimal(table) == table
-                    forgets += len(dp.tables[ntd.left[i]]) > 1
+                    forgets += len(before_projection(i)) > 1
             for i, s in visited:
                 assert s in tuple_pareto_minimal(decoded(i)).values(), (i, s)
             visits += len(visited)
@@ -740,10 +746,10 @@ OVER_BOUND = """
 import sys
 from twlab.graphs import Graph
 from twlab.solvers import _NiceDP
-from twlab.treewidth import FORGET, INTRODUCE, INTRODUCE_EDGE, JOIN, LEAF, heuristic_decomposition, to_nice
+from twlab.treewidth import FORGET, INTRODUCE, JOIN, LEAF, heuristic_decomposition, to_nice
 print(sys.flags.optimize)
 g = Graph(3, [(0, 1), (1, 2)])
-step = dict.fromkeys((LEAF, INTRODUCE, INTRODUCE_EDGE, JOIN), lambda i: {0})
+step = dict.fromkeys((LEAF, INTRODUCE, JOIN), lambda i: {0})
 step[FORGET] = lambda i: {0, 1}
 try:
     _NiceDP(g, to_nice(heuristic_decomposition(g), g), 1).run([1] * g.n, step, lambda i, s: (s, s))
@@ -757,6 +763,44 @@ def test_table_over_its_bound_raises_under_python_O():
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(solvers.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-O", "-c", OVER_BOUND], capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout == "1\ntable over its bound\n", proc.stderr
+
+
+# the path 0-1-2 on a nice tree in which 1 and 2 share no bag: 1 is
+# forgotten before 2 is introduced, so no forget ever applies the edge 12
+EDGE_IN_NO_BAG = """
+import sys
+from conftest import NiceNode, nice_from_records
+from twlab.graphs import Graph
+from twlab.problems import ChosenOutdegreeInstance
+from twlab.solvers import dp_chosen_outdegree
+from twlab.treewidth import FORGET, INTRODUCE, LEAF
+print(sys.flags.optimize)
+g = Graph(3, [(0, 1), (1, 2)])
+ntd = nice_from_records(g, [
+    NiceNode(LEAF, frozenset(), ()),
+    NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
+    NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
+    NiceNode(FORGET, frozenset({1}), (2,), vertex=0),
+    NiceNode(FORGET, frozenset(), (3,), vertex=1),
+    NiceNode(INTRODUCE, frozenset({2}), (4,), vertex=2),
+    NiceNode(FORGET, frozenset(), (5,), vertex=2),
+])
+try:
+    dp_chosen_outdegree(ChosenOutdegreeInstance(g, [1, 1], (1, 1, 1)), ntd)
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_an_edge_no_forget_applies_raises(flags):
+    # the orientation DP counts the edges it applies with a plain raise, so
+    # a tree that misses an edge is refused under python -O too
+    src = pathlib.Path(solvers.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(pathlib.Path(__file__).parent)])}
+    proc = subprocess.run([sys.executable, *flags, "-c", EDGE_IN_NO_BAG], capture_output=True, text=True, env=env)
+    expected = f"{int(bool(flags))}\nthe nice tree applies 1 of the graph's 2 edges\n"
+    assert proc.returncode == 0 and proc.stdout == expected, proc.stderr
 
 
 class TestFlow:

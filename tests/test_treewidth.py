@@ -266,7 +266,7 @@ class TestGreedyOrder:
             td = heuristic_decomposition(g, "min-fill")
             ntd = to_nice(td, g)
         assert width(td) == 7
-        assert len(ntd.nodes) == 19776
+        assert len(ntd.nodes) == 15382
 
 
 class TestExact:
@@ -387,7 +387,7 @@ class TestToNice:
         ntd = to_nice(td, g)
         assert check_nice(ntd, g).ok
         kinds = sorted(ntd.kind)
-        assert kinds == ["forget", "forget", "introduce", "introduce", "introduce_edge", "leaf"]
+        assert kinds == ["forget", "forget", "introduce", "introduce", "leaf"]
 
     def test_width_preserved_on_c4(self):
         g = cycle(4)
@@ -396,14 +396,22 @@ class TestToNice:
         assert ntd.width() == width(td) == 2
         assert check_nice(ntd, g).ok
 
-    def test_every_edge_introduced_once_on_randoms(self):
+    def test_every_edge_has_one_forget_whose_child_bag_holds_its_other_end(self):
+        # the forget of the endpoint forgotten first, where the orientation
+        # DP applies the edge; on both heuristics' trees and on a validated
+        # decomposition built by the reference fill-in from a random order
         rng = random.Random(9)
         for _ in range(30):
             g = random_graph(rng, n_max=10)
-            ntd = to_nice(heuristic_decomposition(g), g)
-            introduced = [e for k, e in zip(ntd.kind, ntd.edge) if k == "introduce_edge"]
-            assert sorted(introduced) == list(g.edges)
-            assert check_nice(ntd, g).ok
+            order = rng.sample(range(g.n), g.n)
+            hand_built = union_find_elimination_decomposition(g, order)
+            assert hand_built.graph is None and validate(hand_built, g).ok
+            for td in (heuristic_decomposition(g, "min-fill"), heuristic_decomposition(g, "min-degree"), hand_built):
+                ntd = to_nice(td, g)
+                assert check_nice(ntd, g).ok
+                found = [canon(x, u) for i, x in enumerate(ntd.vertex) if ntd.kind[i] == "forget"
+                         for u in g.neighbors(x) if ntd.bag[ntd.left[i]] >> u & 1]
+                assert sorted(found) == list(g.edges)
 
     def test_invalid_decomposition_rejected(self, triangle):
         with pytest.raises(InputError):
@@ -430,14 +438,14 @@ class TestToNice:
 
 def assert_same_nice(td, g):
     got, ref = to_nice(td, g), reference_to_nice(td, g)
-    assert nice_records(got) == nice_records(ref)  # kind, bag, children, vertex, edge
+    assert nice_records(got) == nice_records(ref)  # kind, bag, children, vertex
     assert got == ref and got.graph is g
 
 
 class TestMatchesReferenceBuilder:
     """to_nice writes the flat node lists directly; its tree equals the
-    record builder's node for node: ids, kinds, bags, children, vertices
-    and edges."""
+    record builder's node for node: ids, kinds, bags, children and
+    vertices."""
 
     @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
     def test_elimination_test_graphs(self, method):
