@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from twlab.errors import InputError
+from twlab.errors import InputError, require_at_most
 from twlab.graphs import (
     Graph,
     Orientation,
@@ -59,6 +59,8 @@ from twlab.graphs import (
     is_clique,
 )
 from twlab.problems import (
+    ARITY_CEILING,
+    VARIABLE_CEILING,
     ChosenOutdegreeInstance,
     BooleanRelation,
     Constraint,
@@ -223,12 +225,16 @@ def clique_to_gensat(g: Graph, k: int) -> ReductionOutput:
     """One relation of arity 2n listing, per edge (p, q) with p < q, the
     concatenated indicator vectors of p and q; one constraint per position
     pair (i, j) over the i-th and j-th variable blocks.  Satisfiable iff g
-    has a k-clique."""
+    has a k-clique.  The arity 2n and the k*n variables are held to the
+    ceilings of BooleanRelation and GensatInstance before anything of their
+    size is built."""
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
     n = g.n
     if n == 0:
         raise InputError("source graph must have at least one vertex")
+    require_at_most("arity", 2 * n, ARITY_CEILING)
+    require_at_most("variable count", k * n, VARIABLE_CEILING)
     tuples = []
     for p, q in g.edges:
         t = [0] * (2 * n)

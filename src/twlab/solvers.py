@@ -8,18 +8,18 @@ solved on, not the tree itself.  It gives each vertex a fixed bag slot
 order, which lists children first, checks each table's size against its
 bound (a product carried up the walk; a plain check, so it holds under
 python -O), tests the root table (the last node's) for the empty state and
-walks back root-to-leaves.  A nice tree has no edge nodes: the list DP
-drops colour clashes at introduce, and the orientation DP applies each edge
-at the forget of the end forgotten first.  Everything reads the nice tree's
-flat lists by node id: a bag is an int bitmask whose vertices come by
-ascending bit, and a vertex's neighbours in it are the bag ANDed with the
-vertex's adjacency mask, built per solve.  A DP brings only its encoding, one table handler
-per node kind and one back-step, each taking a node id; the back-steps read
-witnesses off back-pointers in the orientation DP and least-colour maps at
-forget nodes in the list-colouring DP.  The list-colouring DP joins the
-tables below the introduce chains that to_nice lifts each join child by:
-the nodes of those chains carry the table below them up to the join as it
-is.  The solvers do not check the witnesses they return: the harness
+walks back root-to-leaves.  A nice tree has forget and join nodes only,
+and a join introduces the part of its bag its children lack.  It has no
+edge nodes: the list DP drops colour clashes where it colours a vertex, and
+the orientation DP applies each edge at the forget of the end forgotten
+first.  Everything reads the nice tree's flat lists by node id: a bag is an
+int bitmask whose vertices come by ascending bit, and a vertex's neighbours
+in it are the bag ANDed with the vertex's adjacency mask, built per solve.
+A DP brings only its encoding, one table handler per node kind and one
+back-step, each taking a node id; the back-steps read witnesses off
+back-pointers in the orientation DP and least-colour maps at forget nodes
+in the list-colouring DP.  The solvers do not check the witnesses they
+return: the harness
 (`twlab verify`) and the CLI (`twlab solve`) check each yes-witness once
 with its kind's checker.
 """
@@ -37,9 +37,7 @@ from twlab.graphs import Graph, Orientation, canon
 from twlab.problems import ChosenOutdegreeInstance, ListColoringInstance, MinMaxOutdegreeInstance
 from twlab.treewidth import (
     FORGET,
-    INTRODUCE,
     JOIN,
-    LEAF,
     NiceTreeDecomposition,
     bits,
     check_nice,  # noqa: F401  not called; test_tracer_restores_every_binding reads it here
@@ -92,25 +90,25 @@ class _NiceDP:
         """In index order, children first, step[kind](i) builds node i's
         table, which must hold at most cap[i] = prod(bound[v] for v in its
         bag) states: a larger one raises AssertionError, under python -O
-        too.  Every bound is at least 1, and cap is carried up from the
-        child: introduce(v) multiplies by bound[v], and forget(v) divides by
-        it.  False if the root table lacks state 0.
+        too.  Every bound is at least 1, and cap is carried up from the left
+        child (1 where there is none): forget(v) divides by bound[v], and a
+        join multiplies by the bounds of the bag vertices its left child
+        lacks.  False if the root table lacks state 0.
         Otherwise walk root-to-leaves from state 0, where back(i, s) records
         what node i adds to the witness and gives the states of its children
-        in order (a one-child node may give more), and return True."""
+        in order, and return True."""
         ntd, tables = self.ntd, self.tables
-        kind, vertex, left, right = ntd.kind, ntd.vertex, ntd.left, ntd.right
+        kind, bag, vertex, left, right = ntd.kind, ntd.bag, ntd.vertex, ntd.left, ntd.right
         cap: list[int] = []
         for i, k in enumerate(kind):
             table = step[k](i)
-            if k == LEAF:
-                c = 1
-            elif k == INTRODUCE:
-                c = cap[left[i]] * bound[vertex[i]]
-            elif k == FORGET:
-                c = cap[left[i]] // bound[vertex[i]]
+            child = left[i]
+            c = cap[child] if child >= 0 else 1
+            if k == FORGET:
+                c //= bound[vertex[i]]
             else:
-                c = cap[left[i]]
+                for v in bits(bag[i] & ~bag[child] if child >= 0 else bag[i]):
+                    c *= bound[v]
             if len(table) > c:
                 raise AssertionError("table over its bound")
             cap.append(c)
@@ -120,7 +118,7 @@ class _NiceDP:
         stack = [(ntd.root, 0)]
         while stack:
             i, s = stack.pop()
-            if left[i] >= 0:  # a leaf adds nothing
+            if left[i] >= 0:  # a join without children adds nothing
                 t = back(i, s)
                 stack.append((left[i], t[0]))
                 if right[i] >= 0:
@@ -135,36 +133,30 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     Encoding: the union of all lists is sorted once into the palette, and
     palette[r] has code r + 1; code 0 marks an empty slot.  Each slot is
     len(palette).bit_length() bits wide, and v's slot starts at bit off[v].
-    Introduce ORs code << off[v] in, forget masks it out, and the root state
-    is 0.  A table is a set of these ints (at a forget node, the keys of its
-    least-colour map).
+    A join ORs code << off[v] in for each vertex v it introduces, forget
+    masks it out, and the root state is 0.  A table is a set of these ints
+    (at a forget node, the keys of its least-colour map).
 
-    Filtering: introduce colours v from its list and drops every state in
-    which a neighbour of v in the bag has v's colour.  So every table holds
-    only proper colourings of the graph induced on its bag, and as every
-    edge lies in some bag, the introduce of its later endpoint below that
-    bag drops its clashes: the tree needs no edge nodes.
+    Filtering: a join colours the vertices it introduces one at a time, in
+    ascending order, each from its list, and drops every state in which a
+    bag vertex coloured before it, and adjacent to it, has its colour.  So
+    every table holds only proper colourings of the graph induced on its
+    bag, and as every edge lies in some bag, the tree needs no edge nodes.
+    The driver's bound divides by a list's size at the forget of its
+    vertex, so an empty list answers None before the walk.
 
-    Join: to_nice lifts each join child to the join's bag B by a chain of
-    introduce nodes.  Lifted, a branch would colour the
-    vertices only the other branch holds with no constraint, and the join
-    would throw most of those states away.  So the nodes of those chains
-    carry the table of the node below them up as it is (a pass over the
-    joins, walking down each chain once, finds them), and the join reads,
-    from its two children, the tables T1 and T2 of the nodes right below its
-    two chains, over bags X1 and X2.  It indexes T2 by the colours on
-    X1 & X2 and ORs each state of T1 with every state of T2 that agrees
-    there (a natural join; Yannakakis, VLDB 1981), drops the states that
-    colour alike the ends of an edge between X1 - X2 and X2 - X1, and
-    colours the vertices of B outside X1 | X2 as introduce does.  That gives
-    the proper colourings of G[B] that restrict into T1 and T2, which is the
-    intersection of the two lifted tables.  A carried table keeps within
-    the bound of each chain node only while no list is empty, so an empty
-    list answers None before the walk.
+    Join: over its bag B, a join starts from its left child's table T1 over
+    bag X1, or from {0} over the empty bag when it has no child.  With a
+    right child, table T2 over X2, it indexes T2 by the colours on X1 & X2
+    and ORs each state of T1 with every state of T2 that agrees there (a
+    natural join; Yannakakis, VLDB 1981), and drops the states that colour
+    alike the ends of an edge between X1 - X2 and X2 - X1.  It then colours
+    the vertices of B outside X1 | X2 as above.  That gives the proper
+    colourings of G[B] that restrict into T1 and T2.
 
     Witness: forget keeps, for each projected state, the least colour code
     it saw, and the traceback rebuilds the child state as s | code << off[v];
-    it reads nothing else, so passing down a lifting chain reads no table.
+    a join hands each child its state masked down to the child's bag.
     The tuple DP that the tests keep as an oracle takes the first child state
     in sorted order, which has the least colour at v.  It drops clashes at
     forget instead, where v leaves its bag neighbours, so its tables also
@@ -188,19 +180,8 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     adj = neighbour_masks(g)
     fresh = [[code[c] << o for c in l] for l, o in zip(inst.lists, off)]
     least: dict[int, dict[int, int]] = {}  # forget node -> state -> least child code
+    held: dict[int, int] = {}  # node -> the state bits of its bag's slots
     colors: dict[int, int] = {}
-    lifting: set[int] = set()  # the introduce nodes of join children's chains
-
-    def under(c: int) -> int:
-        """The node below the chain of introduce nodes that c heads (c
-        itself if it heads none), marking the chain lifting."""
-        while kind[c] == INTRODUCE:
-            lifting.add(c)
-            c = left[c]
-        return c
-
-    # join -> the bags X1 and X2 of the nodes below its two chains
-    below = {i: (bag[under(left[i])], bag[under(right[i])]) for i, k in enumerate(kind) if k == JOIN}
 
     def proper(table: set[int], v: int, nbrs: int) -> set[int]:
         """The states of table in which no vertex of the mask nbrs has v's colour."""
@@ -209,13 +190,6 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             p = off[u]
             table = {s for s in table if (s >> p ^ s >> o) & mask}
         return table
-
-    def introduce(i: int) -> Collection[int]:
-        table = tables.pop(left[i])
-        if i in lifting:  # carried up to the join as it is
-            return table
-        v = vertex[i]
-        return proper({s | cs for s in table for cs in fresh[v]}, v, bag[i] & adj[v])
 
     def forget(i: int) -> Collection[int]:
         o = off[vertex[i]]
@@ -226,21 +200,28 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             if best.get(p, c + 1) > c:
                 best[p] = c
         least[i] = best
+        held[i] = held[left[i]] & keep
         return best.keys()
 
-    def join(i: int) -> Collection[int]:  # its children carry the tables below their chains
-        x1, x2 = below[i]
-        key = sum(mask << off[v] for v in bits(x1 & x2))
-        index: dict[int, list[int]] = {}
-        for s in tables.pop(right[i]):
-            index.setdefault(s & key, []).append(s)
-        table = {s | t for s in tables.pop(left[i]) for t in index.get(s & key, ())}
-        for u in bits(x1 & ~x2):  # the edges between the two sides
-            table = proper(table, u, adj[u] & x2 & ~x1)
-        have = x1 | x2
-        for v in bits(bag[i] & ~have):  # the bag vertices neither side holds
+    def join(i: int) -> Collection[int]:
+        l, r = left[i], right[i]
+        table, have, h = (tables.pop(l), bag[l], held[l]) if l >= 0 else ({0}, 0, 0)
+        if r >= 0:
+            x1, x2 = have, bag[r]
+            key = h & held[r]  # the slots of X1 & X2, as bag vertices hold distinct slots
+            h |= held[r]
+            index: dict[int, list[int]] = {}
+            for s in tables.pop(r):
+                index.setdefault(s & key, []).append(s)
+            table = {s | t for s in table for t in index.get(s & key, ())}
+            for u in bits(x1 & ~x2):  # the edges between the two sides
+                table = proper(table, u, adj[u] & x2 & ~x1)
+            have |= x2
+        for v in bits(bag[i] & ~have):  # the bag vertices neither child holds
             have |= 1 << v
+            h |= mask << off[v]
             table = proper({s | cs for s in table for cs in fresh[v]}, v, have & adj[v])
+        held[i] = h
         return table
 
     def back(i: int, s: int) -> tuple[int, ...]:
@@ -248,12 +229,9 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             c = least[i][s]
             colors[vertex[i]] = palette[c - 1]
             return (s | c << off[vertex[i]],)
-        if kind[i] == INTRODUCE:
-            return (s & ~(mask << off[vertex[i]]),)
-        return (s, s)  # join
+        return tuple([s & held[c] for c in (left[i], right[i]) if c >= 0])  # join
 
-    step = {LEAF: lambda i: {0}, INTRODUCE: introduce, FORGET: forget, JOIN: join}
-    if not dp.run([len(l) for l in inst.lists], step, back):
+    if not dp.run([len(l) for l in inst.lists], {FORGET: forget, JOIN: join}, back):
         return None
     return colors
 
@@ -311,18 +289,20 @@ def dp_chosen_outdegree(
     no bag vertex holds is 0 in both states, so it reads 2^vb in (b | G) - a,
     its guard bit set, and the test is the same.
 
-    Nodes: introduce passes its child's table through, as v's slot is 0.
-    Forget(v) first applies each edge from v to a neighbour u in its child's
-    bag (each edge once: see NiceTreeDecomposition), by ascending u, into a
-    table of its own (state -> tail): for the edge ab, a < b, it adds w at a
-    to the states that keep a within its cap, then w at b where that gives
-    a new state.  A count of the edges applied short of the graph's raises
-    AssertionError, by a plain raise that holds under python -O.  Forget
-    then masks v's slot out.  Join adds a left and a right state, sound as
-    every edge is applied once.  For a left state s1 the right states that fit,
-    s2 <= caps - s1 pointwise, are <= caps - s1 as ints (the difference
-    borrows nowhere), so bisection bounds them in the sorted right table and
-    the guard test with b = caps - s1 picks them out.
+    Nodes: a join without children has the one state 0, and a join with
+    one child passes its child's table through, as the slots it introduces
+    are 0.  Forget(v) first applies each edge from v to a neighbour u in its
+    child's bag (each edge once: see NiceTreeDecomposition), by ascending u,
+    into a table of its own (state -> tail): for the edge ab, a < b, it adds
+    w at a to the states that keep a within its cap, then w at b where that
+    gives a new state.  A count of the edges applied short of the graph's
+    raises AssertionError, by a plain raise that holds under python -O.
+    Forget then masks v's slot out.  A join with two children adds a left
+    and a right state, sound as every edge is applied once.  For a left
+    state s1 the right states that fit, s2 <= caps - s1 pointwise, are
+    <= caps - s1 as ints (the difference borrows nowhere), so bisection
+    bounds them in the sorted right table and the guard test with
+    b = caps - s1 picks them out.
 
     Dominance: only forget filters, keeping the Pareto-minimal states of its
     table once its edges are applied and v's slot is masked out.  Caps are
@@ -388,6 +368,8 @@ def dp_chosen_outdegree(
         return _minimal_states(table, guard, vmask, map(off.__getitem__, bits(bag[i])))
 
     def join(i: int) -> dict[int, object]:  # back-pointer: the left state
+        if right[i] < 0:
+            return tables[left[i]] if left[i] >= 0 else {0: None}
         caps = sum(rho[v] << off[v] for v in bits(bag[i]))
         rights = sorted(tables[right[i]])
         lefts = tables[left[i]]
@@ -403,7 +385,7 @@ def dp_chosen_outdegree(
         return table
 
     def back(i: int, s: int) -> tuple[int, ...]:
-        if kind[i] == INTRODUCE:
+        if kind[i] == JOIN and right[i] < 0:
             return (s,)
         t = tables[i][s]
         if kind[i] == JOIN:  # t is the left state
@@ -416,8 +398,7 @@ def dp_chosen_outdegree(
             t -= weights[j] << off[tail]
         return (t,)
 
-    step = {LEAF: lambda i: {0: None}, INTRODUCE: lambda i: tables[left[i]], FORGET: forget, JOIN: join}
-    found = dp.run([r + 1 for r in rho], step, back)
+    found = dp.run([r + 1 for r in rho], {FORGET: forget, JOIN: join}, back)
     if applied != len(g.edges):
         raise AssertionError(f"the nice tree applies {applied} of the graph's {len(g.edges)} edges")
     return Orientation(g, direction) if found else None

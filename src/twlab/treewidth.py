@@ -12,11 +12,13 @@ to_nice trusts it for that very object without validating it again; every
 other decomposition (hand-built, written by a reduction, read from JSON, or
 paired with an equal but distinct graph) is validated.
 
-A nice decomposition has leaf, introduce, forget and join nodes and no edge
-nodes.  It is stored flat: parallel lists of kind, bag (an int bitmask),
-vertex and the two children, one entry per node.  Only to_nice builds one, for the graph
-it carries, and it writes the lists directly; the solvers read them, so
-building and walking a nice tree allocates no tuple or set per node.
+A nice decomposition has two kinds of node, forget and join, and no edge
+nodes; a join introduces the part of its bag that its children lack, so
+there are no leaf or introduce nodes.  It is stored flat: parallel lists of
+kind, bag (an int bitmask), vertex and the two children, one entry per
+node.  Only to_nice builds one, for the graph it carries, and it writes the
+lists directly; the solvers read them, so building and walking a nice tree
+allocates no tuple or set per node.
 check_nice is the tests' oracle for to_nice's trees; no solver calls it.
 """
 
@@ -299,8 +301,6 @@ def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, Tr
 
 # --- nice form ---------------------------------------------------------------
 
-LEAF = "leaf"
-INTRODUCE = "introduce"
 FORGET = "forget"
 JOIN = "join"
 
@@ -316,19 +316,21 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class NiceTreeDecomposition:
-    """Rooted normalized decomposition with four kinds of node: leaf (empty
-    bag), introduce(v), forget(v) and join (two children with equal bags).
-    There are no edge nodes.  The nodes holding a vertex form a subtree, and
-    v's forget is the parent of its top, so for each edge uv exactly one of
-    the two forgets, that of the endpoint forgotten first, has the other
-    endpoint in its child's bag: that forget is where a solver handles uv.
-    Nodes are stored children first: every child's id is smaller than its
-    parent's, and the last node is the root, whose bag is empty.
+    """Rooted normalized decomposition with two kinds of node: forget(v),
+    whose one child's bag is its own bag plus v, and join, which has no
+    child, a left child, or a left and a right child, each with a bag within
+    its own, and introduces the rest of its bag.  There are no edge nodes.
+    The nodes holding a vertex form a subtree, and v's forget is the parent
+    of its top, so for each edge uv exactly one of the two forgets, that of
+    the endpoint forgotten first, has the other endpoint in its child's bag:
+    that forget is where a solver handles uv.  Nodes are stored children
+    first: every child's id is smaller than its parent's, and the last node
+    is the root, whose bag is empty.
 
     The store is flat, one list entry per node id: kind[i]; bag[i] as an
-    int bitmask, bit v set iff v is in the bag; vertex[i], the introduce or
-    forget payload (-1 elsewhere); left[i] and right[i], the children (-1
-    where there is none; a one-child node has only a left child).
+    int bitmask, bit v set iff v is in the bag; vertex[i], the forget
+    payload (-1 at a join); left[i] and right[i], the children (-1 where
+    there is none; a join with one child has only a left child).
 
     Only to_nice builds one: the constructor takes the graph and makes the
     lists empty, and to_nice fills them.  So every nice tree is a nice tree
@@ -360,11 +362,18 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     A decomposition the elimination builders made for this very graph object
     (td.graph is g) is trusted; any other is validated first, and one that
     fails validate raises InputError.  The host tree, rooted at node 0, is
-    built bottom-up in one pass: each child is chained up to its parent's
-    bag and children are joined left to right.  Each node is appended after
-    its children, the root last, so the result is a nice tree of g by
-    construction, and it carries g as its `graph`.  Bags are int bitmasks
-    throughout, and the node lists of the result are appended to directly.
+    built bottom-up in one pass: each child is chained by forgets down to
+    the part of its bag its parent holds, and a host node becomes a join of
+    those chains over its own bag, or a chain of joins left to right when
+    it has three or more children.  A join is written once per maximal run
+    of introductions: a join that a child's chain reaches without a forget
+    is widened to the parent's bag instead of getting a join above it, and
+    a host node with one child adds no join where nothing is left to
+    introduce or where its parent's bag holds its own, as the node above
+    then introduces the rest.  Each node is appended after its children,
+    the root last, so the result is a nice tree of g by construction, and
+    it carries g as its `graph`.  Bags are int bitmasks throughout, and the
+    node lists of the result are appended to directly.
     """
     if td.graph is not g:
         check = validate(td, g)
@@ -373,7 +382,7 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     ntd = NiceTreeDecomposition(g)
     kinds, bags, vertices, lefts, rights = ntd.kind, ntd.bag, ntd.vertex, ntd.left, ntd.right
 
-    def add(kind: str, bag: int, left: int, vertex: int = -1, right: int = -1) -> int:
+    def add(kind: str, bag: int, vertex: int = -1, left: int = -1, right: int = -1) -> int:
         kinds.append(kind)
         bags.append(bag)
         vertices.append(vertex)
@@ -382,31 +391,32 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         return len(kinds) - 1
 
     def chain_to(node: int, target: int) -> int:
-        """Forget/introduce one vertex at a time until the bag equals target,
-        in ascending vertex order."""
+        """Forget the vertices of node's bag outside target one at a time,
+        in ascending vertex order.  A join reached without a forget is
+        widened to target: it introduces what the node above would."""
         bag = bags[node]
         for v in bits(bag & ~target):
             bag ^= 1 << v
-            node = add(FORGET, bag, node, v)
-        for v in bits(target & ~bag):
-            bag |= 1 << v
-            node = add(INTRODUCE, bag, node, v)
+            node = add(FORGET, bag, v, node)
+        if kinds[node] == JOIN:
+            bags[node] = target
         return node
 
     order, parent = _walk(td.tree)  # rooted at node 0
     kids: list[list[int]] = [[] for _ in td.bags]
     for t in order[1:]:
         kids[parent[t]].append(t)
-    built = [0] * len(td.bags)  # host node -> the nice node that ends its chain
+    masks = [sum(1 << v for v in b) for b in td.bags] + [0]  # index -1: the root's parent, empty
+    built = [0] * len(td.bags)  # host node -> the nice node that stands for it
     for t in reversed(order):
-        bag = sum(1 << v for v in td.bags[t])
-        if not kids[t]:
-            built[t] = chain_to(add(LEAF, 0, -1), bag)
+        bag = masks[t]
+        tops = [chain_to(built[s], bag) for s in kids[t]]
+        if len(tops) == 1 and (bags[tops[0]] == bag or not bag & ~masks[parent[t]]):
+            built[t] = tops[0]  # nothing to introduce, or the node above introduces it
             continue
-        lifted = [chain_to(built[s], bag) for s in kids[t]]
-        node = lifted[0]
-        for other in lifted[1:]:
-            node = add(JOIN, bag, node, right=other)
+        node = add(JOIN, bag, -1, *tops[:2])
+        for other in tops[2:]:
+            node = add(JOIN, bag, -1, node, other)
         built[t] = node
     root = chain_to(built[0], 0)
     assert root == len(kinds) - 1, "the root is not the last node"
@@ -416,7 +426,9 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
 
 def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
     """Structural checks for nice decompositions, read off the flat lists:
-    the tests' oracle for to_nice's trees.  Children before parents, and
+    the tests' oracle for to_nice's trees.  A forget(v) has one child, whose
+    bag is its own plus v; a join has no child, a left one, or a left and a
+    right one, each with a bag within its own.  Children before parents, and
     every node but the last the child of one node, make the nodes a tree
     rooted at the last node, and validate on that tree checks the bags,
     each edge of g in some bag included."""
@@ -434,20 +446,14 @@ def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
             continue
         for c in children:
             parents[c] += 1
-        one = len(children) == 1
-        below = bags[left] if one else 0
-        if kind == LEAF:
-            if bag or children:
-                violations.append(f"node {i}: leaf must have an empty bag and no children")
-        elif kind == INTRODUCE:
-            if not one or x < 0 or below >> x & 1 or bag != below | 1 << x:
-                violations.append(f"node {i}: bad introduce of {x}")
-        elif kind == FORGET:
-            if not one or x < 0 or not below >> x & 1 or bag != below ^ 1 << x:
+        if kind == FORGET:
+            if children != (left,) or x < 0 or not bags[left] >> x & 1 or bag != bags[left] ^ 1 << x:
                 violations.append(f"node {i}: bad forget of {x}")
         elif kind == JOIN:
-            if len(children) != 2 or bags[left] != bag or bags[right] != bag:
-                violations.append(f"node {i}: join children must repeat the bag")
+            if left < 0 <= right:
+                violations.append(f"node {i}: a join with one child must have it on the left")
+            elif any(bags[c] & ~bag for c in children):
+                violations.append(f"node {i}: a join's children must have bags within its own")
         else:
             violations.append(f"node {i}: unknown kind {kind}")
     strays = [i for i, p in enumerate(parents[:-1]) if p != 1]

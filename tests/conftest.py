@@ -35,9 +35,7 @@ from twlab.problems import (
 from twlab.solvers import _require_nice
 from twlab.treewidth import (
     FORGET,
-    INTRODUCE,
     JOIN,
-    LEAF,
     NiceTreeDecomposition,
     TreeDecomposition,
     _greedy_elimination,
@@ -288,6 +286,15 @@ def union_find_elimination_decomposition(g: Graph, order) -> TreeDecomposition:
     return TreeDecomposition(Graph(g.n, tree_edges), bags)
 
 
+# The two node kinds of the four-kind nice trees (Kloks 1994) that the
+# reference builder and the tuple DPs keep: a leaf has an empty bag and no
+# child, and introduce(v) adds v to its one child's bag.  to_nice writes
+# forget and join nodes only; collapse_to_joins maps the one form onto the
+# other.
+LEAF = "leaf"
+INTRODUCE = "introduce"
+
+
 class NiceNode(NamedTuple):
     """One node of a nice decomposition as a record, for trees built by hand
     (nice_from_records) and for reading a tree node by node (nice_records)."""
@@ -316,6 +323,46 @@ def nice_records(ntd: NiceTreeDecomposition) -> list[NiceNode]:
     rows = zip(ntd.kind, ntd.bag, ntd.left, ntd.right, ntd.vertex)
     return [NiceNode(kind, frozenset(bits(bag)), tuple([c for c in (l, r) if c >= 0]), x)
             for kind, bag, l, r, x in rows]
+
+
+def collapse_to_joins(four: NiceTreeDecomposition) -> NiceTreeDecomposition:
+    """The two-kind form of a four-kind nice tree, such as reference_to_nice
+    builds or nice_from_records is handed: each maximal introduce chain,
+    with the leaf or join below it, becomes one join over the bag of the
+    chain's top, in the place of that leaf or join; a leaf with no
+    introduce above it becomes a join with no child.  A maximal introduce
+    chain over a forget is dropped where a join lies right above it, the
+    join reading the forget, and otherwise becomes a join with the forget as
+    its one child, in the place of the chain's top.  Forget nodes keep
+    their bags and their order, and the result is to_nice's tree for the
+    decomposition reference_to_nice was given, node for node."""
+    records = nice_records(four)
+    up = [None] * len(records)  # each node's parent's kind
+    for node in records:
+        for c in node.children:
+            up[c] = node.kind
+    nodes: list[NiceNode] = []
+    stand: list[int] = []  # node -> the node of the result that stands for it (-1: none yet)
+    base: dict[int, int] = {}  # introduce node -> the node below its chain
+    for i, node in enumerate(records):
+        if node.kind != INTRODUCE:
+            children = tuple([stand[c] for c in node.children])
+            nodes.append(NiceNode(JOIN, node.bag, ()) if node.kind == LEAF else node._replace(children=children))
+            stand.append(len(nodes) - 1)
+            continue
+        c = node.children[0]
+        b = base[i] = base.get(c, c)
+        if records[b].kind != FORGET:  # widen the join the leaf or join below became
+            stand.append(stand[b])
+            nodes[stand[b]] = nodes[stand[b]]._replace(bag=node.bag)
+        elif up[i] == INTRODUCE:
+            stand.append(-1)
+        elif up[i] == JOIN:
+            stand.append(stand[b])
+        else:
+            nodes.append(NiceNode(JOIN, node.bag, (stand[b],)))
+            stand.append(len(nodes) - 1)
+    return nice_from_records(four.graph, nodes)
 
 
 def elimination_route_nice(g: Graph, method: str) -> NiceTreeDecomposition:

@@ -294,6 +294,24 @@ class TestReduceSolve:
                            str(g), "-o", str(tmp_path / "o.json"))
         assert code == 2 and "requires -k" in err
 
+    @pytest.mark.parametrize(
+        "n, k, message",
+        [(20000, 3, "error: arity 40000 exceeds the ceiling 1000"),
+         (8, 20000, "error: variable count 160000 exceeds the ceiling 100000")],
+        ids=["arity", "variables"],
+    )
+    def test_clique_gensat_checks_its_ceilings_first(self, capsys, tmp_path, n, k, message):
+        # each ceiling is checked before anything of its size is built: the
+        # path's 2n-wide edge tuples used to exhaust a 1.5 GB address space,
+        # and the 8-vertex graph's k(k-1)/2 constraints ran past 10 s
+        g, out = tmp_path / "g.json", tmp_path / "o.json"
+        g.write_text(json.dumps({"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}))
+        with within_seconds(5, f"clique-gensat -k {k} on a path of {n} vertices"):
+            code, stdout, err = run(capsys, "reduce", "--pipeline", "clique-gensat", "-k", str(k),
+                                    str(g), "-o", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.splitlines()[-1] == message
+
 
     def test_solve_dp_on_gensat_exit_2(self, capsys, tmp_path):
         g = tmp_path / "g.json"

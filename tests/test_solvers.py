@@ -9,7 +9,10 @@ import tracemalloc
 import pytest
 
 from conftest import (
+    INTRODUCE,
+    LEAF,
     NiceNode,
+    collapse_to_joins,
     complete,
     cycle,
     elimination_test_graphs,
@@ -18,6 +21,7 @@ from conftest import (
     nice_from_records,
     nice_records,
     path,
+    reference_to_nice,
     star,
     tuple_chosen_outdegree_dp,
     tuple_list_coloring_dp,
@@ -50,9 +54,7 @@ from twlab.solvers import (
 )
 from twlab.treewidth import (
     FORGET,
-    INTRODUCE,
     JOIN,
-    LEAF,
     TreeDecomposition,
     bits,
     check_nice,
@@ -63,6 +65,15 @@ from twlab.treewidth import (
 
 def nice_of(g):
     return to_nice(heuristic_decomposition(g, "min-fill"), g)
+
+
+def both_trees(g, method="min-fill"):
+    """to_nice's tree of g's heuristic decomposition, which the packed DPs
+    read, and reference_to_nice's four-kind tree of it, which the tuple DPs
+    and lift_then_intersect_join_tables read (collapse_to_joins maps the
+    second onto the first)."""
+    td = heuristic_decomposition(g, method)
+    return to_nice(td, g), reference_to_nice(td, g)
 
 
 def rand_graph(rng, n_max, p=0.4):
@@ -119,12 +130,13 @@ def hand_built_joins():
 
 
 def other_branch_join_triangle():
-    """Triangle 0-1-2 with a hand-built nice decomposition, checked by
-    check_nice.  Both join branches hold every edge: the left one
-    introduces 0, 1, 2 and the right one 2, 1, 0, so each branch meets
-    each edge at the introduce of its later end in that order.  The
-    orientation DP applies edges 02 and 12 at the forget of 2 above the
-    join, and 01 at the forget of 0."""
+    """Triangle 0-1-2 with a hand-built four-kind nice decomposition, whose
+    collapse to joins check_nice checks.  Both join branches hold every
+    edge: the left one introduces 0, 1, 2 and the right one 2, 1, 0, so
+    each branch meets each edge at the introduce of its later end in that
+    order; collapsed, each branch is a join without children over
+    {0, 1, 2}.  The orientation DP applies edges 02 and 12 at the forget of
+    2 above the join, and 01 at the forget of 0."""
     g = complete(3)
     nodes = (
         NiceNode(LEAF, frozenset(), ()),  # 0
@@ -140,15 +152,16 @@ def other_branch_join_triangle():
         NiceNode(FORGET, frozenset({1}), (9,), vertex=0),
         NiceNode(FORGET, frozenset(), (10,), vertex=1),
     )
-    ntd = nice_from_records(g, nodes)
-    assert check_nice(ntd, g).ok
-    return g, ntd
+    four = nice_from_records(g, nodes)
+    assert check_nice(collapse_to_joins(four), g).ok
+    return g, four
 
 
 def square_joined_at_its_diagonal():
-    """The 4-cycle 0-2-1-3 with a hand-built nice decomposition that joins
-    over the bag {0, 1}: vertex 2 lies in the left branch and vertex 3 in
-    the right, and each one's edges are applied at its forget there.  With
+    """The 4-cycle 0-2-1-3 with a hand-built four-kind nice decomposition,
+    checked collapsed to joins, that joins over the bag {0, 1}: vertex 2
+    lies in the left branch and vertex 3 in the right, and each one's edges
+    are applied at its forget there.  With
     caps (2, 2, 1, 1), each side has the states (0, 1) and (1, 0) over
     (0, 1), and the join state (1, 1) arises from both pairs."""
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -168,13 +181,14 @@ def square_joined_at_its_diagonal():
     i = add(JOIN, {0, 1}, tops)
     i = add(FORGET, {0}, (i,), vertex=1)
     add(FORGET, (), (i,), vertex=0)
-    ntd = nice_from_records(g, nodes)
-    assert check_nice(ntd, g).ok
-    return g, ntd
+    four = nice_from_records(g, nodes)
+    assert check_nice(collapse_to_joins(four), g).ok
+    return g, four
 
 
 def chosen_corpus(rng, method):
-    """Seeded capped-orientation instances with their nice decompositions:
+    """Seeded capped-orientation instances with their nice decompositions,
+    each as a pair (to_nice's tree, the four-kind tree it collapses from):
     n = 0..9 and a three-component graph, caps all 0 (one-bit slots), caps
     often below the weights, caps up to 1000 (11-bit slots); then the
     hand-built joins of other_branch_join_triangle and
@@ -188,14 +202,14 @@ def chosen_corpus(rng, method):
         caps, heaviest = ((0, 3), (4, 9), (1000, 400), (8, 3), (8, 3))[trial % 5]
         rho = tuple(rng.randint(0, caps) for _ in range(g.n))
         w = [rng.randint(1, heaviest) for _ in g.edges]
-        yield ChosenOutdegreeInstance(g, w, rho), to_nice(heuristic_decomposition(g, method), g)
-    g, ntd = other_branch_join_triangle()
+        yield ChosenOutdegreeInstance(g, w, rho), both_trees(g, method)
+    g, four = other_branch_join_triangle()
     for weights in itertools.product((1, 2), repeat=3):
         for rho in itertools.product(range(3), repeat=3):
-            yield ChosenOutdegreeInstance(g, weights, rho), ntd
-    g, ntd = square_joined_at_its_diagonal()
+            yield ChosenOutdegreeInstance(g, weights, rho), (collapse_to_joins(four), four)
+    g, four = square_joined_at_its_diagonal()
     for rho in itertools.product((1, 2), (1, 2), (0, 1, 2), (0, 1, 2)):
-        yield ChosenOutdegreeInstance(g, [1] * 4, rho), ntd
+        yield ChosenOutdegreeInstance(g, [1] * 4, rho), (collapse_to_joins(four), four)
 
 
 def count_pruned(monkeypatch):
@@ -320,9 +334,9 @@ class TestDpListColoring:
                 lists.append(rng.sample(palette, min(size, len(palette))))
             g = Graph(n, edges)
             inst = ListColoringInstance(g, lists)
-            ntd = to_nice(heuristic_decomposition(g, method), g)
+            ntd, four = both_trees(g, method)
             got = dp_list_coloring(inst, ntd)
-            assert got == tuple_list_coloring_dp(inst, ntd), (trial, n, edges, lists)
+            assert got == tuple_list_coloring_dp(inst, four), (trial, n, edges, lists)
             answers.add(got is None)
         assert answers == {True, False}
 
@@ -331,20 +345,21 @@ class TestDpListColoring:
         for rows, cols in ((1, 6), (2, 5), (3, 3), (4, 7), (5, 12), (5, 30), (6, 30)):
             for _ in range(3):
                 inst = grid_instance(rows, cols, rng)
-                ntd = nice_of(inst.graph)
-                assert dp_list_coloring(inst, ntd) == tuple_list_coloring_dp(inst, ntd)
+                ntd, four = both_trees(inst.graph)
+                assert dp_list_coloring(inst, ntd) == tuple_list_coloring_dp(inst, four)
 
     def test_disconnected_and_edgeless(self):
         for g in (Graph(0), Graph(5), Graph(12, [(0, 1), (2, 3), (4, 5), (5, 6), (6, 4)])):
             for lists in ([{1}] * g.n, [{7, 9}] * g.n, [set()] + [{1}] * (g.n - 1)):
                 inst = ListColoringInstance(g, lists[: g.n])
-                ntd = nice_of(g)
+                ntd, four = both_trees(g)
                 got = dp_list_coloring(inst, ntd)
-                assert got == tuple_list_coloring_dp(inst, ntd)
+                assert got == tuple_list_coloring_dp(inst, four)
                 assert (got is None) == (bf_list_coloring(inst) is None)
 
     def test_edges_introduced_in_other_join_branches(self):
-        g, ntd = other_branch_join_triangle()
+        g, four = other_branch_join_triangle()
+        ntd = collapse_to_joins(four)
         choices = ({1}, {2}, {1, 2}, {2, 3}, {1, 2, 3})
         answers = set()
         for a in choices:
@@ -352,7 +367,7 @@ class TestDpListColoring:
                 for c in choices:
                     inst = ListColoringInstance(g, [a, b, c])
                     got = dp_list_coloring(inst, ntd)
-                    assert got == tuple_list_coloring_dp(inst, ntd)
+                    assert got == tuple_list_coloring_dp(inst, four)
                     assert (got is None) == (bf_list_coloring(inst) is None)
                     answers.add(got is None)
         assert answers == {True, False}
@@ -361,17 +376,18 @@ class TestDpListColoring:
         # the DP answers None on an empty list before it builds any table,
         # as every bound of the driver is at least 1
         g3, joined = other_branch_join_triangle()
-        cases = [(g3, joined, [{1, 2}, set(), {1, 2, 3}])]
-        cases += [(g, nice_of(g), [{1, 2, 3}] * v + [set()] + [{1, 2, 3}] * (g.n - v - 1))
+        cases = [(g3, (collapse_to_joins(joined), joined), [{1, 2}, set(), {1, 2, 3}])]
+        cases += [(g, both_trees(g), [{1, 2, 3}] * v + [set()] + [{1, 2, 3}] * (g.n - v - 1))
                   for g in (path(5), grid(3, 4), complete(4)) for v in (0, g.n // 2, g.n - 1)]
-        for g, ntd, lists in cases:
+        for g, (ntd, four), lists in cases:
             inst = ListColoringInstance(g, lists)
             assert dp_list_coloring(inst, ntd) is None
-            assert tuple_list_coloring_dp(inst, ntd) is None
+            assert tuple_list_coloring_dp(inst, four) is None
 
     def test_joins_below_lifting_chains_match_lift_then_intersect(self, monkeypatch):
-        # a join reads the tables below its two lifting chains, which build
-        # none; its table must be the intersection of the two lifted tables
+        # a join with two children reads the tables below the reference
+        # tree's two lifting chains and introduces the rest of its bag; its
+        # table must be the intersection of the two lifted tables
         runs, run = [], solvers._NiceDP.run
 
         def recording(dp, bound, step, back):
@@ -387,18 +403,25 @@ class TestDpListColoring:
         rng = random.Random(16)
         insts = [grid_instance(rows, cols, rng) for rows, cols in ((3, 40), (4, 40), (5, 30), (6, 30)) for _ in "ab"]
         insts += [band_instance(n, 5, rng) for n in (100, 200, 300)]
-        cases = [(inst, nice_of(inst.graph)) for inst in insts]
+        cases = [(inst, both_trees(inst.graph)) for inst in insts]
         for g, td in hand_built_joins():
-            ntd = to_nice(td, g)
+            trees = to_nice(td, g), reference_to_nice(td, g)
             cases += [(ListColoringInstance(g, [rng.sample((1, 2, 3), rng.choice((1, 2, 2, 3))) for _ in range(g.n)]),
-                       ntd) for _ in range(150)]
+                       trees) for _ in range(150)]
         answers, lifted = set(), 0
-        for inst, ntd in cases:
+        for inst, (ntd, four) in cases:
             answers.add(dp_list_coloring(inst, ntd) is None)
             dp, joins = runs.pop()
-            assert joins == lift_then_intersect_join_tables(inst, ntd, dp.off)
             assert list(dp.tables) == [ntd.root]  # every table is dropped once read
-            lifted += sum(1 for i in joins if joins[i] and ntd.kind[ntd.left[i]] == INTRODUCE)
+            # the joins with two children stand for the reference tree's
+            # joins, in order; one widened to its parent's bag is skipped
+            twos = [i for i in joins if ntd.right[i] >= 0]
+            reference = lift_then_intersect_join_tables(inst, four, dp.off)
+            assert len(twos) == len(reference)
+            for i, j in zip(twos, reference):
+                if ntd.bag[i] == four.bag[j]:
+                    assert joins[i] == reference[j]
+                    lifted += bool(joins[i]) and ntd.bag[ntd.left[i]] != ntd.bag[i]
         assert answers == {True, False} and lifted > 100
 
     def test_7x40_grid_peak_memory(self):
@@ -470,9 +493,9 @@ class TestDpChosenOutdegree:
     def test_witnesses_match_tuple_oracle(self, method):
         # the packed DP must return the very orientation the tuple DP returned
         answers = set()
-        for inst, ntd in chosen_corpus(random.Random(13 if method == "min-fill" else 14), method):
+        for inst, (ntd, four) in chosen_corpus(random.Random(13 if method == "min-fill" else 14), method):
             got = dp_chosen_outdegree(inst, ntd)
-            expected = tuple_chosen_outdegree_dp(inst, ntd)
+            expected = tuple_chosen_outdegree_dp(inst, four)
             assert got == expected, (inst.graph.edges, inst.weights, inst.rho)
             answers.add(got is None)
         assert answers == {True, False}
@@ -510,7 +533,7 @@ class TestDpChosenOutdegree:
         monkeypatch.setattr(solvers._NiceDP, "run", recording)
         monkeypatch.setattr(solvers, "_minimal_states", counting)
         forgets = visits = 0
-        for inst, ntd in chosen_corpus(random.Random(13 if method == "min-fill" else 14), method):
+        for inst, (ntd, _) in chosen_corpus(random.Random(13 if method == "min-fill" else 14), method):
             dp_chosen_outdegree(inst, ntd)
             vmask = (1 << max(inst.rho, default=0).bit_length()) - 1
             dp, visited = runs.pop()
@@ -552,7 +575,7 @@ class TestDpChosenOutdegree:
                 ntd = nice_of(inst.graph)
                 got[plant] = dp_chosen_outdegree(inst, ntd)
         assert got[False] is None and got[True] is not None
-        assert got[True] == tuple_chosen_outdegree_dp(inst, ntd)
+        assert got[True] == tuple_chosen_outdegree_dp(inst, reference_to_nice(heuristic_decomposition(inst.graph), inst.graph))
 
 
 class TestMinMaxDp:
@@ -712,9 +735,9 @@ class TestNodeOrder:
     layout."""
 
     def test_a_child_after_its_parent_is_rejected(self):
-        g, ntd = other_branch_join_triangle()
-        nodes = nice_records(ntd)
-        swap = {0: 1, 1: 0}  # the first leaf and the introduce above it trade ids
+        g, four = other_branch_join_triangle()
+        nodes = nice_records(collapse_to_joins(four))
+        swap = {2: 3, 3: 2}  # the join and the forget above it trade ids
         renumbered = nice_from_records(g, (
             nodes[swap.get(i, i)]._replace(
                 children=tuple(swap.get(c, c) for c in nodes[swap.get(i, i)].children)
@@ -722,16 +745,16 @@ class TestNodeOrder:
             for i in range(len(nodes))
         ))
         check = check_nice(renumbered, g)
-        assert check.violations[0] == "node 0: children (1,) do not all come before it"
+        assert check.violations[0] == "node 2: children (3,) do not all come before it"
 
     def test_a_node_with_two_parents_is_rejected(self):
-        # node 1 hangs off the leaf beside the root's chain: a tree, but not
-        # rooted at the last node, and the leaf has two parents
+        # node 1 hangs off the empty join beside the root's chain: a tree,
+        # but not rooted at the last node, and the empty join has two parents
         g = Graph(2)
         nodes = (
-            NiceNode(LEAF, frozenset(), ()),
-            NiceNode(INTRODUCE, frozenset({1}), (0,), vertex=1),
-            NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
+            NiceNode(JOIN, frozenset(), ()),
+            NiceNode(JOIN, frozenset({1}), (0,)),
+            NiceNode(JOIN, frozenset({0}), (0,)),
             NiceNode(FORGET, frozenset(), (2,), vertex=0),
         )
         ntd = nice_from_records(g, nodes)
@@ -741,42 +764,54 @@ class TestNodeOrder:
         )
 
 
-# every bound is 1, so every table may hold one state; forget returns two
+# the join over {0, 1, 2} reads the forgets of 4 and 3, with bags {1} and
+# {0}, and introduces 0 and 2 into its left child's bag, 2 held by neither
+# child: its cap is cap[left] * 2 * 5 = 3 * 10 = 30, and it returns a table
+# of 30 + extra states
 OVER_BOUND = """
 import sys
 from twlab.graphs import Graph
 from twlab.solvers import _NiceDP
-from twlab.treewidth import FORGET, INTRODUCE, JOIN, LEAF, heuristic_decomposition, to_nice
+from twlab.treewidth import FORGET, JOIN, TreeDecomposition, to_nice
+extra = int(sys.argv[1])
 print(sys.flags.optimize)
-g = Graph(3, [(0, 1), (1, 2)])
-step = dict.fromkeys((LEAF, INTRODUCE, JOIN), lambda i: {0})
-step[FORGET] = lambda i: {0, 1}
+g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+ntd = to_nice(TreeDecomposition(Graph(3, [(0, 1), (0, 2)]), [{0, 1, 2}, {0, 3}, {1, 4}]), g)
+assert [ntd.bag[c] for c in (ntd.left[-4], ntd.right[-4])] == [0b10, 0b1] and ntd.bag[-4] == 0b111
+step = {FORGET: lambda i: {0}, JOIN: lambda i: set(range(30 + extra)) if ntd.right[i] >= 0 else {0}}
 try:
-    _NiceDP(g, to_nice(heuristic_decomposition(g), g), 1).run([1] * g.n, step, lambda i, s: (s, s))
+    _NiceDP(g, ntd, 1).run([2, 3, 5, 7, 11], step, lambda i, s: (s, s))
+    print("within its bound")
 except AssertionError as exc:
     print(exc)
 """
 
 
 def test_table_over_its_bound_raises_under_python_O():
-    # the driver's table-size check is a plain raise, not an assert
+    # the driver's table-size check is a plain raise, not an assert, so it
+    # holds plain and under python -O alike; and a join's cap multiplies its
+    # left child's by the bounds of the bag vertices that child lacks, the
+    # one neither child holds included: a table at the cap passes
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(solvers.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-O", "-c", OVER_BOUND], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0 and proc.stdout == "1\ntable over its bound\n", proc.stderr
+    for flags in ([], ["-O"]):
+        for extra, verdict in ((0, "within its bound"), (1, "table over its bound")):
+            proc = subprocess.run([sys.executable, *flags, "-c", OVER_BOUND, str(extra)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0 and proc.stdout == f"{len(flags)}\n{verdict}\n", (flags, extra, proc.stderr)
 
 
 # the path 0-1-2 on a nice tree in which 1 and 2 share no bag: 1 is
 # forgotten before 2 is introduced, so no forget ever applies the edge 12
 EDGE_IN_NO_BAG = """
 import sys
-from conftest import NiceNode, nice_from_records
+from conftest import INTRODUCE, LEAF, NiceNode, collapse_to_joins, nice_from_records
 from twlab.graphs import Graph
 from twlab.problems import ChosenOutdegreeInstance
 from twlab.solvers import dp_chosen_outdegree
-from twlab.treewidth import FORGET, INTRODUCE, LEAF
+from twlab.treewidth import FORGET
 print(sys.flags.optimize)
 g = Graph(3, [(0, 1), (1, 2)])
-ntd = nice_from_records(g, [
+ntd = collapse_to_joins(nice_from_records(g, [
     NiceNode(LEAF, frozenset(), ()),
     NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
     NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
@@ -784,7 +819,7 @@ ntd = nice_from_records(g, [
     NiceNode(FORGET, frozenset(), (3,), vertex=1),
     NiceNode(INTRODUCE, frozenset({2}), (4,), vertex=2),
     NiceNode(FORGET, frozenset(), (5,), vertex=2),
-])
+]))
 try:
     dp_chosen_outdegree(ChosenOutdegreeInstance(g, [1, 1], (1, 1, 1)), ntd)
 except AssertionError as exc:

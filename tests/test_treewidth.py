@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    NiceNode,
     augment_with_set,
+    collapse_to_joins,
     complete,
     cycle,
     decompose_forest,
@@ -16,6 +18,7 @@ from conftest import (
     greedy_order,
     grid,
     induced_subgraph,
+    nice_from_records,
     nice_records,
     path,
     petersen,
@@ -34,6 +37,8 @@ from twlab.errors import GuardError, InputError
 from twlab.graphs import Graph, canon
 from twlab.reductions import ReductionOutput, certify
 from twlab.treewidth import (
+    FORGET,
+    JOIN,
     NiceTreeDecomposition,
     TreeDecomposition,
     _greedy_elimination,
@@ -266,7 +271,7 @@ class TestGreedyOrder:
             td = heuristic_decomposition(g, "min-fill")
             ntd = to_nice(td, g)
         assert width(td) == 7
-        assert len(ntd.nodes) == 15382
+        assert len(ntd.nodes) == 4796
 
 
 class TestExact:
@@ -386,8 +391,7 @@ class TestToNice:
         td = TreeDecomposition(Graph(1), [{0, 1}])
         ntd = to_nice(td, g)
         assert check_nice(ntd, g).ok
-        kinds = sorted(ntd.kind)
-        assert kinds == ["forget", "forget", "introduce", "introduce", "leaf"]
+        assert ntd.kind == ["join", "forget", "forget"]
 
     def test_width_preserved_on_c4(self):
         g = cycle(4)
@@ -435,17 +439,33 @@ class TestToNice:
         check = check_nice(NiceTreeDecomposition(Graph(0)), Graph(0))
         assert not check.ok and "no nodes" in check.violations[0]
 
+    def test_check_nice_refuses_a_join_child_outside_its_bag_and_a_lone_right_child(self):
+        g = path(2)
+        nodes = [NiceNode(JOIN, frozenset({0, 1}), ()),
+                 NiceNode(JOIN, frozenset({0}), (0,)),
+                 NiceNode(FORGET, frozenset(), (1,), vertex=0)]
+        assert check_nice(nice_from_records(g, nodes), g).violations == (
+            "node 1: a join's children must have bags within its own",
+        )
+        nodes[1:] = [NiceNode(JOIN, frozenset({0, 1}), (0,)),
+                     NiceNode(FORGET, frozenset({1}), (1,), vertex=0),
+                     NiceNode(FORGET, frozenset(), (2,), vertex=1)]
+        ntd = nice_from_records(g, nodes)
+        assert check_nice(ntd, g).ok
+        ntd.left[1], ntd.right[1] = -1, 0
+        assert check_nice(ntd, g).violations == ("node 1: a join with one child must have it on the left",)
+
 
 def assert_same_nice(td, g):
-    got, ref = to_nice(td, g), reference_to_nice(td, g)
+    got, ref = to_nice(td, g), collapse_to_joins(reference_to_nice(td, g))
     assert nice_records(got) == nice_records(ref)  # kind, bag, children, vertex
     assert got == ref and got.graph is g
 
 
 class TestMatchesReferenceBuilder:
     """to_nice writes the flat node lists directly; its tree equals the
-    record builder's node for node: ids, kinds, bags, children and
-    vertices."""
+    record builder's, collapsed to forget and join nodes, node for node:
+    ids, kinds, bags, children and vertices."""
 
     @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
     def test_elimination_test_graphs(self, method):
@@ -464,6 +484,30 @@ class TestMatchesReferenceBuilder:
     def test_grid_and_band_graph(self):
         for g in (grid(6, 30), band_graph(random.Random(12), 300, 5)):
             assert_same_nice(heuristic_decomposition(g), g)
+
+    def test_decompositions_with_inserted_and_hung_bags(self):
+        # a bag inserted on a host edge (holding what both ends share) or
+        # hung as a leaf (a subset of a bag) makes host children whose bags
+        # lie within their parent's, so the reference tree's introduce
+        # chains run on across host nodes
+        rng = random.Random(5)
+        for _ in range(300):
+            g = random_graph(rng)
+            td = union_find_elimination_decomposition(g, rng.sample(range(g.n), g.n))
+            bags, edges = [set(b) for b in td.bags], list(td.tree.edges)
+            for _ in range(rng.randint(0, 6)):
+                if edges and rng.random() < 0.6:
+                    a, b = edges.pop(rng.randrange(len(edges)))
+                    pool = sorted(bags[a] | bags[b])
+                    bags.append(bags[a] & bags[b] | set(rng.sample(pool, rng.randint(0, len(pool)))))
+                    edges += [(a, len(bags) - 1), (len(bags) - 1, b)]
+                else:
+                    a = rng.randrange(len(bags))
+                    bags.append(set(rng.sample(sorted(bags[a]), rng.randint(0, len(bags[a])))))
+                    edges.append((a, len(bags) - 1))
+            td = TreeDecomposition(Graph(len(bags), edges), bags)
+            assert validate(td, g).ok
+            assert_same_nice(td, g)
 
 
 def count_validations(monkeypatch):
