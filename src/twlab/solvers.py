@@ -87,13 +87,15 @@ class _NiceDP:
         self.tables: dict[int, Collection[int]] = {}
 
     def run(self, bound: list[int], step: dict[str, Callable], back: Callable) -> bool:
-        """In index order, children first, step[kind](i) builds node i's
-        table, which must hold at most cap[i] = prod(bound[v] for v in its
-        bag) states: a larger one raises AssertionError, under python -O
-        too.  Every bound is at least 1, and cap is carried up from the left
-        child (1 where there is none): forget(v) divides by bound[v], and a
+        """In index order, children first, step[FORGET](i) or
+        step[JOIN](i, new) builds node i's table, new listing the bag
+        vertices a join's children lack, ascending.  A table over cap[i] =
+        prod(bound[v] for v in its bag) states raises AssertionError, under
+        python -O too.  Every bound is at least 1; cap is carried up from
+        the left child (1 without one): forget(v) divides by bound[v], a
         join multiplies by the bounds of the bag vertices its left child
-        lacks.  False if the root table lacks state 0.
+        lacks (an XOR: a child's bag lies within its join's).  False if the
+        root table lacks state 0.
         Otherwise walk root-to-leaves from state 0, where back(i, s) records
         what node i adds to the witness and gives the states of its children
         in order, and return True."""
@@ -101,14 +103,16 @@ class _NiceDP:
         kind, bag, vertex, left, right = ntd.kind, ntd.bag, ntd.vertex, ntd.left, ntd.right
         cap: list[int] = []
         for i, k in enumerate(kind):
-            table = step[k](i)
-            child = left[i]
-            c = cap[child] if child >= 0 else 1
+            l, r = left[i], right[i]
+            c = cap[l] if l >= 0 else 1
             if k == FORGET:
+                table = step[k](i)
                 c //= bound[vertex[i]]
             else:
-                for v in bits(bag[i] & ~bag[child] if child >= 0 else bag[i]):
+                lacks = bits(bag[i] ^ bag[l] if l >= 0 else bag[i])
+                for v in lacks:
                     c *= bound[v]
+                table = step[k](i, lacks if r < 0 else bits(bag[i] ^ (bag[l] | bag[r])))
             if len(table) > c:
                 raise AssertionError("table over its bound")
             cap.append(c)
@@ -183,10 +187,10 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
     held: dict[int, int] = {}  # node -> the state bits of its bag's slots
     colors: dict[int, int] = {}
 
-    def proper(table: set[int], v: int, nbrs: int) -> set[int]:
-        """The states of table in which no vertex of the mask nbrs has v's colour."""
+    def proper(table: set[int], v: int, nbrs: Iterable[int]) -> set[int]:
+        """The states of table in which no vertex of nbrs has v's colour."""
         o = off[v]
-        for u in bits(nbrs):
+        for u in nbrs:
             p = off[u]
             table = {s for s in table if (s >> p ^ s >> o) & mask}
         return table
@@ -203,24 +207,22 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
         held[i] = held[left[i]] & keep
         return best.keys()
 
-    def join(i: int) -> Collection[int]:
+    def join(i: int, new: list[int]) -> Collection[int]:
         l, r = left[i], right[i]
-        table, have, h = (tables.pop(l), bag[l], held[l]) if l >= 0 else ({0}, 0, 0)
+        table, h = (tables.pop(l), held[l]) if l >= 0 else ({0}, 0)
         if r >= 0:
-            x1, x2 = have, bag[r]
             key = h & held[r]  # the slots of X1 & X2, as bag vertices hold distinct slots
             h |= held[r]
             index: dict[int, list[int]] = {}
             for s in tables.pop(r):
                 index.setdefault(s & key, []).append(s)
             table = {s | t for s in table for t in index.get(s & key, ())}
-            for u in bits(x1 & ~x2):  # the edges between the two sides
-                table = proper(table, u, adj[u] & x2 & ~x1)
-            have |= x2
-        for v in bits(bag[i] & ~have):  # the bag vertices neither child holds
-            have |= 1 << v
+            for u in bits(bag[l] & ~bag[r]):  # the edges between X1 - X2 and X2 - X1
+                table = proper(table, u, bits(adj[u] & bag[r] & ~bag[l]))
+        for v in new:  # its coloured bag neighbours: all but the new ones after it
             h |= mask << off[v]
-            table = proper({s | cs for s in table for cs in fresh[v]}, v, have & adj[v])
+            table = {s | cs for s in table for cs in fresh[v]}
+            table = proper(table, v, [u for u in bits(bag[i] & adj[v]) if u < v or u not in new])
         held[i] = h
         return table
 
@@ -229,7 +231,7 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             c = least[i][s]
             colors[vertex[i]] = palette[c - 1]
             return (s | c << off[vertex[i]],)
-        return tuple([s & held[c] for c in (left[i], right[i]) if c >= 0])  # join
+        return (s & held[left[i]],) if right[i] < 0 else (s & held[left[i]], s & held[right[i]])  # a join
 
     if not dp.run([len(l) for l in inst.lists], {FORGET: forget, JOIN: join}, back):
         return None
@@ -367,7 +369,7 @@ def dp_chosen_outdegree(
         table = {s & keep: s for s in sorted(child, reverse=True)}
         return _minimal_states(table, guard, vmask, map(off.__getitem__, bits(bag[i])))
 
-    def join(i: int) -> dict[int, object]:  # back-pointer: the left state
+    def join(i: int, new: list[int]) -> dict[int, object]:  # back-pointer: the left state
         if right[i] < 0:
             return tables[left[i]] if left[i] >= 0 else {0: None}
         caps = sum(rho[v] << off[v] for v in bits(bag[i]))

@@ -25,7 +25,7 @@ check_nice is the tests' oracle for to_nice's trees; no solver calls it.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Collection, Iterator
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from twlab import kernels
@@ -199,7 +199,7 @@ def from_elimination_order(g: Graph, order) -> TreeDecomposition:
     mask = neighbour_masks(g)
     rests = []
     for v in order:
-        rest = list(bits(mask[v]))
+        rest = bits(mask[v])
         for a in rest:
             mask[a] = (mask[a] | mask[v]) & ~(1 << a | 1 << v)
         rests.append(rest)
@@ -241,7 +241,7 @@ def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[list[int
         scores[v] = -1  # -1 once eliminated
         order.append(v)
         nm, vb = mask[v], 1 << v
-        rest = list(bits(nm))
+        rest = bits(nm)
         rests.append(rest)
         before = [scores[a] for a in rest]
         common = 0  # vertices that lost a missing pair
@@ -265,7 +265,7 @@ def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[list[int
                     common |= both
                     mask[a] = ma | 1 << b
                     mask[b] = mb | 1 << a
-        for u in [a for a, s in zip(rest, before) if scores[a] != s] + list(bits(common & ~nm)):
+        for u in [a for a, s in zip(rest, before) if scores[a] != s] + bits(common & ~nm):
             heapq.heappush(heap, (scores[u], u))
     return order, rests
 
@@ -305,13 +305,14 @@ FORGET = "forget"
 JOIN = "join"
 
 
-def bits(mask: int) -> Iterator[int]:
-    """The set bits of mask in ascending order: a bitmask bag's vertices,
-    sorted."""
+def bits(mask: int) -> list[int]:
+    """The set bits of mask (a bag's vertices) in ascending order, read from
+    the top by bit_length: mask & -mask ANDs a negative int, slow when long."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        out.append(v := mask.bit_length() - 1)
+        mask ^= 1 << v
+    return out[::-1]
 
 
 @dataclass(frozen=True)

@@ -556,23 +556,22 @@ def tuple_list_coloring_dp(inst: ListColoringInstance, ntd: NiceTreeDecompositio
     return colors
 
 
-def lift_then_intersect_join_tables(
+def lift_then_intersect_tables(
     inst: ListColoringInstance, ntd: NiceTreeDecomposition, off: list[int]
-) -> dict[int, set[int]]:
+) -> list[set[int]]:
     """Reference join tables of the list-colouring DP: the step that
     solvers.dp_list_coloring replaced, kept as an oracle for its joins.
     Every node builds its table, so each join child is lifted to the join's
     bag by its chain of introduce nodes, each colouring its vertex from its
     list and dropping the states in which a bag neighbour has that colour,
     and the join intersects the two lifted tables.  States are packed as in
-    dp_list_coloring, vertex v's slot at bit off[v].  Returns join node ->
-    table."""
+    dp_list_coloring, vertex v's slot at bit off[v].  Returns every node's
+    table, by node id."""
     palette = sorted(set().union(*inst.lists))
     code = {c: r + 1 for r, c in enumerate(palette)}
     mask = (1 << len(palette).bit_length()) - 1
     adj = neighbour_masks(inst.graph)
     tables: list[set[int]] = []
-    joins = {}
     for i, kind in enumerate(ntd.kind):
         child, v = ntd.left[i], ntd.vertex[i]
         if kind == LEAF:
@@ -585,9 +584,9 @@ def lift_then_intersect_join_tables(
         elif kind == FORGET:
             table = {s & ~(mask << off[v]) for s in tables[child]}
         else:
-            table = joins[i] = tables[child] & tables[ntd.right[i]]
+            table = tables[child] & tables[ntd.right[i]]
         tables.append(table)
-    return joins
+    return tables
 
 
 def tuple_pareto_minimal(table: dict[tuple[int, ...], object]) -> dict[tuple[int, ...], object]:

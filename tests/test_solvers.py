@@ -17,7 +17,7 @@ from conftest import (
     cycle,
     elimination_test_graphs,
     grid,
-    lift_then_intersect_join_tables,
+    lift_then_intersect_tables,
     nice_from_records,
     nice_records,
     path,
@@ -70,7 +70,7 @@ def nice_of(g):
 def both_trees(g, method="min-fill"):
     """to_nice's tree of g's heuristic decomposition, which the packed DPs
     read, and reference_to_nice's four-kind tree of it, which the tuple DPs
-    and lift_then_intersect_join_tables read (collapse_to_joins maps the
+    and lift_then_intersect_tables read (collapse_to_joins maps the
     second onto the first)."""
     td = heuristic_decomposition(g, method)
     return to_nice(td, g), reference_to_nice(td, g)
@@ -387,12 +387,14 @@ class TestDpListColoring:
     def test_joins_below_lifting_chains_match_lift_then_intersect(self, monkeypatch):
         # a join with two children reads the tables below the reference
         # tree's two lifting chains and introduces the rest of its bag; its
-        # table must be the intersection of the two lifted tables
+        # table must be the intersection of the two lifted tables, lifted
+        # further where the join is widened to the top of the reference
+        # tree's introduce chain above its join
         runs, run = [], solvers._NiceDP.run
 
         def recording(dp, bound, step, back):
-            def join(i):
-                joins[i] = set(step[JOIN](i))
+            def join(i, new):
+                joins[i] = set(step[JOIN](i, new))
                 return joins[i]
 
             joins = {}
@@ -408,21 +410,26 @@ class TestDpListColoring:
             trees = to_nice(td, g), reference_to_nice(td, g)
             cases += [(ListColoringInstance(g, [rng.sample((1, 2, 3), rng.choice((1, 2, 2, 3))) for _ in range(g.n)]),
                        trees) for _ in range(150)]
-        answers, lifted = set(), 0
+        answers, lifted, widened = set(), 0, 0
         for inst, (ntd, four) in cases:
             answers.add(dp_list_coloring(inst, ntd) is None)
             dp, joins = runs.pop()
             assert list(dp.tables) == [ntd.root]  # every table is dropped once read
             # the joins with two children stand for the reference tree's
-            # joins, in order; one widened to its parent's bag is skipped
+            # joins, in order, each over the bag of the top of the introduce
+            # chain above its reference join
             twos = [i for i in joins if ntd.right[i] >= 0]
-            reference = lift_then_intersect_join_tables(inst, four, dp.off)
+            tables = lift_then_intersect_tables(inst, four, dp.off)
+            parent = {c: p for p in four.nodes for c in (four.left[p], four.right[p]) if c >= 0}
+            reference = [j for j in four.nodes if four.kind[j] == JOIN]
             assert len(twos) == len(reference)
             for i, j in zip(twos, reference):
-                if ntd.bag[i] == four.bag[j]:
-                    assert joins[i] == reference[j]
-                    lifted += bool(joins[i]) and ntd.bag[ntd.left[i]] != ntd.bag[i]
-        assert answers == {True, False} and lifted > 100
+                while four.kind[parent.get(j, j)] == INTRODUCE:
+                    j = parent[j]
+                widened += four.kind[j] == INTRODUCE
+                assert ntd.bag[i] == four.bag[j] and joins[i] == tables[j]
+                lifted += bool(joins[i]) and ntd.bag[ntd.left[i]] != ntd.bag[i]
+        assert answers == {True, False} and lifted > 100 and widened > 0
 
     def test_7x40_grid_peak_memory(self):
         inst = grid_instance(7, 40, random.Random(11))
@@ -513,9 +520,9 @@ class TestDpChosenOutdegree:
 
         def recording(dp, bound, step, back):
             def at(kind, handler):
-                def handle(i):
+                def handle(*args):
                     kind_now[0] = kind
-                    return handler(i)
+                    return handler(*args)
                 return handle
 
             def visiting(i, s):
@@ -778,7 +785,7 @@ print(sys.flags.optimize)
 g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 ntd = to_nice(TreeDecomposition(Graph(3, [(0, 1), (0, 2)]), [{0, 1, 2}, {0, 3}, {1, 4}]), g)
 assert [ntd.bag[c] for c in (ntd.left[-4], ntd.right[-4])] == [0b10, 0b1] and ntd.bag[-4] == 0b111
-step = {FORGET: lambda i: {0}, JOIN: lambda i: set(range(30 + extra)) if ntd.right[i] >= 0 else {0}}
+step = {FORGET: lambda i: {0}, JOIN: lambda i, new: set(range(30 + extra)) if ntd.right[i] >= 0 else {0}}
 try:
     _NiceDP(g, ntd, 1).run([2, 3, 5, 7, 11], step, lambda i, s: (s, s))
     print("within its bound")

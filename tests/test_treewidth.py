@@ -46,6 +46,7 @@ from twlab.treewidth import (
     decomposition_from_json,
     decomposition_to_json,
     _walk,
+    bits,
     exact_treewidth,
     from_elimination_order,
     heuristic_decomposition,
@@ -704,3 +705,14 @@ class TestSpanningWalk:
             for t in order[1:]:
                 kids[parent[t]].append(t)
             assert kids == expected_kids
+
+
+def test_bits_lists_the_set_bits_ascending():
+    # bits reads a mask from the top; the reference reads its binary digits,
+    # on short masks and on long sparse ones such as the bags of a long path
+    rng = random.Random(21)
+    masks = [0, 1, 2, 3, 1 << 20000, 1 << 20001 | 1 << 20000 | 1]
+    masks += [rng.getrandbits(rng.choice((8, 64, 300))) for _ in range(200)]
+    masks += [sum(1 << v for v in rng.sample(range(40000), rng.randint(1, 6))) for _ in range(50)]
+    for mask in masks:
+        assert bits(mask) == [v for v, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
