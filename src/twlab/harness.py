@@ -323,9 +323,10 @@ PIPELINES = {p.name: p for p in (
 
 
 def _target_ntd(graph: Graph):
-    """The nice decomposition a DP runs on: min-fill, handed to to_nice with
-    the very graph object it was built for, so it is not validated again."""
-    return tw.to_nice(tw.heuristic_decomposition(graph, "min-fill"), graph)
+    """The nice decomposition a DP runs on: heuristic_nice's tree of the
+    min-fill elimination, written for this very graph object with no host
+    tree and no to_nice, and valid by construction."""
+    return tw.heuristic_nice(graph, "min-fill")
 
 
 def _case_record(cfg: ExperimentConfig, case: int) -> dict:
@@ -411,9 +412,9 @@ def require_dp(kind: pr.ProblemKind) -> None:
 
 
 def solve_dp(instance, ntd=None):
-    """Solve an instance with its kind's DP solver, building a heuristic
-    nice decomposition if none is given.  A given one must be to_nice's
-    tree for a graph equal to the instance's."""
+    """Solve an instance with its kind's DP solver, on _target_ntd's tree if
+    no nice decomposition is given.  A given one must have been built, by
+    to_nice or heuristic_nice, for a graph equal to the instance's."""
     kind = pr.kind_of(instance)
     require_dp(kind)
     if ntd is None:

@@ -35,6 +35,7 @@ DEFAULT_WEIGHT_CEILING = 10**6  # total edge weight of a minmax_outdegree instan
 R_CEILING = 10**6  # r of precoloring, equitable and minmax_outdegree (equitable allocates r)
 VARIABLE_CEILING = 10**5  # gensat variables (the search allocates per variable)
 ARITY_CEILING = 10**3  # gensat relation arity
+CONSTRAINT_CEILING = 10**3  # constraints clique_to_gensat writes (its dual graph is quadratic in them)
 PAIR_CEILING = 10**7  # vertex pairs a generator draws an edge for
 # graphs.VERTEX_CEILING bounds the vertex count of every JSON graph and tree
 # and of every generated graph

@@ -60,6 +60,7 @@ from twlab.graphs import (
 )
 from twlab.problems import (
     ARITY_CEILING,
+    CONSTRAINT_CEILING,
     VARIABLE_CEILING,
     ChosenOutdegreeInstance,
     BooleanRelation,
@@ -225,9 +226,9 @@ def clique_to_gensat(g: Graph, k: int) -> ReductionOutput:
     """One relation of arity 2n listing, per edge (p, q) with p < q, the
     concatenated indicator vectors of p and q; one constraint per position
     pair (i, j) over the i-th and j-th variable blocks.  Satisfiable iff g
-    has a k-clique.  The arity 2n and the k*n variables are held to the
-    ceilings of BooleanRelation and GensatInstance before anything of their
-    size is built."""
+    has a k-clique.  The arity 2n, the k*n variables and the k(k-1)/2
+    constraints are held to their ceilings before anything of their size is
+    built."""
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
     n = g.n
@@ -235,6 +236,7 @@ def clique_to_gensat(g: Graph, k: int) -> ReductionOutput:
         raise InputError("source graph must have at least one vertex")
     require_at_most("arity", 2 * n, ARITY_CEILING)
     require_at_most("variable count", k * n, VARIABLE_CEILING)
+    require_at_most("constraint count", k * (k - 1) // 2, CONSTRAINT_CEILING)
     tuples = []
     for p, q in g.edges:
         t = [0] * (2 * n)

@@ -1,6 +1,6 @@
 """Tree decompositions: validation, width, construction (heuristic, exact,
-fill-in from an elimination order), and normalization to the nice form
-consumed by the DP solvers.
+fill-in from an elimination order), and the nice form consumed by the DP
+solvers, built from an elimination or normalized from a decomposition.
 
 The heuristic runs fill-in once: the greedy elimination already holds each
 vertex's not-yet-eliminated neighbourhood when it picks the vertex, and that
@@ -16,10 +16,14 @@ A nice decomposition has two kinds of node, forget and join, and no edge
 nodes; a join introduces the part of its bag that its children lack, so
 there are no leaf or introduce nodes.  It is stored flat: parallel lists of
 kind, bag (an int bitmask), vertex and the two children, one entry per
-node.  Only to_nice builds one, for the graph it carries, and it writes the
-lists directly; the solvers read them, so building and walking a nice tree
-allocates no tuple or set per node.
-check_nice is the tests' oracle for to_nice's trees; no solver calls it.
+node.  Two builders write the lists directly, each for the graph the tree
+carries.  heuristic_nice writes one straight from the min-fill (or
+min-degree) elimination's order and rests, with no host tree; it is the
+tree the DPs run on unless one is given.  to_nice normalizes a given
+TreeDecomposition (a `--td` file, a gadget's witness).  The solvers read the
+lists, so building and walking a nice tree allocates no tuple or set per
+node.  check_nice is the tests' oracle for both builders' trees; no solver
+calls it.
 """
 
 from __future__ import annotations
@@ -210,7 +214,8 @@ def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[list[int
     """Eliminate a vertex of least score (fill-in edges for min-fill, degree
     for min-degree) until none is left; ties go to the smallest vertex.
     Returns the order and, for each position, the eliminated vertex's
-    not-yet-eliminated neighbourhood, as _fill_in takes them.
+    not-yet-eliminated neighbourhood in ascending order, its rest, as
+    _fill_in and heuristic_nice take them.
 
     Neighbourhoods are int bitmasks, and scores[u] always holds u's exact
     score (Bodlaender & Koster 2010): |N(u)| for min-degree, and for min-fill
@@ -225,6 +230,8 @@ def _greedy_elimination(g: Graph, method: str) -> tuple[list[int], list[list[int
     every current score, and the pop is the least (score, v), as if every
     score were computed anew at each step.
     """
+    if method not in ("min-fill", "min-degree"):
+        raise InputError(f"unknown method {method!r}")
     mask = neighbour_masks(g)
     fill = method == "min-fill"
     # a ∈ N(v) misses |N(v) & ~N(a)| - 1 vertices of N(v); each pair counts twice
@@ -274,8 +281,6 @@ def heuristic_decomposition(g: Graph, method: str = "min-fill") -> TreeDecomposi
     """Greedy elimination decomposition, min-fill or min-degree; fully
     deterministic (ties go to the smallest vertex).  Its bags are the
     neighbourhoods the elimination held, so fill-in runs once."""
-    if method not in ("min-fill", "min-degree"):
-        raise InputError(f"unknown method {method!r}")
     return _fill_in(g, *_greedy_elimination(g, method))
 
 
@@ -333,9 +338,11 @@ class NiceTreeDecomposition:
     payload (-1 at a join); left[i] and right[i], the children (-1 where
     there is none; a join with one child has only a left child).
 
-    Only to_nice builds one: the constructor takes the graph and makes the
-    lists empty, and to_nice fills them.  So every nice tree is a nice tree
-    of its `graph`, and the solvers compare graphs instead of checking it.
+    Two builders make one, heuristic_nice from an elimination and to_nice
+    from a tree decomposition: the constructor takes the graph and makes the
+    lists empty, and the builder fills them through add and joins.  So
+    every nice tree is a nice tree of its `graph`, and the solvers compare
+    graphs instead of checking it.
     """
 
     graph: Graph = field(compare=False, repr=False)
@@ -355,6 +362,26 @@ class NiceTreeDecomposition:
 
     def width(self) -> int:
         return max(b.bit_count() for b in self.bag) - 1
+
+    def add(self, kind: str, bag: int, vertex: int = -1, left: int = -1, right: int = -1) -> int:
+        """Append a node and return its id."""
+        self.kind.append(kind)
+        self.bag.append(bag)
+        self.vertex.append(vertex)
+        self.left.append(left)
+        self.right.append(right)
+        return len(self.kind) - 1
+
+    def joins(self, bag: int, children: list[int]) -> int:
+        """Join children, already added, under bag and return the top: one
+        join over none, one or two of them, a chain of joins left to right
+        over three or more, and no join over one child whose bag is bag."""
+        if len(children) == 1 and self.bag[children[0]] == bag:
+            return children[0]
+        node = self.add(JOIN, bag, -1, *children[:2])
+        for other in children[2:]:
+            node = self.add(JOIN, bag, -1, node, other)
+        return node
 
 
 def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
@@ -381,15 +408,7 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         if not check.ok:
             raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
     ntd = NiceTreeDecomposition(g)
-    kinds, bags, vertices, lefts, rights = ntd.kind, ntd.bag, ntd.vertex, ntd.left, ntd.right
-
-    def add(kind: str, bag: int, vertex: int = -1, left: int = -1, right: int = -1) -> int:
-        kinds.append(kind)
-        bags.append(bag)
-        vertices.append(vertex)
-        lefts.append(left)
-        rights.append(right)
-        return len(kinds) - 1
+    kinds, bags, add = ntd.kind, ntd.bag, ntd.add
 
     def chain_to(node: int, target: int) -> int:
         """Forget the vertices of node's bag outside target one at a time,
@@ -412,22 +431,51 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     for t in reversed(order):
         bag = masks[t]
         tops = [chain_to(built[s], bag) for s in kids[t]]
-        if len(tops) == 1 and (bags[tops[0]] == bag or not bag & ~masks[parent[t]]):
-            built[t] = tops[0]  # nothing to introduce, or the node above introduces it
-            continue
-        node = add(JOIN, bag, -1, *tops[:2])
-        for other in tops[2:]:
-            node = add(JOIN, bag, -1, node, other)
-        built[t] = node
+        if len(tops) == 1 and not bag & ~masks[parent[t]]:
+            built[t] = tops[0]  # the node above introduces the rest
+        else:
+            built[t] = ntd.joins(bag, tops)
     root = chain_to(built[0], 0)
     assert root == len(kinds) - 1, "the root is not the last node"
     assert ntd.width() == max(width(td), -1), "normalization changed the width"
     return ntd
 
 
+def heuristic_nice(g: Graph, method: str = "min-fill") -> NiceTreeDecomposition:
+    """The nice tree of heuristic_decomposition's elimination, written
+    straight from its order and rests, with no host tree: bucket elimination
+    (Dechter, AIJ 1999), the order-to-tree correspondence of Bodlaender &
+    Koster (Inf. Comput. 2010).
+
+    Position i, which eliminates v with rest R, gives the joins over
+    {v} | R of the forgets that hang under i (see joins: none over a lone
+    forget that has that bag already), then forget(v) down to R.  forget(v)
+    hangs under the position of the earliest-eliminated vertex u of R: when
+    u goes, the rest of R is still adjacent to it, as eliminating v made R
+    a clique, so R lies within u's join.  The forgets whose R is empty are
+    joined under one root of empty bag, which covers n = 0, isolated
+    vertices and forests.  Positions are written in order, children before
+    parents, so the result is a nice tree of g by construction, of
+    heuristic_decomposition's width, and it carries g as its `graph`.
+    """
+    order, rests = _greedy_elimination(g, method)
+    ntd = NiceTreeDecomposition(g)
+    add, joins = ntd.add, ntd.joins
+    position = [0] * g.n
+    for i, v in enumerate(order):
+        position[v] = i
+    under: list[list[int]] = [[] for _ in range(g.n + 1)]  # position -> its forgets; index n: the root's
+    for i, (v, rest) in enumerate(zip(order, rests)):
+        r = sum([1 << u for u in rest])
+        forget = add(FORGET, r, v, joins(r | 1 << v, under[i]))
+        under[min(map(position.__getitem__, rest)) if rest else g.n].append(forget)
+    joins(0, under[g.n])
+    return ntd
+
+
 def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
     """Structural checks for nice decompositions, read off the flat lists:
-    the tests' oracle for to_nice's trees.  A forget(v) has one child, whose
+    the tests' oracle for heuristic_nice's and to_nice's trees.  A forget(v) has one child, whose
     bag is its own plus v; a join has no child, a left one, or a left and a
     right one, each with a bag within its own.  Children before parents, and
     every node but the last the child of one node, make the nodes a tree

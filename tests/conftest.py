@@ -365,6 +365,63 @@ def collapse_to_joins(four: NiceTreeDecomposition) -> NiceTreeDecomposition:
     return nice_from_records(four.graph, nodes)
 
 
+def expand_to_four_kinds(two: NiceTreeDecomposition) -> NiceTreeDecomposition:
+    """The four-kind form of a two-kind nice tree, such as heuristic_nice
+    builds, for the tuple DPs to read: a join with no child becomes a leaf
+    and an introduce chain up to its bag; a join with one child, an
+    introduce chain from that child up to its bag; and a join with two
+    children, an introduce chain lifting each child to the union U of their
+    bags, a join of the two over U, and an introduce chain from U up to its
+    bag.  Each chain introduces its vertices in ascending order.  Forget
+    nodes keep their bags and their order, and every node comes after its
+    children."""
+    nodes: list[NiceNode] = []
+    stand: list[int] = []  # node of two -> the node of the result that stands for it
+
+    def lift(node: int, bag: int, target: int) -> int:
+        for v in bits(target & ~bag):
+            bag |= 1 << v
+            nodes.append(NiceNode(INTRODUCE, frozenset(bits(bag)), (node,), v))
+            node = len(nodes) - 1
+        return node
+
+    for kind, bag, v, left, right in zip(two.kind, two.bag, two.vertex, two.left, two.right):
+        if kind == FORGET:
+            nodes.append(NiceNode(FORGET, frozenset(bits(bag)), (stand[left],), v))
+            node = len(nodes) - 1
+        elif left < 0:
+            nodes.append(NiceNode(LEAF, frozenset(), ()))
+            node = lift(len(nodes) - 1, 0, bag)
+        elif right < 0:
+            node = lift(stand[left], two.bag[left], bag)
+        else:
+            union = two.bag[left] | two.bag[right]
+            children = tuple([lift(stand[c], two.bag[c], union) for c in (left, right)])
+            nodes.append(NiceNode(JOIN, frozenset(bits(union)), children))
+            node = lift(len(nodes) - 1, union, bag)
+        stand.append(node)
+    return nice_from_records(two.graph, nodes)
+
+
+def verify_dp_instances(seeds: int) -> list:
+    """The target instances of `twlab verify --solver dp --cases 1 --seed j`
+    for j < seeds at each of the five settings of the verify-dp benchmark
+    workload (perfbench/workloads.py): its pool entries 0..seeds-1."""
+    from twlab import harness as hn
+
+    instances = []
+    for params in (dict(pipeline="pc-chosen", k=2, n=3, p=0.5),
+                   dict(pipeline="pc-chosen", k=3, n=2, p=0.5),
+                   dict(pipeline="pc-minmax", k=2, n=2, p=0.25),
+                   dict(pipeline="chosen-minmax", n=8, p=0.4, rho_max=10),
+                   dict(pipeline="pc-lc", k=4, n=3, p=0.5)):
+        pipeline = hn.PIPELINES[params["pipeline"]]
+        for j in range(seeds):
+            cfg = hn.ExperimentConfig(cases=1, seed=j, solver="dp", **params)
+            instances.append(pipeline.reduce(pipeline.source.generate(cfg, hn.mix(j, 0))).instance)
+    return instances
+
+
 def elimination_route_nice(g: Graph, method: str) -> NiceTreeDecomposition:
     """Reference route to the DP's nice decomposition: the greedy order
     alone, fill-in run a second time by the reference builder, and to_nice

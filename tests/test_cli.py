@@ -297,13 +297,15 @@ class TestReduceSolve:
     @pytest.mark.parametrize(
         "n, k, message",
         [(20000, 3, "error: arity 40000 exceeds the ceiling 1000"),
-         (8, 20000, "error: variable count 160000 exceeds the ceiling 100000")],
-        ids=["arity", "variables"],
+         (8, 20000, "error: variable count 160000 exceeds the ceiling 100000"),
+         (8, 2000, "error: constraint count 1999000 exceeds the ceiling 1000")],
+        ids=["arity", "variables", "constraints"],
     )
     def test_clique_gensat_checks_its_ceilings_first(self, capsys, tmp_path, n, k, message):
         # each ceiling is checked before anything of its size is built: the
         # path's 2n-wide edge tuples used to exhaust a 1.5 GB address space,
-        # and the 8-vertex graph's k(k-1)/2 constraints ran past 10 s
+        # and the 8-vertex graph's k(k-1)/2 constraints ran past 10 s at
+        # k = 20000 and reached 3 GB at k = 2000, within the variable ceiling
         g, out = tmp_path / "g.json", tmp_path / "o.json"
         g.write_text(json.dumps({"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}))
         with within_seconds(5, f"clique-gensat -k {k} on a path of {n} vertices"):

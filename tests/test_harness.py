@@ -320,6 +320,26 @@ class TestSolveDp:
         with pytest.raises(InputError, match="no DP solver for GensatInstance"):
             solve_dp(gensat)
 
+    def test_without_a_tree_no_tree_decomposition_is_built(self, monkeypatch):
+        # the DP's own tree comes straight from the min-fill elimination:
+        # no host tree, no _fill_in and no to_nice
+        import twlab.harness as hn
+        from twlab import treewidth as tw
+        from twlab.graphs import Graph
+        from twlab.problems import ChosenOutdegreeInstance, ListColoringInstance
+
+        def refuse(*args):
+            raise AssertionError("the DP path built a TreeDecomposition")
+
+        for name in ("to_nice", "heuristic_decomposition", "_fill_in"):
+            monkeypatch.setattr(tw, name, refuse)
+        lc = gen_list_instance(12, 3, 0.3, 5)
+        chosen = ChosenOutdegreeInstance(*gen_weighted(10, 0.4, 3, 6), gen_rho(10, 6, 7))
+        for inst in (lc, chosen, ListColoringInstance(Graph(0), [])):
+            assert hn._target_ntd(inst.graph) == tw.heuristic_nice(inst.graph, "min-fill")
+            witness = solve_dp(inst)
+            assert witness is None or hn.pr.kind_of(inst).check(inst, witness)
+
 
 class TestReports:
     def make_report(self):

@@ -10,6 +10,7 @@ from conftest import (
     forest_plus_set,
     path,
     two_pass_extract_clique,
+    within_seconds,
 )
 from twlab.errors import InputError
 from twlab.graphs import (
@@ -209,6 +210,16 @@ class TestCliqueToGensat:
     def test_small_k_rejected(self, triangle):
         with pytest.raises(InputError):
             clique_to_gensat(triangle, 1)
+
+    def test_constraint_count_held_to_its_ceiling_before_building(self):
+        # k = 45 writes 990 constraints; k = 46 would write 1,035, and
+        # k = 2000 on the same 8 vertices 1,999,000, which took gigabytes
+        g = path(8)
+        assert len(clique_to_gensat(g, 45).instance.constraints) == 990
+        for k, count in ((46, 1035), (2000, 1999000)):
+            with within_seconds(5, f"clique_to_gensat -k {k} past the constraint ceiling"):
+                with pytest.raises(InputError, match=f"constraint count {count} exceeds the ceiling 1000"):
+                    clique_to_gensat(g, k)
 
     def test_bounds_vs_exact_treewidth(self):
         out = clique_to_gensat(complete(4), 3)

@@ -16,6 +16,7 @@ from conftest import (
     complete,
     cycle,
     elimination_test_graphs,
+    expand_to_four_kinds,
     grid,
     lift_then_intersect_tables,
     nice_from_records,
@@ -26,6 +27,7 @@ from conftest import (
     tuple_chosen_outdegree_dp,
     tuple_list_coloring_dp,
     tuple_pareto_minimal,
+    verify_dp_instances,
     within_seconds,
 )
 from twlab import harness
@@ -59,6 +61,7 @@ from twlab.treewidth import (
     bits,
     check_nice,
     heuristic_decomposition,
+    heuristic_nice,
     to_nice,
 )
 
@@ -76,6 +79,35 @@ def both_trees(g, method="min-fill"):
     return to_nice(td, g), reference_to_nice(td, g)
 
 
+def elimination_trees(g, method="min-fill"):
+    """heuristic_nice's tree of g, which the packed DPs read, and its
+    expansion to four kinds, which the tuple DPs read."""
+    ntd = heuristic_nice(g, method)
+    four = expand_to_four_kinds(ntd)
+    assert_four_kinds(four)
+    return ntd, four
+
+
+def assert_four_kinds(four):
+    """four is a four-kind nice tree: a leaf has an empty bag and no child,
+    introduce(v) and forget(v) one child whose bag is its own without and
+    with v, and a join two children with its bag; children come first, and
+    the last node is the root, of empty bag."""
+    records = nice_records(four)
+    for i, node in enumerate(records):
+        assert all(c < i for c in node.children), i
+        bags = [records[c].bag for c in node.children]
+        if node.kind == LEAF:
+            assert not node.children and not node.bag, i
+        elif node.kind == INTRODUCE:
+            assert len(bags) == 1 and node.vertex not in bags[0] and node.bag == bags[0] | {node.vertex}, i
+        elif node.kind == FORGET:
+            assert len(bags) == 1 and node.vertex in bags[0] and node.bag == bags[0] - {node.vertex}, i
+        else:
+            assert node.kind == JOIN and bags == [node.bag] * 2, i
+    assert four.bag[four.root] == 0
+
+
 def rand_graph(rng, n_max, p=0.4):
     n = rng.randint(1, n_max)
     return Graph(
@@ -91,6 +123,23 @@ def minmax_instances(seed, n_max, max_w, max_r):
         if g.edges:
             w = [rng.randint(1, max_w) for _ in g.edges]
             yield MinMaxOutdegreeInstance(g, w, rng.randint(1, max_r))
+
+
+def list_corpus(rng, trials):
+    """Seeded list-colouring instances on n = 0..14 vertices, some edgeless,
+    with lists over one of four palettes, mostly of two colours and
+    sometimes empty, of one colour or of the whole palette."""
+    palettes = [(1, 2, 3), (2, 5), (1, 2, 3, 5, 8, 13, 40), tuple(range(3, 30, 3))]
+    for trial in range(trials):
+        n = trial % 15  # n = 0 .. 14
+        p = rng.choice((0.0, 0.1, 0.25, 0.4, 0.7))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        palette = rng.choice(palettes)
+        lists = []
+        for _ in range(n):
+            size = rng.choice((0, 1, 1, 2, 2, 3, len(palette))) if rng.random() < 0.15 else 2
+            lists.append(rng.sample(palette, min(size, len(palette))))
+        yield ListColoringInstance(Graph(n, edges), lists)
 
 
 def grid_instance(rows, cols, rng):
@@ -320,23 +369,31 @@ class TestDpListColoring:
     @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
     def test_witnesses_match_tuple_oracle(self, method):
         # the packed DP must return the very colouring the tuple DP returned
-        rng = random.Random(8 if method == "min-fill" else 9)
-        palettes = [(1, 2, 3), (2, 5), (1, 2, 3, 5, 8, 13, 40), tuple(range(3, 30, 3))]
         answers = set()
-        for trial in range(550):
-            n = trial % 15  # n = 0 .. 14
-            p = rng.choice((0.0, 0.1, 0.25, 0.4, 0.7))
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-            palette = rng.choice(palettes)
-            lists = []
-            for _ in range(n):
-                size = rng.choice((0, 1, 1, 2, 2, 3, len(palette))) if rng.random() < 0.15 else 2
-                lists.append(rng.sample(palette, min(size, len(palette))))
-            g = Graph(n, edges)
-            inst = ListColoringInstance(g, lists)
-            ntd, four = both_trees(g, method)
+        for trial, inst in enumerate(list_corpus(random.Random(8 if method == "min-fill" else 9), 550)):
+            ntd, four = both_trees(inst.graph, method)
             got = dp_list_coloring(inst, ntd)
-            assert got == tuple_list_coloring_dp(inst, four), (trial, n, edges, lists)
+            assert got == tuple_list_coloring_dp(inst, four), (trial, inst)
+            answers.add(got is None)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_witnesses_match_tuple_oracle_on_the_elimination_tree(self, method):
+        # the packed DP on heuristic_nice's tree returns the colouring the
+        # tuple DP returns on its expansion to four kinds: on random graphs
+        # (n = 0..14, some edgeless), forests of three paths, and the pc-lc
+        # gadgets of the verify-dp benchmark
+        rng = random.Random(18 if method == "min-fill" else 19)
+        insts = list(list_corpus(rng, 300))
+        three_paths = Graph(11, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9), (9, 10)])
+        insts += [ListColoringInstance(three_paths, [rng.sample((1, 2, 3), rng.choice((1, 2, 2))) for _ in range(11)])
+                  for _ in range(30)]
+        insts += [inst for inst in verify_dp_instances(60) if isinstance(inst, ListColoringInstance)]
+        answers = set()
+        for inst in insts:
+            ntd, four = elimination_trees(inst.graph, method)
+            got = dp_list_coloring(inst, ntd)
+            assert got == tuple_list_coloring_dp(inst, four), inst
             answers.add(got is None)
         assert answers == {True, False}
 
@@ -504,6 +561,22 @@ class TestDpChosenOutdegree:
             got = dp_chosen_outdegree(inst, ntd)
             expected = tuple_chosen_outdegree_dp(inst, four)
             assert got == expected, (inst.graph.edges, inst.weights, inst.rho)
+            answers.add(got is None)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_witnesses_match_tuple_oracle_on_the_elimination_tree(self, method):
+        # the packed DP on heuristic_nice's tree returns the orientation the
+        # tuple DP returns on its expansion to four kinds: on chosen_corpus's
+        # instances (n = 0..9, three components, the hand-built joins' graphs)
+        # and the orientation gadgets of the verify-dp benchmark
+        insts = [inst for inst, _ in chosen_corpus(random.Random(23 if method == "min-fill" else 24), method)]
+        insts += [inst for inst in verify_dp_instances(60) if not isinstance(inst, ListColoringInstance)]
+        answers = set()
+        for inst in insts:
+            ntd, four = elimination_trees(inst.graph, method)
+            got = dp_chosen_outdegree(inst, ntd)
+            assert got == tuple_chosen_outdegree_dp(inst, four), (inst.graph.edges, inst.weights, inst.rho)
             answers.add(got is None)
         assert answers == {True, False}
 
@@ -700,9 +773,9 @@ def triangle_instances(g):
 
 
 class TestTrustedNice:
-    """Only to_nice builds nice trees, so the DPs never run check_nice: they
-    accept a tree built for a graph equal to the one solved on and refuse
-    any other."""
+    """Only heuristic_nice and to_nice build nice trees, so the DPs never
+    run check_nice: they accept a tree built for a graph equal to the one
+    solved on and refuse any other."""
 
     def test_to_nice_result_is_trusted_for_its_own_graph(self, triangle, monkeypatch):
         calls = count_checks(monkeypatch)

@@ -30,6 +30,7 @@ from conftest import (
     star,
     subset_dp_treewidth,
     union_find_elimination_decomposition,
+    verify_dp_instances,
     within_seconds,
 )
 from twlab import kernels, treewidth
@@ -50,6 +51,7 @@ from twlab.treewidth import (
     exact_treewidth,
     from_elimination_order,
     heuristic_decomposition,
+    heuristic_nice,
     to_nice,
     validate,
     width,
@@ -455,6 +457,62 @@ class TestToNice:
         assert check_nice(ntd, g).ok
         ntd.left[1], ntd.right[1] = -1, 0
         assert check_nice(ntd, g).violations == ("node 1: a join with one child must have it on the left",)
+
+
+def assert_elimination_tree(g, method="min-fill"):
+    """heuristic_nice's tree of g passes check_nice, carries g, has
+    to_nice's width on heuristic_decomposition, and forgets the eliminated
+    vertices in elimination order, each down to its rest from a child bag
+    of its own bag plus it."""
+    ntd = heuristic_nice(g, method)
+    assert check_nice(ntd, g).ok and ntd.graph is g
+    assert ntd.width() == to_nice(heuristic_decomposition(g, method), g).width()
+    forgets = [i for i, kind in enumerate(ntd.kind) if kind == FORGET]
+    for i in forgets:
+        v = ntd.vertex[i]
+        assert not ntd.bag[i] >> v & 1 and ntd.bag[ntd.left[i]] == ntd.bag[i] | 1 << v
+    order, rests = _greedy_elimination(g, method)
+    assert [ntd.vertex[i] for i in forgets] == order
+    assert [ntd.bag[i] for i in forgets] == [sum(1 << u for u in rest) for rest in rests]
+    return ntd
+
+
+class TestHeuristicNice:
+    """The DP path's nice tree, written straight from the elimination."""
+
+    def test_verify_dp_corpus(self):
+        for inst in verify_dp_instances(60):
+            assert_elimination_tree(inst.graph)
+
+    @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
+    def test_random_graphs_and_forests(self, method):
+        rng = random.Random(36 if method == "min-fill" else 37)
+        for trial in range(300):
+            if trial % 4 == 3:
+                g = random_forest(rng, 14)
+            else:
+                n = trial % 14
+                p = rng.choice((0.0, 0.1, 0.25, 0.4, 0.7))
+                g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            assert_elimination_tree(g, method)
+
+    def test_empty_edgeless_and_forest_roots(self):
+        # the forgets with an empty rest are joined under one root of empty
+        # bag: a lone join without children when there is no vertex, and no
+        # join when one forget has an empty rest
+        assert assert_elimination_tree(Graph(0)).kind == [JOIN]
+        assert assert_elimination_tree(Graph(1)).kind == [JOIN, FORGET]
+        edgeless = assert_elimination_tree(Graph(4))
+        assert edgeless.kind == [JOIN, FORGET] * 4 + [JOIN] * 3 and edgeless.bag[-3:] == [0] * 3
+        three_paths = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
+        ntd = assert_elimination_tree(three_paths)
+        root = ntd.root
+        assert ntd.kind[root] == JOIN and ntd.kind[ntd.left[root]] == JOIN
+        assert [ntd.bag[i] for i in range(len(ntd.kind)) if ntd.kind[i] == FORGET].count(0) == 3
+
+    def test_unknown_method_refused(self, triangle):
+        with pytest.raises(InputError, match="unknown method"):
+            heuristic_nice(triangle, "min-width")
 
 
 def assert_same_nice(td, g):
