@@ -322,13 +322,6 @@ PIPELINES = {p.name: p for p in (
 )}
 
 
-def _target_ntd(graph: Graph):
-    """The nice decomposition a DP runs on: heuristic_nice's tree of the
-    min-fill elimination, written for this very graph object with no host
-    tree and no to_nice, and valid by construction."""
-    return tw.heuristic_nice(graph, "min-fill")
-
-
 def _case_record(cfg: ExperimentConfig, case: int) -> dict:
     case_seed = mix(cfg.seed, case)
     record: dict = {"case": case, "case_seed": case_seed}
@@ -412,13 +405,14 @@ def require_dp(kind: pr.ProblemKind) -> None:
 
 
 def solve_dp(instance, ntd=None):
-    """Solve an instance with its kind's DP solver, on _target_ntd's tree if
-    no nice decomposition is given.  A given one must have been built, by
-    to_nice or heuristic_nice, for a graph equal to the instance's."""
+    """Solve an instance with its kind's DP solver.  Without a nice
+    decomposition it runs on heuristic_nice's tree of the min-fill
+    elimination, written for this very graph object with no host tree.  A
+    given one must have been built for a graph equal to the instance's."""
     kind = pr.kind_of(instance)
     require_dp(kind)
     if ntd is None:
-        ntd = _target_ntd(instance.graph)
+        ntd = tw.heuristic_nice(instance.graph, "min-fill")
     return getattr(sv, kind.dp)(instance, ntd)
 
 

@@ -13,6 +13,7 @@ serve both kinds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable
 
 from twlab import kernels
@@ -497,15 +498,15 @@ def bf_clique(g: Graph, k: int) -> tuple[int, ...] | None:
 # --- constraint graphs --------------------------------------------------------
 
 def build_dual(inst: GensatInstance) -> Graph:
-    """Constraints (by position), adjacent when they share a variable."""
-    scopes = [set(c.scope) for c in inst.constraints]
-    edges = [
-        (i, j)
-        for i in range(len(scopes))
-        for j in range(i + 1, len(scopes))
-        if scopes[i] & scopes[j]
-    ]
-    return Graph(len(scopes), edges)
+    """Constraints (by position), adjacent when they share a variable: each
+    variable lists the constraints it occurs in, and each pair of a list is
+    an edge, once however many variables the pair shares."""
+    holders: list[list[int]] = [[] for _ in range(inst.num_variables)]
+    for j, c in enumerate(inst.constraints):
+        for x in c.scope:
+            holders[x].append(j)
+    edges = {pair for js in holders for pair in combinations(js, 2)}
+    return Graph(len(inst.constraints), edges)
 
 
 def build_incidence(inst: GensatInstance) -> Graph:

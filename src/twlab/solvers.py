@@ -2,8 +2,8 @@
 for uniformly weighted orientation.
 
 Both DP solvers run on one driver, _NiceDP.  Every nice tree comes from
-one of the two builders of twlab.treewidth, heuristic_nice (the DP path's
-own tree, from the min-fill elimination) or to_nice (a given
+the one writer of twlab.treewidth, fed by heuristic_nice (the DP path's own
+tree, from the min-fill elimination) or by to_nice (a given
 decomposition), so the driver checks only that the tree was built for the
 graph solved on, not the tree itself.  It gives each vertex a fixed bag slot
 (_slots), fills one sparse table of packed bag states per node in index
@@ -49,8 +49,8 @@ from twlab.treewidth import (
 
 def _require_nice(ntd: NiceTreeDecomposition, g: Graph) -> None:
     """Raise InputError unless ntd was built for a graph equal to g.  Only
-    heuristic_nice and to_nice build nice trees, and a tree either one built
-    for an equal graph is a nice tree of g."""
+    treewidth's one writer builds nice trees, and a tree it built for an
+    equal graph is a nice tree of g."""
     if ntd.graph != g:
         raise InputError("invalid nice decomposition: built for another graph")
 

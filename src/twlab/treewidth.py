@@ -16,20 +16,20 @@ A nice decomposition has two kinds of node, forget and join, and no edge
 nodes; a join introduces the part of its bag that its children lack, so
 there are no leaf or introduce nodes.  It is stored flat: parallel lists of
 kind, bag (an int bitmask), vertex and the two children, one entry per
-node.  Two builders write the lists directly, each for the graph the tree
-carries.  heuristic_nice writes one straight from the min-fill (or
-min-degree) elimination's order and rests, with no host tree; it is the
-tree the DPs run on unless one is given.  to_nice normalizes a given
-TreeDecomposition (a `--td` file, a gadget's witness).  The solvers read the
-lists, so building and walking a nice tree allocates no tuple or set per
-node.  check_nice is the tests' oracle for both builders' trees; no solver
-calls it.
+node.  One writer, _write_nice, fills the lists from an elimination's order
+and rests, for the graph the tree carries.  heuristic_nice feeds it the
+min-fill (or min-degree) elimination, with no host tree; that is the tree
+the DPs run on unless one is given.  to_nice feeds it the elimination it
+reads off a given TreeDecomposition (a `--td` file, a gadget's witness).
+The solvers read the lists, so building and walking a nice tree allocates
+no tuple or set per node.  check_nice is the tests' oracle for the trees;
+no solver calls it.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
 from twlab import kernels
@@ -338,11 +338,11 @@ class NiceTreeDecomposition:
     payload (-1 at a join); left[i] and right[i], the children (-1 where
     there is none; a join with one child has only a left child).
 
-    Two builders make one, heuristic_nice from an elimination and to_nice
-    from a tree decomposition: the constructor takes the graph and makes the
-    lists empty, and the builder fills them through add and joins.  So
-    every nice tree is a nice tree of its `graph`, and the solvers compare
-    graphs instead of checking it.
+    One writer makes one, _write_nice, fed by heuristic_nice and to_nice:
+    the constructor takes the graph and makes the lists empty, and the
+    writer fills them through add and joins.  So every nice tree is a nice
+    tree of its `graph`, and the solvers compare graphs instead of checking
+    it.
     """
 
     graph: Graph = field(compare=False, repr=False)
@@ -384,103 +384,103 @@ class NiceTreeDecomposition:
         return node
 
 
-def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
-    """Normalize a valid decomposition of g to nice form of the same width.
+def _write_nice(g: Graph, order: list[int], rests: Iterable[int]) -> NiceTreeDecomposition:
+    """The nice tree of an elimination of g, bucket elimination (Dechter,
+    AIJ 1999): order lists every vertex of g once, and rests gives for each
+    position, as an int bitmask, the rest R of the vertex v eliminated
+    there, the later vertices its bag holds besides it.  The elimination
+    must fit g: for each edge, the end eliminated later is in the rest of
+    the other, and for each R, all of R but its earliest-eliminated vertex
+    u lies in u's rest.
 
-    A decomposition the elimination builders made for this very graph object
-    (td.graph is g) is trusted; any other is validated first, and one that
-    fails validate raises InputError.  The host tree, rooted at node 0, is
-    built bottom-up in one pass: each child is chained by forgets down to
-    the part of its bag its parent holds, and a host node becomes a join of
-    those chains over its own bag, or a chain of joins left to right when
-    it has three or more children.  A join is written once per maximal run
-    of introductions: a join that a child's chain reaches without a forget
-    is widened to the parent's bag instead of getting a join above it, and
-    a host node with one child adds no join where nothing is left to
-    introduce or where its parent's bag holds its own, as the node above
-    then introduces the rest.  Each node is appended after its children,
-    the root last, so the result is a nice tree of g by construction, and
-    it carries g as its `graph`.  Bags are int bitmasks throughout, and the
-    node lists of the result are appended to directly.
+    Position i gives the joins over {v} | R of the forgets that hang under
+    i (see joins: none over a lone forget that has that bag already), then
+    forget(v) down to R.  forget(v) hangs under the position of u, whose
+    join holds R.  The forgets whose R is empty are joined under one root
+    of empty bag, which covers n = 0, isolated vertices and forests.
+    Positions are written in order, children before parents, so the result
+    is a nice tree of g of width the largest |R|, and it carries g as its
+    `graph`.
     """
-    if td.graph is not g:
-        check = validate(td, g)
-        if not check.ok:
-            raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
-    ntd = NiceTreeDecomposition(g)
-    kinds, bags, add = ntd.kind, ntd.bag, ntd.add
-
-    def chain_to(node: int, target: int) -> int:
-        """Forget the vertices of node's bag outside target one at a time,
-        in ascending vertex order.  A join reached without a forget is
-        widened to target: it introduces what the node above would."""
-        bag = bags[node]
-        for v in bits(bag & ~target):
-            bag ^= 1 << v
-            node = add(FORGET, bag, v, node)
-        if kinds[node] == JOIN:
-            bags[node] = target
-        return node
-
-    order, parent = _walk(td.tree)  # rooted at node 0
-    kids: list[list[int]] = [[] for _ in td.bags]
-    for t in order[1:]:
-        kids[parent[t]].append(t)
-    masks = [sum(1 << v for v in b) for b in td.bags] + [0]  # index -1: the root's parent, empty
-    built = [0] * len(td.bags)  # host node -> the nice node that stands for it
-    for t in reversed(order):
-        bag = masks[t]
-        tops = [chain_to(built[s], bag) for s in kids[t]]
-        if len(tops) == 1 and not bag & ~masks[parent[t]]:
-            built[t] = tops[0]  # the node above introduces the rest
-        else:
-            built[t] = ntd.joins(bag, tops)
-    root = chain_to(built[0], 0)
-    assert root == len(kinds) - 1, "the root is not the last node"
-    assert ntd.width() == max(width(td), -1), "normalization changed the width"
-    return ntd
-
-
-def heuristic_nice(g: Graph, method: str = "min-fill") -> NiceTreeDecomposition:
-    """The nice tree of heuristic_decomposition's elimination, written
-    straight from its order and rests, with no host tree: bucket elimination
-    (Dechter, AIJ 1999), the order-to-tree correspondence of Bodlaender &
-    Koster (Inf. Comput. 2010).
-
-    Position i, which eliminates v with rest R, gives the joins over
-    {v} | R of the forgets that hang under i (see joins: none over a lone
-    forget that has that bag already), then forget(v) down to R.  forget(v)
-    hangs under the position of the earliest-eliminated vertex u of R: when
-    u goes, the rest of R is still adjacent to it, as eliminating v made R
-    a clique, so R lies within u's join.  The forgets whose R is empty are
-    joined under one root of empty bag, which covers n = 0, isolated
-    vertices and forests.  Positions are written in order, children before
-    parents, so the result is a nice tree of g by construction, of
-    heuristic_decomposition's width, and it carries g as its `graph`.
-    """
-    order, rests = _greedy_elimination(g, method)
     ntd = NiceTreeDecomposition(g)
     add, joins = ntd.add, ntd.joins
     position = [0] * g.n
     for i, v in enumerate(order):
         position[v] = i
-    under: list[list[int]] = [[] for _ in range(g.n + 1)]  # position -> its forgets; index n: the root's
-    for i, (v, rest) in enumerate(zip(order, rests)):
-        r = sum([1 << u for u in rest])
-        forget = add(FORGET, r, v, joins(r | 1 << v, under[i]))
-        under[min(map(position.__getitem__, rest)) if rest else g.n].append(forget)
-    joins(0, under[g.n])
+    under: dict[int, list[int]] = {}  # position -> the forgets under it, until read; key n: the root's
+    for i, (v, r) in enumerate(zip(order, rests)):
+        forget = add(FORGET, r, v, joins(r | 1 << v, under.pop(i, [])))
+        under.setdefault(min(map(position.__getitem__, bits(r))) if r else g.n, []).append(forget)
+    joins(0, under.pop(g.n, []))
     return ntd
+
+
+def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
+    """Normalize a valid decomposition of g to nice form of the same width.
+
+    A decomposition the elimination builders made for this very graph object
+    (td.graph is g) is trusted; any other is validated first, and one that
+    fails validate raises InputError.  The host tree, rooted at node 0 and
+    walked children first, is read as an elimination for _write_nice: each
+    host node t eliminates the vertices whose top it is (those of its bag
+    that its parent's bag lacks) in ascending order, and gives each such v
+    as its rest the bag of t less v and less the vertices t took before v
+    (Bodlaender & Koster, Inf. Comput. 2010).  Each host bag mask is
+    dropped once t is read, as its children were read before it.
+
+    The elimination fits g.  The nodes holding a vertex form a subtree, so
+    the tops of the vertices of a bag lie on the path from it up to the
+    root, and the children-first walk takes the lower top's vertices first.
+    Let v have top t and rest R, and let u be the earliest-eliminated vertex
+    of R: its top t_u is t or above it.  Every other w in R has its top at
+    t_u, taken after u, or above t_u; either way w is in the bag of t_u
+    and not taken before u, so R - {u} lies in rest(u).  For an edge uv,
+    held by some bag, with u eliminated first, v is in rest(u) in the same
+    way.  Every rest lies within a bag, so no bag is wider than td's; and
+    climbing from a largest bag while the parent's bag holds it ends at a
+    node that takes a vertex, whose join has that bag, so the width is
+    width(td).
+    """
+    if td.graph is not g:
+        check = validate(td, g)
+        if not check.ok:
+            raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
+    walk, parent = _walk(td.tree)  # rooted at node 0
+    masks = [sum([1 << v for v in b]) for b in td.bags] + [0]  # index -1: the root's parent, empty
+    order: list[int] = []
+    rests: list[int] = []
+    for t in reversed(walk):
+        bag = masks[t]
+        for v in bits(bag & ~masks[parent[t]]):
+            bag ^= 1 << v
+            order.append(v)
+            rests.append(bag)
+        masks[t] = 0
+    ntd = _write_nice(g, order, rests)
+    assert ntd.width() == width(td), "normalization changed the width"
+    return ntd
+
+
+def heuristic_nice(g: Graph, method: str = "min-fill") -> NiceTreeDecomposition:
+    """The nice tree of heuristic_decomposition's elimination, written by
+    _write_nice straight from its order and rests, with no host tree.  The
+    elimination fits g: eliminating v makes its rest R a clique, so when
+    the earliest-eliminated vertex u of R goes, the rest of R is still
+    adjacent to it, and so is the later end of each edge at u.  The tree
+    has heuristic_decomposition's width.
+    """
+    order, rests = _greedy_elimination(g, method)
+    return _write_nice(g, order, (sum([1 << u for u in rest]) for rest in rests))
 
 
 def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
     """Structural checks for nice decompositions, read off the flat lists:
-    the tests' oracle for heuristic_nice's and to_nice's trees.  A forget(v) has one child, whose
-    bag is its own plus v; a join has no child, a left one, or a left and a
-    right one, each with a bag within its own.  Children before parents, and
-    every node but the last the child of one node, make the nodes a tree
-    rooted at the last node, and validate on that tree checks the bags,
-    each edge of g in some bag included."""
+    the tests' oracle for _write_nice's trees.  A forget(v) has one child,
+    whose bag is its own plus v; a join has no child, a left one, or a left
+    and a right one, each with a bag within its own.  Children before
+    parents, and every node but the last the child of one node, make the
+    nodes a tree rooted at the last node, and validate on that tree checks
+    the bags, each edge of g in some bag included."""
     if not ntd.kind:
         return Validity(("no nodes: a nice decomposition has at least its root",))
     violations = []

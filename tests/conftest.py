@@ -44,7 +44,6 @@ from twlab.treewidth import (
     heuristic_decomposition,
     neighbour_masks,
     to_nice,
-    validate,
 )
 
 
@@ -286,11 +285,35 @@ def union_find_elimination_decomposition(g: Graph, order) -> TreeDecomposition:
     return TreeDecomposition(Graph(g.n, tree_edges), bags)
 
 
+def decompositions_with_inserted_and_hung_bags(rng: random.Random, count: int):
+    """count graphs on 1..9 vertices, each with a valid decomposition that
+    is not an elimination's: union_find_elimination_decomposition of a
+    random order, then up to six bags inserted on a host edge (holding what
+    both ends share, and more of their union) or hung as a leaf (a subset
+    of a bag).  So host nodes have bags within a neighbour's, and vertices
+    span more host nodes than the elimination gives them."""
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4])
+        td = union_find_elimination_decomposition(g, rng.sample(range(g.n), g.n))
+        bags, edges = [set(b) for b in td.bags], list(td.tree.edges)
+        for _ in range(rng.randint(0, 6)):
+            if edges and rng.random() < 0.6:
+                a, b = edges.pop(rng.randrange(len(edges)))
+                pool = sorted(bags[a] | bags[b])
+                bags.append(bags[a] & bags[b] | set(rng.sample(pool, rng.randint(0, len(pool)))))
+                edges += [(a, len(bags) - 1), (len(bags) - 1, b)]
+            else:
+                a = rng.randrange(len(bags))
+                bags.append(set(rng.sample(sorted(bags[a]), rng.randint(0, len(bags[a])))))
+                edges.append((a, len(bags) - 1))
+        yield g, TreeDecomposition(Graph(len(bags), edges), bags)
+
+
 # The two node kinds of the four-kind nice trees (Kloks 1994) that the
-# reference builder and the tuple DPs keep: a leaf has an empty bag and no
-# child, and introduce(v) adds v to its one child's bag.  to_nice writes
-# forget and join nodes only; collapse_to_joins maps the one form onto the
-# other.
+# tuple DPs keep: a leaf has an empty bag and no child, and introduce(v) adds
+# v to its one child's bag.  treewidth writes forget and join nodes only;
+# collapse_to_joins and expand_to_four_kinds map each form onto the other.
 LEAF = "leaf"
 INTRODUCE = "introduce"
 
@@ -326,16 +349,15 @@ def nice_records(ntd: NiceTreeDecomposition) -> list[NiceNode]:
 
 
 def collapse_to_joins(four: NiceTreeDecomposition) -> NiceTreeDecomposition:
-    """The two-kind form of a four-kind nice tree, such as reference_to_nice
-    builds or nice_from_records is handed: each maximal introduce chain,
-    with the leaf or join below it, becomes one join over the bag of the
-    chain's top, in the place of that leaf or join; a leaf with no
-    introduce above it becomes a join with no child.  A maximal introduce
-    chain over a forget is dropped where a join lies right above it, the
-    join reading the forget, and otherwise becomes a join with the forget as
-    its one child, in the place of the chain's top.  Forget nodes keep
-    their bags and their order, and the result is to_nice's tree for the
-    decomposition reference_to_nice was given, node for node."""
+    """The two-kind form of a four-kind nice tree built by hand, as
+    nice_from_records is handed one: each maximal introduce chain, with the
+    leaf or join below it, becomes one join over the bag of the chain's
+    top, in the place of that leaf or join; a leaf with no introduce above
+    it becomes a join with no child.  A maximal introduce chain over a
+    forget is dropped where a join lies right above it, the join reading
+    the forget, and otherwise becomes a join with the forget as its one
+    child, in the place of the chain's top.  Forget nodes keep their bags
+    and their order."""
     records = nice_records(four)
     up = [None] * len(records)  # each node's parent's kind
     for node in records:
@@ -367,14 +389,14 @@ def collapse_to_joins(four: NiceTreeDecomposition) -> NiceTreeDecomposition:
 
 def expand_to_four_kinds(two: NiceTreeDecomposition) -> NiceTreeDecomposition:
     """The four-kind form of a two-kind nice tree, such as heuristic_nice
-    builds, for the tuple DPs to read: a join with no child becomes a leaf
-    and an introduce chain up to its bag; a join with one child, an
-    introduce chain from that child up to its bag; and a join with two
-    children, an introduce chain lifting each child to the union U of their
-    bags, a join of the two over U, and an introduce chain from U up to its
-    bag.  Each chain introduces its vertices in ascending order.  Forget
-    nodes keep their bags and their order, and every node comes after its
-    children."""
+    and to_nice build, for the tuple DPs to read: a join with no child
+    becomes a leaf and an introduce chain up to its bag; a join with one
+    child, an introduce chain from that child up to its bag; and a join
+    with two children, an introduce chain lifting each child to the union U
+    of their bags, a join of the two over U, and an introduce chain from U
+    up to its bag.  Each chain introduces its vertices in ascending order.
+    Forget nodes keep their bags and their order, and every node comes
+    after its children."""
     nodes: list[NiceNode] = []
     stand: list[int] = []  # node of two -> the node of the result that stands for it
 
@@ -429,48 +451,6 @@ def elimination_route_nice(g: Graph, method: str) -> NiceTreeDecomposition:
     td = union_find_elimination_decomposition(g, greedy_order(g, method))
     assert td.graph is None
     return to_nice(td, g)
-
-
-def reference_to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
-    """Reference normalization to nice form: the one-pass builder over
-    frozenset bags and NiceNode records that treewidth.to_nice replaced,
-    kept as an oracle for its trees node for node.  It validates every
-    decomposition."""
-    check = validate(td, g)
-    if not check.ok:
-        raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
-    nodes: list[NiceNode] = []
-    append = nodes.append
-
-    def chain_to(node: int, target: frozenset[int]) -> int:
-        bag = nodes[node].bag
-        for v in sorted(bag - target):
-            append(NiceNode(FORGET, bag := bag - {v}, (node,), v))
-            node = len(nodes) - 1
-        for v in sorted(target - bag):
-            append(NiceNode(INTRODUCE, bag := bag | {v}, (node,), v))
-            node = len(nodes) - 1
-        return node
-
-    order, parent = _walk(td.tree)  # rooted at node 0
-    kids: list[list[int]] = [[] for _ in td.bags]
-    for t in order[1:]:
-        kids[parent[t]].append(t)
-    built: dict[int, int] = {}
-    for t in reversed(order):
-        bag = td.bags[t]
-        if not kids[t]:
-            append(NiceNode(LEAF, frozenset(), ()))
-            built[t] = chain_to(len(nodes) - 1, bag)
-            continue
-        lifted = [chain_to(built[s], bag) for s in kids[t]]
-        node = lifted[0]
-        for other in lifted[1:]:
-            append(NiceNode(JOIN, bag, (node, other)))
-            node = len(nodes) - 1
-        built[t] = node
-    chain_to(built[0], frozenset())
-    return nice_from_records(g, nodes)
 
 
 def dp_pipeline_gadgets(cases: int) -> list[Graph]:

@@ -308,14 +308,14 @@ class TestPipelineTable:
 
 class TestSolveDp:
     def test_no_dp_solver_refused_before_decomposing(self, monkeypatch):
-        import twlab.harness as hn
+        from twlab import treewidth as tw
         from twlab.graphs import Graph
         from twlab.reductions import clique_to_gensat
 
-        def no_decomposition(graph):
+        def no_decomposition(graph, method):
             raise AssertionError("decomposition built for an instance with no DP solver")
 
-        monkeypatch.setattr(hn, "_target_ntd", no_decomposition)
+        monkeypatch.setattr(tw, "heuristic_nice", no_decomposition)
         gensat = clique_to_gensat(Graph(3, [(0, 1), (0, 2), (1, 2)]), 2).instance
         with pytest.raises(InputError, match="no DP solver for GensatInstance"):
             solve_dp(gensat)
@@ -333,11 +333,20 @@ class TestSolveDp:
 
         for name in ("to_nice", "heuristic_decomposition", "_fill_in"):
             monkeypatch.setattr(tw, name, refuse)
+        built, heuristic_nice = [], tw.heuristic_nice
+
+        def recording(graph, method):
+            built.append((graph, method))
+            return heuristic_nice(graph, method)
+
+        monkeypatch.setattr(tw, "heuristic_nice", recording)
         lc = gen_list_instance(12, 3, 0.3, 5)
         chosen = ChosenOutdegreeInstance(*gen_weighted(10, 0.4, 3, 6), gen_rho(10, 6, 7))
         for inst in (lc, chosen, ListColoringInstance(Graph(0), [])):
-            assert hn._target_ntd(inst.graph) == tw.heuristic_nice(inst.graph, "min-fill")
             witness = solve_dp(inst)
+            (graph, method), = built
+            assert graph is inst.graph and method == "min-fill"
+            built.clear()
             assert witness is None or hn.pr.kind_of(inst).check(inst, witness)
 
 

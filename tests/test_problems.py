@@ -396,6 +396,24 @@ class TestConstraintGraphs:
         variable_edges = [e for e in inc.edges if e[0] < 3 and e[1] < 3]
         assert variable_edges == []
 
+    def test_dual_matches_the_pair_comprehension(self):
+        # the dual against a test of every pair of constraints, on random
+        # instances and on two constraints sharing three variables
+        def pairwise_dual(inst):
+            scopes = [set(c.scope) for c in inst.constraints]
+            return Graph(len(scopes), [(i, j) for i in range(len(scopes))
+                                       for j in range(i + 1, len(scopes)) if scopes[i] & scopes[j]])
+
+        rels = {a: BooleanRelation(a, [(0,) * a]) for a in (1, 2, 3, 4)}
+        shared = GensatInstance(5, [Constraint((4, 1, 2, 0), rels[4]), Constraint((2, 0, 4), rels[3])])
+        assert build_dual(shared) == pairwise_dual(shared) == Graph(2, [(0, 1)])
+        rng = random.Random(37)
+        for _ in range(200):
+            m = rng.randint(1, 8)
+            inst = GensatInstance(m, [Constraint(rng.sample(range(m), a), rels[a])
+                                      for a in [rng.randint(1, min(4, m)) for _ in range(rng.randint(0, 9))]])
+            assert build_dual(inst) == pairwise_dual(inst)
+
 
 # one small instance of every kind
 INSTANCE_BUILDS = [

@@ -15,6 +15,7 @@ from conftest import (
     collapse_to_joins,
     complete,
     cycle,
+    decompositions_with_inserted_and_hung_bags,
     elimination_test_graphs,
     expand_to_four_kinds,
     grid,
@@ -22,7 +23,6 @@ from conftest import (
     nice_from_records,
     nice_records,
     path,
-    reference_to_nice,
     star,
     tuple_chosen_outdegree_dp,
     tuple_list_coloring_dp,
@@ -63,6 +63,7 @@ from twlab.treewidth import (
     heuristic_decomposition,
     heuristic_nice,
     to_nice,
+    width,
 )
 
 
@@ -70,22 +71,22 @@ def nice_of(g):
     return to_nice(heuristic_decomposition(g, "min-fill"), g)
 
 
-def both_trees(g, method="min-fill"):
-    """to_nice's tree of g's heuristic decomposition, which the packed DPs
-    read, and reference_to_nice's four-kind tree of it, which the tuple DPs
-    and lift_then_intersect_tables read (collapse_to_joins maps the
-    second onto the first)."""
-    td = heuristic_decomposition(g, method)
-    return to_nice(td, g), reference_to_nice(td, g)
-
-
-def elimination_trees(g, method="min-fill"):
-    """heuristic_nice's tree of g, which the packed DPs read, and its
-    expansion to four kinds, which the tuple DPs read."""
-    ntd = heuristic_nice(g, method)
+def with_four_kinds(ntd):
+    """ntd, which the packed DPs read, and its expansion to four kinds,
+    which the tuple DPs and lift_then_intersect_tables read."""
     four = expand_to_four_kinds(ntd)
     assert_four_kinds(four)
     return ntd, four
+
+
+def both_trees(g, method="min-fill"):
+    """to_nice's tree of g's heuristic decomposition, with four kinds."""
+    return with_four_kinds(to_nice(heuristic_decomposition(g, method), g))
+
+
+def elimination_trees(g, method="min-fill"):
+    """heuristic_nice's tree of g, with four kinds."""
+    return with_four_kinds(heuristic_nice(g, method))
 
 
 def assert_four_kinds(four):
@@ -237,7 +238,7 @@ def square_joined_at_its_diagonal():
 
 def chosen_corpus(rng, method):
     """Seeded capped-orientation instances with their nice decompositions,
-    each as a pair (to_nice's tree, the four-kind tree it collapses from):
+    each as a pair (a two-kind tree, its four-kind form):
     n = 0..9 and a three-component graph, caps all 0 (one-bit slots), caps
     often below the weights, caps up to 1000 (11-bit slots); then the
     hand-built joins of other_branch_join_triangle and
@@ -442,11 +443,11 @@ class TestDpListColoring:
             assert tuple_list_coloring_dp(inst, four) is None
 
     def test_joins_below_lifting_chains_match_lift_then_intersect(self, monkeypatch):
-        # a join with two children reads the tables below the reference
-        # tree's two lifting chains and introduces the rest of its bag; its
-        # table must be the intersection of the two lifted tables, lifted
-        # further where the join is widened to the top of the reference
-        # tree's introduce chain above its join
+        # a join with two children reads its children's tables as they are
+        # and introduces the rest of its bag; its table must be the
+        # intersection of the two tables lifted to the union of their bags,
+        # lifted further where its bag is larger: in its four-kind form, the
+        # table at the top of the introduce chain above its join
         runs, run = [], solvers._NiceDP.run
 
         def recording(dp, bound, step, back):
@@ -464,17 +465,17 @@ class TestDpListColoring:
         insts += [band_instance(n, 5, rng) for n in (100, 200, 300)]
         cases = [(inst, both_trees(inst.graph)) for inst in insts]
         for g, td in hand_built_joins():
-            trees = to_nice(td, g), reference_to_nice(td, g)
+            trees = with_four_kinds(to_nice(td, g))
             cases += [(ListColoringInstance(g, [rng.sample((1, 2, 3), rng.choice((1, 2, 2, 3))) for _ in range(g.n)]),
                        trees) for _ in range(150)]
-        answers, lifted, widened = set(), 0, 0
+        answers, lifted, introduced = set(), 0, 0
         for inst, (ntd, four) in cases:
             answers.add(dp_list_coloring(inst, ntd) is None)
             dp, joins = runs.pop()
             assert list(dp.tables) == [ntd.root]  # every table is dropped once read
-            # the joins with two children stand for the reference tree's
-            # joins, in order, each over the bag of the top of the introduce
-            # chain above its reference join
+            # the joins with two children stand for the four-kind joins, in
+            # order, each over the bag of the top of the introduce chain
+            # above its four-kind join
             twos = [i for i in joins if ntd.right[i] >= 0]
             tables = lift_then_intersect_tables(inst, four, dp.off)
             parent = {c: p for p in four.nodes for c in (four.left[p], four.right[p]) if c >= 0}
@@ -483,10 +484,10 @@ class TestDpListColoring:
             for i, j in zip(twos, reference):
                 while four.kind[parent.get(j, j)] == INTRODUCE:
                     j = parent[j]
-                widened += four.kind[j] == INTRODUCE
+                introduced += four.kind[j] == INTRODUCE
                 assert ntd.bag[i] == four.bag[j] and joins[i] == tables[j]
                 lifted += bool(joins[i]) and ntd.bag[ntd.left[i]] != ntd.bag[i]
-        assert answers == {True, False} and lifted > 100 and widened > 0
+        assert answers == {True, False} and lifted > 100 and introduced > 0
 
     def test_7x40_grid_peak_memory(self):
         inst = grid_instance(7, 40, random.Random(11))
@@ -655,7 +656,7 @@ class TestDpChosenOutdegree:
                 ntd = nice_of(inst.graph)
                 got[plant] = dp_chosen_outdegree(inst, ntd)
         assert got[False] is None and got[True] is not None
-        assert got[True] == tuple_chosen_outdegree_dp(inst, reference_to_nice(heuristic_decomposition(inst.graph), inst.graph))
+        assert got[True] == tuple_chosen_outdegree_dp(inst, with_four_kinds(ntd)[1])
 
 
 class TestMinMaxDp:
@@ -746,6 +747,33 @@ class TestNonHeuristicDecompositions:
         assert (lam is None) == (bf_chosen_outdegree(out.instance) is None)
         if lam is not None:
             assert check_admissible(out.instance, lam)
+
+    def test_witnesses_match_tuple_oracles_on_given_decompositions(self):
+        # both packed DPs on to_nice's trees of decompositions that no
+        # elimination wrote return the tuple DPs' witnesses on the trees'
+        # four-kind forms: random decompositions with inserted and hung
+        # bags, the hand-built joins and pc-chosen gadgets' own witnesses
+        from twlab.reductions import pc_to_chosen_outdegree
+
+        rng = random.Random(37)
+        given = list(decompositions_with_inserted_and_hung_bags(rng, 300)) + list(hand_built_joins()) * 20
+        gadgets = [pc_to_chosen_outdegree(harness.gen_partitioned(3, 2, 0.5, plant, 1)) for plant in (False, True)]
+        given += [(out.instance.graph, out.witness) for out in gadgets]
+        answers = set()
+        for g, td in given:
+            ntd, four = with_four_kinds(to_nice(td, g))
+            assert check_nice(ntd, g).ok and ntd.width() == width(td)
+            lists = ListColoringInstance(g, [rng.sample((1, 2, 3), rng.choice((1, 2, 2, 3))) for _ in range(g.n)])
+            got = dp_list_coloring(lists, ntd)
+            assert got == tuple_list_coloring_dp(lists, four), (g.edges, td)
+            caps = ChosenOutdegreeInstance(g, [rng.randint(1, 3) for _ in g.edges], [rng.randint(0, 3) for _ in range(g.n)])
+            lam = dp_chosen_outdegree(caps, ntd)
+            assert lam == tuple_chosen_outdegree_dp(caps, four), (g.edges, td)
+            answers |= {("lists", got is None), ("caps", lam is None)}
+        for out in gadgets:
+            ntd, four = with_four_kinds(to_nice(out.witness, out.instance.graph))
+            assert dp_chosen_outdegree(out.instance, ntd) == tuple_chosen_outdegree_dp(out.instance, four)
+        assert answers == {(dp, no) for dp in ("lists", "caps") for no in (True, False)}
 
 
 def count_checks(monkeypatch):
@@ -844,23 +872,27 @@ class TestNodeOrder:
         )
 
 
-# the join over {0, 1, 2} reads the forgets of 4 and 3, with bags {1} and
-# {0}, and introduces 0 and 2 into its left child's bag, 2 held by neither
-# child: its cap is cap[left] * 2 * 5 = 3 * 10 = 30, and it returns a table
-# of 30 + extra states
+# every join returns a table of cap + extra states, where cap is the product
+# of the bounds of its bag, the most states it can have; the tree has a join
+# with two children whose left child lacks part of its bag, and a join with
+# a child over bag vertices that no child holds
 OVER_BOUND = """
-import sys
+import math, sys
 from twlab.graphs import Graph
 from twlab.solvers import _NiceDP
-from twlab.treewidth import FORGET, JOIN, TreeDecomposition, to_nice
+from twlab.treewidth import FORGET, JOIN, TreeDecomposition, bits, to_nice
 extra = int(sys.argv[1])
 print(sys.flags.optimize)
 g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 ntd = to_nice(TreeDecomposition(Graph(3, [(0, 1), (0, 2)]), [{0, 1, 2}, {0, 3}, {1, 4}]), g)
-assert [ntd.bag[c] for c in (ntd.left[-4], ntd.right[-4])] == [0b10, 0b1] and ntd.bag[-4] == 0b111
-step = {FORGET: lambda i: {0}, JOIN: lambda i, new: set(range(30 + extra)) if ntd.right[i] >= 0 else {0}}
+bag, left, right = ntd.bag, ntd.left, ntd.right
+joins = [i for i in ntd.nodes if ntd.kind[i] == JOIN and left[i] >= 0]
+assert any(right[i] >= 0 and bag[i] & ~bag[left[i]] for i in joins)
+assert any(bag[i] & ~(bag[left[i]] | (bag[right[i]] if right[i] >= 0 else 0)) for i in joins)
+bound = [2, 3, 5, 7, 11]
+step = {FORGET: lambda i: {0}, JOIN: lambda i, new: set(range(math.prod(bound[v] for v in bits(bag[i])) + extra))}
 try:
-    _NiceDP(g, ntd, 1).run([2, 3, 5, 7, 11], step, lambda i, s: (s, s))
+    _NiceDP(g, ntd, 1).run(bound, step, lambda i, s: (s, s))
     print("within its bound")
 except AssertionError as exc:
     print(exc)

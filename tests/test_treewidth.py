@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     NiceNode,
     augment_with_set,
-    collapse_to_joins,
     complete,
     cycle,
     decompose_forest,
     decomposition_of_subset,
+    decompositions_with_inserted_and_hung_bags,
     dp_pipeline_gadgets,
     elimination_route_nice,
     elimination_test_graphs,
@@ -22,7 +22,6 @@ from conftest import (
     nice_records,
     path,
     petersen,
-    reference_to_nice,
     relabel,
     search_forest_decomposition,
     search_validate,
@@ -273,8 +272,8 @@ class TestGreedyOrder:
         with within_seconds(10, "min-fill and to_nice on the 6x400 grid"):
             td = heuristic_decomposition(g, "min-fill")
             ntd = to_nice(td, g)
-        assert width(td) == 7
-        assert len(ntd.nodes) == 4796
+        assert width(td) == ntd.width() == 7 and check_nice(ntd, g).ok
+        assert ntd.kind.count(FORGET) == g.n and len(ntd.nodes) < 2 * g.n
 
 
 class TestExact:
@@ -515,16 +514,40 @@ class TestHeuristicNice:
             heuristic_nice(triangle, "min-width")
 
 
+def reference_elimination(td):
+    """The elimination to_nice reads off td, over frozenset bags: the host
+    rooted at node 0 and walked children first (stack_rooting reversed),
+    each node taking the vertices of its bag that its parent's bag lacks in
+    ascending order, each with the rest of the bag not yet taken."""
+    walk, kids = stack_rooting(td.tree)
+    above = {s: td.bags[t] for t in walk for s in kids[t]}
+    order, rests = [], []
+    for t in reversed(walk):
+        rest = td.bags[t]
+        for v in sorted(rest - above.get(t, frozenset())):
+            rest -= {v}
+            order.append(v)
+            rests.append(rest)
+    return order, rests
+
+
 def assert_same_nice(td, g):
-    got, ref = to_nice(td, g), collapse_to_joins(reference_to_nice(td, g))
-    assert nice_records(got) == nice_records(ref)  # kind, bag, children, vertex
-    assert got == ref and got.graph is g
+    """to_nice's tree of td passes check_nice at width(td), carries g, and
+    forgets the vertices of reference_elimination's order, each down to its
+    rest, in node order."""
+    ntd = to_nice(td, g)
+    assert check_nice(ntd, g).ok and ntd.graph is g
+    assert ntd.width() == width(td)
+    forgets = [i for i, kind in enumerate(ntd.kind) if kind == FORGET]
+    order, rests = reference_elimination(td)
+    assert [ntd.vertex[i] for i in forgets] == order
+    assert [frozenset(bits(ntd.bag[i])) for i in forgets] == rests
 
 
 class TestMatchesReferenceBuilder:
-    """to_nice writes the flat node lists directly; its tree equals the
-    record builder's, collapsed to forget and join nodes, node for node:
-    ids, kinds, bags, children and vertices."""
+    """to_nice reads an elimination off the given decomposition and writes
+    it as heuristic_nice does: its tree is a nice tree of the decomposition's
+    width, whose forgets are the reference reading's elimination."""
 
     @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
     def test_elimination_test_graphs(self, method):
@@ -532,7 +555,7 @@ class TestMatchesReferenceBuilder:
             assert_same_nice(heuristic_decomposition(g, method), g)
 
     def test_validated_hand_built_decomposition(self):
-        # a star host: its children are joined over repeated bags
+        # a star host whose three children all hold the root's vertex 0
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         td = TreeDecomposition(
             Graph(4, [(0, 1), (0, 2), (0, 3)]), [{0, 2}, {0, 1, 2}, {0, 2, 3}, {0, 4}]
@@ -545,26 +568,7 @@ class TestMatchesReferenceBuilder:
             assert_same_nice(heuristic_decomposition(g), g)
 
     def test_decompositions_with_inserted_and_hung_bags(self):
-        # a bag inserted on a host edge (holding what both ends share) or
-        # hung as a leaf (a subset of a bag) makes host children whose bags
-        # lie within their parent's, so the reference tree's introduce
-        # chains run on across host nodes
-        rng = random.Random(5)
-        for _ in range(300):
-            g = random_graph(rng)
-            td = union_find_elimination_decomposition(g, rng.sample(range(g.n), g.n))
-            bags, edges = [set(b) for b in td.bags], list(td.tree.edges)
-            for _ in range(rng.randint(0, 6)):
-                if edges and rng.random() < 0.6:
-                    a, b = edges.pop(rng.randrange(len(edges)))
-                    pool = sorted(bags[a] | bags[b])
-                    bags.append(bags[a] & bags[b] | set(rng.sample(pool, rng.randint(0, len(pool)))))
-                    edges += [(a, len(bags) - 1), (len(bags) - 1, b)]
-                else:
-                    a = rng.randrange(len(bags))
-                    bags.append(set(rng.sample(sorted(bags[a]), rng.randint(0, len(bags[a])))))
-                    edges.append((a, len(bags) - 1))
-            td = TreeDecomposition(Graph(len(bags), edges), bags)
+        for g, td in decompositions_with_inserted_and_hung_bags(random.Random(5), 300):
             assert validate(td, g).ok
             assert_same_nice(td, g)
 
