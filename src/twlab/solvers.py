@@ -8,22 +8,23 @@ decomposition), so the driver checks only that the tree was built for the
 graph solved on, not the tree itself.  It gives each vertex a fixed bag slot
 (_slots), fills one sparse table of packed bag states per node in index
 order, which lists children first, checks each table's size against its
-bound (a product carried up the walk; a plain check, so it holds under
-python -O), tests the root table (the last node's) for the empty state and
-walks back root-to-leaves.  A nice tree has forget and join nodes only,
-and a join introduces the part of its bag its children lack.  It has no
-edge nodes: the list DP drops colour clashes where it colours a vertex, and
-the orientation DP applies each edge at the forget of the end forgotten
-first.  Everything reads the nice tree's flat lists by node id: a bag is an
-int bitmask whose vertices come by ascending bit, and a vertex's neighbours
-in it are the bag ANDed with the vertex's adjacency mask, built per solve.
-A DP brings only its encoding, one table handler per node kind and one
-back-step, each taking a node id; the back-steps read witnesses off
-back-pointers in the orientation DP and least-colour maps at forget nodes
-in the list-colouring DP.  The solvers do not check the witnesses they
-return: the harness
-(`twlab verify`) and the CLI (`twlab solve`) check each yes-witness once
-with its kind's checker.
+bound (the product of its bag's bounds; a plain check, so it holds under
+python -O), stops with no answer at the first empty table, tests the root
+table (the last node's) for the empty state and walks back root-to-leaves.
+A nice tree has forget and join nodes only, and a join introduces the part
+of its bag its children lack.  It has no edge nodes: the list DP drops
+colour clashes where it colours a vertex, and the orientation DP applies
+each edge at the forget of the end forgotten first.  Everything reads the
+nice tree's flat lists by node id: a bag is the ascending tuple of its
+vertices, and a vertex's neighbours in it are those in its set of
+neighbours in the graph (Graph._adj), so no structure indexed by vertex
+number is built per node.  A DP brings only its encoding, one table
+handler per node kind and one back-step, each taking a node id; the
+back-steps read witnesses off back-pointers in the orientation DP and
+least-colour maps at forget nodes in the list-colouring DP.  The solvers
+do not check the witnesses they return: the harness (`twlab verify`) and
+the CLI (`twlab solve`) check each yes-witness once with its kind's
+checker.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Collection, Iterable
 from functools import reduce
 from itertools import groupby
+from math import prod
 from operator import and_
 
 from twlab.errors import InputError
@@ -41,9 +43,7 @@ from twlab.treewidth import (
     FORGET,
     JOIN,
     NiceTreeDecomposition,
-    bits,
     check_nice,  # noqa: F401  not called; test_tracer_restores_every_binding reads it here
-    neighbour_masks,
 )
 
 
@@ -58,15 +58,16 @@ def _require_nice(ntd: NiceTreeDecomposition, g: Graph) -> None:
 def _slots(ntd: NiceTreeDecomposition, n: int) -> list[int]:
     """Each vertex's bag slot: walking the nodes parents first (from the
     root, the last node, down to node 0), the forget node of v gives v the
-    least slot not held by the rest of its bag, whose vertices are forgotten
-    higher up and so hold slots already.  Each vertex is forgotten once, so
-    the vertices of a bag hold distinct slots, at most width + 1 of them."""
+    least slot not held by the rest of its bag, the forget's own bag, whose
+    vertices are forgotten higher up and so hold slots already.  Each vertex
+    is forgotten once, so the vertices of a bag hold distinct slots, at most
+    width + 1 of them."""
     slot = [0] * n
     kind, vertex, bag = ntd.kind, ntd.vertex, ntd.bag
     for i in reversed(range(len(kind))):
         if kind[i] == FORGET:
             held = 0  # bit k set iff slot k is held
-            for u in bits(bag[i]):
+            for u in bag[i]:
                 held |= 1 << slot[u]
             slot[vertex[i]] = (~held & (held + 1)).bit_length() - 1  # the lowest clear bit
     return slot
@@ -78,7 +79,7 @@ class _NiceDP:
     times slot_bits.  A DP builds its encoding over off, then its handlers
     over off and tables (node id -> that node's table of packed bag
     states), and hands them to run.  Handlers and back-steps take node ids
-    and read the node's kind, bag mask, vertex and children off ntd's
+    and read the node's kind, bag tuple, vertex and children off ntd's
     lists.  Each handler reads only its children's tables, and pops them,
     or keeps them where its back-step reads them again."""
 
@@ -90,35 +91,34 @@ class _NiceDP:
 
     def run(self, bound: list[int], step: dict[str, Callable], back: Callable) -> bool:
         """In index order, children first, step[FORGET](i) or
-        step[JOIN](i, new) builds node i's table, new listing the bag
-        vertices a join's children lack, ascending.  A table over cap[i] =
-        prod(bound[v] for v in its bag) states raises AssertionError, under
-        python -O too.  Every bound is at least 1; cap is carried up from
-        the left child (1 without one): forget(v) divides by bound[v], a
-        join multiplies by the bounds of the bag vertices its left child
-        lacks (an XOR: a child's bag lies within its join's).  False if the
-        root table lacks state 0.
+        step[JOIN](i, new) builds node i's table, new being the join's
+        stored tuple of the bag vertices its children lack.  A table over
+        cap[i] = prod(bound[v] for v in its bag) states raises
+        AssertionError, under python -O too; every bound is at least 1, and
+        forget(v) divides its child's cap by bound[v].  Every step maps an
+        empty child table to an empty table, so the first empty table fixes
+        the root's: return False there, with that table the last in tables
+        and none built above it, and False if the root table lacks state 0.
         Otherwise walk root-to-leaves from state 0, where back(i, s) records
         what node i adds to the witness and gives the states of its children
         in order, and return True."""
         ntd, tables = self.ntd, self.tables
-        kind, bag, vertex, left, right = ntd.kind, ntd.bag, ntd.vertex, ntd.left, ntd.right
+        kind, bag, vertex, left, right, new = ntd.kind, ntd.bag, ntd.vertex, ntd.left, ntd.right, ntd.new
+        at = bound.__getitem__
         cap: list[int] = []
         for i, k in enumerate(kind):
-            l, r = left[i], right[i]
-            c = cap[l] if l >= 0 else 1
             if k == FORGET:
                 table = step[k](i)
-                c //= bound[vertex[i]]
+                c = cap[left[i]] // bound[vertex[i]]
             else:
-                lacks = bits(bag[i] ^ bag[l] if l >= 0 else bag[i])
-                for v in lacks:
-                    c *= bound[v]
-                table = step[k](i, lacks if r < 0 else bits(bag[i] ^ (bag[l] | bag[r])))
+                table = step[k](i, new[i])
+                c = prod(map(at, bag[i]))
             if len(table) > c:
                 raise AssertionError("table over its bound")
             cap.append(c)
             tables[i] = table
+            if not table:
+                return False
         if 0 not in tables[ntd.root]:
             return False
         stack = [(ntd.root, 0)]
@@ -183,7 +183,7 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
         return None
     off, tables = dp.off, dp.tables
     kind, vertex, bag, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.left, ntd.right
-    adj = neighbour_masks(g)
+    adj = g._adj
     fresh = [[code[c] << o for c in l] for l, o in zip(inst.lists, off)]
     least: dict[int, dict[int, int]] = {}  # forget node -> state -> least child code
     held: dict[int, int] = {}  # node -> the state bits of its bag's slots
@@ -219,12 +219,17 @@ def dp_list_coloring(inst: ListColoringInstance, ntd: NiceTreeDecomposition) -> 
             for s in tables.pop(r):
                 index.setdefault(s & key, []).append(s)
             table = {s | t for s in table for t in index.get(s & key, ())}
-            for u in bits(bag[l] & ~bag[r]):  # the edges between X1 - X2 and X2 - X1
-                table = proper(table, u, bits(adj[u] & bag[r] & ~bag[l]))
+            x1, x2 = set(bag[l]), set(bag[r])
+            only2 = [u for u in bag[r] if u not in x1]
+            for u in bag[l]:  # the edges between X1 - X2 and X2 - X1
+                if u not in x2:
+                    nu = adj[u]
+                    table = proper(table, u, [x for x in only2 if x in nu])
         for v in new:  # its coloured bag neighbours: all but the new ones after it
             h |= mask << off[v]
             table = {s | cs for s in table for cs in fresh[v]}
-            table = proper(table, v, [u for u in bits(bag[i] & adj[v]) if u < v or u not in new])
+            nv = adj[v]
+            table = proper(table, v, [u for u in bag[i] if u in nv and (u < v or u not in new)])
         held[i] = h
         return table
 
@@ -300,7 +305,9 @@ def dp_chosen_outdegree(
     into a table of its own (state -> tail): for the edge ab, a < b, it adds
     w at a to the states that keep a within its cap, then w at b where that
     gives a new state.  A count of the edges applied short of the graph's
-    raises AssertionError, by a plain raise that holds under python -O.
+    raises AssertionError, by a plain raise that holds under python -O; a
+    run that stopped at an empty table adds the edges of the forgets it
+    did not build.
     Forget then masks v's slot out.  A join with two children adds a left
     and a right state, sound as every edge is applied once.  For a left
     state s1 the right states that fit, s2 <= caps - s1 pointwise, are
@@ -341,11 +348,18 @@ def dp_chosen_outdegree(
     kind, vertex, bag, left, right = ntd.kind, ntd.vertex, ntd.bag, ntd.left, ntd.right
     guard = sum(1 << o + vb for o in set(off))  # every slot's guard bit
     weights = inst.weights
-    adj = neighbour_masks(g)
+    adj = g._adj
     at = {e: t for t, e in enumerate(g.edges)}  # edge -> its index in g.edges
     tails: dict[int, dict[int, int]] = {}  # edge index -> state -> tail, kept for the traceback
     direction = list(g.edges)  # aligned with g.edges; the traceback sets each
     applied = 0  # edges applied so far
+    last = -1  # the last forget built
+
+    def ends(i: int) -> list[int]:
+        """The neighbours of forget i's vertex in its bag, ascending: the
+        other ends of the edges it applies."""
+        nv = adj[vertex[i]]
+        return [u for u in bag[i] if u in nv]
 
     def apply(child: Collection[int], a: int, b: int, w: int) -> dict[int, int]:  # state -> tail
         ma, la, wa = vmask << off[a], rho[a] - w << off[a], w << off[a]
@@ -357,10 +371,11 @@ def dp_chosen_outdegree(
         return table
 
     def forget(i: int) -> dict[int, object]:  # back-pointer: the state after the edges at v
-        nonlocal applied
+        nonlocal applied, last
         v = vertex[i]
         child = tables[left[i]]
-        for u in bits(bag[i] & adj[v]):
+        last = i
+        for u in ends(i):
             e = canon(u, v)
             j = at[e]
             child = tails[j] = apply(child, *e, weights[j])
@@ -369,16 +384,16 @@ def dp_chosen_outdegree(
         if len(child) <= 1:
             return {s & keep: s for s in child}
         table = {s & keep: s for s in sorted(child, reverse=True)}
-        return _minimal_states(table, guard, vmask, map(off.__getitem__, bits(bag[i])))
+        return _minimal_states(table, guard, vmask, map(off.__getitem__, bag[i]))
 
     def join(i: int, new: list[int]) -> dict[int, object]:  # back-pointer: the left state
         if right[i] < 0:
             return tables[left[i]] if left[i] >= 0 else {0: None}
-        caps = sum(rho[v] << off[v] for v in bits(bag[i]))
+        caps = sum(rho[v] << off[v] for v in bag[i])
         rights = sorted(tables[right[i]])
         lefts = tables[left[i]]
         if len(lefts) > 1:  # in the tuple oracle's order: fields by ascending vertex
-            offs = [off[v] for v in bits(bag[i])]
+            offs = [off[v] for v in bag[i]]
             lefts = sorted(lefts, key=lambda s: [s >> o & vmask for o in offs])
         table: dict[int, object] = {}
         for s1 in lefts:
@@ -395,7 +410,7 @@ def dp_chosen_outdegree(
         if kind[i] == JOIN:  # t is the left state
             return (t, s - t)
         v = vertex[i]
-        for u in sorted(bits(bag[i] & adj[v]), reverse=True):  # the edges at v, last applied first
+        for u in reversed(ends(i)):  # the edges at v, last applied first
             j = at[canon(u, v)]
             tail = tails[j][t]
             direction[j] = (tail, u + v - tail)
@@ -403,6 +418,9 @@ def dp_chosen_outdegree(
         return (t,)
 
     found = dp.run([r + 1 for r in rho], {FORGET: forget, JOIN: join}, back)
+    # a run that stops at an empty table builds no forget above it: count
+    # the edges those would apply, so the check reads the whole tree
+    applied += sum(len(ends(i)) for i in range(last + 1, len(kind)) if kind[i] == FORGET)
     if applied != len(g.edges):
         raise AssertionError(f"the nice tree applies {applied} of the graph's {len(g.edges)} edges")
     return Orientation(g, direction) if found else None

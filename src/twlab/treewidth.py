@@ -15,21 +15,24 @@ paired with an equal but distinct graph) is validated.
 A nice decomposition has two kinds of node, forget and join, and no edge
 nodes; a join introduces the part of its bag that its children lack, so
 there are no leaf or introduce nodes.  It is stored flat: parallel lists of
-kind, bag (an int bitmask), vertex and the two children, one entry per
-node.  One writer, _write_nice, fills the lists from an elimination's order
-and rests, for the graph the tree carries.  heuristic_nice feeds it the
-min-fill (or min-degree) elimination, with no host tree; that is the tree
+kind, bag (the ascending tuple of its vertices), vertex, the two children
+and the vertices a join introduces, one entry per node.  One writer,
+_write_nice, fills the lists from an elimination's order and rests, for the
+graph the tree carries.  heuristic_nice feeds it the min-fill (or
+min-degree) elimination's rest lists, with no host tree; that is the tree
 the DPs run on unless one is given.  to_nice feeds it the elimination it
-reads off a given TreeDecomposition (a `--td` file, a gadget's witness).
-The solvers read the lists, so building and walking a nice tree allocates
-no tuple or set per node.  check_nice is the tests' oracle for the trees;
+reads off the frozenset bags of a given TreeDecomposition (a `--td` file, a
+gadget's witness).  So a node costs its bag, not n: only the eliminations
+(min-fill, from_elimination_order, exact_treewidth) hold int bitmasks
+indexed by vertex number.  check_nice is the tests' oracle for the trees;
 no solver calls it.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Collection, Iterable
+from bisect import bisect_left
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from twlab import kernels
@@ -88,6 +91,17 @@ def neighbour_masks(g: Graph) -> list[int]:
     """Each vertex's neighbourhood in g as an int bitmask, built anew on
     every call (a Graph caches none)."""
     return [sum(1 << u for u in ns) for ns in g._adj]
+
+
+def bits(mask: int) -> list[int]:
+    """The set bits of mask (a neighbourhood's vertices) in ascending order,
+    read from the top by bit_length: mask & -mask ANDs a negative int, slow
+    when long."""
+    out = []
+    while mask:
+        out.append(v := mask.bit_length() - 1)
+        mask ^= 1 << v
+    return out[::-1]
 
 
 def _walk(g: Graph) -> tuple[list[int], list[int]]:
@@ -310,16 +324,6 @@ FORGET = "forget"
 JOIN = "join"
 
 
-def bits(mask: int) -> list[int]:
-    """The set bits of mask (a bag's vertices) in ascending order, read from
-    the top by bit_length: mask & -mask ANDs a negative int, slow when long."""
-    out = []
-    while mask:
-        out.append(v := mask.bit_length() - 1)
-        mask ^= 1 << v
-    return out[::-1]
-
-
 @dataclass(frozen=True)
 class NiceTreeDecomposition:
     """Rooted normalized decomposition with two kinds of node: forget(v),
@@ -333,24 +337,28 @@ class NiceTreeDecomposition:
     first: every child's id is smaller than its parent's, and the last node
     is the root, whose bag is empty.
 
-    The store is flat, one list entry per node id: kind[i]; bag[i] as an
-    int bitmask, bit v set iff v is in the bag; vertex[i], the forget
-    payload (-1 at a join); left[i] and right[i], the children (-1 where
-    there is none; a join with one child has only a left child).
+    The store is flat, one list entry per node id: kind[i]; bag[i], the
+    ascending tuple of the bag's vertices; vertex[i], the forget payload
+    (-1 at a join); left[i] and right[i], the children (-1 where there is
+    none; a join with one child has only a left child); and new[i], at a
+    join the ascending tuple of its bag's vertices that its children lack,
+    the ones it introduces (() at a forget).  No entry is indexed by vertex
+    number, so a node costs its bag, not n.
 
     One writer makes one, _write_nice, fed by heuristic_nice and to_nice:
     the constructor takes the graph and makes the lists empty, and the
-    writer fills them through add and joins.  So every nice tree is a nice
+    writer appends each node's entries.  So every nice tree is a nice
     tree of its `graph`, and the solvers compare graphs instead of checking
     it.
     """
 
     graph: Graph = field(compare=False, repr=False)
     kind: list[str] = field(default_factory=list, init=False)
-    bag: list[int] = field(default_factory=list, init=False)
+    bag: list[tuple[int, ...]] = field(default_factory=list, init=False)
     vertex: list[int] = field(default_factory=list, init=False)
     left: list[int] = field(default_factory=list, init=False)
     right: list[int] = field(default_factory=list, init=False)
+    new: list[tuple[int, ...]] = field(default_factory=list, init=False)
 
     @property
     def nodes(self) -> range:
@@ -361,33 +369,13 @@ class NiceTreeDecomposition:
         return len(self.kind) - 1
 
     def width(self) -> int:
-        return max(b.bit_count() for b in self.bag) - 1
-
-    def add(self, kind: str, bag: int, vertex: int = -1, left: int = -1, right: int = -1) -> int:
-        """Append a node and return its id."""
-        self.kind.append(kind)
-        self.bag.append(bag)
-        self.vertex.append(vertex)
-        self.left.append(left)
-        self.right.append(right)
-        return len(self.kind) - 1
-
-    def joins(self, bag: int, children: list[int]) -> int:
-        """Join children, already added, under bag and return the top: one
-        join over none, one or two of them, a chain of joins left to right
-        over three or more, and no join over one child whose bag is bag."""
-        if len(children) == 1 and self.bag[children[0]] == bag:
-            return children[0]
-        node = self.add(JOIN, bag, -1, *children[:2])
-        for other in children[2:]:
-            node = self.add(JOIN, bag, -1, node, other)
-        return node
+        return max(map(len, self.bag)) - 1
 
 
-def _write_nice(g: Graph, order: list[int], rests: Iterable[int]) -> NiceTreeDecomposition:
+def _write_nice(g: Graph, order: list[int], rests: Iterable[Sequence[int]]) -> NiceTreeDecomposition:
     """The nice tree of an elimination of g, bucket elimination (Dechter,
     AIJ 1999): order lists every vertex of g once, and rests gives for each
-    position, as an int bitmask, the rest R of the vertex v eliminated
+    position, in ascending order, the rest R of the vertex v eliminated
     there, the later vertices its bag holds besides it.  The elimination
     must fit g: for each edge, the end eliminated later is in the rest of
     the other, and for each R, all of R but its earliest-eliminated vertex
@@ -403,15 +391,51 @@ def _write_nice(g: Graph, order: list[int], rests: Iterable[int]) -> NiceTreeDec
     `graph`.
     """
     ntd = NiceTreeDecomposition(g)
-    add, joins = ntd.add, ntd.joins
+    kind, bags, vertex, left, right, new = ntd.kind, ntd.bag, ntd.vertex, ntd.left, ntd.right, ntd.new
+
+    def joins(bag: tuple[int, ...], children: list[int]) -> int:
+        """Join children, already written, under bag and return the top:
+        one join over none, one or two of them, a chain of joins left to
+        right over three or more, and no join over one child whose bag is
+        bag.  The first join introduces what its children lack; each join
+        above it in a chain has a left child of its own bag, so introduces
+        none."""
+        if len(children) == 1 and bags[children[0]] == bag:
+            return children[0]
+        kind.append(JOIN)
+        bags.append(bag)
+        vertex.append(-1)
+        left.append(children[0] if children else -1)
+        right.append(children[1] if len(children) > 1 else -1)
+        if children:
+            have = set().union(*[bags[c] for c in children[:2]])
+            new.append(tuple([u for u in bag if u not in have]))
+        else:
+            new.append(bag)
+        for other in children[2:]:
+            kind.append(JOIN)
+            bags.append(bag)
+            vertex.append(-1)
+            left.append(len(kind) - 2)
+            right.append(other)
+            new.append(())
+        return len(kind) - 1
+
     position = [0] * g.n
     for i, v in enumerate(order):
         position[v] = i
     under: dict[int, list[int]] = {}  # position -> the forgets under it, until read; key n: the root's
     for i, (v, r) in enumerate(zip(order, rests)):
-        forget = add(FORGET, r, v, joins(r | 1 << v, under.pop(i, [])))
-        under.setdefault(min(map(position.__getitem__, bits(r))) if r else g.n, []).append(forget)
-    joins(0, under.pop(g.n, []))
+        r = tuple(r)
+        k = bisect_left(r, v)
+        left.append(joins(r[:k] + (v,) + r[k:], under.pop(i, [])))
+        kind.append(FORGET)
+        bags.append(r)
+        vertex.append(v)
+        right.append(-1)
+        new.append(())
+        under.setdefault(min(map(position.__getitem__, r)) if r else g.n, []).append(len(kind) - 1)
+    joins((), under.pop(g.n, []))
     return ntd
 
 
@@ -425,8 +449,7 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     host node t eliminates the vertices whose top it is (those of its bag
     that its parent's bag lacks) in ascending order, and gives each such v
     as its rest the bag of t less v and less the vertices t took before v
-    (Bodlaender & Koster, Inf. Comput. 2010).  Each host bag mask is
-    dropped once t is read, as its children were read before it.
+    (Bodlaender & Koster, Inf. Comput. 2010), read off the frozenset bags.
 
     The elimination fits g.  The nodes holding a vertex form a subtree, so
     the tops of the vertices of a bag lie on the path from it up to the
@@ -446,16 +469,17 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         if not check.ok:
             raise InputError("invalid decomposition: " + "; ".join(check.violations[:3]))
     walk, parent = _walk(td.tree)  # rooted at node 0
-    masks = [sum([1 << v for v in b]) for b in td.bags] + [0]  # index -1: the root's parent, empty
+    bags = td.bags + (frozenset(),)  # index -1: the root's parent, empty
     order: list[int] = []
-    rests: list[int] = []
+    rests: list[tuple[int, ...]] = []
     for t in reversed(walk):
-        bag = masks[t]
-        for v in bits(bag & ~masks[parent[t]]):
-            bag ^= 1 << v
-            order.append(v)
-            rests.append(bag)
-        masks[t] = 0
+        tops = bags[t] - bags[parent[t]]
+        if tops:
+            rest = sorted(bags[t])
+            for v in sorted(tops):
+                rest.remove(v)
+                order.append(v)
+                rests.append(tuple(rest))
     ntd = _write_nice(g, order, rests)
     assert ntd.width() == width(td), "normalization changed the width"
     return ntd
@@ -469,25 +493,27 @@ def heuristic_nice(g: Graph, method: str = "min-fill") -> NiceTreeDecomposition:
     adjacent to it, and so is the later end of each edge at u.  The tree
     has heuristic_decomposition's width.
     """
-    order, rests = _greedy_elimination(g, method)
-    return _write_nice(g, order, (sum([1 << u for u in rest]) for rest in rests))
+    return _write_nice(g, *_greedy_elimination(g, method))
 
 
 def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
     """Structural checks for nice decompositions, read off the flat lists:
-    the tests' oracle for _write_nice's trees.  A forget(v) has one child,
-    whose bag is its own plus v; a join has no child, a left one, or a left
-    and a right one, each with a bag within its own.  Children before
-    parents, and every node but the last the child of one node, make the
-    nodes a tree rooted at the last node, and validate on that tree checks
-    the bags, each edge of g in some bag included."""
+    the tests' oracle for _write_nice's trees.  Every bag is a strictly
+    ascending tuple.  A forget(v) has one child, whose bag is its own plus
+    v; a join has no child, a left one, or a left and a right one, each
+    with a bag within its own, and its new vertices are those of its bag
+    that its children lack, in ascending order.  Children before parents,
+    and every node but the last the child of one node, make the nodes a
+    tree rooted at the last node, and validate on that tree checks the
+    bags, each edge of g in some bag included."""
     if not ntd.kind:
         return Validity(("no nodes: a nice decomposition has at least its root",))
     violations = []
     bags = ntd.bag
     parents = [0] * len(bags)
     ordered = True
-    for i, (kind, bag, x, left, right) in enumerate(zip(ntd.kind, bags, ntd.vertex, ntd.left, ntd.right)):
+    rows = zip(ntd.kind, bags, ntd.vertex, ntd.left, ntd.right, ntd.new)
+    for i, (kind, bag, x, left, right, new) in enumerate(rows):
         children = tuple([c for c in (left, right) if c >= 0])
         if left >= i or right >= i:
             violations.append(f"node {i}: children {children} do not all come before it")
@@ -495,14 +521,20 @@ def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
             continue
         for c in children:
             parents[c] += 1
-        if kind == FORGET:
-            if children != (left,) or x < 0 or not bags[left] >> x & 1 or bag != bags[left] ^ 1 << x:
+        if any(a >= b for a, b in zip(bag, bag[1:])):
+            violations.append(f"node {i}: bag {bag} is not strictly ascending")
+        elif kind == FORGET:
+            if children != (left,) or x < 0 or x not in bags[left] or new \
+                    or bag != tuple([u for u in bags[left] if u != x]):
                 violations.append(f"node {i}: bad forget of {x}")
         elif kind == JOIN:
+            have = set().union(*[bags[c] for c in children])
             if left < 0 <= right:
                 violations.append(f"node {i}: a join with one child must have it on the left")
-            elif any(bags[c] & ~bag for c in children):
+            elif not have.issubset(bag):
                 violations.append(f"node {i}: a join's children must have bags within its own")
+            elif new != tuple([u for u in bag if u not in have]):
+                violations.append(f"node {i}: a join's new vertices must be those of its bag its children lack")
         else:
             violations.append(f"node {i}: unknown kind {kind}")
     strays = [i for i, p in enumerate(parents[:-1]) if p != 1]
@@ -511,7 +543,7 @@ def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
         violations.append("root bag must be empty")
     if ordered and not strays:  # the nodes form a tree, so the flat host builds
         host = [(i, c) for i, lr in enumerate(zip(ntd.left, ntd.right)) for c in lr if c >= 0]
-        flat = TreeDecomposition(Graph(len(bags), host), map(bits, bags))
+        flat = TreeDecomposition(Graph(len(bags), host), bags)
         violations.extend(validate(flat, g).violations)
     return Validity(tuple(violations))
 

@@ -40,9 +40,7 @@ from twlab.treewidth import (
     TreeDecomposition,
     _greedy_elimination,
     _walk,
-    bits,
     heuristic_decomposition,
-    neighbour_masks,
     to_nice,
 )
 
@@ -330,21 +328,27 @@ class NiceNode(NamedTuple):
 
 def nice_from_records(g: Graph, nodes) -> NiceTreeDecomposition:
     """A nice decomposition for g with the given NiceNode records as its
-    nodes, written into the flat lists unchecked (check_nice checks it)."""
+    nodes, written into the flat lists unchecked (check_nice checks it):
+    each bag as its ascending tuple, and each join's new vertices as those
+    of its bag that its children lack, as the writer stores them."""
     ntd = NiceTreeDecomposition(g)
+    nodes = list(nodes)
     for node in nodes:
+        bag = tuple(sorted(node.bag))
+        have = set().union(*[nodes[c].bag for c in node.children])
         ntd.kind.append(node.kind)
-        ntd.bag.append(sum(1 << v for v in node.bag))
+        ntd.bag.append(bag)
         ntd.vertex.append(node.vertex)
         ntd.left.append(node.children[0] if node.children else -1)
         ntd.right.append(node.children[1] if len(node.children) == 2 else -1)
+        ntd.new.append(tuple([v for v in bag if v not in have]) if node.kind == JOIN else ())
     return ntd
 
 
 def nice_records(ntd: NiceTreeDecomposition) -> list[NiceNode]:
     """The nodes of ntd as NiceNode records, in node id order."""
     rows = zip(ntd.kind, ntd.bag, ntd.left, ntd.right, ntd.vertex)
-    return [NiceNode(kind, frozenset(bits(bag)), tuple([c for c in (l, r) if c >= 0]), x)
+    return [NiceNode(kind, frozenset(bag), tuple([c for c in (l, r) if c >= 0]), x)
             for kind, bag, l, r, x in rows]
 
 
@@ -400,26 +404,28 @@ def expand_to_four_kinds(two: NiceTreeDecomposition) -> NiceTreeDecomposition:
     nodes: list[NiceNode] = []
     stand: list[int] = []  # node of two -> the node of the result that stands for it
 
-    def lift(node: int, bag: int, target: int) -> int:
-        for v in bits(target & ~bag):
-            bag |= 1 << v
-            nodes.append(NiceNode(INTRODUCE, frozenset(bits(bag)), (node,), v))
-            node = len(nodes) - 1
+    def lift(node: int, bag: tuple[int, ...], target: tuple[int, ...]) -> int:
+        bag = frozenset(bag)
+        for v in target:
+            if v not in bag:
+                bag |= {v}
+                nodes.append(NiceNode(INTRODUCE, bag, (node,), v))
+                node = len(nodes) - 1
         return node
 
     for kind, bag, v, left, right in zip(two.kind, two.bag, two.vertex, two.left, two.right):
         if kind == FORGET:
-            nodes.append(NiceNode(FORGET, frozenset(bits(bag)), (stand[left],), v))
+            nodes.append(NiceNode(FORGET, frozenset(bag), (stand[left],), v))
             node = len(nodes) - 1
         elif left < 0:
             nodes.append(NiceNode(LEAF, frozenset(), ()))
-            node = lift(len(nodes) - 1, 0, bag)
+            node = lift(len(nodes) - 1, (), bag)
         elif right < 0:
             node = lift(stand[left], two.bag[left], bag)
         else:
-            union = two.bag[left] | two.bag[right]
+            union = tuple(sorted({*two.bag[left], *two.bag[right]}))
             children = tuple([lift(stand[c], two.bag[c], union) for c in (left, right)])
-            nodes.append(NiceNode(JOIN, frozenset(bits(union)), children))
+            nodes.append(NiceNode(JOIN, frozenset(union), children))
             node = lift(len(nodes) - 1, union, bag)
         stand.append(node)
     return nice_from_records(two.graph, nodes)
@@ -607,7 +613,7 @@ def lift_then_intersect_tables(
     palette = sorted(set().union(*inst.lists))
     code = {c: r + 1 for r, c in enumerate(palette)}
     mask = (1 << len(palette).bit_length()) - 1
-    adj = neighbour_masks(inst.graph)
+    adj = inst.graph._adj
     tables: list[set[int]] = []
     for i, kind in enumerate(ntd.kind):
         child, v = ntd.left[i], ntd.vertex[i]
@@ -616,7 +622,7 @@ def lift_then_intersect_tables(
         elif kind == INTRODUCE:
             o = off[v]
             table = {s | code[c] << o for s in tables[child] for c in inst.lists[v]}
-            for u in bits(ntd.bag[i] & adj[v]):
+            for u in adj[v].intersection(ntd.bag[i]):
                 table = {s for s in table if (s >> off[u] ^ s >> o) & mask}
         elif kind == FORGET:
             table = {s & ~(mask << off[v]) for s in tables[child]}

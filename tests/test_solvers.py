@@ -58,7 +58,6 @@ from twlab.treewidth import (
     FORGET,
     JOIN,
     TreeDecomposition,
-    bits,
     check_nice,
     heuristic_decomposition,
     heuristic_nice,
@@ -106,7 +105,7 @@ def assert_four_kinds(four):
             assert len(bags) == 1 and node.vertex in bags[0] and node.bag == bags[0] - {node.vertex}, i
         else:
             assert node.kind == JOIN and bags == [node.bag] * 2, i
-    assert four.bag[four.root] == 0
+    assert four.bag[four.root] == ()
 
 
 def rand_graph(rng, n_max, p=0.4):
@@ -472,15 +471,23 @@ class TestDpListColoring:
         for inst, (ntd, four) in cases:
             answers.add(dp_list_coloring(inst, ntd) is None)
             dp, joins = runs.pop()
-            assert list(dp.tables) == [ntd.root]  # every table is dropped once read
+            # every table is dropped once read: what is left is the last
+            # table built (the root's, or the first empty one) and tables
+            # whose reader lies above it, unbuilt
+            stop = max(dp.tables)
+            assert stop == ntd.root or not dp.tables[stop]
+            reader = {c: p for p in ntd.nodes for c in (ntd.left[p], ntd.right[p]) if c >= 0}
+            assert all(reader[i] > stop for i in dp.tables if i != stop)
             # the joins with two children stand for the four-kind joins, in
             # order, each over the bag of the top of the introduce chain
-            # above its four-kind join
-            twos = [i for i in joins if ntd.right[i] >= 0]
+            # above its four-kind join; those up to the stop are built
+            twos = [i for i in ntd.nodes if ntd.kind[i] == JOIN and ntd.right[i] >= 0]
             tables = lift_then_intersect_tables(inst, four, dp.off)
             parent = {c: p for p in four.nodes for c in (four.left[p], four.right[p]) if c >= 0}
             reference = [j for j in four.nodes if four.kind[j] == JOIN]
             assert len(twos) == len(reference)
+            assert [i for i in joins if ntd.right[i] >= 0] == [i for i in twos if i <= stop]
+            twos = [i for i in twos if i <= stop]
             for i, j in zip(twos, reference):
                 while four.kind[parent.get(j, j)] == INTRODUCE:
                     j = parent[j]
@@ -618,9 +625,11 @@ class TestDpChosenOutdegree:
             dp_chosen_outdegree(inst, ntd)
             vmask = (1 << max(inst.rho, default=0).bit_length()) - 1
             dp, visited = runs.pop()
+            stop = max(dp.tables)  # the root, or the first empty table: no table above it is built
+            assert list(dp.tables) == list(range(stop + 1)) and (stop == ntd.root or not dp.tables[stop])
 
             def decoded(i):
-                bag = list(bits(ntd.bag[i]))
+                bag = ntd.bag[i]
                 return {tuple(s >> dp.off[v] & vmask for v in bag): s for s in dp.tables[i]}
 
             def before_projection(i):
@@ -628,12 +637,12 @@ class TestDpChosenOutdegree:
                 # applied in both directions, unfiltered
                 g, x, table = inst.graph, ntd.vertex[i], set(dp.tables[ntd.left[i]])
                 for e, w in zip(g.edges, inst.weights):
-                    if x in e and ntd.bag[i] >> (e[0] + e[1] - x) & 1:
+                    if x in e and e[0] + e[1] - x in ntd.bag[i]:
                         table = {s + (w << dp.off[t]) for s in table for t in e
                                  if (s >> dp.off[t] & vmask) + w <= inst.rho[t]}
                 return table
 
-            for i, kind in enumerate(ntd.kind):
+            for i, kind in enumerate(ntd.kind[:stop + 1]):
                 if kind == FORGET:
                     table = decoded(i)
                     assert len(table) == len(dp.tables[i])
@@ -880,17 +889,17 @@ OVER_BOUND = """
 import math, sys
 from twlab.graphs import Graph
 from twlab.solvers import _NiceDP
-from twlab.treewidth import FORGET, JOIN, TreeDecomposition, bits, to_nice
+from twlab.treewidth import FORGET, JOIN, TreeDecomposition, to_nice
 extra = int(sys.argv[1])
 print(sys.flags.optimize)
 g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 ntd = to_nice(TreeDecomposition(Graph(3, [(0, 1), (0, 2)]), [{0, 1, 2}, {0, 3}, {1, 4}]), g)
 bag, left, right = ntd.bag, ntd.left, ntd.right
 joins = [i for i in ntd.nodes if ntd.kind[i] == JOIN and left[i] >= 0]
-assert any(right[i] >= 0 and bag[i] & ~bag[left[i]] for i in joins)
-assert any(bag[i] & ~(bag[left[i]] | (bag[right[i]] if right[i] >= 0 else 0)) for i in joins)
+assert any(right[i] >= 0 and set(bag[i]) - set(bag[left[i]]) for i in joins)
+assert any(set(bag[i]) - set(bag[left[i]]) - set(bag[right[i]] if right[i] >= 0 else ()) for i in joins)
 bound = [2, 3, 5, 7, 11]
-step = {FORGET: lambda i: {0}, JOIN: lambda i, new: set(range(math.prod(bound[v] for v in bits(bag[i])) + extra))}
+step = {FORGET: lambda i: {0}, JOIN: lambda i, new: set(range(math.prod(bound[v] for v in bag[i]) + extra))}
 try:
     _NiceDP(g, ntd, 1).run(bound, step, lambda i, s: (s, s))
     print("within its bound")
@@ -901,9 +910,9 @@ except AssertionError as exc:
 
 def test_table_over_its_bound_raises_under_python_O():
     # the driver's table-size check is a plain raise, not an assert, so it
-    # holds plain and under python -O alike; and a join's cap multiplies its
-    # left child's by the bounds of the bag vertices that child lacks, the
-    # one neither child holds included: a table at the cap passes
+    # holds plain and under python -O alike; and a join's cap is the product
+    # of its bag's bounds, those of the bag vertices its left child lacks and
+    # of the one neither child holds included: a table at the cap passes
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(solvers.__file__).parents[1])}
     for flags in ([], ["-O"]):
         for extra, verdict in ((0, "within its bound"), (1, "table over its bound")):
@@ -913,7 +922,11 @@ def test_table_over_its_bound_raises_under_python_O():
 
 
 # the path 0-1-2 on a nice tree in which 1 and 2 share no bag: 1 is
-# forgotten before 2 is introduced, so no forget ever applies the edge 12
+# forgotten before 2 is introduced, so no forget ever applies the edge 12.
+# With caps 0 at 0 and 1 the edge 01 empties the table at the forget of 0,
+# below the root.  Four caps hang vertex 3 off 0, forgotten first: the edge
+# 03 empties the table there, and the forget of 0 above it, which would
+# apply 01, is never built.
 EDGE_IN_NO_BAG = """
 import sys
 from conftest import INTRODUCE, LEAF, NiceNode, collapse_to_joins, nice_from_records
@@ -921,19 +934,35 @@ from twlab.graphs import Graph
 from twlab.problems import ChosenOutdegreeInstance
 from twlab.solvers import dp_chosen_outdegree
 from twlab.treewidth import FORGET
+caps = tuple(map(int, sys.argv[1].split(",")))
 print(sys.flags.optimize)
-g = Graph(3, [(0, 1), (1, 2)])
-ntd = collapse_to_joins(nice_from_records(g, [
-    NiceNode(LEAF, frozenset(), ()),
-    NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
-    NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
-    NiceNode(FORGET, frozenset({1}), (2,), vertex=0),
-    NiceNode(FORGET, frozenset(), (3,), vertex=1),
-    NiceNode(INTRODUCE, frozenset({2}), (4,), vertex=2),
-    NiceNode(FORGET, frozenset(), (5,), vertex=2),
-]))
+if len(caps) == 3:
+    g = Graph(3, [(0, 1), (1, 2)])
+    records = [
+        NiceNode(LEAF, frozenset(), ()),
+        NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
+        NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
+        NiceNode(FORGET, frozenset({1}), (2,), vertex=0),
+    ]
+else:
+    g = Graph(4, [(0, 1), (0, 3), (1, 2)])
+    records = [
+        NiceNode(LEAF, frozenset(), ()),
+        NiceNode(INTRODUCE, frozenset({3}), (0,), vertex=3),
+        NiceNode(INTRODUCE, frozenset({0, 3}), (1,), vertex=0),
+        NiceNode(FORGET, frozenset({0}), (2,), vertex=3),
+        NiceNode(INTRODUCE, frozenset({0, 1}), (3,), vertex=1),
+        NiceNode(FORGET, frozenset({1}), (4,), vertex=0),
+    ]
+top = len(records)
+records += [
+    NiceNode(FORGET, frozenset(), (top - 1,), vertex=1),
+    NiceNode(INTRODUCE, frozenset({2}), (top,), vertex=2),
+    NiceNode(FORGET, frozenset(), (top + 1,), vertex=2),
+]
+ntd = collapse_to_joins(nice_from_records(g, records))
 try:
-    dp_chosen_outdegree(ChosenOutdegreeInstance(g, [1, 1], (1, 1, 1)), ntd)
+    dp_chosen_outdegree(ChosenOutdegreeInstance(g, [1] * len(g.edges), caps), ntd)
 except AssertionError as exc:
     print(exc)
 """
@@ -942,12 +971,58 @@ except AssertionError as exc:
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
 def test_an_edge_no_forget_applies_raises(flags):
     # the orientation DP counts the edges it applies with a plain raise, so
-    # a tree that misses an edge is refused under python -O too
+    # a tree that misses an edge is refused under python -O too; and a run
+    # that stops at an empty table counts the edges of the forgets above it
     src = pathlib.Path(solvers.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(pathlib.Path(__file__).parent)])}
-    proc = subprocess.run([sys.executable, *flags, "-c", EDGE_IN_NO_BAG], capture_output=True, text=True, env=env)
-    expected = f"{int(bool(flags))}\nthe nice tree applies 1 of the graph's 2 edges\n"
-    assert proc.returncode == 0 and proc.stdout == expected, proc.stderr
+    for caps, applied in (("1,1,1", "1 of the graph's 2"), ("0,0,1", "1 of the graph's 2"),
+                          ("0,1,1,0", "2 of the graph's 3")):
+        proc = subprocess.run([sys.executable, *flags, "-c", EDGE_IN_NO_BAG, caps],
+                              capture_output=True, text=True, env=env)
+        expected = f"{int(bool(flags))}\nthe nice tree applies {applied} edges\n"
+        assert proc.returncode == 0 and proc.stdout == expected, (caps, proc.stderr)
+
+
+@pytest.mark.parametrize("dp", ["list-coloring", "chosen-outdegree"])
+def test_the_dp_stops_at_the_first_empty_table(monkeypatch, dp):
+    # every step maps an empty table to an empty one, so _NiceDP.run answers
+    # no at the first empty table and calls no handler above it; the tuple
+    # oracles, which build every table, give the same answers
+    runs, run = [], solvers._NiceDP.run
+
+    def recording(self, bound, step, back):
+        def at(handler):
+            def handle(i, *args):
+                table = handler(i, *args)
+                built.append((i, len(table)))
+                return table
+            return handle
+
+        built = []
+        runs.append(built)
+        return run(self, bound, {k: at(h) for k, h in step.items()}, back)
+
+    monkeypatch.setattr(solvers._NiceDP, "run", recording)
+    rng = random.Random(38)
+    if dp == "list-coloring":
+        cases = [(inst, both_trees(inst.graph)) for inst in list_corpus(rng, 300) if all(inst.lists)]
+        solve, oracle = dp_list_coloring, tuple_list_coloring_dp
+    else:
+        cases = chosen_corpus(rng, "min-fill")
+        solve, oracle = dp_chosen_outdegree, tuple_chosen_outdegree_dp
+    stopped = 0
+    for inst, (ntd, four) in cases:
+        got = solve(inst, ntd)
+        assert got == oracle(inst, four)
+        built = runs.pop()
+        ids, sizes = [i for i, _ in built], [size for _, size in built]
+        assert ids == list(range(len(built)))
+        if len(built) < len(ntd.kind):
+            assert got is None and sizes[-1] == 0 and 0 not in sizes[:-1]
+            stopped += 1
+        else:
+            assert 0 not in sizes[:-1]
+    assert stopped > 20
 
 
 class TestFlow:

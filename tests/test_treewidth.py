@@ -416,7 +416,7 @@ class TestToNice:
                 ntd = to_nice(td, g)
                 assert check_nice(ntd, g).ok
                 found = [canon(x, u) for i, x in enumerate(ntd.vertex) if ntd.kind[i] == "forget"
-                         for u in g.neighbors(x) if ntd.bag[ntd.left[i]] >> u & 1]
+                         for u in g.neighbors(x) if u in ntd.bag[ntd.left[i]]]
                 assert sorted(found) == list(g.edges)
 
     def test_invalid_decomposition_rejected(self, triangle):
@@ -457,6 +457,22 @@ class TestToNice:
         ntd.left[1], ntd.right[1] = -1, 0
         assert check_nice(ntd, g).violations == ("node 1: a join with one child must have it on the left",)
 
+    def test_check_nice_refuses_an_unsorted_bag_and_wrong_new_vertices(self):
+        # the DPs read a bag's vertices in tuple order and a join's new
+        # vertices as stored, so check_nice checks both
+        g = path(2)
+        ntd = to_nice(TreeDecomposition(Graph(1), [{0, 1}]), g)
+        assert ntd.bag == [(0, 1), (1,), ()] and ntd.new == [(0, 1), (), ()]
+        assert check_nice(ntd, g).ok
+        ntd.new[0] = (1,)
+        assert check_nice(ntd, g).violations == (
+            "node 0: a join's new vertices must be those of its bag its children lack",
+        )
+        ntd.new[0], ntd.bag[0] = (0, 1), (1, 0)
+        assert check_nice(ntd, g).violations == ("node 0: bag (1, 0) is not strictly ascending",)
+        ntd.bag[0], ntd.new[1] = (0, 1), (1,)
+        assert check_nice(ntd, g).violations == ("node 1: bad forget of 0",)
+
 
 def assert_elimination_tree(g, method="min-fill"):
     """heuristic_nice's tree of g passes check_nice, carries g, has
@@ -469,10 +485,10 @@ def assert_elimination_tree(g, method="min-fill"):
     forgets = [i for i, kind in enumerate(ntd.kind) if kind == FORGET]
     for i in forgets:
         v = ntd.vertex[i]
-        assert not ntd.bag[i] >> v & 1 and ntd.bag[ntd.left[i]] == ntd.bag[i] | 1 << v
+        assert v not in ntd.bag[i] and ntd.bag[ntd.left[i]] == tuple(sorted(ntd.bag[i] + (v,)))
     order, rests = _greedy_elimination(g, method)
     assert [ntd.vertex[i] for i in forgets] == order
-    assert [ntd.bag[i] for i in forgets] == [sum(1 << u for u in rest) for rest in rests]
+    assert [ntd.bag[i] for i in forgets] == [tuple(rest) for rest in rests]
     return ntd
 
 
@@ -502,12 +518,12 @@ class TestHeuristicNice:
         assert assert_elimination_tree(Graph(0)).kind == [JOIN]
         assert assert_elimination_tree(Graph(1)).kind == [JOIN, FORGET]
         edgeless = assert_elimination_tree(Graph(4))
-        assert edgeless.kind == [JOIN, FORGET] * 4 + [JOIN] * 3 and edgeless.bag[-3:] == [0] * 3
+        assert edgeless.kind == [JOIN, FORGET] * 4 + [JOIN] * 3 and edgeless.bag[-3:] == [()] * 3
         three_paths = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
         ntd = assert_elimination_tree(three_paths)
         root = ntd.root
         assert ntd.kind[root] == JOIN and ntd.kind[ntd.left[root]] == JOIN
-        assert [ntd.bag[i] for i in range(len(ntd.kind)) if ntd.kind[i] == FORGET].count(0) == 3
+        assert [ntd.bag[i] for i in range(len(ntd.kind)) if ntd.kind[i] == FORGET].count(()) == 3
 
     def test_unknown_method_refused(self, triangle):
         with pytest.raises(InputError, match="unknown method"):
@@ -541,7 +557,7 @@ def assert_same_nice(td, g):
     forgets = [i for i, kind in enumerate(ntd.kind) if kind == FORGET]
     order, rests = reference_elimination(td)
     assert [ntd.vertex[i] for i in forgets] == order
-    assert [frozenset(bits(ntd.bag[i])) for i in forgets] == rests
+    assert [frozenset(ntd.bag[i]) for i in forgets] == rests
 
 
 class TestMatchesReferenceBuilder:
