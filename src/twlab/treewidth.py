@@ -12,13 +12,17 @@ to_nice trusts it for that very object without validating it again; every
 other decomposition (hand-built, written by a reduction, read from JSON, or
 paired with an equal but distinct graph) is validated.
 
-A nice decomposition has two kinds of node, forget and join, and no edge
-nodes; a join introduces the part of its bag that its children lack, so
-there are no leaf or introduce nodes.  It is stored flat: parallel lists of
-kind, bag (the ascending tuple of its vertices), vertex, the two children
-and the vertices a join introduces, one entry per node.  One writer,
-_write_nice, fills the lists from an elimination's order and rests, for the
-graph the tree carries.  heuristic_nice feeds it the min-fill (or
+A nice decomposition is the elimination tree of an elimination: one node
+per eliminated vertex v, whose bag is v plus its rest R (the later
+vertices the bag holds), and whose children are the nodes whose rest has v
+as its earliest-eliminated vertex.  A DP joins the children's tables over
+{v} | R, introducing what no child holds, and forgets v.  There are no
+node kinds, no edge nodes and no join chains.  It is stored flat: parallel
+lists of vertex, rest (an ascending tuple), children and the vertices a
+node introduces, one entry per node.  One writer, _write_nice, fills the
+lists from an elimination's order and rests, for the graph the tree
+carries; _parents gives it, and _fill_in, the one rule that hangs each
+position under another.  heuristic_nice feeds it the min-fill (or
 min-degree) elimination's rest lists, with no host tree; that is the tree
 the DPs run on unless one is given.  to_nice feeds it the elimination it
 reads off the frozenset bags of a given TreeDecomposition (a `--td` file, a
@@ -181,26 +185,28 @@ def validate(td: TreeDecomposition, g: Graph) -> Validity:
     return Validity(tuple(violations))
 
 
+def _parents(order: list[int], rests: Sequence[Collection[int]]) -> list[int]:
+    """The elimination tree of an elimination (order, rests): each position
+    i hangs under the position of the earliest-eliminated vertex of its
+    rest, and a position whose rest is empty is a root (-1)."""
+    position = [0] * len(order)
+    for i, v in enumerate(order):
+        position[v] = i
+    return [min(map(position.__getitem__, rest)) if rest else -1 for rest in rests]
+
+
 def _fill_in(g: Graph, order: list[int], rests: list[Collection[int]]) -> TreeDecomposition:
     """The decomposition of an elimination of g: rests[i] is the
     not-yet-eliminated neighbourhood of order[i] at its elimination, and the
-    bag of position i is that plus order[i].  Each bag hangs under the bag of
-    the earliest-eliminated vertex of its rest, and the bags with an empty
+    bag of position i is that plus order[i].  Each bag hangs under its
+    parent in the elimination tree (_parents), and the bags with an empty
     rest are chained.  Valid for g by construction, so it carries g."""
     if g.n == 0:
         td = TreeDecomposition(Graph(1), [frozenset()])
     else:
-        position = [0] * g.n
-        for i, v in enumerate(order):
-            position[v] = i
-        tree_edges: list[tuple[int, int]] = []
-        roots: list[int] = []  # positions with no later neighbour, chained below
-        for i, rest in enumerate(rests):
-            if rest:
-                tree_edges.append((i, min(map(position.__getitem__, rest))))
-            else:
-                roots.append(i)
-        tree_edges += zip(roots, roots[1:])
+        parents = _parents(order, rests)
+        roots = [i for i, p in enumerate(parents) if p < 0]
+        tree_edges = [(i, p) for i, p in enumerate(parents) if p >= 0] + list(zip(roots, roots[1:]))
         bags = [frozenset([v, *rest]) for v, rest in zip(order, rests)]
         td = TreeDecomposition(Graph(g.n, tree_edges), bags)
     object.__setattr__(td, "graph", g)
@@ -320,30 +326,28 @@ def exact_treewidth(g: Graph, limit: int = EXACT_DEFAULT_LIMIT) -> tuple[int, Tr
 
 # --- nice form ---------------------------------------------------------------
 
-FORGET = "forget"
-JOIN = "join"
-
 
 @dataclass(frozen=True)
 class NiceTreeDecomposition:
-    """Rooted normalized decomposition with two kinds of node: forget(v),
-    whose one child's bag is its own bag plus v, and join, which has no
-    child, a left child, or a left and a right child, each with a bag within
-    its own, and introduces the rest of its bag.  There are no edge nodes.
-    The nodes holding a vertex form a subtree, and v's forget is the parent
-    of its top, so for each edge uv exactly one of the two forgets, that of
-    the endpoint forgotten first, has the other endpoint in its child's bag:
-    that forget is where a solver handles uv.  Nodes are stored children
-    first: every child's id is smaller than its parent's, and the last node
-    is the root, whose bag is empty.
+    """The elimination tree of an elimination of `graph`, one node per
+    position i of the elimination, stored children first (every child's id
+    is smaller than its parent's).  Node i eliminates vertex[i]: its bag is
+    {vertex[i]} plus bag[i], the rest, and its children are the positions
+    whose rest has vertex[i] as its earliest-eliminated vertex, each with a
+    bag within {vertex[i]} | bag[i].  A DP joins them over that bag,
+    introducing new[i], the vertices of it that no child's bag holds, and
+    then forgets vertex[i] down to bag[i].  The positions of empty rest are
+    the roots; a graph with no vertex has no node.
 
-    The store is flat, one list entry per node id: kind[i]; bag[i], the
-    ascending tuple of the bag's vertices; vertex[i], the forget payload
-    (-1 at a join); left[i] and right[i], the children (-1 where there is
-    none; a join with one child has only a left child); and new[i], at a
-    join the ascending tuple of its bag's vertices that its children lack,
-    the ones it introduces (() at a forget).  No entry is indexed by vertex
-    number, so a node costs its bag, not n.
+    The nodes holding a vertex form a subtree, and v's forget sits at its
+    top, so for each edge uv exactly one of the two forgets, that of the
+    endpoint eliminated first, has the other endpoint in its rest: that
+    forget is where a solver handles uv.
+
+    The store is flat, one list entry per position: vertex[i]; bag[i], the
+    ascending tuple of the rest; children[i], in position order; and
+    new[i], an ascending tuple.  No entry is indexed by vertex number, so a
+    node costs its bag, not n.
 
     One writer makes one, _write_nice, fed by heuristic_nice and to_nice:
     the constructor takes the graph and makes the lists empty, and the
@@ -353,89 +357,48 @@ class NiceTreeDecomposition:
     """
 
     graph: Graph = field(compare=False, repr=False)
-    kind: list[str] = field(default_factory=list, init=False)
-    bag: list[tuple[int, ...]] = field(default_factory=list, init=False)
     vertex: list[int] = field(default_factory=list, init=False)
-    left: list[int] = field(default_factory=list, init=False)
-    right: list[int] = field(default_factory=list, init=False)
+    bag: list[tuple[int, ...]] = field(default_factory=list, init=False)
+    children: list[list[int]] = field(default_factory=list, init=False)
     new: list[tuple[int, ...]] = field(default_factory=list, init=False)
 
     @property
     def nodes(self) -> range:
-        return range(len(self.kind))
-
-    @property
-    def root(self) -> int:
-        return len(self.kind) - 1
+        return range(len(self.vertex))
 
     def width(self) -> int:
-        return max(map(len, self.bag)) - 1
+        """The largest |{vertex[i]} | bag[i]| - 1, and -1 with no node."""
+        return max(map(len, self.bag), default=-1)
 
 
 def _write_nice(g: Graph, order: list[int], rests: Iterable[Sequence[int]]) -> NiceTreeDecomposition:
-    """The nice tree of an elimination of g, bucket elimination (Dechter,
-    AIJ 1999): order lists every vertex of g once, and rests gives for each
-    position, in ascending order, the rest R of the vertex v eliminated
-    there, the later vertices its bag holds besides it.  The elimination
-    must fit g: for each edge, the end eliminated later is in the rest of
-    the other, and for each R, all of R but its earliest-eliminated vertex
-    u lies in u's rest.
-
-    Position i gives the joins over {v} | R of the forgets that hang under
-    i (see joins: none over a lone forget that has that bag already), then
-    forget(v) down to R.  forget(v) hangs under the position of u, whose
-    join holds R.  The forgets whose R is empty are joined under one root
-    of empty bag, which covers n = 0, isolated vertices and forests.
-    Positions are written in order, children before parents, so the result
-    is a nice tree of g of width the largest |R|, and it carries g as its
+    """The elimination tree of an elimination of g, bucket elimination
+    (Dechter, AIJ 1999): order lists every vertex of g once, and rests gives
+    for each position, in ascending order, the rest R of the vertex v
+    eliminated there, the later vertices its bag holds besides it.  The
+    elimination must fit g: for each edge, the end eliminated later is in
+    the rest of the other, and for each R, all of R but its
+    earliest-eliminated vertex u lies in u's rest.  So each child's bag lies
+    within its parent's {v} | R, every edge within some node's, and the
+    result is a nice tree of g of width the largest |R|; it carries g as its
     `graph`.
     """
     ntd = NiceTreeDecomposition(g)
-    kind, bags, vertex, left, right, new = ntd.kind, ntd.bag, ntd.vertex, ntd.left, ntd.right, ntd.new
-
-    def joins(bag: tuple[int, ...], children: list[int]) -> int:
-        """Join children, already written, under bag and return the top:
-        one join over none, one or two of them, a chain of joins left to
-        right over three or more, and no join over one child whose bag is
-        bag.  The first join introduces what its children lack; each join
-        above it in a chain has a left child of its own bag, so introduces
-        none."""
-        if len(children) == 1 and bags[children[0]] == bag:
-            return children[0]
-        kind.append(JOIN)
-        bags.append(bag)
-        vertex.append(-1)
-        left.append(children[0] if children else -1)
-        right.append(children[1] if len(children) > 1 else -1)
-        if children:
-            have = set().union(*[bags[c] for c in children[:2]])
-            new.append(tuple([u for u in bag if u not in have]))
-        else:
-            new.append(bag)
-        for other in children[2:]:
-            kind.append(JOIN)
-            bags.append(bag)
-            vertex.append(-1)
-            left.append(len(kind) - 2)
-            right.append(other)
-            new.append(())
-        return len(kind) - 1
-
-    position = [0] * g.n
-    for i, v in enumerate(order):
-        position[v] = i
-    under: dict[int, list[int]] = {}  # position -> the forgets under it, until read; key n: the root's
-    for i, (v, r) in enumerate(zip(order, rests)):
-        r = tuple(r)
+    rests = [tuple(r) for r in rests]
+    children = [[] for _ in order]
+    for i, p in enumerate(_parents(order, rests)):
+        if p >= 0:
+            children[p].append(i)
+    ntd.vertex.extend(order)
+    ntd.bag.extend(rests)
+    ntd.children.extend(children)
+    for v, r, kids in zip(order, rests, children):
         k = bisect_left(r, v)
-        left.append(joins(r[:k] + (v,) + r[k:], under.pop(i, [])))
-        kind.append(FORGET)
-        bags.append(r)
-        vertex.append(v)
-        right.append(-1)
-        new.append(())
-        under.setdefault(min(map(position.__getitem__, r)) if r else g.n, []).append(len(kind) - 1)
-    joins((), under.pop(g.n, []))
+        whole = r[:k] + (v,) + r[k:]
+        if kids:
+            have = set().union(*[rests[c] for c in kids])
+            whole = tuple([u for u in whole if u not in have])
+        ntd.new.append(whole)
     return ntd
 
 
@@ -461,8 +424,8 @@ def to_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     held by some bag, with u eliminated first, v is in rest(u) in the same
     way.  Every rest lies within a bag, so no bag is wider than td's; and
     climbing from a largest bag while the parent's bag holds it ends at a
-    node that takes a vertex, whose join has that bag, so the width is
-    width(td).
+    node that takes a vertex, the first of which has that bag as {v} | R,
+    so the width is width(td).
     """
     if td.graph is not g:
         check = validate(td, g)
@@ -498,52 +461,40 @@ def heuristic_nice(g: Graph, method: str = "min-fill") -> NiceTreeDecomposition:
 
 def check_nice(ntd: NiceTreeDecomposition, g: Graph) -> Validity:
     """Structural checks for nice decompositions, read off the flat lists:
-    the tests' oracle for _write_nice's trees.  Every bag is a strictly
-    ascending tuple.  A forget(v) has one child, whose bag is its own plus
-    v; a join has no child, a left one, or a left and a right one, each
-    with a bag within its own, and its new vertices are those of its bag
-    that its children lack, in ascending order.  Children before parents,
-    and every node but the last the child of one node, make the nodes a
-    tree rooted at the last node, and validate on that tree checks the
-    bags, each edge of g in some bag included."""
-    if not ntd.kind:
-        return Validity(("no nodes: a nice decomposition has at least its root",))
+    the tests' oracle for _write_nice's trees.  The nodes eliminate the
+    vertices of g, each once, and every rest is a strictly ascending tuple
+    without its node's vertex.  Every child comes before its parent and has
+    a bag within the parent's {v} | R, and new lists, ascending, the
+    vertices of {v} | R that no child's bag holds.  A node of empty rest is
+    the child of none, every other node the child of exactly one, so the
+    nodes form a forest whose roots have empty rests; validate, on that
+    forest with one more node of empty bag over its roots, checks the bags,
+    each edge of g in some bag included."""
     violations = []
-    bags = ntd.bag
+    vertex, bags, children = ntd.vertex, ntd.bag, ntd.children
+    if sorted(vertex) != list(range(g.n)):
+        violations.append(f"the nodes must eliminate the graph's {g.n} vertices, each once")
     parents = [0] * len(bags)
-    ordered = True
-    rows = zip(ntd.kind, bags, ntd.vertex, ntd.left, ntd.right, ntd.new)
-    for i, (kind, bag, x, left, right, new) in enumerate(rows):
-        children = tuple([c for c in (left, right) if c >= 0])
-        if left >= i or right >= i:
-            violations.append(f"node {i}: children {children} do not all come before it")
-            ordered = False
+    for i, (v, rest, kids, new) in enumerate(zip(vertex, bags, children, ntd.new)):
+        if any(c >= i for c in kids):
+            violations.append(f"node {i}: children {tuple(kids)} do not all come before it")
             continue
-        for c in children:
+        for c in kids:
             parents[c] += 1
-        if any(a >= b for a, b in zip(bag, bag[1:])):
-            violations.append(f"node {i}: bag {bag} is not strictly ascending")
-        elif kind == FORGET:
-            if children != (left,) or x < 0 or x not in bags[left] or new \
-                    or bag != tuple([u for u in bags[left] if u != x]):
-                violations.append(f"node {i}: bad forget of {x}")
-        elif kind == JOIN:
-            have = set().union(*[bags[c] for c in children])
-            if left < 0 <= right:
-                violations.append(f"node {i}: a join with one child must have it on the left")
-            elif not have.issubset(bag):
-                violations.append(f"node {i}: a join's children must have bags within its own")
-            elif new != tuple([u for u in bag if u not in have]):
-                violations.append(f"node {i}: a join's new vertices must be those of its bag its children lack")
-        else:
-            violations.append(f"node {i}: unknown kind {kind}")
-    strays = [i for i, p in enumerate(parents[:-1]) if p != 1]
-    violations.extend(f"node {i} is the child of {parents[i]} nodes, not one" for i in strays)
-    if bags[-1]:
-        violations.append("root bag must be empty")
-    if ordered and not strays:  # the nodes form a tree, so the flat host builds
-        host = [(i, c) for i, lr in enumerate(zip(ntd.left, ntd.right)) for c in lr if c >= 0]
-        flat = TreeDecomposition(Graph(len(bags), host), bags)
+        whole = set(rest) | {v}
+        have = set().union(*[bags[c] for c in kids])
+        if any(a >= b for a, b in zip(rest, rest[1:])) or v in rest:
+            violations.append(f"node {i}: rest {rest} is not strictly ascending without {v}")
+        elif not have.issubset(whole):
+            violations.append(f"node {i}: its children's bags must lie within its own")
+        elif new != tuple(sorted(whole - have)):
+            violations.append(f"node {i}: its new vertices must be those of its bag its children lack")
+    violations.extend(f"node {i} of rest {bags[i]} is the child of {p} nodes"
+                      for i, p in enumerate(parents) if p != bool(bags[i]))
+    if not violations:  # the nodes form a forest, so the flat host builds
+        m = len(bags)
+        host = [(i, c) for i, kids in enumerate(children) for c in kids] + [(m, i) for i in ntd.nodes if not bags[i]]
+        flat = TreeDecomposition(Graph(m + 1, host), [(v, *rest) for v, rest in zip(vertex, bags)] + [()])
         violations.extend(validate(flat, g).violations)
     return Validity(tuple(violations))
 

@@ -34,12 +34,11 @@ from twlab.problems import (
 )
 from twlab.solvers import _require_nice
 from twlab.treewidth import (
-    FORGET,
-    JOIN,
     NiceTreeDecomposition,
     TreeDecomposition,
     _greedy_elimination,
     _walk,
+    _write_nice,
     heuristic_decomposition,
     to_nice,
 )
@@ -308,17 +307,27 @@ def decompositions_with_inserted_and_hung_bags(rng: random.Random, count: int):
         yield g, TreeDecomposition(Graph(len(bags), edges), bags)
 
 
-# The two node kinds of the four-kind nice trees (Kloks 1994) that the
-# tuple DPs keep: a leaf has an empty bag and no child, and introduce(v) adds
-# v to its one child's bag.  treewidth writes forget and join nodes only;
-# collapse_to_joins and expand_to_four_kinds map each form onto the other.
+def nice_from_elimination(g: Graph, order, rests) -> NiceTreeDecomposition:
+    """The nice tree of a hand-written elimination of g, as the one writer
+    writes it and unchecked (check_nice checks it): order lists the
+    eliminated vertices and rests their rests, each ascending."""
+    return _write_nice(g, list(order), [tuple(r) for r in rests])
+
+
+# The four node kinds of the nice trees (Kloks 1994) that the tuple DPs
+# and lift_then_intersect_tables read: a leaf has an empty bag and no
+# child, introduce(v) adds v to its one child's bag, forget(v) drops v from
+# it, and a join has two children with its own bag.  treewidth writes
+# elimination trees; expand_to_four_kinds maps one onto this form.
 LEAF = "leaf"
 INTRODUCE = "introduce"
+FORGET = "forget"
+JOIN = "join"
 
 
 class NiceNode(NamedTuple):
-    """One node of a nice decomposition as a record, for trees built by hand
-    (nice_from_records) and for reading a tree node by node (nice_records)."""
+    """One node of a four-kind nice tree as a record, for reading it node
+    by node (nice_records)."""
 
     kind: str
     bag: frozenset[int]
@@ -326,109 +335,74 @@ class NiceNode(NamedTuple):
     vertex: int = -1  # introduce/forget payload
 
 
-def nice_from_records(g: Graph, nodes) -> NiceTreeDecomposition:
-    """A nice decomposition for g with the given NiceNode records as its
-    nodes, written into the flat lists unchecked (check_nice checks it):
-    each bag as its ascending tuple, and each join's new vertices as those
-    of its bag that its children lack, as the writer stores them."""
-    ntd = NiceTreeDecomposition(g)
-    nodes = list(nodes)
-    for node in nodes:
-        bag = tuple(sorted(node.bag))
-        have = set().union(*[nodes[c].bag for c in node.children])
-        ntd.kind.append(node.kind)
-        ntd.bag.append(bag)
-        ntd.vertex.append(node.vertex)
-        ntd.left.append(node.children[0] if node.children else -1)
-        ntd.right.append(node.children[1] if len(node.children) == 2 else -1)
-        ntd.new.append(tuple([v for v in bag if v not in have]) if node.kind == JOIN else ())
-    return ntd
+@dataclasses.dataclass
+class FourKinds:
+    """A four-kind nice tree, stored flat: kind[i], bag[i] (an ascending
+    tuple), vertex[i] (-1 at a leaf or join), left[i] and right[i] (-1
+    where there is none), children first, the last node the root.  forget[p]
+    is the forget node of position p of the elimination tree it expands."""
+
+    graph: Graph
+    kind: list[str] = dataclasses.field(default_factory=list)
+    bag: list[tuple[int, ...]] = dataclasses.field(default_factory=list)
+    vertex: list[int] = dataclasses.field(default_factory=list)
+    left: list[int] = dataclasses.field(default_factory=list)
+    right: list[int] = dataclasses.field(default_factory=list)
+    forget: list[int] = dataclasses.field(default_factory=list)
+
+    @property
+    def nodes(self) -> range:
+        return range(len(self.kind))
+
+    @property
+    def root(self) -> int:
+        return len(self.kind) - 1
+
+    def add(self, kind: str, bag, vertex: int = -1, left: int = -1, right: int = -1) -> int:
+        self.kind.append(kind)
+        self.bag.append(tuple(sorted(bag)))
+        self.vertex.append(vertex)
+        self.left.append(left)
+        self.right.append(right)
+        return len(self.kind) - 1
 
 
-def nice_records(ntd: NiceTreeDecomposition) -> list[NiceNode]:
-    """The nodes of ntd as NiceNode records, in node id order."""
-    rows = zip(ntd.kind, ntd.bag, ntd.left, ntd.right, ntd.vertex)
+def nice_records(four: FourKinds) -> list[NiceNode]:
+    """The nodes of four as NiceNode records, in node id order."""
+    rows = zip(four.kind, four.bag, four.left, four.right, four.vertex)
     return [NiceNode(kind, frozenset(bag), tuple([c for c in (l, r) if c >= 0]), x)
             for kind, bag, l, r, x in rows]
 
 
-def collapse_to_joins(four: NiceTreeDecomposition) -> NiceTreeDecomposition:
-    """The two-kind form of a four-kind nice tree built by hand, as
-    nice_from_records is handed one: each maximal introduce chain, with the
-    leaf or join below it, becomes one join over the bag of the chain's
-    top, in the place of that leaf or join; a leaf with no introduce above
-    it becomes a join with no child.  A maximal introduce chain over a
-    forget is dropped where a join lies right above it, the join reading
-    the forget, and otherwise becomes a join with the forget as its one
-    child, in the place of the chain's top.  Forget nodes keep their bags
-    and their order."""
-    records = nice_records(four)
-    up = [None] * len(records)  # each node's parent's kind
-    for node in records:
-        for c in node.children:
-            up[c] = node.kind
-    nodes: list[NiceNode] = []
-    stand: list[int] = []  # node -> the node of the result that stands for it (-1: none yet)
-    base: dict[int, int] = {}  # introduce node -> the node below its chain
-    for i, node in enumerate(records):
-        if node.kind != INTRODUCE:
-            children = tuple([stand[c] for c in node.children])
-            nodes.append(NiceNode(JOIN, node.bag, ()) if node.kind == LEAF else node._replace(children=children))
-            stand.append(len(nodes) - 1)
-            continue
-        c = node.children[0]
-        b = base[i] = base.get(c, c)
-        if records[b].kind != FORGET:  # widen the join the leaf or join below became
-            stand.append(stand[b])
-            nodes[stand[b]] = nodes[stand[b]]._replace(bag=node.bag)
-        elif up[i] == INTRODUCE:
-            stand.append(-1)
-        elif up[i] == JOIN:
-            stand.append(stand[b])
-        else:
-            nodes.append(NiceNode(JOIN, node.bag, (stand[b],)))
-            stand.append(len(nodes) - 1)
-    return nice_from_records(four.graph, nodes)
+def expand_to_four_kinds(ntd: NiceTreeDecomposition) -> FourKinds:
+    """The four-kind form of an elimination tree, such as heuristic_nice
+    and to_nice build, for the tuple DPs to read.  Each position, of vertex
+    v, rest R and bag B = {v} | R, becomes: an introduce chain lifting each
+    child's forget to B, binary joins of those over B in children order,
+    left to right, or, without children, a leaf and an introduce chain up
+    to B; then forget(v) down to R.  Each chain introduces its vertices in
+    ascending order.  The roots' forgets are joined over the empty bag in
+    position order, and a tree with no position becomes one leaf."""
+    four = FourKinds(ntd.graph)
 
-
-def expand_to_four_kinds(two: NiceTreeDecomposition) -> NiceTreeDecomposition:
-    """The four-kind form of a two-kind nice tree, such as heuristic_nice
-    and to_nice build, for the tuple DPs to read: a join with no child
-    becomes a leaf and an introduce chain up to its bag; a join with one
-    child, an introduce chain from that child up to its bag; and a join
-    with two children, an introduce chain lifting each child to the union U
-    of their bags, a join of the two over U, and an introduce chain from U
-    up to its bag.  Each chain introduces its vertices in ascending order.
-    Forget nodes keep their bags and their order, and every node comes
-    after its children."""
-    nodes: list[NiceNode] = []
-    stand: list[int] = []  # node of two -> the node of the result that stands for it
-
-    def lift(node: int, bag: tuple[int, ...], target: tuple[int, ...]) -> int:
-        bag = frozenset(bag)
+    def lift(node: int, target: tuple[int, ...]) -> int:
+        have = set(four.bag[node])
         for v in target:
-            if v not in bag:
-                bag |= {v}
-                nodes.append(NiceNode(INTRODUCE, bag, (node,), v))
-                node = len(nodes) - 1
+            if v not in have:
+                have.add(v)
+                node = four.add(INTRODUCE, have, v, node)
         return node
 
-    for kind, bag, v, left, right in zip(two.kind, two.bag, two.vertex, two.left, two.right):
-        if kind == FORGET:
-            nodes.append(NiceNode(FORGET, frozenset(bag), (stand[left],), v))
-            node = len(nodes) - 1
-        elif left < 0:
-            nodes.append(NiceNode(LEAF, frozenset(), ()))
-            node = lift(len(nodes) - 1, (), bag)
-        elif right < 0:
-            node = lift(stand[left], two.bag[left], bag)
-        else:
-            union = tuple(sorted({*two.bag[left], *two.bag[right]}))
-            children = tuple([lift(stand[c], two.bag[c], union) for c in (left, right)])
-            nodes.append(NiceNode(JOIN, frozenset(union), children))
-            node = lift(len(nodes) - 1, union, bag)
-        stand.append(node)
-    return nice_from_records(two.graph, nodes)
+    for v, rest, kids in zip(ntd.vertex, ntd.bag, ntd.children):
+        whole = tuple(sorted((v, *rest)))
+        top, *others = [lift(four.forget[c], whole) for c in kids] or [lift(four.add(LEAF, ()), whole)]
+        for other in others:
+            top = four.add(JOIN, whole, left=top, right=other)
+        four.forget.append(four.add(FORGET, rest, v, top))
+    top, *others = [four.forget[i] for i in ntd.nodes if not ntd.bag[i]] or [four.add(LEAF, ())]
+    for other in others:
+        top = four.add(JOIN, (), left=top, right=other)
+    return four
 
 
 def verify_dp_instances(seeds: int) -> list:
@@ -448,6 +422,31 @@ def verify_dp_instances(seeds: int) -> list:
             cfg = hn.ExperimentConfig(cases=1, seed=j, solver="dp", **params)
             instances.append(pipeline.reduce(pipeline.source.generate(cfg, hn.mix(j, 0))).instance)
     return instances
+
+
+def graph_scale_tw_graphs() -> list[Graph]:
+    """The graphs of the `tw` settings of the graph-scale benchmark workload
+    (perfbench/workloads.py), pool entries 0..39 of each, 280 in all: the
+    grids 3x40, 4x40, 5x30 and 6x30, and band graphs of n = 100, 300 and
+    600, band 5 and p = 0.15, each seeded by its setting's label and pool
+    index, relabelled by a shuffle and then given a Hamiltonian path plus
+    each other pair at most band apart with probability p."""
+    graphs = []
+    for shape in (dict(rows=3, cols=40), dict(rows=4, cols=40), dict(rows=5, cols=30), dict(rows=6, cols=30),
+                  dict(n=100, band=5, p=0.15), dict(n=300, band=5, p=0.15), dict(n=600, band=5, p=0.15)):
+        label = "tw" + "".join(f" {k}={v}" for k, v in shape.items())
+        for j in range(40):
+            if "rows" in shape:
+                graphs.append(grid(shape["rows"], shape["cols"]))
+                continue
+            rng = random.Random(f"{label}/{j}")
+            n, band = shape["n"], shape["band"]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(Graph(n, sorted({canon(perm[i], perm[k]) for i in range(n)
+                                           for k in range(i + 1, min(n, i + band + 1))
+                                           if k == i + 1 or rng.random() < shape["p"]})))
+    return graphs
 
 
 def elimination_route_nice(g: Graph, method: str) -> NiceTreeDecomposition:

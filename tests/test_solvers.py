@@ -9,10 +9,10 @@ import tracemalloc
 import pytest
 
 from conftest import (
+    FORGET,
     INTRODUCE,
+    JOIN,
     LEAF,
-    NiceNode,
-    collapse_to_joins,
     complete,
     cycle,
     decompositions_with_inserted_and_hung_bags,
@@ -20,7 +20,7 @@ from conftest import (
     expand_to_four_kinds,
     grid,
     lift_then_intersect_tables,
-    nice_from_records,
+    nice_from_elimination,
     nice_records,
     path,
     star,
@@ -55,8 +55,6 @@ from twlab.solvers import (
     min_max_outdegree,
 )
 from twlab.treewidth import (
-    FORGET,
-    JOIN,
     TreeDecomposition,
     check_nice,
     heuristic_decomposition,
@@ -163,12 +161,14 @@ def band_instance(n, band, rng):
 
 
 def hand_built_joins():
-    """Graphs with hand-built decompositions whose nice trees join in the
-    less common ways: a join bag {0, 1, 2} whose vertex 2 is in neither
-    child (children {0, 3} and {1, 4}, and the edge 01 runs between the
-    child bags); children {0, 1} and {1, 2} inside the join bag, so both
-    chains start at a leaf; and a host node with three children, so the
-    first join feeds the second directly."""
+    """Graphs with hand-built decompositions whose elimination trees join
+    in the less common ways.  In each, a host node of bag {0, 1, 2} takes
+    0, 1 and 2 after its children's vertices.  First graph: the position of
+    0 has one child, of rest {0}, and introduces 1 and 2, and that of 1
+    folds children of rests {1} and {1, 2}.  Second: the position of 0 has
+    no child and introduces its whole bag, and that of 2 folds two children
+    of rest {2}.  Third, a host node with three children: the positions of
+    1 and 2 each fold two children."""
     triangle = [(0, 1), (0, 2), (1, 2)]
     yield (Graph(5, triangle + [(0, 3), (1, 4)]),
            TreeDecomposition(Graph(3, [(0, 1), (0, 2)]), [{0, 1, 2}, {0, 3}, {1, 4}]))
@@ -179,65 +179,37 @@ def hand_built_joins():
 
 
 def other_branch_join_triangle():
-    """Triangle 0-1-2 with a hand-built four-kind nice decomposition, whose
-    collapse to joins check_nice checks.  Both join branches hold every
-    edge: the left one introduces 0, 1, 2 and the right one 2, 1, 0, so
-    each branch meets each edge at the introduce of its later end in that
-    order; collapsed, each branch is a join without children over
-    {0, 1, 2}.  The orientation DP applies edges 02 and 12 at the forget of
-    2 above the join, and 01 at the forget of 0."""
-    g = complete(3)
-    nodes = (
-        NiceNode(LEAF, frozenset(), ()),  # 0
-        NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
-        NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
-        NiceNode(INTRODUCE, frozenset({0, 1, 2}), (2,), vertex=2),
-        NiceNode(LEAF, frozenset(), ()),  # 4
-        NiceNode(INTRODUCE, frozenset({2}), (4,), vertex=2),
-        NiceNode(INTRODUCE, frozenset({1, 2}), (5,), vertex=1),
-        NiceNode(INTRODUCE, frozenset({0, 1, 2}), (6,), vertex=0),
-        NiceNode(JOIN, frozenset({0, 1, 2}), (3, 7)),  # 8
-        NiceNode(FORGET, frozenset({0, 1}), (8,), vertex=2),
-        NiceNode(FORGET, frozenset({1}), (9,), vertex=0),
-        NiceNode(FORGET, frozenset(), (10,), vertex=1),
-    )
-    four = nice_from_records(g, nodes)
-    assert check_nice(collapse_to_joins(four), g).ok
-    return g, four
+    """Triangle 0-1-2 and two isolated vertices 3 and 4, with a
+    hand-written elimination whose tree check_nice checks: 3 and 4 are
+    eliminated first, each with the rest {0, 1, 2}, so the position of 2
+    joins two children, each without children of its own, over {0, 1, 2}.
+    Both branches hold every edge of the triangle, and each drops its
+    colour clashes where it introduces 0, 1 and 2.  The orientation DP
+    applies edges 02 and 12 at the forget of 2 above the join, and 01 at
+    the forget of 0."""
+    g = Graph(5, [(0, 1), (0, 2), (1, 2)])
+    ntd = nice_from_elimination(g, [3, 4, 2, 0, 1], [(0, 1, 2), (0, 1, 2), (0, 1), (1,), ()])
+    assert check_nice(ntd, g).ok and ntd.children[2] == [0, 1]
+    return g, ntd
 
 
 def square_joined_at_its_diagonal():
-    """The 4-cycle 0-2-1-3 with a hand-built four-kind nice decomposition,
-    checked collapsed to joins, that joins over the bag {0, 1}: vertex 2
-    lies in the left branch and vertex 3 in the right, and each one's edges
-    are applied at its forget there.  With
-    caps (2, 2, 1, 1), each side has the states (0, 1) and (1, 0) over
-    (0, 1), and the join state (1, 1) arises from both pairs."""
+    """The 4-cycle 0-2-1-3 with a hand-written elimination whose tree
+    check_nice checks: 2 and 3 are eliminated first, each with the rest
+    {0, 1}, so the position of 1 joins them over the bag {0, 1}: vertex 2
+    lies in the first branch and vertex 3 in the second, and each one's
+    edges are applied at its forget there.  With caps (2, 2, 1, 1), each
+    side has the states (0, 1) and (1, 0) over (0, 1), and the join state
+    (1, 1) arises from both pairs."""
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    nodes = []
-
-    def add(kind, bag, children, **kw):
-        nodes.append(NiceNode(kind, frozenset(bag), tuple(children), **kw))
-        return len(nodes) - 1
-
-    tops = []
-    for x in (2, 3):
-        i = add(LEAF, (), ())
-        i = add(INTRODUCE, {0}, (i,), vertex=0)
-        i = add(INTRODUCE, {0, 1}, (i,), vertex=1)
-        i = add(INTRODUCE, {0, 1, x}, (i,), vertex=x)
-        tops.append(add(FORGET, {0, 1}, (i,), vertex=x))
-    i = add(JOIN, {0, 1}, tops)
-    i = add(FORGET, {0}, (i,), vertex=1)
-    add(FORGET, (), (i,), vertex=0)
-    four = nice_from_records(g, nodes)
-    assert check_nice(collapse_to_joins(four), g).ok
-    return g, four
+    ntd = nice_from_elimination(g, [2, 3, 1, 0], [(0, 1), (0, 1), (0,), ()])
+    assert check_nice(ntd, g).ok and ntd.children[2] == [0, 1]
+    return g, ntd
 
 
 def chosen_corpus(rng, method):
     """Seeded capped-orientation instances with their nice decompositions,
-    each as a pair (a two-kind tree, its four-kind form):
+    each as a pair (an elimination tree, its four-kind form):
     n = 0..9 and a three-component graph, caps all 0 (one-bit slots), caps
     often below the weights, caps up to 1000 (11-bit slots); then the
     hand-built joins of other_branch_join_triangle and
@@ -252,13 +224,13 @@ def chosen_corpus(rng, method):
         rho = tuple(rng.randint(0, caps) for _ in range(g.n))
         w = [rng.randint(1, heaviest) for _ in g.edges]
         yield ChosenOutdegreeInstance(g, w, rho), both_trees(g, method)
-    g, four = other_branch_join_triangle()
+    g, ntd = other_branch_join_triangle()
     for weights in itertools.product((1, 2), repeat=3):
         for rho in itertools.product(range(3), repeat=3):
-            yield ChosenOutdegreeInstance(g, weights, rho), (collapse_to_joins(four), four)
-    g, four = square_joined_at_its_diagonal()
+            yield ChosenOutdegreeInstance(g, weights, rho + (0, 0)), with_four_kinds(ntd)
+    g, ntd = square_joined_at_its_diagonal()
     for rho in itertools.product((1, 2), (1, 2), (0, 1, 2), (0, 1, 2)):
-        yield ChosenOutdegreeInstance(g, [1] * 4, rho), (collapse_to_joins(four), four)
+        yield ChosenOutdegreeInstance(g, [1] * 4, rho), with_four_kinds(ntd)
 
 
 def count_pruned(monkeypatch):
@@ -415,14 +387,14 @@ class TestDpListColoring:
                 assert (got is None) == (bf_list_coloring(inst) is None)
 
     def test_edges_introduced_in_other_join_branches(self):
-        g, four = other_branch_join_triangle()
-        ntd = collapse_to_joins(four)
+        g, ntd = other_branch_join_triangle()
+        four = with_four_kinds(ntd)[1]
         choices = ({1}, {2}, {1, 2}, {2, 3}, {1, 2, 3})
         answers = set()
         for a in choices:
             for b in choices:
                 for c in choices:
-                    inst = ListColoringInstance(g, [a, b, c])
+                    inst = ListColoringInstance(g, [a, b, c, {1}, {2, 3}])
                     got = dp_list_coloring(inst, ntd)
                     assert got == tuple_list_coloring_dp(inst, four)
                     assert (got is None) == (bf_list_coloring(inst) is None)
@@ -432,8 +404,8 @@ class TestDpListColoring:
     def test_an_empty_list_answers_no(self):
         # the DP answers None on an empty list before it builds any table,
         # as every bound of the driver is at least 1
-        g3, joined = other_branch_join_triangle()
-        cases = [(g3, (collapse_to_joins(joined), joined), [{1, 2}, set(), {1, 2, 3}])]
+        g5, joined = other_branch_join_triangle()
+        cases = [(g5, with_four_kinds(joined), [{1, 2}, set(), {1, 2, 3}, {1}, {1}])]
         cases += [(g, both_trees(g), [{1, 2, 3}] * v + [set()] + [{1, 2, 3}] * (g.n - v - 1))
                   for g in (path(5), grid(3, 4), complete(4)) for v in (0, g.n // 2, g.n - 1)]
         for g, (ntd, four), lists in cases:
@@ -441,22 +413,27 @@ class TestDpListColoring:
             assert dp_list_coloring(inst, ntd) is None
             assert tuple_list_coloring_dp(inst, four) is None
 
-    def test_joins_below_lifting_chains_match_lift_then_intersect(self, monkeypatch):
-        # a join with two children reads its children's tables as they are
-        # and introduces the rest of its bag; its table must be the
-        # intersection of the two tables lifted to the union of their bags,
-        # lifted further where its bag is larger: in its four-kind form, the
-        # table at the top of the introduce chain above its join
+    def test_every_table_matches_lift_then_intersect(self, monkeypatch):
+        # each position's joined table, over {v} | R, must be the
+        # intersection of its children's tables lifted to that bag, with its
+        # new vertices introduced, and its own table, over R, that one with
+        # v forgotten: in its four-kind form, the tables of its forget's
+        # child and of its forget.  Every position built is compared, and
+        # none above the stop is built.
         runs, run = [], solvers._NiceDP.run
 
-        def recording(dp, bound, step, back):
-            def join(i, new):
-                joins[i] = set(step[JOIN](i, new))
-                return joins[i]
+        def recording(dp, bound, join, forget, back):
+            def joining(i):
+                joined[i] = set(join(i))
+                return joined[i]
 
-            joins = {}
-            runs.append((dp, joins))
-            return run(dp, bound, {**step, JOIN: join}, back)
+            def forgetting(i, table):
+                forgot[i] = set(forget(i, table))
+                return forgot[i]
+
+            joined, forgot = {}, {}
+            runs.append((dp, joined, forgot))
+            return run(dp, bound, joining, forgetting, back)
 
         monkeypatch.setattr(solvers._NiceDP, "run", recording)
         rng = random.Random(16)
@@ -467,34 +444,29 @@ class TestDpListColoring:
             trees = with_four_kinds(to_nice(td, g))
             cases += [(ListColoringInstance(g, [rng.sample((1, 2, 3), rng.choice((1, 2, 2, 3))) for _ in range(g.n)]),
                        trees) for _ in range(150)]
-        answers, lifted, introduced = set(), 0, 0
+        answers, folded, introduced = set(), 0, 0
         for inst, (ntd, four) in cases:
             answers.add(dp_list_coloring(inst, ntd) is None)
-            dp, joins = runs.pop()
-            # every table is dropped once read: what is left is the last
-            # table built (the root's, or the first empty one) and tables
-            # whose reader lies above it, unbuilt
-            stop = max(dp.tables)
-            assert stop == ntd.root or not dp.tables[stop]
-            reader = {c: p for p in ntd.nodes for c in (ntd.left[p], ntd.right[p]) if c >= 0}
-            assert all(reader[i] > stop for i in dp.tables if i != stop)
-            # the joins with two children stand for the four-kind joins, in
-            # order, each over the bag of the top of the introduce chain
-            # above its four-kind join; those up to the stop are built
-            twos = [i for i in ntd.nodes if ntd.kind[i] == JOIN and ntd.right[i] >= 0]
+            dp, joined, forgot = runs.pop()
+            # positions 0..stop are built, the stop's forget only if its
+            # joined table is not empty; the stop is the last position or
+            # its table is the first empty one
+            stop = max(joined)
+            assert list(joined) == list(range(stop + 1))
+            assert list(forgot) == list(range(stop + bool(joined[stop])))
+            assert stop == len(ntd.nodes) - 1 or not dp.tables[stop]
+            # every table is dropped once read: what is left is the stop's,
+            # the roots' and those whose reader lies above the stop, unbuilt
+            reader = {c: p for p in ntd.nodes for c in ntd.children[p]}
+            assert all(reader.get(i, len(ntd.nodes)) > stop for i in dp.tables if i != stop)
             tables = lift_then_intersect_tables(inst, four, dp.off)
-            parent = {c: p for p in four.nodes for c in (four.left[p], four.right[p]) if c >= 0}
-            reference = [j for j in four.nodes if four.kind[j] == JOIN]
-            assert len(twos) == len(reference)
-            assert [i for i in joins if ntd.right[i] >= 0] == [i for i in twos if i <= stop]
-            twos = [i for i in twos if i <= stop]
-            for i, j in zip(twos, reference):
-                while four.kind[parent.get(j, j)] == INTRODUCE:
-                    j = parent[j]
-                introduced += four.kind[j] == INTRODUCE
-                assert ntd.bag[i] == four.bag[j] and joins[i] == tables[j]
-                lifted += bool(joins[i]) and ntd.bag[ntd.left[i]] != ntd.bag[i]
-        assert answers == {True, False} and lifted > 100 and introduced > 0
+            for i in joined:
+                j = four.forget[i]
+                assert joined[i] == tables[four.left[j]], i
+                assert i not in forgot or forgot[i] == tables[j], i
+                folded += len(ntd.children[i]) > 1 and bool(joined[i])
+                introduced += bool(ntd.children[i] and ntd.new[i])
+        assert answers == {True, False} and folded > 100 and introduced > 0
 
     def test_7x40_grid_peak_memory(self):
         inst = grid_instance(7, 40, random.Random(11))
@@ -599,20 +571,23 @@ class TestDpChosenOutdegree:
         runs, filtered_at, kind_now = [], [], [None]
         run, minimal = solvers._NiceDP.run, solvers._minimal_states
 
-        def recording(dp, bound, step, back):
-            def at(kind, handler):
-                def handle(*args):
-                    kind_now[0] = kind
-                    return handler(*args)
-                return handle
+        def recording(dp, bound, join, forget, back):
+            def joining(i):
+                kind_now[0] = JOIN
+                joined[i] = join(i)
+                return joined[i]
+
+            def forgetting(i, table):
+                kind_now[0] = FORGET
+                return forget(i, table)
 
             def visiting(i, s):
                 visited.append((i, s))
                 return back(i, s)
 
-            visited = []
-            runs.append((dp, visited))
-            return run(dp, bound, {k: at(k, h) for k, h in step.items()}, visiting)
+            joined, visited = {}, []
+            runs.append((dp, joined, visited))
+            return run(dp, bound, joining, forgetting, visiting)
 
         def counting(*args):
             filtered_at.append(kind_now[0])
@@ -624,30 +599,31 @@ class TestDpChosenOutdegree:
         for inst, (ntd, _) in chosen_corpus(random.Random(13 if method == "min-fill" else 14), method):
             dp_chosen_outdegree(inst, ntd)
             vmask = (1 << max(inst.rho, default=0).bit_length()) - 1
-            dp, visited = runs.pop()
-            stop = max(dp.tables)  # the root, or the first empty table: no table above it is built
-            assert list(dp.tables) == list(range(stop + 1)) and (stop == ntd.root or not dp.tables[stop])
+            dp, joined, visited = runs.pop()
+            # the last position, or the first empty table: none above it is built
+            stop = max(dp.tables, default=-1)
+            assert list(dp.tables) == list(joined) == list(range(stop + 1))
+            assert stop == len(ntd.nodes) - 1 or not dp.tables[stop]
 
             def decoded(i):
                 bag = ntd.bag[i]
                 return {tuple(s >> dp.off[v] & vmask for v in bag): s for s in dp.tables[i]}
 
             def before_projection(i):
-                # the child's table with every edge at the forgotten vertex
+                # the joined table with every edge at the forgotten vertex
                 # applied in both directions, unfiltered
-                g, x, table = inst.graph, ntd.vertex[i], set(dp.tables[ntd.left[i]])
+                g, x, table = inst.graph, ntd.vertex[i], set(joined[i])
                 for e, w in zip(g.edges, inst.weights):
                     if x in e and e[0] + e[1] - x in ntd.bag[i]:
                         table = {s + (w << dp.off[t]) for s in table for t in e
                                  if (s >> dp.off[t] & vmask) + w <= inst.rho[t]}
                 return table
 
-            for i, kind in enumerate(ntd.kind[:stop + 1]):
-                if kind == FORGET:
-                    table = decoded(i)
-                    assert len(table) == len(dp.tables[i])
-                    assert tuple_pareto_minimal(table) == table
-                    forgets += len(before_projection(i)) > 1
+            for i in range(stop + 1):
+                table = decoded(i)
+                assert len(table) == len(dp.tables[i])
+                assert tuple_pareto_minimal(table) == table
+                forgets += len(before_projection(i)) > 1
             for i, s in visited:
                 assert s in tuple_pareto_minimal(decoded(i)).values(), (i, s)
             visits += len(visited)
@@ -730,7 +706,8 @@ class TestMinMaxDp:
 class TestNonHeuristicDecompositions:
     def test_dp_on_star_host_tree_with_joins(self):
         # hand-built decomposition whose host is a star: normalizing it
-        # produces a chain of joins over identical bags
+        # gives the position of vertex 0 three children, of rests {0, 2},
+        # {0, 2} and {0}, folded in turn over its bag {0, 2}
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         td = TreeDecomposition(
             Graph(4, [(0, 1), (0, 2), (0, 3)]),
@@ -847,61 +824,56 @@ class TestTrustedNice:
 
 
 class TestNodeOrder:
-    """A nice decomposition lists children before parents and ends with its
-    root; the DPs walk it by index, and check_nice refuses any other
-    layout."""
+    """A nice decomposition lists children before parents; the DPs walk it
+    by index, and check_nice refuses any other layout."""
 
     def test_a_child_after_its_parent_is_rejected(self):
-        g, four = other_branch_join_triangle()
-        nodes = nice_records(collapse_to_joins(four))
-        swap = {2: 3, 3: 2}  # the join and the forget above it trade ids
-        renumbered = nice_from_records(g, (
-            nodes[swap.get(i, i)]._replace(
-                children=tuple(swap.get(c, c) for c in nodes[swap.get(i, i)].children)
-            )
-            for i in range(len(nodes))
-        ))
-        check = check_nice(renumbered, g)
+        g, ntd = other_branch_join_triangle()
+        swap = {2: 3, 3: 2}  # the position of 2 and its parent trade ids
+        for entries in (ntd.vertex, ntd.bag, ntd.children, ntd.new):
+            entries[2], entries[3] = entries[3], entries[2]
+        ntd.children[:] = [[swap.get(c, c) for c in kids] for kids in ntd.children]
+        check = check_nice(ntd, g)
         assert check.violations[0] == "node 2: children (3,) do not all come before it"
 
     def test_a_node_with_two_parents_is_rejected(self):
-        # node 1 hangs off the empty join beside the root's chain: a tree,
-        # but not rooted at the last node, and the empty join has two parents
-        g = Graph(2)
-        nodes = (
-            NiceNode(JOIN, frozenset(), ()),
-            NiceNode(JOIN, frozenset({1}), (0,)),
-            NiceNode(JOIN, frozenset({0}), (0,)),
-            NiceNode(FORGET, frozenset(), (2,), vertex=0),
-        )
-        ntd = nice_from_records(g, nodes)
+        # node 0 hangs under both other nodes and node 1, of nonempty rest,
+        # under none: not a forest whose roots have empty rests
+        g = Graph(3)
+        ntd = nice_from_elimination(g, [0, 1, 2], [(2,), (2,), ()])
+        assert check_nice(ntd, g).ok and ntd.children == [[], [], [0, 1]]
+        ntd.children[1], ntd.children[2], ntd.new[1] = [0], [0], (1,)
         assert check_nice(ntd, g).violations == (
-            "node 0 is the child of 2 nodes, not one",
-            "node 1 is the child of 0 nodes, not one",
+            "node 0 of rest (2,) is the child of 2 nodes",
+            "node 1 of rest (2,) is the child of 0 nodes",
         )
 
 
-# every join returns a table of cap + extra states, where cap is the product
-# of the bounds of its bag, the most states it can have; the tree has a join
-# with two children whose left child lacks part of its bag, and a join with
-# a child over bag vertices that no child holds
+# the join or the forget named returns a table of cap + extra states, where
+# cap is the product of the bounds of its bag ({v} | R for the join, R for
+# the forget), the most states it can have, and the other its cap; the tree
+# has a position with two children whose first child lacks part of its bag,
+# and a position with a child and bag vertices that no child holds
 OVER_BOUND = """
 import math, sys
 from twlab.graphs import Graph
 from twlab.solvers import _NiceDP
-from twlab.treewidth import FORGET, JOIN, TreeDecomposition, to_nice
-extra = int(sys.argv[1])
+from twlab.treewidth import TreeDecomposition, to_nice
+which, extra = sys.argv[1], int(sys.argv[2])
 print(sys.flags.optimize)
 g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
 ntd = to_nice(TreeDecomposition(Graph(3, [(0, 1), (0, 2)]), [{0, 1, 2}, {0, 3}, {1, 4}]), g)
-bag, left, right = ntd.bag, ntd.left, ntd.right
-joins = [i for i in ntd.nodes if ntd.kind[i] == JOIN and left[i] >= 0]
-assert any(right[i] >= 0 and set(bag[i]) - set(bag[left[i]]) for i in joins)
-assert any(set(bag[i]) - set(bag[left[i]]) - set(bag[right[i]] if right[i] >= 0 else ()) for i in joins)
+vertex, bag, children, new = ntd.vertex, ntd.bag, ntd.children, ntd.new
+assert any(len(children[i]) > 1 and {vertex[i], *bag[i]} - set(bag[children[i][0]]) for i in ntd.nodes)
+assert any(children[i] and new[i] for i in ntd.nodes)
 bound = [2, 3, 5, 7, 11]
-step = {FORGET: lambda i: {0}, JOIN: lambda i, new: set(range(math.prod(bound[v] for v in bag[i]) + extra))}
+
+def table(bag, kind):
+    return set(range(math.prod(bound[v] for v in bag) + (extra if kind == which else 0)))
+
 try:
-    _NiceDP(g, ntd, 1).run(bound, step, lambda i, s: (s, s))
+    _NiceDP(g, ntd, 1).run(bound, lambda i: table((vertex[i], *bag[i]), "join"),
+                           lambda i, joined: table(bag[i], "forget"), lambda i, s: [s] * len(children[i]))
     print("within its bound")
 except AssertionError as exc:
     print(exc)
@@ -909,58 +881,41 @@ except AssertionError as exc:
 
 
 def test_table_over_its_bound_raises_under_python_O():
-    # the driver's table-size check is a plain raise, not an assert, so it
-    # holds plain and under python -O alike; and a join's cap is the product
-    # of its bag's bounds, those of the bag vertices its left child lacks and
-    # of the one neither child holds included: a table at the cap passes
+    # the driver's table-size checks are plain raises, not asserts, so they
+    # hold plain and under python -O alike; a join's cap is the product of
+    # the bounds of {v} | R, those of the bag vertices its first child lacks
+    # and of the ones no child holds included, and a forget's that of R: a
+    # table at its cap passes, and one over it raises
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(solvers.__file__).parents[1])}
     for flags in ([], ["-O"]):
-        for extra, verdict in ((0, "within its bound"), (1, "table over its bound")):
-            proc = subprocess.run([sys.executable, *flags, "-c", OVER_BOUND, str(extra)],
-                                  capture_output=True, text=True, env=env)
-            assert proc.returncode == 0 and proc.stdout == f"{len(flags)}\n{verdict}\n", (flags, extra, proc.stderr)
+        for which in ("join", "forget"):
+            for extra, verdict in ((0, "within its bound"), (1, "table over its bound")):
+                proc = subprocess.run([sys.executable, *flags, "-c", OVER_BOUND, which, str(extra)],
+                                      capture_output=True, text=True, env=env)
+                expected = f"{len(flags)}\n{verdict}\n"
+                assert proc.returncode == 0 and proc.stdout == expected, (flags, which, extra, proc.stderr)
 
 
-# the path 0-1-2 on a nice tree in which 1 and 2 share no bag: 1 is
-# forgotten before 2 is introduced, so no forget ever applies the edge 12.
+# the path 0-1-2 on an elimination tree in which 1 and 2 share no bag: 1 is
+# eliminated with an empty rest, so no forget ever applies the edge 12.
 # With caps 0 at 0 and 1 the edge 01 empties the table at the forget of 0,
-# below the root.  Four caps hang vertex 3 off 0, forgotten first: the edge
-# 03 empties the table there, and the forget of 0 above it, which would
-# apply 01, is never built.
+# below the root 1.  Four caps hang vertex 3 off 0, eliminated first: the
+# edge 03 empties the table there, and the forget of 0 above it, which
+# would apply 01, is never built.
 EDGE_IN_NO_BAG = """
 import sys
-from conftest import INTRODUCE, LEAF, NiceNode, collapse_to_joins, nice_from_records
+from conftest import nice_from_elimination
 from twlab.graphs import Graph
 from twlab.problems import ChosenOutdegreeInstance
 from twlab.solvers import dp_chosen_outdegree
-from twlab.treewidth import FORGET
 caps = tuple(map(int, sys.argv[1].split(",")))
 print(sys.flags.optimize)
 if len(caps) == 3:
     g = Graph(3, [(0, 1), (1, 2)])
-    records = [
-        NiceNode(LEAF, frozenset(), ()),
-        NiceNode(INTRODUCE, frozenset({0}), (0,), vertex=0),
-        NiceNode(INTRODUCE, frozenset({0, 1}), (1,), vertex=1),
-        NiceNode(FORGET, frozenset({1}), (2,), vertex=0),
-    ]
+    ntd = nice_from_elimination(g, [0, 1, 2], [(1,), (), ()])
 else:
     g = Graph(4, [(0, 1), (0, 3), (1, 2)])
-    records = [
-        NiceNode(LEAF, frozenset(), ()),
-        NiceNode(INTRODUCE, frozenset({3}), (0,), vertex=3),
-        NiceNode(INTRODUCE, frozenset({0, 3}), (1,), vertex=0),
-        NiceNode(FORGET, frozenset({0}), (2,), vertex=3),
-        NiceNode(INTRODUCE, frozenset({0, 1}), (3,), vertex=1),
-        NiceNode(FORGET, frozenset({1}), (4,), vertex=0),
-    ]
-top = len(records)
-records += [
-    NiceNode(FORGET, frozenset(), (top - 1,), vertex=1),
-    NiceNode(INTRODUCE, frozenset({2}), (top,), vertex=2),
-    NiceNode(FORGET, frozenset(), (top + 1,), vertex=2),
-]
-ntd = collapse_to_joins(nice_from_records(g, records))
+    ntd = nice_from_elimination(g, [3, 0, 1, 2], [(0,), (1,), (), ()])
 try:
     dp_chosen_outdegree(ChosenOutdegreeInstance(g, [1] * len(g.edges), caps), ntd)
 except AssertionError as exc:
@@ -986,11 +941,12 @@ def test_an_edge_no_forget_applies_raises(flags):
 @pytest.mark.parametrize("dp", ["list-coloring", "chosen-outdegree"])
 def test_the_dp_stops_at_the_first_empty_table(monkeypatch, dp):
     # every step maps an empty table to an empty one, so _NiceDP.run answers
-    # no at the first empty table and calls no handler above it; the tuple
-    # oracles, which build every table, give the same answers
+    # no at the first empty table, of a join or of a forget, and calls no
+    # handler after it; the tuple oracles, which build every table, give the
+    # same answers
     runs, run = [], solvers._NiceDP.run
 
-    def recording(self, bound, step, back):
+    def recording(self, bound, join, forget, back):
         def at(handler):
             def handle(i, *args):
                 table = handler(i, *args)
@@ -1000,7 +956,7 @@ def test_the_dp_stops_at_the_first_empty_table(monkeypatch, dp):
 
         built = []
         runs.append(built)
-        return run(self, bound, {k: at(h) for k, h in step.items()}, back)
+        return run(self, bound, at(join), at(forget), back)
 
     monkeypatch.setattr(solvers._NiceDP, "run", recording)
     rng = random.Random(38)
@@ -1016,8 +972,8 @@ def test_the_dp_stops_at_the_first_empty_table(monkeypatch, dp):
         assert got == oracle(inst, four)
         built = runs.pop()
         ids, sizes = [i for i, _ in built], [size for _, size in built]
-        assert ids == list(range(len(built)))
-        if len(built) < len(ntd.kind):
+        assert ids == [k // 2 for k in range(len(built))]  # each position's join, then its forget
+        if len(built) < 2 * len(ntd.nodes):
             assert got is None and sizes[-1] == 0 and 0 not in sizes[:-1]
             stopped += 1
         else:

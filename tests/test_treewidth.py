@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    NiceNode,
     augment_with_set,
     complete,
     cycle,
@@ -15,11 +14,11 @@ from conftest import (
     dp_pipeline_gadgets,
     elimination_route_nice,
     elimination_test_graphs,
+    graph_scale_tw_graphs,
     greedy_order,
     grid,
     induced_subgraph,
-    nice_from_records,
-    nice_records,
+    nice_from_elimination,
     path,
     petersen,
     relabel,
@@ -37,8 +36,6 @@ from twlab.errors import GuardError, InputError
 from twlab.graphs import Graph, canon
 from twlab.reductions import ReductionOutput, certify
 from twlab.treewidth import (
-    FORGET,
-    JOIN,
     NiceTreeDecomposition,
     TreeDecomposition,
     _greedy_elimination,
@@ -273,7 +270,7 @@ class TestGreedyOrder:
             td = heuristic_decomposition(g, "min-fill")
             ntd = to_nice(td, g)
         assert width(td) == ntd.width() == 7 and check_nice(ntd, g).ok
-        assert ntd.kind.count(FORGET) == g.n and len(ntd.nodes) < 2 * g.n
+        assert len(ntd.nodes) == g.n
 
 
 class TestExact:
@@ -393,7 +390,8 @@ class TestToNice:
         td = TreeDecomposition(Graph(1), [{0, 1}])
         ntd = to_nice(td, g)
         assert check_nice(ntd, g).ok
-        assert ntd.kind == ["join", "forget", "forget"]
+        assert ntd.vertex == [0, 1] and ntd.bag == [(1,), ()]
+        assert ntd.children == [[], [0]] and ntd.new == [(0, 1), ()]
 
     def test_width_preserved_on_c4(self):
         g = cycle(4)
@@ -415,8 +413,7 @@ class TestToNice:
             for td in (heuristic_decomposition(g, "min-fill"), heuristic_decomposition(g, "min-degree"), hand_built):
                 ntd = to_nice(td, g)
                 assert check_nice(ntd, g).ok
-                found = [canon(x, u) for i, x in enumerate(ntd.vertex) if ntd.kind[i] == "forget"
-                         for u in g.neighbors(x) if u in ntd.bag[ntd.left[i]]]
+                found = [canon(x, u) for i, x in enumerate(ntd.vertex) for u in g.neighbors(x) if u in ntd.bag[i]]
                 assert sorted(found) == list(g.edges)
 
     def test_invalid_decomposition_rejected(self, triangle):
@@ -424,71 +421,88 @@ class TestToNice:
             to_nice(TreeDecomposition(Graph(1), [{0, 1}]), triangle)
 
     def test_flattening_is_valid(self):
+        # the nodes with bags {v} | R, under one more node of empty bag over
+        # the roots, form a valid decomposition
         g = cycle(5)
-        nodes = nice_records(to_nice(heuristic_decomposition(g), g))
-        host = Graph(len(nodes), [(i, c) for i, node in enumerate(nodes) for c in node.children])
-        assert validate(TreeDecomposition(host, [node.bag for node in nodes]), g).ok
+        ntd = to_nice(heuristic_decomposition(g), g)
+        m = len(ntd.nodes)
+        host = Graph(m + 1, [(i, c) for i in ntd.nodes for c in ntd.children[i]]
+                     + [(m, i) for i in ntd.nodes if not ntd.bag[i]])
+        bags = [{v, *rest} for v, rest in zip(ntd.vertex, ntd.bag)] + [set()]
+        assert validate(TreeDecomposition(host, bags), g).ok
 
     @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
     def test_children_come_first_and_the_last_node_is_the_root(self, method):
+        # the last node's rest is empty, so it is a root, one per component
         for g in elimination_test_graphs():
             ntd = to_nice(heuristic_decomposition(g, method), g)
-            nodes = nice_records(ntd)
-            assert all(c < i for i, node in enumerate(nodes) for c in node.children)
-            assert ntd.root == len(nodes) - 1 and nodes[-1].bag == frozenset()
+            assert all(c < i for i in ntd.nodes for c in ntd.children[i])
+            assert len(ntd.nodes) == g.n and (g.n == 0 or ntd.bag[-1] == ())
 
     def test_check_nice_reports_an_empty_node_tuple(self):
-        check = check_nice(NiceTreeDecomposition(Graph(0)), Graph(0))
-        assert not check.ok and "no nodes" in check.violations[0]
+        # a graph with no vertex has the empty tree; any other graph has one
+        # node per vertex
+        assert check_nice(NiceTreeDecomposition(Graph(0)), Graph(0)).ok
+        check = check_nice(NiceTreeDecomposition(Graph(1)), Graph(1))
+        assert check.violations == ("the nodes must eliminate the graph's 1 vertices, each once",)
 
-    def test_check_nice_refuses_a_join_child_outside_its_bag_and_a_lone_right_child(self):
-        g = path(2)
-        nodes = [NiceNode(JOIN, frozenset({0, 1}), ()),
-                 NiceNode(JOIN, frozenset({0}), (0,)),
-                 NiceNode(FORGET, frozenset(), (1,), vertex=0)]
-        assert check_nice(nice_from_records(g, nodes), g).violations == (
-            "node 1: a join's children must have bags within its own",
-        )
-        nodes[1:] = [NiceNode(JOIN, frozenset({0, 1}), (0,)),
-                     NiceNode(FORGET, frozenset({1}), (1,), vertex=0),
-                     NiceNode(FORGET, frozenset(), (2,), vertex=1)]
-        ntd = nice_from_records(g, nodes)
+    def test_check_nice_refuses_a_stray_child_bag_and_an_edge_in_no_bag(self):
+        g = path(3)
+        ntd = nice_from_elimination(g, [0, 1, 2], [(1,), (2,), ()])
         assert check_nice(ntd, g).ok
-        ntd.left[1], ntd.right[1] = -1, 0
-        assert check_nice(ntd, g).violations == ("node 1: a join with one child must have it on the left",)
+        # hang node 0, of rest {1}, under node 2, of bag {2}
+        ntd.children[1], ntd.children[2], ntd.new[1] = [], [0, 1], (1, 2)
+        assert check_nice(ntd, g).violations == ("node 2: its children's bags must lie within its own",)
+        # eliminate 1 with an empty rest: no bag holds the edge 12
+        ntd = nice_from_elimination(g, [0, 1, 2], [(1,), (), ()])
+        assert check_nice(ntd, g).violations == ("edge (1,2) is contained in no bag",)
 
     def test_check_nice_refuses_an_unsorted_bag_and_wrong_new_vertices(self):
-        # the DPs read a bag's vertices in tuple order and a join's new
+        # the DPs read a rest's vertices in tuple order and a node's new
         # vertices as stored, so check_nice checks both
-        g = path(2)
-        ntd = to_nice(TreeDecomposition(Graph(1), [{0, 1}]), g)
-        assert ntd.bag == [(0, 1), (1,), ()] and ntd.new == [(0, 1), (), ()]
-        assert check_nice(ntd, g).ok
-        ntd.new[0] = (1,)
+        g = complete(3)
+        ntd = to_nice(TreeDecomposition(Graph(1), [{0, 1, 2}]), g)
+        assert ntd.vertex == [0, 1, 2] and ntd.bag == [(1, 2), (2,), ()]
+        assert ntd.new == [(0, 1, 2), (), ()] and check_nice(ntd, g).ok
+        ntd.new[0] = (1, 2)
         assert check_nice(ntd, g).violations == (
-            "node 0: a join's new vertices must be those of its bag its children lack",
+            "node 0: its new vertices must be those of its bag its children lack",
         )
-        ntd.new[0], ntd.bag[0] = (0, 1), (1, 0)
-        assert check_nice(ntd, g).violations == ("node 0: bag (1, 0) is not strictly ascending",)
-        ntd.bag[0], ntd.new[1] = (0, 1), (1,)
-        assert check_nice(ntd, g).violations == ("node 1: bad forget of 0",)
+        ntd.new[0], ntd.bag[0] = (0, 1, 2), (2, 1)
+        assert check_nice(ntd, g).violations == ("node 0: rest (2, 1) is not strictly ascending without 0",)
+        ntd.bag[0], ntd.new[1] = (1, 2), (1,)
+        assert check_nice(ntd, g).violations == (
+            "node 1: its new vertices must be those of its bag its children lack",
+        )
+
+    def test_no_vertex_a_child_holds_is_introduced(self):
+        # a node introduces only what none of its children holds, so the
+        # list DP colours no vertex from its whole list where a child's table
+        # fixes it already.  On the trees of graph-scale's 280 inputs, nodes
+        # with three or more children are common, and a join over just the
+        # first two of them would introduce vertices that a later one holds.
+        held_and_new = chains = later = 0
+        for g in graph_scale_tw_graphs():
+            ntd = to_nice(heuristic_decomposition(g), g)
+            for v, rest, kids, new in zip(ntd.vertex, ntd.bag, ntd.children, ntd.new):
+                held = [set(ntd.bag[c]) for c in kids]
+                held_and_new += len(set(new) & set().union(*held))
+                if len(kids) > 2:
+                    chains += 1
+                    later += len(({v, *rest} - held[0] - held[1]) & set().union(*held[2:]))
+        assert held_and_new == 0 and chains > 100 and later > 100
 
 
 def assert_elimination_tree(g, method="min-fill"):
     """heuristic_nice's tree of g passes check_nice, carries g, has
-    to_nice's width on heuristic_decomposition, and forgets the eliminated
-    vertices in elimination order, each down to its rest from a child bag
-    of its own bag plus it."""
+    to_nice's width on heuristic_decomposition, and has one node per
+    position of the elimination, in elimination order, each holding its
+    vertex and its rest."""
     ntd = heuristic_nice(g, method)
     assert check_nice(ntd, g).ok and ntd.graph is g
     assert ntd.width() == to_nice(heuristic_decomposition(g, method), g).width()
-    forgets = [i for i, kind in enumerate(ntd.kind) if kind == FORGET]
-    for i in forgets:
-        v = ntd.vertex[i]
-        assert v not in ntd.bag[i] and ntd.bag[ntd.left[i]] == tuple(sorted(ntd.bag[i] + (v,)))
     order, rests = _greedy_elimination(g, method)
-    assert [ntd.vertex[i] for i in forgets] == order
-    assert [ntd.bag[i] for i in forgets] == [tuple(rest) for rest in rests]
+    assert ntd.vertex == order and ntd.bag == [tuple(rest) for rest in rests]
     return ntd
 
 
@@ -512,18 +526,18 @@ class TestHeuristicNice:
             assert_elimination_tree(g, method)
 
     def test_empty_edgeless_and_forest_roots(self):
-        # the forgets with an empty rest are joined under one root of empty
-        # bag: a lone join without children when there is no vertex, and no
-        # join when one forget has an empty rest
-        assert assert_elimination_tree(Graph(0)).kind == [JOIN]
-        assert assert_elimination_tree(Graph(1)).kind == [JOIN, FORGET]
+        # the nodes with an empty rest are the roots, one per component, and
+        # nothing joins them: no node when there is no vertex, and a lone
+        # node per isolated vertex
+        assert assert_elimination_tree(Graph(0)).vertex == []
+        assert assert_elimination_tree(Graph(1)).children == [[]]
         edgeless = assert_elimination_tree(Graph(4))
-        assert edgeless.kind == [JOIN, FORGET] * 4 + [JOIN] * 3 and edgeless.bag[-3:] == [()] * 3
+        assert edgeless.bag == [()] * 4 and edgeless.children == [[]] * 4
+        assert edgeless.new == [(v,) for v in edgeless.vertex]
         three_paths = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
         ntd = assert_elimination_tree(three_paths)
-        root = ntd.root
-        assert ntd.kind[root] == JOIN and ntd.kind[ntd.left[root]] == JOIN
-        assert [ntd.bag[i] for i in range(len(ntd.kind)) if ntd.kind[i] == FORGET].count(()) == 3
+        roots = [i for i in ntd.nodes if not ntd.bag[i]]
+        assert len(roots) == 3 and roots[-1] == len(ntd.nodes) - 1
 
     def test_unknown_method_refused(self, triangle):
         with pytest.raises(InputError, match="unknown method"):
@@ -549,21 +563,20 @@ def reference_elimination(td):
 
 def assert_same_nice(td, g):
     """to_nice's tree of td passes check_nice at width(td), carries g, and
-    forgets the vertices of reference_elimination's order, each down to its
+    eliminates the vertices of reference_elimination's order, each with its
     rest, in node order."""
     ntd = to_nice(td, g)
     assert check_nice(ntd, g).ok and ntd.graph is g
     assert ntd.width() == width(td)
-    forgets = [i for i, kind in enumerate(ntd.kind) if kind == FORGET]
     order, rests = reference_elimination(td)
-    assert [ntd.vertex[i] for i in forgets] == order
-    assert [frozenset(ntd.bag[i]) for i in forgets] == rests
+    assert ntd.vertex == order
+    assert [frozenset(rest) for rest in ntd.bag] == rests
 
 
 class TestMatchesReferenceBuilder:
     """to_nice reads an elimination off the given decomposition and writes
     it as heuristic_nice does: its tree is a nice tree of the decomposition's
-    width, whose forgets are the reference reading's elimination."""
+    width, whose nodes are the reference reading's elimination."""
 
     @pytest.mark.parametrize("method", ["min-fill", "min-degree"])
     def test_elimination_test_graphs(self, method):
